@@ -108,9 +108,10 @@ func computeHotSet(prog *Program) *hotSet {
 				}
 			}
 		}
-		// Sharded-directory routing: ShardOf runs once per tuple on every
-		// extent encode and every patch route; MergedExtents folds a whole
-		// fan-in read.
+		// Sharded-directory routing: ShardOf runs once per tuple in the
+		// one-pass extent encoder (EncodeNameRingExtents, hot by its Encode
+		// prefix above) and on every patch route; MergedExtents folds a
+		// whole fan-in read.
 		for _, name := range []string{"ShardOf", "MergedExtents"} {
 			if fn, ok := pkg.Scope().Lookup(name).(*types.Func); ok {
 				add(fn, "shard routing")

@@ -19,11 +19,15 @@ import (
 // ring object, so the per-patch write cost grows with m even though a
 // patch carries one tuple. Hash-partitioned sub-ring extents
 // (CostProfile.DirShardThreshold) cut the steady-state flush to one
-// extent plus the manifest. One row per directory size m, comparing the
-// monolithic and 16-shard configurations on:
+// extent plus the manifest, and the extent tags the descriptor remembers
+// cut its read to the manifest alone. One row per directory size m,
+// comparing the monolithic and 16-shard configurations on:
 //
 //   - per-patch ring bytes: ring-layer bytes one flush writes after a
 //     single-file patch (the CI gate: >= 4x reduction at m=500000)
+//   - flush read bytes: ring-layer bytes the same flush GETs (the CI
+//     gate: < 1 KiB sharded at m=500000, and read + write >= 8x below
+//     monolithic)
 //   - cold detailed-LIST latency: manifest + extent fan-out reads in one
 //     overlapped window vs one monolithic mega-object GET
 //   - crash convergence: the merger is killed between the extent writes
@@ -45,11 +49,14 @@ func DirShard(quick bool) (Result, error) {
 		Unit:       "mixed",
 		Header: []string{
 			"m", "shards", "patch bytes (mono)", "patch bytes (sharded)",
-			"reduction", "list mono (ms)", "list sharded (ms)", "crash orphans",
+			"reduction", "flush read bytes (mono)", "flush read bytes (sharded)",
+			"flush GETs (mono)", "flush GETs (sharded)",
+			"list mono (ms)", "list sharded (ms)", "crash orphans",
 		},
 		Notes: []string{
 			"patch bytes = ring-layer bytes (ring, manifest, extents) one merger flush writes after a one-tuple patch",
-			"CI gates the m=500000 row: sharded per-patch bytes must be >= 4x below monolithic",
+			"flush read bytes / GETs = ring-layer bytes and objects the same flush fetches; extents validated by HEAD against a remembered ETag are not fetched",
+			"CI gates the m=500000 row: sharded per-patch bytes >= 4x below monolithic, sharded flush read bytes < 1 KiB, read + write >= 8x below monolithic",
 			"crash cell: flush killed between extent writes and manifest flip; replay + scrub must converge with 0 orphans",
 			"DirShardThreshold=0 (the default) never writes a manifest: Table 1 and results/*.csv are byte-identical",
 		},
@@ -67,14 +74,14 @@ func DirShard(quick bool) (Result, error) {
 // dirShardRun drives one directory-size cell: a monolithic control and a
 // sharded run (which doubles as the crash cell) on separate clusters.
 func dirShardRun(m, shards int) ([]string, error) {
-	monoBytes, monoList, err := dirShardConfig(m, 0)
+	mono, monoList, err := dirShardConfig(m, 0)
 	if err != nil {
 		return nil, fmt.Errorf("monolithic: %w", err)
 	}
 	// Threshold placing m live tuples (plus the measurement extras) in
 	// exactly `shards` power-of-two extents.
 	threshold := m/shards + 256
-	shardBytes, shardList, err := dirShardConfig(m, threshold)
+	sharded, shardList, err := dirShardConfig(m, threshold)
 	if err != nil {
 		return nil, fmt.Errorf("sharded: %w", err)
 	}
@@ -85,9 +92,13 @@ func dirShardRun(m, shards int) ([]string, error) {
 	return []string{
 		fmt.Sprintf("%d", m),
 		fmt.Sprintf("%d", shards),
-		fmt.Sprintf("%d", monoBytes),
-		fmt.Sprintf("%d", shardBytes),
-		fmt.Sprintf("%.1fx", float64(monoBytes)/float64(shardBytes)),
+		fmt.Sprintf("%d", mono.putBytes),
+		fmt.Sprintf("%d", sharded.putBytes),
+		fmt.Sprintf("%.1fx", float64(mono.putBytes)/float64(sharded.putBytes)),
+		fmt.Sprintf("%d", mono.getBytes),
+		fmt.Sprintf("%d", sharded.getBytes),
+		fmt.Sprintf("%d", mono.gets),
+		fmt.Sprintf("%d", sharded.gets),
 		fmt.Sprintf("%.2f", ms(monoList)),
 		fmt.Sprintf("%.2f", ms(shardList)),
 		fmt.Sprintf("%d", orphans),
@@ -97,37 +108,37 @@ func dirShardRun(m, shards int) ([]string, error) {
 // dirShardConfig builds an m-child directory under the given threshold,
 // reaches the steady state (split complete when threshold > 0), and
 // measures one per-patch flush plus a cold detailed LIST page.
-func dirShardConfig(m, threshold int) (int64, time.Duration, error) {
+func dirShardConfig(m, threshold int) (ringTraffic, time.Duration, error) {
 	f, err := newDirShardFixture(m, threshold)
 	if err != nil {
-		return 0, 0, err
+		return ringTraffic{}, 0, err
 	}
 	// Reach steady state: the first flush after the ring injection does
 	// the split (threshold > 0) or the first full rewrite (threshold 0).
 	if err := f.patchAndFlush("extra1"); err != nil {
-		return 0, 0, err
+		return ringTraffic{}, 0, err
 	}
 	// The measured cell: one single-tuple patch, one merger flush.
 	f.store.take()
 	if err := f.patchAndFlush("extra2"); err != nil {
-		return 0, 0, err
+		return ringTraffic{}, 0, err
 	}
-	patchBytes := f.store.take()
+	flush := f.store.take()
 
 	// Cold detailed LIST of the first page through a fresh middleware:
 	// ring load (manifest + extent window when sharded) + one multi-HEAD.
 	cold, err := h2fs.New(h2fs.Config{Store: f.store, Node: 2, Profile: f.profile, Clock: f.clock})
 	if err != nil {
-		return 0, 0, err
+		return ringTraffic{}, 0, err
 	}
 	listTime, err := Measure(func(ctx context.Context) error {
 		_, _, err := cold.ListPage(ctx, "bench", "/big", true, "", 1000)
 		return err
 	})
 	if err != nil {
-		return 0, 0, err
+		return ringTraffic{}, 0, err
 	}
-	return patchBytes, listTime, nil
+	return flush, listTime, nil
 }
 
 // dirShardCrash kills the split flush between the extent writes and the
@@ -254,40 +265,61 @@ func (f *dirShardFixture) patchAndFlush(name string) error {
 	return f.mw.FlushAll(bg())
 }
 
-// dirShardStore wraps the cluster to count ring-layer put bytes (rings,
-// manifests, extents — not patches or file objects) and to inject the
-// crash between extent writes and manifest flip. It forwards the batch
-// contract to the cluster's native Batcher so overlapped-window charging
-// is preserved (interface embedding alone would hide it and silently
-// serialize every fan-out).
+// ringTraffic is the ring-layer traffic (rings, manifests, extents — not
+// patches or file objects) of one measured window, both directions.
+type ringTraffic struct {
+	putBytes, getBytes int64
+	gets               int
+}
+
+// dirShardStore wraps the cluster to count ring-layer traffic and to
+// inject the crash between extent writes and manifest flip. It forwards
+// the batch contract to the cluster's native Batcher so overlapped-window
+// charging is preserved (interface embedding alone would hide it and
+// silently serialize every fan-out).
 type dirShardStore struct {
 	objstore.Store
 	batch objstore.Batcher
 
-	mu        sync.Mutex
-	ringBytes int64
-	failFlip  bool
+	mu       sync.Mutex
+	traffic  ringTraffic
+	failFlip bool
 }
 
 func newDirShardStore(c *cluster.Cluster) *dirShardStore {
 	return &dirShardStore{Store: c, batch: c}
 }
 
-func (s *dirShardStore) noteRing(name string, n int) {
-	if !strings.HasSuffix(name, "::/NameRing/") && !core.IsExtentKey(name) {
+func ringLayer(name string) bool {
+	return strings.HasSuffix(name, "::/NameRing/") || core.IsExtentKey(name)
+}
+
+func (s *dirShardStore) notePut(name string, n int) {
+	if !ringLayer(name) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ringBytes += int64(n)
+	s.traffic.putBytes += int64(n)
 }
 
-func (s *dirShardStore) take() int64 {
+func (s *dirShardStore) noteGet(name string, n int, err error) {
+	if err != nil || !ringLayer(name) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.ringBytes
-	s.ringBytes = 0
-	return b
+	s.traffic.getBytes += int64(n)
+	s.traffic.gets++
+}
+
+// take returns the traffic tallied since the last take.
+func (s *dirShardStore) take() ringTraffic {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.traffic
+	s.traffic = ringTraffic{}
+	return t
 }
 
 func (s *dirShardStore) setFailFlip(on bool) {
@@ -306,12 +338,22 @@ func (s *dirShardStore) Put(ctx context.Context, name string, data []byte, meta 
 	if core.IsShardManifest(data) && s.flipArmed() {
 		return fmt.Errorf("dirshard: injected crash before manifest flip: %w", objstore.ErrNodeDown)
 	}
-	s.noteRing(name, len(data))
+	s.notePut(name, len(data))
 	return s.Store.Put(ctx, name, data, meta)
 }
 
+func (s *dirShardStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
+	data, info, err := s.Store.Get(ctx, name)
+	s.noteGet(name, len(data), err)
+	return data, info, err
+}
+
 func (s *dirShardStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
-	return s.batch.MultiGet(ctx, names)
+	out := s.batch.MultiGet(ctx, names)
+	for i, r := range out {
+		s.noteGet(names[i], len(r.Data), r.Err)
+	}
+	return out
 }
 
 func (s *dirShardStore) MultiHead(ctx context.Context, names []string) []objstore.HeadResult {
@@ -320,7 +362,7 @@ func (s *dirShardStore) MultiHead(ctx context.Context, names []string) []objstor
 
 func (s *dirShardStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
 	for _, r := range reqs {
-		s.noteRing(r.Name, len(r.Data))
+		s.notePut(r.Name, len(r.Data))
 	}
 	return s.batch.MultiPut(ctx, reqs)
 }

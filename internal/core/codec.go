@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,20 +51,50 @@ func EncodeNameRing(r *NameRing) []byte {
 	return buf
 }
 
-// EncodeNameRingExtent packs one sub-ring extent of a sharded directory:
-// only the tuples whose ShardOf(name, shards) equals shard are emitted,
-// in the same sorted NameRing object format (an extent is an ordinary
-// NameRing object and round-trips through DecodeNameRing). Flushing a
-// sharded ring calls this once per dirty extent, writing O(m/shards)
-// bytes instead of the monolithic O(m).
-func EncodeNameRingExtent(r *NameRing, shard, shards int) []byte {
-	sp := tupleScratch.Get().(*[]Tuple)
-	tuples := r.AppendExtent((*sp)[:0], shard, shards)
-	buf := encodeTuples(tuples)
-	clear(tuples)
-	*sp = tuples[:0]
-	tupleScratch.Put(sp)
-	return buf
+// extentScratch is the sort scratch of EncodeNameRingExtents: one tuple
+// list per requested extent, pooled as a unit.
+type extentScratch struct{ parts [][]Tuple }
+
+// Reset empties every part, dropping its string references.
+func (s *extentScratch) Reset() {
+	for i, p := range s.parts {
+		clear(p)
+		s.parts[i] = p[:0]
+	}
+}
+
+var extentScratchPool = sync.Pool{New: func() any { return new(extentScratch) }}
+
+// EncodeNameRingExtents packs the requested sub-ring extents of a sharded
+// directory, out[i] holding extent want[i] of shards: the ring is walked
+// and each name routed (ShardOf) exactly once however many extents are
+// asked for, so a steady flush of k dirty extents and a split into all of
+// them cost the same single pass. Every extent is an ordinary NameRing
+// object — the tuples routing to it, tombstones included, sorted by name —
+// and round-trips through DecodeNameRing. want must hold distinct indices
+// in [0, shards), shards at most MaxDirShards.
+func EncodeNameRingExtents(r *NameRing, shards int, want []int) [][]byte {
+	var slot [MaxDirShards]int16 // shard -> 1 + its position in want; 0 = not wanted
+	for i, s := range want {
+		slot[s] = int16(i + 1)
+	}
+	sc := extentScratchPool.Get().(*extentScratch)
+	if grow := len(want) - len(sc.parts); grow > 0 {
+		sc.parts = append(sc.parts, make([][]Tuple, grow)...)
+	}
+	for _, t := range r.children {
+		if i := slot[ShardOf(t.Name, shards)]; i > 0 {
+			sc.parts[i-1] = append(sc.parts[i-1], t)
+		}
+	}
+	out := make([][]byte, len(want))
+	for i := range out {
+		slices.SortFunc(sc.parts[i], tupleNameCmp)
+		out[i] = encodeTuples(sc.parts[i])
+	}
+	sc.Reset()
+	extentScratchPool.Put(sc)
+	return out
 }
 
 // encodeTuples writes the NameRing object form of an already-sorted tuple

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -160,17 +161,23 @@ func TestExtentKeysDerivation(t *testing.T) {
 
 // TestExtentPartition checks the load-bearing partition property: the
 // extents of a ring are disjoint, cover every tuple (tombstones
-// included), and each round-trips through the ordinary NameRing codec.
+// included), and each round-trips through the ordinary NameRing codec —
+// and that asking the one-pass encoder for a subset, in any order, yields
+// byte for byte the extents the full partition holds at those indices.
 func TestExtentPartition(t *testing.T) {
 	src := NewNameRing()
 	for i := 0; i < 500; i++ {
 		src.Set(Tuple{Name: fmt.Sprintf("child%04d", i), Time: int64(i + 1), Deleted: i%7 == 0})
 	}
 	const shards = 8
+	all := make([]int, shards)
+	for s := range all {
+		all[s] = s
+	}
+	encoded := EncodeNameRingExtents(src, shards, all)
 	decoded := make([]*NameRing, shards)
 	total := 0
-	for s := 0; s < shards; s++ {
-		data := EncodeNameRingExtent(src, s, shards)
+	for s, data := range encoded {
 		ext, err := DecodeNameRing(data)
 		if err != nil {
 			t.Fatalf("extent %d: %v", s, err)
@@ -189,6 +196,15 @@ func TestExtentPartition(t *testing.T) {
 	merged := MergedExtents(decoded)
 	if !merged.Equal(src) {
 		t.Fatal("MergedExtents != source ring")
+	}
+	want := []int{6, 1, 3}
+	for i, data := range EncodeNameRingExtents(src, shards, want) {
+		if !bytes.Equal(data, encoded[want[i]]) {
+			t.Fatalf("subset slot %d differs from extent %d of the full partition", i, want[i])
+		}
+	}
+	if got := EncodeNameRingExtents(src, shards, nil); len(got) != 0 {
+		t.Fatalf("no extents wanted, %d encoded", len(got))
 	}
 }
 

@@ -104,22 +104,6 @@ func (r *NameRing) AppendAll(dst []Tuple) []Tuple {
 	return dst
 }
 
-// AppendExtent appends the tuples — tombstones included — whose name
-// routes to shard (of shards), sorted by name, to dst and returns the
-// extended slice. It is the iteration primitive behind
-// EncodeNameRingExtent; like the other Append* methods it allocates only
-// when dst lacks capacity.
-func (r *NameRing) AppendExtent(dst []Tuple, shard, shards int) []Tuple {
-	start := len(dst)
-	for _, t := range r.children {
-		if ShardOf(t.Name, shards) == shard {
-			dst = append(dst, t)
-		}
-	}
-	slices.SortFunc(dst[start:], tupleNameCmp)
-	return dst
-}
-
 // Len reports the number of live (non-deleted) children.
 func (r *NameRing) Len() int {
 	n := 0

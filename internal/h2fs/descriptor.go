@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +40,12 @@ type descriptor struct {
 	// sub-ring extents. gen is the manifest generation last observed.
 	shards int
 	gen    int64
+	// extentTags[i] is the ETag of a stored version of extent i that local
+	// is known to dominate: content this node fetched and merged, or put
+	// itself. "" = none remembered. A flush that finds the store still
+	// holding that ETag skips the read — merging it would change nothing.
+	// One slot per extent of the current layout; nil when monolithic.
+	extentTags []string
 	// evicted marks a descriptor removed from the cache while a caller
 	// still held its pointer; lockedDesc retries on seeing it. Guarded by
 	// mu.
@@ -81,6 +88,16 @@ func (d *descriptor) isDirty() bool { return len(d.dirtyNames) > 0 }
 // a reload would not reconstruct from the flushed watermarks.
 func (d *descriptor) clean() bool {
 	return !d.isDirty() && d.firstUnflushed >= d.nextSeq
+}
+
+// extentKeys returns the store keys of the given extents of a shards-wide
+// layout of this directory, in order.
+func (d *descriptor) extentKeys(shards int, which []int) []string {
+	keys := make([]string, len(which))
+	for i, s := range which {
+		keys[i] = core.ExtentKey(d.account, d.ns, s, shards)
+	}
+	return keys
 }
 
 // dirtyShardSet maps the dirty child names onto the current layout's
@@ -133,51 +150,126 @@ type storedRing struct {
 	shards int   // 1 = monolithic ring object
 	gen    int64 // manifest generation (0 when monolithic)
 	found  bool
+	tags   []string // descriptor.extentTags once ring is merged
+	// full reports that ring holds every stored tuple; a validated read
+	// holds only the extents that changed under the descriptor.
+	full bool
+}
+
+// adopt folds a store read into the descriptor: the tuples (which never
+// dirty an extent — they come from already-flushed state), the peers'
+// watermark advances, and the layout with its extent tags. Dirty names
+// are names, not indices, so pending dirt remaps onto a layout a peer
+// transitioned to.
+func (d *descriptor) adopt(sr storedRing) {
+	if !sr.found {
+		return
+	}
+	d.local.Merge(sr.ring)
+	if len(d.watermarks) == 0 && sr.wm != nil {
+		d.watermarks = sr.wm // a load: take the parsed map, don't grow another
+	}
+	for node, seq := range sr.wm {
+		if seq > d.watermarks[node] {
+			d.watermarks[node] = seq
+		}
+	}
+	d.shards, d.gen, d.extentTags = sr.shards, sr.gen, sr.tags
 }
 
 // readStoredRing fetches a directory's store representation. The object
 // at RingKey is either a monolithic NameRing or an H2DRX manifest; in the
 // sharded case all extents are fetched in one batched window
 // (objstore.MultiGet — the cluster charges it as one overlapped LPT
-// fan-out) and merged. A referenced-but-missing extent is tolerated as
-// empty: patch replay and gossip re-converge the tuples it held.
-func (m *Middleware) readStoredRing(ctx context.Context, account, ns string) (storedRing, error) {
-	data, info, err := m.store.Get(ctx, core.RingKey(account, ns))
+// fan-out) and merged. With validate set — the Background Merger's read —
+// a manifest that still names the layout the descriptor knows narrows
+// that to the dirty extents the store holds a newer version of.
+func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate bool) (storedRing, error) {
+	data, info, err := m.store.Get(ctx, core.RingKey(d.account, d.ns))
 	switch {
 	case errors.Is(err, objstore.ErrNotFound):
-		return storedRing{shards: 1}, nil
+		return storedRing{shards: 1, full: true}, nil
 	case err != nil:
 		return storedRing{}, err
 	}
+	wm := parseWatermarks(info.Meta)
 	if !core.IsShardManifest(data) {
 		ring, derr := core.DecodeNameRing(data)
 		if derr != nil {
-			return storedRing{}, fmt.Errorf("h2fs: ring %s/%s corrupt: %w", account, ns, derr)
+			return storedRing{}, fmt.Errorf("h2fs: ring %s/%s corrupt: %w", d.account, d.ns, derr)
 		}
-		return storedRing{ring: ring, wm: parseWatermarks(info.Meta), shards: 1, found: true}, nil
+		return storedRing{ring: ring, wm: wm, shards: 1, found: true, full: true}, nil
 	}
 	man, derr := core.DecodeShardManifest(data)
 	if derr != nil {
-		return storedRing{}, fmt.Errorf("h2fs: shard manifest %s/%s corrupt: %w", account, ns, derr)
+		return storedRing{}, fmt.Errorf("h2fs: shard manifest %s/%s corrupt: %w", d.account, d.ns, derr)
 	}
-	extents := make([]*core.NameRing, man.Shards)
-	for i, res := range objstore.MultiGet(ctx, m.store, core.ExtentKeys(account, ns, man.Shards)) {
+	if validate && man.Shards == d.shards && man.Gen == d.gen {
+		sr, err := m.revalidate(ctx, d, d.dirtyShardSet())
+		sr.wm = wm
+		return sr, err
+	}
+	sr := storedRing{wm: wm, shards: man.Shards, gen: man.Gen, found: true, full: true, tags: make([]string, man.Shards)}
+	sr.ring, err = m.fetchExtents(ctx, d, man.Shards, shardRange(man.Shards), sr.tags)
+	return sr, err
+}
+
+// revalidate is the O(dirty) read of a sharded flush: one batched HEAD
+// over the given extents of the descriptor's layout, then a fetch of only
+// those whose stored ETag is not the one remembered — a peer rewrote them,
+// or this node never read them. The HEAD-to-put window it opens is the
+// GET-to-put window of a full read; gossip repairs a lost race in both.
+func (m *Middleware) revalidate(ctx context.Context, d *descriptor, which []int) (sr storedRing, err error) {
+	sr = storedRing{shards: d.shards, gen: d.gen, found: true, tags: slices.Clone(d.extentTags)}
+	var stale []int
+	for i, h := range objstore.MultiHead(ctx, m.store, d.extentKeys(d.shards, which)) {
+		switch s := which[i]; {
+		case errors.Is(h.Err, objstore.ErrNotFound): // nothing stored, nothing to merge
+		case h.Err != nil:
+			return storedRing{}, h.Err
+		case sr.tags[s] == "" || sr.tags[s] != h.Info.ETag:
+			stale = append(stale, s)
+		}
+	}
+	m.reg.Inc("dirShard.flush.validated", int64(len(which)-len(stale)))
+	m.reg.Inc("dirShard.flush.refetched", int64(len(stale)))
+	sr.ring, err = m.fetchExtents(ctx, d, d.shards, stale, sr.tags)
+	return sr, err
+}
+
+// fetchExtents reads the given extents of a shards-wide layout in one
+// batched window and returns them merged, recording in tags the ETag of
+// each one read. A referenced-but-missing extent is tolerated as empty:
+// patch replay and gossip re-converge the tuples it held.
+func (m *Middleware) fetchExtents(ctx context.Context, d *descriptor, shards int, which []int, tags []string) (*core.NameRing, error) {
+	if len(which) == 0 {
+		return nil, nil
+	}
+	extents := make([]*core.NameRing, len(which))
+	for i, res := range objstore.MultiGet(ctx, m.store, d.extentKeys(shards, which)) {
 		if errors.Is(res.Err, objstore.ErrNotFound) {
+			tags[which[i]] = ""
 			continue
 		}
 		if res.Err != nil {
-			return storedRing{}, res.Err
+			return nil, res.Err
 		}
 		ext, derr := core.DecodeNameRing(res.Data)
 		if derr != nil {
-			return storedRing{}, fmt.Errorf("h2fs: extent %d of %s/%s corrupt: %w", i, account, ns, derr)
+			return nil, fmt.Errorf("h2fs: extent %d of %s/%s corrupt: %w", which[i], d.account, d.ns, derr)
 		}
-		extents[i] = ext
+		extents[i], tags[which[i]] = ext, res.Info.ETag
 	}
-	return storedRing{
-		ring: core.MergedExtents(extents), wm: parseWatermarks(info.Meta),
-		shards: man.Shards, gen: man.Gen, found: true,
-	}, nil
+	return core.MergedExtents(extents), nil
+}
+
+// shardRange lists every extent index of a shards-wide layout.
+func shardRange(shards int) []int {
+	all := make([]int, shards)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // load populates a descriptor from the store: the ring representation
@@ -189,15 +281,11 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	if d.loaded {
 		return nil
 	}
-	sr, err := m.readStoredRing(ctx, d.account, d.ns)
+	sr, err := m.readStoredRing(ctx, d, false)
 	if err != nil {
 		return err
 	}
-	if sr.found {
-		d.local.Merge(sr.ring)
-		d.watermarks = sr.wm
-	}
-	d.shards, d.gen = sr.shards, sr.gen
+	d.adopt(sr)
 	// Replay this node's orphaned patches (crash recovery).
 	seq := d.watermarks[m.node] + 1
 	for {
@@ -370,44 +458,45 @@ func (m *Middleware) Flush(ctx context.Context, account, ns string) error {
 //
 // The write half depends on the directory's layout. A monolithic ring
 // under the DirShardThreshold keeps the original single-object
-// read-merge-write, byte for byte. A sharded ring in steady state
-// rewrites only the extents holding dirty names plus the manifest
-// (O(m/shards) bytes per flush instead of O(m)). A layout transition —
+// read-merge-write, byte for byte. A sharded ring in steady state reads
+// and rewrites only the extents holding dirty names, plus the manifest
+// (O(m/shards) bytes per flush each way, not O(m)). A layout transition —
 // split, re-split, or merge back to monolithic — is write-new-then-flip:
 // the new representation lands on fresh keys first, the manifest (or
 // ring) put at RingKey is the atomic flip, and the old representation is
 // deleted last, so a crash at any point leaves either the old state plus
 // unreferenced garbage (Scrub reclaims it) or the new state complete.
 func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
-	if !d.isDirty() && d.firstUnflushed >= d.nextSeq {
+	if d.clean() {
 		return nil
 	}
-	// Read-merge-write against the store copy. Tuples the store wins come
-	// from already-flushed state, so they never dirty an extent.
-	sr, err := m.readStoredRing(ctx, d.account, d.ns)
+	// Read-merge-write against the store copy. No extent is written that
+	// this flush has not validated or fetched: the read covers the dirty
+	// extents, and the ones only compaction dirties are validated late.
+	sr, err := m.readStoredRing(ctx, d, true)
 	if err != nil {
 		return err
 	}
-	if sr.found {
-		d.local.Merge(sr.ring)
-		for node, seq := range sr.wm {
-			if seq > d.watermarks[node] {
-				d.watermarks[node] = seq
-			}
+	d.adopt(sr)
+	if late := m.compact(d); len(late) > 0 && !sr.full {
+		lr, err := m.revalidate(ctx, d, late)
+		if err != nil {
+			return err
 		}
-		if sr.shards != d.shards || sr.gen != d.gen {
-			// A peer transitioned the layout; adopt it. dirtyNames are
-			// names, not indices, so pending dirt remaps automatically.
-			d.shards, d.gen = sr.shards, sr.gen
-		}
+		d.adopt(lr)
 	}
-	if m.tombTTL > 0 {
-		// Dropped tombstones dirty their extent so the store copy is
-		// rewritten without them.
-		d.local.CompactFunc(m.now()-m.tombTTL.Nanoseconds(), d.noteChanged)
+	want := m.desiredShards(d.local.Len(), d.shards)
+	if want != d.shards && !sr.full {
+		// A transition re-partitions every tuple, so it starts over from
+		// the full store state.
+		if sr, err = m.readStoredRing(ctx, d, false); err != nil {
+			return err
+		}
+		d.adopt(sr)
+		m.compact(d)
+		want = m.desiredShards(d.local.Len(), d.shards)
 	}
 	d.watermarks[m.node] = d.nextSeq - 1
-	want := m.desiredShards(d.local.Len(), d.shards)
 	switch {
 	case d.shards == 1 && want == 1:
 		// Monolithic steady state — the original flush path.
@@ -441,6 +530,42 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	return nil
 }
 
+// compact drops tombstones past the TTL from local. Their names turn
+// dirty, so the store copy of each one's extent is rewritten without it;
+// the extents that were not dirty before are returned, sorted.
+func (m *Middleware) compact(d *descriptor) []int {
+	if m.tombTTL <= 0 {
+		return nil
+	}
+	before := d.dirtyShardSet()
+	d.local.CompactFunc(m.now()-m.tombTTL.Nanoseconds(), d.noteChanged)
+	return slices.DeleteFunc(d.dirtyShardSet(), func(s int) bool {
+		_, was := slices.BinarySearch(before, s)
+		return was
+	})
+}
+
+// putExtents encodes the given extents of local under a shards-wide
+// layout in one pass and writes them in one batched put. tags remembers
+// the ETag of every extent that landed and forgets the ones that failed:
+// the store may hold either version of those.
+func (m *Middleware) putExtents(ctx context.Context, d *descriptor, shards int, which []int, tags []string) error {
+	reqs := make([]objstore.PutReq, len(which))
+	for i, data := range core.EncodeNameRingExtents(d.local, shards, which) {
+		reqs[i] = objstore.PutReq{Name: core.ExtentKey(d.account, d.ns, which[i], shards), Data: data}
+	}
+	var failed error
+	for i, err := range objstore.MultiPut(ctx, m.store, reqs) {
+		if err != nil {
+			tags[which[i]] = ""
+			failed = errors.Join(failed, err)
+			continue
+		}
+		tags[which[i]] = objstore.ETag(reqs[i].Data)
+	}
+	return failed
+}
+
 // flushShardedSteady writes a sharded directory whose layout is not
 // changing: one batched put covers the dirty extents, then the manifest
 // is rewritten to publish the watermark advance. Extents go first — if
@@ -448,18 +573,8 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 // hold a superset the patch chain re-converges) and the un-advanced
 // watermarks just replay the patches.
 func (m *Middleware) flushShardedSteady(ctx context.Context, d *descriptor) error {
-	dirty := d.dirtyShardSet()
-	reqs := make([]objstore.PutReq, 0, len(dirty))
-	for _, s := range dirty {
-		reqs = append(reqs, objstore.PutReq{
-			Name: core.ExtentKey(d.account, d.ns, s, d.shards),
-			Data: core.EncodeNameRingExtent(d.local, s, d.shards),
-		})
-	}
-	for _, err := range objstore.MultiPut(ctx, m.store, reqs) {
-		if err != nil {
-			return fmt.Errorf("h2fs: flush extent: %w", err)
-		}
+	if err := m.putExtents(ctx, d, d.shards, d.dirtyShardSet(), d.extentTags); err != nil {
+		return fmt.Errorf("h2fs: flush extent: %w", err)
 	}
 	if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
 		core.EncodeShardManifest(core.ShardManifest{Shards: d.shards, Gen: d.gen}),
@@ -473,22 +588,15 @@ func (m *Middleware) flushShardedSteady(ctx context.Context, d *descriptor) erro
 // merge back to monolithic) with the write-new-then-flip protocol. The
 // shard count is part of every extent key, so the new representation
 // never collides with the old one; the single put at RingKey is the
-// atomic flip between them.
+// atomic flip between them. The caller has merged the full store state.
 func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want int) error {
 	oldShards := d.shards
 	newGen := d.gen + 1
+	var tags []string
 	if want > 1 {
-		reqs := make([]objstore.PutReq, want)
-		for s := 0; s < want; s++ {
-			reqs[s] = objstore.PutReq{
-				Name: core.ExtentKey(d.account, d.ns, s, want),
-				Data: core.EncodeNameRingExtent(d.local, s, want),
-			}
-		}
-		for _, err := range objstore.MultiPut(ctx, m.store, reqs) {
-			if err != nil {
-				return fmt.Errorf("h2fs: write split extent: %w", err)
-			}
+		tags = make([]string, want)
+		if err := m.putExtents(ctx, d, want, shardRange(want), tags); err != nil {
+			return fmt.Errorf("h2fs: write split extent: %w", err)
 		}
 		if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
 			core.EncodeShardManifest(core.ShardManifest{Shards: want, Gen: newGen}),
@@ -503,7 +611,7 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 			return fmt.Errorf("h2fs: flip ring: %w", err)
 		}
 	}
-	d.shards, d.gen = want, newGen
+	d.shards, d.gen, d.extentTags = want, newGen, tags
 	if oldShards > 1 {
 		// Old extents are unreferenced after the flip; a failure here
 		// leaves garbage for Scrub, never an inconsistent directory.
@@ -600,18 +708,10 @@ func (m *Middleware) handleGossip(ctx context.Context, msg gossip.Message) {
 			m.unlockDesc(d)
 			return
 		}
-	} else if sr, err := m.readStoredRing(ctx, d.account, d.ns); err == nil && sr.found {
+	} else if sr, err := m.readStoredRing(ctx, d, false); err == nil && sr.found {
 		// Detect tuples the store copy is missing before merging.
 		sr.ring.Clone().MergeFunc(d.local, d.noteChanged)
-		d.local.Merge(sr.ring)
-		for node, seq := range sr.wm {
-			if seq > d.watermarks[node] {
-				d.watermarks[node] = seq
-			}
-		}
-		if sr.shards != d.shards || sr.gen != d.gen {
-			d.shards, d.gen = sr.shards, sr.gen
-		}
+		d.adopt(sr)
 	}
 	m.unlockDesc(d)
 	if m.bus != nil {

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
@@ -120,32 +122,65 @@ func TestDirShardSplitAndReadback(t *testing.T) {
 
 // ringBytesStore counts the bytes put to ring-layer objects (rings,
 // manifests, extents — not patches), the write-amplification metric the
-// sharding exists to cut.
+// sharding exists to cut, and records the ring-layer objects fetched, the
+// read amplification the tag protocol cuts. It hides the cluster's
+// Batcher, so every batched item arrives here singly.
 type ringBytesStore struct {
 	objstore.Store
-	mu    sync.Mutex
-	bytes int64
+	mu      sync.Mutex
+	bytes   int64
+	read    int64
+	fetched []string
 }
 
-func (s *ringBytesStore) note(n int) {
+func ringLayer(name string) bool {
+	return strings.HasSuffix(name, "::/NameRing/") || core.IsExtentKey(name)
+}
+
+func (s *ringBytesStore) notePut(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bytes += int64(n)
 }
 
+func (s *ringBytesStore) noteGet(name string, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.read += int64(n)
+	s.fetched = append(s.fetched, name)
+}
+
 func (s *ringBytesStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if strings.HasSuffix(name, "::/NameRing/") || core.IsExtentKey(name) {
-		s.note(len(data))
+	if ringLayer(name) {
+		s.notePut(len(data))
 	}
 	return s.Store.Put(ctx, name, data, meta)
 }
 
+func (s *ringBytesStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
+	data, info, err := s.Store.Get(ctx, name)
+	if ringLayer(name) && err == nil {
+		s.noteGet(name, len(data))
+	}
+	return data, info, err
+}
+
+// take returns and resets the put-byte tally; takeReads does the same for
+// the fetched ring-layer objects and their bytes.
 func (s *ringBytesStore) take() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.bytes
 	s.bytes = 0
 	return b
+}
+
+func (s *ringBytesStore) takeReads() ([]string, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names, b := s.fetched, s.read
+	s.fetched, s.read = nil, 0
+	return names, b
 }
 
 // TestDirShardSteadyFlushWriteAmplification: once sharded, a one-child
@@ -420,6 +455,272 @@ func TestDirShardGCReclaimsExtents(t *testing.T) {
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans after sharded rmdir: %v", rep.Orphans)
 	}
+}
+
+// nameInShard returns the first prefix<i> name routing to (or, with in
+// false, away from) the given extent of a shards-wide layout, starting
+// the search at *next so successive calls yield distinct names.
+func nameInShard(prefix string, next *int, shard, shards int, in bool) string {
+	for ; ; *next++ {
+		name := fmt.Sprintf("%s%04d", prefix, *next)
+		if (core.ShardOf(name, shards) == shard) == in {
+			*next++
+			return name
+		}
+	}
+}
+
+// flushCounters reads the tag protocol's hit/miss counters.
+func flushCounters(reg *metrics.Registry) (validated, refetched int64) {
+	return reg.Counter("dirShard.flush.validated"), reg.Counter("dirShard.flush.refetched")
+}
+
+// extentTagsOf snapshots a directory descriptor's remembered tags.
+func extentTagsOf(m *Middleware, ns string) []string {
+	d := m.lockedDesc("alice", ns)
+	defer m.unlockDesc(d)
+	return append([]string(nil), d.extentTags...)
+}
+
+// TestDirShardFlushFetchesPeerRewrittenExtent: a peer rewrites an extent
+// between two of our flushes. Our HEAD no longer matches the remembered
+// tag, so exactly that extent is fetched and merged before it is written
+// back; the extent we alone touch is validated by HEAD. No tuple of
+// either node is lost.
+func TestDirShardFlushFetchesPeerRewrittenExtent(t *testing.T) {
+	c := newCluster(t)
+	reg := metrics.NewRegistry()
+	m1 := newMW(t, c, 1, withShardThreshold(8), func(cfg *Config) { cfg.Metrics = reg })
+	ctx := context.Background()
+	mustNoErr(t, m1.CreateAccount(ctx, "alice"))
+	populateBig(t, m1, 40)
+	mustNoErr(t, m1.FlushAll(ctx)) // split into 8 extents
+
+	const shared, own = 3, 5
+	next := 0
+	m2 := newMW(t, c, 2, withShardThreshold(8))
+	mustNoErr(t, m2.FS("alice").WriteFile(ctx, "/big/"+nameInShard("peer", &next, shared, 8, true), []byte("p")))
+	mustNoErr(t, m2.FlushAll(ctx))
+
+	fs := m1.FS("alice")
+	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, shared, 8, true), []byte("m")))
+	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, own, 8, true), []byte("m")))
+	mustNoErr(t, m1.FlushAll(ctx))
+	if v, r := flushCounters(reg); v != 1 || r != 1 {
+		t.Fatalf("validated/refetched = %d/%d, want 1/1 (extent %d untouched by the peer, extent %d rewritten)", v, r, own, shared)
+	}
+	if got := listNames(t, m1, "/big"); len(got) != 43 {
+		t.Fatalf("our view after the merge = %d entries, want 43", len(got))
+	}
+	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 43 {
+		t.Fatalf("stored view = %d entries, want 43 (40 + peer's 1 + our 2)", len(got))
+	}
+}
+
+// TestDirShardSteadyFlushReadsOnlyManifest: a single writer's steady
+// flush validates its dirty extent by HEAD and fetches nothing but the
+// manifest — read amplification is O(1), not O(m).
+func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
+	c := newCluster(t)
+	rbs := &ringBytesStore{Store: c}
+	reg := metrics.NewRegistry()
+	cfg := Config{Store: rbs, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
+	cfg.Profile.DirShardThreshold = 16
+	m, err := New(cfg)
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	populateBig(t, m, 256)
+	mustNoErr(t, m.FlushAll(ctx))
+	ns := bigDirNS(t, m)
+	rbs.takeReads()
+	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
+	mustNoErr(t, m.FlushAll(ctx))
+	fetched, n := rbs.takeReads()
+	if len(fetched) != 1 || fetched[0] != core.RingKey("alice", ns) || n > 64 {
+		t.Fatalf("steady flush fetched %v (%d bytes), want the manifest alone", fetched, n)
+	}
+	if v, r := flushCounters(reg); v != 1 || r != 0 {
+		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
+	}
+}
+
+// TestDirShardFailedPutForgetsTag: when one slot of the extent MultiPut
+// fails the store may hold either version, so that extent's tag is
+// forgotten (the others are remembered) and the retried flush re-reads
+// it instead of trusting a HEAD.
+func TestDirShardFailedPutForgetsTag(t *testing.T) {
+	c := newCluster(t)
+	cs := chaos.New(chaos.Plan{}, nil).Store(c)
+	reg := metrics.NewRegistry()
+	cfg := Config{Store: cs, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
+	cfg.Profile.DirShardThreshold = 8
+	m, err := New(cfg)
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	populateBig(t, m, 40)
+	mustNoErr(t, m.FlushAll(ctx))
+	ns := bigDirNS(t, m)
+
+	const doomed, fine = 2, 6
+	next := 0
+	fs := m.FS("alice")
+	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("w", &next, doomed, 8, true), []byte("x")))
+	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("w", &next, fine, 8, true), []byte("x")))
+	before := extentTagsOf(m, ns)
+	cs.FailOn(chaos.OpPut, core.ExtentKey("alice", ns, doomed, 8))
+	if err := m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("flush with a failing extent put = %v, want the injected fault", err)
+	}
+	cs.FailOn(chaos.OpPut, "")
+	after := extentTagsOf(m, ns)
+	if after[doomed] != "" {
+		t.Fatalf("tag of the failed extent still remembered: %q", after[doomed])
+	}
+	if after[fine] == "" || after[fine] == before[fine] {
+		t.Fatalf("tag of the extent that landed = %q (was %q), want a fresh one", after[fine], before[fine])
+	}
+	v0, r0 := flushCounters(reg)
+	mustNoErr(t, m.FlushAll(ctx))
+	if v, r := flushCounters(reg); v-v0 != 1 || r-r0 != 1 {
+		t.Fatalf("retry validated/refetched = %d/%d, want 1/1 (the forgotten extent is re-read)", v-v0, r-r0)
+	}
+	if got := listNames(t, newMW(t, c, 2, withShardThreshold(8)), "/big"); len(got) != 42 {
+		t.Fatalf("stored view after the retry = %d entries, want 42", len(got))
+	}
+}
+
+// TestDirShardResplitKeepsPeerOnlyExtents: a node that has only ever
+// validated the extents it dirtied holds none of the tuples a peer put in
+// another extent. When its own growth crosses the re-split threshold the
+// flush must read the whole store state before it re-partitions, or the
+// new layout would drop them.
+func TestDirShardResplitKeepsPeerOnlyExtents(t *testing.T) {
+	c := newCluster(t)
+	reg := metrics.NewRegistry()
+	m1 := newMW(t, c, 1, withShardThreshold(8), func(cfg *Config) { cfg.Metrics = reg })
+	ctx := context.Background()
+	mustNoErr(t, m1.CreateAccount(ctx, "alice"))
+	populateBig(t, m1, 40)
+	mustNoErr(t, m1.FlushAll(ctx)) // 8 extents; re-split past 2*8*8 = 128 live
+
+	const peers = 4
+	next := 0
+	m2 := newMW(t, c, 2, withShardThreshold(8))
+	for i := 0; i < 5; i++ {
+		mustNoErr(t, m2.FS("alice").WriteFile(ctx, "/big/"+nameInShard("peer", &next, peers, 8, true), []byte("p")))
+	}
+	mustNoErr(t, m2.FlushAll(ctx))
+
+	// m1 grows the directory without ever dirtying the peer's extent.
+	fs := m1.FS("alice")
+	for i := 0; i < 100; i++ {
+		mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, peers, 8, false), []byte("m")))
+		if i == 49 {
+			mustNoErr(t, m1.FlushAll(ctx))
+			if _, r := flushCounters(reg); r != 0 {
+				t.Fatalf("steady flush refetched %d extents; the peer's extent was never dirty here", r)
+			}
+			if got := listNames(t, m1, "/big"); len(got) != 90 {
+				t.Fatalf("before the re-split this node sees %d entries, want 90 (none of the peer's)", len(got))
+			}
+		}
+	}
+	mustNoErr(t, m1.FlushAll(ctx))
+	if got := reg.Counter("dirShard.splits"); got != 2 {
+		t.Fatalf("dirShard.splits = %d, want 2 (the flush at 140 live re-splits)", got)
+	}
+	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 145 {
+		t.Fatalf("stored view after the re-split = %d entries, want 145 (40 + 100 + the peer's 5)", len(got))
+	}
+}
+
+// TestDirShardCompactionValidatesLate: tombstone compaction can dirty an
+// extent after the flush has done its read. That extent is validated
+// before it is written too — here a peer rewrote it meanwhile, and its
+// tuple must survive our rewrite.
+func TestDirShardCompactionValidatesLate(t *testing.T) {
+	c := newCluster(t)
+	ctx := context.Background()
+	m0 := newMW(t, c, 1, withShardThreshold(8))
+	mustNoErr(t, m0.CreateAccount(ctx, "alice"))
+	names := populateBig(t, m0, 40)
+	mustNoErr(t, m0.FlushAll(ctx))
+	tombed := core.ShardOf(names[0], 8)
+	mustNoErr(t, m0.FS("alice").Remove(ctx, "/big/"+names[0]))
+	mustNoErr(t, m0.FlushAll(ctx)) // the tombstone is now stored in its extent
+
+	reg := metrics.NewRegistry()
+	m1 := newMW(t, c, 2, withShardThreshold(8), func(cfg *Config) {
+		cfg.Metrics = reg
+		cfg.TombstoneTTL = time.Nanosecond
+	})
+	listNames(t, m1, "/big") // loads the tombstone, clean
+
+	next := 0
+	mustNoErr(t, m0.FS("alice").WriteFile(ctx, "/big/"+nameInShard("peer", &next, tombed, 8, true), []byte("p")))
+	mustNoErr(t, m0.FlushAll(ctx))
+
+	mustNoErr(t, m1.FS("alice").WriteFile(ctx, "/big/"+nameInShard("mine", &next, tombed, 8, false), []byte("m")))
+	mustNoErr(t, m1.FlushAll(ctx))
+	if v, r := flushCounters(reg); v != 1 || r != 1 {
+		t.Fatalf("validated/refetched = %d/%d, want 1/1 (our extent by HEAD, the compacted one re-read)", v, r)
+	}
+	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 41 {
+		t.Fatalf("stored view = %d entries, want 41 (39 + the peer's 1 + our 1)", len(got))
+	}
+}
+
+// TestDirShardTagsDieWithDescriptor: tags describe a descriptor's local
+// ring, so a restart or a cache eviction — which drop that ring — must
+// drop them too; the replacement descriptor relearns them from the full
+// read of its load.
+func TestDirShardTagsDieWithDescriptor(t *testing.T) {
+	c := newCluster(t)
+	m := newMW(t, c, 1, withShardThreshold(8), func(cfg *Config) { cfg.DescCacheLimit = descStripes })
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	populateBig(t, m, 40)
+	mustNoErr(t, m.FlushAll(ctx))
+	ns := bigDirNS(t, m)
+	known := func(tags []string) bool {
+		for _, tag := range tags {
+			if tag == "" {
+				return false
+			}
+		}
+		return len(tags) == 8
+	}
+	fresh := func(step string, old *descriptor) *descriptor {
+		t.Helper()
+		d := m.desc("alice", ns)
+		if d == old || d.loaded || d.extentTags != nil {
+			t.Fatalf("%s: descriptor kept (same=%v loaded=%v tags=%v)", step, d == old, d.loaded, d.extentTags)
+		}
+		if tags := extentTagsOf(m, ns); tags != nil {
+			t.Fatalf("%s: unloaded descriptor has tags %v", step, tags)
+		}
+		listNames(t, m, "/big")
+		if tags := extentTagsOf(m, ns); !known(tags) {
+			t.Fatalf("%s: reload did not relearn every tag: %v", step, tags)
+		}
+		return d
+	}
+	d0 := m.desc("alice", ns)
+	if tags := extentTagsOf(m, ns); !known(tags) {
+		t.Fatalf("split did not remember every extent's tag: %v", tags)
+	}
+	m.Recover()
+	d1 := fresh("Recover", d0)
+
+	// Push /big's clean descriptor out of its stripe.
+	fs := m.FS("alice")
+	for i := 0; i < 4*descStripes; i++ {
+		mustNoErr(t, fs.Mkdir(ctx, fmt.Sprintf("/d%03d", i)))
+		mustNoErr(t, fs.WriteFile(ctx, fmt.Sprintf("/d%03d/f", i), []byte("x")))
+	}
+	fresh("eviction", d1)
 }
 
 // TestDescCacheEviction: with a cache cap, cold clean descriptors are

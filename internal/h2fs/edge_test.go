@@ -73,6 +73,22 @@ func TestMoveChainPreservesContent(t *testing.T) {
 	}
 }
 
+// TestRmdirOldParentKeepsMovedSubtree: eager GC of a directory must not
+// follow the tombstone a MOVE left in it into the subtree's new home.
+func TestRmdirOldParentKeepsMovedSubtree(t *testing.T) {
+	fs := newFS(t) // EagerGC
+	ctx := context.Background()
+	for _, dir := range []string{"/a", "/a/b", "/c"} {
+		mustNoErr(t, fs.Mkdir(ctx, dir))
+	}
+	mustNoErr(t, fs.WriteFile(ctx, "/a/b/f", []byte("cargo")))
+	mustNoErr(t, fs.Move(ctx, "/a/b", "/c/b"))
+	mustNoErr(t, fs.Rmdir(ctx, "/a"))
+	if data, err := fs.ReadFile(ctx, "/c/b/f"); err != nil || string(data) != "cargo" {
+		t.Fatalf("moved file after rmdir of its old parent = %q, %v", data, err)
+	}
+}
+
 // TestCopyThenDivergence: after COPY, source and copy evolve separately
 // at every level.
 func TestCopyThenDivergence(t *testing.T) {

@@ -356,8 +356,10 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	}); err != nil {
 		return err
 	}
+	// The tombstone carries no namespace: the subtree lives on under its
+	// new parent, and subtree GC descends into whatever NS a tuple names.
 	return m.submitPatch(ctx, account, res.parentNS, core.Tuple{
-		Name: res.tuple.Name, Time: now, Deleted: true, Dir: res.tuple.Dir, NS: res.tuple.NS,
+		Name: res.tuple.Name, Time: now, Deleted: true, Dir: res.tuple.Dir,
 	})
 }
 
