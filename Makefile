@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json lint-timed test race bench bench-smoke bench-wallclock fuzz experiments examples tools clean
+.PHONY: all build lint lint-json lint-timed test race bench bench-smoke bench-wallclock benchmark benchmark-test fuzz experiments examples tools clean
 
 all: build lint test
 
@@ -67,6 +67,16 @@ bench-smoke:
 bench-wallclock:
 	$(GO) run ./cmd/h2bench -exp hotpath -quick -json out
 
+# The repo's scoreboard (BENCHMARK.json): seven workloads, end-to-end and
+# per-layer metrics on both clocks, every output verified against a
+# model. benchmark/ is its own module, so the root 'go test ./...' does
+# not build it; benchmark-test runs its unit and contract tests.
+benchmark:
+	cd benchmark && $(GO) run . -seed 1
+
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
 # Short fuzzing pass over the codecs, path cleaner, and h2vet's
 # directive/flag parsers.
 fuzz:
@@ -82,7 +92,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzRulesFlag -fuzztime=10s ./cmd/h2vet/
 
 # Regenerate the paper's evaluation (Table 1, Figures 7-15, RTT, headline,
-# shootout, ablations) into results/.
+# shootout, chaos, subtree, gcqueue, ablations) into results/. Every file
+# it writes is deterministic — h2bench keeps its wall-clock timing lines on
+# stderr, out of the tee'd transcript — so CI follows it with
+# 'git diff --exit-code results/'.
 experiments:
 	$(GO) run ./cmd/h2bench -exp all -csv results | tee results/h2bench_full.txt
 

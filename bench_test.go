@@ -6,11 +6,8 @@
 package h2cloud_test
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
-	"github.com/h2cloud/h2cloud"
 	"github.com/h2cloud/h2cloud/internal/bench"
 )
 
@@ -166,100 +163,4 @@ func BenchmarkHeadline(b *testing.B) {
 		}
 	}
 	reportFinal(b, r)
-}
-
-// Wall-clock benchmarks of the public API over a zero-cost cloud: real
-// data-structure work only, no simulated service times.
-func newBenchFS(b *testing.B) *h2cloud.AccountFS {
-	b.Helper()
-	cloud, err := h2cloud.NewCluster(h2cloud.ClusterConfig{Profile: h2cloud.ZeroProfile()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mw, err := h2cloud.NewMiddleware(h2cloud.Config{Store: cloud, Node: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := mw.CreateAccount(context.Background(), "bench"); err != nil {
-		b.Fatal(err)
-	}
-	return mw.FS("bench")
-}
-
-func BenchmarkH2WriteFile(b *testing.B) {
-	fs := newBenchFS(b)
-	ctx := context.Background()
-	if err := fs.Mkdir(ctx, "/d"); err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.WriteFile(ctx, fmt.Sprintf("/d/f%08d", i), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkH2Stat(b *testing.B) {
-	fs := newBenchFS(b)
-	ctx := context.Background()
-	path := ""
-	for d := 0; d < 4; d++ {
-		path += fmt.Sprintf("/d%d", d)
-		if err := fs.Mkdir(ctx, path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := fs.WriteFile(ctx, path+"/leaf", []byte("x")); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fs.Stat(ctx, path+"/leaf"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkH2List1000(b *testing.B) {
-	fs := newBenchFS(b)
-	ctx := context.Background()
-	if err := fs.Mkdir(ctx, "/d"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if err := fs.WriteFile(ctx, fmt.Sprintf("/d/f%06d", i), []byte("x")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fs.List(ctx, "/d", false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkH2MoveDirectory(b *testing.B) {
-	fs := newBenchFS(b)
-	ctx := context.Background()
-	if err := fs.Mkdir(ctx, "/src0"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := fs.WriteFile(ctx, fmt.Sprintf("/src0/f%06d", i), []byte("x")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.Move(ctx, fmt.Sprintf("/src%d", i), fmt.Sprintf("/src%d", i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

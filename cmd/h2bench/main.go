@@ -60,7 +60,10 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Print(bench.FormatText(res))
-		fmt.Printf("  (generated in %v)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		// Wall time goes to stderr: stdout is a deterministic transcript
+		// (make experiments tees it into results/).
+		fmt.Fprintf(os.Stderr, "  (%s generated in %v)\n", name, time.Since(start).Round(time.Millisecond))
 		if *csv != "" {
 			path := filepath.Join(*csv, res.Experiment+".csv")
 			if err := os.WriteFile(path, []byte(bench.FormatCSV(res)), 0o644); err != nil {

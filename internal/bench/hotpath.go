@@ -3,9 +3,11 @@ package bench
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/core"
+	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/pathdb"
 	"github.com/h2cloud/h2cloud/internal/ring"
 )
@@ -84,6 +86,12 @@ func HotPath(quick bool) (Result, error) {
 	if err := cl.Put(ctx, "hot/object", payload, nil); err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+
+	coldPaths, coldFS, err := coldTree(reloadDirs)
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
+	evictInsert := h2fs.EvictInsertLoop(evictStripe)
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 
@@ -190,6 +198,26 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
+		// A Stat whose parent ring was evicted clean since its last use:
+		// one descriptor, one ring GET, one decode that the descriptor
+		// then owns — no own-chain probe, no re-merge — plus the HEAD.
+		{"h2fs/reload-evicted", 22, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				info, err := coldFS.Stat(ctx, coldPaths[i%len(coldPaths)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += int(info.Size)
+			}
+		}},
+		// Inserting past the budget of a large stripe: the evictor unlinks
+		// the cold end of the recency list and the stub reuses the evicted
+		// descriptor's key.
+		{"h2fs/evict-insert", 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				evictInsert()
+			}
+		}},
 	}
 
 	res := Result{
@@ -201,6 +229,7 @@ func HotPath(quick bool) (Result, error) {
 			"allocs/op is gated in CI against the committed ceiling; ns/op and B/op are informational (wall clock)",
 			"pre-PR-8 full-scale baselines: encode-namering 5767 allocs/op, decode-namering 1025, partition 1, devices 2, merged 32, live 4, cluster/get 7, cluster/put 20",
 			"all simulated-cost figures (results/*.csv, chaos/subtree/gcqueue artifacts) are unaffected: these paths changed wall-clock speed only",
+			"pre-PR-16 baselines: h2fs/reload-evicted 31 allocs/op (own-chain probe, re-merge into an empty ring); h2fs/evict-insert 4 allocs/op and 27 KB (a candidate slice of the whole stripe, reflect-sorted per insert)",
 		},
 	}
 	for _, c := range cases {
@@ -220,6 +249,60 @@ func HotPath(quick bool) (Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// reloadDirs is how many single-file directories h2fs/reload-evicted
+// cycles through under a one-descriptor-per-stripe cache: eight rings per
+// stripe, so every Stat finds its parent ring evicted. evictStripe is the
+// stripe population h2fs/evict-insert runs at.
+const (
+	reloadDirs  = 256
+	evictStripe = 1024
+)
+
+// coldTree builds n flushed single-file directories behind a middleware
+// whose descriptor cache holds one descriptor per stripe, restarts it, and
+// walks the files once so that every ring has been loaded, evicted clean
+// and left a stub. It returns the file paths in walk order.
+func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		return nil, nil, err
+	}
+	// A logical clock, so namespace UUIDs — and with them which rings share
+	// a stripe — are the same on every run.
+	tick := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { tick = tick.Add(time.Millisecond); return tick }
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Clock: clock, DescCacheLimit: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := bg()
+	if err := mw.CreateAccount(ctx, "cold"); err != nil {
+		return nil, nil, err
+	}
+	fs := mw.FS("cold")
+	paths := make([]string, n)
+	for i := range paths {
+		dir := fmt.Sprintf("/d%03d", i)
+		paths[i] = dir + "/f"
+		if err := fs.Mkdir(ctx, dir); err != nil {
+			return nil, nil, err
+		}
+		if err := fs.WriteFile(ctx, paths[i], []byte("x")); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := mw.FlushAll(ctx); err != nil {
+		return nil, nil, err
+	}
+	mw.Recover()
+	for _, p := range paths {
+		if _, err := fs.Stat(ctx, p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return paths, fs, nil
 }
 
 // benchDevices builds n uniform devices across 4 zones, mirroring the

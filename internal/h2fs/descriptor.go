@@ -22,12 +22,20 @@ type descriptor struct {
 	mu      sync.Mutex
 	account string
 	ns      string
+	key     string // core.RingKey(account, ns): the cache key and the ring object's name
 
-	local *core.NameRing // this node's local version (§3.3.2 step 1)
-	// watermarks[node] is the highest patch sequence of that node already
-	// folded into the flushed ring object.
-	watermarks     map[int]int
-	loaded         bool
+	// local is this node's local version (§3.3.2 step 1) and
+	// watermarks[node] the highest patch sequence of that node already
+	// folded into the flushed ring object. Both are nil until the first
+	// store read is adopted: a load owns what it decoded.
+	local      *core.NameRing
+	watermarks map[int]int
+	loaded     bool
+	// settled marks a descriptor re-created over the stub a clean eviction
+	// left (descache.go): this node's own patch chain is known empty, so
+	// load skips probing it. Written once by desc before the descriptor is
+	// published, read under mu.
+	settled        bool
 	nextSeq        int // next patch sequence this node will submit
 	firstUnflushed int
 	// dirtyNames records the children whose tuples changed locally since
@@ -50,10 +58,9 @@ type descriptor struct {
 	// still held its pointer; lockedDesc retries on seeing it. Guarded by
 	// mu.
 	evicted bool
-	// used is the stripe-clock stamp of the last cache lookup; the
-	// cold-descriptor evictor removes the smallest. Guarded by the owning
-	// stripe's lock, not mu.
-	used int64
+	// hotter and colder thread the owning stripe's recency list (see
+	// descStripe.touch). Guarded by the stripe's lock, not mu.
+	hotter, colder *descriptor
 	// lastGossip is the newest advertisement timestamp already processed
 	// for this ring; older or equal adverts are not forwarded (the
 	// loop-back avoidance of §3.3.2). Content timestamps cannot serve
@@ -62,12 +69,11 @@ type descriptor struct {
 	lastGossip int64
 }
 
-func newDescriptor(account, ns string) *descriptor {
+func newDescriptor(account, ns, key string) *descriptor {
 	return &descriptor{
 		account:    account,
 		ns:         ns,
-		local:      core.NewNameRing(),
-		watermarks: map[int]int{},
+		key:        key,
 		dirtyNames: map[string]struct{}{},
 		shards:     1,
 	}
@@ -162,19 +168,27 @@ type storedRing struct {
 // are names, not indices, so pending dirt remaps onto a layout a peer
 // transitioned to.
 func (d *descriptor) adopt(sr storedRing) {
-	if !sr.found {
-		return
-	}
-	d.local.Merge(sr.ring)
-	if len(d.watermarks) == 0 && sr.wm != nil {
-		d.watermarks = sr.wm // a load: take the parsed map, don't grow another
-	}
-	for node, seq := range sr.wm {
-		if seq > d.watermarks[node] {
-			d.watermarks[node] = seq
+	if d.local == nil {
+		// The first read: own the decoded ring and the parsed watermarks
+		// instead of merging them tuple by tuple into empty copies.
+		d.local, d.watermarks = sr.ring, sr.wm
+		if d.local == nil {
+			d.local = core.NewNameRing()
+		}
+		if d.watermarks == nil {
+			d.watermarks = map[int]int{}
+		}
+	} else if sr.found {
+		d.local.Merge(sr.ring)
+		for node, seq := range sr.wm {
+			if seq > d.watermarks[node] {
+				d.watermarks[node] = seq
+			}
 		}
 	}
-	d.shards, d.gen, d.extentTags = sr.shards, sr.gen, sr.tags
+	if sr.found {
+		d.shards, d.gen, d.extentTags = sr.shards, sr.gen, sr.tags
+	}
 }
 
 // readStoredRing fetches a directory's store representation. The object
@@ -185,7 +199,7 @@ func (d *descriptor) adopt(sr storedRing) {
 // a manifest that still names the layout the descriptor knows narrows
 // that to the dirty extents the store holds a newer version of.
 func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate bool) (storedRing, error) {
-	data, info, err := m.store.Get(ctx, core.RingKey(d.account, d.ns))
+	data, info, err := m.store.Get(ctx, d.key)
 	switch {
 	case errors.Is(err, objstore.ErrNotFound):
 		return storedRing{shards: 1, full: true}, nil
@@ -286,22 +300,14 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 		return err
 	}
 	d.adopt(sr)
-	// Replay this node's orphaned patches (crash recovery).
+	// Replay this node's orphaned patches (crash recovery) — unless the
+	// descriptor is settled: its chain was empty when it was evicted clean
+	// and nobody else writes it, so the probe could only miss.
 	seq := d.watermarks[m.node] + 1
-	for {
-		pdata, _, err := m.store.Get(ctx, core.PatchKey(d.account, d.ns, m.node, seq))
-		if errors.Is(err, objstore.ErrNotFound) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		p, derr := core.DecodePatch(core.PatchKey(d.account, d.ns, m.node, seq), pdata)
-		if derr != nil {
-			return derr
-		}
-		d.local.MergeFunc(p.Ring, d.noteChanged)
-		seq++
+	if d.settled {
+		m.reg.Inc("descCache.probes.skipped", 1)
+	} else if seq, err = m.replayChain(ctx, d, m.node, seq); err != nil {
+		return err
 	}
 	d.nextSeq = seq
 	d.firstUnflushed = d.watermarks[m.node] + 1
@@ -311,7 +317,7 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	// reloading middleware must not serve a view missing those updates.
 	// Peers unknown to the watermarks (never flushed) reconverge through
 	// gossip instead.
-	peers := make([]int, 0, len(d.watermarks))
+	var peers []int // usually none: a lone middleware's reload allocates nothing here
 	for node := range d.watermarks {
 		if node != m.node {
 			peers = append(peers, node)
@@ -319,24 +325,33 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	}
 	sort.Ints(peers)
 	for _, node := range peers {
-		for pseq := d.watermarks[node] + 1; ; pseq++ {
-			key := core.PatchKey(d.account, d.ns, node, pseq)
-			pdata, _, err := m.store.Get(ctx, key)
-			if errors.Is(err, objstore.ErrNotFound) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			p, derr := core.DecodePatch(key, pdata)
-			if derr != nil {
-				return derr
-			}
-			d.local.MergeFunc(p.Ring, d.noteChanged)
+		if _, err := m.replayChain(ctx, d, node, d.watermarks[node]+1); err != nil {
+			return err
 		}
 	}
 	d.loaded = true
 	return nil
+}
+
+// replayChain merges node's patches into local from sequence seq until the
+// chain ends, and returns the first sequence number the store does not
+// hold.
+func (m *Middleware) replayChain(ctx context.Context, d *descriptor, node, seq int) (int, error) {
+	for ; ; seq++ {
+		key := core.PatchKey(d.account, d.ns, node, seq)
+		pdata, _, err := m.store.Get(ctx, key)
+		if errors.Is(err, objstore.ErrNotFound) {
+			return seq, nil
+		}
+		if err != nil {
+			return seq, err
+		}
+		p, err := core.DecodePatch(key, pdata)
+		if err != nil {
+			return seq, err
+		}
+		d.local.MergeFunc(p.Ring, d.noteChanged)
+	}
 }
 
 // withRing runs fn on the ring's local version under the descriptor
@@ -500,7 +515,7 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	switch {
 	case d.shards == 1 && want == 1:
 		// Monolithic steady state — the original flush path.
-		if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
+		if err := m.store.Put(ctx, d.key,
 			core.EncodeNameRing(d.local), encodeWatermarks(d.watermarks)); err != nil {
 			return fmt.Errorf("h2fs: flush ring: %w", err)
 		}
@@ -576,7 +591,7 @@ func (m *Middleware) flushShardedSteady(ctx context.Context, d *descriptor) erro
 	if err := m.putExtents(ctx, d, d.shards, d.dirtyShardSet(), d.extentTags); err != nil {
 		return fmt.Errorf("h2fs: flush extent: %w", err)
 	}
-	if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
+	if err := m.store.Put(ctx, d.key,
 		core.EncodeShardManifest(core.ShardManifest{Shards: d.shards, Gen: d.gen}),
 		encodeWatermarks(d.watermarks)); err != nil {
 		return fmt.Errorf("h2fs: flush manifest: %w", err)
@@ -598,7 +613,7 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 		if err := m.putExtents(ctx, d, want, shardRange(want), tags); err != nil {
 			return fmt.Errorf("h2fs: write split extent: %w", err)
 		}
-		if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
+		if err := m.store.Put(ctx, d.key,
 			core.EncodeShardManifest(core.ShardManifest{Shards: want, Gen: newGen}),
 			encodeWatermarks(d.watermarks)); err != nil {
 			return fmt.Errorf("h2fs: flip manifest: %w", err)
@@ -606,7 +621,7 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 	} else {
 		// Merging back to monolithic: the ring object put at RingKey
 		// overwrites the manifest and is itself the flip.
-		if err := m.store.Put(ctx, core.RingKey(d.account, d.ns),
+		if err := m.store.Put(ctx, d.key,
 			core.EncodeNameRing(d.local), encodeWatermarks(d.watermarks)); err != nil {
 			return fmt.Errorf("h2fs: flip ring: %w", err)
 		}

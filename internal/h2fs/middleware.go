@@ -68,15 +68,17 @@ type Config struct {
 	Retry RetryPolicy
 	// Metrics, when set, receives the middleware's robustness counters
 	// (retry.attempts, retry.exhausted), the descriptor-cache gauges
-	// (descCache.size, descCache.evicted), and the directory-sharding
-	// counters (dirShard.splits, dirShard.merges, dirShard.extents); it is
-	// exposed via Metrics().
+	// (descCache.size, descCache.evicted, descCache.settled — stubs held
+	// for clean-evicted rings — and descCache.probes.skipped, the own-chain
+	// probes those stubs saved), and the directory-sharding counters
+	// (dirShard.splits, dirShard.merges, dirShard.extents); it is exposed
+	// via Metrics().
 	Metrics *metrics.Registry
 	// DescCacheLimit caps the File Descriptor Cache: past it, the
 	// least-recently-used clean descriptors are evicted (a clean
 	// descriptor reloads from the store byte-identically, so eviction only
-	// costs the reload). Zero keeps every descriptor forever, the original
-	// behavior.
+	// costs the reload: one ring GET plus the peer-chain probes). Zero
+	// keeps every descriptor forever, the original behavior.
 	DescCacheLimit int
 	// SyncProtocol enables the strawman synchronous NameRing maintenance
 	// of §3.3.1: every mutation read-modify-writes the ring object before
