@@ -19,15 +19,17 @@ import (
 // ring object, so the per-patch write cost grows with m even though a
 // patch carries one tuple. Hash-partitioned sub-ring extents
 // (CostProfile.DirShardThreshold) cut the steady-state flush to one
-// extent plus the manifest, and the extent tags the descriptor remembers
-// cut its read to the manifest alone. One row per directory size m,
-// comparing the monolithic and 16-shard configurations on:
+// extent plus the manifest. The read side is O(1) in both layouts: the
+// descriptor remembers the ETag of what it wrote last, so the monolithic
+// flush HEADs its ring object and fetches nothing, and the sharded one
+// fetches the manifest alone. One row per directory size m, comparing
+// the monolithic and 16-shard configurations on:
 //
 //   - per-patch ring bytes: ring-layer bytes one flush writes after a
 //     single-file patch (the CI gate: >= 4x reduction at m=500000)
-//   - flush read bytes: ring-layer bytes the same flush GETs (the CI
-//     gate: < 1 KiB sharded at m=500000, and read + write >= 8x below
-//     monolithic)
+//   - flush read bytes / GETs: ring-layer bytes and objects the same
+//     flush fetches (the CI gate at m=500000: monolithic 0 and 0,
+//     sharded < 1 KiB)
 //   - cold detailed-LIST latency: manifest + extent fan-out reads in one
 //     overlapped window vs one monolithic mega-object GET
 //   - crash convergence: the merger is killed between the extent writes
@@ -55,8 +57,8 @@ func DirShard(quick bool) (Result, error) {
 		},
 		Notes: []string{
 			"patch bytes = ring-layer bytes (ring, manifest, extents) one merger flush writes after a one-tuple patch",
-			"flush read bytes / GETs = ring-layer bytes and objects the same flush fetches; extents validated by HEAD against a remembered ETag are not fetched",
-			"CI gates the m=500000 row: sharded per-patch bytes >= 4x below monolithic, sharded flush read bytes < 1 KiB, read + write >= 8x below monolithic",
+			"flush read bytes / GETs = ring-layer bytes and objects the same flush fetches; a ring or extent validated by HEAD against a remembered ETag is not fetched (the sharded GET is the manifest)",
+			"CI gates the m=500000 row: sharded per-patch bytes >= 4x below monolithic, monolithic flush read bytes and GETs both 0, sharded flush read bytes < 1 KiB",
 			"crash cell: flush killed between extent writes and manifest flip; replay + scrub must converge with 0 orphans",
 			"DirShardThreshold=0 (the default) never writes a manifest: Table 1 and results/*.csv are byte-identical",
 		},

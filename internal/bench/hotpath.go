@@ -92,6 +92,10 @@ func HotPath(quick bool) (Result, error) {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
 	evictInsert := h2fs.EvictInsertLoop(evictStripe)
+	bigMW, bigFS, err := bigRingDir(ringSize)
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 
@@ -218,6 +222,22 @@ func HotPath(quick bool) (Result, error) {
 				evictInsert()
 			}
 		}},
+		// A one-tuple patch folded into the monolithic ring this node wrote
+		// last (WriteFile + FlushAll, 85 allocs/op): the flush HEADs the ring
+		// object instead of fetching it, so the op holds no decode-namering
+		// of that ring and no merge. The ceiling sits below what one decode
+		// would add — falling back to GET + decode + merge measures 93
+		// allocs/op at quick scale, 96 at full — so that fallback trips it.
+		{"h2fs/flush-validated", 88, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := bigFS.WriteFile(ctx, "/big/f", payload); err != nil {
+					b.Fatal(err)
+				}
+				if err := bigMW.FlushAll(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 
 	res := Result{
@@ -230,6 +250,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-8 full-scale baselines: encode-namering 5767 allocs/op, decode-namering 1025, partition 1, devices 2, merged 32, live 4, cluster/get 7, cluster/put 20",
 			"all simulated-cost figures (results/*.csv, chaos/subtree/gcqueue artifacts) are unaffected: these paths changed wall-clock speed only",
 			"pre-PR-16 baselines: h2fs/reload-evicted 31 allocs/op (own-chain probe, re-merge into an empty ring); h2fs/evict-insert 4 allocs/op and 27 KB (a candidate slice of the whole stripe, reflect-sorted per insert)",
+			"pre-PR-18 baseline: h2fs/flush-validated 96 allocs/op and 411 KB/op at full scale (ring GET, decode, tuple-by-tuple merge); now 85 and 180 KB",
 		},
 	}
 	for _, c := range cases {
@@ -303,6 +324,34 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 		}
 	}
 	return paths, fs, nil
+}
+
+// bigRingDir builds /big with n flushed files behind a middleware over a
+// zero-cost cluster: a monolithic ring of n tuples whose tag the
+// descriptor remembers.
+func bigRingDir(n int) (*h2fs.Middleware, *h2fs.AccountFS, error) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		return nil, nil, err
+	}
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := bg()
+	if err := mw.CreateAccount(ctx, "big"); err != nil {
+		return nil, nil, err
+	}
+	fs := mw.FS("big")
+	if err := fs.Mkdir(ctx, "/big"); err != nil {
+		return nil, nil, err
+	}
+	for i := 0; i < n; i++ {
+		if err := fs.WriteFile(ctx, fmt.Sprintf("/big/child%06d", i), []byte("x")); err != nil {
+			return nil, nil, err
+		}
+	}
+	return mw, fs, mw.FlushAll(ctx)
 }
 
 // benchDevices builds n uniform devices across 4 zones, mirroring the

@@ -52,7 +52,9 @@ type descriptor struct {
 	// is known to dominate: content this node fetched and merged, or put
 	// itself. "" = none remembered. A flush that finds the store still
 	// holding that ETag skips the read — merging it would change nothing.
-	// One slot per extent of the current layout; nil when monolithic.
+	// One slot per extent of the current layout. A monolithic ring is a
+	// one-extent layout whose extent is the object at RingKey: one slot, or
+	// nil while nothing is remembered.
 	extentTags []string
 	// evicted marks a descriptor removed from the cache while a caller
 	// still held its pointer; lockedDesc retries on seeing it. Guarded by
@@ -94,6 +96,15 @@ func (d *descriptor) isDirty() bool { return len(d.dirtyNames) > 0 }
 // a reload would not reconstruct from the flushed watermarks.
 func (d *descriptor) clean() bool {
 	return !d.isDirty() && d.firstUnflushed >= d.nextSeq
+}
+
+// ringTag is the remembered ETag of the monolithic ring object; "" when
+// the directory is sharded or nothing is remembered.
+func (d *descriptor) ringTag() string {
+	if d.shards != 1 || len(d.extentTags) != 1 {
+		return ""
+	}
+	return d.extentTags[0]
 }
 
 // extentKeys returns the store keys of the given extents of a shards-wide
@@ -157,8 +168,10 @@ type storedRing struct {
 	gen    int64 // manifest generation (0 when monolithic)
 	found  bool
 	tags   []string // descriptor.extentTags once ring is merged
-	// full reports that ring holds every stored tuple; a validated read
-	// holds only the extents that changed under the descriptor.
+	// full reports that the descriptor, once it adopts this read, dominates
+	// the whole stored state: ring holds every stored tuple, or the
+	// monolithic ring object validated unchanged. A validated sharded read
+	// covers only the extents it was asked about.
 	full bool
 }
 
@@ -196,9 +209,16 @@ func (d *descriptor) adopt(sr storedRing) {
 // sharded case all extents are fetched in one batched window
 // (objstore.MultiGet — the cluster charges it as one overlapped LPT
 // fan-out) and merged. With validate set — the Background Merger's read —
-// a manifest that still names the layout the descriptor knows narrows
-// that to the dirty extents the store holds a newer version of.
+// nothing is fetched that a remembered tag shows unchanged: a monolithic
+// ring is HEADed first, and a manifest that still names the layout the
+// descriptor knows narrows the read to the dirty extents the store holds
+// a newer version of.
 func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate bool) (storedRing, error) {
+	if validate {
+		if sr, ok := m.validateRing(ctx, d); ok {
+			return sr, nil
+		}
+	}
 	data, info, err := m.store.Get(ctx, d.key)
 	switch {
 	case errors.Is(err, objstore.ErrNotFound):
@@ -212,7 +232,14 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 		if derr != nil {
 			return storedRing{}, fmt.Errorf("h2fs: ring %s/%s corrupt: %w", d.account, d.ns, derr)
 		}
-		return storedRing{ring: ring, wm: wm, shards: 1, found: true, full: true}, nil
+		sr := storedRing{ring: ring, wm: wm, shards: 1, found: true, full: true}
+		if d.loaded {
+			// A load remembers no tag — a reload is the cold-lookup hot
+			// path and stays free of the slot's allocation — so the first
+			// flush after one reads in full.
+			sr.tags = []string{info.ETag}
+		}
+		return sr, nil
 	}
 	man, derr := core.DecodeShardManifest(data)
 	if derr != nil {
@@ -226,6 +253,26 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	sr := storedRing{wm: wm, shards: man.Shards, gen: man.Gen, found: true, full: true, tags: make([]string, man.Shards)}
 	sr.ring, err = m.fetchExtents(ctx, d, man.Shards, shardRange(man.Shards), sr.tags)
 	return sr, err
+}
+
+// validateRing is the O(1) read of a monolithic flush: one HEAD of the
+// ring object, and when it still carries the remembered ETag local already
+// dominates it — nothing to fetch, decode or merge. The watermarks come
+// from the HEAD's metadata: the ETag hashes content only, and a peer may
+// have advanced them under identical tuples. Anything else — no tag, a
+// different one, not found, any HEAD error — reports false and the caller
+// GETs, so errors, retries and a peer's split are handled in one place.
+func (m *Middleware) validateRing(ctx context.Context, d *descriptor) (storedRing, bool) {
+	tag := d.ringTag()
+	if tag == "" {
+		return storedRing{}, false
+	}
+	if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == tag {
+		m.reg.Inc("flush.validated", 1)
+		return storedRing{wm: parseWatermarks(info.Meta), shards: 1, found: true, full: true, tags: d.extentTags}, true
+	}
+	m.reg.Inc("flush.refetched", 1)
+	return storedRing{}, false
 }
 
 // revalidate is the O(dirty) read of a sharded flush: one batched HEAD
@@ -245,8 +292,8 @@ func (m *Middleware) revalidate(ctx context.Context, d *descriptor, which []int)
 			stale = append(stale, s)
 		}
 	}
-	m.reg.Inc("dirShard.flush.validated", int64(len(which)-len(stale)))
-	m.reg.Inc("dirShard.flush.refetched", int64(len(stale)))
+	m.reg.Inc("flush.validated", int64(len(which)-len(stale)))
+	m.reg.Inc("flush.refetched", int64(len(stale)))
 	sr.ring, err = m.fetchExtents(ctx, d, d.shards, stale, sr.tags)
 	return sr, err
 }
@@ -416,6 +463,7 @@ func (m *Middleware) submitPatch(ctx context.Context, account, ns string, tuples
 		// hot directories bottleneck on the lock — the drawbacks that
 		// motivate the asynchronous patch protocol.
 		d.local.MergeFunc(ring, d.noteChanged)
+		clear(d.extentTags) // the strawman is by definition the naive GET-merge-PUT: it trusts no tag
 		return m.flushLocked(ctx, d)
 	}
 	p := &core.Patch{Account: account, NS: ns, Node: m.node, Seq: d.nextSeq, Ring: ring}
@@ -471,16 +519,17 @@ func (m *Middleware) Flush(ctx context.Context, account, ns string) error {
 
 // flushLocked is Flush's body; the caller holds the descriptor monitor.
 //
-// The write half depends on the directory's layout. A monolithic ring
-// under the DirShardThreshold keeps the original single-object
-// read-merge-write, byte for byte. A sharded ring in steady state reads
-// and rewrites only the extents holding dirty names, plus the manifest
-// (O(m/shards) bytes per flush each way, not O(m)). A layout transition —
-// split, re-split, or merge back to monolithic — is write-new-then-flip:
-// the new representation lands on fresh keys first, the manifest (or
-// ring) put at RingKey is the atomic flip, and the old representation is
-// deleted last, so a crash at any point leaves either the old state plus
-// unreferenced garbage (Scrub reclaims it) or the new state complete.
+// The read half validates by ETag in either layout and fetches only what
+// a peer rewrote. The write half depends on the layout. A monolithic ring
+// under the DirShardThreshold is rewritten whole, one object at RingKey.
+// A sharded ring in steady state reads and rewrites only the extents
+// holding dirty names, plus the manifest (O(m/shards) bytes per flush
+// each way, not O(m)). A layout transition — split, re-split, or merge
+// back to monolithic — is write-new-then-flip: the new representation
+// lands on fresh keys first, the manifest (or ring) put at RingKey is the
+// atomic flip, and the old representation is deleted last, so a crash at
+// any point leaves either the old state plus unreferenced garbage (Scrub
+// reclaims it) or the new state complete.
 func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	if d.clean() {
 		return nil
@@ -514,9 +563,9 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	d.watermarks[m.node] = d.nextSeq - 1
 	switch {
 	case d.shards == 1 && want == 1:
-		// Monolithic steady state — the original flush path.
-		if err := m.store.Put(ctx, d.key,
-			core.EncodeNameRing(d.local), encodeWatermarks(d.watermarks)); err != nil {
+		// Monolithic steady state. A failed put forgets the tag: the
+		// store may hold either version.
+		if d.extentTags, err = m.putRing(ctx, d); err != nil {
 			return fmt.Errorf("h2fs: flush ring: %w", err)
 		}
 	case want == d.shards:
@@ -558,6 +607,16 @@ func (m *Middleware) compact(d *descriptor) []int {
 		_, was := slices.BinarySearch(before, s)
 		return was
 	})
+}
+
+// putRing writes local as the monolithic ring object at RingKey and
+// returns the one-slot tag set remembering what landed.
+func (m *Middleware) putRing(ctx context.Context, d *descriptor) ([]string, error) {
+	data := core.EncodeNameRing(d.local)
+	if err := m.store.Put(ctx, d.key, data, encodeWatermarks(d.watermarks)); err != nil {
+		return nil, err
+	}
+	return []string{objstore.ETag(data)}, nil
 }
 
 // putExtents encodes the given extents of local under a shards-wide
@@ -608,23 +667,21 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 	oldShards := d.shards
 	newGen := d.gen + 1
 	var tags []string
+	var err error
 	if want > 1 {
 		tags = make([]string, want)
-		if err := m.putExtents(ctx, d, want, shardRange(want), tags); err != nil {
+		if err = m.putExtents(ctx, d, want, shardRange(want), tags); err != nil {
 			return fmt.Errorf("h2fs: write split extent: %w", err)
 		}
-		if err := m.store.Put(ctx, d.key,
+		if err = m.store.Put(ctx, d.key,
 			core.EncodeShardManifest(core.ShardManifest{Shards: want, Gen: newGen}),
 			encodeWatermarks(d.watermarks)); err != nil {
 			return fmt.Errorf("h2fs: flip manifest: %w", err)
 		}
-	} else {
+	} else if tags, err = m.putRing(ctx, d); err != nil {
 		// Merging back to monolithic: the ring object put at RingKey
 		// overwrites the manifest and is itself the flip.
-		if err := m.store.Put(ctx, d.key,
-			core.EncodeNameRing(d.local), encodeWatermarks(d.watermarks)); err != nil {
-			return fmt.Errorf("h2fs: flip ring: %w", err)
-		}
+		return fmt.Errorf("h2fs: flip ring: %w", err)
 	}
 	d.shards, d.gen, d.extentTags = want, newGen, tags
 	if oldShards > 1 {
@@ -636,21 +693,19 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 			}
 		}
 	}
-	if m.reg != nil {
-		if want > oldShards {
-			m.reg.Inc("dirShard.splits", 1)
-		} else {
-			m.reg.Inc("dirShard.merges", 1)
-		}
-		oldN, newN := oldShards, want
-		if oldN == 1 {
-			oldN = 0
-		}
-		if newN == 1 {
-			newN = 0
-		}
-		m.reg.Inc("dirShard.extents", int64(newN-oldN))
+	if want > oldShards {
+		m.reg.Inc("dirShard.splits", 1)
+	} else {
+		m.reg.Inc("dirShard.merges", 1)
 	}
+	oldN, newN := oldShards, want
+	if oldN == 1 {
+		oldN = 0
+	}
+	if newN == 1 {
+		newN = 0
+	}
+	m.reg.Inc("dirShard.extents", int64(newN-oldN))
 	return nil
 }
 
@@ -694,14 +749,35 @@ func shardCountFor(live, threshold int) int {
 	return s
 }
 
-// FlushAll flushes every dirty descriptor in the cache.
+// FlushAll flushes every dirty descriptor in the cache. One failing ring
+// does not starve the ones that sort after it: the rest are still flushed
+// and the failures are joined; only a cancelled ctx stops the pass.
 func (m *Middleware) FlushAll(ctx context.Context) error {
+	var failed error
 	for _, d := range m.cachedDescs() {
-		if err := m.Flush(ctx, d.account, d.ns); err != nil {
-			return err
+		if err := m.flushCached(ctx, d); err != nil {
+			failed = errors.Join(failed, err)
+			if ctx.Err() != nil {
+				break
+			}
 		}
 	}
-	return nil
+	return failed
+}
+
+// flushCached flushes one descriptor of FlushAll's snapshot in place. The
+// merger is not a user access: going back through the cache would touch
+// every descriptor's recency each pass and re-create, load and evict
+// again any ring evicted since the snapshot. Skipping a dropped descriptor
+// loses nothing: only a clean one is evicted, and what Recover or a ring's
+// collection dropped is meant to be gone.
+func (m *Middleware) flushCached(ctx context.Context, d *descriptor) error {
+	m.lockDesc(d)
+	defer m.unlockDesc(d)
+	if d.evicted {
+		return nil
+	}
+	return m.flushLocked(ctx, d)
 }
 
 // handleGossip implements §3.3.2 phase 2 step 2: on receiving (N_i, H_j,

@@ -472,7 +472,7 @@ func nameInShard(prefix string, next *int, shard, shards int, in bool) string {
 
 // flushCounters reads the tag protocol's hit/miss counters.
 func flushCounters(reg *metrics.Registry) (validated, refetched int64) {
-	return reg.Counter("dirShard.flush.validated"), reg.Counter("dirShard.flush.refetched")
+	return reg.Counter("flush.validated"), reg.Counter("flush.refetched")
 }
 
 // extentTagsOf snapshots a directory descriptor's remembered tags.
