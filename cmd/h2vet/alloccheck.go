@@ -13,7 +13,7 @@ import (
 // reachable from an objstore.Store or objstore.Batcher primitive of a
 // program type, from the NameRing codec/merge routines
 // (core.Encode*/Decode*/Merged and the NameRing
-// AppendAll/AppendLive/All/Live/Merge methods the pooled codecs are
+// AppendAll/All/Live/Range/Merge methods the pooled codecs are
 // built on) and the MD5 ring placement methods
 // (ring.Ring.Partition/Devices/PartitionDevices plus their
 // *Append variants and the cached DeviceIDs), plus explicit
@@ -101,7 +101,7 @@ func computeHotSet(prog *Program) *hotSet {
 		}
 		if obj := pkg.Scope().Lookup("NameRing"); obj != nil {
 			ptr := types.NewPointer(obj.Type())
-			for _, name := range []string{"AppendAll", "AppendLive", "All", "Live", "Merge"} {
+			for _, name := range []string{"AppendAll", "All", "Live", "Range", "Merge"} {
 				m, _, _ := types.LookupFieldOrMethod(ptr, true, pkg, name)
 				if fn, ok := m.(*types.Func); ok {
 					add(fn, "NameRing codec/merge")

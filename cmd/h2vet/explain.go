@@ -94,7 +94,7 @@ completion; a deliberate process-lifetime daemon can carry
 	"alloccheck": `alloccheck budgets heap allocations on the hot paths: everything
 reachable from an objstore.Store or objstore.Batcher primitive, from the
 NameRing codec/merge routines (core.Encode*/Decode*/Merged and the
-NameRing AppendAll/AppendLive/All/Live/Merge methods backing the pooled
+NameRing AppendAll/All/Live/Range/Merge methods backing the pooled
 codecs), from the ring placement methods
 (Ring.Partition/Devices/PartitionDevices, their *Append variants, and
 the cached DeviceIDs), plus functions annotated //h2vet:hotpath. Inside

@@ -96,6 +96,15 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+	hugeDir := 100_000
+	if quick {
+		hugeDir = 20_000
+	}
+	hugeMW, _, err := bigRingDir(hugeDir)
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
+	hugeMarker := fmt.Sprintf("child%06d", hugeDir/2)
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 
@@ -238,6 +247,40 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
+		// LIST of the ring above (1000 children at full scale), over the name
+		// order it keeps: the entries, the path handling, nothing per child.
+		{"h2fs/list-1000", 8, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				entries, err := bigFS.List(ctx, "/big", false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += len(entries)
+			}
+		}},
+		// The detailed form adds the HEADs' results, their durations and the
+		// page's keys, which are cut from one string.
+		{"h2fs/list-detail-1000", 18, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				entries, err := bigFS.List(ctx, "/big", true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += len(entries)
+			}
+		}},
+		// One 1000-entry page out of the middle of a 100 000-file directory
+		// (20 000 at quick scale) costs what a whole LIST of 1000 costs: its
+		// own length.
+		{"h2fs/list-page-of-100k", 8, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				entries, next, err := hugeMW.ListPage(ctx, "big", "/big", false, hugeMarker, 1000)
+				if err != nil || next == "" {
+					b.Fatal(next, err)
+				}
+				hotSink += len(entries)
+			}
+		}},
 	}
 
 	res := Result{
@@ -251,6 +294,7 @@ func HotPath(quick bool) (Result, error) {
 			"all simulated-cost figures (results/*.csv, chaos/subtree/gcqueue artifacts) are unaffected: these paths changed wall-clock speed only",
 			"pre-PR-16 baselines: h2fs/reload-evicted 31 allocs/op (own-chain probe, re-merge into an empty ring); h2fs/evict-insert 4 allocs/op and 27 KB (a candidate slice of the whole stripe, reflect-sorted per insert)",
 			"pre-PR-18 baseline: h2fs/flush-validated 96 allocs/op and 411 KB/op at full scale (ring GET, decode, tuple-by-tuple merge); now 85 and 180 KB",
+			"pre-PR-20 baselines: h2fs/list-1000 331 us and 107 KB/op (copy and sort all tuples), now 83 us and 57 KB; h2fs/list-detail-1000 1015 allocs/op (a key per child, an MD5 buffer per memo miss), now 15; h2fs/list-page-of-100k 39.7 ms and 4.86 MB/op, now 0.07 ms and 58 KB; merge/live 219 us, now 28 us; placement/partition 28 ns on a memo hit, now 173 ns on every call with no memo, lock or allocation behind it",
 		},
 	}
 	for _, c := range cases {

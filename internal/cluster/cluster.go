@@ -256,24 +256,10 @@ func containsID(ids []int, id int) bool {
 	return false
 }
 
+// replicaNodes returns the primary replica nodes for an object.
 func (c *Cluster) replicaNodes(name string) []objstore.NodeStore {
-	return c.appendReplicaNodes(make([]objstore.NodeStore, 0, c.ring.ReplicaCount()), name)
-}
-
-// appendReplicaNodes appends the primary replica nodes for an object to
-// dst and returns the extended slice; hot paths pass a stack-backed
-// buffer so the per-op fan-out allocates nothing.
-func (c *Cluster) appendReplicaNodes(dst []objstore.NodeStore, name string) []objstore.NodeStore {
-	var devBuf [fanoutBuf]int
-	devs := c.ring.DevicesAppend(name, devBuf[:0])
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, id := range devs {
-		if n, ok := c.nodes[id]; ok {
-			dst = append(dst, n)
-		}
-	}
-	return dst
+	nodes, _ := c.place(make([]objstore.NodeStore, 0, c.ring.ReplicaCount()), name, true, false)
+	return nodes
 }
 
 // handoffNodes returns the non-primary devices for an object in a
@@ -281,30 +267,8 @@ func (c *Cluster) appendReplicaNodes(dst []objstore.NodeStore, name string) []ob
 // absorb writes whose primary replicas are unreachable so availability
 // survives multi-node failures.
 func (c *Cluster) handoffNodes(name string) []objstore.NodeStore {
-	return c.appendHandoffNodes(nil, name)
-}
-
-// appendHandoffNodes is the append-into-caller-buffer form of
-// handoffNodes, preserving its rotation order exactly.
-func (c *Cluster) appendHandoffNodes(dst []objstore.NodeStore, name string) []objstore.NodeStore {
-	part := c.ring.Partition(name)
-	var devBuf [fanoutBuf]int
-	primaries := c.ring.DevicesAppend(name, devBuf[:0])
-	var idBuf [fanoutBuf]int
-	ids := c.ring.DeviceIDsAppend(idBuf[:0])
-	rot := int(part) % len(ids)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i := 0; i < len(ids); i++ {
-		id := ids[(rot+i)%len(ids)]
-		if containsID(primaries, id) {
-			continue
-		}
-		if n, ok := c.nodes[id]; ok {
-			dst = append(dst, n)
-		}
-	}
-	return dst
+	nodes, _ := c.place(nil, name, false, true)
+	return nodes
 }
 
 // readSequence is the replica fall-through order: primaries first, then
@@ -314,10 +278,47 @@ func (c *Cluster) readSequence(name string) []objstore.NodeStore {
 }
 
 // appendReadSequence appends the full fall-through order (primaries then
-// handoffs) to dst and returns the extended slice.
+// handoffs) to dst and returns the extended slice; hot paths pass a
+// stack-backed buffer so the per-op fan-out allocates nothing.
 func (c *Cluster) appendReadSequence(dst []objstore.NodeStore, name string) []objstore.NodeStore {
-	dst = c.appendReplicaNodes(dst, name)
-	return c.appendHandoffNodes(dst, name)
+	dst, _ = c.place(dst, name, true, true)
+	return dst
+}
+
+// place hashes name once, whichever node lists the request needs, and
+// appends them to dst under one read lock: the primary replica nodes if
+// primaries is set, then, if handoffs is set, every other node, rotated by
+// the partition. It returns the extended slice and how many primaries it
+// appended.
+func (c *Cluster) place(dst []objstore.NodeStore, name string, primaries, handoffs bool) ([]objstore.NodeStore, int) {
+	part := c.ring.Partition(name)
+	var devBuf, idBuf [fanoutBuf]int
+	devs := c.ring.PartitionDevicesAppend(part, devBuf[:0])
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	np := 0
+	if primaries {
+		for _, id := range devs {
+			if n, ok := c.nodes[id]; ok {
+				dst = append(dst, n)
+				np++
+			}
+		}
+	}
+	if handoffs {
+		ids := c.ring.DeviceIDsAppend(idBuf[:0])
+		rot := int(part) % len(ids)
+		for i := range ids {
+			id := ids[(rot+i)%len(ids)]
+			if containsID(devs, id) {
+				continue
+			}
+			if n, ok := c.nodes[id]; ok {
+				dst = append(dst, n)
+			}
+		}
+	}
+	return dst, np
 }
 
 func transferCost(per time.Duration, size int) time.Duration {
@@ -345,12 +346,13 @@ func (c *Cluster) Put(ctx context.Context, name string, data []byte, meta map[st
 func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (time.Duration, error) {
 	cost := c.profile.Put + transferCost(c.profile.PerKB, len(data))
 	c.puts.Add(1)
-	var nodeBuf, seqBuf [fanoutBuf]objstore.NodeStore
-	nodes := c.appendReplicaNodes(nodeBuf[:0], name)
+	var seqBuf [fanoutBuf]objstore.NodeStore
+	seq, np := c.place(seqBuf[:0], name, true, true)
+	nodes, handoffs := seq[:np], seq[np:]
 	now := c.clock()
 	existed := false
 	var prevSize int64
-	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
+	for _, n := range seq {
 		if info, err := n.Head(name); err == nil {
 			existed = true
 			prevSize = info.Size
@@ -368,8 +370,7 @@ func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (tim
 	}
 	// Divert failed replica writes to handoff nodes.
 	if failed > 0 {
-		var hBuf [fanoutBuf]objstore.NodeStore
-		for _, h := range c.appendHandoffNodes(hBuf[:0], name) {
+		for _, h := range handoffs {
 			if failed == 0 {
 				break
 			}

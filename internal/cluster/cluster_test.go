@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,6 +83,40 @@ func TestGetSurvivesReplicaFailures(t *testing.T) {
 	c.SetNodeDown(devs[len(devs)-1], true)
 	if _, _, err := c.Get(ctx, "obj"); err == nil {
 		t.Fatal("Get with all replicas down succeeded")
+	}
+}
+
+// TestPlacementGolden pins the node lists a request is placed on — ring
+// order for primaries, partition-rotated order for handoffs, primaries
+// then handoffs for the read sequence — to the values the three separate
+// lookups produced before they became one.
+func TestPlacementGolden(t *testing.T) {
+	c := newTest(t)
+	ids := func(nodes []objstore.NodeStore) []int {
+		out := make([]int, len(nodes))
+		for i, n := range nodes {
+			out[i] = n.ID()
+		}
+		return out
+	}
+	for _, g := range []struct {
+		name               string
+		primaries, handoff []int
+	}{
+		{"acct|01.1.1::/NameRing/", []int{1, 0, 3}, []int{2, 4, 5, 6, 7}},
+		{"acct|01.1.1::child000003", []int{2, 3, 0}, []int{4, 5, 6, 7, 1}},
+		{"acct|01.1.1::child000006", []int{5, 4, 7}, []int{6, 0, 1, 2, 3}},
+	} {
+		if got := ids(c.replicaNodes(g.name)); !slices.Equal(got, g.primaries) {
+			t.Errorf("replicaNodes(%q) = %v, want %v", g.name, got, g.primaries)
+		}
+		if got := ids(c.handoffNodes(g.name)); !slices.Equal(got, g.handoff) {
+			t.Errorf("handoffNodes(%q) = %v, want %v", g.name, got, g.handoff)
+		}
+		want := append(slices.Clone(g.primaries), g.handoff...)
+		if got := ids(c.readSequence(g.name)); !slices.Equal(got, want) {
+			t.Errorf("readSequence(%q) = %v, want %v", g.name, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,7 +28,7 @@ const (
 
 var dirMagicLine = []byte(dirMagic + "\n")
 
-// tupleScratch pools the sort scratch used by EncodeNameRing. Pooling a
+// tupleScratch pools the tuple scratch used by EncodeNameRing. Pooling a
 // *[]Tuple (not the slice header itself) keeps Put allocation-free.
 var tupleScratch = sync.Pool{New: func() any { s := make([]Tuple, 0, 64); return &s }}
 
@@ -51,7 +50,7 @@ func EncodeNameRing(r *NameRing) []byte {
 	return buf
 }
 
-// extentScratch is the sort scratch of EncodeNameRingExtents: one tuple
+// extentScratch is the scratch of EncodeNameRingExtents: one tuple
 // list per requested extent, pooled as a unit.
 type extentScratch struct{ parts [][]Tuple }
 
@@ -66,13 +65,14 @@ func (s *extentScratch) Reset() {
 var extentScratchPool = sync.Pool{New: func() any { return new(extentScratch) }}
 
 // EncodeNameRingExtents packs the requested sub-ring extents of a sharded
-// directory, out[i] holding extent want[i] of shards: the ring is walked
-// and each name routed (ShardOf) exactly once however many extents are
-// asked for, so a steady flush of k dirty extents and a split into all of
-// them cost the same single pass. Every extent is an ordinary NameRing
-// object — the tuples routing to it, tombstones included, sorted by name —
-// and round-trips through DecodeNameRing. want must hold distinct indices
-// in [0, shards), shards at most MaxDirShards.
+// directory, out[i] holding extent want[i] of shards: the ring's names are
+// walked in order and each routed (ShardOf) exactly once however many
+// extents are asked for, so a steady flush of k dirty extents and a split
+// into all of them cost the same single pass, every part comes out sorted,
+// and tuples are looked up only for wanted extents. Every extent is an
+// ordinary NameRing object — the tuples routing to it, tombstones
+// included, sorted by name — and round-trips through DecodeNameRing. want
+// must hold distinct indices in [0, shards), shards at most MaxDirShards.
 func EncodeNameRingExtents(r *NameRing, shards int, want []int) [][]byte {
 	var slot [MaxDirShards]int16 // shard -> 1 + its position in want; 0 = not wanted
 	for i, s := range want {
@@ -82,14 +82,13 @@ func EncodeNameRingExtents(r *NameRing, shards int, want []int) [][]byte {
 	if grow := len(want) - len(sc.parts); grow > 0 {
 		sc.parts = append(sc.parts, make([][]Tuple, grow)...)
 	}
-	for _, t := range r.children {
-		if i := slot[ShardOf(t.Name, shards)]; i > 0 {
-			sc.parts[i-1] = append(sc.parts[i-1], t)
+	for _, name := range r.names() {
+		if i := slot[ShardOf(name, shards)]; i > 0 {
+			sc.parts[i-1] = append(sc.parts[i-1], r.children[name])
 		}
 	}
 	out := make([][]byte, len(want))
 	for i := range out {
-		slices.SortFunc(sc.parts[i], tupleNameCmp)
 		out[i] = encodeTuples(sc.parts[i])
 	}
 	sc.Reset()

@@ -1,16 +1,31 @@
 package core
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
 // NameRing maintains the direct children of one directory (§3.1). The
 // zero value is not usable; call NewNameRing. NameRing is not safe for
 // concurrent use: the maintenance module serializes access through the
 // per-NameRing File Descriptor (§4.5).
+//
+// That holds for the ordered reads too (Live, All, AppendAll, Range and
+// the encoders): the first one builds the ring's name index and every
+// later one may fold newly added names into it, so an ordered read
+// mutates the ring. Every *NameRing is either owned by one goroutine or
+// read under its descriptor's monitor; a ring shared without either must
+// not be read in order.
 type NameRing struct {
 	children map[string]Tuple
+	idx      *nameIndex
+}
+
+// nameIndex is the alphabetical order of a ring's child names (§4.4 keeps
+// the stored ring sorted; this keeps the in-memory one sorted as well). It
+// holds names only — tuples stay in the map, so overwriting or
+// tombstoning a child never touches it. order is sorted; fresh holds the
+// names added to the map since order was last brought up to date, in
+// arrival order. Between them they hold every key of the map exactly once.
+type nameIndex struct {
+	order, fresh []string
 }
 
 // NewNameRing returns an empty NameRing.
@@ -29,6 +44,11 @@ func newNameRingCap(n int) *NameRing {
 // child. Local authoritative operations (the submitting middleware) use
 // Set; merges use Update.
 func (r *NameRing) Set(t Tuple) {
+	if r.idx != nil {
+		if _, ok := r.children[t.Name]; !ok {
+			r.idx.fresh = append(r.idx.fresh, t.Name)
+		}
+	}
 	r.children[t.Name] = t
 }
 
@@ -39,6 +59,9 @@ func (r *NameRing) Update(t Tuple) bool {
 	old, ok := r.children[t.Name]
 	if ok && !t.Wins(old) {
 		return false
+	}
+	if !ok && r.idx != nil {
+		r.idx.fresh = append(r.idx.fresh, t.Name)
 	}
 	r.children[t.Name] = t
 	return true
@@ -56,31 +79,55 @@ func (r *NameRing) Has(name string) bool {
 	return ok && !t.Deleted
 }
 
-func tupleNameCmp(a, b Tuple) int { return strings.Compare(a.Name, b.Name) }
-
-// Live returns the non-deleted tuples sorted alphabetically by name, the
-// order the Formatter packs them in (§4.4).
-func (r *NameRing) Live() []Tuple {
-	return r.AppendLive(make([]Tuple, 0, len(r.children)))
-}
-
-// AppendLive appends the non-deleted tuples, sorted by name, to dst and
-// returns the extended slice. Callers on the hot path pass a reusable
-// scratch slice to avoid the per-call allocation of Live.
-func (r *NameRing) AppendLive(dst []Tuple) []Tuple {
-	start := len(dst)
-	if free := cap(dst) - start; free < len(r.children) {
-		grown := make([]Tuple, start, start+len(r.children))
-		copy(grown, dst)
-		dst = grown
+// names returns every child name in alphabetical order, the order the
+// Formatter packs tuples in (§4.4). The first call sorts the map's keys;
+// later calls sort only the names added since and merge them into the
+// order in place, from the back — O(m + k log k) for k new names, and no
+// allocation once the order has grown to its size.
+func (r *NameRing) names() []string {
+	if r.idx == nil {
+		// The index built here and the one loaded below stay in different
+		// variables: one variable both loaded from and stored to r.idx would
+		// make r's fields flow back into r, and a stack-allocated ring (the
+		// one-tuple patch of every WRITE) would move to the heap.
+		order := make([]string, 0, len(r.children))
+		for name := range r.children {
+			order = append(order, name)
+		}
+		slices.Sort(order)
+		r.idx = &nameIndex{order: order}
+		return order
 	}
-	for _, t := range r.children {
-		if !t.Deleted {
-			dst = append(dst, t)
+	x := r.idx
+	if len(x.fresh) == 0 {
+		return x.order
+	}
+	slices.Sort(x.fresh)
+	i, j := len(x.order)-1, len(x.fresh)-1
+	x.order = append(x.order, x.fresh...)
+	for k := len(x.order) - 1; j >= 0; k-- {
+		if i >= 0 && x.order[i] > x.fresh[j] {
+			x.order[k] = x.order[i]
+			i--
+		} else {
+			x.order[k] = x.fresh[j]
+			j--
 		}
 	}
-	slices.SortFunc(dst[start:], tupleNameCmp)
-	return dst
+	clear(x.fresh)
+	x.fresh = x.fresh[:0]
+	return x.order
+}
+
+// Live returns the non-deleted tuples sorted alphabetically by name.
+func (r *NameRing) Live() []Tuple {
+	out := make([]Tuple, 0, len(r.children))
+	for _, name := range r.names() {
+		if t := r.children[name]; !t.Deleted {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // All returns every tuple — tombstones included — sorted by name.
@@ -91,17 +138,38 @@ func (r *NameRing) All() []Tuple {
 // AppendAll appends every tuple — tombstones included — sorted by name,
 // to dst and returns the extended slice. The zero-alloc sibling of All.
 func (r *NameRing) AppendAll(dst []Tuple) []Tuple {
-	start := len(dst)
-	if free := cap(dst) - start; free < len(r.children) {
-		grown := make([]Tuple, start, start+len(r.children))
-		copy(grown, dst)
-		dst = grown
+	if len(r.children) <= 1 {
+		// At most one tuple: any iteration order is the sorted one, so no
+		// index is built — the one-tuple patch ring of every WRITE would
+		// pay two allocations for it.
+		for _, t := range r.children {
+			dst = append(dst, t)
+		}
+		return dst
 	}
-	for _, t := range r.children {
-		dst = append(dst, t)
+	dst = slices.Grow(dst, len(r.children))
+	for _, name := range r.names() {
+		dst = append(dst, r.children[name])
 	}
-	slices.SortFunc(dst[start:], tupleNameCmp)
 	return dst
+}
+
+// Range calls fn for every tuple — tombstones included — whose name sorts
+// strictly after marker, in name order, until fn returns false; no name
+// sorts before the empty marker. A page of a listing is cut out of the
+// ring this way: it costs the page's length (plus a binary search), not
+// the directory's.
+func (r *NameRing) Range(marker string, fn func(Tuple) bool) {
+	order := r.names()
+	lo, found := slices.BinarySearch(order, marker)
+	if found {
+		lo++
+	}
+	for _, name := range order[lo:] {
+		if !fn(r.children[name]) {
+			return
+		}
+	}
 }
 
 // Len reports the number of live (non-deleted) children.
@@ -193,6 +261,7 @@ func (r *NameRing) CompactFunc(horizon int64, fn func(Tuple)) int {
 	for name, t := range r.children {
 		if t.Deleted && t.Time <= horizon {
 			delete(r.children, name)
+			r.idx = nil // a name left the map: rebuild the order on the next ordered read
 			dropped++
 			if fn != nil {
 				fn(t)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/core"
@@ -444,44 +445,64 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 		}
 		ns = res.tuple.NS
 	}
-	children, err := m.liveChildren(ctx, account, ns)
+	// The page is cut out of the ring's name order under the descriptor
+	// monitor: binary search to the marker, stop at the limit. It costs its
+	// own length, not the directory's.
+	var entries []fsapi.EntryInfo
+	next := ""
+	err = m.withRing(ctx, account, ns, func(r *core.NameRing) error {
+		n := r.TotalLen()
+		if limit > 0 && limit < n {
+			n = limit
+		}
+		entries = make([]fsapi.EntryInfo, 0, n)
+		r.Range(marker, func(t core.Tuple) bool {
+			if t.Deleted {
+				return true
+			}
+			if limit > 0 && len(entries) == limit {
+				// A limit+1-th live entry proves that more follow.
+				next = entries[limit-1].Name
+				return false
+			}
+			entries = append(entries, fsapi.EntryInfo{Name: t.Name, IsDir: t.Dir, ModTime: time.Unix(0, t.Time)})
+			return true
+		})
+		return nil
+	})
 	if err != nil {
 		return nil, "", err
-	}
-	if marker != "" {
-		// children are sorted; skip everything at or before the marker.
-		lo, hi := 0, len(children)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if children[mid].Name <= marker {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		children = children[lo:]
-	}
-	next := ""
-	if limit > 0 && len(children) > limit {
-		children = children[:limit]
-		next = children[len(children)-1].Name
-	}
-	entries := make([]fsapi.EntryInfo, len(children))
-	for i, t := range children {
-		entries[i] = fsapi.EntryInfo{Name: t.Name, IsDir: t.Dir, ModTime: time.Unix(0, t.Time)}
 	}
 	if !detail {
 		return entries, next, nil
 	}
-	keys := make([]string, len(children))
-	for i, t := range children {
-		keys[i] = core.ChildKey(account, ns, t.Name)
+	// The page's child keys are cut from one string: two allocations, not
+	// one per child. That is safe only while nothing below retains a key
+	// past the call that receives it — a retained 40-byte key would pin the
+	// whole page's string. Stores, batchers and store middleware must copy
+	// a name they want to keep.
+	prefix := core.ChildKey(account, ns, "")
+	size := len(entries) * len(prefix)
+	for i := range entries {
+		size += len(entries[i].Name)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for i := range entries {
+		sb.WriteString(prefix)
+		sb.WriteString(entries[i].Name)
+	}
+	all := sb.String()
+	keys := make([]string, len(entries))
+	for i := range entries {
+		n := len(prefix) + len(entries[i].Name)
+		keys[i], all = all[:n], all[n:]
 	}
 	// One multi-Head covers the whole page: a native Batcher charges the
 	// overlapped fanout window, exactly what the per-child vclock.Fanout
 	// used to cost. A child deleted mid-list is simply reported sizeless.
 	for i, r := range objstore.MultiHead(ctx, m.store, keys) {
-		if r.Err != nil || children[i].Dir {
+		if r.Err != nil || entries[i].IsDir {
 			continue
 		}
 		entries[i].Size = r.Info.Size

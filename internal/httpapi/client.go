@@ -302,7 +302,11 @@ func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marke
 	for i, e := range entries {
 		out[i] = fsapi.EntryInfo{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime}
 	}
-	return out, resp.Header.Get("X-Next-Marker"), nil
+	next, err := url.PathUnescape(resp.Header.Get("X-Next-Marker"))
+	if err != nil {
+		return nil, "", fmt.Errorf("httpapi: bad next marker: %w", err)
+	}
+	return out, next, nil
 }
 
 // WriteFile implements fsapi.FileSystem.

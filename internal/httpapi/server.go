@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -362,7 +363,9 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if next != "" {
-		w.Header().Set("X-Next-Marker", next)
+		// A child name may hold any byte but '/', a header value may not:
+		// the marker travels percent-encoded.
+		w.Header().Set("X-Next-Marker", url.PathEscape(next))
 	}
 	out := make([]Entry, len(entries))
 	for i, e := range entries {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Device is a storage device participating in the ring.
@@ -26,12 +25,9 @@ type Device struct {
 	Weight float64 // relative capacity; partitions assigned proportionally
 }
 
-// Ring maps object names to replica device sets.
-//
-// Structural mutation (AddDevice/RemoveDevice/Rebalance) is caller-
-// synchronized, as before. The internal partition memo is safe for
-// concurrent readers because Partition is a pure function of the
-// immutable partPower.
+// Ring maps object names to replica device sets. It is safe for
+// concurrent readers because it is immutable between structural mutations
+// (AddDevice/RemoveDevice/Rebalance), which are caller-synchronized.
 type Ring struct {
 	partPower int
 	replicas  int
@@ -41,16 +37,7 @@ type Ring struct {
 	// sortedIDs caches the sorted device IDs; rebuilt on add/remove so
 	// DeviceIDs stops re-sorting the device map on every call.
 	sortedIDs []int
-
-	pmu sync.RWMutex
-	//h2vet:guardedby pmu
-	partMemo map[string]uint32 // bounded name→partition memo (MD5 results)
 }
-
-// partMemoLimit bounds the placement memo. When full the memo is reset
-// wholesale — cheaper and more predictable than an eviction policy, and
-// hot keys repopulate within one fan-out.
-const partMemoLimit = 8192
 
 // ErrNoDevices is returned when a ring is built with no usable devices.
 var ErrNoDevices = errors.New("ring: no devices with positive weight")
@@ -86,7 +73,6 @@ func New(partPower, replicas int, devices []Device) (*Ring, error) {
 		r.replicas = len(r.devices)
 	}
 	r.rebuildSortedIDs()
-	r.partMemo = make(map[string]uint32, 64)
 	r.part2dev = make([][]int, r.replicas)
 	parts := r.PartitionCount()
 	for rep := range r.part2dev {
@@ -130,38 +116,13 @@ func (r *Ring) DeviceIDsAppend(dst []int) []int {
 	return append(dst, r.sortedIDs...)
 }
 
-// Partition returns the partition an object name hashes to. Results are
-// memoized in a bounded cache so repeated placements of hot names skip
-// the MD5.
+// Partition returns the partition an object name hashes to: the top
+// partPower bits of its MD5, a pure function of the name. Names up to 128
+// bytes are hashed from a stack buffer, so the call does not allocate.
 func (r *Ring) Partition(name string) uint32 {
-	if p, ok := r.partLookup(name); ok {
-		return p
-	}
-	sum := md5.Sum([]byte(name))
-	v := binary.BigEndian.Uint32(sum[:4])
-	p := v >> (32 - uint(r.partPower))
-	r.partStore(name, p)
-	return p
-}
-
-// partLookup consults the placement memo under the read lock. Open-coded
-// defers keep this allocation-free.
-func (r *Ring) partLookup(name string) (uint32, bool) {
-	r.pmu.RLock()
-	defer r.pmu.RUnlock()
-	p, ok := r.partMemo[name]
-	return p, ok
-}
-
-// partStore records a computed partition, resetting the memo wholesale
-// when it reaches the bound.
-func (r *Ring) partStore(name string, p uint32) {
-	r.pmu.Lock()
-	defer r.pmu.Unlock()
-	if len(r.partMemo) >= partMemoLimit {
-		clear(r.partMemo)
-	}
-	r.partMemo[name] = p
+	var buf [128]byte
+	sum := md5.Sum(append(buf[:0], name...))
+	return binary.BigEndian.Uint32(sum[:4]) >> (32 - uint(r.partPower))
 }
 
 // Devices returns the replica device IDs responsible for an object name.

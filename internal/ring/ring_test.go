@@ -60,6 +60,43 @@ func TestPartitionDeterministicAndInRange(t *testing.T) {
 	}
 }
 
+// TestPartitionGolden pins MD5 placement at the cluster's default part
+// power: every committed CSV rests on these values, so Partition may get
+// faster but never different. It also checks that a name that fits the
+// stack buffer is hashed without touching the heap.
+func TestPartitionGolden(t *testing.T) {
+	r, err := New(10, 3, devs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct {
+		name string
+		part uint32
+	}{
+		{"", 848},
+		{"a", 51},
+		{"hot/object", 593},
+		{"x|y::z", 19},
+		{"alice|00.0.0::docs", 541},
+		{"acct|01.1.1::/NameRing/", 81},
+		{"acct|01.1.1::/NameRing/.Node01.Patch000003", 267},
+		{"acct|01.1.1::child000001", 689},
+		{"user7|0a.1700000000.42::photos", 526},
+		{"user7|0a.1700000000.42::a\nb", 44},
+		{"bench|ff.9.9::日本語.txt", 927},
+		{"long|11.2.3::" + fmt.Sprintf("%0200d", 7), 609}, // past the stack buffer
+	}
+	for _, g := range golden {
+		if got := r.Partition(g.name); got != g.part {
+			t.Errorf("Partition(%q) = %d, want %d", g.name, got, g.part)
+		}
+	}
+	name := golden[6].name
+	if n := testing.AllocsPerRun(100, func() { r.Partition(name) }); n != 0 {
+		t.Errorf("Partition allocates %v times per call, want 0", n)
+	}
+}
+
 func TestDevicesDistinctPerPartition(t *testing.T) {
 	r, _ := New(8, 3, devs(8))
 	for p := uint32(0); p < uint32(r.PartitionCount()); p++ {
