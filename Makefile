@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json lint-timed test race bench bench-smoke bench-wallclock benchmark benchmark-test fuzz experiments examples tools clean
+.PHONY: all build lint lint-json lint-timed loc loc-check test race bench bench-smoke bench-wallclock benchmark benchmark-test fuzz experiments examples tools clean
 
 all: build lint test
 
@@ -36,6 +36,24 @@ lint-timed:
 	echo "lint took $${elapsed}s (budget $${budget}s, limit $$((budget*2))s)"; \
 	if [ $$elapsed -gt $$((budget*2)) ]; then \
 		echo "make lint exceeded 2x lint.budget; speed it up or justify raising the budget"; \
+		exit 1; \
+	fi
+
+# Non-test Go lines per package: the size ROADMAP tracks (aim 2, item 4).
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD|.|"); do \
+		printf '%6d  %s\n' $$(cat /dev/null $$(ls $$d/*.go | grep -v _test.go) | wc -l) $$d; \
+	done
+
+# internal/h2fs — the paper's contribution, and the package that kept
+# growing — may not exceed the committed loc.budget. A PR that needs more
+# room raises the number in the same diff and says why; one that shrinks
+# the package lowers it, so the ceiling ratchets down.
+loc-check:
+	@n=$$(cat $$(ls internal/h2fs/*.go | grep -v _test.go) | wc -l); budget=$$(cat loc.budget); \
+	echo "internal/h2fs: $$n non-test lines (budget $$budget)"; \
+	if [ $$n -gt $$budget ]; then \
+		echo "internal/h2fs grew past loc.budget; delete something or argue for the new ceiling"; \
 		exit 1; \
 	fi
 

@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -81,22 +80,6 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// allNames unions object names across every node (replicas deduplicated).
-func allNames(c *cluster.Cluster) []string {
-	seen := map[string]bool{}
-	for _, id := range c.Ring().DeviceIDs() {
-		for _, name := range c.Node(id).Names() {
-			seen[name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // classify names the object kind from its key and content.
 func classify(key string, info objstore.ObjectInfo, data []byte) string {
 	switch {
@@ -120,12 +103,12 @@ func classify(key string, info objstore.ObjectInfo, data []byte) string {
 		_, _, shard, shards, _ := core.ParseExtentKey(key)
 		return fmt.Sprintf("NameRing extent %d/%d (%d tuples)", shard, shards, r.TotalLen())
 	case strings.HasSuffix(key, "::/NameRing/"):
-		if core.IsShardManifest(data) {
-			m, err := core.DecodeShardManifest(data)
-			if err != nil {
-				return "shard manifest (corrupt)"
-			}
-			return fmt.Sprintf("shard manifest (%d extents, gen %d)", m.Shards, m.Gen)
+		lay, err := core.DecodeLayout(data)
+		if err != nil {
+			return "shard manifest (corrupt)"
+		}
+		if lay.Shards > 1 {
+			return fmt.Sprintf("shard manifest (%d extents, gen %d)", lay.Shards, lay.Gen)
 		}
 		return "NameRing"
 	case core.IsDirObject(data):
@@ -143,7 +126,7 @@ func classify(key string, info objstore.ObjectInfo, data []byte) string {
 
 func listObjects(c *cluster.Cluster) {
 	ctx := bg()
-	for _, name := range allNames(c) {
+	for _, name := range c.Names() {
 		data, info, err := c.Get(ctx, name)
 		if err != nil {
 			fmt.Printf("%-60s UNREADABLE: %v\n", name, err)
@@ -161,46 +144,15 @@ func showAccount(c *cluster.Cluster, account string) {
 	fmt.Printf("account: %s\nroot namespace: %s\n", account, data)
 }
 
-// readRing fetches and decodes a directory's ring, following an H2DRX
-// manifest out to its extents when the directory is sharded. shards is 1
-// for a monolithic ring.
-func readRing(c *cluster.Cluster, account, ns string) (*core.NameRing, objstore.ObjectInfo, int, error) {
-	data, info, err := c.Get(bg(), core.RingKey(account, ns))
-	if err != nil {
-		return nil, info, 0, err
-	}
-	if !core.IsShardManifest(data) {
-		ring, derr := core.DecodeNameRing(data)
-		return ring, info, 1, derr
-	}
-	man, derr := core.DecodeShardManifest(data)
-	if derr != nil {
-		return nil, info, 0, derr
-	}
-	extents := make([]*core.NameRing, man.Shards)
-	for i, res := range objstore.MultiGet(bg(), c, core.ExtentKeys(account, ns, man.Shards)) {
-		if res.Err != nil {
-			continue // a torn extent reads as empty, matching the middleware
-		}
-		if ext, eerr := core.DecodeNameRing(res.Data); eerr == nil {
-			extents[i] = ext
-		}
-	}
-	return core.MergedExtents(extents), info, man.Shards, nil
-}
-
 func showRing(c *cluster.Cluster, account, ns string) {
-	ring, info, shards, err := readRing(c, account, ns)
+	rr, err := h2fs.ReadRing(bg(), c, account, ns)
 	if err != nil {
 		fail(err)
 	}
-	if shards > 1 {
-		fmt.Printf("NameRing %s::%s  (%d tuples, %d live, sharded over %d extents)\n",
-			account, ns, ring.TotalLen(), ring.Len(), shards)
-	} else {
-		fmt.Printf("NameRing %s::%s  (%d tuples, %d live)\n", account, ns, ring.TotalLen(), ring.Len())
-	}
-	for k, v := range info.Meta {
+	ring := rr.Ring
+	fmt.Printf("NameRing %s::%s  (%d tuples, %d live, %d extents)\n",
+		account, ns, ring.TotalLen(), ring.Len(), rr.Layout.Shards)
+	for k, v := range rr.Head.Meta {
 		if strings.HasPrefix(k, "wm.") {
 			fmt.Printf("  merge watermark %s = %s\n", strings.TrimPrefix(k, "wm."), v)
 		}
@@ -228,12 +180,12 @@ func showTree(c *cluster.Cluster, account string) {
 	}
 	var walk func(ns, indent string)
 	walk = func(ns, indent string) {
-		ring, _, _, err := readRing(c, account, ns)
+		rr, err := h2fs.ReadRing(bg(), c, account, ns)
 		if err != nil {
 			fmt.Printf("%s!! ring %s unreadable: %v\n", indent, ns, err)
 			return
 		}
-		for _, t := range ring.Live() {
+		for _, t := range rr.Ring.Live() {
 			if t.Dir {
 				fmt.Printf("%s%s/\n", indent, t.Name)
 				walk(t.NS, indent+"  ")
@@ -255,7 +207,7 @@ func fsck(c *cluster.Cluster, reclaim bool) (h2fs.ScrubReport, error) {
 	if err != nil {
 		return h2fs.ScrubReport{}, err
 	}
-	return mw.Scrub(bg(), allNames(c), reclaim)
+	return mw.Scrub(bg(), c.Names(), reclaim)
 }
 
 func runFsck(c *cluster.Cluster, reclaim bool) {

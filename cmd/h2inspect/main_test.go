@@ -38,7 +38,7 @@ func TestClassifyObjectKinds(t *testing.T) {
 	c := populatedCluster(t)
 	ctx := context.Background()
 	kinds := map[string]int{}
-	for _, name := range allNames(c) {
+	for _, name := range c.Names() {
 		data, info, err := c.Get(ctx, name)
 		if err != nil {
 			t.Fatalf("get %s: %v", name, err)
@@ -71,7 +71,7 @@ func TestClassifyObjectKinds(t *testing.T) {
 
 func TestAllNamesDeduplicatesReplicas(t *testing.T) {
 	c := populatedCluster(t)
-	names := allNames(c)
+	names := c.Names()
 	seen := map[string]bool{}
 	for _, n := range names {
 		if seen[n] {
@@ -150,7 +150,7 @@ func TestClassifyGCQueueObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := map[string]int{}
-	for _, name := range allNames(c) {
+	for _, name := range c.Names() {
 		data, info, err := c.Get(ctx, name)
 		if err != nil {
 			t.Fatalf("get %s: %v", name, err)

@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/netsim"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -93,7 +94,7 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 	for i := range mws {
 		mws[i], err = h2fs.New(h2fs.Config{
 			Store: cs, Node: i + 1, Profile: profile, Clock: clock,
-			Gossip: bus, Retry: h2fs.DefaultRetryPolicy(), Metrics: reg,
+			Gossip: bus, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
 		})
 		if err != nil {
 			return nil, err

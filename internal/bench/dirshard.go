@@ -171,7 +171,7 @@ func dirShardCrash(m, threshold int) (int, error) {
 	if len(entries) != m+1 {
 		return -1, fmt.Errorf("replay lost children: %d listed, want %d", len(entries), m+1)
 	}
-	rep, err := f.mw.Scrub(bg(), deviceNames(f.cluster), true)
+	rep, err := f.mw.Scrub(bg(), f.cluster.Names(), true)
 	if err != nil {
 		return -1, err
 	}
@@ -183,7 +183,7 @@ func dirShardCrash(m, threshold int) (int, error) {
 	if err := f.mw.FlushAll(bg()); err != nil {
 		return -1, err
 	}
-	rep, err = f.mw.Scrub(bg(), deviceNames(f.cluster), false)
+	rep, err = f.mw.Scrub(bg(), f.cluster.Names(), false)
 	if err != nil {
 		return -1, err
 	}
@@ -337,7 +337,8 @@ func (s *dirShardStore) flipArmed() bool {
 }
 
 func (s *dirShardStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if core.IsShardManifest(data) && s.flipArmed() {
+	// Anything that is not a plain ring is a manifest, well-formed or not.
+	if lay, err := core.DecodeLayout(data); (err != nil || lay.Shards > 1) && s.flipArmed() {
 		return fmt.Errorf("dirshard: injected crash before manifest flip: %w", objstore.ErrNodeDown)
 	}
 	s.notePut(name, len(data))

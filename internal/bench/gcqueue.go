@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // GCQueueReclamation is the durable-reclamation experiment: with EagerGC
@@ -66,7 +66,7 @@ func gcQueueRun(n int) ([]string, error) {
 	cs := eng.Store(c)
 	m, err := h2fs.New(h2fs.Config{
 		Store: cs, Node: 1, Profile: profile, Clock: clock,
-		GCQueue: true, Retry: h2fs.DefaultRetryPolicy(), Metrics: reg,
+		GCQueue: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
 	})
 	if err != nil {
 		return nil, err
@@ -133,7 +133,7 @@ func gcQueueRun(n int) ([]string, error) {
 	freed := base + enqObjects - c.Stats().Objects
 
 	// Convergence: no orphans, survivors intact.
-	rep, err := m.Scrub(bg(), deviceNames(c), false)
+	rep, err := m.Scrub(bg(), c.Names(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -157,21 +157,4 @@ func gcQueueRun(n int) ([]string, error) {
 		fmt.Sprintf("%d", freed),
 		fmt.Sprintf("%d", len(rep.Orphans)),
 	}, nil
-}
-
-// deviceNames unions object names across every device — the key universe
-// a scrub pass cross-checks.
-func deviceNames(c *cluster.Cluster) []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, id := range c.Ring().DeviceIDs() {
-		for _, name := range c.Node(id).Names() {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -144,7 +144,7 @@ func HotPath(quick bool) (Result, error) {
 		}},
 		{"codec/decode-manifest", 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := core.DecodeShardManifest(encodedManifest)
+				m, err := core.DecodeLayout(encodedManifest)
 				if err != nil {
 					b.Fatal(err)
 				}

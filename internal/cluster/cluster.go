@@ -233,6 +233,23 @@ func (c *Cluster) Node(id int) objstore.NodeStore {
 	return c.nodes[id]
 }
 
+// Names returns the name of every object any device holds, replicas
+// deduplicated, sorted: the key universe an offline scrub cross-checks.
+func (c *Cluster) Names() []string {
+	seen := make(map[string]bool)
+	var names []string
+	for _, n := range c.allNodes() {
+		for _, name := range n.Names() {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // SetNodeDown marks a node unavailable (failure injection).
 func (c *Cluster) SetNodeDown(id int, down bool) {
 	if n := c.Node(id); n != nil {

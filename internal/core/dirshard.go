@@ -32,13 +32,65 @@ const manifestMagic = "H2DRX/1"
 // on it.
 const MaxDirShards = 512
 
-// ShardManifest is the parent record of a sharded directory ring: the
-// extent count and the split generation. Extent keys are derived, not
-// listed — ExtentKey(account, ns, i, Shards) for i in [0, Shards) — so the
-// manifest stays O(1) bytes no matter how big the directory grows.
+// ShardManifest is a directory ring's stored layout: how many extents hold
+// its tuples, and the split generation. Shards == 1 is the monolithic
+// layout — one extent, which is the object at RingKey itself, and no
+// manifest object; that is what DecodeLayout reports for a plain ring and
+// the only case the methods below treat apart. With more extents the object
+// at RingKey is the encoded manifest and extent i lives at the derived key
+// ExtentKey(account, ns, i, Shards), so the manifest stays O(1) bytes no
+// matter how big the directory grows.
 type ShardManifest struct {
-	Shards int   // number of sub-ring extents, in [2, MaxDirShards]
+	Shards int   // number of extents: 1, or in [2, MaxDirShards] when stored as a manifest
 	Gen    int64 // split generation, bumped on every shards-count transition
+}
+
+// DecodeLayout reads the layout off the object stored at a directory's
+// RingKey: a manifest's own, or the monolithic one when the object is the
+// ring itself. It is the dispatch every reader of that object starts with.
+func DecodeLayout(head []byte) (ShardManifest, error) {
+	if !IsShardManifest(head) {
+		return ShardManifest{Shards: 1}, nil
+	}
+	return DecodeShardManifest(head)
+}
+
+// Key returns the store key of extent i of the layout.
+func (l ShardManifest) Key(account, ns string, i int) string {
+	if l.Shards == 1 {
+		return RingKey(account, ns)
+	}
+	return ExtentKey(account, ns, i, l.Shards)
+}
+
+// Keys returns the store keys of the given extents, in order — what a
+// reader fans a batched MultiGet or MultiHead over.
+func (l ShardManifest) Keys(account, ns string, which []int) []string {
+	keys := make([]string, len(which))
+	for i, s := range which {
+		keys[i] = l.Key(account, ns, s)
+	}
+	return keys
+}
+
+// All lists every extent index of the layout.
+func (l ShardManifest) All() []int {
+	all := make([]int, l.Shards)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// Extents returns the keys of the objects the layout occupies besides the
+// one at RingKey — what GC and the scrubber claim with the directory, and
+// what a transition away from the layout collects. A monolithic layout has
+// none.
+func (l ShardManifest) Extents(account, ns string) []string {
+	if l.Shards == 1 {
+		return nil
+	}
+	return l.Keys(account, ns, l.All())
 }
 
 // EncodeShardManifest packs a manifest into its ASCII object form.
@@ -120,8 +172,7 @@ func parseManifestInt(b []byte) (int64, bool) {
 }
 
 // IsShardManifest reports whether object data looks like an encoded shard
-// manifest — the cheap dispatch every RingKey reader performs before
-// choosing between DecodeNameRing and DecodeShardManifest.
+// manifest; DecodeLayout is the dispatch built on it.
 func IsShardManifest(data []byte) bool {
 	return len(data) > len(manifestMagic) &&
 		data[len(manifestMagic)] == '\n' &&
@@ -208,17 +259,6 @@ func ParseExtentKey(key string) (account, ns string, shard, shards int, err erro
 		return "", "", 0, 0, fmt.Errorf("core: extent key %q shard %d/%d out of range", key, shard, shards)
 	}
 	return account, ns, shard, shards, nil
-}
-
-// ExtentKeys returns the full derived key set of a sharded directory —
-// what a reader fans a batched MultiGet over, and what GC and the
-// scrubber claim when the directory is reclaimed.
-func ExtentKeys(account, ns string, shards int) []string {
-	keys := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		keys[i] = ExtentKey(account, ns, i, shards)
-	}
-	return keys
 }
 
 // MergedExtents folds a sharded directory's decoded extents into one

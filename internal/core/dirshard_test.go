@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -146,16 +147,48 @@ func TestExtentKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExtentKeysDerivation: a layout derives its own keys. Extent i of n > 1 lives at
+// ExtentKey; the one extent of the monolithic layout is the object at
+// RingKey, which therefore has no extent objects beside it.
 func TestExtentKeysDerivation(t *testing.T) {
-	keys := ExtentKeys("a", "N1", 4)
-	if len(keys) != 4 {
-		t.Fatalf("len = %d", len(keys))
+	four := ShardManifest{Shards: 4, Gen: 2}
+	keys := four.Extents("a", "N1")
+	if len(keys) != 4 || !reflect.DeepEqual(keys, four.Keys("a", "N1", four.All())) {
+		t.Fatalf("Extents = %q", keys)
 	}
 	for i, k := range keys {
 		_, _, shard, shards, err := ParseExtentKey(k)
-		if err != nil || shard != i || shards != 4 {
+		if err != nil || shard != i || shards != 4 || k != four.Key("a", "N1", i) {
 			t.Fatalf("keys[%d] = %q (%v)", i, k, err)
 		}
+	}
+	if got := four.Keys("a", "N1", []int{3, 1}); got[0] != keys[3] || got[1] != keys[1] {
+		t.Fatalf("Keys({3, 1}) = %q", got)
+	}
+	mono := ShardManifest{Shards: 1}
+	if got := mono.Keys("a", "N1", mono.All()); len(got) != 1 || got[0] != RingKey("a", "N1") {
+		t.Fatalf("monolithic keys = %q, want the ring key alone", got)
+	}
+	if got := mono.Extents("a", "N1"); got != nil {
+		t.Fatalf("monolithic Extents = %q, want none", got)
+	}
+}
+
+// TestDecodeLayout: the object at RingKey names its own layout — a
+// manifest's, or the monolithic one for anything that is not a manifest —
+// and a torn manifest is an error, never a silent monolithic read.
+func TestDecodeLayout(t *testing.T) {
+	want := ShardManifest{Shards: 16, Gen: 3}
+	if got, err := DecodeLayout(EncodeShardManifest(want)); err != nil || got != want {
+		t.Fatalf("manifest layout = %+v, %v", got, err)
+	}
+	ring := NewNameRing()
+	ring.Set(Tuple{Name: "f", Time: 1})
+	if got, err := DecodeLayout(EncodeNameRing(ring)); err != nil || got != (ShardManifest{Shards: 1}) {
+		t.Fatalf("ring layout = %+v, %v", got, err)
+	}
+	if _, err := DecodeLayout([]byte(manifestMagic + "\nshards=1\n")); err == nil {
+		t.Fatal("a manifest claiming one shard decoded")
 	}
 }
 

@@ -159,8 +159,8 @@ func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name str
 	out := make([]byte, 0, end-offset)
 	for i := first; i <= last; i++ {
 		segStart := i * chunkSize
-		from := max64(offset-segStart, 0)
-		to := min64(end-segStart, chunkSize)
+		from := max(offset-segStart, 0)
+		to := min(end-segStart, chunkSize)
 		data, _, err := m.store.GetRange(ctx, sloSegKey(account, ns, name, int(i)), from, to-from)
 		if err != nil {
 			return nil, fmt.Errorf("h2fs: chunk %d: %w", i, err)
@@ -168,20 +168,6 @@ func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name str
 		out = append(out, data...)
 	}
 	return out, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // deleteFileObject removes a file's object — and, when the NameRing tuple

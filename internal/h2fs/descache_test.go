@@ -13,35 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
-	"github.com/h2cloud/h2cloud/internal/objstore"
 )
-
-// getLog records the name of every GET the middleware issues, hit or
-// miss — a patch-chain probe is a GET that ends in ErrNotFound.
-type getLog struct {
-	objstore.Store
-	mu    sync.Mutex
-	names []string
-}
-
-func (s *getLog) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	s.note(name)
-	return s.Store.Get(ctx, name)
-}
-
-func (s *getLog) note(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.names = append(s.names, name)
-}
-
-func (s *getLog) take() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := s.names
-	s.names = nil
-	return names
-}
 
 // pushOut evicts ns's descriptor the way production does: a same-stripe
 // insert past the budget (the tests cap the cache at one descriptor per
@@ -103,11 +75,11 @@ func hasChild(t *testing.T, m *Middleware, ns, name string) bool {
 	return ok && !tup.Deleted
 }
 
-// newDirD returns a middleware over a GET-logging cluster with /d holding
-// the flushed file f, and /d's namespace.
-func newDirD(t *testing.T, reg *metrics.Registry) (*Middleware, *getLog, string) {
+// newDirD returns a middleware over a request-logging cluster with /d
+// holding the flushed file f, and /d's namespace.
+func newDirD(t *testing.T, reg *metrics.Registry) (*Middleware, *reqLog, string) {
 	t.Helper()
-	gl := &getLog{Store: newCluster(t)}
+	gl := &reqLog{Store: newCluster(t)}
 	m, err := New(Config{Store: gl, Node: 1, DescCacheLimit: descStripes, Metrics: reg})
 	mustNoErr(t, err)
 	ctx := context.Background()
@@ -133,7 +105,7 @@ func TestReloadAfterCleanEvictionIsOneGet(t *testing.T) {
 	if !hasChild(t, m, ns, "f") {
 		t.Fatal("f lost")
 	}
-	if got := gl.take(); !reflect.DeepEqual(got, []string{ring, probe}) {
+	if got := gl.takeGets(); !reflect.DeepEqual(got, []string{ring, probe}) {
 		t.Fatalf("first load in an epoch issued %q, want the ring GET and one own-chain probe", got)
 	}
 	wantGauge(t, m, reg, 0)
@@ -144,7 +116,7 @@ func TestReloadAfterCleanEvictionIsOneGet(t *testing.T) {
 		if !hasChild(t, m, ns, "f") {
 			t.Fatal("f lost")
 		}
-		if got := gl.take(); !reflect.DeepEqual(got, []string{ring}) {
+		if got := gl.takeGets(); !reflect.DeepEqual(got, []string{ring}) {
 			t.Fatalf("reload %d after a clean eviction issued %q, want the ring GET alone", round, got)
 		}
 		wantGauge(t, m, reg, 0)
@@ -224,8 +196,8 @@ func TestRecoverForgetsStubs(t *testing.T) {
 // evictable — but has learned nothing about its chain, so its eviction
 // must not settle the ring. One that was already settled stays so.
 func TestFailedLoadLeavesNoStub(t *testing.T) {
-	cs := chaos.New(chaos.Plan{}, nil).Store(&getLog{Store: newCluster(t)})
-	gl := cs.Inner().(*getLog)
+	cs := chaos.New(chaos.Plan{}, nil).Store(&reqLog{Store: newCluster(t)})
+	gl := cs.Inner().(*reqLog)
 	m, err := New(Config{Store: cs, Node: 1, DescCacheLimit: descStripes})
 	mustNoErr(t, err)
 	ctx := context.Background()
@@ -266,7 +238,7 @@ func TestFailedLoadLeavesNoStub(t *testing.T) {
 	if !hasChild(t, m, ns, "f") {
 		t.Fatal("f lost")
 	}
-	if got := gl.take(); !reflect.DeepEqual(got, []string{ring}) {
+	if got := gl.takeGets(); !reflect.DeepEqual(got, []string{ring}) {
 		t.Fatalf("reload of a settled ring after a failed load issued %q, want the ring GET alone", got)
 	}
 }
@@ -297,7 +269,7 @@ func TestReloadKeepsPeerProbes(t *testing.T) {
 		core.PatchKey("alice", ns, 2, 2), // the peer's patch, replayed
 		core.PatchKey("alice", ns, 2, 3), // the end of its chain
 	}
-	if got := gl.take(); !reflect.DeepEqual(got, want) {
+	if got := gl.takeGets(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("settled reload issued %q, want %q", got, want)
 	}
 }

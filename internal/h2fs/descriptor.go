@@ -43,19 +43,16 @@ type descriptor struct {
 	// sharded ring the set also tells the flush which extents to rewrite
 	// (names, not extent indices, so the set survives layout changes).
 	dirtyNames map[string]struct{}
-	// shards/gen mirror the directory's store layout: 1 = one monolithic
-	// ring object at RingKey, >1 = an H2DRX manifest there plus that many
-	// sub-ring extents. gen is the manifest generation last observed.
-	shards int
-	gen    int64
-	// extentTags[i] is the ETag of a stored version of extent i that local
-	// is known to dominate: content this node fetched and merged, or put
+	// lay mirrors the directory's store layout as last observed: one
+	// extent (the ring object at RingKey itself) or an H2DRX manifest there
+	// plus that many sub-ring extents.
+	lay core.ShardManifest
+	// tags[i] is the ETag of a stored version of extent i that local is
+	// known to dominate: content this node fetched and merged, or put
 	// itself. "" = none remembered. A flush that finds the store still
 	// holding that ETag skips the read — merging it would change nothing.
-	// One slot per extent of the current layout. A monolithic ring is a
-	// one-extent layout whose extent is the object at RingKey: one slot, or
-	// nil while nothing is remembered.
-	extentTags []string
+	// One slot per extent of lay, or nil while nothing is remembered.
+	tags []string
 	// evicted marks a descriptor removed from the cache while a caller
 	// still held its pointer; lockedDesc retries on seeing it. Guarded by
 	// mu.
@@ -77,7 +74,7 @@ func newDescriptor(account, ns, key string) *descriptor {
 		ns:         ns,
 		key:        key,
 		dirtyNames: map[string]struct{}{},
-		shards:     1,
+		lay:        core.ShardManifest{Shards: 1},
 	}
 }
 
@@ -98,37 +95,16 @@ func (d *descriptor) clean() bool {
 	return !d.isDirty() && d.firstUnflushed >= d.nextSeq
 }
 
-// ringTag is the remembered ETag of the monolithic ring object; "" when
-// the directory is sharded or nothing is remembered.
-func (d *descriptor) ringTag() string {
-	if d.shards != 1 || len(d.extentTags) != 1 {
-		return ""
-	}
-	return d.extentTags[0]
-}
-
-// extentKeys returns the store keys of the given extents of a shards-wide
-// layout of this directory, in order.
-func (d *descriptor) extentKeys(shards int, which []int) []string {
-	keys := make([]string, len(which))
-	for i, s := range which {
-		keys[i] = core.ExtentKey(d.account, d.ns, s, shards)
-	}
-	return keys
-}
-
 // dirtyShardSet maps the dirty child names onto the current layout's
 // extent indices, sorted for deterministic write order.
 func (d *descriptor) dirtyShardSet() []int {
-	set := make(map[int]struct{}, len(d.dirtyNames))
+	out := make([]int, 0, min(len(d.dirtyNames), d.lay.Shards))
 	for name := range d.dirtyNames {
-		set[core.ShardOf(name, d.shards)] = struct{}{}
+		s := core.ShardOf(name, d.lay.Shards)
+		if i, seen := slices.BinarySearch(out, s); !seen {
+			out = slices.Insert(out, i, s)
+		}
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -158,20 +134,19 @@ func encodeWatermarks(wm map[int]int) map[string]string {
 	return meta
 }
 
-// storedRing is the decoded store representation of one directory ring:
-// the merged tuple view, the flush watermarks, and the layout it was
-// stored under.
+// storedRing is what one store read tells a descriptor about its
+// directory's ring: the merged tuples it fetched, the flush watermarks, and
+// the layout they are stored under.
 type storedRing struct {
-	ring   *core.NameRing
-	wm     map[int]int
-	shards int   // 1 = monolithic ring object
-	gen    int64 // manifest generation (0 when monolithic)
-	found  bool
-	tags   []string // descriptor.extentTags once ring is merged
+	ring  *core.NameRing
+	wm    map[int]int
+	lay   core.ShardManifest
+	found bool
+	tags  []string // descriptor.tags once ring is merged
 	// full reports that the descriptor, once it adopts this read, dominates
-	// the whole stored state: ring holds every stored tuple, or the
-	// monolithic ring object validated unchanged. A validated sharded read
-	// covers only the extents it was asked about.
+	// the whole stored state: ring holds every stored tuple, or the one
+	// extent of a monolithic layout validated unchanged. A validated read of
+	// more extents covers only the ones it was asked about.
 	full bool
 }
 
@@ -200,90 +175,58 @@ func (d *descriptor) adopt(sr storedRing) {
 		}
 	}
 	if sr.found {
-		d.shards, d.gen, d.extentTags = sr.shards, sr.gen, sr.tags
+		d.lay, d.tags = sr.lay, sr.tags
 	}
 }
 
-// readStoredRing fetches a directory's store representation. The object
-// at RingKey is either a monolithic NameRing or an H2DRX manifest; in the
-// sharded case all extents are fetched in one batched window
-// (objstore.MultiGet — the cluster charges it as one overlapped LPT
-// fan-out) and merged. With validate set — the Background Merger's read —
-// nothing is fetched that a remembered tag shows unchanged: a monolithic
-// ring is HEADed first, and a manifest that still names the layout the
-// descriptor knows narrows the read to the dirty extents the store holds
-// a newer version of.
+// readStoredRing reads a directory's store representation: the head object
+// at RingKey, then every extent of the layout it names. With validate set —
+// the Background Merger's read — nothing is fetched that a remembered tag
+// shows unchanged, and the layout decides only how the head is asked. The
+// one extent of a monolithic layout is the head, so a HEAD of it validates
+// the tuples and brings the watermarks (the ETag hashes content only, and a
+// peer may have advanced them under identical tuples); no tag, a different
+// one, not found or any HEAD error falls through to the GET, so errors,
+// retries and a peer's split are handled in one place. A manifest is a few
+// bytes and is fetched; if it still names the layout the descriptor knows,
+// the read narrows to the dirty extents (revalidate).
 func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate bool) (storedRing, error) {
-	if validate {
-		if sr, ok := m.validateRing(ctx, d); ok {
-			return sr, nil
+	headIsExtent := d.lay.Shards == 1
+	if validate && headIsExtent && len(d.tags) == 1 && d.tags[0] != "" {
+		if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == d.tags[0] {
+			m.reg.Inc("flush.validated", 1)
+			return storedRing{wm: parseWatermarks(info.Meta), lay: d.lay, found: true, full: true, tags: d.tags}, nil
 		}
+		m.reg.Inc("flush.refetched", 1)
 	}
-	data, info, err := m.store.Get(ctx, d.key)
+	h, err := readHead(ctx, m.store, d.account, d.ns, d.key)
 	switch {
 	case errors.Is(err, objstore.ErrNotFound):
-		return storedRing{shards: 1, full: true}, nil
+		return storedRing{lay: core.ShardManifest{Shards: 1}, full: true}, nil
 	case err != nil:
 		return storedRing{}, err
 	}
-	wm := parseWatermarks(info.Meta)
-	if !core.IsShardManifest(data) {
-		ring, derr := core.DecodeNameRing(data)
-		if derr != nil {
-			return storedRing{}, fmt.Errorf("h2fs: ring %s/%s corrupt: %w", d.account, d.ns, derr)
-		}
-		sr := storedRing{ring: ring, wm: wm, shards: 1, found: true, full: true}
-		if d.loaded {
-			// A load remembers no tag — a reload is the cold-lookup hot
-			// path and stays free of the slot's allocation — so the first
-			// flush after one reads in full.
-			sr.tags = []string{info.ETag}
-		}
-		return sr, nil
-	}
-	man, derr := core.DecodeShardManifest(data)
-	if derr != nil {
-		return storedRing{}, fmt.Errorf("h2fs: shard manifest %s/%s corrupt: %w", d.account, d.ns, derr)
-	}
-	if validate && man.Shards == d.shards && man.Gen == d.gen {
+	wm := parseWatermarks(h.Head.Meta)
+	if validate && !headIsExtent && h.Layout == d.lay {
 		sr, err := m.revalidate(ctx, d, d.dirtyShardSet())
 		sr.wm = wm
 		return sr, err
 	}
-	sr := storedRing{wm: wm, shards: man.Shards, gen: man.Gen, found: true, full: true, tags: make([]string, man.Shards)}
-	sr.ring, err = m.fetchExtents(ctx, d, man.Shards, shardRange(man.Shards), sr.tags)
-	return sr, err
+	ring, tags, err := h.readAll(ctx, m.store, d.account, d.ns, d.loaded)
+	return storedRing{ring: ring, wm: wm, lay: h.Layout, found: true, tags: tags, full: true}, err
 }
 
-// validateRing is the O(1) read of a monolithic flush: one HEAD of the
-// ring object, and when it still carries the remembered ETag local already
-// dominates it — nothing to fetch, decode or merge. The watermarks come
-// from the HEAD's metadata: the ETag hashes content only, and a peer may
-// have advanced them under identical tuples. Anything else — no tag, a
-// different one, not found, any HEAD error — reports false and the caller
-// GETs, so errors, retries and a peer's split are handled in one place.
-func (m *Middleware) validateRing(ctx context.Context, d *descriptor) (storedRing, bool) {
-	tag := d.ringTag()
-	if tag == "" {
-		return storedRing{}, false
-	}
-	if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == tag {
-		m.reg.Inc("flush.validated", 1)
-		return storedRing{wm: parseWatermarks(info.Meta), shards: 1, found: true, full: true, tags: d.extentTags}, true
-	}
-	m.reg.Inc("flush.refetched", 1)
-	return storedRing{}, false
-}
-
-// revalidate is the O(dirty) read of a sharded flush: one batched HEAD
-// over the given extents of the descriptor's layout, then a fetch of only
-// those whose stored ETag is not the one remembered — a peer rewrote them,
-// or this node never read them. The HEAD-to-put window it opens is the
-// GET-to-put window of a full read; gossip repairs a lost race in both.
+// revalidate is the O(dirty) read of a flush over many extents: one batched
+// HEAD over the given extents of the descriptor's layout, then a fetch of
+// only those whose stored ETag is not the one remembered — a peer rewrote
+// them, or this node never read them. A HEAD that fails is the flush's
+// failure: unlike the head object there is no cheaper-than-it read to fall
+// back on. The HEAD-to-put window it opens is the GET-to-put window of a
+// full read; gossip repairs a lost race in both.
 func (m *Middleware) revalidate(ctx context.Context, d *descriptor, which []int) (sr storedRing, err error) {
-	sr = storedRing{shards: d.shards, gen: d.gen, found: true, tags: slices.Clone(d.extentTags)}
+	sr = storedRing{lay: d.lay, found: true, tags: slices.Clone(d.tags)}
 	var stale []int
-	for i, h := range objstore.MultiHead(ctx, m.store, d.extentKeys(d.shards, which)) {
+	for i, h := range objstore.MultiHead(ctx, m.store, d.lay.Keys(d.account, d.ns, which)) {
 		switch s := which[i]; {
 		case errors.Is(h.Err, objstore.ErrNotFound): // nothing stored, nothing to merge
 		case h.Err != nil:
@@ -294,43 +237,8 @@ func (m *Middleware) revalidate(ctx context.Context, d *descriptor, which []int)
 	}
 	m.reg.Inc("flush.validated", int64(len(which)-len(stale)))
 	m.reg.Inc("flush.refetched", int64(len(stale)))
-	sr.ring, err = m.fetchExtents(ctx, d, d.shards, stale, sr.tags)
+	sr.ring, err = fetchExtents(ctx, m.store, d.account, d.ns, d.lay, stale, sr.tags)
 	return sr, err
-}
-
-// fetchExtents reads the given extents of a shards-wide layout in one
-// batched window and returns them merged, recording in tags the ETag of
-// each one read. A referenced-but-missing extent is tolerated as empty:
-// patch replay and gossip re-converge the tuples it held.
-func (m *Middleware) fetchExtents(ctx context.Context, d *descriptor, shards int, which []int, tags []string) (*core.NameRing, error) {
-	if len(which) == 0 {
-		return nil, nil
-	}
-	extents := make([]*core.NameRing, len(which))
-	for i, res := range objstore.MultiGet(ctx, m.store, d.extentKeys(shards, which)) {
-		if errors.Is(res.Err, objstore.ErrNotFound) {
-			tags[which[i]] = ""
-			continue
-		}
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		ext, derr := core.DecodeNameRing(res.Data)
-		if derr != nil {
-			return nil, fmt.Errorf("h2fs: extent %d of %s/%s corrupt: %w", which[i], d.account, d.ns, derr)
-		}
-		extents[i], tags[which[i]] = ext, res.Info.ETag
-	}
-	return core.MergedExtents(extents), nil
-}
-
-// shardRange lists every extent index of a shards-wide layout.
-func shardRange(shards int) []int {
-	all := make([]int, shards)
-	for i := range all {
-		all[i] = i
-	}
-	return all
 }
 
 // load populates a descriptor from the store: the ring representation
@@ -446,10 +354,8 @@ func (m *Middleware) liveChildren(ctx context.Context, account, ns string) ([]co
 func (m *Middleware) submitPatch(ctx context.Context, account, ns string, tuples ...core.Tuple) error {
 	d := m.lockedDesc(account, ns)
 	defer m.unlockDesc(d)
-	if !d.loaded {
-		if err := m.load(ctx, d); err != nil {
-			return err
-		}
+	if err := m.load(ctx, d); err != nil {
+		return err
 	}
 	ring := core.NewNameRing()
 	for _, t := range tuples {
@@ -463,7 +369,7 @@ func (m *Middleware) submitPatch(ctx context.Context, account, ns string, tuples
 		// hot directories bottleneck on the lock — the drawbacks that
 		// motivate the asynchronous patch protocol.
 		d.local.MergeFunc(ring, d.noteChanged)
-		clear(d.extentTags) // the strawman is by definition the naive GET-merge-PUT: it trusts no tag
+		clear(d.tags) // the strawman is by definition the naive GET-merge-PUT: it trusts no tag
 		return m.flushLocked(ctx, d)
 	}
 	p := &core.Patch{Account: account, NS: ns, Node: m.node, Seq: d.nextSeq, Ring: ring}
@@ -500,36 +406,14 @@ func (m *Middleware) lockedDesc(account, ns string) *descriptor {
 	}
 }
 
-// Flush runs the Background Merger (§4.5) for one ring: the store copy is
-// read, merged with the local version (and with any watermark advances
-// from peers), tombstones past the TTL are compacted, the result is put
-// back, and this node's folded patch objects are deleted. If a gossip
-// broadcaster is configured, the update is advertised. Flush is the
-// "intra-node merging" step made durable.
-func (m *Middleware) Flush(ctx context.Context, account, ns string) error {
-	d := m.lockedDesc(account, ns)
-	defer m.unlockDesc(d)
-	if !d.loaded {
-		if err := m.load(ctx, d); err != nil {
-			return err
-		}
-	}
-	return m.flushLocked(ctx, d)
-}
-
-// flushLocked is Flush's body; the caller holds the descriptor monitor.
-//
-// The read half validates by ETag in either layout and fetches only what
-// a peer rewrote. The write half depends on the layout. A monolithic ring
-// under the DirShardThreshold is rewritten whole, one object at RingKey.
-// A sharded ring in steady state reads and rewrites only the extents
-// holding dirty names, plus the manifest (O(m/shards) bytes per flush
-// each way, not O(m)). A layout transition — split, re-split, or merge
-// back to monolithic — is write-new-then-flip: the new representation
-// lands on fresh keys first, the manifest (or ring) put at RingKey is the
-// atomic flip, and the old representation is deleted last, so a crash at
-// any point leaves either the old state plus unreferenced garbage (Scrub
-// reclaims it) or the new state complete.
+// flushLocked runs the Background Merger (§4.5) for one ring — the
+// "intra-node merging" step made durable; the caller holds the descriptor
+// monitor. The store copy is read, validating by ETag and fetching only
+// what a peer rewrote, merged with the local version and the peers'
+// watermark advances, tombstones past the TTL are compacted, the result is
+// put back by one writeLayout call — the extents holding dirty names, or
+// every extent when the layout changes — this node's folded patch objects
+// are deleted, and the update is advertised to the gossip bus, if any.
 func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	if d.clean() {
 		return nil
@@ -549,8 +433,8 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 		}
 		d.adopt(lr)
 	}
-	want := m.desiredShards(d.local.Len(), d.shards)
-	if want != d.shards && !sr.full {
+	to := m.desiredLayout(d)
+	if to != d.lay && !sr.full {
 		// A transition re-partitions every tuple, so it starts over from
 		// the full store state.
 		if sr, err = m.readStoredRing(ctx, d, false); err != nil {
@@ -558,24 +442,15 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 		}
 		d.adopt(sr)
 		m.compact(d)
-		want = m.desiredShards(d.local.Len(), d.shards)
+		to = m.desiredLayout(d)
 	}
 	d.watermarks[m.node] = d.nextSeq - 1
-	switch {
-	case d.shards == 1 && want == 1:
-		// Monolithic steady state. A failed put forgets the tag: the
-		// store may hold either version.
-		if d.extentTags, err = m.putRing(ctx, d); err != nil {
-			return fmt.Errorf("h2fs: flush ring: %w", err)
-		}
-	case want == d.shards:
-		if err := m.flushShardedSteady(ctx, d); err != nil {
-			return err
-		}
-	default:
-		if err := m.transitionShards(ctx, d, want); err != nil {
-			return err
-		}
+	which := d.dirtyShardSet()
+	if to != d.lay {
+		which = to.All()
+	}
+	if err := m.writeLayout(ctx, d, to, which); err != nil {
+		return err
 	}
 	for seq := d.firstUnflushed; seq < d.nextSeq; seq++ {
 		// A missing patch object was already collected by a peer's merge.
@@ -609,107 +484,7 @@ func (m *Middleware) compact(d *descriptor) []int {
 	})
 }
 
-// putRing writes local as the monolithic ring object at RingKey and
-// returns the one-slot tag set remembering what landed.
-func (m *Middleware) putRing(ctx context.Context, d *descriptor) ([]string, error) {
-	data := core.EncodeNameRing(d.local)
-	if err := m.store.Put(ctx, d.key, data, encodeWatermarks(d.watermarks)); err != nil {
-		return nil, err
-	}
-	return []string{objstore.ETag(data)}, nil
-}
-
-// putExtents encodes the given extents of local under a shards-wide
-// layout in one pass and writes them in one batched put. tags remembers
-// the ETag of every extent that landed and forgets the ones that failed:
-// the store may hold either version of those.
-func (m *Middleware) putExtents(ctx context.Context, d *descriptor, shards int, which []int, tags []string) error {
-	reqs := make([]objstore.PutReq, len(which))
-	for i, data := range core.EncodeNameRingExtents(d.local, shards, which) {
-		reqs[i] = objstore.PutReq{Name: core.ExtentKey(d.account, d.ns, which[i], shards), Data: data}
-	}
-	var failed error
-	for i, err := range objstore.MultiPut(ctx, m.store, reqs) {
-		if err != nil {
-			tags[which[i]] = ""
-			failed = errors.Join(failed, err)
-			continue
-		}
-		tags[which[i]] = objstore.ETag(reqs[i].Data)
-	}
-	return failed
-}
-
-// flushShardedSteady writes a sharded directory whose layout is not
-// changing: one batched put covers the dirty extents, then the manifest
-// is rewritten to publish the watermark advance. Extents go first — if
-// the manifest put never lands, the extents are still consistent (they
-// hold a superset the patch chain re-converges) and the un-advanced
-// watermarks just replay the patches.
-func (m *Middleware) flushShardedSteady(ctx context.Context, d *descriptor) error {
-	if err := m.putExtents(ctx, d, d.shards, d.dirtyShardSet(), d.extentTags); err != nil {
-		return fmt.Errorf("h2fs: flush extent: %w", err)
-	}
-	if err := m.store.Put(ctx, d.key,
-		core.EncodeShardManifest(core.ShardManifest{Shards: d.shards, Gen: d.gen}),
-		encodeWatermarks(d.watermarks)); err != nil {
-		return fmt.Errorf("h2fs: flush manifest: %w", err)
-	}
-	return nil
-}
-
-// transitionShards changes a directory's layout (split, re-split, or
-// merge back to monolithic) with the write-new-then-flip protocol. The
-// shard count is part of every extent key, so the new representation
-// never collides with the old one; the single put at RingKey is the
-// atomic flip between them. The caller has merged the full store state.
-func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want int) error {
-	oldShards := d.shards
-	newGen := d.gen + 1
-	var tags []string
-	var err error
-	if want > 1 {
-		tags = make([]string, want)
-		if err = m.putExtents(ctx, d, want, shardRange(want), tags); err != nil {
-			return fmt.Errorf("h2fs: write split extent: %w", err)
-		}
-		if err = m.store.Put(ctx, d.key,
-			core.EncodeShardManifest(core.ShardManifest{Shards: want, Gen: newGen}),
-			encodeWatermarks(d.watermarks)); err != nil {
-			return fmt.Errorf("h2fs: flip manifest: %w", err)
-		}
-	} else if tags, err = m.putRing(ctx, d); err != nil {
-		// Merging back to monolithic: the ring object put at RingKey
-		// overwrites the manifest and is itself the flip.
-		return fmt.Errorf("h2fs: flip ring: %w", err)
-	}
-	d.shards, d.gen, d.extentTags = want, newGen, tags
-	if oldShards > 1 {
-		// Old extents are unreferenced after the flip; a failure here
-		// leaves garbage for Scrub, never an inconsistent directory.
-		for _, err := range objstore.MultiDelete(ctx, m.store, core.ExtentKeys(d.account, d.ns, oldShards)) {
-			if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				return fmt.Errorf("h2fs: collect old extent: %w", err)
-			}
-		}
-	}
-	if want > oldShards {
-		m.reg.Inc("dirShard.splits", 1)
-	} else {
-		m.reg.Inc("dirShard.merges", 1)
-	}
-	oldN, newN := oldShards, want
-	if oldN == 1 {
-		oldN = 0
-	}
-	if newN == 1 {
-		newN = 0
-	}
-	m.reg.Inc("dirShard.extents", int64(newN-oldN))
-	return nil
-}
-
-// desiredShards applies the split/merge policy: shard once the live-child
+// desiredLayout applies the split/merge policy: shard once the live-child
 // count crosses the threshold (to the smallest power of two holding each
 // extent at or under the threshold), grow only after the directory
 // doubles past the current layout's capacity, and merge back to
@@ -717,25 +492,22 @@ func (m *Middleware) transitionShards(ctx context.Context, d *descriptor, want i
 // hysteresis band keeps a directory hovering near a boundary from
 // flapping between layouts. A zero (or negative) threshold — the default
 // — performs no transitions at all, so existing deployments and the
-// paper-figure benchmarks never see a manifest.
-func (m *Middleware) desiredShards(live, cur int) int {
-	t := m.profile.DirShardThreshold
-	if t <= 0 {
-		return cur
+// paper-figure benchmarks never see a manifest. A changed shard count is
+// the next generation.
+func (m *Middleware) desiredLayout(d *descriptor) core.ShardManifest {
+	t, live, cur := m.profile.DirShardThreshold, d.local.Len(), d.lay.Shards
+	want := cur
+	switch {
+	case t <= 0:
+	case cur == 1 && live > t, cur > 1 && live > 2*t*cur:
+		want = shardCountFor(live, t)
+	case cur > 1 && live < t/2:
+		want = 1
 	}
-	if cur <= 1 {
-		if live <= t {
-			return 1
-		}
-		return shardCountFor(live, t)
+	if want == cur {
+		return d.lay
 	}
-	if live > 2*t*cur {
-		return shardCountFor(live, t)
-	}
-	if live < t/2 {
-		return 1
-	}
-	return cur
+	return core.ShardManifest{Shards: want, Gen: d.lay.Gen + 1}
 }
 
 // shardCountFor picks the smallest power-of-two shard count that brings

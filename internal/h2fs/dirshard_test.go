@@ -84,7 +84,7 @@ func TestDirShardSplitAndReadback(t *testing.T) {
 		t.Fatalf("shards = %d, want 8 (40 live / threshold 8)", man.Shards)
 	}
 	total := 0
-	for _, ek := range core.ExtentKeys("alice", ns, man.Shards) {
+	for _, ek := range man.Extents("alice", ns) {
 		edata, _, err := c.Get(ctx, ek)
 		mustNoErr(t, err)
 		ext, err := core.DecodeNameRing(edata)
@@ -238,7 +238,7 @@ func TestDirShardMergeBackToMonolithic(t *testing.T) {
 	if ring.Len() != 2 {
 		t.Fatalf("monolithic ring has %d live, want 2", ring.Len())
 	}
-	for _, ek := range core.ExtentKeys("alice", ns, 8) {
+	for _, ek := range (core.ShardManifest{Shards: 8}).Extents("alice", ns) {
 		if _, _, err := c.Get(ctx, ek); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("old extent %s survived the merge (err=%v)", ek, err)
 		}
@@ -445,7 +445,7 @@ func TestDirShardGCReclaimsExtents(t *testing.T) {
 		mustNoErr(t, fs.Remove(ctx, "/big/"+name))
 	}
 	mustNoErr(t, fs.Rmdir(ctx, "/big"))
-	for _, ek := range core.ExtentKeys("alice", ns, 8) {
+	for _, ek := range (core.ShardManifest{Shards: 8}).Extents("alice", ns) {
 		if _, _, err := c.Get(ctx, ek); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("extent %s survived rmdir GC (err=%v)", ek, err)
 		}
@@ -454,6 +454,53 @@ func TestDirShardGCReclaimsExtents(t *testing.T) {
 	mustNoErr(t, err)
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans after sharded rmdir: %v", rep.Orphans)
+	}
+}
+
+// TestReadRingCompleteOrError: the shared full reader returns the whole
+// stored ring or fails. A referenced-but-missing extent is the one thing it
+// reads as empty; an extent that does not decode, or cannot be fetched, is
+// an error — the scrubber and h2inspect act on what it returns, so a
+// silently shorter ring would delete or hide live children.
+func TestReadRingCompleteOrError(t *testing.T) {
+	c := newCluster(t)
+	m := newMW(t, c, 1, withShardThreshold(8))
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	populateBig(t, m, 40)
+	mustNoErr(t, m.FlushAll(ctx))
+	ns := bigDirNS(t, m)
+
+	rr, err := ReadRing(ctx, c, "alice", ns)
+	mustNoErr(t, err)
+	if rr.Layout.Shards != 8 || len(rr.Extents) != 8 || rr.Ring.Len() != 40 || rr.Head.Meta["wm.1"] == "" {
+		t.Fatalf("full read = layout %+v, %d extents, %d live, head meta %v", rr.Layout, len(rr.Extents), rr.Ring.Len(), rr.Head.Meta)
+	}
+	root, err := m.rootNS(ctx, "alice")
+	mustNoErr(t, err)
+	if mono, err := ReadRing(ctx, c, "alice", root); err != nil || mono.Layout.Shards != 1 || mono.Extents != nil || mono.Ring.Len() != 1 {
+		t.Fatalf("monolithic read = %+v, %v", mono, err)
+	}
+	if _, err := ReadRing(ctx, c, "alice", "no-such-ns"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("read of a missing ring = %v, want not found", err)
+	}
+
+	cs := chaos.New(chaos.Plan{}, nil).Store(c)
+	cs.FailOn(chaos.OpGet, rr.Extents[3])
+	if _, err := ReadRing(ctx, cs, "alice", ns); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("read with an unfetchable extent = %v, want the injected fault", err)
+	}
+	held, _, err := c.Get(ctx, rr.Extents[3])
+	mustNoErr(t, err)
+	ext, err := core.DecodeNameRing(held)
+	mustNoErr(t, err)
+	mustNoErr(t, c.Delete(ctx, rr.Extents[3]))
+	if torn, err := ReadRing(ctx, c, "alice", ns); err != nil || torn.Ring.Len() != 40-ext.Len() {
+		t.Fatalf("read with a missing extent = %v; want the other extents' tuples and no error", err)
+	}
+	mustNoErr(t, c.Put(ctx, rr.Extents[3], []byte("not a ring"), nil))
+	if _, err := ReadRing(ctx, c, "alice", ns); err == nil || !strings.Contains(err.Error(), "extent 3") {
+		t.Fatalf("read with a corrupt extent = %v, want an error naming extent 3", err)
 	}
 }
 
@@ -479,7 +526,7 @@ func flushCounters(reg *metrics.Registry) (validated, refetched int64) {
 func extentTagsOf(m *Middleware, ns string) []string {
 	d := m.lockedDesc("alice", ns)
 	defer m.unlockDesc(d)
-	return append([]string(nil), d.extentTags...)
+	return append([]string(nil), d.tags...)
 }
 
 // TestDirShardFlushFetchesPeerRewrittenExtent: a peer rewrites an extent
@@ -542,52 +589,6 @@ func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
 	}
 	if v, r := flushCounters(reg); v != 1 || r != 0 {
 		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
-	}
-}
-
-// TestDirShardFailedPutForgetsTag: when one slot of the extent MultiPut
-// fails the store may hold either version, so that extent's tag is
-// forgotten (the others are remembered) and the retried flush re-reads
-// it instead of trusting a HEAD.
-func TestDirShardFailedPutForgetsTag(t *testing.T) {
-	c := newCluster(t)
-	cs := chaos.New(chaos.Plan{}, nil).Store(c)
-	reg := metrics.NewRegistry()
-	cfg := Config{Store: cs, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
-	cfg.Profile.DirShardThreshold = 8
-	m, err := New(cfg)
-	mustNoErr(t, err)
-	ctx := context.Background()
-	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	populateBig(t, m, 40)
-	mustNoErr(t, m.FlushAll(ctx))
-	ns := bigDirNS(t, m)
-
-	const doomed, fine = 2, 6
-	next := 0
-	fs := m.FS("alice")
-	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("w", &next, doomed, 8, true), []byte("x")))
-	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("w", &next, fine, 8, true), []byte("x")))
-	before := extentTagsOf(m, ns)
-	cs.FailOn(chaos.OpPut, core.ExtentKey("alice", ns, doomed, 8))
-	if err := m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("flush with a failing extent put = %v, want the injected fault", err)
-	}
-	cs.FailOn(chaos.OpPut, "")
-	after := extentTagsOf(m, ns)
-	if after[doomed] != "" {
-		t.Fatalf("tag of the failed extent still remembered: %q", after[doomed])
-	}
-	if after[fine] == "" || after[fine] == before[fine] {
-		t.Fatalf("tag of the extent that landed = %q (was %q), want a fresh one", after[fine], before[fine])
-	}
-	v0, r0 := flushCounters(reg)
-	mustNoErr(t, m.FlushAll(ctx))
-	if v, r := flushCounters(reg); v-v0 != 1 || r-r0 != 1 {
-		t.Fatalf("retry validated/refetched = %d/%d, want 1/1 (the forgotten extent is re-read)", v-v0, r-r0)
-	}
-	if got := listNames(t, newMW(t, c, 2, withShardThreshold(8)), "/big"); len(got) != 42 {
-		t.Fatalf("stored view after the retry = %d entries, want 42", len(got))
 	}
 }
 
@@ -670,57 +671,6 @@ func TestDirShardCompactionValidatesLate(t *testing.T) {
 	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 41 {
 		t.Fatalf("stored view = %d entries, want 41 (39 + the peer's 1 + our 1)", len(got))
 	}
-}
-
-// TestDirShardTagsDieWithDescriptor: tags describe a descriptor's local
-// ring, so a restart or a cache eviction — which drop that ring — must
-// drop them too; the replacement descriptor relearns them from the full
-// read of its load.
-func TestDirShardTagsDieWithDescriptor(t *testing.T) {
-	c := newCluster(t)
-	m := newMW(t, c, 1, withShardThreshold(8), func(cfg *Config) { cfg.DescCacheLimit = descStripes })
-	ctx := context.Background()
-	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	populateBig(t, m, 40)
-	mustNoErr(t, m.FlushAll(ctx))
-	ns := bigDirNS(t, m)
-	known := func(tags []string) bool {
-		for _, tag := range tags {
-			if tag == "" {
-				return false
-			}
-		}
-		return len(tags) == 8
-	}
-	fresh := func(step string, old *descriptor) *descriptor {
-		t.Helper()
-		d := m.desc("alice", ns)
-		if d == old || d.loaded || d.extentTags != nil {
-			t.Fatalf("%s: descriptor kept (same=%v loaded=%v tags=%v)", step, d == old, d.loaded, d.extentTags)
-		}
-		if tags := extentTagsOf(m, ns); tags != nil {
-			t.Fatalf("%s: unloaded descriptor has tags %v", step, tags)
-		}
-		listNames(t, m, "/big")
-		if tags := extentTagsOf(m, ns); !known(tags) {
-			t.Fatalf("%s: reload did not relearn every tag: %v", step, tags)
-		}
-		return d
-	}
-	d0 := m.desc("alice", ns)
-	if tags := extentTagsOf(m, ns); !known(tags) {
-		t.Fatalf("split did not remember every extent's tag: %v", tags)
-	}
-	m.Recover()
-	d1 := fresh("Recover", d0)
-
-	// Push /big's clean descriptor out of its stripe.
-	fs := m.FS("alice")
-	for i := 0; i < 4*descStripes; i++ {
-		mustNoErr(t, fs.Mkdir(ctx, fmt.Sprintf("/d%03d", i)))
-		mustNoErr(t, fs.WriteFile(ctx, fmt.Sprintf("/d%03d/f", i), []byte("x")))
-	}
-	fresh("eviction", d1)
 }
 
 // TestDescCacheEviction: with a cache cap, cold clean descriptors are

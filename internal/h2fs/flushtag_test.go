@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,9 +87,22 @@ func (s *reqLog) takeOn(key string) []string {
 	return ops
 }
 
-// tagFixture is a middleware over a request-logging store with /d holding
-// the flushed file f: /d's ring has been put once, so its tag is
-// remembered.
+// takeGets is take narrowed to the GETs, hit or miss, as bare names — a
+// patch-chain probe is a GET that ends in ErrNotFound.
+func (s *reqLog) takeGets() []string {
+	var names []string
+	for _, r := range s.take() {
+		if name, ok := strings.CutPrefix(r, "GET "); ok {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// tagFixture is a middleware over a request-logging store with /d flushed:
+// its ring layer has been put once, so every tag is remembered. /d holds
+// the file f alone and is monolithic, or — newTagFixtureN — enough files
+// p00.. beside it to be stored as n extents.
 type tagFixture struct {
 	c    *cluster.Cluster
 	log  *reqLog
@@ -96,13 +110,30 @@ type tagFixture struct {
 	reg  *metrics.Registry
 	ns   string
 	ring string // RingKey of /d
+	lay  core.ShardManifest
+	live int // files the fixture left in /d
 }
 
 func newTagFixture(t *testing.T, opts ...func(*Config)) *tagFixture {
 	t.Helper()
-	f := &tagFixture{c: newCluster(t), reg: metrics.NewRegistry()}
+	return newTagFixtureN(t, 1, opts...)
+}
+
+// fixtureThreshold is the DirShardThreshold of every fixture over more than
+// one extent; fixtureLive(n) live children then split into exactly n.
+const fixtureThreshold = 8
+
+func fixtureLive(n int) int { return fixtureThreshold*n - 4 }
+
+func newTagFixtureN(t *testing.T, n int, opts ...func(*Config)) *tagFixture {
+	t.Helper()
+	f := &tagFixture{c: newCluster(t), reg: metrics.NewRegistry(), lay: core.ShardManifest{Shards: n}, live: 1}
 	f.log = &reqLog{Store: f.c}
 	cfg := Config{Store: f.log, Node: 1, Profile: f.c.Profile(), EagerGC: true, Metrics: f.reg}
+	if n > 1 {
+		cfg.Profile.DirShardThreshold = fixtureThreshold
+		f.lay.Gen = 1
+	}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -113,12 +144,48 @@ func newTagFixture(t *testing.T, opts ...func(*Config)) *tagFixture {
 	mustNoErr(t, f.m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, f.m.FS("alice").Mkdir(ctx, "/d"))
 	f.write(t, "f")
+	if n > 1 {
+		f.live = fixtureLive(n)
+		f.grow(t, f.live-1)
+	}
 	mustNoErr(t, f.m.FlushAll(ctx))
 	f.ns, err = f.m.ResolveNS(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	f.ring = core.RingKey("alice", f.ns)
+	if got := f.layout(); got != f.lay {
+		t.Fatalf("fixture /d is stored as %+v, want %+v", got, f.lay)
+	}
 	f.log.take()
 	return f
+}
+
+// grow writes k more files p<i> into /d, continuing where it left off.
+func (f *tagFixture) grow(t *testing.T, k int) {
+	t.Helper()
+	have := len(listNames(t, f.m, "/d")) - 1
+	for i := have; i < have+k; i++ {
+		f.write(t, fmt.Sprintf("p%02d", i))
+	}
+}
+
+// layout is the layout /d's descriptor holds.
+func (f *tagFixture) layout() core.ShardManifest {
+	d := f.m.lockedDesc("alice", f.ns)
+	defer f.m.unlockDesc(d)
+	return d.lay
+}
+
+// ringWrites narrows a request log to the PUTs and DELETEs of /d's ring
+// layer — the object at RingKey and the extents, not the patches.
+func (f *tagFixture) ringWrites(reqs []string) []string {
+	var out []string
+	for _, r := range reqs {
+		op, name, _ := strings.Cut(r, " ")
+		if (op == "PUT" || op == "DELETE") && (name == f.ring || core.IsExtentKey(name) && strings.HasPrefix(name, f.ring)) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func (f *tagFixture) write(t *testing.T, name string) {
@@ -232,48 +299,213 @@ func TestFlushValidatedReadTakesWatermarksFromHead(t *testing.T) {
 	}
 }
 
-// TestFlushFailedPutForgetsRingTag: after a failed PUT the store may hold
-// either version, so the tag is forgotten and the retry reads in full
-// instead of trusting a HEAD.
+// TestFlushFailedPutForgetsRingTag: after a failed put of an extent the
+// store may hold either version of it, so exactly that extent's tag is
+// forgotten — an extent that landed in the same batch is remembered afresh —
+// and the retried flush reads it again instead of trusting a HEAD. The one
+// extent of a monolithic ring is the object at RingKey: with no tag there
+// is nothing to HEAD, and the retry is a plain GET and PUT.
 func TestFlushFailedPutForgetsRingTag(t *testing.T) {
-	var cs *chaos.Store
-	f := newTagFixture(t, func(cfg *Config) {
-		cs = chaos.New(chaos.Plan{}, nil).Store(cfg.Store)
-		cfg.Store = cs
-	})
-	ctx := context.Background()
-	f.write(t, "g")
-	cs.FailOn(chaos.OpPut, f.ring)
-	if err := f.m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("flush with a failing ring put = %v, want the injected fault", err)
-	}
-	cs.FailOn(chaos.OpPut, "")
-	if tags := extentTagsOf(f.m, f.ns); len(tags) != 0 {
-		t.Fatalf("tag still remembered after the failed put: %q", tags)
-	}
-	f.log.take()
-	mustNoErr(t, f.m.FlushAll(ctx))
-	wantOps(t, "retry after a failed put", f.log.takeOn(f.ring), "GET", "PUT")
-	if got, want := f.storedNames(t), []string{"f", "g"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("stored view = %v, want %v", got, want)
+	for _, row := range []struct {
+		n                    int
+		retry                []string // what the retried flush asks of the failed extent
+		validated, refetched int64    // what the retry adds to the counters
+	}{
+		{n: 1, retry: []string{"GET", "PUT"}},
+		{n: 4, retry: []string{"HEAD", "GET", "PUT"}, validated: 1, refetched: 1},
+	} {
+		t.Run(fmt.Sprintf("n=%d", row.n), func(t *testing.T) {
+			var cs *chaos.Store
+			f := newTagFixtureN(t, row.n, func(cfg *Config) {
+				cs = chaos.New(chaos.Plan{}, nil).Store(cfg.Store)
+				cfg.Store = cs
+			})
+			ctx := context.Background()
+			doomed, fine := 0, row.n-1
+			next, wrote := 0, 1
+			f.write(t, nameInShard("w", &next, doomed, row.n, true))
+			if fine != doomed {
+				f.write(t, nameInShard("w", &next, fine, row.n, true))
+				wrote++
+			}
+			before := extentTagsOf(f.m, f.ns)
+			doomedKey := f.lay.Key("alice", f.ns, doomed)
+			cs.FailOn(chaos.OpPut, doomedKey)
+			if err := f.m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
+				t.Fatalf("flush with a failing extent put = %v, want the injected fault", err)
+			}
+			cs.FailOn(chaos.OpPut, "")
+			after := extentTagsOf(f.m, f.ns)
+			if after[doomed] != "" {
+				t.Fatalf("tag of the failed extent still remembered: %q", after[doomed])
+			}
+			if fine != doomed && (after[fine] == "" || after[fine] == before[fine]) {
+				t.Fatalf("tag of the extent that landed = %q (was %q), want a fresh one", after[fine], before[fine])
+			}
+			v0, r0 := flushCounters(f.reg)
+			f.log.take()
+			mustNoErr(t, f.m.FlushAll(ctx))
+			wantOps(t, "retry after a failed put", f.log.takeOn(doomedKey), row.retry...)
+			if v, r := flushCounters(f.reg); v-v0 != row.validated || r-r0 != row.refetched {
+				t.Fatalf("retry validated/refetched = %d/%d, want %d/%d (only the forgotten extent is re-read)",
+					v-v0, r-r0, row.validated, row.refetched)
+			}
+			if got, want := len(f.storedNames(t)), f.live+wrote; got != want {
+				t.Fatalf("stored view after the retry = %d entries, want %d", got, want)
+			}
+		})
 	}
 }
 
-// TestFlushTagDiesWithDescriptor: the tag describes a descriptor's local
-// ring, so a restart or a clean eviction — which drop that ring — drop it
-// too, and the next flush of that ring reads in full.
+// TestFlushTagDiesWithDescriptor: tags describe a descriptor's local ring,
+// so a restart or a clean eviction — which drop that ring — drop them too.
+// The replacement descriptor starts with none; its load relearns the tag of
+// every extent it had to fetch, and none for a monolithic ring, whose first
+// flush after a reload therefore reads in full.
 func TestFlushTagDiesWithDescriptor(t *testing.T) {
-	f := newTagFixture(t, func(cfg *Config) { cfg.DescCacheLimit = descStripes })
-	wantOps(t, "steady flush", f.flushOps(t, "a"), "HEAD", "PUT")
+	for _, row := range []struct {
+		n        int
+		relearns bool     // the load remembers the tags of what it read
+		steady   []string // what a flush with every tag known asks of the object at RingKey
+		first    []string // and the first flush after a reload
+	}{
+		{n: 1, steady: []string{"HEAD", "PUT"}, first: []string{"GET", "PUT"}},
+		{n: 4, relearns: true, steady: []string{"GET", "PUT"}, first: []string{"GET", "PUT"}},
+	} {
+		t.Run(fmt.Sprintf("n=%d", row.n), func(t *testing.T) {
+			f := newTagFixtureN(t, row.n, func(cfg *Config) { cfg.DescCacheLimit = descStripes })
+			known := func(tags []string) bool {
+				return len(tags) == row.n && !slices.Contains(tags, "")
+			}
+			files := 0
+			flush := func(what string, want []string) {
+				t.Helper()
+				f.write(t, fmt.Sprintf("g%d", files))
+				files++
+				f.log.take()
+				mustNoErr(t, f.m.FlushAll(context.Background()))
+				reqs := f.log.take()
+				var ops []string
+				for _, r := range reqs {
+					op, name, _ := strings.Cut(r, " ")
+					if name == f.ring {
+						ops = append(ops, op)
+					}
+					if op == "GET" && core.IsExtentKey(name) {
+						t.Fatalf("%s fetched %s; its tag was known", what, name)
+					}
+				}
+				wantOps(t, what, ops, want...)
+			}
+			// fresh checks that the descriptor is a new, empty one, and what
+			// its load relearns.
+			fresh := func(step string, old *descriptor) *descriptor {
+				t.Helper()
+				d := f.m.desc("alice", f.ns)
+				if d == old || d.loaded || d.tags != nil {
+					t.Fatalf("%s: descriptor kept (same=%v loaded=%v tags=%v)", step, d == old, d.loaded, d.tags)
+				}
+				if tags := extentTagsOf(f.m, f.ns); tags != nil {
+					t.Fatalf("%s: unloaded descriptor has tags %v", step, tags)
+				}
+				listNames(t, f.m, "/d")
+				switch tags := extentTagsOf(f.m, f.ns); {
+				case row.relearns && !known(tags):
+					t.Fatalf("%s: reload did not relearn every tag: %q", step, tags)
+				case !row.relearns && len(tags) != 0:
+					t.Fatalf("%s: reload remembered %q", step, tags)
+				}
+				return d
+			}
+			d0 := f.m.desc("alice", f.ns)
+			if tags := extentTagsOf(f.m, f.ns); !known(tags) {
+				t.Fatalf("the fixture's flush did not remember every extent's tag: %q", tags)
+			}
+			flush("steady flush", row.steady)
 
-	f.m.Recover()
-	wantOps(t, "first flush after Recover", f.flushOps(t, "b"), "GET", "PUT")
-	wantOps(t, "steady flush", f.flushOps(t, "c"), "HEAD", "PUT")
+			f.m.Recover()
+			d1 := fresh("Recover", d0)
+			flush("first flush after Recover", row.first)
+			flush("steady flush", row.steady)
 
-	pushOut(t, f.m, f.ns)
-	wantOps(t, "first flush after a clean eviction", f.flushOps(t, "d"), "GET", "PUT")
-	if got := f.storedNames(t); len(got) != 5 {
-		t.Fatalf("stored view = %v, want a, b, c, d and f", got)
+			pushOut(t, f.m, f.ns)
+			fresh("eviction", d1)
+			flush("first flush after a clean eviction", row.first)
+			if got, want := len(f.storedNames(t)), f.live+files; got != want {
+				t.Fatalf("stored view = %d entries, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestWriteLayoutOrder pins the order in which a flush writes the ring
+// layer, for every kind of write: the extents it rewrites under the target
+// layout, then the object at RingKey — the flip, when the layout changes —
+// and only then the deletes of the layout it left. For a monolithic target
+// the first two are one put. The re-split goes 4 -> 16 because growth past
+// the hysteresis band always skips a power of two.
+func TestWriteLayoutOrder(t *testing.T) {
+	rm := func(t *testing.T, f *tagFixture, keep int) {
+		t.Helper()
+		names := listNames(t, f.m, "/d")
+		for _, name := range names[keep:] {
+			mustNoErr(t, f.m.FS("alice").Remove(context.Background(), "/d/"+name))
+		}
+	}
+	for _, row := range []struct {
+		name   string
+		from   int
+		to     core.ShardManifest
+		mutate func(t *testing.T, f *tagFixture) []int // returns the extents of to the flush must put
+	}{
+		{"steady n=1", 1, core.ShardManifest{Shards: 1}, func(t *testing.T, f *tagFixture) []int {
+			f.write(t, "g")
+			return []int{0}
+		}},
+		{"steady n=4", 4, core.ShardManifest{Shards: 4, Gen: 1}, func(t *testing.T, f *tagFixture) []int {
+			next := 0
+			f.write(t, nameInShard("g", &next, 2, 4, true))
+			return []int{2}
+		}},
+		{"split 1 -> 4", 1, core.ShardManifest{Shards: 4, Gen: 1}, func(t *testing.T, f *tagFixture) []int {
+			f.grow(t, fixtureLive(4)-1)
+			return core.ShardManifest{Shards: 4}.All()
+		}},
+		{"re-split 4 -> 16", 4, core.ShardManifest{Shards: 16, Gen: 2}, func(t *testing.T, f *tagFixture) []int {
+			f.grow(t, 2*fixtureThreshold*4+1-fixtureLive(4))
+			return core.ShardManifest{Shards: 16}.All()
+		}},
+		{"merge-back 4 -> 1", 4, core.ShardManifest{Shards: 1, Gen: 2}, func(t *testing.T, f *tagFixture) []int {
+			rm(t, f, fixtureThreshold/2-1)
+			return []int{0}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newTagFixtureN(t, row.from, withShardThreshold(fixtureThreshold))
+			from := f.lay
+			which := row.mutate(t, f)
+			f.log.take()
+			mustNoErr(t, f.m.FlushAll(context.Background()))
+			got := f.ringWrites(f.log.take())
+			if lay := f.layout(); lay != row.to {
+				t.Fatalf("flushed into %+v, want %+v", lay, row.to)
+			}
+			var want []string
+			for _, key := range row.to.Keys("alice", f.ns, which) {
+				if key != f.ring {
+					want = append(want, "PUT "+key)
+				}
+			}
+			want = append(want, "PUT "+f.ring)
+			if row.to != from {
+				for _, key := range from.Extents("alice", f.ns) {
+					want = append(want, "DELETE "+key)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ring-layer writes, in order:\n got  %v\n want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -338,7 +570,7 @@ func forgetTags(m *Middleware) {
 	forget := func(d *descriptor) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		clear(d.extentTags)
+		clear(d.tags)
 	}
 	for _, d := range m.cachedDescs() {
 		forget(d)

@@ -417,7 +417,7 @@ func (m *Middleware) reclaimEntry(ctx context.Context, e core.GCEntry) (bool, er
 			entryKey = e.EntryKey()
 		}
 	}
-	return true, m.gcNamespaceEntry(ctx, e.Account, e.NS, entryKey)
+	return true, m.gcNamespace(ctx, e.Account, e.NS, entryKey)
 }
 
 // GCQueueSnapshot reports queue depth and lifetime counters; nil when

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,24 +13,12 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // clusterNames unions object names across every device — the key
 // universe a scrub pass cross-checks.
-func clusterNames(c *cluster.Cluster) []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, id := range c.Ring().DeviceIDs() {
-		for _, name := range c.Node(id).Names() {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
+func clusterNames(c *cluster.Cluster) []string { return c.Names() }
 
 // buildVictim populates dir with a nested subtree: plain files, a
 // subdirectory with more files, and a chunked file.
@@ -164,7 +151,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	cs := eng.Store(c)
 	m, err := New(Config{
 		Store: cs, Node: 1, Clock: clock,
-		GCQueue: true, Retry: DefaultRetryPolicy(), Metrics: reg,
+		GCQueue: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
 	})
 	mustNoErr(t, err)
 	ctx := context.Background()

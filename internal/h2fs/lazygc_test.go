@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
+	"github.com/h2cloud/h2cloud/internal/objstore"
 )
 
 // TestLazyGC exercises the paper's actual deployment mode: RMDIR is pure
@@ -41,7 +43,7 @@ func TestLazyGC(t *testing.T) {
 		t.Fatalf("objects already reclaimed without GC: %d < %d", got, populated-1)
 	}
 	// Maintenance GC reclaims the subtree plus the entry object.
-	mustNoErr(t, m.GC(ctx, "alice", ns))
+	mustNoErr(t, m.gcNamespace(ctx, "alice", ns, ""))
 	mustNoErr(t, c.Delete(ctx, childKeyForTest("alice", res.parentNS, "d")))
 	mustNoErr(t, m.FlushAll(ctx))
 	if got := c.Stats().Objects; got != 2 { // root record + root ring
@@ -110,5 +112,53 @@ func TestWriteFileChunkedErrors(t *testing.T) {
 	mustNoErr(t, err)
 	if string(data) != "tiny" {
 		t.Fatalf("read = %q", data)
+	}
+}
+
+// mergeOnDelete runs the Background Merger the moment the delete of one
+// key returns: the worst moment for a GC walk that has not yet condemned
+// the descriptor of the ring it is deleting.
+type mergeOnDelete struct {
+	objstore.Store
+	m   *Middleware
+	key string
+}
+
+func (s *mergeOnDelete) Delete(ctx context.Context, name string) error {
+	err := s.Store.Delete(ctx, name)
+	if name == s.key {
+		s.m.MaintainOnce(ctx)
+	}
+	return err
+}
+
+// TestGCCondemnsDescriptorBeforeDeleting: RMDIR of a directory with an
+// unflushed write. A merger pass issued right after the walker deletes the
+// directory's ring must not flush the doomed descriptor and put the ring
+// back: the walker drops the descriptor before it deletes anything.
+func TestGCCondemnsDescriptorBeforeDeleting(t *testing.T) {
+	c := newCluster(t)
+	hook := &mergeOnDelete{Store: c}
+	m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = hook })
+	hook.m = m
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	fs := m.FS("alice")
+	mustNoErr(t, fs.Mkdir(ctx, "/d"))
+	mustNoErr(t, m.FlushAll(ctx))
+	ns, err := m.ResolveNS(ctx, "alice", "/d")
+	mustNoErr(t, err)
+	mustNoErr(t, fs.WriteFile(ctx, "/d/f", []byte("x"))) // unflushed: /d's descriptor is dirty
+	hook.key = core.RingKey("alice", ns)
+
+	mustNoErr(t, fs.Rmdir(ctx, "/d"))
+	if _, err := c.Head(ctx, hook.key); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("ring of the removed directory after RMDIR: err = %v, want not found (a merger pass put it back)", err)
+	}
+	mustNoErr(t, m.FlushAll(ctx))
+	rep, err := m.Scrub(ctx, clusterNames(c), false)
+	mustNoErr(t, err)
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("orphans after RMDIR: %v", rep.Orphans)
 	}
 }

@@ -65,7 +65,7 @@ type Config struct {
 	// retry loop between the middleware and the store: transient cloud
 	// errors are retried with capped exponential backoff charged to the
 	// virtual clock. The zero value performs no retries.
-	Retry RetryPolicy
+	Retry storemw.RetryPolicy
 	// Metrics, when set, receives the middleware's robustness counters
 	// (retry.attempts, retry.exhausted), the descriptor-cache gauges
 	// (descCache.size, descCache.evicted, descCache.settled — stubs held
@@ -272,7 +272,7 @@ func (m *Middleware) DeleteAccount(ctx context.Context, account string) error {
 		return err
 	}
 	if !m.gcq {
-		if err := m.gcNamespace(ctx, account, ns); err != nil {
+		if err := m.gcNamespace(ctx, account, ns, ""); err != nil {
 			return err
 		}
 		m.dropRoot(account)
@@ -299,7 +299,7 @@ func (m *Middleware) DeleteAccount(ctx context.Context, account string) error {
 	}
 	if m.eagerGC {
 		gcCtx := vclock.With(qctx, nil) // do not bill GC to the caller
-		if err := m.gcNamespace(gcCtx, account, ns); err != nil {
+		if err := m.gcNamespace(gcCtx, account, ns, ""); err != nil {
 			return err // intent stays queued; the drain finishes the walk
 		}
 		m.dequeueGC(gcCtx, account, seq)

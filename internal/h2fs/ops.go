@@ -289,7 +289,7 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 		//h2vet:durable eager GC bracket: reclamation after a committed tombstone must finish
 		gcCtx := context.WithoutCancel(ctx)
 		gcCtx = vclock.With(gcCtx, nil) // do not bill GC to the caller
-		if err := m.gcNamespaceEntry(gcCtx, account, res.tuple.NS,
+		if err := m.gcNamespace(gcCtx, account, res.tuple.NS,
 			core.ChildKey(account, res.parentNS, res.tuple.Name)); err != nil {
 			// The queued intent (if any) survives; the maintenance drain
 			// resumes the walk where this one failed.

@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/gossip"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // TestCrashRestartReconvergesAgainstOracle drives two middlewares through
@@ -53,7 +54,7 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 	for i := range mws {
 		m, err := New(Config{
 			Store: cs, Node: i + 1, Gossip: bus, Clock: clock,
-			EagerGC: true, Retry: DefaultRetryPolicy(), Metrics: reg,
+			EagerGC: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
 		})
 		mustNoErr(t, err)
 		mws[i] = m

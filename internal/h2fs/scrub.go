@@ -60,10 +60,9 @@ type scrubber struct {
 	m       *Middleware
 	present map[string]bool
 	class   map[string]byte
-	patches map[string][]string       // RingKey -> patch object keys, sorted
-	rings   map[string]*core.NameRing // merged-ring cache by RingKey
-	extents map[string][]string       // RingKey -> manifest-referenced extent keys
-	visited map[string]bool           // RingKey -> walked already
+	patches map[string][]string // RingKey -> patch object keys, sorted
+	rings   map[string]RingRead // by RingKey: the stored ring with its unmerged patches folded in
+	visited map[string]bool     // RingKey -> walked already
 }
 
 // Scrub cross-checks every stored object key in names against the live
@@ -87,8 +86,7 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 		present: make(map[string]bool, len(sorted)),
 		class:   make(map[string]byte, len(sorted)),
 		patches: make(map[string][]string),
-		rings:   make(map[string]*core.NameRing),
-		extents: make(map[string][]string),
+		rings:   make(map[string]RingRead),
 		visited: make(map[string]bool),
 	}
 	for _, n := range sorted {
@@ -152,10 +150,16 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 			if s.rootAlive(ctx, e.Account, e.NS) {
 				continue // stale intent: the deletion was never acknowledged
 			}
-		} else if t, ok := s.mergedTuple(ctx, e.Account, e.ParentNS, e.Name); ok && !t.Deleted && t.NS == e.NS {
-			continue // stale intent over a live subtree
-		} else if !ok || t.Deleted {
-			s.mark(e.EntryKey(), classQueued)
+		} else {
+			parent, err := s.mergedRing(ctx, e.Account, e.ParentNS)
+			if err != nil {
+				return ScrubReport{}, err
+			}
+			if t, ok := parent.Ring.Get(e.Name); ok && !t.Deleted && t.NS == e.NS {
+				continue // stale intent over a live subtree
+			} else if !ok || t.Deleted {
+				s.mark(e.EntryKey(), classQueued)
+			}
 		}
 		if err := s.walk(ctx, e.Account, e.NS, classQueued, true); err != nil {
 			return ScrubReport{}, err
@@ -282,68 +286,43 @@ func (s *scrubber) mark(key string, c byte) {
 }
 
 // mergedRing reconstructs a namespace's NameRing as the store sees it:
-// the ring object (or, for a sharded directory, the extents its H2DRX
-// manifest references) merged with every unmerged patch object present
-// in the key universe, cached per ring key. The manifest-referenced
-// extent keys are remembered so the walk can claim them with the ring's
-// class; extents no manifest references — the leavings of a crashed
-// split — are claimed by nothing and surface as reclaimable orphans.
-func (s *scrubber) mergedRing(ctx context.Context, account, ns string) (*core.NameRing, error) {
+// the stored ring (ReadRing — the ring object or, for a sharded directory,
+// the extents its manifest references) merged with every unmerged patch
+// object present in the key universe, cached per ring key. A ring or patch
+// that does not decode is an error, never an empty read: a scrub that
+// mistook a torn ring for an empty directory would reclaim the live subtree
+// under it. The manifest-referenced extent keys ride along (Extents) so the
+// walk can claim them with the ring's class; extents no manifest
+// references — the leavings of a crashed split — are claimed by nothing and
+// surface as reclaimable orphans.
+func (s *scrubber) mergedRing(ctx context.Context, account, ns string) (RingRead, error) {
 	rk := core.RingKey(account, ns)
-	if r, ok := s.rings[rk]; ok {
-		return r, nil
+	if rr, ok := s.rings[rk]; ok {
+		return rr, nil
 	}
-	ring := core.NewNameRing()
-	data, _, err := s.m.store.Get(ctx, rk)
+	rr, err := ReadRing(ctx, s.m.store, account, ns)
 	switch {
-	case err == nil && core.IsShardManifest(data):
-		if man, derr := core.DecodeShardManifest(data); derr == nil {
-			keys := core.ExtentKeys(account, ns, man.Shards)
-			s.extents[rk] = keys
-			for _, res := range objstore.MultiGet(ctx, s.m.store, keys) {
-				if res.Err != nil {
-					if errors.Is(res.Err, objstore.ErrNotFound) {
-						continue // torn extent; patches below re-converge
-					}
-					return nil, fmt.Errorf("h2fs: scrub read extent of %s: %w", rk, res.Err)
-				}
-				if r, derr := core.DecodeNameRing(res.Data); derr == nil {
-					ring.Merge(r)
-				}
-			}
-		}
-	case err == nil:
-		if r, derr := core.DecodeNameRing(data); derr == nil {
-			ring.Merge(r)
-		}
-	case !errors.Is(err, objstore.ErrNotFound):
-		return nil, fmt.Errorf("h2fs: scrub read %s: %w", rk, err)
+	case errors.Is(err, objstore.ErrNotFound):
+		rr = RingRead{Ring: core.NewNameRing()}
+	case err != nil:
+		return RingRead{}, fmt.Errorf("h2fs: scrub read %s: %w", rk, err)
 	}
 	for _, pk := range s.patches[rk] {
 		pdata, _, err := s.m.store.Get(ctx, pk)
+		if errors.Is(err, objstore.ErrNotFound) {
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, objstore.ErrNotFound) {
-				continue
-			}
-			return nil, fmt.Errorf("h2fs: scrub read %s: %w", pk, err)
+			return RingRead{}, fmt.Errorf("h2fs: scrub read %s: %w", pk, err)
 		}
-		if p, derr := core.DecodePatch(pk, pdata); derr == nil {
-			ring.Merge(p.Ring)
+		p, err := core.DecodePatch(pk, pdata)
+		if err != nil {
+			return RingRead{}, fmt.Errorf("h2fs: scrub read %s: %w", pk, err)
 		}
+		rr.Ring.Merge(p.Ring)
 	}
-	s.rings[rk] = ring
-	return ring, nil
-}
-
-// mergedTuple looks one name up in a merged ring, swallowing transient
-// errors as "unknown" (the caller treats unknown as reclaimable, which
-// only widens the queued class, never deletes anything).
-func (s *scrubber) mergedTuple(ctx context.Context, account, ns, name string) (core.Tuple, bool) {
-	ring, err := s.mergedRing(ctx, account, ns)
-	if err != nil {
-		return core.Tuple{}, false
-	}
-	return ring.Get(name)
+	s.rings[rk] = rr
+	return rr, nil
 }
 
 // walk claims one namespace subtree for class c. The live walk recurses
@@ -360,15 +339,15 @@ func (s *scrubber) walk(ctx context.Context, account, ns string, c byte, all boo
 	for _, pk := range s.patches[rk] {
 		s.mark(pk, c)
 	}
-	ring, err := s.mergedRing(ctx, account, ns)
+	rr, err := s.mergedRing(ctx, account, ns)
 	if err != nil {
 		return err
 	}
-	// A sharded ring's manifest-referenced extents share the ring's fate.
-	for _, ek := range s.extents[rk] {
+	// The extents the head object references share the ring's fate.
+	for _, ek := range rr.Extents {
 		s.mark(ek, c)
 	}
-	for _, t := range ring.All() {
+	for _, t := range rr.Ring.All() {
 		if t.Deleted && !all {
 			continue // live walk: a tombstoned subtree belongs to queue or scrub
 		}

@@ -2,6 +2,7 @@ package h2fs
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/core"
@@ -172,5 +173,37 @@ func TestScrubReclaimsLazyGCGarbage(t *testing.T) {
 	mustNoErr(t, err)
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans after fallback reclaim: %v", rep.Orphans)
+	}
+}
+
+// TestScrubRefusesCorruptRing: a ring that does not decode is not an empty
+// directory. Reading it as one would leave the whole subtree under it
+// unreachable and, in reclaim mode, delete it; the scrub fails naming the
+// ring and deletes nothing.
+func TestScrubRefusesCorruptRing(t *testing.T) {
+	c := newCluster(t)
+	m := newMW(t, c, 1)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	fs := m.FS("alice")
+	mustNoErr(t, fs.Mkdir(ctx, "/d"))
+	mustNoErr(t, fs.Mkdir(ctx, "/d/sub"))
+	mustNoErr(t, fs.WriteFile(ctx, "/d/sub/f", []byte("kept")))
+	mustNoErr(t, m.FlushAll(ctx))
+	ns, err := m.ResolveNS(ctx, "alice", "/d")
+	mustNoErr(t, err)
+	ring := core.RingKey("alice", ns)
+	mustNoErr(t, c.Put(ctx, ring, []byte("not a ring"), nil))
+
+	before := len(clusterNames(c))
+	rep, err := m.Scrub(ctx, clusterNames(c), true)
+	if err == nil || !strings.Contains(err.Error(), ring) {
+		t.Fatalf("scrub over a corrupt ring = %+v, %v; want an error naming %s", rep, err, ring)
+	}
+	if rep.Reclaimed != 0 || len(clusterNames(c)) != before {
+		t.Fatalf("scrub over a corrupt ring reclaimed %d objects (%d stored, were %d)", rep.Reclaimed, len(clusterNames(c)), before)
+	}
+	if data, err := fs.ReadFile(ctx, "/d/sub/f"); err != nil || string(data) != "kept" {
+		t.Fatalf("/d/sub/f after the scrub = %q, %v", data, err)
 	}
 }

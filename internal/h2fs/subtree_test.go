@@ -285,7 +285,7 @@ func TestChaosSeededBatchDeterminism(t *testing.T) {
 			Profile: profile,
 			Clock:   constClock,
 			EagerGC: true,
-			Retry:   DefaultRetryPolicy(),
+			Retry:   storemw.DefaultRetryPolicy(),
 			Metrics: reg,
 		})
 		if err != nil {

@@ -78,7 +78,6 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 			return err
 		}
 		for _, child := range children {
-			child := child
 			if !child.Dir {
 				g.Go(lbl+"/"+child.Name, func(ctx context.Context) error {
 					if err := m.copyFileObject(ctx, account, srcNS, child.Name, dstNS, child.Name, child.Chunked); err != nil {
@@ -112,16 +111,11 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 // filesystem operation. Plain child files are reclaimed with one
 // MultiDelete batch per namespace and patch chains are probed in batched
 // windows, so even the sequential (SubtreeFanout <= 1) walk benefits
-// from overlapped-window charging.
-func (m *Middleware) gcNamespace(ctx context.Context, account, ns string) error {
-	return m.gcNamespaceEntry(ctx, account, ns, "")
-}
-
-// gcNamespaceEntry is gcNamespace with the root group's entryKey set:
-// the directory child object that pointed at ns is deleted by the
-// finalizer after the subtree is gone. The queue drain passes the
-// tombstoned entry's key here; a bare GC passes "".
-func (m *Middleware) gcNamespaceEntry(ctx context.Context, account, ns, entryKey string) error {
+// from overlapped-window charging. entryKey, when non-empty, is the
+// directory child object that pointed at ns — the queue drain and RMDIR
+// pass the tombstoned entry's key — and is deleted once the subtree is
+// gone.
+func (m *Middleware) gcNamespace(ctx context.Context, account, ns, entryKey string) error {
 	eng := pipeline.New(ctx, m.subtreeFanout())
 	m.gcSubtree(eng, nil, "", account, ns, entryKey)
 	return eng.Wait()
@@ -129,12 +123,19 @@ func (m *Middleware) gcNamespaceEntry(ctx context.Context, account, ns, entryKey
 
 // gcSubtree schedules the reclamation of one namespace. entryKey, when
 // non-empty, is the directory child object that pointed at this
-// namespace; the group's finalizer deletes it after the subtree is gone
-// (the order the sequential walk enforced), then the ring, then drops
-// the cached descriptor.
+// namespace. The group's finalizer runs after the subtree is gone and is
+// condemn-then-delete: it drops the cached descriptor first, then deletes
+// the entry, the extents and the object at RingKey. dropDesc takes the
+// descriptor's monitor, so a merger flush already inside flushLocked
+// finishes its put before the delete, and every later pass finds the
+// descriptor evicted and skips it — dropping it after the deletes let a
+// MaintainOnce issued in between put the ring back. What stays open is the
+// same race against another middleware's merger, which holds its own
+// descriptor of the doomed ring (ROADMAP item 1, PR B's matrix).
 func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl, account, ns, entryKey string) {
 	var extentKeys []string // filled by the expand task before the finalizer runs
 	g := eng.NewGroup(parent, lbl, func(ctx context.Context) error {
+		m.dropDesc(account, ns)
 		if entryKey != "" {
 			if err := m.store.Delete(ctx, entryKey); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 				return err
@@ -151,21 +152,17 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 		if err := m.store.Delete(ctx, core.RingKey(account, ns)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return err
 		}
-		m.dropDesc(account, ns)
 		return nil
 	})
 	g.Go(lbl+"\x00expand", func(ctx context.Context) error {
 		defer g.Close()
-		tuples, watermarks, shards, err := m.gcSnapshot(ctx, account, ns)
+		tuples, watermarks, lay, err := m.gcSnapshot(ctx, account, ns)
 		if err != nil {
 			return err
 		}
-		if shards > 1 {
-			extentKeys = core.ExtentKeys(account, ns, shards)
-		}
+		extentKeys = lay.Extents(account, ns)
 		var plain []string
 		for _, t := range tuples {
-			t := t
 			switch {
 			case t.Dir && t.NS != "":
 				m.gcSubtree(eng, g, lbl+"/"+t.Name, account, t.NS, core.ChildKey(account, ns, t.Name))
@@ -204,12 +201,12 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 }
 
 // gcSnapshot captures a namespace's tuples, per-node patch watermarks,
-// and store shard layout under the descriptor lock.
-func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, map[int]int, int, error) {
+// and store layout under the descriptor lock.
+func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, map[int]int, core.ShardManifest, error) {
 	d := m.lockedDesc(account, ns)
 	defer m.unlockDesc(d)
 	if err := m.load(ctx, d); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, core.ShardManifest{}, err
 	}
 	tuples := d.local.All()
 	watermarks := make(map[int]int, len(d.watermarks)+1)
@@ -219,7 +216,7 @@ func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core
 	if _, ok := watermarks[m.node]; !ok {
 		watermarks[m.node] = 0
 	}
-	return tuples, watermarks, d.shards, nil
+	return tuples, watermarks, d.lay, nil
 }
 
 // patchProbeWindow is how many consecutive patch sequence numbers one
