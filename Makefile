@@ -63,10 +63,13 @@ test:
 # The four packages whose tests exercise real concurrency (pipelined
 # subtree engine, replica fan-out, gossip, background maintenance) get a
 # second -count=2 pass: reusing state across runs shakes out leaked
-# goroutines and order-dependent schedules the first pass misses.
+# goroutines and order-dependent schedules the first pass misses. The
+# engine's queue — park while a task runs, exit when it drains — gets
+# twenty more (< 5 s): its termination protocol is a schedule property.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/pipeline/ ./internal/cluster/ ./internal/h2fs/ ./internal/gossip/
+	$(GO) test -race -count=20 ./internal/pipeline/
 
 # One testing.B benchmark per paper table/figure plus micro-benchmarks.
 bench:

@@ -105,6 +105,10 @@ func HotPath(quick bool) (Result, error) {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
 	hugeMarker := fmt.Sprintf("child%06d", hugeDir/2)
+	treeFS, err := templateTree()
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 
@@ -281,6 +285,21 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += len(entries)
 			}
 		}},
+		// The two O(n) walks back to back: COPY of the 72-entry template, then
+		// the RMDIR that reclaims the copy — 126 engine tasks. What is left is
+		// the store's: the engine holds a queue slot per task. One more
+		// allocation per task (a goroutine, a tracker, a context, a joined
+		// label — the parent engine paid all four) trips the ceiling.
+		{"h2fs/copy-rmdir-72", 2700, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := treeFS.Copy(ctx, "/template", "/w"); err != nil {
+					b.Fatal(err)
+				}
+				if err := treeFS.Rmdir(ctx, "/w"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 
 	res := Result{
@@ -295,6 +314,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-16 baselines: h2fs/reload-evicted 31 allocs/op (own-chain probe, re-merge into an empty ring); h2fs/evict-insert 4 allocs/op and 27 KB (a candidate slice of the whole stripe, reflect-sorted per insert)",
 			"pre-PR-18 baseline: h2fs/flush-validated 96 allocs/op and 411 KB/op at full scale (ring GET, decode, tuple-by-tuple merge); now 85 and 180 KB",
 			"pre-PR-20 baselines: h2fs/list-1000 331 us and 107 KB/op (copy and sort all tuples), now 83 us and 57 KB; h2fs/list-detail-1000 1015 allocs/op (a key per child, an MD5 buffer per memo miss), now 15; h2fs/list-page-of-100k 39.7 ms and 4.86 MB/op, now 0.07 ms and 58 KB; merge/live 219 us, now 28 us; placement/partition 28 ns on a memo hit, now 173 ns on every call with no memo, lock or allocation behind it",
+			"pre-PR-22 baseline: h2fs/copy-rmdir-72 3540 allocs/op and 2.2 ms (a goroutine, tracker, context, closure and joined label per task; fmt-built patch keys and miss errors), now 2650 and 0.9 ms",
 		},
 	}
 	for _, c := range cases {
@@ -368,6 +388,35 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 		}
 	}
 	return paths, fs, nil
+}
+
+// templateTree builds the benchmark's subtree_ops template — /template
+// with 8 directories of 8 files, 72 entries — behind a middleware with
+// eager GC over a zero-cost cluster, flushed.
+func templateTree() (*h2fs.AccountFS, error) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		return nil, err
+	}
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, EagerGC: true})
+	if err != nil {
+		return nil, err
+	}
+	ctx := bg()
+	if err := mw.CreateAccount(ctx, "tree"); err != nil {
+		return nil, err
+	}
+	fs := mw.FS("tree")
+	if err := fs.Mkdir(ctx, "/template"); err != nil {
+		return nil, err
+	}
+	for d := 0; d < 8; d++ {
+		dir := fmt.Sprintf("/template/sub%d", d)
+		if err := populateDir(fs, dir, 8); err != nil {
+			return nil, err
+		}
+	}
+	return fs, mw.FlushAll(ctx)
 }
 
 // bigRingDir builds /big with n flushed files behind a middleware over a

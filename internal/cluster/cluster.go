@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -409,6 +410,23 @@ func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (tim
 	return cost, nil
 }
 
+// keyError is a read, probe or delete that found no replica holding the
+// key: the operation, the key, and the sentinel or last replica error it
+// unwraps to. Every chain-end probe of a cold load or a GC window ends in
+// one and tests it with errors.Is, so the text — byte for byte what
+// fmt.Errorf("cluster: <op> %q: %w", name, err) rendered — is only built
+// when somebody asks for it.
+type keyError struct {
+	op, name string
+	err      error
+}
+
+func (e *keyError) Error() string {
+	return "cluster: " + e.op + " " + strconv.Quote(e.name) + ": " + e.err.Error()
+}
+
+func (e *keyError) Unwrap() error { return e.err }
+
 // Get reads from the first reachable replica holding the object, falling
 // through primaries and then handoffs. A read that succeeds only after an
 // earlier replica failed or missed is degraded: it is counted, and the
@@ -440,7 +458,7 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 		degraded = true
 		lastErr = err
 	}
-	return nil, objstore.ObjectInfo{}, c.profile.Get, fmt.Errorf("cluster: get %q: %w", name, lastErr)
+	return nil, objstore.ObjectInfo{}, c.profile.Get, &keyError{op: "get", name: name, err: lastErr}
 }
 
 // readRepair pushes the copy a degraded read returned to every reachable
@@ -497,7 +515,7 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 		return part, info, nil
 	}
 	vclock.Charge(ctx, c.profile.Get)
-	return nil, objstore.ObjectInfo{}, fmt.Errorf("cluster: get range %q: %w", name, lastErr)
+	return nil, objstore.ObjectInfo{}, &keyError{op: "get range", name: name, err: lastErr}
 }
 
 // Head reads metadata from the first reachable replica.
@@ -520,7 +538,7 @@ func (c *Cluster) headCore(name string) (objstore.ObjectInfo, time.Duration, err
 		}
 		lastErr = err
 	}
-	return objstore.ObjectInfo{}, c.profile.Head, fmt.Errorf("cluster: head %q: %w", name, lastErr)
+	return objstore.ObjectInfo{}, c.profile.Head, &keyError{op: "head", name: name, err: lastErr}
 }
 
 // Delete removes the object from all reachable replicas and from any
@@ -548,7 +566,7 @@ func (c *Cluster) deleteCore(name string) (time.Duration, error) {
 		}
 	}
 	if !removed {
-		return c.profile.Delete, fmt.Errorf("cluster: delete %q: %w", name, objstore.ErrNotFound)
+		return c.profile.Delete, &keyError{op: "delete", name: name, err: objstore.ErrNotFound}
 	}
 	c.objects.Add(-1)
 	c.bytes.Add(-size)
@@ -570,7 +588,7 @@ func (c *Cluster) Copy(ctx context.Context, src, dst string) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("cluster: copy %q: %w", src, err)
+		return &keyError{op: "copy", name: src, err: err}
 	}
 	nodes := c.replicaNodes(dst)
 	now := c.clock()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -413,5 +414,49 @@ func BenchmarkClusterGet(b *testing.B) {
 		if _, _, err := c.Get(ctx, "bench-object"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// A miss on a key renders exactly what fmt.Errorf("cluster: <op> %q: %w")
+// rendered and unwraps to the same sentinel; the key is quoted the way %q
+// quotes it, control and non-UTF-8 bytes included.
+func TestMissErrorTextAndSentinel(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	for _, name := range []string{"nope", "alice|N97::/NameRing/.Node01.Patch000003", "q\"uo\\te\n\x00", "café\xff"} {
+		ops := map[string]func() error{
+			"get":       func() error { _, _, err := c.Get(ctx, name); return err },
+			"get range": func() error { _, _, err := c.GetRange(ctx, name, 0, -1); return err },
+			"head":      func() error { _, err := c.Head(ctx, name); return err },
+			"delete":    func() error { return c.Delete(ctx, name) },
+			"copy":      func() error { return c.Copy(ctx, name, "dst") },
+		}
+		for op, call := range ops {
+			err := call()
+			want := fmt.Errorf("cluster: "+op+" %q: %w", name, objstore.ErrNotFound)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s %q: text %q, want %q", op, name, err, want)
+			}
+			if !errors.Is(err, objstore.ErrNotFound) || errors.Is(err, objstore.ErrNodeDown) {
+				t.Errorf("%s %q: errors.Is misreports %v", op, name, err)
+			}
+			var ke *keyError
+			if !errors.As(err, &ke) || ke.op != op || ke.name != name {
+				t.Errorf("%s %q: errors.As gave %+v", op, name, ke)
+			}
+		}
+	}
+}
+
+// With every replica down the last replica error is what a miss wraps.
+func TestMissErrorWrapsLastReplicaError(t *testing.T) {
+	c := newTest(t)
+	for _, n := range c.allNodes() {
+		n.SetDown(true)
+	}
+	_, err := c.Head(context.Background(), "k")
+	want := fmt.Errorf("cluster: head %q: %w", "k", objstore.ErrNodeDown)
+	if err == nil || err.Error() != want.Error() || !errors.Is(err, objstore.ErrNodeDown) || errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("Head with all nodes down = %v, want %v", err, want)
 	}
 }

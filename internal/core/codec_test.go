@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,6 +140,34 @@ func TestPatchKeyMatchesPaperFormat(t *testing.T) {
 	node, seq, err := ParsePatchKey(key)
 	if err != nil || node != 1 || seq != 3 {
 		t.Fatalf("ParsePatchKey = %d, %d, %v", node, seq, err)
+	}
+}
+
+// The %02d/%06d layout is an on-store format: the widths are minimums,
+// never truncations, and the hand-built key matches fmt's rendering for
+// every node and sequence, sign included.
+func TestPatchKeyLayout(t *testing.T) {
+	for _, c := range []struct {
+		node, seq int
+		want      string
+	}{
+		{1, 3, "alice|N97::/NameRing/.Node01.Patch000003"},
+		{0, 0, "alice|N97::/NameRing/.Node00.Patch000000"},
+		{99, 999999, "alice|N97::/NameRing/.Node99.Patch999999"},
+		{100, 1000000, "alice|N97::/NameRing/.Node100.Patch1000000"},
+		{4711, 123456789, "alice|N97::/NameRing/.Node4711.Patch123456789"},
+		{-1, -2, "alice|N97::/NameRing/.Node-1.Patch-00002"},
+	} {
+		got := PatchKey("alice", "N97", c.node, c.seq)
+		if old := fmt.Sprintf("%s.Node%02d.Patch%06d", RingKey("alice", "N97"), c.node, c.seq); got != c.want || got != old {
+			t.Errorf("PatchKey(%d, %d) = %q, want %q (fmt renders %q)", c.node, c.seq, got, c.want, old)
+		}
+		if node, seq, err := ParsePatchKey(got); err != nil || node != c.node || seq != c.seq {
+			t.Errorf("ParsePatchKey(%q) = %d, %d, %v", got, node, seq, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = PatchKey("alice", "N97", 7, 1234567) }); n != 1 {
+		t.Errorf("PatchKey allocates %v times per call, want 1", n)
 	}
 }
 

@@ -211,20 +211,10 @@ func ExtentKey(account, ns string, shard, shards int) string {
 	buf = append(buf, ns...)
 	buf = append(buf, "::"...)
 	buf = append(buf, extentMarker...)
-	buf = appendPadded3(buf, shard)
+	buf = appendPadded(buf, shard, 3)
 	buf = append(buf, '-')
-	buf = appendPadded3(buf, shards)
+	buf = appendPadded(buf, shards, 3)
 	return string(buf)
-}
-
-// appendPadded3 appends n zero-padded to at least three digits.
-func appendPadded3(buf []byte, n int) []byte {
-	if n < 10 {
-		buf = append(buf, '0', '0')
-	} else if n < 100 {
-		buf = append(buf, '0')
-	}
-	return strconv.AppendInt(buf, int64(n), 10)
 }
 
 // IsExtentKey reports whether key names a sub-ring extent object.

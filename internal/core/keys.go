@@ -32,8 +32,43 @@ func RingKey(account, ns string) string {
 // PatchKey returns the object key of one NameRing patch, following the
 // paper's naming: "N97::/NameRing/.Node01.Patch03 indicates the third
 // patch of the namespace N97's NameRing, submitted by node 01" (§3.3.2).
+//
+// The layout is RingKey + ".Node%02d.Patch%06d" and is an on-store
+// format. The key is built in one exactly sized buffer: it is made for
+// every WRITE/MKDIR patch, every cold-load chain probe and every slot of
+// GC's probe windows.
 func PatchKey(account, ns string, node, seq int) string {
-	return fmt.Sprintf("%s.Node%02d.Patch%06d", RingKey(account, ns), node, seq)
+	var nb, sb [20]byte // room for any int, sign included
+	n := appendPadded(nb[:0], node, 2)
+	s := appendPadded(sb[:0], seq, 6)
+	var b strings.Builder
+	b.Grow(len(account) + len("|") + len(ns) + len("::") + len(ringSuffix) +
+		len(".Node") + len(n) + len(".Patch") + len(s))
+	b.WriteString(account)
+	b.WriteByte('|')
+	b.WriteString(ns)
+	b.WriteString("::")
+	b.WriteString(ringSuffix)
+	b.WriteString(".Node")
+	b.Write(n)
+	b.WriteString(".Patch")
+	b.Write(s)
+	return b.String()
+}
+
+// appendPadded appends n in decimal, zero-padded to at least width
+// characters — fmt's %0*d: a '-' counts toward the width and stays in
+// front of the zeros.
+func appendPadded(buf []byte, n, width int) []byte {
+	var tmp [20]byte
+	d := strconv.AppendInt(tmp[:0], int64(n), 10)
+	if n < 0 {
+		buf, d, width = append(buf, '-'), d[1:], width-1
+	}
+	for i := len(d); i < width; i++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, d...)
 }
 
 // RootKey returns the object key of the account's root record, which

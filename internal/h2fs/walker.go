@@ -71,7 +71,7 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 	g := eng.NewGroup(parent, lbl, func(ctx context.Context) error {
 		return m.store.Put(ctx, core.RingKey(account, dstNS), rb.encode(), nil)
 	})
-	g.Go(lbl+"\x00expand", func(ctx context.Context) error {
+	g.GoChild("", "\x00expand", func(ctx context.Context) error {
 		defer g.Close()
 		children, err := m.liveChildren(ctx, account, srcNS)
 		if err != nil {
@@ -79,7 +79,7 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 		}
 		for _, child := range children {
 			if !child.Dir {
-				g.Go(lbl+"/"+child.Name, func(ctx context.Context) error {
+				g.GoChild(child.Name, "", func(ctx context.Context) error {
 					if err := m.copyFileObject(ctx, account, srcNS, child.Name, dstNS, child.Name, child.Chunked); err != nil {
 						if errors.Is(err, objstore.ErrNotFound) {
 							return nil // child vanished mid-copy; skip
@@ -92,7 +92,7 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 				continue
 			}
 			childNS := m.gen.Derive(dstNS, child.Name)
-			g.Go(lbl+"/"+child.Name+"\x00dir", func(ctx context.Context) error {
+			g.GoChild(child.Name, "\x00dir", func(ctx context.Context) error {
 				dirObj := core.EncodeDir(core.DirObject{NS: childNS, Name: child.Name, Created: now})
 				return m.store.Put(ctx, core.ChildKey(account, dstNS, child.Name), dirObj,
 					map[string]string{metaType: typeDir, "ns": childNS})
@@ -154,7 +154,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 		}
 		return nil
 	})
-	g.Go(lbl+"\x00expand", func(ctx context.Context) error {
+	g.GoChild("", "\x00expand", func(ctx context.Context) error {
 		defer g.Close()
 		tuples, watermarks, lay, err := m.gcSnapshot(ctx, account, ns)
 		if err != nil {
@@ -167,7 +167,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 			case t.Dir && t.NS != "":
 				m.gcSubtree(eng, g, lbl+"/"+t.Name, account, t.NS, core.ChildKey(account, ns, t.Name))
 			case t.Chunked:
-				g.Go(lbl+"/"+t.Name, func(ctx context.Context) error {
+				g.GoChild(t.Name, "", func(ctx context.Context) error {
 					if err := m.deleteFileObject(ctx, account, ns, t.Name, true); err != nil &&
 						!errors.Is(err, objstore.ErrNotFound) {
 						return err
@@ -179,7 +179,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 			}
 		}
 		if len(plain) > 0 {
-			g.Go(lbl+"\x00files", func(ctx context.Context) error {
+			g.GoChild("", "\x00files", func(ctx context.Context) error {
 				for _, err := range objstore.MultiDelete(ctx, m.store, plain) {
 					if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 						return err
@@ -192,7 +192,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 		// watermark until the chain ends.
 		for _, node := range sortedNodeIDs(watermarks) {
 			node, wm := node, watermarks[node]
-			g.Go(lbl+"\x00patch."+strconv.Itoa(node), func(ctx context.Context) error {
+			g.GoChild("", "\x00patch."+strconv.Itoa(node), func(ctx context.Context) error {
 				return m.collectPatchChain(ctx, account, ns, node, wm)
 			})
 		}
@@ -230,12 +230,12 @@ const patchProbeWindow = 8
 // round trips, and the ErrNotFound that ends the chain rides in the last
 // window instead of costing its own probe.
 func (m *Middleware) collectPatchChain(ctx context.Context, account, ns string, node, wm int) error {
+	var keys [patchProbeWindow]string
 	for seq := wm + 1; ; seq += patchProbeWindow {
-		keys := make([]string, patchProbeWindow)
 		for i := range keys {
 			keys[i] = core.PatchKey(account, ns, node, seq+i)
 		}
-		for _, err := range objstore.MultiDelete(ctx, m.store, keys) {
+		for _, err := range objstore.MultiDelete(ctx, m.store, keys[:]) {
 			if err == nil {
 				continue
 			}

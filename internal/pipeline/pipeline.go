@@ -1,6 +1,6 @@
 // Package pipeline runs a dynamically discovered set of storage tasks on
-// a bounded worker pool and charges their overlapped virtual cost as one
-// window.
+// a bounded set of runners and charges their overlapped virtual cost as
+// one window.
 //
 // The maintenance operations over a subtree (COPY, GC, anti-entropy
 // repair) cannot enumerate their work up front: expanding one NameRing
@@ -9,15 +9,26 @@
 // absorbs concurrently. vclock.Fanout needs the full task slice before it
 // starts, so this package provides the dynamic counterpart: tasks may
 // spawn further tasks while running, every task's simulated service time
-// is captured on a child tracker, and Wait charges the LPT makespan of
-// all captured durations to the parent request — the same bounded-worker
-// schedule model vclock.Makespan applies to static fan-out.
+// is captured, and Wait charges the LPT makespan of all captured
+// durations to the parent request — the same bounded-worker schedule
+// model vclock.Makespan applies to static fan-out.
+//
+// Substrate: one FIFO work queue and one run loop. Go, Group.Go and
+// group finalizers only enqueue; nothing runs before Wait. Wait starts
+// workers-1 helper goroutines, runs the same loop on the caller's
+// goroutine, and returns once the queue is empty and no task is running.
+// At workers = 1 — the default everywhere — no goroutine is created: the
+// whole walk executes on the caller's stack, in submission order. Each
+// runner owns one child vclock tracker for its lifetime and records a
+// task's cost as the tracker's reading after the task minus before it,
+// so the cost list is the one a tracker per task would have produced.
 //
 // Determinism: the result of a run never depends on goroutine
 // scheduling. Charges are collected per task and folded through the
 // order-insensitive Makespan, and Wait reports the failed task with the
 // lexicographically smallest label, so concurrent failures resolve
-// identically on every run.
+// identically on every run. A label is kept as its parts and joined only
+// for a task that failed.
 package pipeline
 
 import (
@@ -30,18 +41,36 @@ import (
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
-// Engine is one bounded-fanout task pool. Create with New, submit tasks
+// Engine is one bounded-fanout task queue. Create with New, submit tasks
 // with Go or through Groups, then call Wait exactly once; the Engine is
 // not reusable afterwards.
 type Engine struct {
 	ctx     context.Context
 	workers int
-	sem     chan struct{}
-	wg      sync.WaitGroup
+	helpers sync.WaitGroup
 
-	mu    sync.Mutex
-	costs []time.Duration
-	fails []taskFailure
+	mu      sync.Mutex
+	wake    *sync.Cond // signalled on enqueue, broadcast when the engine drains
+	queue   []task     // FIFO; queue[:head] already taken
+	head    int
+	running int // tasks taken and not yet finished
+	costs   []time.Duration
+	fails   []taskFailure
+}
+
+// task is one queued unit of work. Its label is prefix, then "/"+name
+// when name is non-empty, then kind.
+type task struct {
+	g                  *Group
+	prefix, name, kind string
+	fn                 func(context.Context) error
+}
+
+func (t *task) label() string {
+	if t.name == "" {
+		return t.prefix + t.kind
+	}
+	return t.prefix + "/" + t.name + t.kind
 }
 
 type taskFailure struct {
@@ -56,57 +85,109 @@ func New(ctx context.Context, workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{ctx: ctx, workers: workers, sem: make(chan struct{}, workers)}
+	e := &Engine{ctx: ctx, workers: workers}
+	e.wake = sync.NewCond(&e.mu)
+	return e
 }
 
 // Go submits a top-level task. The label identifies the task in error
 // reports and must be unique and schedule-independent for determinism.
 // Tasks may themselves call Go, NewGroup, or Group.Go.
-func (e *Engine) Go(label string, task func(context.Context) error) {
-	e.spawn(nil, label, task)
+func (e *Engine) Go(label string, fn func(context.Context) error) {
+	e.submit(task{prefix: label, fn: fn})
 }
 
-// record appends one finished task's captured cost and failure under the
-// engine lock.
-func (e *Engine) record(cost time.Duration, label string, err error) {
+// submit queues one task and wakes a runner parked on an empty queue.
+func (e *Engine) submit(t task) {
+	if t.g != nil {
+		t.g.pending.Add(1)
+	}
+	e.enqueue(t)
+	e.wake.Signal()
+}
+
+func (e *Engine) enqueue(t task) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.queue = append(e.queue, t)
+}
+
+// next takes the oldest queued task, parking while the queue is empty
+// but some task is still running (it may yet submit more). ok is false
+// once the engine has drained: nothing queued, nothing running.
+func (e *Engine) next() (t task, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.head == len(e.queue) {
+		if e.running == 0 {
+			return task{}, false
+		}
+		e.wake.Wait()
+	}
+	t = e.queue[e.head]
+	e.queue[e.head] = task{} // drop the closure reference
+	e.head++
+	e.running++
+	return t, true
+}
+
+// finish records one finished task's cost and failure, and reports
+// whether the engine drained with it.
+func (e *Engine) finish(t *task, cost time.Duration, err error) (drained bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.costs = append(e.costs, cost)
 	if err != nil {
-		e.fails = append(e.fails, taskFailure{label: label, err: err})
+		e.fails = append(e.fails, taskFailure{label: t.label(), err: err})
 	}
+	e.running--
+	return e.running == 0 && e.head == len(e.queue)
 }
 
-// spawn starts one task goroutine. Each task runs with a fresh child
-// vclock tracker; the worker slot is released before group bookkeeping so
-// a finalizer spawned by the last member can always acquire a slot.
-func (e *Engine) spawn(g *Group, label string, task func(context.Context) error) {
-	if g != nil {
-		g.pending.Add(1)
-	}
-	e.wg.Add(1)
-	go func() {
-		e.sem <- struct{}{}
-		child := vclock.NewTracker()
-		err := task(vclock.With(e.ctx, child))
-		<-e.sem
-		e.record(child.Elapsed(), label, err)
-		if g != nil {
-			if err != nil {
-				g.fail()
-			}
-			g.done()
+// run is the loop every runner executes — Wait's caller and each helper
+// alike — until the engine drains. Group bookkeeping happens before
+// finish, so a finalizer queued by the last member is visible to the
+// drain check.
+func (e *Engine) run() {
+	tr := vclock.NewTracker()
+	ctx := vclock.With(e.ctx, tr)
+	for {
+		t, ok := e.next()
+		if !ok {
+			return
 		}
-		e.wg.Done()
-	}()
+		before := tr.Elapsed()
+		err := t.fn(ctx)
+		cost := tr.Elapsed() - before
+		if t.g != nil {
+			if err != nil {
+				t.g.fail()
+			}
+			t.g.done()
+		}
+		if e.finish(&t, cost, err) {
+			e.wake.Broadcast()
+		}
+	}
 }
 
-// Wait blocks until every submitted task (and group finalizer) has
-// finished, charges the LPT makespan of all task costs to the tracker
-// carried by the engine's context, and returns the error of the failed
-// task with the smallest label (nil if every task succeeded).
+func (e *Engine) help() {
+	defer e.helpers.Done()
+	e.run()
+}
+
+// Wait runs every submitted task (and group finalizer) to completion on
+// the caller's goroutine plus workers-1 helpers, charges the LPT makespan
+// of all task costs to the tracker carried by the engine's context, and
+// returns the error of the failed task with the smallest label (nil if
+// every task succeeded).
 func (e *Engine) Wait() error {
-	e.wg.Wait()
+	e.helpers.Add(e.workers - 1)
+	for i := 1; i < e.workers; i++ {
+		go e.help()
+	}
+	e.run()
+	e.helpers.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	vclock.Charge(e.ctx, vclock.Makespan(e.costs, e.workers))
@@ -149,8 +230,16 @@ func (e *Engine) NewGroup(parent *Group, label string, fin func(context.Context)
 }
 
 // Go submits a member task.
-func (g *Group) Go(label string, task func(context.Context) error) {
-	g.eng.spawn(g, label, task)
+func (g *Group) Go(label string, fn func(context.Context) error) {
+	g.eng.submit(task{g: g, prefix: label, fn: fn})
+}
+
+// GoChild submits a member task labelled relative to the group: the
+// group's label, "/"+name when name is non-empty, then kind. The parts
+// are joined only if the task fails, so a walk over many children does
+// not build a string per child.
+func (g *Group) GoChild(name, kind string, fn func(context.Context) error) {
+	g.eng.submit(task{g: g, prefix: g.label, name: name, kind: kind, fn: fn})
 }
 
 // Close releases the open handle; after the last member finishes the
@@ -166,31 +255,19 @@ func (g *Group) fail() {
 	}
 }
 
-// done consumes one pending reference; draining to zero triggers the
-// finalizer (on success) and then releases the parent's reference.
+// done consumes one pending reference. Draining to zero submits the
+// finalizer (on success) as the group's last member, whose own done lands
+// here again with fin cleared; the drain without a finalizer to run
+// releases the parent's reference.
 func (g *Group) done() {
 	if g.pending.Add(-1) != 0 {
 		return
 	}
-	fin := g.fin
-	g.fin = nil
-	if fin == nil || g.failed.Load() {
-		g.finish()
+	if fin := g.fin; fin != nil && !g.failed.Load() {
+		g.fin = nil
+		g.GoChild("", "\x00fin", fin)
 		return
 	}
-	g.eng.spawn(nil, g.label+"\x00fin", func(ctx context.Context) error {
-		err := fin(ctx)
-		if err != nil {
-			g.fail()
-		}
-		g.finish()
-		return err
-	})
-}
-
-// finish releases the parent's reference once this group — including its
-// finalizer — is fully complete.
-func (g *Group) finish() {
 	if g.parent != nil {
 		g.parent.done()
 	}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -228,5 +232,189 @@ func TestFinalizerCostIsCharged(t *testing.T) {
 	})
 	if got != 12*time.Millisecond {
 		t.Fatalf("charged %v, want 12ms (member + finalizer)", got)
+	}
+}
+
+// goid returns the running goroutine's id, parsed from its stack header
+// ("goroutine 17 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// At workers = 1 the engine starts no goroutine: every task — spawned
+// children and the finalizer included — runs on the goroutine that called
+// Wait, in submission order.
+func TestOneWorkerRunsOnTheCallerInSubmissionOrder(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
+	base := runtime.NumGoroutine()
+	caller := goid()
+	var order []string // unsynchronised on purpose: one goroutine touches it
+	eng := New(context.Background(), 1)
+	note := func(name string) {
+		if id := goid(); id != caller {
+			t.Errorf("task %s ran on goroutine %s, Wait was called on %s", name, id, caller)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("task %s sees %d goroutines, %d before New", name, n, base)
+		}
+		order = append(order, name)
+	}
+	g := eng.NewGroup(nil, "g", func(context.Context) error { note("g.fin"); return nil })
+	g.Go("a", func(context.Context) error {
+		defer g.Close()
+		note("a")
+		g.Go("a1", func(context.Context) error { note("a1"); return nil })
+		g.GoChild("a2", "", func(context.Context) error { note("a2"); return nil })
+		return nil
+	})
+	eng.Go("b", func(context.Context) error {
+		note("b")
+		eng.Go("b1", func(context.Context) error { note("b1"); return nil })
+		return nil
+	})
+	if len(order) != 0 {
+		t.Fatalf("tasks %v ran before Wait", order)
+	}
+	if err := eng.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "b", "a1", "a2", "b1", "g.fin"}; !slices.Equal(order, want) {
+		t.Fatalf("ran %v, want submission order %v", order, want)
+	}
+}
+
+// The termination rule: a runner with nothing queued parks while any task
+// is still running, because that task may yet submit more. One long task
+// keeps the other three runners idle, then spawns 200 children and stays
+// on its own runner until three of them run at once — which only the
+// three helpers can do.
+func TestIdleHelpersOutliveARunningTask(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
+	const workers, children = 4, 200
+	var ran atomic.Int64
+	entered := make(chan struct{}, children)
+	release := make(chan struct{})
+	eng := New(context.Background(), workers)
+	eng.Go("long", func(context.Context) error {
+		for i := 0; i < 1000; i++ {
+			runtime.Gosched() // let the helpers start, find the queue empty, and park
+		}
+		for i := 0; i < children; i++ {
+			eng.Go(fmt.Sprintf("child%03d", i), func(context.Context) error {
+				entered <- struct{}{}
+				<-release
+				ran.Add(1)
+				return nil
+			})
+		}
+		defer close(release)
+		for i := 0; i < workers-1; i++ {
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Errorf("only %d children started while the long task held its runner: a helper exited early", i)
+				return nil
+			}
+		}
+		return nil
+	})
+	if err := eng.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != children {
+		t.Fatalf("ran %d children, want %d", ran.Load(), children)
+	}
+}
+
+// chargeTree submits a fixed task set with fixed charges: three groups,
+// each an expanding task that spawns children and subgroups late, every
+// finalizer charging too. 39 tasks, 777 ms in total.
+func chargeTree(eng *Engine) {
+	ms := func(n int) func(context.Context) error {
+		return func(ctx context.Context) error {
+			vclock.Charge(ctx, time.Duration(n)*time.Millisecond)
+			return nil
+		}
+	}
+	for i := 0; i < 3; i++ {
+		i := i
+		top := fmt.Sprintf("d%d", i)
+		g := eng.NewGroup(nil, top, ms(5+i))
+		g.Go(top+"\x00expand", func(ctx context.Context) error {
+			defer g.Close()
+			vclock.Charge(ctx, 40*time.Millisecond)
+			for j := 0; j < 8; j++ {
+				g.Go(fmt.Sprintf("%s/f%d", top, j), ms(3*j*(i+1))) // j = 0 charges nothing
+			}
+			sub := eng.NewGroup(g, top+"/sub", ms(11))
+			sub.Go(top+"/sub\x00expand", func(ctx context.Context) error {
+				defer sub.Close()
+				vclock.Charge(ctx, 25*time.Millisecond)
+				sub.Go(top+"/sub/leaf", ms(9))
+				return nil
+			})
+			return nil
+		})
+	}
+}
+
+// Wait charges the LPT makespan of the per-task costs. The values are
+// pinned from the goroutine-per-task engine this one replaced, which gave
+// every task its own tracker: a runner that carries one tracker across
+// tasks must hand Makespan the same multiset.
+func TestWaitChargeMatchesPerTaskTrackers(t *testing.T) {
+	for _, c := range []struct {
+		workers int
+		want    time.Duration
+	}{
+		{1, 777 * time.Millisecond},
+		{4, 195 * time.Millisecond},
+		{16, 63 * time.Millisecond},
+	} {
+		fstest.AssertNoGoroutineLeak(t)
+		got := charged(func(ctx context.Context) {
+			eng := New(ctx, c.workers)
+			chargeTree(eng)
+			if err := eng.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("workers = %d: charged %v, want %v", c.workers, got, c.want)
+		}
+	}
+}
+
+// A label given as parts joins to the same string a caller would have
+// concatenated, so the smallest-label rule orders both forms together.
+func TestChildLabelsJoinOnFailure(t *testing.T) {
+	errs := map[string]error{}
+	for _, l := range []string{"g/a\x00dir", "g/b", "g\x00expand", "g/a"} {
+		errs[l] = errors.New(l)
+	}
+	fail := func(l string) func(context.Context) error {
+		return func(context.Context) error { return errs[l] }
+	}
+	run := func(submit func(g *Group)) error {
+		eng := New(context.Background(), 4)
+		g := eng.NewGroup(nil, "g", nil)
+		submit(g)
+		g.Close()
+		return eng.Wait()
+	}
+	if err := run(func(g *Group) {
+		g.Go("g/b", fail("g/b"))
+		g.GoChild("a", "\x00dir", fail("g/a\x00dir"))
+		g.GoChild("", "\x00expand", fail("g\x00expand"))
+	}); err != errs["g\x00expand"] {
+		t.Fatalf("Wait = %v, want the \\x00expand failure", err)
+	}
+	if err := run(func(g *Group) {
+		g.Go("g/b", fail("g/b"))
+		g.GoChild("a", "\x00dir", fail("g/a\x00dir"))
+		g.GoChild("a", "", fail("g/a"))
+	}); err != errs["g/a"] {
+		t.Fatalf("Wait = %v, want g/a", err)
 	}
 }
