@@ -10,12 +10,13 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Repo-specific static analysis: per-unit rules (virtual-time,
-# map-iteration-determinism, lock-hygiene, dropped-error, loop-backoff)
-# plus whole-program rules (costcheck, lockorder, sentinelcheck,
-# guardcheck, leakcheck, alloccheck, poolcheck, ctxcheck, atomiccheck,
-# deadignore) over a shared typed module with an RTA-refined call graph
-# (see DESIGN.md).
+# Repo-specific static analysis, thirteen rules: per-unit (virtualtime,
+# mapiter, lockcheck, droppederr, backoffcheck, atomiccheck) plus
+# whole-program (costcheck, lockorder, sentinelcheck, guardcheck,
+# poolcheck, ctxcheck, deadignore) over a shared typed module with an
+# RTA-refined call graph. 'h2vet -explain <rule>' documents each; DESIGN.md,
+# "What guards what", says which gate owns the bug classes h2vet leaves
+# to tests and benches.
 lint:
 	$(GO) run ./cmd/h2vet ./...
 
@@ -81,10 +82,12 @@ bench-smoke:
 	$(GO) run ./cmd/h2bench -exp subtree -json out
 
 # Wall-clock hot-path microbenchmarks (codec, ring placement, merge,
-# pathdb scan, cluster fan-out), emitting out/BENCH_hotpath.json. CI
-# gates the deterministic allocs/op columns against committed ceilings;
-# ns/op is informational. Deliberately not part of '-exp all': results/
-# must stay deterministic and this experiment measures the wall clock.
+# pathdb scan, cluster fan-out), emitting out/BENCH_hotpath.json. The
+# allocs/op columns repeat exactly, and a row over its committed ceiling
+# (internal/bench/hotpath.go) fails this target — it is the only guard on
+# hot-path allocations; ns/op is informational. Not part of '-exp all':
+# results/ must stay deterministic and this experiment measures the wall
+# clock.
 bench-wallclock:
 	$(GO) run ./cmd/h2bench -exp hotpath -quick -json out
 

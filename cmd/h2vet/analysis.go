@@ -14,9 +14,13 @@ import (
 // RunProgram inspects the whole typed module at once via the ProgramPass.
 // An analyzer may have either or both: sentinelcheck, for example, checks
 // local comparison idioms per unit and table consistency program-wide.
+// Long is the rule's documentation: what it computes, why the repo cares,
+// how to satisfy or suppress it. `h2vet -explain <rule>` prints it, and
+// it is the only long-form description of the rule anywhere.
 type Analyzer struct {
 	Name       string
 	Doc        string
+	Long       string
 	Run        func(*Pass)
 	RunProgram func(*ProgramPass)
 }
@@ -25,8 +29,8 @@ func allAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		virtualtimeAnalyzer, mapiterAnalyzer, lockcheckAnalyzer, droppederrAnalyzer, backoffcheckAnalyzer,
 		costcheckAnalyzer, lockorderAnalyzer, sentinelcheckAnalyzer,
-		guardcheckAnalyzer, leakcheckAnalyzer, alloccheckAnalyzer,
-		poolcheckAnalyzer, ctxcheckAnalyzer, atomiccheckAnalyzer, deadignoreAnalyzer,
+		guardcheckAnalyzer, poolcheckAnalyzer, ctxcheckAnalyzer, atomiccheckAnalyzer,
+		deadignoreAnalyzer,
 	}
 }
 

@@ -2,274 +2,36 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
 	"strings"
 )
 
-// atomiccheckAnalyzer enforces atomic-access consistency: once a struct
-// field is accessed through the function-style sync/atomic API anywhere
-// in the program (atomic.AddInt64(&s.n, 1), atomic.LoadUint64(&s.gen),
-// ...), every access to that field in code a goroutine can execute must
-// also be atomic. A plain read or write of the same field in
-// goroutine-reachable code — the body of a go-launched function literal,
-// or any function the call graph reaches from a go statement — races
-// with the atomic side: the atomic half orders nothing for the plain
-// half, and the race detector only catches the interleavings the test
-// happens to schedule.
-//
-// The repo's own code uses the typed atomics (atomic.Int64, atomic.Bool)
-// whose method set makes plain access impossible, so this rule exists to
-// keep it that way: the finding text points at the typed forms first.
-// Purely sequential plain access (a constructor initializing the field
-// before the struct is shared) is deliberately exempt.
 var atomiccheckAnalyzer = &Analyzer{
-	Name:       "atomiccheck",
-	Doc:        "fields accessed via sync/atomic are accessed atomically everywhere goroutine-reachable code touches them",
-	RunProgram: runAtomiccheck,
+	Name: "atomiccheck",
+	Doc:  "no function-style sync/atomic calls in internal/ packages; typed atomics only",
+	Run:  runAtomiccheck,
+	Long: `atomiccheck bans the function-style sync/atomic API
+(atomic.AddInt64(&s.n, 1), atomic.LoadUint64(&s.gen), ...) in non-test
+internal/ code. A field updated that way can still be read or written
+plainly elsewhere, and the race detector only sees the interleavings a
+test happens to schedule. The typed forms (atomic.Int64, atomic.Uint64,
+atomic.Bool, atomic.Pointer[T]) are then the only way to write an
+atomic, and with them a plain access does not compile: the mixed
+atomic/plain race is unrepresentable, and go build is the checker.`,
 }
 
-// atomicUse records how a field entered the atomic set.
-type atomicUse struct {
-	fn  string    // atomic.AddInt64, ...
-	pos token.Pos // first atomic call site
-}
-
-func runAtomiccheck(p *ProgramPass) {
-	g := p.Prog.callGraph()
-	fset := p.Prog.fset
-
-	// Pass 1: the atomic field set — fields whose address is taken as the
-	// pointer argument of a sync/atomic call — and the selector positions
-	// of those sanctioned uses (so pass 3 does not flag them).
-	atomicFields := map[*types.Var]atomicUse{}
-	sanctioned := map[token.Pos]bool{}
-	fns := sortedGraphFuncs(g)
-	for _, fn := range fns {
-		fi := g.funcs[fn]
-		info := fi.unit.info
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := atomicFuncName(info, call)
-			if name == "" || len(call.Args) == 0 {
-				return true
-			}
-			un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				return true
-			}
-			sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			field := selectedField(info, sel)
-			if field == nil {
-				return true
-			}
-			sanctioned[sel.Sel.Pos()] = true
-			if _, seen := atomicFields[field]; !seen {
-				atomicFields[field] = atomicUse{fn: "atomic." + name, pos: call.Pos()}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
+func runAtomiccheck(p *Pass) {
+	if !strings.HasPrefix(p.RelPkgPath(), "internal/") {
 		return
 	}
-
-	// Pass 2: goroutine-reachable code. Named functions are collected by
-	// BFS from every go statement's resolved callees; go-launched literal
-	// bodies are recorded as position spans, and call sites inside them
-	// seed the BFS too (mirroring leakcheck's traversal).
-	reached := map[*types.Func]token.Pos{} // fn -> witness go stmt
-	type litSpan struct {
-		lo, hi token.Pos
-		gopos  token.Pos
-	}
-	spansByFile := map[string][]litSpan{}
-	var queue []*types.Func
-	enqueue := func(callee *types.Func, gopos token.Pos) {
-		if g.funcs[callee] == nil {
-			return
+	for _, f := range p.Files {
+		if p.IsTestFile(f.Pos()) {
+			continue
 		}
-		if _, ok := reached[callee]; ok {
-			return
-		}
-		reached[callee] = gopos
-		queue = append(queue, callee)
-	}
-	for _, fn := range fns {
-		fi := g.funcs[fn]
-		info := fi.unit.info
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			gostmt, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if lit, ok := gostmt.Call.Fun.(*ast.FuncLit); ok {
-				file := fset.Position(lit.Pos()).Filename
-				spansByFile[file] = append(spansByFile[file], litSpan{lit.Pos(), lit.End(), gostmt.Pos()})
-				for _, site := range fi.sites {
-					if site.call.Pos() < lit.Pos() || site.call.Pos() > lit.End() {
-						continue
-					}
-					for _, callee := range site.callees {
-						enqueue(callee, gostmt.Pos())
-					}
-				}
-			} else {
-				for _, callee := range g.calleesOf(info, gostmt.Call) {
-					enqueue(callee, gostmt.Pos())
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && p.pkgQualifier(f, call) == "sync/atomic" {
+				p.Reportf(call.Pos(), "function-style atomic.%s leaves the variable open to plain access; declare it as a typed atomic (atomic.Int64, atomic.Bool, ...) and use its methods", calleeName(call))
 			}
 			return true
 		})
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		gopos := reached[cur]
-		for _, site := range g.funcs[cur].sites {
-			for _, callee := range site.callees {
-				enqueue(callee, gopos)
-			}
-		}
-	}
-
-	// Pass 3: plain accesses of atomic fields in goroutine-reachable
-	// code. The sanctioned &field positions from pass 1 are exempt.
-	goWitness := func(fi *funcInfo, fn *types.Func, pos token.Pos) (token.Pos, bool) {
-		file := fset.Position(pos).Filename
-		for _, span := range spansByFile[file] {
-			if span.lo <= pos && pos <= span.hi {
-				return span.gopos, true
-			}
-		}
-		if w, ok := reached[fn]; ok {
-			return w, true
-		}
-		return token.NoPos, false
-	}
-	for _, fn := range fns {
-		fi := g.funcs[fn]
-		info := fi.unit.info
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			field := selectedField(info, sel)
-			if field == nil || sanctioned[sel.Sel.Pos()] {
-				return true
-			}
-			use, ok := atomicFields[field]
-			if !ok {
-				return true
-			}
-			witness, ok := goWitness(fi, fn, sel.Pos())
-			if !ok {
-				return true
-			}
-			up := fset.Position(use.pos)
-			wp := fset.Position(witness)
-			p.Reportf(sel.Pos(), "field %s is updated with %s at %s:%d but accessed plainly here, in code reachable from the goroutine launched at %s:%d; mixed atomic/plain access is a data race (use the typed atomic.%s, or make every access atomic)",
-				fieldDisplayName(field), use.fn, up.Filename, up.Line, wp.Filename, wp.Line, typedAtomicFor(field.Type()))
-			return true
-		})
-	}
-}
-
-// sortedGraphFuncs returns the graph's functions in deterministic order.
-func sortedGraphFuncs(g *callGraph) []*types.Func {
-	fns := make([]*types.Func, 0, len(g.funcs))
-	for fn := range g.funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return objKey(fns[i]) < objKey(fns[j]) })
-	return fns
-}
-
-// atomicFuncName returns the sync/atomic function name for a call
-// (AddInt64, LoadUint64, StorePointer, CompareAndSwapInt32, ...), or "".
-func atomicFuncName(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return ""
-	}
-	// Methods of the typed atomics also live in sync/atomic; only the
-	// function-style API takes a pointer argument.
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return ""
-	}
-	for _, prefix := range []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
-		if strings.HasPrefix(fn.Name(), prefix) {
-			return fn.Name()
-		}
-	}
-	return ""
-}
-
-// selectedField resolves a selector to the struct field it denotes.
-func selectedField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
-}
-
-// fieldDisplayName renders pkg.Type.field for diagnostics, matching
-// guardcheck's field naming.
-func fieldDisplayName(field *types.Var) string {
-	name := field.Name()
-	if field.Pkg() != nil {
-		// Find the named struct owning the field for a qualified name.
-		scope := field.Pkg().Scope()
-		for _, tn := range scope.Names() {
-			obj, ok := scope.Lookup(tn).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := obj.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if st.Field(i) == field {
-					return field.Pkg().Name() + "." + obj.Name() + "." + name
-				}
-			}
-		}
-		return field.Pkg().Name() + "." + name
-	}
-	return name
-}
-
-// typedAtomicFor suggests the typed atomic replacing a function-style use.
-func typedAtomicFor(t types.Type) string {
-	if b, ok := t.Underlying().(*types.Basic); ok {
-		switch b.Kind() {
-		case types.Int32:
-			return "Int32"
-		case types.Int64, types.Int:
-			return "Int64"
-		case types.Uint32:
-			return "Uint32"
-		case types.Uint64, types.Uint, types.Uintptr:
-			return "Uint64"
-		}
-	}
-	if _, ok := t.Underlying().(*types.Pointer); ok {
-		return "Pointer[T]"
-	}
-	return "Value"
 }

@@ -6,22 +6,22 @@ import (
 	"strings"
 )
 
-// backoffcheckAnalyzer enforces the retry-path half of the virtual-clock
-// rule: a retry or polling loop inside internal/ must never wait on the
-// wall clock. Backoff belongs on the virtual clock (vclock.Charge), where
-// it is charged to the simulated service time and two same-seed runs stay
-// byte-identical; a real time.Sleep (or a timer wait) in a loop both
-// stalls the test suite and hides the backoff cost from every figure.
-//
-// Flagged: calls to time.Sleep, time.After, time.Tick, time.NewTimer, and
-// time.AfterFunc lexically inside a for/range statement (including inside
-// function literals launched from the loop). time.NewTicker is allowed —
-// long-lived maintenance tickers (gossip, repair) are driver-side idiom,
-// not per-attempt backoff. _test.go files are exempt.
 var backoffcheckAnalyzer = &Analyzer{
 	Name: "backoffcheck",
 	Doc:  "no time.Sleep/time.After/timer waits inside loops in internal/ packages; charge backoff to internal/vclock",
 	Run:  runBackoffcheck,
+	Long: `backoffcheck enforces the retry-path half of the virtual-clock
+rule: a retry or polling loop inside internal/ must never wait on the
+wall clock. Backoff belongs on the virtual clock (vclock.Charge), where
+it is charged to the simulated service time and two same-seed runs stay
+byte-identical; a real time.Sleep (or a timer wait) in a loop both
+stalls the test suite and hides the backoff cost from every figure.
+
+Flagged: calls to time.Sleep, time.After, time.Tick, time.NewTimer, and
+time.AfterFunc lexically inside a for/range statement (including inside
+function literals launched from the loop). time.NewTicker is allowed —
+long-lived maintenance tickers (gossip, repair) are driver-side idiom,
+not per-attempt backoff. _test.go files are exempt.`,
 }
 
 // loopWaitFuncs are the package time functions that block on (or schedule

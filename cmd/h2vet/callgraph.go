@@ -8,25 +8,35 @@ import (
 	"strings"
 )
 
+// callgraphDoc is what `h2vet -explain callgraph` prints ahead of the
+// measured CHA-vs-RTA table; it is also the description of callGraph.
+const callgraphDoc = `callgraph is not a rule but the shared analysis substrate: h2vet builds
+one call graph over the typed module and every whole-program rule that
+follows calls (costcheck, lockorder, guardcheck) consumes it. Static
+calls resolve to their exact callee. Call sites through interfaces are
+first expanded CHA-style (every implementing type's method is a possible
+callee), then refined with Rapid Type Analysis: an interface edge to a
+concrete method survives only if its receiver type is actually
+instantiated — composite literal, conversion, new(T), var declaration —
+in code reachable from the roots (package main functions, init, and the
+exported API, which is how the test packages enter). Uninstantiated
+implementations keep their declared-body analysis but receive no
+interface edges, so a golden-test stub or a retired baseline cannot
+widen lockorder cycles, goroutine reachability, or costcheck delegation
+onto live code.
+
+Calls through plain function values are unresolvable and omitted — the
+lockcheck rule independently bans invoking those under a lock, so the
+lock analyzers lose nothing. Function literals have no *types.Func of
+their own; their call sites are attributed to the enclosing declared
+function, which matches how facts should flow (a retry wrapper's
+func() { inner.Get(...) } is the wrapper method delegating).
+
+Run h2vet -explain callgraph [patterns] to print the CHA vs RTA edge
+counts and the per-rule finding delta measured on this module.`
+
 // callGraph is the whole-program call graph over the shared typed
-// universe. Static calls resolve to their exact callee; calls through an
-// interface method are first expanded CHA-style (class-hierarchy
-// analysis: every concrete program type implementing the interface) and
-// then refined RTA-style (rapid type analysis): an interface edge
-// survives only when its receiver type is actually instantiated in code
-// reachable from the roots — package main, init functions, and the
-// exported API surface tests and external packages drive. Calls through
-// plain function values are unresolvable and omitted — the lockcheck rule
-// independently bans invoking those under a lock, so the lock analyzers
-// lose nothing.
-//
-// Function literals have no *types.Func of their own; their call sites
-// are attributed to the enclosing declared function, which matches how
-// facts should flow (a retry wrapper's `func() { inner.Get(...) }` is the
-// wrapper method delegating).
-//
-// Run `h2vet -explain callgraph` for the CHA-vs-RTA edge counts and the
-// per-rule finding deltas the refinement buys.
+// universe (see callgraphDoc).
 type callGraph struct {
 	prog    *Program
 	chaOnly bool // keep the unrefined CHA edges (used by -explain callgraph)

@@ -7,36 +7,36 @@ import (
 	"strings"
 )
 
-// costcheckAnalyzer enforces the cost-accounting invariant behind every
-// figure the simulator emits: simulated service time is whatever
-// vclock.Charge accumulates, so an objstore.Store primitive that never
-// charges silently zeroes its cost, and a wrapper that both delegates to
-// an inner Store and charges on its own double-counts it.
-//
-// Concretely, for every program type implementing objstore.Store and
-// every interface primitive (Put, Get, GetRange, Head, Delete, Copy):
-//
-//   - a leaf implementation (one that does not delegate to another Store
-//     primitive) must reach vclock.Charge/Fanout through the call graph;
-//   - a wrapper (one that delegates) must not also reach a charge call on
-//     its own frames — the inner implementation owns the cost. Wrappers
-//     that model extra cost deliberately (chaos latency spikes, retry
-//     backoff) annotate the single charge site with
-//     //h2vet:ignore costcheck <reason>.
-//
-// The same contract covers the optional objstore.Batcher interface: a
-// native MultiGet/MultiHead/MultiPut/MultiDelete must charge its one
-// overlapped fanout window itself, while a middleware ring forwarding a
-// batch (directly or through the objstore.Multi* dispatch helpers) must
-// not re-charge what the inner store already accounted.
-//
-// Traversal stops at Store- and Batcher-primitive boundaries, so an
-// inner implementation's own charges are never attributed to the
-// wrapper.
 var costcheckAnalyzer = &Analyzer{
 	Name:       "costcheck",
 	Doc:        "objstore.Store implementations charge vclock exactly once per operation",
 	RunProgram: runCostcheck,
+	Long: `costcheck enforces the cost-accounting invariant behind every
+figure the simulator emits: simulated service time is whatever
+vclock.Charge accumulates, so an objstore.Store primitive that never
+charges silently zeroes its cost, and a wrapper that both delegates to
+an inner Store and charges on its own double-counts it.
+
+Concretely, for every program type implementing objstore.Store and
+every interface primitive (Put, Get, GetRange, Head, Delete, Copy):
+
+  - a leaf implementation (one that does not delegate to another Store
+    primitive) must reach vclock.Charge/Fanout through the call graph;
+  - a wrapper (one that delegates) must not also reach a charge call on
+    its own frames — the inner implementation owns the cost. Wrappers
+    that model extra cost deliberately (chaos latency spikes, retry
+    backoff) annotate the single charge site with
+    //h2vet:ignore costcheck <reason>.
+
+The same contract covers the optional objstore.Batcher interface: a
+native MultiGet/MultiHead/MultiPut/MultiDelete must charge its one
+overlapped fanout window itself, while a middleware ring forwarding a
+batch (directly or through the objstore.Multi* dispatch helpers) must
+not re-charge what the inner store already accounted.
+
+Traversal stops at Store- and Batcher-primitive boundaries, so an
+inner implementation's own charges are never attributed to the
+wrapper.`,
 }
 
 // primIface is one cost-bearing interface the analyzer enforces: the

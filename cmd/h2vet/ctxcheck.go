@@ -7,32 +7,32 @@ import (
 	"strings"
 )
 
-// ctxcheckAnalyzer enforces context propagation through the I/O layers:
-// cancellation must flow from the driver (cmd/) down through every
-// objstore.Store/Batcher primitive call, or an aborted run keeps issuing
-// simulated I/O that the cost model then charges to nobody. Inside
-// internal/ (non-test files):
-//
-//   - context.Background() and context.TODO() are findings: request-scoped
-//     code must derive its context from the caller's parameter; fresh
-//     roots belong to drivers. A deliberate root (a bench harness, a test
-//     scaffold) carries //h2vet:ignore ctxcheck <reason>;
-//   - context.WithoutCancel detaches work from its caller's cancellation,
-//     which is correct only for the durable maintenance brackets (GC
-//     drain, orphan scrub) that must finish once started. Each such call
-//     declares itself with //h2vet:durable <reason> on its line or the
-//     line above; an undeclared WithoutCancel is a finding;
-//   - a Store/Batcher primitive call whose context argument is a nil
-//     literal or resolves to a package-level context variable is a
-//     finding: neither carries the caller's cancellation.
-//
-// Local derivation chains are traced through the def-use pass: a ctx
-// built by context.WithTimeout(parent, d) inherits parent's origin, so
-// only the root of the chain is judged.
 var ctxcheckAnalyzer = &Analyzer{
 	Name:       "ctxcheck",
 	Doc:        "objstore I/O receives the caller's context; no fresh roots or undeclared WithoutCancel in internal/",
 	RunProgram: runCtxcheck,
+	Long: `ctxcheck enforces context propagation through the I/O layers:
+cancellation must flow from the driver (cmd/) down through every
+objstore.Store/Batcher primitive call, or an aborted run keeps issuing
+simulated I/O that the cost model then charges to nobody. Inside
+internal/ (non-test files):
+
+  - context.Background() and context.TODO() are findings: request-scoped
+    code must derive its context from the caller's parameter; fresh
+    roots belong to drivers. A deliberate root (a bench harness, a test
+    scaffold) carries //h2vet:ignore ctxcheck <reason>;
+  - context.WithoutCancel detaches work from its caller's cancellation,
+    which is correct only for the durable maintenance brackets (GC
+    drain, orphan scrub) that must finish once started. Each such call
+    declares itself with //h2vet:durable <reason> on its line or the
+    line above; an undeclared WithoutCancel is a finding;
+  - a Store/Batcher primitive call whose context argument is a nil
+    literal or resolves to a package-level context variable is a
+    finding: neither carries the caller's cancellation.
+
+Local derivation chains are traced through the def-use pass: a ctx
+built by context.WithTimeout(parent, d) inherits parent's origin, so
+only the root of the chain is judged.`,
 }
 
 // ctxOrigin classifies where a context expression ultimately comes from.

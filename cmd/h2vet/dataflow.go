@@ -1,7 +1,6 @@
 package main
 
-// Hand-rolled dataflow layer backing the v4 rules (poolcheck, ctxcheck,
-// atomiccheck). The repo is stdlib-only, so instead of lowering to
+// Hand-rolled dataflow layer backing poolcheck and ctxcheck. The repo is stdlib-only, so instead of lowering to
 // golang.org/x/tools/go/ssa this file provides the two pieces those rules
 // actually need, built directly over go/ast + go/types:
 //

@@ -6,23 +6,23 @@ import (
 	"strconv"
 )
 
-// deadignoreAnalyzer reports //h2vet:ignore directives that have no
-// effect: the rule name is a typo, or no diagnostic of that rule fires
-// on the directive's line or the line below it. Dead directives are how
-// a suppression outlives the code it excused — the bug pattern comes
-// back and the stale ignore swallows it silently.
-//
-// The rule has no Run/RunProgram of its own: the driver tracks which
-// directives actually suppressed a diagnostic while the other analyzers
-// run, then reports the remainder (see deadIgnores). When -rules
-// restricts the analyzer set, directives for rules that did not run are
-// given the benefit of the doubt; only unknown rule names are still
-// reported. A deadignore finding is itself suppressible with an explicit
-// "//h2vet:ignore deadignore <reason>" directive (a blanket "all" does
-// not apply — it would excuse its own staleness).
 var deadignoreAnalyzer = &Analyzer{
 	Name: "deadignore",
 	Doc:  "every //h2vet:ignore directive suppresses a real diagnostic of a known rule",
+	Long: `deadignore reports //h2vet:ignore directives that have no
+effect: the rule name is a typo, or no diagnostic of that rule fires
+on the directive's line or the line below it. Dead directives are how
+a suppression outlives the code it excused — the bug pattern comes
+back and the stale ignore swallows it silently.
+
+The rule has no Run/RunProgram of its own: the driver tracks which
+directives actually suppressed a diagnostic while the other analyzers
+run, then reports the remainder (see deadIgnores). When -rules
+restricts the analyzer set, directives for rules that did not run are
+given the benefit of the doubt; only unknown rule names are still
+reported. A deadignore finding is itself suppressible with an explicit
+"//h2vet:ignore deadignore <reason>" directive (a blanket "all" does
+not apply — it would excuse its own staleness).`,
 }
 
 // ignoreDirective is one parsed //h2vet:ignore occurrence.

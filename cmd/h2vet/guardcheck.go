@@ -8,27 +8,31 @@ import (
 	"sort"
 )
 
-// guardcheckAnalyzer is static race detection tuned to this repo's lock
-// idioms. It infers a field -> mutex guard map per struct: a non-mutex
-// field whose access sites hold the same sibling mutex class in the
-// clear majority of cases (at least 2 sites and >= 75% of all sites) is
-// considered guarded by it, and an explicit
-//
-//	//h2vet:guardedby <mutex>
-//
-// annotation on the field declaration (same line or the line above)
-// seeds the map directly. Locksets are propagated through the CHA call
-// graph — a helper that never locks but is only called with the lock
-// held (the *Locked naming idiom) inherits the callers' lockset — and
-// code inside a `go`-launched function literal starts from the empty
-// lockset, because the spawner's locks are not held on the new
-// goroutine. A diagnostic fires for every access to a guarded field
-// that is reachable from some `go` statement without the guard held:
-// exactly the accesses a concurrent traffic driver can race on.
 var guardcheckAnalyzer = &Analyzer{
 	Name:       "guardcheck",
 	Doc:        "goroutine-reachable accesses to mutex-guarded struct fields hold the inferred or annotated guard",
 	RunProgram: runGuardcheck,
+	Long: `guardcheck is static race detection tuned to this repo's lock
+idioms. It infers a field -> mutex guard map per struct: a non-mutex
+field whose access sites hold the same sibling mutex class in the
+clear majority of cases (at least 2 sites and >= 75% of all sites) is
+considered guarded by it, and an explicit
+
+    //h2vet:guardedby <mutex>
+
+annotation on the field declaration (same line or the line above)
+seeds the map directly (a wrong mutex name is itself a finding).
+Locksets are propagated through the CHA call
+graph — a helper that never locks but is only called with the lock
+held (the *Locked naming idiom) inherits the callers' lockset — and
+code inside a go-launched function literal starts from the empty
+lockset, because the spawner's locks are not held on the new
+goroutine. A diagnostic fires for every access to a guarded field
+that is reachable from some go statement without the guard held:
+exactly the accesses a concurrent traffic driver can race on.
+
+Run h2vet -explain guardcheck -pkg <path> [patterns] to print the
+inferred guard table.`,
 }
 
 // lockSpan is one static mutex-held region of a function body: from the

@@ -6,28 +6,28 @@ import (
 	"strings"
 )
 
-// lockcheckAnalyzer enforces two locking invariants:
-//
-//  1. every mu.Lock()/mu.RLock() statement must be paired with a
-//     `defer mu.Unlock()`/`defer mu.RUnlock()` on the same mutex in the
-//     same function — explicit unlock threading leaks locks on early
-//     returns and panics; narrow the critical section into a helper
-//     whose whole body holds the lock;
-//  2. no calls to function *values* (handlers, callbacks, struct fields
-//     of func type) and no Broadcast/Pump-style re-entry while a lock is
-//     held — the gossip-bus deadlock shape, where a handler running
-//     under the bus lock calls back into the bus.
-//
-// Function literals are separate scopes: a defer inside a closure does
-// not pair with a Lock outside it. Two kinds of function values are
-// exempt from rule 2: closures defined in the same function (they are
-// part of the critical section, not injected behaviour), and injected
-// clocks (names containing "clock" or "now") — pure value providers
-// that the virtualtime rule itself mandates.
 var lockcheckAnalyzer = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "Lock paired with defer Unlock; no handler/Broadcast calls under a lock",
 	Run:  runLockcheck,
+	Long: `lockcheck enforces two locking invariants:
+
+ 1. every mu.Lock()/mu.RLock() statement must be paired with a
+    defer mu.Unlock()/defer mu.RUnlock() on the same mutex in the
+    same function — explicit unlock threading leaks locks on early
+    returns and panics; narrow the critical section into a helper
+    whose whole body holds the lock;
+ 2. no calls to function *values* (handlers, callbacks, struct fields
+    of func type) and no Broadcast/Pump-style re-entry while a lock is
+    held — the gossip-bus deadlock shape, where a handler running
+    under the bus lock calls back into the bus.
+
+Function literals are separate scopes: a defer inside a closure does
+not pair with a Lock outside it. Two kinds of function values are
+exempt from rule 2: closures defined in the same function (they are
+part of the critical section, not injected behaviour), and injected
+clocks (names containing "clock" or "now") — pure value providers
+that the virtualtime rule itself mandates.`,
 }
 
 // reentrantCallees are method names whose invocation under a lock is the

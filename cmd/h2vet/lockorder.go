@@ -8,27 +8,32 @@ import (
 	"sort"
 )
 
-// lockorderAnalyzer builds the program's static lock-acquisition graph
-// and rejects shapes that can deadlock:
-//
-//   - an edge A -> B means some code path acquires mutex class B while
-//     holding mutex class A, either directly or through any chain of
-//     calls (propagated through the CHA call graph);
-//   - a cycle A -> ... -> A means two executions can acquire the classes
-//     in opposite orders — the classic deadlock;
-//   - a self-edge A -> A means the same mutex class may be re-acquired
-//     while already held — sync.Mutex self-deadlocks, and recursive
-//     RLock deadlocks against a waiting writer.
-//
-// A mutex class is the declared variable behind the lock expression: a
-// struct field (all instances of gossip.Bus.mu are one class), a package
-// var, or a local. Class-level analysis conflates instances, so an
-// intended hierarchy over two instances of one type needs an inline
-// //h2vet:ignore lockorder <reason>.
 var lockorderAnalyzer = &Analyzer{
 	Name:       "lockorder",
 	Doc:        "static lock-acquisition graph must be acyclic with no same-mutex re-entry",
 	RunProgram: runLockorder,
+	Long: `lockorder builds the program's static lock-acquisition graph
+and rejects shapes that can deadlock:
+
+  - an edge A -> B means some code path acquires mutex class B while
+    holding mutex class A, either directly or through any chain of
+    calls (propagated through the call graph). A successful TryLock
+    holds the mutex like a Lock does: it is an acquisition under
+    whatever is held at the call, and everything up to its Unlock
+    runs under it (the descriptor cache's evictor takes descriptor
+    monitors this way, under its stripe lock);
+  - a cycle A -> ... -> A means two executions can acquire the classes
+    in opposite orders — the classic deadlock;
+  - a self-edge A -> A means the same mutex class may be re-acquired
+    while already held — sync.Mutex self-deadlocks, and recursive
+    RLock deadlocks against a waiting writer.
+
+A mutex class is the declared variable behind the lock expression: a
+struct field (all instances of gossip.Bus.mu are one class), a package
+var, or a local. Class-level analysis conflates instances, so an
+intended hierarchy over two instances of one type needs an inline
+//h2vet:ignore lockorder <reason>. Otherwise fix a cycle by imposing
+one global acquisition order.`,
 }
 
 // lockClass is one mutex class with a stable display name and sort key.
@@ -214,7 +219,7 @@ func collectLockFacts(g *callGraph, fi *funcInfo, classes map[*types.Var]*lockCl
 				classes[cls] = &lockClass{obj: cls, name: lockClassName(info, call, cls)}
 			}
 			switch method {
-			case "Lock", "RLock":
+			case "Lock", "RLock", "TryLock", "TryRLock":
 				spans = append(spans, acq{cls: cls, pos: call.Pos(), end: scope.End()})
 			case "Unlock", "RUnlock":
 				// Deferred unlocks hold to scope end; only direct unlock
@@ -251,7 +256,7 @@ func collectLockFacts(g *callGraph, fi *funcInfo, classes map[*types.Var]*lockCl
 					continue
 				}
 				if cls, method, ok := mutexClass(info, call); ok {
-					if method == "Lock" || method == "RLock" {
+					if method != "Unlock" && method != "RUnlock" {
 						facts.edges = append(facts.edges, lockEdge{held: sp.cls, acquired: cls, pos: call.Pos()})
 					}
 					continue
@@ -285,17 +290,17 @@ func lockScopes(decl *ast.FuncDecl) []*ast.BlockStmt {
 	return scopes
 }
 
-// mutexClass resolves <expr>.Lock/RLock/Unlock/RUnlock() to the declared
-// mutex variable behind the expression: a struct field, package var, or
-// local. Receivers that don't resolve to a sync mutex variable are
-// skipped.
+// mutexClass resolves <expr>.Lock/RLock/TryLock/TryRLock/Unlock/RUnlock()
+// to the declared mutex variable behind the expression: a struct field,
+// package var, or local. Receivers that don't resolve to a sync mutex
+// variable are skipped.
 func mutexClass(info *types.Info, call *ast.CallExpr) (cls *types.Var, method string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel || len(call.Args) != 0 {
 		return nil, "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
+	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
 	default:
 		return nil, "", false
 	}

@@ -1,54 +1,26 @@
 // Command h2vet is H2Cloud's repo-specific static-analysis pass. It
 // enforces the determinism and locking invariants the simulator's
 // evaluation depends on (DESIGN.md, "Determinism & concurrency
-// invariants"):
+// invariants").
 //
-//	virtualtime   no time.Now/time.Since/time.Sleep inside internal/
-//	              packages; wall-clock flows through internal/vclock or
-//	              an injected clock
-//	mapiter       no order-sensitive use (append without a later sort,
-//	              encode, hash, write, broadcast, channel send) of a
-//	              map iteration
-//	lockcheck     mu.Lock() must be paired with defer mu.Unlock() in the
-//	              same function, and no handler/callback/Broadcast-like
-//	              calls while a lock is held
-//	droppederr    error results of internal/core Decode*/Encode* and
-//	              objstore/cluster Put/Get/Delete must not be discarded
-//	backoffcheck  no time.Sleep/time.After/timer waits inside loops in
-//	              internal/ packages; retry backoff is charged to
-//	              internal/vclock, never the wall clock
-//	costcheck     every objstore.Store implementation reaches
-//	              vclock.Charge on its success paths, and wrappers that
-//	              delegate to an inner Store do not double-charge
-//	lockorder     the static lock-acquisition graph (mutex held -> mutex
-//	              acquired, propagated through the call graph) must be
-//	              acyclic with no same-mutex re-entry
-//	sentinelcheck typed Err* sentinels are compared with errors.Is (never
-//	              == / != or string matching), wrapped with %w, and every
-//	              sentinel crossing internal/httpapi appears in both the
-//	              server status table and the client reconstruction table
-//	guardcheck    static race detection: accesses to mutex-guarded struct
-//	              fields reachable from a go statement must hold the guard
-//	leakcheck     every go-launched goroutine has a bounded exit from its
-//	              loops
-//	alloccheck    allocation patterns on the objstore/codec/ring hot paths
-//	poolcheck     sync.Pool scratch is Put on every non-error path, cleared
-//	              when it holds pointers, and never escapes the function
-//	ctxcheck      objstore I/O receives the caller's context; no
-//	              context.Background/TODO or undeclared WithoutCancel
-//	              (//h2vet:durable) inside internal/
-//	atomiccheck   fields accessed via sync/atomic are accessed atomically
-//	              in all goroutine-reachable code
-//	deadignore    //h2vet:ignore directives that suppress nothing
+// Run `h2vet -list` for the thirteen rules, one line each, and
+// `h2vet -explain <rule>` for what a rule computes, why the repo cares and
+// how to satisfy or suppress it: each analyzer carries that text itself,
+// and nothing else restates it. Every rule is something only static
+// analysis sees; the bug classes something cheaper already catches —
+// goroutine leaks (leak assertions under -race), hot-path allocations
+// (allocs/op ceilings), mixed atomic/plain access (the compiler, once
+// every atomic is typed) — are left to those gates (DESIGN.md, "What
+// guards what").
 //
-// The first five rules are per-unit and syntactic; the rest are
-// whole-program: h2vet loads and type-checks the entire module once into
-// a shared typed universe, builds a call graph over go/types (CHA
-// expansion refined by Rapid Type Analysis — run `h2vet -explain
-// callgraph` for the measured precision delta), and runs the analyzers
-// in parallel over it. The dataflow rules (poolcheck, ctxcheck) ride on
-// a hand-rolled CFG and def-use/alias pass (dataflow.go) instead of SSA,
-// keeping the stdlib-only constraint.
+// The syntactic rules (virtualtime, mapiter, lockcheck, droppederr,
+// backoffcheck, atomiccheck) run per unit; the rest are whole-program:
+// h2vet loads and type-checks the entire module once into a shared typed
+// universe, builds a call graph over go/types (CHA expansion refined by
+// Rapid Type Analysis — run `h2vet -explain callgraph` for the measured
+// precision delta), and runs the analyzers over it. The dataflow rules
+// (poolcheck, ctxcheck) ride on a hand-rolled CFG and def-use/alias pass
+// (dataflow.go) instead of SSA, keeping the stdlib-only constraint.
 //
 // h2vet is built only on the standard library (go/ast, go/parser,
 // go/types with the source importer), preserving the repo's
@@ -102,7 +74,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	baselinePath := fs.String("baseline", "", "JSON baseline file; findings present in it do not affect the exit code")
 	explainFlag := fs.String("explain", "", "print the long-form documentation for one rule and exit")
-	pkgFlag := fs.String("pkg", "", "with -explain guardcheck/alloccheck: restrict the printed table to one package path")
+	pkgFlag := fs.String("pkg", "", "with -explain guardcheck: restrict the printed guard table to one package path")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -114,13 +86,13 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 	if *explainFlag != "" {
-		if (analyzerByName(*explainFlag) == nil && *explainFlag != "callgraph") || explainTexts[*explainFlag] == "" {
+		if analyzerByName(*explainFlag) == nil && *explainFlag != "callgraph" {
 			fmt.Fprintf(stderr, "h2vet: unknown rule %q (run h2vet -list)\n", *explainFlag)
 			return 2
 		}
-		// Only the rules with computed tables need the typed module.
+		// Only the two names with computed tables need the typed module.
 		var prog *Program
-		if *explainFlag == "guardcheck" || *explainFlag == "alloccheck" || *explainFlag == "callgraph" {
+		if *explainFlag == "guardcheck" || *explainFlag == "callgraph" {
 			patterns := fs.Args()
 			if len(patterns) == 0 {
 				patterns = []string{"./..."}

@@ -7,22 +7,23 @@ import (
 	"strings"
 )
 
-// mapiterAnalyzer flags order-sensitive consumption of Go's randomized
-// map iteration. Two shapes are diagnosed inside `for ... range m` where
-// m is a map:
-//
-//  1. append to a slice declared outside the loop, with no sort of that
-//     slice later in the same function — the slice's order then depends
-//     on map hash seeding (nondeterministic figures, gossip fan-out);
-//  2. a direct order-sensitive sink in the loop body: a call whose name
-//     starts with Encode/Marshal/Hash/Sum/Write/Broadcast/Send/Fprint,
-//     or a channel send — no later sort can fix in-loop emission order.
-//
-// _test.go files are exempt; assertion order rarely feeds figures.
 var mapiterAnalyzer = &Analyzer{
 	Name: "mapiter",
 	Doc:  "no order-sensitive use of map iteration without an intervening sort",
 	Run:  runMapiter,
+	Long: `mapiter flags order-sensitive consumption of Go's randomized
+map iteration. Two shapes are diagnosed inside for ... range m where
+m is a map:
+
+ 1. append to a slice declared outside the loop, with no sort of that
+    slice later in the same function — the slice's order then depends
+    on map hash seeding (nondeterministic figures, gossip fan-out);
+ 2. a direct order-sensitive sink in the loop body: a call whose name
+    starts with Encode/Marshal/Hash/Sum/Write/Broadcast/Send/Fprint,
+    or a channel send — no later sort can fix in-loop emission order.
+
+_test.go files are exempt; assertion order rarely feeds figures. Fix by
+collecting the keys and sorting them before use.`,
 }
 
 var sinkPrefixes = []string{"Encode", "Marshal", "Hash", "Sum", "Write", "Broadcast", "Send", "Fprint"}

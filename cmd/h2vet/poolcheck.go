@@ -1,43 +1,43 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// poolcheckAnalyzer turns the sync.Pool scratch idiom (PR 8's codec and
-// middleware pools) from a golden-test convention into a checked
-// contract. For every value obtained from a sync.Pool.Get inside a
-// function scope:
-//
-//   - it must flow back to a Put on the same pool on every non-error
-//     path: a deferred Put covers all paths, otherwise the control-flow
-//     graph is walked and any path that reaches a success return (or
-//     falls off the end) without passing a Put is a finding; paths that
-//     return a non-nil error or die in panic/Fatal are exempt, because
-//     the pool entry is merely lost there, never corrupted;
-//   - when the pooled value holds pointers (strings, slices, maps, ...),
-//     it must be cleared between Get and Put — builtin clear on the
-//     scratch (or a derived slice) or a Reset method call — so a pooled
-//     buffer cannot pin decoded strings against the garbage collector;
-//   - neither the value nor anything aliasing it (tracked by the def-use
-//     pass in dataflow.go) may escape the function: returning it, storing
-//     it to a field or package variable, sending it on a channel, or
-//     handing it to a goroutine lets the pool recycle memory that is
-//     still referenced — and any use after a non-deferred Put is a
-//     use-after-free against the pool.
-//
-// The analysis is per function scope: a scratch value that crosses a
-// function boundary is exactly the ownership transfer the contract
-// forbids.
 var poolcheckAnalyzer = &Analyzer{
 	Name:       "poolcheck",
 	Doc:        "sync.Pool scratch is Put on every non-error path, cleared when it holds pointers, and never escapes",
 	RunProgram: runPoolcheck,
+	Long: `poolcheck turns the sync.Pool scratch idiom (PR 8's codec and
+middleware pools) from a golden-test convention into a checked
+contract. For every value obtained from a sync.Pool.Get inside a
+function scope:
+
+  - it must flow back to a Put on the same pool on every non-error
+    path: a deferred Put covers all paths, otherwise the control-flow
+    graph is walked and any path that reaches a success return (or
+    falls off the end) without passing a Put is a finding; paths that
+    return a non-nil error or die in panic/Fatal are exempt, because
+    the pool entry is merely lost there, never corrupted;
+  - when the pooled value holds pointers (strings, slices, maps, ...),
+    it must be cleared between Get and Put — builtin clear on the
+    scratch (or a derived slice) or a Reset method call — so a pooled
+    buffer cannot pin decoded strings against the garbage collector;
+  - neither the value nor anything aliasing it (tracked by the def-use
+    pass in dataflow.go) may escape the function: returning it, storing
+    it to a field or package variable, sending it on a channel, or
+    handing it to a goroutine lets the pool recycle memory that is
+    still referenced — and any use after a non-deferred Put is a
+    use-after-free against the pool.
+
+The analysis is per function scope: a scratch value that crosses a
+function boundary is exactly the ownership transfer the contract
+forbids. Cross-pool Puts (scratch from pool A returned to pool B) and
+Get results never bound to a variable are findings too. Suppress a
+deliberate ownership transfer with //h2vet:ignore poolcheck <reason>.`,
 }
 
 // poolScope is one function scope being checked: a FuncDecl body or a
@@ -541,7 +541,3 @@ func locateStmt(cfg *funcCFG, pos token.Pos) (*cfgBlock, int) {
 	}
 	return nil, 0
 }
-
-// poolKindName is kept for diagnostics symmetry with alloccheck naming.
-var _ = strings.TrimSpace
-var _ = fmt.Sprintf

@@ -9,35 +9,35 @@ import (
 	"strings"
 )
 
-// sentinelcheckAnalyzer enforces the error-taxonomy invariants that keep
-// typed sentinels (ErrNotFound, ErrNodeDown, ErrNoQuorum, ...) usable
-// after wrapping and across the HTTP wire:
-//
-// Per-unit (tests included):
-//   - sentinels must be tested with errors.Is, never == / != — a wrapped
-//     sentinel compares unequal and the check silently stops matching.
-//
-// Per-unit (non-test code):
-//   - error conditions must not be detected by string matching: no
-//     ==/!= or strings.Contains/HasPrefix/HasSuffix over err.Error();
-//   - fmt.Errorf with an error argument must use %w so errors.Is sees
-//     through the wrap.
-//
-// Whole-program:
-//   - every exported Err* sentinel of internal/fsapi and
-//     internal/objstore must appear in httpapi's server status mapping
-//     (writeErr) — otherwise it crosses the wire as a bare 500 and the
-//     client loses the type;
-//   - the server's code strings and the client's reconstruction table
-//     (decodeErr) must agree in both directions, where a code may
-//     collapse several sentinels into one (objstore.ErrNotFound and
-//     fsapi.ErrNotFound both travel as "not_found") as long as the
-//     reconstructed sentinel is one the server maps to that same code.
 var sentinelcheckAnalyzer = &Analyzer{
 	Name:       "sentinelcheck",
 	Doc:        "errors.Is over ==/string-matching; sentinels survive the httpapi wire",
 	Run:        runSentinelUnit,
 	RunProgram: runSentinelProgram,
+	Long: `sentinelcheck enforces the error-taxonomy invariants that keep
+typed sentinels (ErrNotFound, ErrNodeDown, ErrNoQuorum, ...) usable
+after wrapping and across the HTTP wire:
+
+Per-unit (tests included):
+  - sentinels must be tested with errors.Is, never == / != — a wrapped
+    sentinel compares unequal and the check silently stops matching.
+
+Per-unit (non-test code):
+  - error conditions must not be detected by string matching: no
+    ==/!= or strings.Contains/HasPrefix/HasSuffix over err.Error();
+  - fmt.Errorf with an error argument must use %w so errors.Is sees
+    through the wrap.
+
+Whole-program:
+  - every exported Err* sentinel of internal/fsapi and
+    internal/objstore must appear in httpapi's server status mapping
+    (writeErr) — otherwise it crosses the wire as a bare 500 and the
+    client loses the type;
+  - the server's code strings and the client's reconstruction table
+    (decodeErr) must agree in both directions, where a code may
+    collapse several sentinels into one (objstore.ErrNotFound and
+    fsapi.ErrNotFound both travel as "not_found") as long as the
+    reconstructed sentinel is one the server maps to that same code.`,
 }
 
 func runSentinelUnit(p *Pass) {

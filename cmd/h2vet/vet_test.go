@@ -6,44 +6,131 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"path"
+	"sort"
 	"testing"
 )
 
-// checkSource type-checks src as a single-file package under pkgPath and
-// returns the formatted diagnostics of one analyzer. The source importer
-// resolves real imports (stdlib and this module's internal packages), so
-// seeded violations exercise the same pipeline as h2vet ./... .
-func checkSource(t *testing.T, a *Analyzer, pkgPath, src string) []string {
+const testModule = "github.com/h2cloud/h2cloud"
+
+// The goldens of this test binary share one typed universe: one FileSet
+// and one source importer, so the standard library and the real module
+// packages a golden imports (internal/objstore, internal/core, ...) are
+// parsed and type-checked once per `go test`, not once per case. Tests
+// here never run in parallel: the source importer is not safe for
+// concurrent use.
+var (
+	testFset     = token.NewFileSet()
+	testImporter = importer.ForCompiler(testFset, "source", nil).(types.ImporterFrom)
+)
+
+// golden is one case of a rule's table: a source file and the diagnostics
+// the rule must report on it, in order. file overrides the table's
+// default placement (a _test.go name, a package outside internal/).
+type golden struct {
+	name string
+	file string
+	src  string
+	want []string
+}
+
+// runGoldens checks every case against one analyzer: the case's src at its
+// file (module-relative, like "internal/fake/impl.go"), beside the extra
+// files the whole table shares.
+func runGoldens(t *testing.T, a *Analyzer, file string, extra map[string]string, cases []golden) {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{}
+			for name, src := range extra {
+				files[name] = src
+			}
+			at := file
+			if tc.file != "" {
+				at = tc.file
+			}
+			files[at] = tc.src
+			expectDiags(t, checkProgram(t, files, a), tc.want)
+		})
 	}
-	u := &unit{
-		pkgPath: pkgPath,
-		module:  "github.com/h2cloud/h2cloud",
-		fset:    fset,
-		files:   []*ast.File{f},
-		info: &types.Info{
+}
+
+// checkProgram type-checks a mini multi-package module (file name ->
+// source, names module-relative) into a Program — the same pipeline
+// h2vet ./... uses — and returns the analyzers' formatted diagnostics,
+// per-unit and whole-program halves both. Packages named like real module
+// packages (internal/objstore, internal/httpapi) shadow the real ones, so
+// goldens control both sides of every whole-program fact.
+func checkProgram(t *testing.T, files map[string]string, analyzers ...*Analyzer) []string {
+	t.Helper()
+	var out []string
+	for _, d := range runAll(buildTestProgram(t, files), analyzers, false) {
+		out = append(out, d.String())
+	}
+	return out
+}
+
+// buildTestProgram type-checks a mini module into the Program shape the
+// analyzers (and the call-graph goldens) consume.
+func buildTestProgram(t *testing.T, files map[string]string) *Program {
+	t.Helper()
+	pkgFiles := map[string][]*ast.File{}
+	var names []string
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f, err := parser.ParseFile(testFset, name, files[name], parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		p := testModule + "/" + path.Dir(name)
+		pkgFiles[p] = append(pkgFiles[p], f)
+	}
+	var paths []string
+	for p := range pkgFiles {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	var order []string
+	state := map[string]int{}
+	var visit func(p string)
+	visit = func(p string) {
+		if _, ok := pkgFiles[p]; !ok || state[p] != 0 {
+			return
+		}
+		state[p] = 1
+		for _, dep := range moduleImports(testModule, pkgFiles[p]) {
+			visit(dep)
+		}
+		state[p] = 2
+		order = append(order, p)
+	}
+	for _, p := range paths {
+		visit(p)
+	}
+
+	imp := &moduleImporter{pkgs: map[string]*types.Package{}, fallback: testImporter}
+	prog := &Program{fset: testFset, module: testModule, pkgs: imp.pkgs}
+	for _, p := range order {
+		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
+		}
+		conf := types.Config{
+			Importer: imp,
+			Error:    func(err error) { t.Logf("type error: %v", err) },
+		}
+		pkg, _ := conf.Check(p, testFset, pkgFiles[p], info)
+		imp.add(p, pkg)
+		u := &unit{pkgPath: p, module: testModule, fset: testFset, files: pkgFiles[p], info: info, pkg: pkg}
+		prog.source = append(prog.source, u)
+		prog.units = append(prog.units, u)
 	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(err error) { t.Logf("type error: %v", err) },
-	}
-	conf.Check(pkgPath, fset, u.files, u.info)
-	diags, _ := runAnalyzers(u, []*Analyzer{a})
-	sortDiagnostics(diags)
-	var out []string
-	for _, d := range diags {
-		out = append(out, d.String())
-	}
-	return out
+	return prog
 }
 
 func expectDiags(t *testing.T, got, want []string) {
@@ -58,530 +145,9 @@ func expectDiags(t *testing.T, got, want []string) {
 	}
 }
 
-const simPkg = "github.com/h2cloud/h2cloud/internal/core"
-
-func TestVirtualtime(t *testing.T) {
-	cases := []struct {
-		name    string
-		pkgPath string
-		src     string
-		want    []string
-	}{
-		{
-			name:    "seeded violations caught",
-			pkgPath: simPkg,
-			src: `package core
-
-import "time"
-
-func badNow() time.Time { return time.Now() }
-func badSince(start time.Time) time.Duration { return time.Since(start) }
-func badSleep() { time.Sleep(time.Millisecond) }
-`,
-			want: []string{
-				"src.go:5:34: virtualtime: call to time.Now in simulator package internal/core; charge internal/vclock or use an injected clock",
-				"src.go:6:55: virtualtime: call to time.Since in simulator package internal/core; charge internal/vclock or use an injected clock",
-				"src.go:7:19: virtualtime: call to time.Sleep in simulator package internal/core; charge internal/vclock or use an injected clock",
-			},
-		},
-		{
-			name:    "renamed import still caught",
-			pkgPath: simPkg,
-			src: `package core
-
-import wall "time"
-
-func sneaky() wall.Time { return wall.Now() }
-`,
-			want: []string{
-				"src.go:5:34: virtualtime: call to time.Now in simulator package internal/core; charge internal/vclock or use an injected clock",
-			},
-		},
-		{
-			name:    "injected clock default is a value reference, allowed",
-			pkgPath: simPkg,
-			src: `package core
-
-import "time"
-
-type thing struct{ now func() time.Time }
-
-func newThing() *thing { return &thing{now: time.Now} }
-func (t *thing) stamp() time.Time { return t.now() }
-`,
-			want: nil,
-		},
-		{
-			name:    "outside internal is the sanctioned edge",
-			pkgPath: "github.com/h2cloud/h2cloud/cmd/h2cloudd",
-			src: `package main
-
-import "time"
-
-func main() { _ = time.Now() }
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, checkSource(t, virtualtimeAnalyzer, tc.pkgPath, tc.src), tc.want)
-		})
-	}
-}
-
-func TestMapiter(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string
-	}{
-		{
-			name: "append without sort caught",
-			src: `package core
-
-func collect(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`,
-			want: []string{
-				"src.go:6:3: mapiter: append to out in map iteration order over m with no later sort; sort out or iterate sorted keys",
-			},
-		},
-		{
-			name: "append with later sort allowed",
-			src: `package core
-
-import "sort"
-
-func collect(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-`,
-			want: nil,
-		},
-		{
-			name: "hash and channel send inside loop caught",
-			src: `package core
-
-import "hash/crc32"
-
-func digest(m map[string][]byte, ch chan string) uint32 {
-	h := crc32.NewIEEE()
-	for k, v := range m {
-		h.Write(v)
-		ch <- k
-	}
-	return h.Sum32()
-}
-`,
-			want: []string{
-				"src.go:8:3: mapiter: call to Write inside map iteration over m; emission order is nondeterministic, iterate sorted keys",
-				"src.go:9:3: mapiter: channel send inside map iteration over m; delivery order is nondeterministic",
-			},
-		},
-		{
-			name: "loop-local slice is order-free",
-			src: `package core
-
-func count(m map[string][]int) int {
-	n := 0
-	for _, vs := range m {
-		var local []int
-		local = append(local, vs...)
-		n += len(local)
-	}
-	return n
-}
-`,
-			want: nil,
-		},
-		{
-			name: "slice range untouched",
-			src: `package core
-
-func collect(s []string) []string {
-	var out []string
-	for _, v := range s {
-		out = append(out, v)
-	}
-	return out
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, checkSource(t, mapiterAnalyzer, simPkg, tc.src), tc.want)
-		})
-	}
-}
-
-func TestLockcheck(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string
-	}{
-		{
-			name: "lock without defer caught",
-			src: `package core
-
-import "sync"
-
-type box struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (b *box) bump() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
-`,
-			want: []string{
-				"src.go:11:2: lockcheck: b.mu.Lock() without defer b.mu.Unlock() in the same function; narrow the critical section into a helper with defer",
-			},
-		},
-		{
-			name: "defer pairing allowed, flavors matter",
-			src: `package core
-
-import "sync"
-
-type box struct {
-	mu sync.RWMutex
-	n  int
-}
-
-func (b *box) bump() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.n++
-}
-
-func (b *box) read() int {
-	b.mu.RLock()
-	defer b.mu.Unlock()
-	return b.n
-}
-`,
-			want: []string{
-				"src.go:17:2: lockcheck: b.mu.RLock() without defer b.mu.RUnlock() in the same function; narrow the critical section into a helper with defer",
-			},
-		},
-		{
-			name: "handler call under lock caught",
-			src: `package core
-
-import "sync"
-
-type bus struct {
-	mu sync.Mutex
-	h  func(int)
-}
-
-func (b *bus) deliver(v int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.h(v)
-}
-`,
-			want: []string{
-				"src.go:13:2: lockcheck: call to function value b.h while b.mu is held; invoke handlers outside the critical section",
-			},
-		},
-		{
-			name: "broadcast re-entry under lock caught",
-			src: `package core
-
-import "sync"
-
-type peer struct {
-	mu  sync.Mutex
-	bus interface{ Broadcast(int) }
-}
-
-func (p *peer) relay(v int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.bus.Broadcast(v)
-}
-`,
-			want: []string{
-				"src.go:13:2: lockcheck: call to Broadcast while p.mu is held; a handler may re-enter the lock (gossip-bus deadlock shape)",
-			},
-		},
-		{
-			name: "handler call after explicit unlock span allowed",
-			src: `package core
-
-import "sync"
-
-type bus struct {
-	mu sync.Mutex
-	h  func(int)
-	q  []int
-}
-
-func (b *bus) deliver() {
-	//h2vet:ignore lockcheck narrow pop-then-deliver span, verified by TestLockcheck
-	b.mu.Lock()
-	v := b.q[0]
-	b.mu.Unlock()
-	b.h(v)
-}
-`,
-			want: nil,
-		},
-		{
-			name: "local closure and injected clock exempt",
-			src: `package core
-
-import (
-	"sync"
-	"time"
-)
-
-type store struct {
-	mu    sync.Mutex
-	now   func() time.Time
-	items map[string]time.Time
-}
-
-func (s *store) stampAll(keys []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	put := func(k string) { s.items[k] = s.now() }
-	for _, k := range keys {
-		put(k)
-	}
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, checkSource(t, lockcheckAnalyzer, simPkg, tc.src), tc.want)
-		})
-	}
-}
-
-func TestDroppederr(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string
-	}{
-		{
-			name: "objstore put and get drops caught",
-			src: `package demo
-
-import (
-	"time"
-
-	"github.com/h2cloud/h2cloud/internal/objstore"
-)
-
-func drop(n *objstore.Node) {
-	n.Put("x", nil, nil, time.Unix(0, 0))
-	data, _, _ := n.Get("x")
-	_ = data
-}
-`,
-			want: []string{
-				"src.go:10:2: droppederr: result of objstore Put is discarded; check the error",
-				"src.go:11:11: droppederr: error result of objstore Get is assigned to _; check the error",
-			},
-		},
-		{
-			name: "core decode drop caught",
-			src: `package demo
-
-import "github.com/h2cloud/h2cloud/internal/core"
-
-func drop(data []byte) *core.NameRing {
-	r, _ := core.DecodeNameRing(data)
-	return r
-}
-`,
-			want: []string{
-				"src.go:6:5: droppederr: error result of core.DecodeNameRing is assigned to _; check the error",
-			},
-		},
-		{
-			name: "checked errors and errorless calls allowed",
-			src: `package demo
-
-import (
-	"time"
-
-	"github.com/h2cloud/h2cloud/internal/core"
-	"github.com/h2cloud/h2cloud/internal/objstore"
-)
-
-func ok(n *objstore.Node, r *core.NameRing) ([]byte, error) {
-	if err := n.Put("x", nil, nil, time.Unix(0, 0)); err != nil {
-		return nil, err
-	}
-	return core.EncodeNameRing(r), nil
-}
-`,
-			want: nil,
-		},
-		{
-			name: "same-name methods elsewhere exempt",
-			src: `package demo
-
-import (
-	"context"
-
-	"github.com/h2cloud/h2cloud/internal/pathdb"
-)
-
-func ok(db *pathdb.DB) {
-	db.Delete(context.Background(), "/tmp")
-}
-`,
-			want: nil,
-		},
-		{
-			name: "ignore directive suppresses",
-			src: `package demo
-
-import (
-	"time"
-
-	"github.com/h2cloud/h2cloud/internal/objstore"
-)
-
-func drop(n *objstore.Node) {
-	//h2vet:ignore droppederr best-effort write, failure tolerated
-	n.Put("x", nil, nil, time.Unix(0, 0))
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, checkSource(t, droppederrAnalyzer, "github.com/h2cloud/h2cloud/internal/demo", tc.src), tc.want)
-		})
-	}
-}
-
-func TestBackoffcheck(t *testing.T) {
-	cases := []struct {
-		name    string
-		pkgPath string
-		src     string
-		want    []string
-	}{
-		{
-			name:    "sleep and timer waits in retry loop caught",
-			pkgPath: simPkg,
-			src: `package core
-
-import "time"
-
-func retry(op func() error) error {
-	var err error
-	for i := 0; i < 4; i++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		time.Sleep(time.Duration(i) * time.Millisecond)
-		<-time.After(time.Millisecond)
-	}
-	return err
-}
-`,
-			want: []string{
-				"src.go:11:3: backoffcheck: call to time.Sleep inside a loop in simulator package internal/core; charge backoff to internal/vclock (vclock.Charge), never the wall clock",
-				"src.go:12:5: backoffcheck: call to time.After inside a loop in simulator package internal/core; charge backoff to internal/vclock (vclock.Charge), never the wall clock",
-			},
-		},
-		{
-			name:    "goroutine launched from loop still caught, once",
-			pkgPath: simPkg,
-			src: `package core
-
-import "time"
-
-func poll(ready func() bool) {
-	for !ready() {
-		for j := 0; j < 2; j++ {
-			go func() { time.Sleep(time.Second) }()
-		}
-	}
-}
-`,
-			want: []string{
-				"src.go:8:16: backoffcheck: call to time.Sleep inside a loop in simulator package internal/core; charge backoff to internal/vclock (vclock.Charge), never the wall clock",
-			},
-		},
-		{
-			name:    "maintenance ticker and loop-free sleep allowed",
-			pkgPath: simPkg,
-			src: `package core
-
-import "time"
-
-func run(stop chan struct{}, tick func()) {
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			tick()
-		}
-	}
-}
-
-func settle() { time.Sleep(time.Millisecond) }
-`,
-			want: nil,
-		},
-		{
-			name:    "outside internal is the sanctioned edge",
-			pkgPath: "github.com/h2cloud/h2cloud/cmd/h2cloudd",
-			src: `package main
-
-import "time"
-
-func spin() {
-	for {
-		time.Sleep(time.Second)
-	}
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			expectDiags(t, checkSource(t, backoffcheckAnalyzer, tc.pkgPath, tc.src), tc.want)
-		})
-	}
-}
-
 func TestIgnoreDirectiveScope(t *testing.T) {
 	// A directive suppresses its own line and the next, but not farther.
-	src := `package core
+	got := checkProgram(t, map[string]string{"internal/core/src.go": `package core
 
 import "time"
 
@@ -591,10 +157,8 @@ func a() time.Time { return time.Now() } //h2vet:ignore virtualtime same line
 func b() time.Time { return time.Now() }
 
 func c() time.Time { return time.Now() }
-`
-	got := checkSource(t, virtualtimeAnalyzer, simPkg, src)
-	want := []string{
-		"src.go:10:29: virtualtime: call to time.Now in simulator package internal/core; charge internal/vclock or use an injected clock",
-	}
-	expectDiags(t, got, want)
+`}, virtualtimeAnalyzer)
+	expectDiags(t, got, []string{
+		"internal/core/src.go:10:29: virtualtime: call to time.Now in simulator package internal/core; charge internal/vclock or use an injected clock",
+	})
 }

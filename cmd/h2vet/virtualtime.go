@@ -5,19 +5,21 @@ import (
 	"strings"
 )
 
-// virtualtimeAnalyzer enforces the simulator's virtual-clock rule: code
-// under internal/ must not read or wait on the wall clock. The paper's
-// evaluation numbers are simulated operation times accumulated on
-// internal/vclock, so a stray time.Now() silently corrupts every figure.
-//
-// Only *calls* are flagged. Storing time.Now as the default of an
-// injectable `func() time.Time` field (the sanctioned edge idiom) is a
-// plain value reference and passes. _test.go files are exempt: tests may
-// use wall-clock deadlines around the simulated system.
 var virtualtimeAnalyzer = &Analyzer{
 	Name: "virtualtime",
 	Doc:  "no time.Now/time.Since/time.Sleep calls inside internal/ packages",
 	Run:  runVirtualtime,
+	Long: `virtualtime enforces the simulator's virtual-clock rule: code
+under internal/ must not read or wait on the wall clock. The paper's
+evaluation numbers are simulated operation times accumulated on
+internal/vclock, so a stray time.Now() silently corrupts every figure.
+
+Only *calls* are flagged. Storing time.Now as the default of an
+injectable func() time.Time field (the sanctioned edge idiom) is a
+plain value reference and passes. _test.go files are exempt: tests may
+use wall-clock deadlines around the simulated system. Fix by threading
+a clock; suppress a deliberate seam with
+//h2vet:ignore virtualtime <reason>.`,
 }
 
 // wallClockFuncs are the package time functions that read or wait on the

@@ -108,7 +108,7 @@ func EncodeShardManifest(m ShardManifest) []byte {
 // DecodeShardManifest parses the output of EncodeShardManifest. It works
 // on the raw byte slice — no string conversion, no allocation on the
 // success path — because every ring read of a sharded directory passes
-// through here (the decode is on the alloccheck hot set).
+// through here (the hotpath row codec/decode-manifest holds it to zero).
 func DecodeShardManifest(data []byte) (ShardManifest, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 || string(data[:nl]) != manifestMagic {

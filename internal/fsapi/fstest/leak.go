@@ -8,9 +8,12 @@ import (
 
 // AssertNoGoroutineLeak snapshots the goroutine count and, at test
 // cleanup, fails the test if the count has not returned to that
-// baseline. Concurrency-heavy suites (subtree engine, chaos) call it
-// first so a worker that outlives its operation — exactly what the
-// leakcheck lint rule catches statically — also fails dynamically.
+// baseline. Every test that starts a goroutine the code under test owns
+// (the subtree engine's helpers, the maintenance loop, gossip's Run,
+// vclock.Fanout, chaos) calls it first: it is the only guard against a
+// worker that outlives its operation — a loop that lost its ctx.Done
+// case, a break that leaves the select and not the loop, a range over a
+// ticker — so the test must drive the goroutine to its exit.
 //
 // The grace window uses the real clock on purpose: goroutine shutdown
 // is a property of the Go runtime, not of simulated time, and this is

@@ -8,9 +8,7 @@ import (
 // Clean validates and canonicalizes an absolute slash path: it must start
 // with "/", contain no empty, "." or ".." components, and is returned
 // without a trailing slash ("/" stays "/"). Every filesystem operation
-// cleans its path first, so this is opted into the allocation budget.
-//
-//h2vet:hotpath
+// cleans its path first.
 func Clean(path string) (string, error) {
 	if path == "" || path[0] != '/' {
 		return "", fmt.Errorf("%w: %q must be absolute", ErrInvalidPath, path)

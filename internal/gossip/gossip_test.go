@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 )
 
 func TestBroadcastExcludesSender(t *testing.T) {
@@ -119,6 +121,7 @@ func TestBroadcastFanOutDeterministic(t *testing.T) {
 }
 
 func TestRunDeliversInBackground(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	b := NewBus()
 	var mu sync.Mutex
 	var count int
@@ -160,6 +163,7 @@ func TestRunDeliversInBackground(t *testing.T) {
 }
 
 func TestRunDrainsQueueOnClose(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	b := NewBus()
 	var mu sync.Mutex
 	var count int
@@ -197,6 +201,7 @@ func TestRunDrainsQueueOnClose(t *testing.T) {
 }
 
 func TestRunDrainsQueueOnCancel(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	b := NewBus()
 	var mu sync.Mutex
 	var count int
@@ -262,6 +267,7 @@ func TestConcurrentBroadcasts(t *testing.T) {
 // and the Run goroutine exited. Run under -race this exercises every
 // lock path in the bus.
 func TestStressBroadcastWhileRunning(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	const (
 		nodes        = 8
 		broadcasters = 16

@@ -11,6 +11,7 @@ import (
 )
 
 func TestStartMaintenanceFlushesPeriodically(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	c := newCluster(t)
 	m := newMW(t, c, 1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -40,6 +41,7 @@ func TestStartMaintenanceFlushesPeriodically(t *testing.T) {
 }
 
 func TestStartMaintenanceFinalFlushOnShutdown(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	c := newCluster(t)
 	m := newMW(t, c, 1)
 	ctx, cancel := context.WithCancel(context.Background())

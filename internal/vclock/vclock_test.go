@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 )
 
 func TestTrackerChargeAccumulates(t *testing.T) {
@@ -205,6 +207,7 @@ func TestFanoutWithoutParentTracker(t *testing.T) {
 }
 
 func TestFanoutBoundsConcurrency(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
 	var mu sync.Mutex
 	cur, peak := 0, 0
 	enter := func() {

@@ -47,16 +47,6 @@ func LightUser(seed int64) Spec {
 	}
 }
 
-// HeavyUser mirrors the paper's heavy population, scaled to laptop size:
-// thousands of directories at depths past 20 and tens of thousands of
-// files (the paper's millions, divided down).
-func HeavyUser(seed int64) Spec {
-	return Spec{
-		Seed: seed, Dirs: 2000, Files: 30000, MaxDepth: 22,
-		DirSkew: 1.2, MeanFileSize: 1 << 20, MaxFileSize: 4 << 30,
-	}
-}
-
 // File is one generated file: a path and a logical size.
 type File struct {
 	Path string
