@@ -8,18 +8,18 @@ import (
 
 var droppederrAnalyzer = &Analyzer{
 	Name: "droppederr",
-	Doc:  "no ignored errors from core codecs and objstore/cluster Put/Get/Delete",
+	Doc:  "no ignored errors from core codecs and objstore/cluster Put/PutSealed/Get/Load/Delete",
 	Run:  runDroppederr,
 	Long: `droppederr flags discarded error results from the calls whose
 failures silently corrupt simulated state: the internal/core codecs
 (Decode*/Encode*) and the objstore / cluster storage primitives
-(Put/Get/Delete). Two shapes are diagnosed:
+(Put/PutSealed/Get/Load/Delete). Two shapes are diagnosed:
 
     n.Put(...)                 // expression statement, results dropped
     v, _ := core.DecodeDir(b)  // error position assigned to _
 
 Only calls whose signature actually returns an error are considered,
-and Put/Get/Delete only count when the method is declared in
+and the storage primitives only count when the method is declared in
 internal/objstore or internal/cluster — pathdb.Get and friends return
 booleans, not errors, and stay exempt. Unlike the determinism rules
 this one covers _test.go files too: a test that drops a Put error can
@@ -28,7 +28,7 @@ return it, or explain the best-effort case with
 //h2vet:ignore droppederr <reason>.`,
 }
 
-var storagePrimitives = map[string]bool{"Put": true, "Get": true, "Delete": true}
+var storagePrimitives = map[string]bool{"Put": true, "PutSealed": true, "Get": true, "Load": true, "Delete": true}
 
 func runDroppederr(p *Pass) {
 	for _, f := range p.Files {

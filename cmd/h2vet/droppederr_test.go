@@ -18,11 +18,15 @@ func drop(n *objstore.Node) {
 	n.Put("x", nil, nil, time.Unix(0, 0))
 	data, _, _ := n.Get("x")
 	_ = data
+	s, _ := n.Load("x")
+	n.PutSealed(s)
 }
 `,
 			want: []string{
 				"internal/demo/src.go:10:2: droppederr: result of objstore Put is discarded; check the error",
 				"internal/demo/src.go:11:11: droppederr: error result of objstore Get is assigned to _; check the error",
+				"internal/demo/src.go:13:5: droppederr: error result of objstore Load is assigned to _; check the error",
+				"internal/demo/src.go:14:2: droppederr: result of objstore PutSealed is discarded; check the error",
 			},
 		},
 		{

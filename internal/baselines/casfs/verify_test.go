@@ -33,7 +33,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	// Corrupt the content block in place on every replica.
 	key := fs.blockKey(objstore.ETag(content))
 	for _, id := range c.Ring().Devices(key) {
-		mustNoErr(t, c.Node(id).Put(key, []byte("tampered"), nil, time.Now()))
+		mustNoErr(t, c.Node(id).PutSealed(objstore.Seal(key, []byte("tampered"), nil, time.Now())))
 	}
 	rep, err := fs.Verify(ctx)
 	mustNoErr(t, err)

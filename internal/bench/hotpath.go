@@ -223,9 +223,20 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += len(data)
 			}
 		}},
-		{"cluster/put", 12, func(b *testing.B) {
+		// One PUT seals its payload once for all three replicas: the copy,
+		// the Sealed, the ETag string.
+		{"cluster/put", 3, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := cl.Put(ctx, "hot/object", payload, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// A server-side COPY re-stamps the stored version: a header, no
+		// payload copy, no hash.
+		{"cluster/copy", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := cl.Copy(ctx, "hot/object", "hot/copy"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -251,12 +262,13 @@ func HotPath(quick bool) (Result, error) {
 			}
 		}},
 		// A one-tuple patch folded into the monolithic ring this node wrote
-		// last (WriteFile + FlushAll, 85 allocs/op): the flush HEADs the ring
+		// last (WriteFile + FlushAll, 42 allocs/op): the flush HEADs the ring
 		// object instead of fetching it, so the op holds no decode-namering
 		// of that ring and no merge. The ceiling sits below what one decode
-		// would add — falling back to GET + decode + merge measures 93
-		// allocs/op at quick scale, 96 at full — so that fallback trips it.
-		{"h2fs/flush-validated", 88, func(b *testing.B) {
+		// would add — falling back to GET + decode + merge measured 15
+		// allocs/op more at quick scale, 18 at full — so that fallback trips
+		// it.
+		{"h2fs/flush-validated", 44, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := bigFS.WriteFile(ctx, "/big/f", payload); err != nil {
 					b.Fatal(err)
@@ -304,8 +316,9 @@ func HotPath(quick bool) (Result, error) {
 		// the RMDIR that reclaims the copy — 126 engine tasks. What is left is
 		// the store's: the engine holds a queue slot per task. One more
 		// allocation per task (a goroutine, a tracker, a context, a joined
-		// label — the parent engine paid all four) trips the ceiling.
-		{"h2fs/copy-rmdir-72", 2700, func(b *testing.B) {
+		// label — the parent engine paid all four) trips the ceiling, and so
+		// does one per replica of the 72 objects a pass copies.
+		{"h2fs/copy-rmdir-72", 1270, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := treeFS.Copy(ctx, "/template", "/w"); err != nil {
 					b.Fatal(err)
@@ -330,6 +343,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-18 baseline: h2fs/flush-validated 96 allocs/op and 411 KB/op at full scale (ring GET, decode, tuple-by-tuple merge); now 85 and 180 KB",
 			"pre-PR-20 baselines: h2fs/list-1000 331 us and 107 KB/op (copy and sort all tuples), now 83 us and 57 KB; h2fs/list-detail-1000 1015 allocs/op (a key per child, an MD5 buffer per memo miss), now 15; h2fs/list-page-of-100k 39.7 ms and 4.86 MB/op, now 0.07 ms and 58 KB; merge/live 219 us, now 28 us; placement/partition 28 ns on a memo hit, now 173 ns on every call with no memo, lock or allocation behind it",
 			"pre-PR-22 baseline: h2fs/copy-rmdir-72 3540 allocs/op and 2.2 ms (a goroutine, tracker, context, closure and joined label per task; fmt-built patch keys and miss errors), now 2650 and 0.9 ms",
+			"pre-PR-24 baselines: cluster/put 12 allocs/op, 576 B and 1.5 us (a payload copy, an MD5 and an ETag string per replica), now 3, 160 B and 0.7 us; cluster/copy is new (a Get copy, then the same per replica; now a re-stamped header: 1 alloc, 96 B); h2fs/flush-validated 78 allocs/op and 177 KB/op at full scale, now 42 and 93 KB; h2fs/copy-rmdir-72 2650 allocs/op, 255 KB and 0.8 ms, now 1219, 138 KB and 0.5 ms",
 		},
 	}
 	var over []string

@@ -360,54 +360,62 @@ func (c *Cluster) Put(ctx context.Context, name string, data []byte, meta map[st
 
 // putCore executes one replicated PUT without charging, returning the
 // simulated service time it costs — singular callers charge it directly,
-// batched callers fold it into one overlapped window.
+// batched callers fold it into one overlapped window. The payload is
+// sealed (copied, hashed) once here, and every replica holds that one
+// value.
 func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (time.Duration, error) {
 	cost := c.profile.Put + transferCost(c.profile.PerKB, len(data))
 	c.puts.Add(1)
+	return cost, c.commit("put", objstore.Seal(name, data, meta, c.clock()))
+}
+
+// commit is the one replicated write, PUT's and COPY's alike: s goes to
+// every reachable primary of its name, a write whose primary is down is
+// diverted to a handoff node (one per failed primary), and it succeeds —
+// moving the logical gauges by the difference to whatever version the read
+// sequence held before — when a majority of the replica count landed
+// somewhere. op words the ErrNoQuorum it returns otherwise.
+func (c *Cluster) commit(op string, s *objstore.Sealed) error {
+	info := s.Info()
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	seq, np := c.place(seqBuf[:0], name, true, true)
+	seq, np := c.place(seqBuf[:0], info.Name, true, true)
 	nodes, handoffs := seq[:np], seq[np:]
-	now := c.clock()
 	existed := false
 	var prevSize int64
 	for _, n := range seq {
-		if info, err := n.Head(name); err == nil {
+		if old, err := n.Head(info.Name); err == nil {
 			existed = true
-			prevSize = info.Size
+			prevSize = old.Size
 			break
 		}
 	}
 	ok := 0
 	failed := 0
 	for _, n := range nodes {
-		if err := n.Put(name, data, meta, now); err == nil {
+		if err := n.PutSealed(s); err == nil {
 			ok++
 		} else {
 			failed++
 		}
 	}
 	// Divert failed replica writes to handoff nodes.
-	if failed > 0 {
-		for _, h := range handoffs {
-			if failed == 0 {
-				break
-			}
-			if err := h.Put(name, data, meta, now); err == nil {
-				ok++
-				failed--
-			}
+	for _, h := range handoffs {
+		if failed == 0 {
+			break
+		}
+		if err := h.PutSealed(s); err == nil {
+			ok++
+			failed--
 		}
 	}
 	if ok <= len(nodes)/2 {
-		return cost, fmt.Errorf("cluster: put %q: %w", name, objstore.ErrNoQuorum)
+		return fmt.Errorf("cluster: %s %q: %w", op, info.Name, objstore.ErrNoQuorum)
 	}
-	if existed {
-		c.bytes.Add(int64(len(data)) - prevSize)
-	} else {
+	if !existed {
 		c.objects.Add(1)
-		c.bytes.Add(int64(len(data)))
 	}
-	return cost, nil
+	c.bytes.Add(info.Size - prevSize)
+	return nil
 }
 
 // keyError is a read, probe or delete that found no replica holding the
@@ -451,7 +459,9 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 		if err == nil {
 			if degraded {
 				c.degradedGets.Add(1)
-				c.readRepair(name, data, info)
+				if s, err := n.Load(name); err == nil {
+					c.readRepair(s)
+				}
 			}
 			return data, info, c.profile.Get + transferCost(c.profile.PerKB, len(data)), nil
 		}
@@ -461,19 +471,20 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 	return nil, objstore.ObjectInfo{}, c.profile.Get, &keyError{op: "get", name: name, err: lastErr}
 }
 
-// readRepair pushes the copy a degraded read returned to every reachable
-// primary replica that misses it or holds an older version. Repairs are
-// server-side background work, so no virtual time is charged to the
+// readRepair pushes the version a degraded read was served from to every
+// reachable primary replica that misses it or holds an older one. Repairs
+// are server-side background work, so no virtual time is charged to the
 // reading request.
-func (c *Cluster) readRepair(name string, data []byte, info objstore.ObjectInfo) {
-	for _, r := range c.replicaNodes(name) {
+func (c *Cluster) readRepair(s *objstore.Sealed) {
+	info := s.Info()
+	for _, r := range c.replicaNodes(info.Name) {
 		if r.Down() {
 			continue
 		}
-		if cur, err := r.Head(name); err == nil && !cur.LastModified.Before(info.LastModified) {
+		if cur, err := r.Head(info.Name); err == nil && !cur.LastModified.Before(info.LastModified) {
 			continue
 		}
-		if err := r.Put(name, data, info.Meta, info.LastModified); err == nil {
+		if err := r.PutSealed(s); err == nil {
 			c.readRepairs.Add(1)
 		}
 	}
@@ -492,7 +503,7 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 	degraded := false
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
-		data, info, err := n.Get(name)
+		s, err := n.Load(name)
 		if err != nil {
 			degraded = true
 			lastErr = err
@@ -500,8 +511,9 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 		}
 		if degraded {
 			c.degradedGets.Add(1)
-			c.readRepair(name, data, info)
+			c.readRepair(s)
 		}
+		data := s.Bytes()
 		if offset > int64(len(data)) {
 			offset = int64(len(data))
 		}
@@ -512,7 +524,7 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 		part := make([]byte, end-offset)
 		copy(part, data[offset:end])
 		vclock.Charge(ctx, c.profile.Get+transferCost(c.profile.PerKB, len(part)))
-		return part, info, nil
+		return part, s.Info(), nil
 	}
 	vclock.Charge(ctx, c.profile.Get)
 	return nil, objstore.ObjectInfo{}, &keyError{op: "get range", name: name, err: lastErr}
@@ -574,49 +586,24 @@ func (c *Cluster) deleteCore(name string) (time.Duration, error) {
 }
 
 // Copy duplicates src to dst server-side: no client transfer, one copy
-// service charge plus destination placement.
+// service charge plus destination placement. The destination is the
+// source's stored version under a new name and timestamp — same bytes,
+// same ETag, nothing copied or hashed — committed by PUT's rules.
 func (c *Cluster) Copy(ctx context.Context, src, dst string) error {
 	vclock.Charge(ctx, c.profile.Copy)
 	c.copies.Add(1)
-	var data []byte
-	var info objstore.ObjectInfo
+	var s *objstore.Sealed
 	err := objstore.ErrNotFound
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	for _, n := range c.appendReadSequence(seqBuf[:0], src) {
-		if data, info, err = n.Get(src); err == nil {
+		if s, err = n.Load(src); err == nil {
 			break
 		}
 	}
 	if err != nil {
 		return &keyError{op: "copy", name: src, err: err}
 	}
-	nodes := c.replicaNodes(dst)
-	now := c.clock()
-	existed := false
-	var prevSize int64
-	for _, n := range nodes {
-		if old, err := n.Head(dst); err == nil {
-			existed = true
-			prevSize = old.Size
-			break
-		}
-	}
-	ok := 0
-	for _, n := range nodes {
-		if err := n.Put(dst, data, info.Meta, now); err == nil {
-			ok++
-		}
-	}
-	if ok <= len(nodes)/2 {
-		return fmt.Errorf("cluster: copy to %q: %w", dst, objstore.ErrNoQuorum)
-	}
-	if existed {
-		c.bytes.Add(info.Size - prevSize)
-	} else {
-		c.objects.Add(1)
-		c.bytes.Add(info.Size)
-	}
-	return nil
+	return c.commit("copy to", s.As(dst, c.clock()))
 }
 
 // allNodes snapshots the node set in ascending id order under the read
@@ -723,14 +710,16 @@ func (c *Cluster) repairName(ctx context.Context, name string, nodes []objstore.
 	}
 	repaired := 0
 	if len(stale) > 0 {
-		data, info, err := bestNode.Get(name)
-		vclock.Charge(ctx, c.profile.Get+transferCost(c.profile.PerKB, len(data)))
+		s, err := bestNode.Load(name)
 		if err != nil {
+			vclock.Charge(ctx, c.profile.Get)
 			return 0 // freshest holder vanished mid-pass; the next pass heals
 		}
+		size := len(s.Bytes())
+		vclock.Charge(ctx, c.profile.Get+transferCost(c.profile.PerKB, size))
 		for _, r := range stale {
-			vclock.Charge(ctx, c.profile.Put+transferCost(c.profile.PerKB, len(data)))
-			if r.Put(name, data, info.Meta, info.LastModified) == nil {
+			vclock.Charge(ctx, c.profile.Put+transferCost(c.profile.PerKB, size))
+			if r.PutSealed(s) == nil {
 				repaired++
 				fresh[r.ID()] = true
 			}

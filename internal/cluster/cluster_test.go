@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
@@ -459,4 +461,257 @@ func TestMissErrorWrapsLastReplicaError(t *testing.T) {
 	if err == nil || err.Error() != want.Error() || !errors.Is(err, objstore.ErrNodeDown) || errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("Head with all nodes down = %v, want %v", err, want)
 	}
+}
+
+// COPY diverts to handoff nodes exactly as PUT does: with two of dst's
+// three primaries down both still reach quorum.
+func TestCopyDivertsToHandoffsLikePut(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	mustPut(t, c, ctx, "src", []byte("hello"), nil)
+	devs := c.Ring().Devices("dst")
+	c.SetNodeDown(devs[0], true)
+	c.SetNodeDown(devs[1], true)
+	mustPut(t, c, ctx, "dst", []byte("zz"), nil)
+	if err := c.Copy(ctx, "src", "dst"); err != nil {
+		t.Fatalf("Copy with two of dst's primaries down = %v; Put succeeded", err)
+	}
+	if data, _, err := c.Get(ctx, "dst"); err != nil || string(data) != "hello" {
+		t.Fatalf("Get after diverted copy = %q, %v", data, err)
+	}
+	if st := c.Stats(); st.Objects != 2 || st.Bytes != 10 {
+		t.Fatalf("Stats = %+v, want 2 objects of 10 bytes", st)
+	}
+}
+
+// COPY probes the whole read sequence for the version it replaces: a dst
+// whose only copies sit on handoff nodes is overwritten, not counted anew.
+func TestCopyOverHandoffOnlyObjectIsAnOverwrite(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	mustPut(t, c, ctx, "src", []byte("hello"), nil)
+	devs := c.Ring().Devices("dst")
+	for _, id := range devs {
+		c.SetNodeDown(id, true)
+	}
+	mustPut(t, c, ctx, "dst", []byte("zz"), nil) // lands on three handoffs
+	for _, id := range devs {
+		c.SetNodeDown(id, false)
+	}
+	if err := c.Copy(ctx, "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Objects != 2 || st.Bytes != 10 {
+		t.Fatalf("Stats = %+v, want 2 objects of 10 bytes", st)
+	}
+}
+
+// replicaCopies reads name from every node that holds it, primaries and
+// handoffs alike.
+func replicaCopies(t *testing.T, c *Cluster, name string) map[int]string {
+	t.Helper()
+	out := map[int]string{}
+	for _, n := range c.readSequence(name) {
+		if data, _, err := n.Get(name); err == nil {
+			out[n.ID()] = string(data)
+		}
+	}
+	return out
+}
+
+// The replicas of one write share one sealed value, so nothing a caller
+// holds may alias it: not the buffer and map it wrote from, not the buffer
+// a read handed it.
+func TestStoredVersionAliasesNoCallerMemory(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	data, meta := []byte("content"), map[string]string{"k": "v"}
+	mustPut(t, c, ctx, "obj", data, meta)
+	data[0], meta["k"], meta["new"] = 'X', "changed", "1"
+	check := func(when string) {
+		t.Helper()
+		copies := replicaCopies(t, c, "obj")
+		if len(copies) != c.Ring().ReplicaCount() {
+			t.Fatalf("%s: %d replicas hold the object", when, len(copies))
+		}
+		for id, got := range copies {
+			if got != "content" {
+				t.Fatalf("%s: node %d holds %q", when, id, got)
+			}
+		}
+		info, err := c.Head(ctx, "obj")
+		if err != nil || len(info.Meta) != 1 || info.Meta["k"] != "v" || info.ETag != objstore.ETag([]byte("content")) {
+			t.Fatalf("%s: Head = %+v, %v", when, info, err)
+		}
+	}
+	check("after the writer reused its buffer and map")
+	got, _, err := c.Get(ctx, "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] = '!'
+	}
+	check("after a reader scribbled on what Get returned")
+	part, _, err := c.GetRange(ctx, "obj", 2, 3)
+	if err != nil || string(part) != "nte" {
+		t.Fatalf("GetRange = %q, %v", part, err)
+	}
+	part[0] = '!'
+	check("after a reader scribbled on what GetRange returned")
+}
+
+// A server-side copy shares the source's bytes and is still its own
+// object: its header is the copy's, and the source's later fate is not.
+func TestCopyIsIndependentOfItsSource(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c, err := New(Config{Profile: ZeroProfile(), Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mustPut(t, c, ctx, "src", []byte("payload"), map[string]string{"a": "1"})
+	srcInfo, err := c.Head(ctx, "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(time.Minute)
+	if err := c.Copy(ctx, "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+	checkDst := func(when string) {
+		t.Helper()
+		data, info, err := c.Get(ctx, "dst")
+		if err != nil || string(data) != "payload" {
+			t.Fatalf("%s: dst = %q, %v", when, data, err)
+		}
+		if info.Name != "dst" || info.Size != 7 || info.ETag != objstore.ETag([]byte("payload")) ||
+			!info.LastModified.Equal(time.Unix(1060, 0)) || len(info.Meta) != 1 || info.Meta["a"] != "1" {
+			t.Fatalf("%s: dst header = %+v", when, info)
+		}
+	}
+	checkDst("after the copy")
+	if again, err := c.Head(ctx, "src"); err != nil || again.Name != "src" || !again.LastModified.Equal(srcInfo.LastModified) {
+		t.Fatalf("the copy re-stamped its source: %+v, %v", again, err)
+	}
+	now = now.Add(time.Minute)
+	mustPut(t, c, ctx, "src", []byte("rewritten"), map[string]string{"a": "2"})
+	checkDst("after src was overwritten")
+	if err := c.Delete(ctx, "src"); err != nil {
+		t.Fatal(err)
+	}
+	checkDst("after src was deleted")
+}
+
+// Both healing paths push the stored version as it stands: a degraded
+// read's read-repair and an anti-entropy pass leave every primary with the
+// header — ETag and LastModified above all, which the next comparison
+// reads — that the healthy replicas already held.
+func TestHealingKeepsTheVersionHeader(t *testing.T) {
+	heal := map[string]func(*Cluster){
+		"read-repair": func(c *Cluster) {
+			if _, _, err := c.Get(context.Background(), "obj"); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Repair": func(c *Cluster) { c.Repair(context.Background()) },
+	}
+	for name, run := range heal {
+		now := time.Unix(1000, 0)
+		c, err := New(Config{Profile: ZeroProfile(), Clock: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		devs := c.Ring().Devices("obj")
+		c.SetNodeDown(devs[0], true)
+		mustPut(t, c, ctx, "obj", []byte("v1"), map[string]string{"k": "v"})
+		want, err := c.Node(devs[1]).Head("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetNodeDown(devs[0], false)
+		now = now.Add(time.Hour) // healing must not read the clock
+		run(c)
+		for _, id := range devs {
+			data, info, err := c.Node(id).Get("obj")
+			if err != nil || string(data) != "v1" {
+				t.Fatalf("%s: primary %d holds %q, %v", name, id, data, err)
+			}
+			if info.Name != "obj" || info.ETag != want.ETag || !info.LastModified.Equal(want.LastModified) || info.Meta["k"] != "v" {
+				t.Fatalf("%s: primary %d header %+v, want %+v", name, id, info, want)
+			}
+		}
+	}
+}
+
+// One store request seals its payload once: a 3-replica PUT of 1 MiB
+// allocates one copy of it (three at the parent of this test), and a COPY
+// of it a header and no bytes (four copies).
+func TestPutCopiesThePayloadOnceAndCopyNever(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	big := make([]byte, 1<<20)
+	put := func() { mustPut(t, c, ctx, "big", big, nil) }
+	if b := fstest.AllocBytesPerRun(5, put); b >= 11<<20/10 {
+		t.Fatalf("Put of 1 MiB on %d replicas allocates %d B, want < 1.1 MiB", c.Ring().ReplicaCount(), b)
+	}
+	cp := func() {
+		if err := c.Copy(ctx, "big", "big.copy"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := fstest.AllocBytesPerRun(5, cp); b >= 1<<10 {
+		t.Fatalf("Copy of 1 MiB allocates %d B, want < 1 KiB", b)
+	}
+}
+
+// Under -race this is the guard for the sharing rule: writers replace and
+// copy an object while readers scribble on everything Get and GetRange
+// hand them. Were any of it the stored slice, a reader's write would race
+// with a sibling's copy out of the same bytes.
+func TestSharedVersionUnderConcurrentReadersAndWriters(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	mustPut(t, c, ctx, "obj", []byte("payload-0"), nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := c.Put(ctx, "obj", []byte(fmt.Sprintf("payload-%d", w)), nil); err != nil {
+					t.Error(err)
+				}
+				if err := c.Copy(ctx, "obj", "obj.copy"); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			name := []string{"obj", "obj.copy"}[r%2]
+			for i := 0; i < 200; i++ {
+				data, info, err := c.Get(ctx, name)
+				if errors.Is(err, objstore.ErrNotFound) {
+					continue // obj.copy before the first COPY
+				}
+				if err != nil || info.ETag != objstore.ETag(data) {
+					t.Errorf("Get %s = %q, %+v, %v", name, data, info, err)
+					return
+				}
+				clear(data)
+				part, _, err := c.GetRange(ctx, name, 0, 7)
+				if err != nil || string(part) != "payload" {
+					t.Errorf("GetRange %s = %q, %v", name, part, err)
+					return
+				}
+				clear(part)
+			}
+		}(r)
+	}
+	wg.Wait()
 }

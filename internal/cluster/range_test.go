@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -69,5 +70,28 @@ func TestGetRangeChargesOnlyReturnedBytes(t *testing.T) {
 	full := p.Get + 1024*p.PerKB
 	if got := tr.Elapsed(); got != full {
 		t.Fatalf("full read charged %v, want %v", got, full)
+	}
+}
+
+// A ranged read copies the range, not the object: on a 1 MiB object its
+// allocation follows the range's length.
+func TestGetRangeAllocatesTheRangeOnly(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	if err := c.Put(ctx, "big", make([]byte, 1<<20), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, length := range []int64{1 << 10, 64 << 10} {
+		read := func() {
+			if part, _, err := c.GetRange(ctx, "big", 4096, length); err != nil || int64(len(part)) != length {
+				t.Fatalf("GetRange(4096, %d) = %d bytes, %v", length, len(part), err)
+			}
+		}
+		if n := testing.AllocsPerRun(20, read); n != 1 {
+			t.Fatalf("GetRange of %d B makes %v allocations, want 1 (the range)", length, n)
+		}
+		if b := fstest.AllocBytesPerRun(20, read); int64(b) < length || int64(b) >= length+length/8 {
+			t.Fatalf("GetRange of %d B out of 1 MiB allocates %d B", length, b)
+		}
 	}
 }

@@ -3,12 +3,12 @@ package h2fs
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
+	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 )
 
 func TestListPagePagination(t *testing.T) {
@@ -196,19 +196,6 @@ func TestListPageDetailHeadsOnlyThePage(t *testing.T) {
 	}
 }
 
-// allocBytesPerRun is testing.AllocsPerRun for bytes.
-func allocBytesPerRun(runs int, fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fn() // warm up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
-}
-
 // TestListPageCostsItsLengthNotTheDirectorys pages a 50 000-file
 // directory ten names at a time: copying or sorting the directory per
 // page would allocate megabytes, the page walk allocates the page.
@@ -231,7 +218,7 @@ func TestListPageCostsItsLengthNotTheDirectorys(t *testing.T) {
 			t.Fatalf("page = %+v, next %q, err %v", entries, next, err)
 		}
 	}
-	if b := allocBytesPerRun(20, page); b >= 4<<10 {
+	if b := fstest.AllocBytesPerRun(20, page); b >= 4<<10 {
 		t.Fatalf("a 10-entry page of a 50 000-file directory allocates %d B, want < 4 KiB", b)
 	}
 }

@@ -25,9 +25,12 @@ type NodeStore interface {
 	SetDown(down bool)
 	// Down reports whether the node is marked unavailable.
 	Down() bool
-	// Put stores a copy of data under name.
-	Put(name string, data []byte, meta map[string]string, now time.Time) error
-	// Get returns the object's content and metadata.
+	// PutSealed stores s under its name; the node shares it, so neither
+	// side writes it afterwards. It is the only write into a node.
+	PutSealed(s *Sealed) error
+	// Load returns the stored version without copying it.
+	Load(name string) (*Sealed, error)
+	// Get returns a private copy of the object's content, and its metadata.
 	Get(name string) ([]byte, ObjectInfo, error)
 	// Head returns the object's metadata.
 	Head(name string) (ObjectInfo, error)
@@ -134,66 +137,72 @@ func writeAtomic(path string, content []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// Put stores the object durably.
+// Put seals data and stores it durably: PutSealed(Seal(...)).
 func (n *DiskNode) Put(name string, data []byte, meta map[string]string, now time.Time) error {
+	return n.PutSealed(Seal(name, data, meta, now))
+}
+
+// PutSealed stores the object durably, its sidecar carrying the sealed
+// header as it stands.
+func (n *DiskNode) PutSealed(s *Sealed) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return ErrNodeDown
 	}
-	dataPath, metaPath := n.paths(name)
-	var metaCopy map[string]string
-	if len(meta) > 0 {
-		metaCopy = make(map[string]string, len(meta))
-		for k, v := range meta {
-			metaCopy[k] = v
-		}
-	}
-	dm := diskMeta{
-		Name: name, Size: int64(len(data)), ETag: ETag(data),
-		LastModified: now, Meta: metaCopy,
-	}
-	sidecar, err := json.Marshal(dm)
+	info := s.info
+	dataPath, metaPath := n.paths(info.Name)
+	sidecar, err := json.Marshal(diskMeta{
+		Name: info.Name, Size: info.Size, ETag: info.ETag,
+		LastModified: info.LastModified, Meta: info.Meta,
+	})
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(dataPath, data); err != nil {
+	if err := writeAtomic(dataPath, s.data); err != nil {
 		return err
 	}
 	if err := writeAtomic(metaPath, sidecar); err != nil {
 		return err
 	}
-	if old, ok := n.index[name]; ok {
+	if old, ok := n.index[info.Name]; ok {
 		n.bytes -= old.Size
 	}
-	n.index[name] = ObjectInfo{
-		Name: name, Size: dm.Size, ETag: dm.ETag,
-		LastModified: now, Meta: metaCopy,
-	}
-	n.bytes += dm.Size
+	n.index[info.Name] = info
+	n.bytes += info.Size
 	return nil
 }
 
-// Get reads the object's content from disk.
-func (n *DiskNode) Get(name string) ([]byte, ObjectInfo, error) {
+// Load reads the object's content from disk under its indexed header.
+func (n *DiskNode) Load(name string) (*Sealed, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.down {
-		return nil, ObjectInfo{}, ErrNodeDown
+		return nil, ErrNodeDown
 	}
 	info, ok := n.index[name]
 	if !ok {
-		return nil, ObjectInfo{}, ErrNotFound
+		return nil, ErrNotFound
 	}
 	dataPath, _ := n.paths(name)
 	data, err := os.ReadFile(dataPath)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, ObjectInfo{}, ErrNotFound
+			return nil, ErrNotFound
 		}
+		return nil, err
+	}
+	return &Sealed{info: info, data: data}, nil
+}
+
+// Get reads the object's content from disk: the buffer Load filled is
+// nobody else's, so it is the caller's private copy as it is.
+func (n *DiskNode) Get(name string) ([]byte, ObjectInfo, error) {
+	s, err := n.Load(name)
+	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
-	return data, info, nil
+	return s.data, s.info, nil
 }
 
 // Head returns the object's metadata from the in-memory index.

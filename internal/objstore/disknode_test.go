@@ -114,3 +114,48 @@ func TestDiskNodeCorruptSidecarRejectedAtOpen(t *testing.T) {
 		t.Fatal("corrupt sidecar accepted at open")
 	}
 }
+
+// A DiskNode stores a sealed version as it stands — the sidecar carries
+// the sealed header, the ETag included, rather than a fresh hash — and a
+// reopened node's Load, Get and Head agree with it.
+func TestDiskNodePutSealedSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(50, 0)
+	s := &Sealed{
+		data: []byte("payload"),
+		info: ObjectInfo{Name: "a/b", Size: 7, ETag: "the-sealed-etag", LastModified: now, Meta: map[string]string{"k": "v"}},
+	}
+	if err := openDisk(t, dir).PutSealed(s); err != nil {
+		t.Fatal(err)
+	}
+	n := openDisk(t, dir)
+	agrees := func(what string, info ObjectInfo) {
+		t.Helper()
+		if info.Name != "a/b" || info.Size != 7 || info.ETag != "the-sealed-etag" ||
+			!info.LastModified.Equal(now) || len(info.Meta) != 1 || info.Meta["k"] != "v" {
+			t.Fatalf("%s after reopen = %+v", what, info)
+		}
+	}
+	got, err := n.Load("a/b")
+	if err != nil || string(got.Bytes()) != "payload" {
+		t.Fatalf("Load after reopen = %v, %v", got, err)
+	}
+	agrees("Load", got.Info())
+	data, info, err := n.Get("a/b")
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("Get after reopen = %q, %v", data, err)
+	}
+	agrees("Get", info)
+	info, err = n.Head("a/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agrees("Head", info)
+	// The convenience form seals first, so its ETag is the content's.
+	if err := n.Put("c", []byte("x"), nil, now); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := openDisk(t, dir).Head("c"); err != nil || info.ETag != ETag([]byte("x")) {
+		t.Fatalf("Head of a Put after reopen = %+v, %v", info, err)
+	}
+}

@@ -70,7 +70,62 @@ type Store interface {
 // ETag computes the hex MD5 content hash used by ObjectInfo.
 func ETag(data []byte) string {
 	sum := md5.Sum(data)
-	return hex.EncodeToString(sum[:])
+	var buf [2 * md5.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
+}
+
+// Sealed is one immutable object version: a private copy of the content,
+// its ETag, and the header (name, size, LastModified, metadata copy). It
+// is what a node stores and what the replicas of one write share, so it
+// is never written after Seal: not its bytes, not its metadata map. Load
+// hands the stored pointer out without copying; everything that leaves
+// the replication layer goes through Get, which copies.
+type Sealed struct {
+	info ObjectInfo
+	data []byte
+}
+
+// Seal builds the stored version of one write: it copies data and meta
+// and hashes the content, once, whatever number of replicas will hold it.
+func Seal(name string, data []byte, meta map[string]string, now time.Time) *Sealed {
+	stored := make([]byte, len(data))
+	copy(stored, data)
+	var metaCopy map[string]string
+	if len(meta) > 0 {
+		metaCopy = make(map[string]string, len(meta))
+		for k, v := range meta {
+			metaCopy[k] = v
+		}
+	}
+	return &Sealed{
+		data: stored,
+		info: ObjectInfo{
+			Name:         name,
+			Size:         int64(len(stored)),
+			ETag:         ETag(stored),
+			LastModified: now,
+			Meta:         metaCopy,
+		},
+	}
+}
+
+// Info returns the version's header. Its Meta map is the sealed one:
+// read it, never write it.
+func (s *Sealed) Info() ObjectInfo { return s.info }
+
+// Bytes returns the sealed content itself, not a copy: read it, never
+// write it.
+func (s *Sealed) Bytes() []byte { return s.data }
+
+// As returns the same content under another name and timestamp — what a
+// server-side COPY stores: the bytes, ETag and metadata are shared with
+// s, so nothing is copied and nothing is hashed.
+func (s *Sealed) As(name string, now time.Time) *Sealed {
+	c := *s
+	c.info.Name = name
+	c.info.LastModified = now
+	return &c
 }
 
 // Node is one in-memory storage device. It implements the per-device half
@@ -81,18 +136,13 @@ type Node struct {
 
 	mu      sync.RWMutex
 	down    bool
-	objects map[string]*object
+	objects map[string]*Sealed
 	bytes   int64
-}
-
-type object struct {
-	data []byte
-	info ObjectInfo
 }
 
 // NewNode returns an empty storage node with the given device ID.
 func NewNode(id int) *Node {
-	return &Node{id: id, objects: make(map[string]*object)}
+	return &Node{id: id, objects: make(map[string]*Sealed)}
 }
 
 // ID returns the node's device ID.
@@ -113,67 +163,61 @@ func (n *Node) Down() bool {
 	return n.down
 }
 
-// Put stores a copy of data under name.
+// Put seals data and stores it: PutSealed(Seal(...)), for callers that
+// hold one node rather than a replica set.
 func (n *Node) Put(name string, data []byte, meta map[string]string, now time.Time) error {
+	return n.PutSealed(Seal(name, data, meta, now))
+}
+
+// PutSealed stores s under its name, sharing it with whoever else holds
+// it.
+func (n *Node) PutSealed(s *Sealed) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return ErrNodeDown
 	}
-	stored := make([]byte, len(data))
-	copy(stored, data)
-	var metaCopy map[string]string
-	if len(meta) > 0 {
-		metaCopy = make(map[string]string, len(meta))
-		for k, v := range meta {
-			metaCopy[k] = v
-		}
-	}
-	if old, ok := n.objects[name]; ok {
+	if old, ok := n.objects[s.info.Name]; ok {
 		n.bytes -= old.info.Size
 	}
-	n.objects[name] = &object{
-		data: stored,
-		info: ObjectInfo{
-			Name:         name,
-			Size:         int64(len(stored)),
-			ETag:         ETag(stored),
-			LastModified: now,
-			Meta:         metaCopy,
-		},
-	}
-	n.bytes += int64(len(stored))
+	n.objects[s.info.Name] = s
+	n.bytes += s.info.Size
 	return nil
+}
+
+// Load returns the stored version itself, uncopied; its callers live in
+// this package and in internal/cluster.
+func (n *Node) Load(name string) (*Sealed, error) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.down {
+		return nil, ErrNodeDown
+	}
+	s, ok := n.objects[name]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return s, nil
 }
 
 // Get returns a copy of the object's content and its metadata.
 func (n *Node) Get(name string) ([]byte, ObjectInfo, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.down {
-		return nil, ObjectInfo{}, ErrNodeDown
+	s, err := n.Load(name)
+	if err != nil {
+		return nil, ObjectInfo{}, err
 	}
-	o, ok := n.objects[name]
-	if !ok {
-		return nil, ObjectInfo{}, ErrNotFound
-	}
-	data := make([]byte, len(o.data))
-	copy(data, o.data)
-	return data, o.info, nil
+	data := make([]byte, len(s.data))
+	copy(data, s.data)
+	return data, s.info, nil
 }
 
 // Head returns the object's metadata.
 func (n *Node) Head(name string) (ObjectInfo, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.down {
-		return ObjectInfo{}, ErrNodeDown
+	s, err := n.Load(name)
+	if err != nil {
+		return ObjectInfo{}, err
 	}
-	o, ok := n.objects[name]
-	if !ok {
-		return ObjectInfo{}, ErrNotFound
-	}
-	return o.info, nil
+	return s.info, nil
 }
 
 // Delete removes the object.

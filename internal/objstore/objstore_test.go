@@ -171,3 +171,57 @@ func TestETagStable(t *testing.T) {
 		t.Fatal("ETag collision on different content")
 	}
 }
+
+// Seal is the one place a write is copied and hashed: what it returns
+// aliases nothing of the caller's, and every holder after that — a second
+// node, a re-stamped copy — shares it without being able to disturb it
+// through anything a node hands out.
+func TestSealedIsCopiedOnceAndSharedAfter(t *testing.T) {
+	data, meta := []byte("hello"), map[string]string{"k": "v"}
+	now := time.Unix(100, 0)
+	s := Seal("a", data, meta, now)
+	data[0], meta["k"], meta["new"] = 'J', "changed", "1"
+	want := ObjectInfo{Name: "a", Size: 5, ETag: ETag([]byte("hello")), LastModified: now}
+	check := func(when string, s *Sealed, want ObjectInfo) {
+		t.Helper()
+		info := s.Info()
+		if string(s.Bytes()) != "hello" || len(info.Meta) != 1 || info.Meta["k"] != "v" {
+			t.Fatalf("%s: %q, meta %v", when, s.Bytes(), info.Meta)
+		}
+		if info.Name != want.Name || info.Size != want.Size || info.ETag != want.ETag || !info.LastModified.Equal(want.LastModified) {
+			t.Fatalf("%s: header %+v, want %+v", when, info, want)
+		}
+	}
+	check("after the writer reused its buffer and map", s, want)
+
+	a, b := NewNode(1), NewNode(2)
+	for _, n := range []*Node{a, b} {
+		if err := n.PutSealed(s); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := n.Load("a"); err != nil || got != s {
+			t.Fatalf("node %d: Load = %p, %v; want the sealed value itself", n.ID(), got, err)
+		}
+	}
+	got, _, err := a.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0] = 'X'
+	if sib, _, err := b.Get("a"); err != nil || string(sib) != "hello" {
+		t.Fatalf("sibling replica reads %q, %v after a reader scribbled on Get's result", sib, err)
+	}
+	check("after a reader scribbled on Get's result", s, want)
+
+	later := now.Add(time.Minute)
+	cp := s.As("b", later)
+	check("the source of a re-stamp", s, want)
+	want.Name, want.LastModified = "b", later
+	check("a re-stamped copy", cp, want)
+	if &cp.Bytes()[0] != &s.Bytes()[0] {
+		t.Fatal("As copied the payload")
+	}
+	if _, bytes := a.Stats(); bytes != 5 {
+		t.Fatalf("node bytes = %d, want 5: each node counts the replica it holds", bytes)
+	}
+}
