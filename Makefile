@@ -111,7 +111,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePatchKey -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeShardManifest -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseExtentKey -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzClean -fuzztime=10s ./internal/fsapi/
+	$(GO) test -fuzz='^FuzzClean$$' -fuzztime=10s ./internal/fsapi/
+	$(GO) test -fuzz='^FuzzCleanCompat$$' -fuzztime=10s ./internal/fsapi/
 	$(GO) test -fuzz=FuzzIgnoreDirective -fuzztime=10s ./cmd/h2vet/
 	$(GO) test -fuzz=FuzzRulesFlag -fuzztime=10s ./cmd/h2vet/
 

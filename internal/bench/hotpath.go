@@ -117,6 +117,10 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+	deepFS, deepPath, err := deepFile(16)
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 	// at picks the ceiling of a path whose count depends on the ring size.
@@ -244,9 +248,21 @@ func HotPath(quick bool) (Result, error) {
 		// A Stat whose parent ring was evicted clean since its last use:
 		// one descriptor, one ring GET, one decode that the descriptor
 		// then owns — no own-chain probe, no re-merge — plus the HEAD.
-		{"h2fs/reload-evicted", 22, func(b *testing.B) {
+		{"h2fs/reload-evicted", 11, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				info, err := coldFS.Stat(ctx, coldPaths[i%len(coldPaths)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += int(info.Size)
+			}
+		}},
+		// A Stat 16 levels down with every descriptor on the path cached:
+		// the walk consults 16 rings and allocates nothing per level. What
+		// is left is the object key the HEAD is sent for.
+		{"h2fs/stat-depth-16", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				info, err := deepFS.Stat(ctx, deepPath)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,13 +278,13 @@ func HotPath(quick bool) (Result, error) {
 			}
 		}},
 		// A one-tuple patch folded into the monolithic ring this node wrote
-		// last (WriteFile + FlushAll, 42 allocs/op): the flush HEADs the ring
+		// last (WriteFile + FlushAll, 30 allocs/op): the flush HEADs the ring
 		// object instead of fetching it, so the op holds no decode-namering
 		// of that ring and no merge. The ceiling sits below what one decode
 		// would add — falling back to GET + decode + merge measured 15
 		// allocs/op more at quick scale, 18 at full — so that fallback trips
 		// it.
-		{"h2fs/flush-validated", 44, func(b *testing.B) {
+		{"h2fs/flush-validated", 32, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := bigFS.WriteFile(ctx, "/big/f", payload); err != nil {
 					b.Fatal(err)
@@ -280,7 +296,7 @@ func HotPath(quick bool) (Result, error) {
 		}},
 		// LIST of the ring above (1000 children at full scale), over the name
 		// order it keeps: the entries, the path handling, nothing per child.
-		{"h2fs/list-1000", 8, func(b *testing.B) {
+		{"h2fs/list-1000", 2, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				entries, err := bigFS.List(ctx, "/big", false)
 				if err != nil {
@@ -291,7 +307,7 @@ func HotPath(quick bool) (Result, error) {
 		}},
 		// The detailed form adds the HEADs' results, their durations and the
 		// page's keys, which are cut from one string.
-		{"h2fs/list-detail-1000", 18, func(b *testing.B) {
+		{"h2fs/list-detail-1000", 12, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				entries, err := bigFS.List(ctx, "/big", true)
 				if err != nil {
@@ -303,7 +319,7 @@ func HotPath(quick bool) (Result, error) {
 		// One 1000-entry page out of the middle of a 100 000-file directory
 		// (20 000 at quick scale) costs what a whole LIST of 1000 costs: its
 		// own length.
-		{"h2fs/list-page-of-100k", 8, func(b *testing.B) {
+		{"h2fs/list-page-of-100k", 2, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				entries, next, err := hugeMW.ListPage(ctx, "big", "/big", false, hugeMarker, 1000)
 				if err != nil || next == "" {
@@ -318,7 +334,7 @@ func HotPath(quick bool) (Result, error) {
 		// allocation per task (a goroutine, a tracker, a context, a joined
 		// label — the parent engine paid all four) trips the ceiling, and so
 		// does one per replica of the 72 objects a pass copies.
-		{"h2fs/copy-rmdir-72", 1270, func(b *testing.B) {
+		{"h2fs/copy-rmdir-72", 1242, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := treeFS.Copy(ctx, "/template", "/w"); err != nil {
 					b.Fatal(err)
@@ -344,6 +360,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-20 baselines: h2fs/list-1000 331 us and 107 KB/op (copy and sort all tuples), now 83 us and 57 KB; h2fs/list-detail-1000 1015 allocs/op (a key per child, an MD5 buffer per memo miss), now 15; h2fs/list-page-of-100k 39.7 ms and 4.86 MB/op, now 0.07 ms and 58 KB; merge/live 219 us, now 28 us; placement/partition 28 ns on a memo hit, now 173 ns on every call with no memo, lock or allocation behind it",
 			"pre-PR-22 baseline: h2fs/copy-rmdir-72 3540 allocs/op and 2.2 ms (a goroutine, tracker, context, closure and joined label per task; fmt-built patch keys and miss errors), now 2650 and 0.9 ms",
 			"pre-PR-24 baselines: cluster/put 12 allocs/op, 576 B and 1.5 us (a payload copy, an MD5 and an ETag string per replica), now 3, 160 B and 0.7 us; cluster/copy is new (a Get copy, then the same per replica; now a re-stamped header: 1 alloc, 96 B); h2fs/flush-validated 78 allocs/op and 177 KB/op at full scale, now 42 and 93 KB; h2fs/copy-rmdir-72 2650 allocs/op, 255 KB and 0.8 ms, now 1219, 138 KB and 0.5 ms",
+			"pre-PR-27 baselines: h2fs/stat-depth-16 22 allocs/op, 1.7 KB and 5.8 us (a ring key concatenated per level to look its descriptor up, a Split and a Join per path), now 1, 32 B and 2.9 us; h2fs/reload-evicted 17 allocs/op, now 11; h2fs/list-1000 and h2fs/list-page-of-100k 7, now 1; h2fs/list-detail-1000 15, now 9; h2fs/flush-validated 42, now 30; h2fs/copy-rmdir-72 1219, now 1191",
 		},
 	}
 	var over []string
@@ -422,6 +439,38 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 		}
 	}
 	return paths, fs, nil
+}
+
+// deepFile writes one file depth levels down behind a middleware over a
+// zero-cost cluster and Stats it once, so every descriptor on its path is
+// cached. It returns the file's path.
+func deepFile(depth int) (*h2fs.AccountFS, string, error) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		return nil, "", err
+	}
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1})
+	if err != nil {
+		return nil, "", err
+	}
+	ctx := bg()
+	if err := mw.CreateAccount(ctx, "deep"); err != nil {
+		return nil, "", err
+	}
+	fs := mw.FS("deep")
+	dir := ""
+	for i := 1; i < depth; i++ {
+		dir += fmt.Sprintf("/d%02d", i)
+		if err := fs.Mkdir(ctx, dir); err != nil {
+			return nil, "", err
+		}
+	}
+	path := dir + "/f"
+	if err := fs.WriteFile(ctx, path, []byte("x")); err != nil {
+		return nil, "", err
+	}
+	_, err = fs.Stat(ctx, path)
+	return fs, path, err
 }
 
 // templateTree builds the benchmark's subtree_ops template — /template

@@ -187,12 +187,29 @@ func ShardOf(name string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
+	return int(fnv1a(2166136261, name) % uint32(shards))
+}
+
+// RingShardOf is ShardOf(RingKey(account, ns), shards) computed over the
+// key's pieces, so a caller that only routes on the key never builds it.
+// It must equal that expression bit for bit (TestRingShardOfIsShardOfRingKey):
+// h2fs's descriptor stripes route on it, and which stripe a ring lands in
+// decides which descriptor that stripe's budget evicts.
+func RingShardOf(account, ns string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	h := fnv1a(fnv1a(fnv1a(2166136261, account), "|"), ns)
+	return int(fnv1a(h, "::"+ringSuffix) % uint32(shards))
+}
+
+// fnv1a folds s into the 32-bit FNV-1a state h.
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
 		h *= 16777619
 	}
-	return int(h % uint32(shards))
+	return h
 }
 
 // extentMarker is the key fragment every extent key contains, directly

@@ -8,7 +8,8 @@ import (
 // Clean validates and canonicalizes an absolute slash path: it must start
 // with "/", contain no empty, "." or ".." components, and is returned
 // without a trailing slash ("/" stays "/"). Every filesystem operation
-// cleans its path first.
+// cleans its path first, so a valid path is checked in place and returned
+// as is (or minus its one trailing slash): cleaning allocates nothing.
 func Clean(path string) (string, error) {
 	if path == "" || path[0] != '/' {
 		return "", fmt.Errorf("%w: %q must be absolute", ErrInvalidPath, path)
@@ -16,25 +17,18 @@ func Clean(path string) (string, error) {
 	if path == "/" {
 		return "/", nil
 	}
-	parts := strings.Split(path[1:], "/")
-	out := make([]string, 0, len(parts))
-	for i, p := range parts {
+	body := strings.TrimSuffix(path[1:], "/") // exactly one trailing slash is allowed
+	for rest, more := body, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, "/")
 		if p == "" {
-			// Allow exactly one trailing slash.
-			if i == len(parts)-1 {
-				continue
-			}
 			return "", fmt.Errorf("%w: %q has empty component", ErrInvalidPath, path)
 		}
 		if p == "." || p == ".." {
 			return "", fmt.Errorf("%w: %q contains %q", ErrInvalidPath, path, p)
 		}
-		out = append(out, p)
 	}
-	if len(out) == 0 {
-		return "/", nil
-	}
-	return "/" + strings.Join(out, "/"), nil
+	return path[:1+len(body)], nil
 }
 
 // Split cleans path and returns its parent directory and base name.

@@ -29,6 +29,16 @@ func TestCleanInvalid(t *testing.T) {
 	}
 }
 
+// TestCleanAllocatesNothing: a valid path is checked in place, with or
+// without its trailing slash.
+func TestCleanAllocatesNothing(t *testing.T) {
+	for _, in := range []string{"/", "/home/ubuntu/file1", "/home/ubuntu/"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = Clean(in) }); n != 0 {
+			t.Errorf("Clean(%q) allocates %v times", in, n)
+		}
+	}
+}
+
 func TestSplit(t *testing.T) {
 	dir, name, err := Split("/home/ubuntu/file1")
 	if err != nil || dir != "/home/ubuntu" || name != "file1" {

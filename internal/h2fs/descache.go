@@ -12,9 +12,10 @@ import (
 // The File Descriptor Cache, hash-sharded. A single mutex-protected map
 // made every operation — walks over disjoint namespaces included —
 // serialize on one lock just to look a descriptor up. The cache is now
-// descStripes independent stripes keyed by RingKey hash: lookups on
-// different namespaces proceed in parallel, and the per-stripe lock is
-// held only for map access, never across I/O.
+// descStripes independent stripes keyed by the (account, ns) pair a walk
+// holds — the ring key is built once, with the descriptor — and routed by
+// that key's hash: lookups on different namespaces proceed in parallel,
+// and the per-stripe lock is held only for map access, never across I/O.
 //
 // Each stripe also enforces its slice of the cold-descriptor eviction
 // cap (Config.DescCacheLimit): on insert past the budget, the
@@ -41,9 +42,11 @@ const descStripes = 32
 // set is reset wholesale when full: the rings it forgets probe once more.
 const settledLimit = 4096
 
+type ringID struct{ account, ns string }
+
 type descStripe struct {
 	mu    sync.Mutex
-	descs map[string]*descriptor
+	descs map[ringID]*descriptor
 	// hot and cold are the ends of the intrusive recency list threaded
 	// through descriptor.hotter/colder: every lookup moves its descriptor
 	// to the hot end, the evictor walks from the cold one.
@@ -84,23 +87,23 @@ func (st *descStripe) unlink(d *descriptor) {
 	d.hotter, d.colder = nil, nil
 }
 
-// stripeOf routes a ring key to its stripe with the same FNV-1a hash the
-// extent router uses.
-func stripeOf(key string) int {
-	return core.ShardOf(key, descStripes)
+// stripeOf is ShardOf(RingKey) without building the key. It must not move:
+// which rings share a stripe decides whom that stripe's budget evicts.
+func stripeOf(id ringID) int {
+	return core.RingShardOf(id.account, id.ns, descStripes)
 }
 
 // desc returns (creating if needed) the cached descriptor for a ring.
 // Callers that will lock the descriptor must go through lockedDesc so a
 // concurrent eviction is retried, not ignored.
 func (m *Middleware) desc(account, ns string) *descriptor {
-	key := core.RingKey(account, ns)
-	st := &m.stripes[stripeOf(key)]
+	id := ringID{account, ns}
+	st := &m.stripes[stripeOf(id)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	d, ok := st.descs[key]
+	d, ok := st.descs[id]
 	if !ok {
-		d = newDescriptor(account, ns, key)
+		d = newDescriptor(account, ns, core.RingKey(account, ns))
 		m.insertLocked(st, d)
 	}
 	if m.descStripeCap > 0 { // an unbounded cache never evicts: recency is moot
@@ -115,9 +118,9 @@ func (m *Middleware) desc(account, ns string) *descriptor {
 func (m *Middleware) insertLocked(st *descStripe, d *descriptor) {
 	d.settled = m.unsettleLocked(st, d.key)
 	if st.descs == nil {
-		st.descs = make(map[string]*descriptor)
+		st.descs = make(map[ringID]*descriptor)
 	}
-	st.descs[d.key] = d
+	st.descs[ringID{d.account, d.ns}] = d
 	m.reg.Inc("descCache.size", 1)
 	m.evictColdLocked(st)
 }
@@ -170,7 +173,7 @@ func (m *Middleware) evictColdLocked(st *descStripe) {
 		if ok {
 			d.evicted = true
 			st.unlink(d)
-			delete(st.descs, d.key)
+			delete(st.descs, ringID{d.account, d.ns})
 			if d.loaded || d.settled {
 				m.settleLocked(st, d.key)
 			}
@@ -186,18 +189,18 @@ func (m *Middleware) evictColdLocked(st *descStripe) {
 // dropDesc removes a descriptor (after its ring is garbage collected),
 // and the stub an earlier eviction may have left in its place.
 func (m *Middleware) dropDesc(account, ns string) {
-	key := core.RingKey(account, ns)
-	st := &m.stripes[stripeOf(key)]
+	id := ringID{account, ns}
+	st := &m.stripes[stripeOf(id)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m.unsettleLocked(st, key)
-	d, ok := st.descs[key]
+	m.unsettleLocked(st, core.RingKey(account, ns))
+	d, ok := st.descs[id]
 	if !ok {
 		return
 	}
 	markEvicted(d)
 	st.unlink(d)
-	delete(st.descs, key)
+	delete(st.descs, id)
 	m.reg.Inc("descCache.size", -1)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,26 +22,26 @@ import (
 // is left holding nothing.
 func pushOut(t *testing.T, m *Middleware, ns string) {
 	t.Helper()
-	key := core.RingKey("alice", ns)
+	id := ringID{"alice", ns}
 	for i := 0; ; i++ {
-		decoy := fmt.Sprintf("decoy%d", i)
-		if stripeOf(core.RingKey("alice", decoy)) != stripeOf(key) {
+		decoy := ringID{"alice", fmt.Sprintf("decoy%d", i)}
+		if stripeOf(decoy) != stripeOf(id) {
 			continue
 		}
-		m.desc("alice", decoy)
-		m.dropDesc("alice", decoy)
+		m.desc(decoy.account, decoy.ns)
+		m.dropDesc(decoy.account, decoy.ns)
 		break
 	}
-	if cached(m, key) {
+	if cached(m, id) {
 		t.Fatalf("descriptor of %s survived the push (not clean?)", ns)
 	}
 }
 
-func cached(m *Middleware, key string) bool {
-	st := &m.stripes[stripeOf(key)]
+func cached(m *Middleware, id ringID) bool {
+	st := &m.stripes[stripeOf(id)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := st.descs[key]
+	_, ok := st.descs[id]
 	return ok
 }
 
@@ -433,5 +434,64 @@ func TestDescCacheConcurrentSettleAndRecover(t *testing.T) {
 	}
 	if got, held := reg.Counter("descCache.settled"), stubs(m); got != held {
 		t.Errorf("descCache.settled = %d, %d stubs held", got, held)
+	}
+}
+
+// TestStripeOfIsShardOfRingKey pins stripe routing to the ring key's
+// FNV-1a: which rings share a stripe decides which descriptors its budget
+// evicts, so routing on the (account, ns) pair must land every ring in the
+// stripe its ring key would.
+func TestStripeOfIsShardOfRingKey(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 1))
+	accounts := []string{"alice", "bench", "a", "", "user_0042", "x-y"}
+	for i := 0; i < 4096; i++ {
+		var ns string
+		switch i % 3 {
+		case 0: // what uuid.Gen mints
+			ns = fmt.Sprintf("%02d.%02d.%d", rng.IntN(1000), rng.IntN(100), rng.Int64())
+		case 1: // RFC 4122-shaped
+			ns = fmt.Sprintf("%08x-%04x-%04x-%04x-%012x",
+				rng.Uint32(), rng.Uint32()&0xffff, rng.Uint32()&0xffff, rng.Uint32()&0xffff, rng.Uint64()&0xffffffffffff)
+		default: // any bytes, high ones and separators included
+			b := make([]byte, rng.IntN(48))
+			for j := range b {
+				b[j] = byte(rng.UintN(256))
+			}
+			ns = string(b)
+		}
+		a := accounts[i%len(accounts)]
+		if got, want := stripeOf(ringID{a, ns}), core.ShardOf(core.RingKey(a, ns), descStripes); got != want {
+			t.Fatalf("stripeOf(%q, %q) = %d, ShardOf(RingKey) = %d", a, ns, got, want)
+		}
+	}
+}
+
+// TestResolveAllocsFlatInDepth: with every descriptor cached, a level of
+// the path walk allocates nothing — a Stat 16 levels down costs what one 2
+// levels down does.
+func TestResolveAllocsFlatInDepth(t *testing.T) {
+	m := newMW(t, newCluster(t), 1)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	fs := m.FS("alice")
+	dir := ""
+	statAllocs := map[int]float64{}
+	for depth := 1; depth <= 16; depth++ {
+		file := dir + "/f"
+		mustNoErr(t, fs.WriteFile(ctx, file, []byte("x")))
+		dir += fmt.Sprintf("/d%d", depth)
+		mustNoErr(t, fs.Mkdir(ctx, dir))
+		if depth == 2 || depth == 16 {
+			_, err := fs.Stat(ctx, file) // caches every descriptor on the way
+			mustNoErr(t, err)
+			statAllocs[depth] = testing.AllocsPerRun(200, func() {
+				if _, err := fs.Stat(ctx, file); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if statAllocs[2] != statAllocs[16] {
+		t.Fatalf("cached Stat allocs/op: %v at depth 2, %v at depth 16", statAllocs[2], statAllocs[16])
 	}
 }

@@ -22,7 +22,7 @@ type descriptor struct {
 	mu      sync.Mutex
 	account string
 	ns      string
-	key     string // core.RingKey(account, ns): the cache key and the ring object's name
+	key     string // core.RingKey(account, ns), built once: the ring object's name and the stub's key
 
 	// local is this node's local version (§3.3.2 step 1) and
 	// watermarks[node] the highest patch sequence of that node already

@@ -875,7 +875,7 @@ func TestMaintenanceIsNotAUserAccess(t *testing.T) {
 	m.Recover()
 	log.take()
 	mustNoErr(t, m.flushCached(ctx, d))
-	if reqs := log.take(); len(reqs) != 0 || cached(m, d.key) {
-		t.Fatalf("flushing a dropped descriptor issued %v (re-cached: %v)", reqs, cached(m, d.key))
+	if reqs := log.take(); len(reqs) != 0 || cached(m, ringID{d.account, d.ns}) {
+		t.Fatalf("flushing a dropped descriptor issued %v (re-cached: %v)", reqs, cached(m, ringID{d.account, d.ns}))
 	}
 }

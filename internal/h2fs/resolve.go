@@ -41,9 +41,8 @@ func (m *Middleware) resolve(ctx context.Context, account, path string) (resolve
 	if path == "/" {
 		return resolved{isRoot: true}, rootNS, nil
 	}
-	comps := strings.Split(path[1:], "/")
-	ns := rootNS
-	for i, comp := range comps {
+	for ns, rest := rootNS, path[1:]; ; {
+		comp, tail, more := strings.Cut(rest, "/")
 		t, ok, err := m.lookupChild(ctx, account, ns, comp)
 		if err != nil {
 			return resolved{}, "", err
@@ -51,16 +50,14 @@ func (m *Middleware) resolve(ctx context.Context, account, path string) (resolve
 		if !ok || t.Deleted {
 			return resolved{}, "", fmt.Errorf("h2fs: %s: %w", path, fsapi.ErrNotFound)
 		}
-		if i == len(comps)-1 {
+		if !more {
 			return resolved{parentNS: ns, tuple: t}, rootNS, nil
 		}
 		if !t.Dir {
 			return resolved{}, "", fmt.Errorf("h2fs: %s: %w", path, fsapi.ErrNotDir)
 		}
-		ns = t.NS
+		ns, rest = t.NS, tail
 	}
-	// Unreachable: the loop always returns on the last component.
-	return resolved{}, "", fmt.Errorf("h2fs: %s: %w", path, fsapi.ErrNotFound)
 }
 
 // resolveDir resolves a cleaned path that must name a directory and
