@@ -14,7 +14,7 @@ package main
 //     alias-creating operations this codebase uses: copies, dereferences,
 //     address-taking, indexing, slicing, type assertions, and append-like
 //     calls (a call is append-like when the result type is identical to an
-//     aliased argument's type — append, NameRing.AppendAll, and friends).
+//     aliased argument's type — append, Ring.DevicesAppend, and friends).
 //     Field selection and byte-copying calls do not propagate, so
 //     `buf = strconv.AppendQuote(buf, t.Name)` does not taint buf.
 //
@@ -506,7 +506,7 @@ func (as *aliasSet) aliases(e ast.Expr) bool {
 	case *ast.CallExpr:
 		// Append-like: the result aliases an argument when the static
 		// result type is identical to that aliased argument's type
-		// (append, AppendAll, re-slicing helpers). Byte-copying calls
+		// (append, DevicesAppend, re-slicing helpers). Byte-copying calls
 		// (strconv.AppendQuote(buf, t.Name)) have a non-identical aliased
 		// argument type and do not propagate.
 		resTV, ok := as.info.Types[e]

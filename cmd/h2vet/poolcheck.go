@@ -74,7 +74,7 @@ func runPoolcheck(p *ProgramPass) {
 // poolGet is one tracked pool.Get binding in a scope.
 type poolGet struct {
 	pool    *types.Var // the sync.Pool variable
-	poolStr string     // rendered receiver ("tupleScratch", "s.pool")
+	poolStr string     // rendered receiver ("extentScratchPool", "s.pool")
 	call    *ast.CallExpr
 	local   *types.Var // variable the Get result is bound to
 }

@@ -16,8 +16,8 @@ import (
 //
 // The codecs below are on the per-operation hot path (every metadata op
 // decodes a ring, mutates it, and re-encodes it), so they are written for
-// low allocation: encoding sorts through a pooled scratch slice and
-// appends into one pre-sized buffer; decoding makes exactly one copy of
+// low allocation: a ring is already its sorted tuple list, so encoding
+// appends it into one pre-sized buffer; decoding makes exactly one copy of
 // the input and hands out sub-strings of that copy, so the caller may
 // reuse or mutate the input buffer freely after Decode returns.
 
@@ -28,10 +28,6 @@ const (
 
 var dirMagicLine = []byte(dirMagic + "\n")
 
-// tupleScratch pools the tuple scratch used by EncodeNameRing. Pooling a
-// *[]Tuple (not the slice header itself) keeps Put allocation-free.
-var tupleScratch = sync.Pool{New: func() any { s := make([]Tuple, 0, 64); return &s }}
-
 // EncodeNameRing packs a NameRing into its ASCII object representation:
 // the magic line followed by one "name<TAB>timestamp<TAB>flags<TAB>ns"
 // line per tuple, alphabetically sorted by name. Names are Go-quoted so
@@ -41,13 +37,7 @@ var tupleScratch = sync.Pool{New: func() any { s := make([]Tuple, 0, 64); return
 // The returned buffer is always freshly allocated — object stores are
 // allowed to retain Put data, so encode output is never pooled.
 func EncodeNameRing(r *NameRing) []byte {
-	sp := tupleScratch.Get().(*[]Tuple)
-	tuples := r.AppendAll((*sp)[:0])
-	buf := encodeTuples(tuples)
-	clear(tuples) // drop string references before pooling
-	*sp = tuples[:0]
-	tupleScratch.Put(sp)
-	return buf
+	return encodeTuples(r.tuples)
 }
 
 // extentScratch is the scratch of EncodeNameRingExtents: one tuple
@@ -69,7 +59,7 @@ var extentScratchPool = sync.Pool{New: func() any { return new(extentScratch) }}
 // walked in order and each routed (ShardOf) exactly once however many
 // extents are asked for, so a steady flush of k dirty extents and a split
 // into all of them cost the same single pass, every part comes out sorted,
-// and tuples are looked up only for wanted extents. Every extent is an
+// and only tuples of wanted extents are gathered. Every extent is an
 // ordinary NameRing object — the tuples routing to it, tombstones
 // included, sorted by name — and round-trips through DecodeNameRing. want
 // must hold distinct indices in [0, shards), shards at most MaxDirShards.
@@ -82,9 +72,9 @@ func EncodeNameRingExtents(r *NameRing, shards int, want []int) [][]byte {
 	if grow := len(want) - len(sc.parts); grow > 0 {
 		sc.parts = append(sc.parts, make([][]Tuple, grow)...)
 	}
-	for _, name := range r.names() {
-		if i := slot[ShardOf(name, shards)]; i > 0 {
-			sc.parts[i-1] = append(sc.parts[i-1], r.children[name])
+	for _, t := range r.tuples {
+		if i := slot[ShardOf(t.Name, shards)]; i > 0 {
+			sc.parts[i-1] = append(sc.parts[i-1], t)
 		}
 	}
 	out := make([][]byte, len(want))
@@ -149,7 +139,9 @@ func encodeTuples(tuples []Tuple) []byte {
 	return buf
 }
 
-// DecodeNameRing parses the output of EncodeNameRing.
+// DecodeNameRing parses the output of EncodeNameRing. The lines are kept
+// in input order, which for a stored ring is name order; input that is
+// not is sorted once at the end, the last line of a name winning (RingOf).
 //
 // Alias safety: the input is copied once up front and every string in the
 // returned ring is a sub-string of that copy, so mutating data after the
@@ -168,7 +160,7 @@ func DecodeNameRing(data []byte) (*NameRing, error) {
 		}
 		rest = ""
 	}
-	r := newNameRingCap(strings.Count(rest, "\n") + 1)
+	tuples := make([]Tuple, 0, strings.Count(rest, "\n")+1)
 	for i := 0; rest != ""; i++ {
 		var line string
 		if nl := strings.IndexByte(rest, '\n'); nl >= 0 {
@@ -222,9 +214,9 @@ func DecodeNameRing(data []byte) (*NameRing, error) {
 		if ns := line[tab3+1:]; ns != "-" {
 			t.NS = ns
 		}
-		r.Set(t)
+		tuples = append(tuples, t)
 	}
-	return r, nil
+	return RingOf(tuples...), nil
 }
 
 // DirObject is the stringified directory record (§4.4): a directory is

@@ -271,7 +271,8 @@ func ParseExtentKey(key string) (account, ns string, shard, shards int, err erro
 // MergedExtents folds a sharded directory's decoded extents into one
 // ring. Extents partition the name space, so the merge never sees the
 // same child twice; nil slots (a missing or torn extent the caller chose
-// to tolerate) are skipped.
+// to tolerate) are skipped. The result is sized once: every merge after
+// the first only moves tuples apart to make room.
 func MergedExtents(extents []*NameRing) *NameRing {
 	n := 0
 	for _, e := range extents {
@@ -279,7 +280,7 @@ func MergedExtents(extents []*NameRing) *NameRing {
 			n += e.TotalLen()
 		}
 	}
-	out := newNameRingCap(n)
+	out := &NameRing{tuples: make([]Tuple, 0, n)}
 	for _, e := range extents {
 		out.Merge(e)
 	}

@@ -121,6 +121,11 @@ func FuzzNameRingDecodeCompat(f *testing.F) {
 	f.Add([]byte("H2NR/1\n\n\"x\"\t1\t-\t-"))
 	f.Add([]byte("H2NR/1\n\"x\"\t1\t-\t-\textra\n"))
 	f.Add([]byte("H2NR/1\n\"x\"\t1\tz\t-\n"))
+	// Lines out of name order and repeated names: the decoder's sort path,
+	// which must leave what Set in input order leaves.
+	f.Add([]byte("H2NR/1\n\"b\"\t1\t-\t-\n\"a\"\t2\t-\t-\n"))
+	f.Add([]byte("H2NR/1\n\"a\"\t2\tx\t-\n\"a\"\t1\t-\t-\n"))
+	f.Add([]byte("H2NR/1\n\"c\"\t1\t-\t-\n\"a\"\t5\td\t01.1\n\"c\"\t3\tx\t-\n\"b\"\t1\t-\t-\n\"a\"\t2\t-\t-\n"))
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := bytes.Clone(data)

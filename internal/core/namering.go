@@ -1,129 +1,116 @@
 package core
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
-// NameRing maintains the direct children of one directory (§3.1). The
-// zero value is not usable; call NewNameRing. NameRing is not safe for
-// concurrent use: the maintenance module serializes access through the
-// per-NameRing File Descriptor (§4.5).
-//
-// That holds for the ordered reads too (Live, All, AppendAll, Range and
-// the encoders): the first one builds the ring's name index and every
-// later one may fold newly added names into it, so an ordered read
-// mutates the ring. Every *NameRing is either owned by one goroutine or
-// read under its descriptor's monitor; a ring shared without either must
-// not be read in order.
+// NameRing maintains the direct children of one directory (§3.1) as the
+// list the Formatter stores (§4.4): tuples sorted by name, each name once.
+// The zero value is an empty ring. Reads never modify a ring, but a
+// NameRing is not safe for a read concurrent with a write: the maintenance
+// module serializes access through the per-NameRing File Descriptor (§4.5).
 type NameRing struct {
-	children map[string]Tuple
-	idx      *nameIndex
-}
-
-// nameIndex is the alphabetical order of a ring's child names (§4.4 keeps
-// the stored ring sorted; this keeps the in-memory one sorted as well). It
-// holds names only — tuples stay in the map, so overwriting or
-// tombstoning a child never touches it. order is sorted; fresh holds the
-// names added to the map since order was last brought up to date, in
-// arrival order. Between them they hold every key of the map exactly once.
-type nameIndex struct {
-	order, fresh []string
+	tuples []Tuple
 }
 
 // NewNameRing returns an empty NameRing.
 func NewNameRing() *NameRing {
-	return &NameRing{children: make(map[string]Tuple)}
+	return &NameRing{}
 }
 
-// newNameRingCap returns an empty NameRing pre-sized for n children, so
-// hot paths that know the final size (decode, merge) avoid incremental
-// map growth.
-func newNameRingCap(n int) *NameRing {
-	return &NameRing{children: make(map[string]Tuple, n)}
+// RingOf returns the ring holding tuples, taking the slice over: it is
+// sorted in place and, of tuples sharing a name, the last one is kept —
+// what calling Set on each in turn would leave. The caller must not use
+// tuples afterwards.
+func RingOf(tuples ...Tuple) *NameRing {
+	return &NameRing{tuples: sortTuples(tuples)}
+}
+
+// sortTuples brings ts into name order with each name once, keeping the
+// last of every run of equal names. Input that is already strictly
+// ascending — every encoded ring — costs one comparison per tuple.
+func sortTuples(ts []Tuple) []Tuple {
+	for i := 1; i < len(ts); i++ {
+		if ts[i].Name > ts[i-1].Name {
+			continue
+		}
+		slices.SortStableFunc(ts, func(a, b Tuple) int { return strings.Compare(a.Name, b.Name) })
+		out := ts[:0]
+		for j, t := range ts {
+			if j+1 == len(ts) || ts[j+1].Name != t.Name {
+				out = append(out, t)
+			}
+		}
+		clear(ts[len(out):])
+		return out
+	}
+	return ts
+}
+
+// search returns the position of name in ts[lo:] — where it is, or where
+// it would be inserted — and whether it is there. Comparing Name directly
+// keeps a lookup as cheap as the small-map fast path; a comparison closure
+// is not.
+func search(ts []Tuple, lo int, name string) (int, bool) {
+	hi := len(ts)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if ts[h].Name < name {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(ts) && ts[lo].Name == name
 }
 
 // Set stores the tuple unconditionally, replacing any entry for the same
 // child. Local authoritative operations (the submitting middleware) use
 // Set; merges use Update.
 func (r *NameRing) Set(t Tuple) {
-	if r.idx != nil {
-		if _, ok := r.children[t.Name]; !ok {
-			r.idx.fresh = append(r.idx.fresh, t.Name)
-		}
+	if i, ok := search(r.tuples, 0, t.Name); ok {
+		r.tuples[i] = t
+	} else {
+		r.tuples = slices.Insert(r.tuples, i, t)
 	}
-	r.children[t.Name] = t
 }
 
 // Update applies the tuple with merge semantics: it is stored only if no
 // entry exists for the child or if it wins by timestamp. It reports
 // whether the ring changed.
 func (r *NameRing) Update(t Tuple) bool {
-	old, ok := r.children[t.Name]
-	if ok && !t.Wins(old) {
+	i, ok := search(r.tuples, 0, t.Name)
+	switch {
+	case !ok:
+		r.tuples = slices.Insert(r.tuples, i, t)
+	case t.Wins(r.tuples[i]):
+		r.tuples[i] = t
+	default:
 		return false
 	}
-	if !ok && r.idx != nil {
-		r.idx.fresh = append(r.idx.fresh, t.Name)
-	}
-	r.children[t.Name] = t
 	return true
 }
 
 // Get returns the tuple recorded for a child, including tombstones.
 func (r *NameRing) Get(name string) (Tuple, bool) {
-	t, ok := r.children[name]
-	return t, ok
+	if i, ok := search(r.tuples, 0, name); ok {
+		return r.tuples[i], true
+	}
+	return Tuple{}, false
 }
 
 // Has reports whether the child exists and is not fake-deleted.
 func (r *NameRing) Has(name string) bool {
-	t, ok := r.children[name]
-	return ok && !t.Deleted
-}
-
-// names returns every child name in alphabetical order, the order the
-// Formatter packs tuples in (§4.4). The first call sorts the map's keys;
-// later calls sort only the names added since and merge them into the
-// order in place, from the back — O(m + k log k) for k new names, and no
-// allocation once the order has grown to its size.
-func (r *NameRing) names() []string {
-	if r.idx == nil {
-		// The index built here and the one loaded below stay in different
-		// variables: one variable both loaded from and stored to r.idx would
-		// make r's fields flow back into r, and a stack-allocated ring (the
-		// one-tuple patch of every WRITE) would move to the heap.
-		order := make([]string, 0, len(r.children))
-		for name := range r.children {
-			order = append(order, name)
-		}
-		slices.Sort(order)
-		r.idx = &nameIndex{order: order}
-		return order
-	}
-	x := r.idx
-	if len(x.fresh) == 0 {
-		return x.order
-	}
-	slices.Sort(x.fresh)
-	i, j := len(x.order)-1, len(x.fresh)-1
-	x.order = append(x.order, x.fresh...)
-	for k := len(x.order) - 1; j >= 0; k-- {
-		if i >= 0 && x.order[i] > x.fresh[j] {
-			x.order[k] = x.order[i]
-			i--
-		} else {
-			x.order[k] = x.fresh[j]
-			j--
-		}
-	}
-	clear(x.fresh)
-	x.fresh = x.fresh[:0]
-	return x.order
+	i, ok := search(r.tuples, 0, name)
+	return ok && !r.tuples[i].Deleted
 }
 
 // Live returns the non-deleted tuples sorted alphabetically by name.
 func (r *NameRing) Live() []Tuple {
-	out := make([]Tuple, 0, len(r.children))
-	for _, name := range r.names() {
-		if t := r.children[name]; !t.Deleted {
+	out := make([]Tuple, 0, len(r.tuples))
+	for _, t := range r.tuples {
+		if !t.Deleted {
 			out = append(out, t)
 		}
 	}
@@ -132,26 +119,7 @@ func (r *NameRing) Live() []Tuple {
 
 // All returns every tuple — tombstones included — sorted by name.
 func (r *NameRing) All() []Tuple {
-	return r.AppendAll(make([]Tuple, 0, len(r.children)))
-}
-
-// AppendAll appends every tuple — tombstones included — sorted by name,
-// to dst and returns the extended slice. The zero-alloc sibling of All.
-func (r *NameRing) AppendAll(dst []Tuple) []Tuple {
-	if len(r.children) <= 1 {
-		// At most one tuple: any iteration order is the sorted one, so no
-		// index is built — the one-tuple patch ring of every WRITE would
-		// pay two allocations for it.
-		for _, t := range r.children {
-			dst = append(dst, t)
-		}
-		return dst
-	}
-	dst = slices.Grow(dst, len(r.children))
-	for _, name := range r.names() {
-		dst = append(dst, r.children[name])
-	}
-	return dst
+	return append(make([]Tuple, 0, len(r.tuples)), r.tuples...)
 }
 
 // Range calls fn for every tuple — tombstones included — whose name sorts
@@ -160,13 +128,12 @@ func (r *NameRing) AppendAll(dst []Tuple) []Tuple {
 // ring this way: it costs the page's length (plus a binary search), not
 // the directory's.
 func (r *NameRing) Range(marker string, fn func(Tuple) bool) {
-	order := r.names()
-	lo, found := slices.BinarySearch(order, marker)
+	lo, found := search(r.tuples, 0, marker)
 	if found {
 		lo++
 	}
-	for _, name := range order[lo:] {
-		if !fn(r.children[name]) {
+	for _, t := range r.tuples[lo:] {
+		if !fn(t) {
 			return
 		}
 	}
@@ -175,7 +142,7 @@ func (r *NameRing) Range(marker string, fn func(Tuple) bool) {
 // Len reports the number of live (non-deleted) children.
 func (r *NameRing) Len() int {
 	n := 0
-	for _, t := range r.children {
+	for _, t := range r.tuples {
 		if !t.Deleted {
 			n++
 		}
@@ -184,19 +151,7 @@ func (r *NameRing) Len() int {
 }
 
 // TotalLen reports the number of tuples including tombstones.
-func (r *NameRing) TotalLen() int { return len(r.children) }
-
-// Version returns the largest tuple timestamp in the ring; the gossip
-// protocol advertises it as the ring's update time t_k (§3.3.2).
-func (r *NameRing) Version() int64 {
-	var v int64
-	for _, t := range r.children {
-		if t.Time > v {
-			v = t.Time
-		}
-	}
-	return v
-}
+func (r *NameRing) TotalLen() int { return len(r.tuples) }
 
 // Merge folds other into r using the NameRing merging algorithm of
 // §3.3.2: for each child of the incoming ring, a child present in both
@@ -211,33 +166,60 @@ func (r *NameRing) Merge(other *NameRing) int {
 // descriptors use it to record which children a merge actually altered,
 // so a later flush rewrites only the extents holding them. A nil fn is
 // allowed.
+//
+// The merge is one sorted join, in place. The first pass overwrites the
+// tuples the incoming ring wins and counts the names it adds; the second
+// grows the slice once and places the added tuples from the back, moving
+// the blocks of old tuples between them with copy — O(m + k log m) for k
+// incoming tuples, where inserting them one by one would cost O(m) each.
 func (r *NameRing) MergeFunc(other *NameRing, fn func(Tuple)) int {
 	if other == nil {
 		return 0
 	}
-	changed := 0
-	for _, t := range other.children {
-		if r.Update(t) {
-			changed++
-			if fn != nil {
-				fn(t)
-			}
+	changed, added, lo := 0, 0, 0
+	for _, t := range other.tuples {
+		i, ok := search(r.tuples, lo, t.Name)
+		lo = i
+		if ok && !t.Wins(r.tuples[i]) {
+			continue
+		}
+		if ok {
+			r.tuples[i] = t
+		} else {
+			added++
+		}
+		changed++
+		if fn != nil {
+			fn(t)
 		}
 	}
+	if added == 0 {
+		return changed
+	}
+	old := len(r.tuples)
+	ts := slices.Grow(r.tuples, added)[:old+added]
+	// old tuples below i are still in place; k is the lowest filled slot.
+	i, k := old, old+added
+	for j := len(other.tuples) - 1; k > i; j-- {
+		t := other.tuples[j]
+		p, ok := search(ts[:i], 0, t.Name)
+		if ok {
+			continue
+		}
+		k -= i - p
+		copy(ts[k:], ts[p:i])
+		i = p
+		k--
+		ts[k] = t
+	}
+	r.tuples = ts
 	return changed
 }
 
 // Merged returns a new ring equal to a merged with b, leaving both inputs
 // untouched.
 func Merged(a, b *NameRing) *NameRing {
-	n := 0
-	if a != nil {
-		n += a.TotalLen()
-	}
-	if b != nil {
-		n += b.TotalLen()
-	}
-	out := newNameRingCap(n)
+	out := NewNameRing()
 	out.Merge(a)
 	out.Merge(b)
 	return out
@@ -257,38 +239,23 @@ func (r *NameRing) Compact(horizon int64) int {
 // store copy of that extent is rewritten without its tombstone instead of
 // silently keeping it. A nil fn is allowed.
 func (r *NameRing) CompactFunc(horizon int64, fn func(Tuple)) int {
-	dropped := 0
-	for name, t := range r.children {
-		if t.Deleted && t.Time <= horizon {
-			delete(r.children, name)
-			r.idx = nil // a name left the map: rebuild the order on the next ordered read
-			dropped++
-			if fn != nil {
-				fn(t)
-			}
+	n := len(r.tuples)
+	r.tuples = slices.DeleteFunc(r.tuples, func(t Tuple) bool {
+		drop := t.Deleted && t.Time <= horizon
+		if drop && fn != nil {
+			fn(t)
 		}
-	}
-	return dropped
+		return drop
+	})
+	return n - len(r.tuples)
 }
 
 // Clone returns a deep copy.
 func (r *NameRing) Clone() *NameRing {
-	out := &NameRing{children: make(map[string]Tuple, len(r.children))}
-	for name, t := range r.children {
-		out.children[name] = t
-	}
-	return out
+	return &NameRing{tuples: slices.Clone(r.tuples)}
 }
 
 // Equal reports whether two rings hold exactly the same tuples.
 func (r *NameRing) Equal(other *NameRing) bool {
-	if len(r.children) != len(other.children) {
-		return false
-	}
-	for name, t := range r.children {
-		if ot, ok := other.children[name]; !ok || ot != t {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(r.tuples, other.tuples)
 }

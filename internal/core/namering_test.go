@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -142,17 +146,200 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestVersion(t *testing.T) {
-	r := NewNameRing()
-	if r.Version() != 0 {
-		t.Fatal("empty ring has nonzero version")
+// TestRingOf checks RingOf against Set in slice order: sorted, each name
+// once, the last of equal names kept. Input already in order — every
+// stored ring — is taken over as it is.
+func TestRingOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		ts := make([]Tuple, rng.Intn(20))
+		want := NewNameRing()
+		for j := range ts {
+			ts[j] = Tuple{Name: string(rune('a' + rng.Intn(8))), Time: int64(j), Deleted: rng.Intn(3) == 0}
+			want.Set(ts[j])
+		}
+		if got := RingOf(slices.Clone(ts)...); !got.Equal(want) {
+			t.Fatalf("RingOf(%v) = %v, want %v", ts, got.All(), want.All())
+		}
 	}
-	r.Set(Tuple{Name: "a", Time: 3})
-	r.Set(Tuple{Name: "b", Time: 9, Deleted: true})
-	r.Set(Tuple{Name: "c", Time: 6})
-	if got := r.Version(); got != 9 {
-		t.Fatalf("Version = %d, want 9", got)
+	sorted := []Tuple{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	if r := RingOf(sorted...); len(r.tuples) != 3 || &r.tuples[0] != &sorted[0] {
+		t.Fatal("RingOf copied input that was already in order")
 	}
+	if r := RingOf(); r.TotalLen() != 0 || !r.Equal(NewNameRing()) {
+		t.Fatal("RingOf() is not the empty ring")
+	}
+}
+
+// TestNameRingModel drives a ring through random Set/Update/MergeFunc/
+// Compact/Range steps and encode→decode round trips against a map
+// reference. After every step All is the map sorted by name, and every
+// merge reports — by count and through its callback — exactly the names
+// the reference says it changes. Merges cover one-tuple patches, small
+// rings built with repeated names, the MergedExtents shape (a batch of
+// names split into interleaved disjoint rings, merged one after another)
+// and self-merge. Names come from a small pool, so overwrites, tombstones,
+// resurrections and compaction happen many times.
+func TestNameRingModel(t *testing.T) {
+	rounds, steps := 40, 300
+	if testing.Short() {
+		rounds = 5
+	}
+	for round := 0; round < rounds; round++ {
+		rng := rand.New(rand.NewSource(int64(round) + 1))
+		pool := make([]string, 8+rng.Intn(120))
+		for i := range pool {
+			pool[i] = randName(rng)[:1+rng.Intn(7)]
+		}
+		clock := int64(0)
+		randTuple := func() Tuple {
+			clock++
+			return Tuple{
+				Name:    pool[rng.Intn(len(pool))],
+				Time:    clock - int64(rng.Intn(5)),
+				Deleted: rng.Intn(4) == 0,
+				Dir:     rng.Intn(8) == 0,
+			}
+		}
+		r, ref := NewNameRing(), map[string]Tuple{}
+		var where string
+		merge := func(other *NameRing) {
+			want := map[string]Tuple{}
+			for _, tp := range other.All() {
+				if old, ok := ref[tp.Name]; !ok || tp.Wins(old) {
+					want[tp.Name] = tp
+				}
+			}
+			seen := map[string]Tuple{}
+			n := r.MergeFunc(other, func(tp Tuple) { seen[tp.Name] = tp })
+			if n != len(want) || !maps.Equal(seen, want) {
+				t.Fatalf("%s: merge changed %d %v, want %v", where, n, seen, want)
+			}
+			maps.Copy(ref, want)
+		}
+		for step := 0; step < steps; step++ {
+			where = fmt.Sprintf("round %d step %d", round, step)
+			switch op := rng.Intn(20); {
+			case op < 5:
+				tp := randTuple()
+				r.Set(tp)
+				ref[tp.Name] = tp
+			case op < 8:
+				tp := randTuple()
+				old, ok := ref[tp.Name]
+				want := !ok || tp.Wins(old)
+				if got := r.Update(tp); got != want {
+					t.Fatalf("%s: Update(%v) = %v, want %v", where, tp, got, want)
+				}
+				if want {
+					ref[tp.Name] = tp
+				}
+			case op < 10:
+				merge(RingOf(randTuple()))
+			case op < 12:
+				ts := make([]Tuple, rng.Intn(12))
+				for i := range ts {
+					ts[i] = randTuple()
+				}
+				merge(RingOf(ts...))
+			case op < 13:
+				shards := 2 + rng.Intn(7)
+				parts := make([][]Tuple, shards)
+				for i := 8 + rng.Intn(64); i > 0; i-- {
+					clock++
+					tp := Tuple{Name: randName(rng)[:2+rng.Intn(6)], Time: clock, Deleted: rng.Intn(4) == 0}
+					parts[ShardOf(tp.Name, shards)] = append(parts[ShardOf(tp.Name, shards)], tp)
+				}
+				for _, p := range parts {
+					merge(RingOf(p...))
+				}
+			case op < 14:
+				merge(r)
+			case op < 15:
+				horizon := clock - int64(rng.Intn(40))
+				want := map[string]Tuple{}
+				for name, tp := range ref {
+					if tp.Deleted && tp.Time <= horizon {
+						want[name] = tp
+					}
+				}
+				got := map[string]Tuple{}
+				if n := r.CompactFunc(horizon, func(tp Tuple) { got[tp.Name] = tp }); n != len(want) || !maps.Equal(got, want) {
+					t.Fatalf("%s: Compact dropped %d %v, want %v", where, n, got, want)
+				}
+				for name := range want {
+					delete(ref, name)
+				}
+			case op < 17:
+				// The marker walk: a marker that is a child, one that is not,
+				// or none; stopped after a random number of tuples.
+				marker := ""
+				switch rng.Intn(3) {
+				case 0:
+					marker = pool[rng.Intn(len(pool))]
+				case 1:
+					marker = randName(rng)[:1+rng.Intn(3)]
+				}
+				stop := 1 + rng.Intn(len(pool)+1)
+				var got, want []Tuple
+				r.Range(marker, func(tp Tuple) bool {
+					got = append(got, tp)
+					return len(got) < stop
+				})
+				for _, tp := range sortedModel(ref) {
+					if tp.Name > marker && len(want) < stop {
+						want = append(want, tp)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: Range(%q) stopped at %d = %v, want %v", where, marker, stop, got, want)
+				}
+			case op < 18:
+				// Through the extents of a sharded layout and back.
+				shards := 2 + rng.Intn(7)
+				all := make([]int, shards)
+				extents := make([]*NameRing, shards)
+				for i := range all {
+					all[i] = i
+				}
+				for i, data := range EncodeNameRingExtents(r, shards, all) {
+					var err error
+					if extents[i], err = DecodeNameRing(data); err != nil {
+						t.Fatalf("%s: extent %d: %v", where, i, err)
+					}
+				}
+				r = MergedExtents(extents)
+			default:
+				dec, err := DecodeNameRing(EncodeNameRing(r))
+				if err != nil || !dec.Equal(r) {
+					t.Fatalf("%s: encode round trip: err %v", where, err)
+				}
+				r = dec
+			}
+			want := sortedModel(ref)
+			if got := r.All(); !slices.Equal(got, want) {
+				t.Fatalf("%s: All = %v, want %v", where, got, want)
+			}
+			if got := r.Live(); !slices.Equal(got, slices.DeleteFunc(want, func(tp Tuple) bool { return tp.Deleted })) {
+				t.Fatalf("%s: Live = %v", where, got)
+			}
+			name := pool[rng.Intn(len(pool))]
+			got, ok := r.Get(name)
+			if wantT, wantOK := ref[name]; got != wantT || ok != wantOK || r.Has(name) != (ok && !got.Deleted) {
+				t.Fatalf("%s: Get(%q) = %v, %v, want %v, %v", where, name, got, ok, wantT, wantOK)
+			}
+		}
+	}
+}
+
+// sortedModel is the reference ring: the map's tuples sorted by name.
+func sortedModel(ref map[string]Tuple) []Tuple {
+	out := make([]Tuple, 0, len(ref))
+	for _, tp := range ref {
+		out = append(out, tp)
+	}
+	slices.SortFunc(out, func(a, b Tuple) int { return strings.Compare(a.Name, b.Name) })
+	return out
 }
 
 // randomRing builds a ring from fuzz data over a small name alphabet so
@@ -208,17 +395,6 @@ func TestMergeIdempotent(t *testing.T) {
 		b := a.Clone()
 		if b.Merge(a) != 0 {
 			t.Fatal("self-merge reported changes")
-		}
-	}
-}
-
-func TestMergeMonotoneVersion(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 100; i++ {
-		a, b := randomRing(rng, 8), randomRing(rng, 8)
-		m := Merged(a, b)
-		if m.Version() < a.Version() || m.Version() < b.Version() {
-			t.Fatal("merge lowered version")
 		}
 	}
 }

@@ -357,10 +357,7 @@ func (m *Middleware) submitPatch(ctx context.Context, account, ns string, tuples
 	if err := m.load(ctx, d); err != nil {
 		return err
 	}
-	ring := core.NewNameRing()
-	for _, t := range tuples {
-		ring.Set(t)
-	}
+	ring := core.RingOf(tuples...)
 	if m.syncProto {
 		// Strawman synchronous protocol (§3.3.1): the update is applied
 		// to the NameRing object in the cloud before the operation

@@ -224,10 +224,10 @@ func TestListPageCostsItsLengthNotTheDirectorys(t *testing.T) {
 }
 
 // TestSubmitPatchOneTupleAllocs pins the allocations of the patch every
-// WRITE submits. The patch ring lives on submitPatch's stack: the ceiling
-// is what the commit before the name index measured (18; with the index
-// and without the placement memo it is 17), and a NameRing method that
-// makes the ring escape moves its map to the heap and measures 19.
+// WRITE submits. The patch ring lives on submitPatch's stack, over the
+// tuples the caller passed (core.RingOf takes them over): it measures 5.
+// The ceiling is the one the map-backed ring was held to (18); a NameRing
+// method that makes the ring escape moves it to the heap.
 func TestSubmitPatchOneTupleAllocs(t *testing.T) {
 	m := newMW(t, newCluster(t), 1)
 	ctx := context.Background()

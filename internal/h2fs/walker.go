@@ -31,24 +31,23 @@ import (
 // byte-identical store state on every run, whatever the schedule.
 
 // ringBuilder accumulates the destination NameRing tuples that
-// concurrent copy tasks contribute.
+// concurrent copy tasks contribute, in the order they finish; encode
+// sorts them once.
 type ringBuilder struct {
-	mu   sync.Mutex
-	ring *core.NameRing
+	mu     sync.Mutex
+	tuples []core.Tuple
 }
-
-func newRingBuilder() *ringBuilder { return &ringBuilder{ring: core.NewNameRing()} }
 
 func (b *ringBuilder) set(t core.Tuple) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ring.Set(t)
+	b.tuples = append(b.tuples, t)
 }
 
 func (b *ringBuilder) encode() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return core.EncodeNameRing(b.ring)
+	return core.EncodeNameRing(core.RingOf(b.tuples...))
 }
 
 // copyTree deep-copies the contents of namespace srcNS into the freshly
@@ -67,7 +66,7 @@ func (m *Middleware) copyTree(ctx context.Context, account, srcNS, dstNS string)
 // engine. The group's finalizer writes the destination ring; a failure
 // anywhere below skips it, so a partial copy never becomes listable.
 func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl, account, srcNS, dstNS string, now int64) {
-	rb := newRingBuilder()
+	rb := new(ringBuilder)
 	g := eng.NewGroup(parent, lbl, func(ctx context.Context) error {
 		return m.store.Put(ctx, core.RingKey(account, dstNS), rb.encode(), nil)
 	})
