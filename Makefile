@@ -66,11 +66,14 @@ test:
 # second -count=2 pass: reusing state across runs shakes out leaked
 # goroutines and order-dependent schedules the first pass misses. The
 # engine's queue — park while a task runs, exit when it drains — gets
-# twenty more (< 5 s): its termination protocol is a schedule property.
+# twenty more (< 5 s): its termination protocol is a schedule property. So
+# does the descriptor cache's lock-free lookup racing growth, eviction,
+# drops and restarts (< 5 s).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/pipeline/ ./internal/cluster/ ./internal/h2fs/ ./internal/gossip/
 	$(GO) test -race -count=20 ./internal/pipeline/
+	$(GO) test -race -count=20 -run TestDescCacheLockFreeLookupStress ./internal/h2fs/
 
 # One testing.B benchmark per paper table/figure plus micro-benchmarks.
 bench:

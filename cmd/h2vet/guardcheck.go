@@ -16,7 +16,8 @@ var guardcheckAnalyzer = &Analyzer{
 idioms. It infers a field -> mutex guard map per struct: a non-mutex
 field whose access sites hold the same sibling mutex class in the
 clear majority of cases (at least 2 sites and >= 75% of all sites) is
-considered guarded by it, and an explicit
+considered guarded by it (a field of a sync/atomic type synchronizes
+itself and is never a guardee), and an explicit
 
     //h2vet:guardedby <mutex>
 
@@ -271,7 +272,7 @@ func analyzeGuards(prog *Program) *guardAnalysis {
 				return true
 			}
 			fv, ok := s.Obj().(*types.Var)
-			if !ok || ga.owner[fv] == nil || isSyncMutex(fv.Type()) {
+			if !ok || ga.owner[fv] == nil || isSyncMutex(fv.Type()) || isSyncAtomic(fv.Type()) {
 				return true
 			}
 			ga.accesses = append(ga.accesses, guardAccess{field: fv, pos: sel.Sel.Pos(), fn: fn})
@@ -607,6 +608,12 @@ func runGuardcheck(p *ProgramPass) {
 		p.Reportf(acc.pos, "field %s accessed without its guard %s (%s) on a path reachable from the goroutine launched at %s:%d",
 			ga.fieldName(acc.field), ga.fieldName(fact.guard), origin, wp.Filename, wp.Line)
 	}
+}
+
+// isSyncAtomic reports whether t is one of sync/atomic's types.
+func isSyncAtomic(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
 }
 
 // intersectLocks returns a \cap b (a is consumed).

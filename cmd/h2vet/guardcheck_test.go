@@ -254,6 +254,43 @@ func Race(c *Counter) {
 			want: nil,
 		},
 		{
+			// Writers hold the lock, a reader loads the atomic without it:
+			// the field synchronizes itself, however many sites lock.
+			name: "atomic-typed field needs no guard",
+			src: `package fake
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type Table struct {
+	mu    sync.Mutex
+	slots atomic.Pointer[[]int]
+}
+
+func (t *Table) Grow() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := make([]int, 2*len(*t.slots.Load()))
+	t.slots.Store(&s)
+}
+
+func (t *Table) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.slots.Store(new([]int))
+}
+
+func (t *Table) Len() int { return len(*t.slots.Load()) }
+
+func Read(t *Table) {
+	go t.Len()
+}
+`,
+			want: nil,
+		},
+		{
 			// A conditional early unlock-and-return must not truncate the
 			// span: the fallthrough path still holds the lock.
 			name: "early-exit unlock keeps the fallthrough span",

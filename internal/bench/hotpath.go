@@ -357,6 +357,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-24 baselines: cluster/put 12 allocs/op, 576 B and 1.5 us (a payload copy, an MD5 and an ETag string per replica), now 3, 160 B and 0.7 us; cluster/copy is new (a Get copy, then the same per replica; now a re-stamped header: 1 alloc, 96 B); h2fs/flush-validated 78 allocs/op and 177 KB/op at full scale, now 42 and 93 KB; h2fs/copy-rmdir-72 2650 allocs/op, 255 KB and 0.8 ms, now 1219, 138 KB and 0.5 ms",
 			"pre-PR-27 baselines: h2fs/stat-depth-16 22 allocs/op, 1.7 KB and 5.8 us (a ring key concatenated per level to look its descriptor up, a Split and a Join per path), now 1, 32 B and 2.9 us; h2fs/reload-evicted 17 allocs/op, now 11; h2fs/list-1000 and h2fs/list-page-of-100k 7, now 1; h2fs/list-detail-1000 15, now 9; h2fs/flush-validated 42, now 30; h2fs/copy-rmdir-72 1219, now 1191",
 			"pre-PR-29 baselines (a NameRing was a Go map): codec/decode-namering 6 allocs/op at -quick and 8 at full scale, 172 KB and 150 us/op at full (a map sized for every line, filled by Set), now 3, 74 KB and 131 us; merge/merged 5 and 11, 295 KB and 279 us, now 3, 147 KB and 174 us (one sorted join per input); h2fs/reload-evicted 11, now 10; h2fs/copy-rmdir-72 1191 and 137 KB, now 1137 and 128 KB (the COPY walker appends its tuples and sorts once)",
+			"pre-PR-30 baselines (a descriptor lookup locked its stripe and hashed the (account, ns) pair again for a Go map): allocs/op unchanged on every row; h2fs/stat-depth-16 2.65 and 3.25 us at -quick, now 2.46 and 2.81 us, one goroutine and so no lock traffic to remove — the two-goroutine cost is BenchmarkCachedStatParallel in internal/h2fs, 2212 ns/op at -cpu 2, now 1575",
 		},
 	}
 	var over []string

@@ -199,8 +199,14 @@ func RingShardOf(account, ns string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
+	return int(RingHash(account, ns) % uint32(shards))
+}
+
+// RingHash is the 32-bit FNV-1a of RingKey(account, ns) that RingShardOf
+// reduces, for a caller that routes on more of its bits than the shard.
+func RingHash(account, ns string) uint32 {
 	h := fnv1a(fnv1a(fnv1a(2166136261, account), "|"), ns)
-	return int(fnv1a(h, "::"+ringSuffix) % uint32(shards))
+	return fnv1a(h, "::"+ringSuffix)
 }
 
 // fnv1a folds s into the 32-bit FNV-1a state h.

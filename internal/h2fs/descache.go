@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 )
@@ -14,8 +15,13 @@ import (
 // serialize on one lock just to look a descriptor up. The cache is now
 // descStripes independent stripes keyed by the (account, ns) pair a walk
 // holds — the ring key is built once, with the descriptor — and routed by
-// that key's hash: lookups on different namespaces proceed in parallel,
-// and the per-stripe lock is held only for map access, never across I/O.
+// that key's hash.
+//
+// A lookup takes no lock, so the path walk writes nothing two clients
+// share: a stripe is a chained hash table of atomic pointers. Every write
+// holds the stripe lock, and a miss looks again under it before creating,
+// so a ring never has two descriptors. A bounded cache's hit still locks,
+// to record recency.
 //
 // Each stripe also enforces its slice of the cold-descriptor eviction
 // cap (Config.DescCacheLimit): on insert past the budget, the
@@ -42,11 +48,12 @@ const descStripes = 32
 // set is reset wholesale when full: the rings it forgets probe once more.
 const settledLimit = 4096
 
-type ringID struct{ account, ns string }
-
 type descStripe struct {
-	mu    sync.Mutex
-	descs map[ringID]*descriptor
+	mu sync.Mutex
+	// table is the bucket array, nil before the first insert: a power of
+	// two indexed by the ring hash's bits above the stripe's.
+	table atomic.Pointer[buckets]
+	n     int // descriptors in table
 	// hot and cold are the ends of the intrusive recency list threaded
 	// through descriptor.hotter/colder: every lookup moves its descriptor
 	// to the hot end, the evictor walks from the cold one.
@@ -54,6 +61,76 @@ type descStripe struct {
 	// settled holds the full ring key (never a fingerprint: a false hit
 	// would silently skip a crash replay) of every stub.
 	settled map[string]struct{}
+}
+
+type buckets []atomic.Pointer[descriptor]
+
+func (b buckets) head(hash uint32) *atomic.Pointer[descriptor] {
+	return &b[hash/descStripes&uint32(len(b)-1)]
+}
+
+// push links d in at the head of its chain, publishing it last.
+func (b buckets) push(d *descriptor) {
+	head := b.head(d.hash)
+	d.next.Store(head.Load())
+	head.Store(d)
+}
+
+// find walks the ring's chain without the lock. A writer racing it can
+// cost a miss, never a wrong ring: every node is compared.
+func (st *descStripe) find(account, ns string, hash uint32) *descriptor {
+	b := st.table.Load()
+	if b == nil {
+		return nil
+	}
+	for d := b.head(hash).Load(); d != nil; d = d.next.Load() {
+		if d.hash == hash && d.ns == ns && d.account == account {
+			return d
+		}
+	}
+	return nil
+}
+
+// grow publishes a bucket array twice the size (eight at first) with every
+// descriptor relinked. No walk can loop: a relinked node points only at
+// nodes relinked before it. The caller holds the stripe lock.
+func (st *descStripe) grow() {
+	var old buckets
+	if p := st.table.Load(); p != nil {
+		old = *p
+	}
+	b := make(buckets, max(8, 2*len(old)))
+	for i := range old {
+		for d := old[i].Load(); d != nil; {
+			next := d.next.Load()
+			b.push(d)
+			d = next
+		}
+	}
+	st.table.Store(&b)
+}
+
+// remove takes d out of its chain — its own link stays, so a reader on it
+// walks on — and out of the recency list. The caller holds the stripe lock.
+func (st *descStripe) remove(d *descriptor) {
+	st.unlink(d)
+	p := st.table.Load().head(d.hash)
+	for p.Load() != d {
+		p = &p.Load().next
+	}
+	p.Store(d.next.Load())
+	st.n--
+}
+
+// each calls fn on every descriptor; the caller holds the stripe lock.
+func (st *descStripe) each(fn func(*descriptor)) {
+	if b := st.table.Load(); b != nil {
+		for i := range *b {
+			for d := (*b)[i].Load(); d != nil; d = d.next.Load() {
+				fn(d)
+			}
+		}
+	}
 }
 
 // touch makes d the stripe's most recently used descriptor, linking it in
@@ -87,26 +164,34 @@ func (st *descStripe) unlink(d *descriptor) {
 	d.hotter, d.colder = nil, nil
 }
 
-// stripeOf is ShardOf(RingKey) without building the key. It must not move:
-// which rings share a stripe decides whom that stripe's budget evicts.
-func stripeOf(id ringID) int {
-	return core.RingShardOf(id.account, id.ns, descStripes)
+// stripeOf is ShardOf(RingKey) without building the key, plus the hash
+// whose higher bits pick the ring's bucket. The route must not move: which
+// rings share a stripe decides whom that stripe's budget evicts.
+func stripeOf(account, ns string) (stripe int, hash uint32) {
+	hash = core.RingHash(account, ns)
+	return int(hash % descStripes), hash
 }
 
 // desc returns (creating if needed) the cached descriptor for a ring.
 // Callers that will lock the descriptor must go through lockedDesc so a
 // concurrent eviction is retried, not ignored.
 func (m *Middleware) desc(account, ns string) *descriptor {
-	id := ringID{account, ns}
-	st := &m.stripes[stripeOf(id)]
+	i, hash := stripeOf(account, ns)
+	st := &m.stripes[i]
+	d := st.find(account, ns, hash)
+	if d != nil && m.descStripeCap == 0 {
+		return d // an unbounded cache never evicts: recency is moot
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	d, ok := st.descs[id]
-	if !ok {
-		d = newDescriptor(account, ns, core.RingKey(account, ns))
-		m.insertLocked(st, d)
+	// Every writer of the table and of evicted holds this lock.
+	if d == nil || d.evicted {
+		if d = st.find(account, ns, hash); d == nil {
+			d = newDescriptor(account, ns, hash)
+			m.insertLocked(st, d)
+		}
 	}
-	if m.descStripeCap > 0 { // an unbounded cache never evicts: recency is moot
+	if m.descStripeCap > 0 {
 		st.touch(d)
 	}
 	return d
@@ -117,10 +202,11 @@ func (m *Middleware) desc(account, ns string) *descriptor {
 // caller holds the stripe lock.
 func (m *Middleware) insertLocked(st *descStripe, d *descriptor) {
 	d.settled = m.unsettleLocked(st, d.key)
-	if st.descs == nil {
-		st.descs = make(map[ringID]*descriptor)
+	if b := st.table.Load(); b == nil || st.n == len(*b) {
+		st.grow()
 	}
-	st.descs[ringID{d.account, d.ns}] = d
+	st.table.Load().push(d)
+	st.n++
 	m.reg.Inc("descCache.size", 1)
 	m.evictColdLocked(st)
 }
@@ -164,7 +250,7 @@ func (m *Middleware) evictColdLocked(st *descStripe) {
 		return
 	}
 	var next *descriptor
-	for d := st.cold; d != nil && len(st.descs) > budget; d = next {
+	for d := st.cold; d != nil && st.n > budget; d = next {
 		next = d.hotter // read before an eviction unlinks d
 		if !d.mu.TryLock() {
 			continue
@@ -172,8 +258,7 @@ func (m *Middleware) evictColdLocked(st *descStripe) {
 		ok := d.clean()
 		if ok {
 			d.evicted = true
-			st.unlink(d)
-			delete(st.descs, ringID{d.account, d.ns})
+			st.remove(d)
 			if d.loaded || d.settled {
 				m.settleLocked(st, d.key)
 			}
@@ -189,18 +274,17 @@ func (m *Middleware) evictColdLocked(st *descStripe) {
 // dropDesc removes a descriptor (after its ring is garbage collected),
 // and the stub an earlier eviction may have left in its place.
 func (m *Middleware) dropDesc(account, ns string) {
-	id := ringID{account, ns}
-	st := &m.stripes[stripeOf(id)]
+	i, hash := stripeOf(account, ns)
+	st := &m.stripes[i]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	m.unsettleLocked(st, core.RingKey(account, ns))
-	d, ok := st.descs[id]
-	if !ok {
+	d := st.find(account, ns, hash)
+	if d == nil {
 		return
 	}
 	markEvicted(d)
-	st.unlink(d)
-	delete(st.descs, id)
+	st.remove(d)
 	m.reg.Inc("descCache.size", -1)
 }
 
@@ -208,10 +292,7 @@ func (m *Middleware) dropDesc(account, ns string) {
 func snapshotStripe(st *descStripe, out []*descriptor) []*descriptor {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, d := range st.descs {
-		//h2vet:ignore mapiter cachedDescs, the only caller, sorts the concatenation of all stripes
-		out = append(out, d)
-	}
+	st.each(func(d *descriptor) { out = append(out, d) })
 	return out
 }
 
@@ -236,12 +317,13 @@ func (m *Middleware) dropDescriptors() {
 	drain := func(st *descStripe) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		for _, d := range st.descs {
+		st.each(func(d *descriptor) {
 			markEvicted(d)
 			st.unlink(d)
-			dropped++
-		}
-		st.descs = nil
+		})
+		st.table.Store(nil)
+		dropped += st.n
+		st.n = 0
 		stubs += len(st.settled)
 		st.settled = nil
 	}
@@ -279,7 +361,7 @@ func EvictInsertLoop(n int) (step func()) {
 	lru := make([]*descriptor, n+1) // insertion order, hence eviction order
 	for i := range lru {
 		ns := "ns" + strconv.Itoa(i)
-		lru[i] = newDescriptor("bench", ns, core.RingKey("bench", ns))
+		lru[i] = newDescriptor("bench", ns, core.RingHash("bench", ns))
 		lru[i].loaded = true
 	}
 	next := 0

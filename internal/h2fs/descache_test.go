@@ -7,7 +7,9 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/core"
@@ -22,27 +24,27 @@ import (
 // is left holding nothing.
 func pushOut(t *testing.T, m *Middleware, ns string) {
 	t.Helper()
-	id := ringID{"alice", ns}
+	want, _ := stripeOf("alice", ns)
 	for i := 0; ; i++ {
-		decoy := ringID{"alice", fmt.Sprintf("decoy%d", i)}
-		if stripeOf(decoy) != stripeOf(id) {
+		decoy := fmt.Sprintf("decoy%d", i)
+		if s, _ := stripeOf("alice", decoy); s != want {
 			continue
 		}
-		m.desc(decoy.account, decoy.ns)
-		m.dropDesc(decoy.account, decoy.ns)
+		m.desc("alice", decoy)
+		m.dropDesc("alice", decoy)
 		break
 	}
-	if cached(m, id) {
+	if cached(m, "alice", ns) {
 		t.Fatalf("descriptor of %s survived the push (not clean?)", ns)
 	}
 }
 
-func cached(m *Middleware, id ringID) bool {
-	st := &m.stripes[stripeOf(id)]
+func cached(m *Middleware, account, ns string) bool {
+	i, hash := stripeOf(account, ns)
+	st := &m.stripes[i]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := st.descs[id]
-	return ok
+	return st.find(account, ns, hash) != nil
 }
 
 // stubs counts the settled stubs actually held, for comparison with the
@@ -76,18 +78,46 @@ func hasChild(t *testing.T, m *Middleware, ns, name string) bool {
 	return ok && !tup.Deleted
 }
 
+// steppingClock reads one millisecond later at every call, so the
+// namespaces a fixture mints — and the stripes their rings land in — are
+// the same on every run. Under the wall clock, whether the root and /d
+// shared a stripe depended on a millisecond boundary.
+func steppingClock() func() time.Time {
+	var ms atomic.Int64
+	return func() time.Time { return time.UnixMilli(1_700_000_000_000 + ms.Add(1)) }
+}
+
+// wantStripesApart fails unless alice's root ring and the rings at paths
+// sit in different stripes. Under a budget of one descriptor per stripe,
+// two rings that share one evict each other, and every request count a
+// test pins would include the reload.
+func wantStripesApart(t *testing.T, m *Middleware, paths ...string) {
+	t.Helper()
+	seen := map[int]string{}
+	for _, p := range append([]string{"/"}, paths...) {
+		ns, err := m.ResolveNS(context.Background(), "alice", p)
+		mustNoErr(t, err)
+		s, _ := stripeOf("alice", ns)
+		if other, ok := seen[s]; ok {
+			t.Fatalf("the rings of %s and %s share stripe %d", other, p, s)
+		}
+		seen[s] = p
+	}
+}
+
 // newDirD returns a middleware over a request-logging cluster with /d
 // holding the flushed file f, and /d's namespace.
 func newDirD(t *testing.T, reg *metrics.Registry) (*Middleware, *reqLog, string) {
 	t.Helper()
 	gl := &reqLog{Store: newCluster(t)}
-	m, err := New(Config{Store: gl, Node: 1, DescCacheLimit: descStripes, Metrics: reg})
+	m, err := New(Config{Store: gl, Node: 1, Clock: steppingClock(), DescCacheLimit: descStripes, Metrics: reg})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/d"))
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/d/f", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
+	wantStripesApart(t, m, "/d")
 	ns, err := m.ResolveNS(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	return m, gl, ns
@@ -460,7 +490,8 @@ func TestStripeOfIsShardOfRingKey(t *testing.T) {
 			ns = string(b)
 		}
 		a := accounts[i%len(accounts)]
-		if got, want := stripeOf(ringID{a, ns}), core.ShardOf(core.RingKey(a, ns), descStripes); got != want {
+		got, _ := stripeOf(a, ns)
+		if want := core.ShardOf(core.RingKey(a, ns), descStripes); got != want {
 			t.Fatalf("stripeOf(%q, %q) = %d, ShardOf(RingKey) = %d", a, ns, got, want)
 		}
 	}
@@ -494,4 +525,189 @@ func TestResolveAllocsFlatInDepth(t *testing.T) {
 	if statAllocs[2] != statAllocs[16] {
 		t.Fatalf("cached Stat allocs/op: %v at depth 2, %v at depth 16", statAllocs[2], statAllocs[16])
 	}
+}
+
+// TestDescCacheLockFreeLookupStress: walkers look cached descriptors up
+// with no lock while other goroutines grow the same stripes' tables (a
+// Mkdir and a walk into each new directory), drop descriptors (Rmdir),
+// restart the process (Recover) and, under a small budget, evict. Every
+// lookup must return the ring it asked for, no ring may ever have two
+// descriptors in the cache, and no acknowledged directory may be lost.
+func TestDescCacheLockFreeLookupStress(t *testing.T) {
+	for _, limit := range []int{0, 2 * descStripes} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			fstest.AssertNoGoroutineLeak(t)
+			stressLockFreeLookup(t, limit)
+		})
+	}
+}
+
+func stressLockFreeLookup(t *testing.T, limit int) {
+	const made, removed = 64, 12
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.DescCacheLimit = limit })
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	fs := m.FS("alice")
+	deep, nss := "", []string{}
+	for i := 0; i < 8; i++ {
+		deep += fmt.Sprintf("/l%d", i)
+		mustNoErr(t, fs.Mkdir(ctx, deep))
+		ns, err := m.ResolveNS(ctx, "alice", deep)
+		mustNoErr(t, err)
+		nss = append(nss, ns)
+	}
+	mustNoErr(t, fs.WriteFile(ctx, deep+"/f", []byte("x")))
+	mustNoErr(t, fs.Mkdir(ctx, "/m"))
+	mustNoErr(t, m.FlushAll(ctx))
+
+	var workers, background sync.WaitGroup
+	done, restarts := make(chan struct{}), make(chan struct{}, made/16)
+	stopped := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	background.Add(4)
+	for w := 0; w < 2; w++ { // the walkers
+		go func() {
+			defer background.Done()
+			for !stopped() {
+				for _, ns := range nss {
+					if d := m.desc("alice", ns); d.account != "alice" || d.ns != ns {
+						t.Errorf("desc(alice, %s) returned the descriptor of (%s, %s)", ns, d.account, d.ns)
+						return
+					}
+				}
+				if _, err := fs.Stat(ctx, deep+"/f"); err != nil {
+					t.Errorf("Stat %s/f: %v", deep, err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { // the auditor
+		defer background.Done()
+		for !stopped() {
+			if dup := duplicateDesc(m); dup != "" {
+				t.Errorf("ring %s has two descriptors in the cache", dup)
+				return
+			}
+		}
+	}()
+	go func() { // the merger and the crash schedule
+		defer background.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-restarts:
+				if err := m.FlushAll(ctx); err != nil {
+					t.Errorf("FlushAll: %v", err)
+					return
+				}
+				m.Recover()
+			}
+		}
+	}()
+	workers.Add(2)
+	go func() { // grows the tables: every new directory's ring is consulted
+		defer workers.Done()
+		for i := 0; i < made; i++ {
+			dir := fmt.Sprintf("/m/x%03d", i)
+			if err := fs.Mkdir(ctx, dir); err != nil {
+				t.Errorf("Mkdir %s: %v", dir, err)
+				return
+			}
+			if _, err := fs.Stat(ctx, dir+"/none"); !errors.Is(err, fsapi.ErrNotFound) {
+				t.Errorf("Stat %s/none = %v, want ErrNotFound", dir, err)
+				return
+			}
+			if i%16 == 15 {
+				restarts <- struct{}{}
+			}
+		}
+	}()
+	go func() { // drops descriptors: Rmdir collects the ring
+		defer workers.Done()
+		for i := 0; i < removed; i++ {
+			dir := fmt.Sprintf("/r%02d", i)
+			err := fs.Mkdir(ctx, dir)
+			if err == nil {
+				err = fs.WriteFile(ctx, dir+"/f", []byte("x"))
+			}
+			if err == nil {
+				err = fs.Rmdir(ctx, dir)
+			}
+			if err != nil {
+				t.Errorf("%s: %v", dir, err)
+				return
+			}
+		}
+	}()
+	workers.Wait()
+	close(done)
+	background.Wait()
+	if t.Failed() {
+		return
+	}
+	if dup := duplicateDesc(m); dup != "" {
+		t.Fatalf("ring %s has two descriptors in the cache", dup)
+	}
+	m.Recover()
+	entries, err := fs.List(ctx, "/m", false)
+	mustNoErr(t, err)
+	if len(entries) != made {
+		t.Fatalf("/m lists %d directories, want %d", len(entries), made)
+	}
+}
+
+// duplicateDesc returns a ring that two cached descriptors claim, or "".
+func duplicateDesc(m *Middleware) string {
+	seen := map[string]bool{}
+	for _, d := range m.cachedDescs() {
+		if seen[d.key] {
+			return d.key
+		}
+		seen[d.key] = true
+	}
+	return ""
+}
+
+// BenchmarkCachedStatParallel: a cached Stat 16 levels down from every
+// goroutine -cpu allows, half of them on each of two accounts, as
+// deep_lookup's two clients run. Each level is one descriptor lookup, so a
+// write that lookups share shows as the gap between -cpu 1 and -cpu 2.
+func BenchmarkCachedStatParallel(b *testing.B) {
+	m := newMW(b, newCluster(b), 1)
+	ctx := context.Background()
+	accounts := []string{"alice", "bob"}
+	file := ""
+	for _, a := range accounts {
+		mustNoErr(b, m.CreateAccount(ctx, a))
+		fs := m.FS(a)
+		dir := ""
+		for i := 1; i < 16; i++ {
+			dir += fmt.Sprintf("/d%02d", i)
+			mustNoErr(b, fs.Mkdir(ctx, dir))
+		}
+		file = dir + "/f"
+		mustNoErr(b, fs.WriteFile(ctx, file, []byte("x")))
+		_, err := fs.Stat(ctx, file) // caches every descriptor on the way
+		mustNoErr(b, err)
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		fs := m.FS(accounts[next.Add(1)%2])
+		for pb.Next() {
+			if _, err := fs.Stat(ctx, file); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

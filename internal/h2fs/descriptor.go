@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/gossip"
@@ -54,9 +55,14 @@ type descriptor struct {
 	// One slot per extent of lay, or nil while nothing is remembered.
 	tags []string
 	// evicted marks a descriptor removed from the cache while a caller
-	// still held its pointer; lockedDesc retries on seeing it. Guarded by
-	// mu.
+	// still held its pointer; lockedDesc retries on seeing it. Written
+	// under both mu and the stripe's lock, so either suffices to read it.
 	evicted bool
+	// hash is core.RingHash(account, ns); next chains the descriptor into
+	// its stripe's table, written under the stripe's lock. Lookups read
+	// both with no lock.
+	hash uint32
+	next atomic.Pointer[descriptor]
 	// hotter and colder thread the owning stripe's recency list (see
 	// descStripe.touch). Guarded by the stripe's lock, not mu.
 	hotter, colder *descriptor
@@ -68,11 +74,12 @@ type descriptor struct {
 	lastGossip int64
 }
 
-func newDescriptor(account, ns, key string) *descriptor {
+func newDescriptor(account, ns string, hash uint32) *descriptor {
 	return &descriptor{
 		account:    account,
 		ns:         ns,
-		key:        key,
+		key:        core.RingKey(account, ns),
+		hash:       hash,
 		dirtyNames: map[string]struct{}{},
 		lay:        core.ShardManifest{Shards: 1},
 	}

@@ -129,7 +129,7 @@ func newTagFixtureN(t *testing.T, n int, opts ...func(*Config)) *tagFixture {
 	t.Helper()
 	f := &tagFixture{c: newCluster(t), reg: metrics.NewRegistry(), lay: core.ShardManifest{Shards: n}, live: 1}
 	f.log = &reqLog{Store: f.c}
-	cfg := Config{Store: f.log, Node: 1, Profile: f.c.Profile(), EagerGC: true, Metrics: f.reg}
+	cfg := Config{Store: f.log, Node: 1, Profile: f.c.Profile(), Clock: steppingClock(), EagerGC: true, Metrics: f.reg}
 	if n > 1 {
 		cfg.Profile.DirShardThreshold = fixtureThreshold
 		f.lay.Gen = 1
@@ -149,6 +149,7 @@ func newTagFixtureN(t *testing.T, n int, opts ...func(*Config)) *tagFixture {
 		f.grow(t, f.live-1)
 	}
 	mustNoErr(t, f.m.FlushAll(ctx))
+	wantStripesApart(t, f.m, "/d")
 	f.ns, err = f.m.ResolveNS(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	f.ring = core.RingKey("alice", f.ns)
@@ -875,7 +876,7 @@ func TestMaintenanceIsNotAUserAccess(t *testing.T) {
 	m.Recover()
 	log.take()
 	mustNoErr(t, m.flushCached(ctx, d))
-	if reqs := log.take(); len(reqs) != 0 || cached(m, ringID{d.account, d.ns}) {
-		t.Fatalf("flushing a dropped descriptor issued %v (re-cached: %v)", reqs, cached(m, ringID{d.account, d.ns}))
+	if reqs := log.take(); len(reqs) != 0 || cached(m, d.account, d.ns) {
+		t.Fatalf("flushing a dropped descriptor issued %v (re-cached: %v)", reqs, cached(m, d.account, d.ns))
 	}
 }

@@ -106,7 +106,7 @@ func TestDeleteAccountReclaimsEverything(t *testing.T) {
 	}
 }
 
-func mustNoErr(t *testing.T, err error) {
+func mustNoErr(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
