@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeNameRing -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeDir -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzNameRingDecodeCompat -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzAppendQuotedName -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDirDecodeCompat -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParsePatchKey -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeShardManifest -fuzztime=10s ./internal/core/

@@ -100,7 +100,12 @@ func HotPath(quick bool) (Result, error) {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
 	evictInsert := h2fs.EvictInsertLoop(evictStripe)
-	bigMW, bigFS, err := bigRingDir(ringSize)
+	bigMW, bigFS, err := bigRingDir(ringSize, 0)
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
+	// The same directory split into 16 extents.
+	shardMW, shardFS, err := bigRingDir(ringSize, (ringSize+15)/16)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
@@ -108,7 +113,7 @@ func HotPath(quick bool) (Result, error) {
 	if quick {
 		hugeDir = 20_000
 	}
-	hugeMW, _, err := bigRingDir(hugeDir)
+	hugeMW, _, err := bigRingDir(hugeDir, 0)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
@@ -289,6 +294,22 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
+		// The same patch folded into the 16-extent directory: the flush GETs
+		// the manifest, HEADs the one dirty extent against its tag, encodes
+		// it and puts it back in a MultiPut whose reported ETag is the new
+		// tag, then puts the manifest. The ceiling is the count at both
+		// scales; hashing the extent again for its tag would add the ETag
+		// string and trip it.
+		{"h2fs/flush-sharded", 47, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := shardFS.WriteFile(ctx, "/big/f", payload); err != nil {
+					b.Fatal(err)
+				}
+				if err := shardMW.FlushAll(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		// LIST of the ring above (1000 children at full scale), over the name
 		// order it keeps: the entries, the path handling, nothing per child.
 		{"h2fs/list-1000", 2, func(b *testing.B) {
@@ -358,6 +379,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-27 baselines: h2fs/stat-depth-16 22 allocs/op, 1.7 KB and 5.8 us (a ring key concatenated per level to look its descriptor up, a Split and a Join per path), now 1, 32 B and 2.9 us; h2fs/reload-evicted 17 allocs/op, now 11; h2fs/list-1000 and h2fs/list-page-of-100k 7, now 1; h2fs/list-detail-1000 15, now 9; h2fs/flush-validated 42, now 30; h2fs/copy-rmdir-72 1219, now 1191",
 			"pre-PR-29 baselines (a NameRing was a Go map): codec/decode-namering 6 allocs/op at -quick and 8 at full scale, 172 KB and 150 us/op at full (a map sized for every line, filled by Set), now 3, 74 KB and 131 us; merge/merged 5 and 11, 295 KB and 279 us, now 3, 147 KB and 174 us (one sorted join per input); h2fs/reload-evicted 11, now 10; h2fs/copy-rmdir-72 1191 and 137 KB, now 1137 and 128 KB (the COPY walker appends its tuples and sorts once)",
 			"pre-PR-30 baselines (a descriptor lookup locked its stripe and hashed the (account, ns) pair again for a Go map): allocs/op unchanged on every row; h2fs/stat-depth-16 2.65 and 3.25 us at -quick, now 2.46 and 2.81 us, one goroutine and so no lock traffic to remove — the two-goroutine cost is BenchmarkCachedStatParallel in internal/h2fs, 2212 ns/op at -cpu 2, now 1575",
+			"pre-PR-31 baselines (every name quoted through strconv.AppendQuote; a sharded flush hashed each extent it put for its tag), -quick, medians of three alternated runs: codec/encode-namering 19.3 us, now 11.4; codec/encode-extents 11.2 us, now 8.8; h2fs/flush-sharded 48 allocs/op, 4240 B and 17.5 us, now 47, 4224 B and 14.5 us; allocs/op unchanged on every other row",
 		},
 	}
 	var over []string
@@ -500,14 +522,16 @@ func templateTree() (*h2fs.AccountFS, error) {
 }
 
 // bigRingDir builds /big with n flushed files behind a middleware over a
-// zero-cost cluster: a monolithic ring of n tuples whose tag the
-// descriptor remembers.
-func bigRingDir(n int) (*h2fs.Middleware, *h2fs.AccountFS, error) {
+// zero-cost cluster whose directories shard past threshold children (0:
+// never). Unsharded, /big is a monolithic ring of n tuples whose tag the
+// descriptor remembers; sharded, a manifest over extents whose tags it
+// remembers.
+func bigRingDir(n, threshold int) (*h2fs.Middleware, *h2fs.AccountFS, error) {
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
 		return nil, nil, err
 	}
-	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1})
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Profile: cluster.CostProfile{DirShardThreshold: threshold}})
 	if err != nil {
 		return nil, nil, err
 	}

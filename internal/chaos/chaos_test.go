@@ -135,6 +135,36 @@ func TestTargetedTriggerIsPermanentAndScoped(t *testing.T) {
 	}
 }
 
+// TestMultiPutETagsSkipInjectedSlots: a slot the trigger faults reports
+// no ETag, whatever its request carried; the forwarded slots report the
+// ETag a following Head returns.
+func TestMultiPutETagsSkipInjectedSlots(t *testing.T) {
+	st := New(Plan{}, nil).Store(memStore(t))
+	ctx := context.Background()
+	st.FailOn(OpPut, "::doomed")
+	reqs := []objstore.PutReq{
+		{Name: "a", Data: []byte("alpha")},
+		{Name: "b::doomed", Data: []byte("beta"), ETag: "stale"},
+		{Name: "c", Data: []byte("gamma"), ETag: "stale"},
+	}
+	out := st.MultiPut(ctx, reqs)
+	if !errors.Is(out[1], ErrInjected) || reqs[1].ETag != "" {
+		t.Fatalf("injected slot = (%v, %q), want ErrInjected and no ETag", out[1], reqs[1].ETag)
+	}
+	for _, i := range []int{0, 2} {
+		if out[i] != nil {
+			t.Fatalf("slot %d: %v", i, out[i])
+		}
+		info, err := st.Head(ctx, reqs[i].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := objstore.ETag(reqs[i].Data); reqs[i].ETag != want || info.ETag != want {
+			t.Fatalf("slot %d reported %q, Head says %q, want %q", i, reqs[i].ETag, info.ETag, want)
+		}
+	}
+}
+
 func TestSpikesChargeVirtualClock(t *testing.T) {
 	eng := New(Plan{Seed: 1, SpikeRate: 1.0, Spike: 100 * time.Millisecond}, nil)
 	st := eng.Store(memStore(t))

@@ -180,20 +180,21 @@ func (s *Store) MultiHead(ctx context.Context, names []string) []objstore.HeadRe
 	return out
 }
 
-// MultiPut implements objstore.Batcher.
+// MultiPut implements objstore.Batcher. An injected slot reports no ETag;
+// a forwarded one reports what the wrapped store sealed.
 func (s *Store) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
 	out := make([]error, len(reqs))
 	names := make([]string, len(reqs))
 	for i, r := range reqs {
 		names[i] = r.Name
 	}
-	_, slots := s.injectBatch(ctx, OpPut, names, func(i int, err error) { out[i] = err })
+	_, slots := s.injectBatch(ctx, OpPut, names, func(i int, err error) { out[i], reqs[i].ETag = err, "" })
 	sub := make([]objstore.PutReq, len(slots))
 	for j, i := range slots {
 		sub[j] = reqs[i]
 	}
 	for j, err := range objstore.MultiPut(ctx, s.inner, sub) {
-		out[slots[j]] = err
+		out[slots[j]], reqs[slots[j]].ETag = err, sub[j].ETag
 	}
 	return out
 }

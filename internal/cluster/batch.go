@@ -51,12 +51,13 @@ func (c *Cluster) MultiHead(ctx context.Context, names []string) []objstore.Head
 	return out
 }
 
-// MultiPut implements objstore.Batcher.
+// MultiPut implements objstore.Batcher; each slot's ETag is the one its
+// put sealed.
 func (c *Cluster) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
 	out := make([]error, len(reqs))
 	durs := make([]time.Duration, len(reqs))
 	for i, r := range reqs {
-		durs[i], out[i] = c.putCore(r.Name, r.Data, r.Meta)
+		durs[i], reqs[i].ETag, out[i] = c.putCore(r.Name, r.Data, r.Meta)
 	}
 	vclock.Charge(ctx, vclock.Makespan(durs, c.batchWorkers()))
 	return out

@@ -61,6 +61,45 @@ func TestMultiPutChargesOneWindow(t *testing.T) {
 	}
 }
 
+// TestMultiPutReportsSealedETags: a slot that lands reports the ETag of
+// its content, which a following Head returns; a slot that misses quorum
+// clears whatever its request carried.
+func TestMultiPutReportsSealedETags(t *testing.T) {
+	c := newTestCluster(t, SwiftProfile())
+	ctx := context.Background()
+	reqs := []objstore.PutReq{
+		{Name: "a", Data: []byte("alpha")},
+		{Name: "b", Data: []byte("beta"), Meta: map[string]string{"k": "v"}},
+		{Name: "c", Data: nil},
+	}
+	for i, err := range c.MultiPut(ctx, reqs) {
+		if err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+		info, err := c.Head(ctx, reqs[i].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := objstore.ETag(reqs[i].Data); reqs[i].ETag != want || info.ETag != want {
+			t.Fatalf("slot %d reported %q, Head says %q, want %q", i, reqs[i].ETag, info.ETag, want)
+		}
+	}
+	// Every node but one down: nowhere to reach quorum. The requests still
+	// carry the first batch's tags, which must not survive the failure.
+	for _, id := range c.Ring().DeviceIDs()[1:] {
+		c.SetNodeDown(id, true)
+	}
+	reqs[0].Data = []byte("alpha, again")
+	for i, err := range c.MultiPut(ctx, reqs[:1]) {
+		if !errors.Is(err, objstore.ErrNoQuorum) {
+			t.Fatalf("slot %d err = %v, want ErrNoQuorum", i, err)
+		}
+		if reqs[i].ETag != "" {
+			t.Fatalf("failed slot %d reported ETag %q, want none", i, reqs[i].ETag)
+		}
+	}
+}
+
 func TestBatchSequentialFanoutEqualsSingularSum(t *testing.T) {
 	profile := SwiftProfile()
 	profile.Fanout = 1

@@ -353,20 +353,24 @@ func transferCost(per time.Duration, size int) time.Duration {
 // returning ErrNoQuorum otherwise. Replica writes happen server-side in
 // parallel, so one base service time is charged.
 func (c *Cluster) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	cost, err := c.putCore(name, data, meta)
+	cost, _, err := c.putCore(name, data, meta)
 	vclock.Charge(ctx, cost)
 	return err
 }
 
 // putCore executes one replicated PUT without charging, returning the
 // simulated service time it costs — singular callers charge it directly,
-// batched callers fold it into one overlapped window. The payload is
-// sealed (copied, hashed) once here, and every replica holds that one
-// value.
-func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (time.Duration, error) {
+// batched callers fold it into one overlapped window — and the ETag of the
+// stored version, "" when the put failed. The payload is sealed (copied,
+// hashed) once here, and every replica holds that one value.
+func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (time.Duration, string, error) {
 	cost := c.profile.Put + transferCost(c.profile.PerKB, len(data))
 	c.puts.Add(1)
-	return cost, c.commit("put", objstore.Seal(name, data, meta, c.clock()))
+	s := objstore.Seal(name, data, meta, c.clock())
+	if err := c.commit("put", s); err != nil {
+		return cost, "", err
+	}
+	return cost, s.Info().ETag, nil
 }
 
 // commit is the one replicated write, PUT's and COPY's alike: s goes to

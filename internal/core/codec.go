@@ -105,7 +105,7 @@ func encodeTuples(tuples []Tuple) []byte {
 	buf = append(buf, '\n')
 	for i := range tuples {
 		t := &tuples[i]
-		buf = strconv.AppendQuote(buf, t.Name)
+		buf = appendQuotedName(buf, t.Name)
 		buf = append(buf, '\t')
 		buf = strconv.AppendInt(buf, t.Time, 10)
 		buf = append(buf, '\t')
@@ -137,6 +137,21 @@ func encodeTuples(tuples []Tuple) []byte {
 		buf = append(buf, '\n')
 	}
 	return buf
+}
+
+// appendQuotedName appends the Go-quoted form of name, byte-identical to
+// strconv.AppendQuote. A name of printable ASCII with no '"' or '\' quotes
+// as itself, so it is copied in one scan; anything else — control bytes,
+// DEL, non-ASCII — takes AppendQuote.
+func appendQuotedName(buf []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c < 0x20 || c > 0x7E || c == '"' || c == '\\' {
+			return strconv.AppendQuote(buf, name)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, name...)
+	return append(buf, '"')
 }
 
 // DecodeNameRing parses the output of EncodeNameRing. The lines are kept
@@ -236,7 +251,7 @@ func EncodeDir(d DirObject) []byte {
 	buf = append(buf, "\nns="...)
 	buf = append(buf, d.NS...)
 	buf = append(buf, "\nname="...)
-	buf = strconv.AppendQuote(buf, d.Name)
+	buf = appendQuotedName(buf, d.Name)
 	buf = append(buf, "\ncreated="...)
 	buf = strconv.AppendInt(buf, d.Created, 10)
 	buf = append(buf, '\n')

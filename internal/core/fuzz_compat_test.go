@@ -153,6 +153,25 @@ func FuzzNameRingDecodeCompat(f *testing.F) {
 	})
 }
 
+// FuzzAppendQuotedName: the encoders' quote fast path must emit exactly
+// what strconv.AppendQuote emits, for every name after every prefix, so
+// no stored ring or directory object changes by a byte.
+func FuzzAppendQuotedName(f *testing.F) {
+	for b := 0; b < 256; b++ {
+		f.Add([]byte("H2NR/1\n"), string([]byte{byte(b)}))
+	}
+	for _, s := range []string{"\x7f", "a\"b", "a\\b", "\xff", "a\xc3", "\xed\xa0\x80", "unié", "", "child000123"} {
+		f.Add([]byte(nil), s)
+	}
+	f.Fuzz(func(t *testing.T, prefix []byte, name string) {
+		got := appendQuotedName(bytes.Clone(prefix), name)
+		want := strconv.AppendQuote(bytes.Clone(prefix), name)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendQuotedName(%q, %q) = %q, want %q", prefix, name, got, want)
+		}
+	})
+}
+
 // FuzzDirDecodeCompat: same contract for directory objects.
 func FuzzDirDecodeCompat(f *testing.F) {
 	f.Add(EncodeDir(DirObject{NS: "06.01.1469346604539", Name: "home", Created: 1}))

@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // withShardThreshold arms directory sharding for a test middleware.
@@ -586,6 +587,34 @@ func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
 	fetched, n := rbs.takeReads()
 	if len(fetched) != 1 || fetched[0] != core.RingKey("alice", ns) || n > 64 {
 		t.Fatalf("steady flush fetched %v (%d bytes), want the manifest alone", fetched, n)
+	}
+	if v, r := flushCounters(reg); v != 1 || r != 0 {
+		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
+	}
+}
+
+// TestDirShardSteadyFlushReadsOnlyManifestOverBatcher is the twin of the
+// test above over storemw and the cluster's native Batcher, where the
+// extent tags are the ETags MultiPut reports rather than the fallback's
+// hash: the steady flush still validates its dirty extent and fetches none.
+func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
+	c := newCluster(t)
+	reg := metrics.NewRegistry()
+	m := newMW(t, c, 1, withShardThreshold(16), func(cfg *Config) {
+		cfg.Retry, cfg.Metrics = storemw.DefaultRetryPolicy(), reg
+	})
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	populateBig(t, m, 256)
+	mustNoErr(t, m.FlushAll(ctx))
+	put, fetched := reg.Counter("store.multiput.objects"), reg.Counter("store.multiget.objects")
+	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
+	mustNoErr(t, m.FlushAll(ctx))
+	if got := reg.Counter("store.multiput.objects") - put; got != 1 {
+		t.Fatalf("steady flush batched %d extent puts, want the one dirty extent", got)
+	}
+	if got := reg.Counter("store.multiget.objects") - fetched; got != 0 {
+		t.Fatalf("steady flush fetched %d extents, want none", got)
 	}
 	if v, r := flushCounters(reg); v != 1 || r != 0 {
 		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)

@@ -116,9 +116,10 @@ func fetchExtents(ctx context.Context, s objstore.Store, account, ns string, lay
 // atomic flip: a crash at any point leaves the old state plus unreferenced
 // garbage for Scrub, or the new state complete.
 //
-// tags remembers the ETag of everything that landed and forgets what
-// failed — the store may hold either version of that. A transition's tags
-// are adopted only with its flip.
+// tags remembers the ETag of everything that landed — as MultiPut reported
+// it for an extent, hashed here for the one monolithic put — and forgets
+// what failed: the store may hold either version of that. A transition's
+// tags are adopted only with its flip.
 func (m *Middleware) writeLayout(ctx context.Context, d *descriptor, to core.ShardManifest, which []int) error {
 	tags := d.tags
 	if len(tags) != to.Shards {
@@ -141,12 +142,10 @@ func (m *Middleware) writeLayout(ctx context.Context, d *descriptor, to core.Sha
 		}
 		var failed error
 		for i, err := range objstore.MultiPut(ctx, m.store, reqs) {
+			tags[which[i]] = reqs[i].ETag // what the store sealed; "" for a slot that failed
 			if err != nil {
-				tags[which[i]] = ""
 				failed = errors.Join(failed, err)
-				continue
 			}
-			tags[which[i]] = objstore.ETag(reqs[i].Data)
 		}
 		if failed != nil {
 			return fmt.Errorf("h2fs: flush extent: %w", failed)

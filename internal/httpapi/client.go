@@ -362,11 +362,28 @@ func (f *ClientFS) WriteFileChunked(ctx context.Context, path string, r io.Reade
 }
 
 // ReadFileRange reads length bytes starting at offset (length < 0 means
-// to the end) via an HTTP Range request.
+// to the end) via an HTTP Range request. Like route's path checks, the
+// cases a Range header cannot express are settled here, as the local
+// middleware settles them: a negative offset is an invalid path, and an
+// empty range — which has no "bytes=a-b" form — reads nothing from a file
+// that exists and is not a directory.
 func (f *ClientFS) ReadFileRange(ctx context.Context, path string, offset, length int64) ([]byte, error) {
 	r, err := f.route("fs", path)
 	if err != nil {
 		return nil, err
+	}
+	if offset < 0 {
+		return nil, fmt.Errorf("httpapi: negative offset: %w", fsapi.ErrInvalidPath)
+	}
+	if length == 0 {
+		info, err := f.Stat(ctx, path)
+		if err != nil {
+			return nil, err
+		}
+		if info.IsDir {
+			return nil, fmt.Errorf("httpapi: %s: %w", path, fsapi.ErrIsDir)
+		}
+		return []byte{}, nil
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.c.base+r, nil)
 	if err != nil {

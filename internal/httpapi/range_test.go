@@ -2,8 +2,11 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"testing"
+
+	"github.com/h2cloud/h2cloud/internal/fsapi"
 )
 
 func TestRangedReadsOverHTTP(t *testing.T) {
@@ -28,6 +31,58 @@ func TestRangedReadsOverHTTP(t *testing.T) {
 		mustOK(t, err)
 		if string(got) != c.want {
 			t.Fatalf("range(%d,%d) = %q, want %q", c.offset, c.length, got, c.want)
+		}
+	}
+}
+
+// TestReadFileRangeMatchesLocal: the client returns what the middleware
+// returns locally — the same bytes, or an error matching the same fsapi
+// sentinel — including for the ranges a Range header cannot express.
+func TestReadFileRangeMatchesLocal(t *testing.T) {
+	client, mw := newStack(t)
+	ctx := context.Background()
+	mustOK(t, client.CreateAccount(ctx, "alice"))
+	fs := client.FS("alice")
+	mustOK(t, fs.WriteFile(ctx, "/v.bin", []byte("0123456789")))
+	mustOK(t, fs.Mkdir(ctx, "/d"))
+
+	sentinels := []error{fsapi.ErrNotFound, fsapi.ErrIsDir, fsapi.ErrInvalidPath}
+	kind := func(err error) error {
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				return s
+			}
+		}
+		return err
+	}
+	cases := []struct {
+		path           string
+		offset, length int64
+		want           string
+		wantErr        error
+	}{
+		{"/v.bin", 0, 0, "", nil},
+		{"/v.bin", 4, 0, "", nil},
+		{"/v.bin", -1, 2, "", fsapi.ErrInvalidPath},
+		{"/v.bin", 20, 4, "", nil}, // past the end
+		{"/v.bin", 8, -1, "89", nil},
+		{"/missing", 0, 2, "", fsapi.ErrNotFound},
+		{"/missing", 0, 0, "", fsapi.ErrNotFound},
+		{"/d", 0, 2, "", fsapi.ErrIsDir},
+		{"/d", 0, 0, "", fsapi.ErrIsDir},
+	}
+	for _, c := range cases {
+		local, lerr := mw.ReadFileRange(ctx, "alice", c.path, c.offset, c.length)
+		remote, rerr := fs.ReadFileRange(ctx, c.path, c.offset, c.length)
+		for _, got := range []struct {
+			side string
+			data []byte
+			err  error
+		}{{"local", local, lerr}, {"http", remote, rerr}} {
+			if kind(got.err) != c.wantErr || string(got.data) != c.want {
+				t.Errorf("%s ReadFileRange(%s, %d, %d) = (%q, %v), want (%q, %v)",
+					got.side, c.path, c.offset, c.length, got.data, got.err, c.want, c.wantErr)
+			}
 		}
 	}
 }
@@ -62,15 +117,18 @@ func TestBadRangeHeaderStatus(t *testing.T) {
 	ctx := context.Background()
 	mustOK(t, client.CreateAccount(ctx, "alice"))
 	mustOK(t, client.FS("alice").WriteFile(ctx, "/f", []byte("x")))
-	req, err := clientRawRangeRequest(client, "/v1/fs/alice/f", "bytes=bogus")
-	mustOK(t, err)
-	if req != 416 {
-		t.Fatalf("bad range status = %d, want 416", req)
+	status, err := clientRawRangeRequest(client, "/v1/fs/alice/f", "bytes=bogus")
+	if status != 416 {
+		t.Fatalf("bad range status = %d, want 416", status)
+	}
+	if !errors.Is(err, fsapi.ErrInvalidPath) {
+		t.Fatalf("bad range error = %v, want one wrapping fsapi.ErrInvalidPath", err)
 	}
 }
 
 // clientRawRangeRequest issues a GET with a raw Range header and returns
-// the status code.
+// the status code and, for an error status, the error the client decodes
+// from the body.
 func clientRawRangeRequest(c *Client, path, rng string) (int, error) {
 	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -81,6 +139,9 @@ func clientRawRangeRequest(c *Client, path, rng string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp.Body.Close()
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		return resp.StatusCode, decodeErr(resp)
+	}
 	return resp.StatusCode, nil
 }

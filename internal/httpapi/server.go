@@ -204,12 +204,17 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, fsapi.ErrCrossAccount):
 		status, code = http.StatusForbidden, "cross_account"
 	}
-	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
+	writeAPIError(w, status, code, err.Error())
+}
+
+// writeAPIError writes the JSON error body decodeErr reads back.
+func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(apiError{Error: err.Error(), Code: code})
+	_ = json.NewEncoder(w).Encode(apiError{Error: msg, Code: code})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -251,7 +256,8 @@ func (s *Server) readFile(w http.ResponseWriter, r *http.Request) {
 	if rng := r.Header.Get("Range"); rng != "" {
 		offset, length, ok := parseRange(rng)
 		if !ok {
-			w.WriteHeader(http.StatusRequestedRangeNotSatisfiable)
+			// Typed like a bad path, so the client's errors.Is sees it.
+			writeAPIError(w, http.StatusRequestedRangeNotSatisfiable, "invalid_path", fmt.Sprintf("bad Range %q", rng))
 			return
 		}
 		data, err := s.mw.ReadFileRange(r.Context(), account, path, offset, length)

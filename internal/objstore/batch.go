@@ -31,11 +31,14 @@ type HeadResult struct {
 	Err  error
 }
 
-// PutReq is one object write in a MultiPut.
+// PutReq is one object write in a MultiPut. ETag is an output: MultiPut
+// sets it to the ETag the store sealed when the slot succeeds and clears
+// it when the slot fails.
 type PutReq struct {
 	Name string
 	Data []byte
 	Meta map[string]string
+	ETag string
 }
 
 // Batcher is the optional batched half of the store contract. All
@@ -46,7 +49,10 @@ type Batcher interface {
 	MultiGet(ctx context.Context, names []string) []GetResult
 	// MultiHead reads many objects' metadata.
 	MultiHead(ctx context.Context, names []string) []HeadResult
-	// MultiPut stores many objects.
+	// MultiPut stores many objects and reports, in reqs[i].ETag, the ETag
+	// of each object stored — what the next Head returns as Info.ETag, as a
+	// Swift or S3 PUT response carries it — or "" for a slot that failed.
+	// A wrapper that forwards a sub-batch copies the field back.
 	MultiPut(ctx context.Context, reqs []PutReq) []error
 	// MultiDelete removes many objects; deleting a missing object yields
 	// ErrNotFound in its slot.
@@ -79,7 +85,8 @@ func MultiHead(ctx context.Context, s Store, names []string) []HeadResult {
 	return out
 }
 
-// MultiPut dispatches like MultiGet.
+// MultiPut dispatches like MultiGet. Store.Put reports no ETag, so the
+// fallback hashes each payload that landed.
 func MultiPut(ctx context.Context, s Store, reqs []PutReq) []error {
 	if b, ok := s.(Batcher); ok {
 		return b.MultiPut(ctx, reqs)
@@ -87,6 +94,10 @@ func MultiPut(ctx context.Context, s Store, reqs []PutReq) []error {
 	out := make([]error, len(reqs))
 	for i, r := range reqs {
 		out[i] = s.Put(ctx, r.Name, r.Data, r.Meta)
+		reqs[i].ETag = ""
+		if out[i] == nil {
+			reqs[i].ETag = ETag(r.Data)
+		}
 	}
 	return out
 }

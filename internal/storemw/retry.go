@@ -239,7 +239,8 @@ func (s *retryStore) MultiHead(ctx context.Context, names []string) []objstore.H
 	return out
 }
 
-// MultiPut implements objstore.Batcher, retrying the transient subset.
+// MultiPut implements objstore.Batcher, retrying the transient subset; a
+// retried slot takes its ETag from the wave that last issued it.
 func (s *retryStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
 	out := objstore.MultiPut(ctx, s.inner, reqs)
 	exhausted := s.retryWave(ctx, "put", func(i int) string { return reqs[i].Name },
@@ -252,7 +253,7 @@ func (s *retryStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []err
 			res := objstore.MultiPut(ctx, s.inner, sub)
 			still := make([]int, 0, len(pending))
 			for j, i := range pending {
-				out[i] = res[j]
+				out[i], reqs[i].ETag = res[j], sub[j].ETag
 				if objstore.Transient(res[j]) {
 					still = append(still, i)
 				}

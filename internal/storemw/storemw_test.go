@@ -65,7 +65,7 @@ func (f *fakeStore) Get(ctx context.Context, name string) ([]byte, objstore.Obje
 	if !ok {
 		return nil, objstore.ObjectInfo{}, objstore.ErrNotFound
 	}
-	return append([]byte(nil), data...), objstore.ObjectInfo{Name: name, Size: int64(len(data))}, nil
+	return append([]byte(nil), data...), objstore.ObjectInfo{Name: name, Size: int64(len(data)), ETag: objstore.ETag(data)}, nil
 }
 
 func (f *fakeStore) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, objstore.ObjectInfo, error) {
@@ -212,6 +212,44 @@ func TestRetryBatchRetriesOnlyTransientSlots(t *testing.T) {
 	want := policy.Backoff("get", "b", 0) + policy.Backoff("get", "c", 1)
 	if tr.Elapsed() != want {
 		t.Fatalf("charged %v, want one shared backoff per wave = %v", tr.Elapsed(), want)
+	}
+}
+
+// TestMultiPutETagsSurviveRetryWaves: through metrics over retry, a slot
+// that lands in the first pass or in a retry wave's sub-batch reports the
+// ETag a following Head returns, and a slot that exhausts reports none,
+// whatever the request carried in.
+func TestMultiPutETagsSurviveRetryWaves(t *testing.T) {
+	base := newFakeStore(0)
+	reg := metrics.NewRegistry()
+	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: 5}
+	s := Stack(base, Retry(policy, reg), Metrics(reg))
+	base.failures["b"] = 1 // lands in the first retry wave
+	base.failures["c"] = 9 // exhausts
+	reqs := []objstore.PutReq{
+		{Name: "a", Data: []byte("alpha"), ETag: "stale"},
+		{Name: "b", Data: []byte("beta"), ETag: "stale"},
+		{Name: "c", Data: []byte("gamma"), ETag: "stale"},
+	}
+	ctx := context.Background()
+	out := objstore.MultiPut(ctx, s, reqs)
+	for i, r := range reqs[:2] {
+		if out[i] != nil {
+			t.Fatalf("slot %d: %v", i, out[i])
+		}
+		info, err := s.Head(ctx, r.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := objstore.ETag(r.Data); r.ETag != want || info.ETag != want {
+			t.Fatalf("slot %d reported %q, Head says %q, want %q", i, r.ETag, info.ETag, want)
+		}
+	}
+	if !errors.Is(out[2], objstore.ErrNodeDown) || reqs[2].ETag != "" {
+		t.Fatalf("exhausted slot = (%v, %q), want ErrNodeDown and no ETag", out[2], reqs[2].ETag)
+	}
+	if got := reg.Counter("retry.attempts"); got != 3 {
+		t.Fatalf("retry.attempts = %d, want 3 (waves {b, c} and {c})", got)
 	}
 }
 
