@@ -21,7 +21,7 @@ and rejects shapes that can deadlock:
     holds the mutex like a Lock does: it is an acquisition under
     whatever is held at the call, and everything up to its Unlock
     runs under it (the descriptor cache's evictor takes descriptor
-    monitors this way, under its stripe lock);
+    monitors this way, under the cache lock);
   - a cycle A -> ... -> A means two executions can acquire the classes
     in opposite orders — the classic deadlock;
   - a self-edge A -> A means the same mutex class may be re-acquired

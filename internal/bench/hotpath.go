@@ -99,7 +99,7 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
-	evictInsert := h2fs.EvictInsertLoop(evictStripe)
+	evictInsert := h2fs.EvictInsertLoop(evictResidents)
 	bigMW, bigFS, err := bigRingDir(ringSize, 0)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
@@ -245,10 +245,11 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
-		// A Stat whose parent ring was evicted clean since its last use:
-		// one descriptor, one ring GET, one decode that the descriptor
-		// then owns — no own-chain probe, no re-merge — plus the HEAD.
-		{"h2fs/reload-evicted", 10, func(b *testing.B) {
+		// A Stat whose parent ring was evicted clean since its last use: the
+		// stub wakes — no new descriptor — then one ring GET, one decode
+		// that the descriptor owns — no own-chain probe, no re-merge — plus
+		// the HEAD.
+		{"h2fs/reload-evicted", 7, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				info, err := coldFS.Stat(ctx, coldPaths[i%len(coldPaths)])
 				if err != nil {
@@ -269,9 +270,9 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += int(info.Size)
 			}
 		}},
-		// Inserting past the budget of a large stripe: the evictor unlinks
-		// the cold end of the recency list and the stub reuses the evicted
-		// descriptor's key.
+		// Waking a stub in a full cache of 1024: the hand releases the
+		// descriptor under it, which becomes a stub in place, and the woken
+		// one takes its slot on the clock.
 		{"h2fs/evict-insert", 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				evictInsert()
@@ -380,6 +381,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-29 baselines (a NameRing was a Go map): codec/decode-namering 6 allocs/op at -quick and 8 at full scale, 172 KB and 150 us/op at full (a map sized for every line, filled by Set), now 3, 74 KB and 131 us; merge/merged 5 and 11, 295 KB and 279 us, now 3, 147 KB and 174 us (one sorted join per input); h2fs/reload-evicted 11, now 10; h2fs/copy-rmdir-72 1191 and 137 KB, now 1137 and 128 KB (the COPY walker appends its tuples and sorts once)",
 			"pre-PR-30 baselines (a descriptor lookup locked its stripe and hashed the (account, ns) pair again for a Go map): allocs/op unchanged on every row; h2fs/stat-depth-16 2.65 and 3.25 us at -quick, now 2.46 and 2.81 us, one goroutine and so no lock traffic to remove — the two-goroutine cost is BenchmarkCachedStatParallel in internal/h2fs, 2212 ns/op at -cpu 2, now 1575",
 			"pre-PR-31 baselines (every name quoted through strconv.AppendQuote; a sharded flush hashed each extent it put for its tag), -quick, medians of three alternated runs: codec/encode-namering 19.3 us, now 11.4; codec/encode-extents 11.2 us, now 8.8; h2fs/flush-sharded 48 allocs/op, 4240 B and 17.5 us, now 47, 4224 B and 14.5 us; allocs/op unchanged on every other row",
+			"baselines before the single CLOCK table (32 stripes with LRU lists, a stub was a ring key in a per-stripe set and a reload built a new descriptor; now the evicted descriptor is the stub), -quick: h2fs/reload-evicted 10 allocs/op, 1532 B and 5.96 us, now 7, 440 B and 3.15 us; h2fs/evict-insert 0 allocs and 204 ns, now 0 and 150 ns; allocs/op unchanged on every other row",
 		},
 	}
 	var over []string
@@ -407,28 +409,27 @@ func HotPath(quick bool) (Result, error) {
 }
 
 // reloadDirs is how many single-file directories h2fs/reload-evicted
-// cycles through under a one-descriptor-per-stripe cache: eight rings per
-// stripe, so every Stat finds its parent ring evicted. evictStripe is the
-// stripe population h2fs/evict-insert runs at.
+// cycles through under a two-descriptor cache: the root ring stays, and
+// every Stat finds its parent ring evicted. evictResidents is the cache
+// population h2fs/evict-insert runs at.
 const (
-	reloadDirs  = 256
-	evictStripe = 1024
+	reloadDirs     = 256
+	evictResidents = 1024
 )
 
 // coldTree builds n flushed single-file directories behind a middleware
-// whose descriptor cache holds one descriptor per stripe, restarts it, and
-// walks the files once so that every ring has been loaded, evicted clean
-// and left a stub. It returns the file paths in walk order.
+// whose descriptor cache holds two descriptors, restarts it, and walks the
+// files once so that every ring has been loaded, evicted clean and left a
+// stub. It returns the file paths in walk order.
 func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
 		return nil, nil, err
 	}
-	// A logical clock, so namespace UUIDs — and with them which rings share
-	// a stripe — are the same on every run.
+	// A logical clock, so namespace UUIDs are the same on every run.
 	tick := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { tick = tick.Add(time.Millisecond); return tick }
-	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Clock: clock, DescCacheLimit: 1})
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Clock: clock, DescCacheLimit: 2})
 	if err != nil {
 		return nil, nil, err
 	}

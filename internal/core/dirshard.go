@@ -190,20 +190,8 @@ func ShardOf(name string, shards int) int {
 	return int(fnv1a(2166136261, name) % uint32(shards))
 }
 
-// RingShardOf is ShardOf(RingKey(account, ns), shards) computed over the
-// key's pieces, so a caller that only routes on the key never builds it.
-// It must equal that expression bit for bit (TestRingShardOfIsShardOfRingKey):
-// h2fs's descriptor stripes route on it, and which stripe a ring lands in
-// decides which descriptor that stripe's budget evicts.
-func RingShardOf(account, ns string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(RingHash(account, ns) % uint32(shards))
-}
-
-// RingHash is the 32-bit FNV-1a of RingKey(account, ns) that RingShardOf
-// reduces, for a caller that routes on more of its bits than the shard.
+// RingHash is the 32-bit FNV-1a of RingKey(account, ns), computed over the
+// key's pieces so a caller that only hashes the key never builds it.
 func RingHash(account, ns string) uint32 {
 	h := fnv1a(fnv1a(fnv1a(2166136261, account), "|"), ns)
 	return fnv1a(h, "::"+ringSuffix)

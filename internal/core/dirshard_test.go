@@ -261,17 +261,3 @@ func TestCompactFuncReportsDropped(t *testing.T) {
 		t.Fatalf("CompactFunc = %d, dropped %v", n, dropped)
 	}
 }
-
-// TestRingShardOfIsShardOfRingKey: routing on a ring key's pieces is
-// routing on the key, at every shard count.
-func TestRingShardOfIsShardOfRingKey(t *testing.T) {
-	for _, account := range []string{"", "alice", "user_0042"} {
-		for _, ns := range []string{"", "01.02.1700000000000", "N97", "проект", "a|b::c", "\x00\xff"} {
-			for _, shards := range []int{0, 1, 2, 16, 32, 1024} {
-				if got, want := RingShardOf(account, ns, shards), ShardOf(RingKey(account, ns), shards); got != want {
-					t.Errorf("RingShardOf(%q, %q, %d) = %d, ShardOf(RingKey) = %d", account, ns, shards, got, want)
-				}
-			}
-		}
-	}
-}

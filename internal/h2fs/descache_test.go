@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,47 +19,58 @@ import (
 	"github.com/h2cloud/h2cloud/internal/metrics"
 )
 
-// pushOut evicts ns's descriptor the way production does: a same-stripe
-// insert past the budget (the tests cap the cache at one descriptor per
-// stripe). The decoy that did the pushing is dropped again, so the stripe
-// is left holding nothing.
+// fixtureLimit is the cache cap of the fixtures that evict on purpose:
+// room for alice's root ring and the /d ring a test watches.
+const fixtureLimit = 2
+
+// pushOut evicts ns's descriptor the way production does: every other
+// resident is marked referenced and decoys are inserted until the hand
+// releases ns. The decoys are dropped again.
 func pushOut(t *testing.T, m *Middleware, ns string) {
 	t.Helper()
-	want, _ := stripeOf("alice", ns)
-	for i := 0; ; i++ {
-		decoy := fmt.Sprintf("decoy%d", i)
-		if s, _ := stripeOf("alice", decoy); s != want {
-			continue
+	c := &m.descs
+	spare := func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, d := range c.clock {
+			d.referenced.Store(d.ns != ns)
 		}
-		m.desc("alice", decoy)
+	}
+	var decoys []string
+	for i := 0; cached(m, "alice", ns); i++ {
+		if i > c.limit {
+			t.Fatalf("descriptor of %s survived the push (not clean?)", ns)
+		}
+		spare()
+		decoys = append(decoys, fmt.Sprintf("decoy%d", i))
+		m.desc("alice", decoys[i])
+	}
+	for _, decoy := range decoys {
 		m.dropDesc("alice", decoy)
-		break
-	}
-	if cached(m, "alice", ns) {
-		t.Fatalf("descriptor of %s survived the push (not clean?)", ns)
 	}
 }
 
+// cached reports whether the ring's descriptor is resident.
 func cached(m *Middleware, account, ns string) bool {
-	i, hash := stripeOf(account, ns)
-	st := &m.stripes[i]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.find(account, ns, hash) != nil
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.find(account, ns, core.RingHash(account, ns))
+	return d != nil && d.resident.Load()
 }
 
-// stubs counts the settled stubs actually held, for comparison with the
+// stubs counts the stubs actually held, for comparison with the
 // descCache.settled gauge.
 func stubs(m *Middleware) int64 {
-	held := func(st *descStripe) int64 {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return int64(len(st.settled))
-	}
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var n int64
-	for i := range m.stripes {
-		n += held(&m.stripes[i])
-	}
+	c.each(func(d *descriptor) {
+		if !d.resident.Load() {
+			n++
+		}
+	})
 	return n
 }
 
@@ -79,30 +91,10 @@ func hasChild(t *testing.T, m *Middleware, ns, name string) bool {
 }
 
 // steppingClock reads one millisecond later at every call, so the
-// namespaces a fixture mints — and the stripes their rings land in — are
-// the same on every run. Under the wall clock, whether the root and /d
-// shared a stripe depended on a millisecond boundary.
+// namespaces a fixture mints are the same on every run.
 func steppingClock() func() time.Time {
 	var ms atomic.Int64
 	return func() time.Time { return time.UnixMilli(1_700_000_000_000 + ms.Add(1)) }
-}
-
-// wantStripesApart fails unless alice's root ring and the rings at paths
-// sit in different stripes. Under a budget of one descriptor per stripe,
-// two rings that share one evict each other, and every request count a
-// test pins would include the reload.
-func wantStripesApart(t *testing.T, m *Middleware, paths ...string) {
-	t.Helper()
-	seen := map[int]string{}
-	for _, p := range append([]string{"/"}, paths...) {
-		ns, err := m.ResolveNS(context.Background(), "alice", p)
-		mustNoErr(t, err)
-		s, _ := stripeOf("alice", ns)
-		if other, ok := seen[s]; ok {
-			t.Fatalf("the rings of %s and %s share stripe %d", other, p, s)
-		}
-		seen[s] = p
-	}
 }
 
 // newDirD returns a middleware over a request-logging cluster with /d
@@ -110,14 +102,13 @@ func wantStripesApart(t *testing.T, m *Middleware, paths ...string) {
 func newDirD(t *testing.T, reg *metrics.Registry) (*Middleware, *reqLog, string) {
 	t.Helper()
 	gl := &reqLog{Store: newCluster(t)}
-	m, err := New(Config{Store: gl, Node: 1, Clock: steppingClock(), DescCacheLimit: descStripes, Metrics: reg})
+	m, err := New(Config{Store: gl, Node: 1, Clock: steppingClock(), DescCacheLimit: fixtureLimit, Metrics: reg})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/d"))
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/d/f", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
-	wantStripesApart(t, m, "/d")
 	ns, err := m.ResolveNS(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	return m, gl, ns
@@ -171,24 +162,29 @@ func TestReloadAfterCleanEvictionIsOneGet(t *testing.T) {
 	}
 }
 
-// TestSettledSetIsBounded: a stripe's stub set is reset wholesale at
-// settledLimit — forgetting a stub only costs a probe — and the gauge
-// follows the reset.
-func TestSettledSetIsBounded(t *testing.T) {
+// TestStubsAreBounded: the table holds at most stubLimit stubs. Reaching
+// it forgets them wholesale — forgetting a stub only costs a probe — and
+// the gauge follows.
+func TestStubsAreBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.Metrics = reg })
-	settle := func(key string) {
-		st := &m.stripes[0]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		m.settleLocked(st, key)
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+		cfg.DescCacheLimit = 1
+		cfg.Metrics = reg
+	})
+	loaded := func(ns string) { // each one releases the one before it
+		d := m.lockedDesc("alice", ns)
+		defer m.unlockDesc(d)
+		d.loaded = true
 	}
-	for i := 0; i < settledLimit; i++ {
-		settle(fmt.Sprintf("k%d", i))
+	for i := 0; i <= stubLimit; i++ {
+		loaded(strconv.Itoa(i))
 	}
-	wantGauge(t, m, reg, settledLimit)
-	settle("one more")
+	wantGauge(t, m, reg, stubLimit)
+	loaded("one more")
 	wantGauge(t, m, reg, 1)
+	if got := reg.Counter("descCache.size"); got != 1 {
+		t.Fatalf("descCache.size = %d, want 1", got)
+	}
 }
 
 // TestRecoverForgetsStubs: Recover starts a new process epoch, and nothing
@@ -229,7 +225,7 @@ func TestRecoverForgetsStubs(t *testing.T) {
 func TestFailedLoadLeavesNoStub(t *testing.T) {
 	cs := chaos.New(chaos.Plan{}, nil).Store(&reqLog{Store: newCluster(t)})
 	gl := cs.Inner().(*reqLog)
-	m, err := New(Config{Store: cs, Node: 1, DescCacheLimit: descStripes})
+	m, err := New(Config{Store: cs, Node: 1, DescCacheLimit: fixtureLimit})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -336,7 +332,7 @@ func (f flushOnRead) List(ctx context.Context, path string, detail bool) ([]fsap
 }
 
 // TestDifferentialDescCacheLimitOne replays the shared random traces with
-// a one-descriptor-per-stripe cache and a flush before every read: nearly
+// a one-descriptor cache and a flush before every read: nearly
 // every ring consult is a settled reload, and the tree must still equal
 // the model's.
 func TestDifferentialDescCacheLimitOne(t *testing.T) {
@@ -357,12 +353,12 @@ func TestDifferentialDescCacheLimitOne(t *testing.T) {
 }
 
 // TestDescCacheConcurrentSettleAndRecover: writers and readers churn a
-// one-per-stripe cache while one goroutine flushes (making descriptors
+// one-descriptor cache while one goroutine flushes (making descriptors
 // evictable, hence settled) and another restarts the process (dropping
 // the stubs). Every acknowledged write must be there at the end.
 func TestDescCacheConcurrentSettleAndRecover(t *testing.T) {
 	fstest.AssertNoGoroutineLeak(t)
-	const workers, dirs, files = 4, 12, 48 // 48 rings on 32 stripes: most share one
+	const workers, dirs, files = 4, 12, 48
 	reg := metrics.NewRegistry()
 	m := newMW(t, newCluster(t), 1, func(cfg *Config) {
 		cfg.DescCacheLimit = 1
@@ -467,36 +463,6 @@ func TestDescCacheConcurrentSettleAndRecover(t *testing.T) {
 	}
 }
 
-// TestStripeOfIsShardOfRingKey pins stripe routing to the ring key's
-// FNV-1a: which rings share a stripe decides which descriptors its budget
-// evicts, so routing on the (account, ns) pair must land every ring in the
-// stripe its ring key would.
-func TestStripeOfIsShardOfRingKey(t *testing.T) {
-	rng := rand.New(rand.NewPCG(27, 1))
-	accounts := []string{"alice", "bench", "a", "", "user_0042", "x-y"}
-	for i := 0; i < 4096; i++ {
-		var ns string
-		switch i % 3 {
-		case 0: // what uuid.Gen mints
-			ns = fmt.Sprintf("%02d.%02d.%d", rng.IntN(1000), rng.IntN(100), rng.Int64())
-		case 1: // RFC 4122-shaped
-			ns = fmt.Sprintf("%08x-%04x-%04x-%04x-%012x",
-				rng.Uint32(), rng.Uint32()&0xffff, rng.Uint32()&0xffff, rng.Uint32()&0xffff, rng.Uint64()&0xffffffffffff)
-		default: // any bytes, high ones and separators included
-			b := make([]byte, rng.IntN(48))
-			for j := range b {
-				b[j] = byte(rng.UintN(256))
-			}
-			ns = string(b)
-		}
-		a := accounts[i%len(accounts)]
-		got, _ := stripeOf(a, ns)
-		if want := core.ShardOf(core.RingKey(a, ns), descStripes); got != want {
-			t.Fatalf("stripeOf(%q, %q) = %d, ShardOf(RingKey) = %d", a, ns, got, want)
-		}
-	}
-}
-
 // TestResolveAllocsFlatInDepth: with every descriptor cached, a level of
 // the path walk allocates nothing — a Stat 16 levels down costs what one 2
 // levels down does.
@@ -528,13 +494,13 @@ func TestResolveAllocsFlatInDepth(t *testing.T) {
 }
 
 // TestDescCacheLockFreeLookupStress: walkers look cached descriptors up
-// with no lock while other goroutines grow the same stripes' tables (a
+// with no lock while other goroutines grow the table (a
 // Mkdir and a walk into each new directory), drop descriptors (Rmdir),
 // restart the process (Recover) and, under a small budget, evict. Every
 // lookup must return the ring it asked for, no ring may ever have two
 // descriptors in the cache, and no acknowledged directory may be lost.
 func TestDescCacheLockFreeLookupStress(t *testing.T) {
-	for _, limit := range []int{0, 2 * descStripes} {
+	for _, limit := range []int{0, 64} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
 			fstest.AssertNoGoroutineLeak(t)
 			stressLockFreeLookup(t, limit)
@@ -664,24 +630,168 @@ func stressLockFreeLookup(t *testing.T, limit int) {
 	}
 }
 
-// duplicateDesc returns a ring that two cached descriptors claim, or "".
+// duplicateDesc returns a ring that two descriptors in the table claim,
+// stubs included, or "".
 func duplicateDesc(m *Middleware) string {
-	seen := map[string]bool{}
-	for _, d := range m.cachedDescs() {
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen, dup := map[string]bool{}, ""
+	c.each(func(d *descriptor) {
 		if seen[d.key] {
-			return d.key
+			dup = d.key
 		}
 		seen[d.key] = true
+	})
+	return dup
+}
+
+// clockOf returns the CLOCK's state: the hand, then every resident in
+// clock order with its referenced bit.
+func clockOf(m *Middleware) (int, []string) {
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, len(c.clock))
+	for i, d := range c.clock {
+		out[i] = fmt.Sprintf("%s %v", d.ns, d.referenced.Load())
 	}
-	return ""
+	return c.hand, out
+}
+
+// fillClock makes the never-loaded, clean residents r0.. of a cache capped
+// at n, in clock order, with the hand on r0.
+func fillClock(t *testing.T, n int) *Middleware {
+	t.Helper()
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.DescCacheLimit = n })
+	for i := 0; i < n; i++ {
+		m.desc("alice", fmt.Sprintf("r%d", i))
+	}
+	if hand, clock := clockOf(m); hand != 0 || len(clock) != n {
+		t.Fatalf("hand %d over %v, want 0 over %d residents", hand, clock, n)
+	}
+	return m
+}
+
+// TestClockSparesReferenced: a resident hit since the hand last passed
+// survives the pass, which clears its bit, and the next clean one goes.
+func TestClockSparesReferenced(t *testing.T) {
+	m := fillClock(t, 4)
+	m.desc("alice", "r0") // a hit
+	m.desc("alice", "new")
+	if !cached(m, "alice", "r0") || cached(m, "alice", "r1") {
+		t.Fatalf("r0 cached %v, r1 cached %v: want the hand to pass r0 and release r1",
+			cached(m, "alice", "r0"), cached(m, "alice", "r1"))
+	}
+	if hand, clock := clockOf(m); hand != 2 || !reflect.DeepEqual(clock, []string{"r0 false", "new false", "r2 false", "r3 false"}) {
+		t.Fatalf("hand %d over %v", hand, clock)
+	}
+}
+
+// TestClockNeverReleasesDirty: a resident with unflushed state stays
+// through every turn of the hand, however cold.
+func TestClockNeverReleasesDirty(t *testing.T) {
+	m := fillClock(t, 2)
+	d := m.lockedDesc("alice", "r0")
+	d.dirtyNames["f"] = struct{}{}
+	m.unlockDesc(d)
+	for i := 0; i < 8; i++ {
+		m.desc("alice", fmt.Sprintf("n%d", i))
+		if !cached(m, "alice", "r0") {
+			t.Fatalf("insert %d released the dirty r0", i)
+		}
+	}
+	if _, clock := clockOf(m); len(clock) != 2 {
+		t.Fatalf("clock %v, want the dirty r0 and one more", clock)
+	}
+}
+
+// TestClockStepsAreCapped: over a circle of dirty residents an insert
+// moves the hand clockSteps and no further, then overflows the limit.
+func TestClockStepsAreCapped(t *testing.T) {
+	const n = 100
+	m := fillClock(t, n)
+	for i := 0; i < n; i++ {
+		d := m.lockedDesc("alice", fmt.Sprintf("r%d", i))
+		d.dirtyNames["f"] = struct{}{}
+		d.referenced.Store(false) // dirty alone must stop the hand
+		m.unlockDesc(d)
+	}
+	m.desc("alice", "new")
+	if hand, clock := clockOf(m); hand != clockSteps || len(clock) != n+1 {
+		t.Fatalf("hand at %d with %d residents, want %d and %d", hand, len(clock), clockSteps, n+1)
+	}
+}
+
+// TestBoundedHitTakesNoLock: a hit on a bounded cache completes while the
+// cache lock is held elsewhere, and allocates nothing.
+func TestBoundedHitTakesNoLock(t *testing.T) {
+	m := fillClock(t, 4096)
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	allocs := make(chan float64, 1)
+	go func() {
+		allocs <- testing.AllocsPerRun(100, func() { m.desc("alice", "r0") })
+	}()
+	select {
+	case got := <-allocs:
+		if got != 0 {
+			t.Fatalf("a bounded hit allocates %v times", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a bounded hit waited for the cache lock")
+	}
+}
+
+// TestLockedDescRetriesReleased: a descriptor released between the lookup
+// and the lock is looked up again, which wakes its stub; the caller never
+// works in a descriptor that is not resident.
+func TestLockedDescRetriesReleased(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+		cfg.DescCacheLimit = 4
+		cfg.Metrics = reg
+	})
+	d := m.lockedDesc("alice", "a")
+	d.loaded = true
+	got := make(chan *descriptor)
+	go func() {
+		l := m.lockedDesc("alice", "a")
+		m.unlockDesc(l)
+		got <- l
+	}()
+	for !d.referenced.Load() { // the lookup hit; the monitor is next
+		runtime.Gosched()
+	}
+	func() { // the hand, as it would release d were d not busy
+		c := &m.descs
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		m.releaseLocked(d)
+		c.unclock(d.slot)
+	}()
+	m.unlockDesc(d)
+	if l := <-got; l != d || !l.resident.Load() {
+		t.Fatalf("lockedDesc returned the released descriptor (same %v, resident %v)", l == d, l.resident.Load())
+	}
+	wantGauge(t, m, reg, 0)
 }
 
 // BenchmarkCachedStatParallel: a cached Stat 16 levels down from every
 // goroutine -cpu allows, half of them on each of two accounts, as
 // deep_lookup's two clients run. Each level is one descriptor lookup, so a
-// write that lookups share shows as the gap between -cpu 1 and -cpu 2.
+// write that lookups share shows as the gap between -cpu 1 and -cpu 2. The
+// bounded rung holds every descriptor resident under a limit, so each
+// lookup is a hit on the CLOCK: a referenced bit, set once.
 func BenchmarkCachedStatParallel(b *testing.B) {
-	m := newMW(b, newCluster(b), 1)
+	for _, limit := range []int{0, 4096} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) { benchCachedStat(b, limit) })
+	}
+}
+
+func benchCachedStat(b *testing.B, limit int) {
+	m := newMW(b, newCluster(b), 1, func(cfg *Config) { cfg.DescCacheLimit = limit })
 	ctx := context.Background()
 	accounts := []string{"alice", "bob"}
 	file := ""

@@ -23,7 +23,7 @@ type descriptor struct {
 	mu      sync.Mutex
 	account string
 	ns      string
-	key     string // core.RingKey(account, ns), built once: the ring object's name and the stub's key
+	key     string // core.RingKey(account, ns), built once: the ring object's name
 
 	// local is this node's local version (§3.3.2 step 1) and
 	// watermarks[node] the highest patch sequence of that node already
@@ -32,10 +32,9 @@ type descriptor struct {
 	local      *core.NameRing
 	watermarks map[int]int
 	loaded     bool
-	// settled marks a descriptor re-created over the stub a clean eviction
-	// left (descache.go): this node's own patch chain is known empty, so
-	// load skips probing it. Written once by desc before the descriptor is
-	// published, read under mu.
+	// settled marks a descriptor that was released clean after it had
+	// loaded — a stub, or one woken from it (descache.go): this node's own
+	// patch chain is known empty, so load skips probing it.
 	settled        bool
 	nextSeq        int // next patch sequence this node will submit
 	firstUnflushed int
@@ -54,18 +53,21 @@ type descriptor struct {
 	// holding that ETag skips the read — merging it would change nothing.
 	// One slot per extent of lay, or nil while nothing is remembered.
 	tags []string
-	// evicted marks a descriptor removed from the cache while a caller
-	// still held its pointer; lockedDesc retries on seeing it. Written
-	// under both mu and the stripe's lock, so either suffices to read it.
-	evicted bool
+	// resident is false for a stub and for a descriptor dropped from the
+	// cache while a caller still held its pointer; lockedDesc retries on
+	// seeing it. Written under the cache lock, and under mu unless the
+	// descriptor is being admitted.
+	resident atomic.Bool
+	// referenced is the CLOCK bit: set by a cache hit, cleared by the hand.
+	referenced atomic.Bool
+	// slot is the descriptor's place on the clock while it is resident
+	// under a limit; written under the cache lock.
+	slot int
 	// hash is core.RingHash(account, ns); next chains the descriptor into
-	// its stripe's table, written under the stripe's lock. Lookups read
-	// both with no lock.
+	// the table, written under the cache lock. Lookups read both with no
+	// lock.
 	hash uint32
 	next atomic.Pointer[descriptor]
-	// hotter and colder thread the owning stripe's recency list (see
-	// descStripe.touch). Guarded by the stripe's lock, not mu.
-	hotter, colder *descriptor
 	// lastGossip is the newest advertisement timestamp already processed
 	// for this ring; older or equal adverts are not forwarded (the
 	// loop-back avoidance of §3.3.2). Content timestamps cannot serve
@@ -83,6 +85,15 @@ func newDescriptor(account, ns string, hash uint32) *descriptor {
 		dirtyNames: map[string]struct{}{},
 		lay:        core.ShardManifest{Shards: 1},
 	}
+}
+
+// release drops everything the descriptor learned from the store and
+// leaves it settled: the stub of a clean descriptor that had loaded
+// (descache.go). The caller holds mu.
+func (d *descriptor) release() {
+	d.local, d.watermarks, d.tags, d.loaded, d.settled = nil, nil, nil, false, true
+	d.nextSeq, d.firstUnflushed, d.lastGossip = 0, 0, 0
+	d.lay = core.ShardManifest{Shards: 1}
 }
 
 // noteChanged records one changed child; it is the MergeFunc/CompactFunc
@@ -263,7 +274,7 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	}
 	d.adopt(sr)
 	// Replay this node's orphaned patches (crash recovery) — unless the
-	// descriptor is settled: its chain was empty when it was evicted clean
+	// descriptor is settled: its chain was empty when it was released clean
 	// and nobody else writes it, so the probe could only miss.
 	seq := d.watermarks[m.node] + 1
 	if d.settled {
@@ -395,15 +406,15 @@ func (m *Middleware) lockDesc(d *descriptor)   { d.mu.Lock() }
 func (m *Middleware) unlockDesc(d *descriptor) { d.mu.Unlock() }
 
 // lockedDesc returns the ring's descriptor with its monitor held. The
-// cache may evict a clean descriptor between the lookup and the lock, so
-// acquisition re-checks the evicted flag and retries against the cache —
-// a fresh descriptor (reloaded from the flushed store state) replaces the
-// one that was dropped.
+// cache may release a clean descriptor between the lookup and the lock, so
+// acquisition re-checks that it is resident and retries against the cache,
+// which wakes the stub (or creates a fresh descriptor in place of a dropped
+// one) to reload from the flushed store state.
 func (m *Middleware) lockedDesc(account, ns string) *descriptor {
 	for {
 		d := m.desc(account, ns)
 		m.lockDesc(d)
-		if !d.evicted {
+		if d.resident.Load() {
 			return d
 		}
 		m.unlockDesc(d)
@@ -543,14 +554,14 @@ func (m *Middleware) FlushAll(ctx context.Context) error {
 
 // flushCached flushes one descriptor of FlushAll's snapshot in place. The
 // merger is not a user access: going back through the cache would touch
-// every descriptor's recency each pass and re-create, load and evict
-// again any ring evicted since the snapshot. Skipping a dropped descriptor
-// loses nothing: only a clean one is evicted, and what Recover or a ring's
-// collection dropped is meant to be gone.
+// every descriptor's referenced bit each pass and wake, load and release
+// again any ring released since the snapshot. Skipping a descriptor that is
+// not resident loses nothing: only a clean one is released, and what
+// Recover or a ring's collection dropped is meant to be gone.
 func (m *Middleware) flushCached(ctx context.Context, d *descriptor) error {
 	m.lockDesc(d)
 	defer m.unlockDesc(d)
-	if d.evicted {
+	if !d.resident.Load() {
 		return nil
 	}
 	return m.flushLocked(ctx, d)

@@ -706,11 +706,12 @@ func TestDirShardCompactionValidatesLate(t *testing.T) {
 // evicted (and counted), while every directory remains fully usable —
 // eviction is invisible except for the reload.
 func TestDescCacheEviction(t *testing.T) {
+	const limit = 32
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
 	m := newMW(t, c, 1, func(cfg *Config) {
 		cfg.Metrics = reg
-		cfg.DescCacheLimit = descStripes // one descriptor per stripe
+		cfg.DescCacheLimit = limit
 	})
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -718,7 +719,7 @@ func TestDescCacheEviction(t *testing.T) {
 	const dirs = 120
 	// Two waves: eviction runs on insert and only claims clean
 	// descriptors, so the first wave is flushed clean before the second
-	// wave's inserts push stripes past their budget.
+	// wave's inserts push the cache past its limit.
 	for i := 0; i < dirs/2; i++ {
 		dir := fmt.Sprintf("/d%03d", i)
 		mustNoErr(t, fs.Mkdir(ctx, dir))
@@ -741,9 +742,9 @@ func TestDescCacheEviction(t *testing.T) {
 	if got := reg.Counter("descCache.evicted"); got == 0 {
 		t.Fatal("no descriptors were evicted under a tight cap")
 	}
-	size := reg.Counter("descCache.size")
-	if size <= 0 || size > 2*descStripes {
-		t.Fatalf("descCache.size = %d, want within ~cap %d", size, descStripes)
+	// Every ring is clean now, so the limit holds exactly.
+	if size := reg.Counter("descCache.size"); size <= 0 || size > limit {
+		t.Fatalf("descCache.size = %d, want at most %d", size, limit)
 	}
 	// Everything still lists correctly through reloads.
 	entries, err := fs.List(ctx, "/", false)

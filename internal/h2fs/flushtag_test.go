@@ -149,7 +149,6 @@ func newTagFixtureN(t *testing.T, n int, opts ...func(*Config)) *tagFixture {
 		f.grow(t, f.live-1)
 	}
 	mustNoErr(t, f.m.FlushAll(ctx))
-	wantStripesApart(t, f.m, "/d")
 	f.ns, err = f.m.ResolveNS(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	f.ring = core.RingKey("alice", f.ns)
@@ -374,7 +373,7 @@ func TestFlushTagDiesWithDescriptor(t *testing.T) {
 		{n: 4, relearns: true, steady: []string{"GET", "PUT"}, first: []string{"GET", "PUT"}},
 	} {
 		t.Run(fmt.Sprintf("n=%d", row.n), func(t *testing.T) {
-			f := newTagFixtureN(t, row.n, func(cfg *Config) { cfg.DescCacheLimit = descStripes })
+			f := newTagFixtureN(t, row.n, func(cfg *Config) { cfg.DescCacheLimit = fixtureLimit })
 			known := func(tags []string) bool {
 				return len(tags) == row.n && !slices.Contains(tags, "")
 			}
@@ -398,13 +397,14 @@ func TestFlushTagDiesWithDescriptor(t *testing.T) {
 				}
 				wantOps(t, what, ops, want...)
 			}
-			// fresh checks that the descriptor is a new, empty one, and what
-			// its load relearns.
-			fresh := func(step string, old *descriptor) *descriptor {
+			// fresh checks that the descriptor is an empty one — new after a
+			// restart, the woken stub after an eviction — and what its load
+			// relearns.
+			fresh := func(step string) {
 				t.Helper()
 				d := f.m.desc("alice", f.ns)
-				if d == old || d.loaded || d.tags != nil {
-					t.Fatalf("%s: descriptor kept (same=%v loaded=%v tags=%v)", step, d == old, d.loaded, d.tags)
+				if d.loaded || d.tags != nil {
+					t.Fatalf("%s: descriptor kept (loaded=%v tags=%v)", step, d.loaded, d.tags)
 				}
 				if tags := extentTagsOf(f.m, f.ns); tags != nil {
 					t.Fatalf("%s: unloaded descriptor has tags %v", step, tags)
@@ -416,21 +416,19 @@ func TestFlushTagDiesWithDescriptor(t *testing.T) {
 				case !row.relearns && len(tags) != 0:
 					t.Fatalf("%s: reload remembered %q", step, tags)
 				}
-				return d
 			}
-			d0 := f.m.desc("alice", f.ns)
 			if tags := extentTagsOf(f.m, f.ns); !known(tags) {
 				t.Fatalf("the fixture's flush did not remember every extent's tag: %q", tags)
 			}
 			flush("steady flush", row.steady)
 
 			f.m.Recover()
-			d1 := fresh("Recover", d0)
+			fresh("Recover")
 			flush("first flush after Recover", row.first)
 			flush("steady flush", row.steady)
 
 			pushOut(t, f.m, f.ns)
-			fresh("eviction", d1)
+			fresh("eviction")
 			flush("first flush after a clean eviction", row.first)
 			if got, want := len(f.storedNames(t)), f.live+files; got != want {
 				t.Fatalf("stored view = %d entries, want %d", got, want)
@@ -806,37 +804,19 @@ func TestFlushAllOutlivesAFailingRing(t *testing.T) {
 	}
 }
 
-// recency lists every stripe's descriptors coldest first.
-func recency(m *Middleware) [][]string {
-	order := func(st *descStripe) []string {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		var keys []string
-		for d := st.cold; d != nil; d = d.hotter {
-			keys = append(keys, d.key)
-		}
-		return keys
-	}
-	out := make([][]string, len(m.stripes))
-	for i := range m.stripes {
-		out[i] = order(&m.stripes[i])
-	}
-	return out
-}
-
 // TestMaintenanceIsNotAUserAccess: the merger flushes the descriptors it
 // snapshotted in place. A pass over clean rings asks nothing of the store
-// and leaves the eviction order alone, and a descriptor dropped since the
-// snapshot is skipped.
+// and leaves the hand and the referenced bits alone, and a descriptor
+// dropped since the snapshot is skipped.
 func TestMaintenanceIsNotAUserAccess(t *testing.T) {
 	c := newCluster(t)
 	log := &reqLog{Store: c}
-	m, err := New(Config{Store: log, Node: 1, Profile: c.Profile(), DescCacheLimit: 8 * descStripes})
+	m, err := New(Config{Store: log, Node: 1, Profile: c.Profile(), DescCacheLimit: 64})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	fs := m.FS("alice")
-	const dirs = 96 // three rings a stripe on average
+	const dirs = 96 // more rings than the cache holds: the hand turns
 	for i := 0; i < dirs; i++ {
 		mustNoErr(t, fs.Mkdir(ctx, fmt.Sprintf("/d%02d", i)))
 	}
@@ -847,23 +827,17 @@ func TestMaintenanceIsNotAUserAccess(t *testing.T) {
 		_, err := fs.List(ctx, fmt.Sprintf("/d%02d", i), false)
 		mustNoErr(t, err)
 	}
-	before := recency(m)
-	shared := 0
-	for _, keys := range before {
-		if len(keys) > 1 {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no stripe holds two descriptors; the test exercises nothing")
+	hand, before := clockOf(m)
+	if !slices.ContainsFunc(before, func(s string) bool { return strings.HasSuffix(s, " false") }) {
+		t.Fatal("every referenced bit is set; the test exercises nothing")
 	}
 	log.take()
 	m.MaintainOnce(ctx)
 	if reqs := log.take(); len(reqs) != 0 {
 		t.Fatalf("a maintenance pass over clean rings issued %v", reqs)
 	}
-	if after := recency(m); !reflect.DeepEqual(after, before) {
-		t.Fatalf("a maintenance pass reordered the eviction lists:\nbefore %v\nafter  %v", before, after)
+	if h, after := clockOf(m); h != hand || !reflect.DeepEqual(after, before) {
+		t.Fatalf("a maintenance pass moved the clock:\nbefore %d %v\nafter  %d %v", hand, before, h, after)
 	}
 
 	// A descriptor dropped since the snapshot — here by a restart, with

@@ -74,10 +74,12 @@ type Config struct {
 	// (dirShard.splits, dirShard.merges, dirShard.extents); it is exposed
 	// via Metrics().
 	Metrics *metrics.Registry
-	// DescCacheLimit caps the File Descriptor Cache: past it, the
-	// least-recently-used clean descriptors are evicted (a clean
-	// descriptor reloads from the store byte-identically, so eviction only
-	// costs the reload: one ring GET plus the peer-chain probes). Zero
+	// DescCacheLimit caps the resident File Descriptors, exactly: an
+	// insert past it releases a clean descriptor the CLOCK hand finds
+	// unreferenced (a clean descriptor reloads from the store
+	// byte-identically, so eviction only costs the reload: one ring GET
+	// plus the peer-chain probes). Descriptors with unflushed state are
+	// never released, so while they fill the cache it overflows. Zero
 	// keeps every descriptor forever, the original behavior.
 	DescCacheLimit int
 	// SyncProtocol enables the strawman synchronous NameRing maintenance
@@ -101,11 +103,7 @@ type Middleware struct {
 	gen       *uuid.Gen
 	reg       *metrics.Registry
 
-	// The File Descriptor Cache, hash-sharded into independent stripes
-	// (see descache.go). descStripeCap is each stripe's share of
-	// Config.DescCacheLimit (0 = unlimited).
-	stripes       [descStripes]descStripe
-	descStripeCap int
+	descs descCache // the File Descriptor Cache (see descache.go)
 
 	rootsMu sync.Mutex
 	roots   map[string]string // account -> root namespace UUID
@@ -163,9 +161,7 @@ func New(cfg Config) (*Middleware, error) {
 		gcinflight: make(map[string]map[int]bool),
 		gcidxheads: make(map[string]int),
 	}
-	if cfg.DescCacheLimit > 0 {
-		m.descStripeCap = (cfg.DescCacheLimit + descStripes - 1) / descStripes
-	}
+	m.descs.limit = max(cfg.DescCacheLimit, 0)
 	if bus, ok := cfg.Gossip.(*gossip.Bus); ok && bus != nil {
 		bus.Register(cfg.Node, m.handleGossip)
 	} else if reg, ok := cfg.Gossip.(gossip.Registrar); ok {

@@ -127,7 +127,7 @@ func (m *Middleware) gcNamespace(ctx context.Context, account, ns, entryKey stri
 // the entry, the extents and the object at RingKey. dropDesc takes the
 // descriptor's monitor, so a merger flush already inside flushLocked
 // finishes its put before the delete, and every later pass finds the
-// descriptor evicted and skips it — dropping it after the deletes let a
+// descriptor not resident and skips it — dropping it after the deletes let a
 // MaintainOnce issued in between put the ring back. What stays open is the
 // same race against another middleware's merger, which holds its own
 // descriptor of the doomed ring (ROADMAP item 1, PR B's matrix).
