@@ -575,5 +575,5 @@ func isChargeFunc(fn *types.Func) bool {
 	if !strings.HasSuffix(fn.Pkg().Path(), "internal/vclock") {
 		return false
 	}
-	return fn.Name() == "Charge" || fn.Name() == "Fanout"
+	return fn.Name() == "Charge"
 }

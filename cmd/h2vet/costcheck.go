@@ -21,7 +21,7 @@ Concretely, for every program type implementing objstore.Store and
 every interface primitive (Put, Get, GetRange, Head, Delete, Copy):
 
   - a leaf implementation (one that does not delegate to another Store
-    primitive) must reach vclock.Charge/Fanout through the call graph;
+    primitive) must reach vclock.Charge through the call graph;
   - a wrapper (one that delegates) must not also reach a charge call on
     its own frames — the inner implementation owns the cost. Wrappers
     that model extra cost deliberately (chaos latency spikes, retry

@@ -54,9 +54,6 @@ func New(store objstore.Store, profile cluster.CostProfile, account string, cloc
 	if clock == nil {
 		clock = time.Now
 	}
-	if profile.Fanout <= 0 {
-		profile.Fanout = 16
-	}
 	return &FS{
 		store:   store,
 		profile: profile,
@@ -308,20 +305,15 @@ func (f *FS) List(ctx context.Context, path string, detail bool) ([]fsapi.EntryI
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	if detail {
-		tasks := make([]func(context.Context) error, len(entries))
-		for i := range entries {
-			i := i
-			tasks[i] = func(ctx context.Context) error {
-				info, err := f.store.Head(ctx, f.key(fsapi.Join(p, entries[i].Name)))
-				if err == nil {
-					entries[i].Size = info.Size
-					entries[i].ModTime = info.LastModified
-				}
-				return nil
-			}
+		keys := make([]string, len(entries))
+		for i, e := range entries {
+			keys[i] = f.key(fsapi.Join(p, e.Name))
 		}
-		if err := vclock.Fanout(ctx, f.profile.Fanout, tasks); err != nil {
-			return nil, err
+		for i, r := range objstore.MultiHead(ctx, f.store, keys) {
+			if r.Err == nil {
+				entries[i].Size = r.Info.Size
+				entries[i].ModTime = r.Info.LastModified
+			}
 		}
 	}
 	return entries, nil

@@ -54,6 +54,22 @@ func (e GCEntry) EntryKey() string {
 	return ChildKey(e.Account, e.ParentNS, e.Name)
 }
 
+// Acked decides whether the delete e records was acknowledged, given
+// the tuple that now stands where its commit landed (ok false when
+// there is none): the parent's tuple for e.Name, or for an account
+// deletion the root record, its namespace in NS. A live tuple still
+// naming e.NS means the commit never happened: the intent is stale and
+// the subtree must not be touched. Otherwise the delete happened, and
+// key is the entry object the reclamation may delete: EntryKey while
+// the name is tombstoned or gone, "" when a live successor under
+// another namespace reuses it (that object is the successor's).
+func (e GCEntry) Acked(t Tuple, ok bool) (acked bool, key string) {
+	if ok && !t.Deleted {
+		return t.NS != e.NS, ""
+	}
+	return true, e.EntryKey()
+}
+
 // GCQueueKey returns the object key of one queue entry, following the
 // patch-chain naming discipline: per (account, node) sequences, so each
 // middleware owns (and drains) the intents it enqueued.
@@ -74,30 +90,6 @@ func IsGCQueueKey(key string) bool {
 // IsGCIndexKey reports whether key names a queue index object.
 func IsGCIndexKey(key string) bool {
 	return strings.HasPrefix(key, gcIndexPrefix)
-}
-
-// ParseGCQueueKey extracts the account, node and sequence from a queue
-// entry key.
-func ParseGCQueueKey(key string) (account string, node, seq int, err error) {
-	i := strings.Index(key, gcQueueInfix)
-	if i < 0 {
-		return "", 0, 0, fmt.Errorf("core: %q is not a gc queue key", key)
-	}
-	account = key[:i]
-	rest := key[i+len(gcQueueInfix):]
-	nodeStr, seqStr, ok := strings.Cut(rest, ".Item")
-	if !ok {
-		return "", 0, 0, fmt.Errorf("core: %q is not a gc queue key", key)
-	}
-	node, err = strconv.Atoi(nodeStr)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("core: bad node in gc queue key %q: %w", key, err)
-	}
-	seq, err = strconv.Atoi(seqStr)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("core: bad sequence in gc queue key %q: %w", key, err)
-	}
-	return account, node, seq, nil
 }
 
 // EncodeGCEntry packs an intent record into its ASCII object form, one

@@ -41,23 +41,38 @@ func TestGCEntryEntryKey(t *testing.T) {
 	}
 }
 
+func TestGCEntryAcked(t *testing.T) {
+	e := GCEntry{Account: "alice", NS: "N05", ParentNS: "N01", Name: "videos"}
+	cases := []struct {
+		name      string
+		t         Tuple
+		ok        bool
+		wantAcked bool
+		wantKey   string
+	}{
+		{"live tuple, same namespace", Tuple{Name: "videos", Dir: true, NS: "N05"}, true, false, ""},
+		{"tombstone", Tuple{Name: "videos", Dir: true, NS: "N05", Deleted: true}, true, true, e.EntryKey()},
+		{"absent", Tuple{}, false, true, e.EntryKey()},
+		{"live successor, new namespace", Tuple{Name: "videos", Dir: true, NS: "N09"}, true, true, ""},
+	}
+	for _, c := range cases {
+		acked, key := e.Acked(c.t, c.ok)
+		if acked != c.wantAcked || key != c.wantKey {
+			t.Errorf("%s: Acked = (%v, %q), want (%v, %q)", c.name, acked, key, c.wantAcked, c.wantKey)
+		}
+	}
+}
+
 func TestGCQueueKeyRoundTrip(t *testing.T) {
 	key := GCQueueKey("alice", 3, 17)
+	if want := "alice|/gcq/Node03.Item000017"; key != want {
+		t.Fatalf("GCQueueKey = %q, want %q", key, want)
+	}
 	if !IsGCQueueKey(key) {
 		t.Fatalf("IsGCQueueKey(%q) = false", key)
 	}
-	account, node, seq, err := ParseGCQueueKey(key)
-	if err != nil {
-		t.Fatalf("parse %q: %v", key, err)
-	}
-	if account != "alice" || node != 3 || seq != 17 {
-		t.Fatalf("parse %q = (%q, %d, %d)", key, account, node, seq)
-	}
 	if IsGCQueueKey(ChildKey("alice", "N01", "file")) {
 		t.Fatal("child key misdetected as queue key")
-	}
-	if _, _, _, err := ParseGCQueueKey("alice|N01::file"); err == nil {
-		t.Fatal("expected parse error for non-queue key")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // cleanup, fails the test if the count has not returned to that
 // baseline. Every test that starts a goroutine the code under test owns
 // (the subtree engine's helpers, the maintenance loop, gossip's Run,
-// vclock.Fanout, chaos) calls it first: it is the only guard against a
+// chaos) calls it first: it is the only guard against a
 // worker that outlives its operation — a loop that lost its ctx.Done
 // case, a break that leaves the select and not the loop, a range over a
 // ticker — so the test must drive the goroutine to its exit.

@@ -5,53 +5,73 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
-// Durable async GC queue. Fake deletion (§3.3.3) makes RMDIR O(1) by
-// leaving the subtree's objects behind; this queue makes the out-of-band
-// reclamation crash-safe instead of best-effort. The protocol:
+// Reclamation. Fake deletion (§3.3.3) makes RMDIR O(1) by leaving the
+// subtree's objects behind; Rmdir and DeleteAccount describe the doomed
+// namespace once, as a core.GCEntry, and run the same three steps:
 //
-//  1. Enqueue intent. Before the tombstone patch is submitted, the
-//     middleware durably records {cursor, head} spans in its per-node
-//     index object and writes a core.GCEntry object for the doomed
-//     namespace. Both writes ride the caller's virtual clock — two O(1)
-//     puts, so the delete still completes at ring-patch cost.
-//  2. Tombstone. The fake-deletion patch lands; the operation is
-//     acknowledged.
-//  3. Drain. The maintenance loop probes each recorded span, validates
-//     every intent against the parent ring (a tombstone-less tuple means
-//     the RMDIR of step 2 never happened — the intent is stale and
-//     dropped, never reclaimed), walks the subtree through the pipelined
-//     walker, and only then deletes the entry object.
+//  1. enqueueGC: with the durable queue on, record the intent — the
+//     per-node index object, its account's span now covering the new
+//     sequence, then the entry object: two O(1) puts on the caller's
+//     virtual clock, so the delete still completes at ring-patch cost.
+//     With the queue off it does nothing.
+//  2. The commit: the tombstone patch (or the root-record delete) lands
+//     and the operation is acknowledged.
+//  3. reclaimNow: with EagerGC, reclaimEntry (validate, then walk) runs
+//     off the caller's bill, and the entry is dequeued.
+//
+// Without EagerGC, or after an eager walk failed, the maintenance loop's
+// DrainGC probes each recorded span and reclaims every entry through the
+// same reclaimEntry, deleting the entry object only after the walk. Lazy,
+// eager, queued and eager-over-the-queue are the two switches composed.
 //
 // A crash at any point replays safely: before step 2 the intent is stale
-// (live tuple) and dropped; mid-drain the entry object survives, the
-// restarted node re-probes the span from the durable index, and the
-// re-walk tolerates already-deleted objects (ErrNotFound everywhere), so
-// replay is idempotent — no orphan, no double-free. The index is written
-// before the entry (intent-first): a crash between the two leaves a
-// covered-but-missing sequence, which the probe skips as not-found,
-// never an entry the index cannot find.
+// (live tuple, core.GCEntry.Acked) and dropped; mid-walk the entry object
+// survives, the restarted node re-probes the span from the durable index,
+// and the re-walk tolerates already-deleted objects (ErrNotFound
+// everywhere), so replay is idempotent — no orphan, no double-free. The
+// index is written before the entry (intent-first): a crash between the
+// two leaves a covered-but-missing sequence, which the probe skips as
+// not-found, never an entry the index cannot find.
 //
 // Stale-validation only works on settled intents. Between enqueue (step
 // 1) and acknowledgment (step 2) the parent tuple is still live, so a
 // concurrent drain reading it would wrongly conclude the delete never
 // happened and drop an intent whose tombstone is about to land —
 // stranding the subtree, the exact leak the queue prevents. Each
-// operation therefore keeps its sequence in an in-flight window
-// (gcinflight, under gcmu) from reservation until it returns; DrainGC
-// defers at the first in-flight sequence of a span and revisits on a
-// later pass. The window is process-local on purpose: after a real
-// crash the operation is dead, its tombstone either landed (the intent
-// validates and reclaims) or did not (the intent is genuinely stale).
+// operation therefore keeps its sequence in its span's in-flight window
+// (open, under gc.mu) from reservation until it returns; DrainGC defers
+// at the first in-flight sequence of a span and revisits on a later
+// pass. The window is process-local on purpose: after a real crash the
+// operation is dead, its tombstone either landed (the intent validates
+// and reclaims) or did not (the intent is genuinely stale).
 
-// gcState is one account's in-memory mirror of its index span.
-type gcState struct {
-	cursor int // lowest possibly-pending sequence
-	head   int // highest sequence ever enqueued
+// gcQueue is the middleware's mirror of its durable queue index. Index
+// writes funnel through idxmu, and each encodes a fresh snapshot at
+// write time, so serialized writes never regress coverage. Lock order:
+// idxmu, then mu.
+type gcQueue struct {
+	on       bool // Config.GCQueue
+	draining atomic.Bool
+	idxmu    sync.Mutex
+	mu       sync.Mutex
+	loaded   bool               // spans primed from the durable index
+	spans    map[string]*gcSpan // account -> pending span
+}
+
+// gcSpan is one account's pending-sequence window.
+type gcSpan struct {
+	cursor int          // lowest possibly-pending sequence
+	head   int          // highest sequence ever enqueued
+	saved  int          // highest sequence a persisted index snapshot covered
+	open   map[int]bool // sequences inside their enqueue-to-ack window
 }
 
 // GCQueueStats is the queue gauge exposed on /v1/stats.
@@ -64,119 +84,125 @@ type GCQueueStats struct {
 	LagNanos  int64 `json:"lagNanos"`  // cumulative enqueue-to-reclaim lag across reclaimed entries
 }
 
-// loadGCLocked populates the in-memory span mirror from the node's
-// durable index object. Callers hold gcmu.
-func (m *Middleware) loadGCLocked(ctx context.Context) error {
-	if m.gcloaded {
+// reset forgets the mirror, as a process restart does: the next use
+// re-reads the durable index. The in-flight windows die with the
+// simulated process, so an intent whose operation never acknowledged is
+// validated at the next drain against its still-live parent tuple and
+// dropped as stale.
+func (q *gcQueue) reset() {
+	q.idxmu.Lock()
+	defer q.idxmu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.spans, q.loaded = nil, false
+}
+
+// gcLoadLocked primes the mirror from the node's durable index object.
+// Callers hold gc.mu.
+func (m *Middleware) gcLoadLocked(ctx context.Context) error {
+	if m.gc.loaded {
 		return nil
 	}
 	data, _, err := m.store.Get(ctx, core.GCIndexKey(m.node))
-	if err != nil {
-		if !errors.Is(err, objstore.ErrNotFound) {
-			return fmt.Errorf("h2fs: load gc index: %w", err)
-		}
-		m.gcloaded = true
-		return nil
+	var entries []core.GCIndexEntry
+	if err == nil {
+		entries, err = core.DecodeGCIndex(data)
 	}
-	entries, err := core.DecodeGCIndex(data)
-	if err != nil {
+	if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 		return fmt.Errorf("h2fs: load gc index: %w", err)
 	}
+	m.gc.spans = make(map[string]*gcSpan, len(entries))
 	for _, e := range entries {
-		m.gcstates[e.Account] = &gcState{cursor: e.Cursor, head: e.Head}
+		m.gc.spans[e.Account] = &gcSpan{cursor: e.Cursor, head: e.Head}
 	}
-	m.gcloaded = true
+	m.gc.loaded = true
 	return nil
 }
 
-// gcAccountsLocked returns the mirrored account names in sorted order,
-// so no queue decision depends on map iteration order. Callers hold gcmu.
-func (m *Middleware) gcAccountsLocked() []string {
-	accounts := make([]string, 0, len(m.gcstates))
-	for account := range m.gcstates {
-		accounts = append(accounts, account)
+// gcSpans loads the mirror if needed and returns every non-empty span in
+// account order: the one snapshot the drain, the index write and
+// GCQueueSnapshot share, so no queue decision depends on map order.
+func (m *Middleware) gcSpans(ctx context.Context) ([]core.GCIndexEntry, error) {
+	m.gc.mu.Lock()
+	defer m.gc.mu.Unlock()
+	if err := m.gcLoadLocked(ctx); err != nil {
+		return nil, err
 	}
-	sort.Strings(accounts)
-	return accounts
-}
-
-// gcWriteIndex persists the span mirror, pruning accounts whose spans
-// are empty. All index writes funnel through gcidxmu, and each encodes
-// a fresh snapshot at write time, so serialized writes never regress
-// coverage — a later write always covers at least what an earlier one
-// did.
-func (m *Middleware) gcWriteIndex(ctx context.Context) error {
-	m.gcidxmu.Lock()
-	defer m.gcidxmu.Unlock()
-	return m.gcWriteIndexLocked(ctx)
-}
-
-// gcWriteIndexLocked is gcWriteIndex's body; the caller holds gcidxmu
-// and must not hold gcmu (lock order is gcidxmu, then gcmu).
-func (m *Middleware) gcWriteIndexLocked(ctx context.Context) error {
-	entries, heads := m.gcSnapshotIndex()
-	if err := m.store.Put(ctx, core.GCIndexKey(m.node), core.EncodeGCIndex(entries), nil); err != nil {
-		return fmt.Errorf("h2fs: save gc index: %w", err)
-	}
-	m.gcidxheads = heads
-	return nil
-}
-
-// gcSnapshotIndex encodes the current span mirror (pruning empty spans)
-// together with the per-account heads the snapshot covers.
-func (m *Middleware) gcSnapshotIndex() ([]core.GCIndexEntry, map[string]int) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	entries := make([]core.GCIndexEntry, 0, len(m.gcstates))
-	heads := make(map[string]int, len(m.gcstates))
-	for _, account := range m.gcAccountsLocked() {
-		st := m.gcstates[account]
-		if st.head < st.cursor {
-			continue
+	spans := make([]core.GCIndexEntry, 0, len(m.gc.spans))
+	for account, sp := range m.gc.spans {
+		if sp.head >= sp.cursor {
+			spans = append(spans, core.GCIndexEntry{Account: account, Cursor: sp.cursor, Head: sp.head})
 		}
-		entries = append(entries, core.GCIndexEntry{Account: account, Cursor: st.cursor, Head: st.head})
-		heads[account] = st.head
 	}
-	return entries, heads
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Account < spans[j].Account })
+	return spans, nil
 }
 
-// gcCoverIndex makes the durable index cover account's span through at
-// least seq. An enqueue whose sequence a concurrent writer's fresher
-// snapshot already persisted skips the store round-trip entirely, so
-// concurrent deletes batch their index writes instead of queueing one
-// Put each.
-func (m *Middleware) gcCoverIndex(ctx context.Context, account string, seq int) error {
-	m.gcidxmu.Lock()
-	defer m.gcidxmu.Unlock()
-	if m.gcidxheads[account] >= seq {
+// gcWriteIndex persists the mirror's non-empty spans. An enqueue passes
+// its account and sequence and skips the write when a concurrent
+// writer's fresher snapshot already covered it, so concurrent deletes
+// batch their index writes instead of queueing one Put each; the drain
+// passes seq 0 and always writes.
+func (m *Middleware) gcWriteIndex(ctx context.Context, account string, seq int) error {
+	m.gc.idxmu.Lock()
+	defer m.gc.idxmu.Unlock()
+	if seq > 0 && m.gc.saved(account) >= seq {
 		return nil
 	}
-	return m.gcWriteIndexLocked(ctx)
+	spans, err := m.gcSpans(ctx)
+	if err != nil {
+		return err
+	}
+	if err := m.store.Put(ctx, core.GCIndexKey(m.node), core.EncodeGCIndex(spans), nil); err != nil {
+		return fmt.Errorf("h2fs: save gc index: %w", err)
+	}
+	m.gc.mu.Lock()
+	defer m.gc.mu.Unlock()
+	for _, e := range spans {
+		if sp := m.gc.spans[e.Account]; sp != nil {
+			sp.saved = max(sp.saved, e.Head)
+		}
+	}
+	return nil
 }
 
-// enqueueGC durably records the intent to reclaim namespace ns and
-// returns the entry's sequence number. The sequence is reserved (and its
-// in-flight window opened) under gcmu with no store I/O beyond the
-// one-time index load; both persistence writes happen outside the lock,
-// index before entry, so concurrent deletes do not serialize on each
-// other's round-trips and a crash between the writes leaves a skippable
-// gap rather than an unfindable entry. A failed write likewise leaves
-// only a hole in the span — the drain probes it as not-found and moves
-// on — so no rollback is needed (nor possible once later sequences have
-// been reserved).
-func (m *Middleware) enqueueGC(ctx context.Context, account, ns, parentNS, name string, root bool) (int, error) {
-	seq, err := m.gcReserve(ctx, account)
+// saved reports the highest sequence of account a persisted index
+// snapshot covered.
+func (q *gcQueue) saved(account string) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if sp := q.spans[account]; sp != nil {
+		return sp.saved
+	}
+	return 0
+}
+
+// enqueueGC durably records the intent e and returns its sequence
+// number; with the queue off it returns 0 and does nothing. The intent
+// must land once the commit follows, so it drops the caller's
+// cancellation (but keeps its virtual clock). The sequence is reserved,
+// and its in-flight window opened, under gc.mu with no store I/O beyond
+// the one-time index load; both writes happen outside the lock, index
+// before entry. A failed write leaves only a hole in the span — the
+// drain probes it as not-found and moves on — so no rollback is needed.
+func (m *Middleware) enqueueGC(ctx context.Context, e core.GCEntry) (int, error) {
+	if !m.gc.on {
+		return 0, nil
+	}
+	//h2vet:durable GC intent enqueue: the commit follows, so the intent must land
+	ctx = context.WithoutCancel(ctx)
+	seq, err := m.gcReserve(ctx, e.Account)
 	if err != nil {
 		return 0, err
 	}
-	if err := m.gcCoverIndex(ctx, account, seq); err != nil {
-		m.gcSettle(account, seq)
+	if err := m.gcWriteIndex(ctx, e.Account, seq); err != nil {
+		m.gcSettle(e.Account, seq)
 		return 0, err
 	}
-	entry := core.GCEntry{Account: account, NS: ns, ParentNS: parentNS, Name: name, Root: root, Enqueued: m.now()}
-	if err := m.store.Put(ctx, core.GCQueueKey(account, m.node, seq),
-		core.EncodeGCEntry(entry), map[string]string{metaType: "gcq"}); err != nil {
-		m.gcSettle(account, seq)
+	e.Enqueued = m.now()
+	if err := m.store.Put(ctx, core.GCQueueKey(e.Account, m.node, seq),
+		core.EncodeGCEntry(e), map[string]string{metaType: "gcq"}); err != nil {
+		m.gcSettle(e.Account, seq)
 		return 0, fmt.Errorf("h2fs: enqueue gc intent: %w", err)
 	}
 	m.reg.Inc("gcqueue.enqueued", 1)
@@ -184,76 +210,87 @@ func (m *Middleware) enqueueGC(ctx context.Context, account, ns, parentNS, name 
 }
 
 // gcReserve allocates account's next sequence number and opens its
-// in-flight window; no store I/O happens under the mirror lock beyond
-// the one-time index load.
+// in-flight window.
 func (m *Middleware) gcReserve(ctx context.Context, account string) (int, error) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if err := m.loadGCLocked(ctx); err != nil {
+	m.gc.mu.Lock()
+	defer m.gc.mu.Unlock()
+	if err := m.gcLoadLocked(ctx); err != nil {
 		return 0, err
 	}
-	st := m.gcstates[account]
-	if st == nil {
-		st = &gcState{cursor: 1}
-		m.gcstates[account] = st
+	sp := m.gc.spans[account]
+	if sp == nil {
+		sp = &gcSpan{cursor: 1}
+		m.gc.spans[account] = sp
 	}
-	st.head++
-	seq := st.head
-	if st.cursor > seq {
-		st.cursor = seq
+	sp.head++
+	sp.cursor = min(sp.cursor, sp.head)
+	if sp.open == nil {
+		sp.open = make(map[int]bool)
 	}
-	if m.gcinflight[account] == nil {
-		m.gcinflight[account] = make(map[int]bool)
-	}
-	m.gcinflight[account][seq] = true
-	return seq, nil
+	sp.open[sp.head] = true
+	return sp.head, nil
 }
 
 // gcSettle closes an intent's in-flight window: the enqueuing operation
-// has returned (tombstone landed, or the operation failed), so drains
-// may now validate the intent against the parent ring. Settling an
-// already-settled or unknown sequence is a no-op.
+// has returned (commit landed, or the operation failed), so drains may
+// now validate the intent. Settling sequence 0 (queue off), an
+// already-settled or an unknown sequence is a no-op.
 func (m *Middleware) gcSettle(account string, seq int) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if s := m.gcinflight[account]; s != nil {
-		delete(s, seq)
-		if len(s) == 0 {
-			delete(m.gcinflight, account)
-		}
-	}
-}
-
-// gcInflight reports whether an intent is still inside its
-// enqueue-to-ack window.
-func (m *Middleware) gcInflight(account string, seq int) bool {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	return m.gcinflight[account][seq]
-}
-
-// dequeueGC removes an entry whose subtree was reclaimed eagerly, inside
-// the same operation that enqueued it. A failed delete is harmless — the
-// entry stays queued and the next drain revalidates and re-reclaims it
-// (a no-op walk) — so the error is only counted, never surfaced.
-func (m *Middleware) dequeueGC(ctx context.Context, account string, seq int) {
-	if err := m.store.Delete(ctx, core.GCQueueKey(account, m.node, seq)); err != nil &&
-		!errors.Is(err, objstore.ErrNotFound) {
-		m.reg.Inc("gcqueue.dequeue.errors", 1)
+	if seq == 0 {
 		return
 	}
-	m.reg.Inc("gcqueue.reclaimed", 1)
-	m.gcBumpCursor(account, seq)
+	m.gc.mu.Lock()
+	defer m.gc.mu.Unlock()
+	if sp := m.gc.spans[account]; sp != nil {
+		delete(sp.open, seq)
+	}
 }
 
-// gcBumpCursor advances account's cursor past seq if it sits exactly
-// there (the common in-order eager dequeue).
-func (m *Middleware) gcBumpCursor(account string, seq int) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if st := m.gcstates[account]; st != nil && st.cursor == seq {
-		st.cursor = seq + 1
+// inflight reports whether an intent is still inside its enqueue-to-ack
+// window.
+func (q *gcQueue) inflight(account string, seq int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	sp := q.spans[account]
+	return sp != nil && sp.open[seq]
+}
+
+// advance moves account's cursor forward to `to` when it sits in
+// [from, to). The eager dequeue passes (seq, seq+1): dequeued out of
+// order, it leaves the cursor in front of the earlier sequence still
+// pending. The drain passes its snapshot cursor and the first sequence
+// it left pending. A cursor never moves back.
+func (q *gcQueue) advance(account string, from, to int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if sp := q.spans[account]; sp != nil && sp.cursor >= from && sp.cursor < to {
+		sp.cursor = to
 	}
+}
+
+// reclaimNow is step 3: with EagerGC set it reclaims the intent e the
+// caller has just committed through the drain's own reclaimEntry, off
+// the caller's bill, then dequeues seq. A failed walk returns its error
+// and leaves a queued intent for the drain to finish; a failed dequeue
+// is only counted — the entry stays queued and the next drain
+// revalidates it and re-walks an empty namespace.
+func (m *Middleware) reclaimNow(ctx context.Context, e core.GCEntry, seq int) error {
+	if !m.eagerGC {
+		return nil
+	}
+	//h2vet:durable eager reclamation: once the commit landed, the walk must finish
+	ctx = vclock.With(context.WithoutCancel(ctx), nil) // do not bill GC to the caller
+	if _, err := m.reclaimEntry(ctx, e); err != nil || seq == 0 {
+		return err
+	}
+	if err := m.store.Delete(ctx, core.GCQueueKey(e.Account, m.node, seq)); err != nil &&
+		!errors.Is(err, objstore.ErrNotFound) {
+		m.reg.Inc("gcqueue.dequeue.errors", 1)
+		return nil
+	}
+	m.reg.Inc("gcqueue.reclaimed", 1)
+	m.gc.advance(e.Account, seq, seq+1)
+	return nil
 }
 
 // DrainGC processes every pending reclamation intent this node has
@@ -269,83 +306,43 @@ func (m *Middleware) gcBumpCursor(account string, seq int) {
 // calls coalesce: a drain already in flight makes later calls return
 // immediately.
 func (m *Middleware) DrainGC(ctx context.Context) (int, error) {
-	if !m.gcq {
+	if !m.gc.on || !m.gc.draining.CompareAndSwap(false, true) {
 		return 0, nil
 	}
-	if !m.gcdraining.CompareAndSwap(false, true) {
-		return 0, nil
-	}
-	defer m.gcdraining.Store(false)
+	defer m.gc.draining.Store(false)
 
-	spans, err := m.gcSnapshotSpans(ctx)
+	spans, err := m.gcSpans(ctx)
 	if err != nil {
 		return 0, err
 	}
-
 	drained := 0
 	var firstErr error
 	for _, sp := range spans {
-		cursor := sp.cursor
-		for seq := sp.cursor; seq <= sp.head; seq++ {
-			if m.gcInflight(sp.account, seq) {
-				// The enqueuing operation is still between its intent write
-				// and its acknowledgment: the parent tuple it will tombstone
-				// is live right now, so validating would misclassify the
-				// intent as stale and drop it — stranding a subtree whose
-				// delete is about to be acknowledged. Leave the cursor here;
-				// a later drain revisits once the operation settles.
+		cursor := sp.Cursor
+		for ; cursor <= sp.Head; cursor++ {
+			if m.gc.inflight(sp.Account, cursor) {
+				// The enqueuing operation has not committed yet: the parent
+				// tuple is live right now, so validating would drop an
+				// intent whose tombstone is about to land. A later drain
+				// revisits once the operation settles.
 				m.reg.Inc("gcqueue.deferred", 1)
 				break
 			}
-			key := core.GCQueueKey(sp.account, m.node, seq)
-			data, _, err := m.store.Get(ctx, key)
-			if errors.Is(err, objstore.ErrNotFound) {
-				cursor = seq + 1 // already reclaimed (crash replay or eager dequeue)
-				continue
-			}
+			ok, err := m.drainEntry(ctx, core.GCQueueKey(sp.Account, m.node, cursor))
 			if err != nil {
-				firstErr = fmt.Errorf("h2fs: gc drain probe %s: %w", key, err)
+				firstErr = err
 				break
 			}
-			entry, derr := core.DecodeGCEntry(data)
-			if derr != nil {
-				// A corrupt intent names nothing reclaimable; drop it and
-				// let the scrubber find whatever it was protecting.
-				m.reg.Inc("gcqueue.corrupt", 1)
-				if err := m.store.Delete(ctx, key); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-					firstErr = fmt.Errorf("h2fs: gc drain drop %s: %w", key, err)
-					break
-				}
-				cursor = seq + 1
+			if ok {
 				drained++
-				continue
 			}
-			reclaimed, err := m.reclaimEntry(ctx, entry)
-			if err != nil {
-				firstErr = fmt.Errorf("h2fs: gc drain reclaim %s: %w", key, err)
-				break
-			}
-			if err := m.store.Delete(ctx, key); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				firstErr = fmt.Errorf("h2fs: gc drain dequeue %s: %w", key, err)
-				break
-			}
-			if reclaimed {
-				m.reg.Inc("gcqueue.reclaimed", 1)
-				if lag := m.now() - entry.Enqueued; lag > 0 {
-					m.reg.Inc("gcqueue.lag_ns", lag) // reclamation lag, summed across entries
-				}
-			} else {
-				m.reg.Inc("gcqueue.stale", 1)
-			}
-			cursor = seq + 1
-			drained++
 		}
-		m.gcMergeCursor(sp.account, cursor)
+		m.gc.advance(sp.Account, sp.Cursor, cursor)
 		if firstErr != nil {
 			break
 		}
 	}
-	serr := m.gcWriteIndex(ctx)
+	serr := m.gcWriteIndex(ctx, "", 0)
 	if firstErr == nil {
 		// A failed index save only delays span pruning (the replay probes
 		// answer not-found), but the maintenance loop should still see it.
@@ -354,89 +351,97 @@ func (m *Middleware) DrainGC(ctx context.Context) (int, error) {
 	return drained, firstErr
 }
 
-// gcSpan is one account's pending-sequence window, snapshotted at the
-// start of a drain.
-type gcSpan struct {
-	account      string
-	cursor, head int
-}
-
-// gcSnapshotSpans loads the durable index (if not mirrored yet) and
-// returns every account's span in sorted account order.
-func (m *Middleware) gcSnapshotSpans(ctx context.Context) ([]gcSpan, error) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if err := m.loadGCLocked(ctx); err != nil {
-		return nil, err
+// drainEntry probes one queue key and, when an entry is there, reclaims
+// it (or drops it as stale or corrupt) and dequeues it; ok reports
+// whether an entry was drained. A missing key is an already-reclaimed
+// sequence (crash replay or eager dequeue) or a hole a failed enqueue
+// left.
+func (m *Middleware) drainEntry(ctx context.Context, key string) (ok bool, err error) {
+	data, _, err := m.store.Get(ctx, key)
+	if errors.Is(err, objstore.ErrNotFound) {
+		return false, nil
 	}
-	spans := make([]gcSpan, 0, len(m.gcstates))
-	for _, account := range m.gcAccountsLocked() {
-		st := m.gcstates[account]
-		spans = append(spans, gcSpan{account, st.cursor, st.head})
+	if err != nil {
+		return false, fmt.Errorf("h2fs: gc drain probe %s: %w", key, err)
 	}
-	return spans, nil
-}
-
-// gcMergeCursor folds a drain's progress back into the mirror; a
-// concurrent eager dequeue may have advanced it further, so the cursor
-// only ever moves forward.
-func (m *Middleware) gcMergeCursor(account string, cursor int) {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if st := m.gcstates[account]; st != nil && cursor > st.cursor {
-		st.cursor = cursor
+	// A corrupt intent names nothing reclaimable; drop it and let the
+	// scrubber find whatever it was protecting.
+	entry, derr := core.DecodeGCEntry(data)
+	reclaimed := false
+	if derr == nil {
+		if reclaimed, err = m.reclaimEntry(ctx, entry); err != nil {
+			return false, fmt.Errorf("h2fs: gc drain reclaim %s: %w", key, err)
+		}
 	}
+	if err := m.store.Delete(ctx, key); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+		return false, fmt.Errorf("h2fs: gc drain dequeue %s: %w", key, err)
+	}
+	switch {
+	case derr != nil:
+		m.reg.Inc("gcqueue.corrupt", 1)
+	case reclaimed:
+		m.reg.Inc("gcqueue.reclaimed", 1)
+		if lag := m.now() - entry.Enqueued; lag > 0 {
+			m.reg.Inc("gcqueue.lag_ns", lag) // reclamation lag, summed across entries
+		}
+	default:
+		m.reg.Inc("gcqueue.stale", 1)
+	}
+	return true, nil
 }
 
 // reclaimEntry validates one intent and, if the delete it records was
-// acknowledged, reclaims the namespace through the pipelined walker.
-// Returns false when the intent is stale — the tombstone (or root-record
-// delete) never landed, so the subtree is live and must not be touched.
+// acknowledged (core.GCEntry.Acked), reclaims the namespace through the
+// pipelined walker. Returns false when the intent is stale — the
+// tombstone (or root-record delete) never landed, so the subtree is live
+// and must not be touched.
 func (m *Middleware) reclaimEntry(ctx context.Context, e core.GCEntry) (bool, error) {
-	entryKey := ""
+	var t core.Tuple
+	var ok bool
+	var err error
 	if e.Root {
-		data, _, err := m.store.Get(ctx, core.RootKey(e.Account))
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return false, err
-		}
-		if err == nil && string(data) == e.NS {
-			return false, nil // account deletion never acknowledged; still live
-		}
+		t, ok, err = rootTuple(ctx, m.store, e.Account)
 	} else {
-		t, ok, err := m.lookupChild(ctx, e.Account, e.ParentNS, e.Name)
-		if err != nil {
-			return false, err
-		}
-		if ok && !t.Deleted && t.NS == e.NS {
-			return false, nil // rmdir never acknowledged; subtree still live
-		}
-		// The entry's child object is ours to delete unless the name was
-		// reused by a live successor (same key, new namespace): then the
-		// object at EntryKey belongs to the successor and must survive.
-		if !ok || t.Deleted {
-			entryKey = e.EntryKey()
-		}
+		t, ok, err = m.lookupChild(ctx, e.Account, e.ParentNS, e.Name)
+	}
+	if err != nil {
+		return false, err
+	}
+	acked, entryKey := e.Acked(t, ok)
+	if !acked {
+		return false, nil
 	}
 	return true, m.gcNamespace(ctx, e.Account, e.NS, entryKey)
+}
+
+// rootTuple reads account's root record as the tuple an account-deletion
+// intent validates against: ok while the record exists, NS the
+// namespace it names.
+func rootTuple(ctx context.Context, store objstore.Store, account string) (core.Tuple, bool, error) {
+	data, _, err := store.Get(ctx, core.RootKey(account))
+	if errors.Is(err, objstore.ErrNotFound) {
+		return core.Tuple{}, false, nil
+	}
+	if err != nil {
+		return core.Tuple{}, false, err
+	}
+	return core.Tuple{NS: string(data)}, true, nil
 }
 
 // GCQueueSnapshot reports queue depth and lifetime counters; nil when
 // the queue is disabled. Pending is the recorded span width, which may
 // overcount briefly after eager dequeues until a drain prunes the spans.
 func (m *Middleware) GCQueueSnapshot(ctx context.Context) (*GCQueueStats, error) {
-	if !m.gcq {
+	if !m.gc.on {
 		return nil, nil
 	}
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	if err := m.loadGCLocked(ctx); err != nil {
+	spans, err := m.gcSpans(ctx)
+	if err != nil {
 		return nil, err
 	}
 	pending := 0
-	for _, account := range m.gcAccountsLocked() {
-		if st := m.gcstates[account]; st.head >= st.cursor {
-			pending += st.head - st.cursor + 1
-		}
+	for _, sp := range spans {
+		pending += sp.Head - sp.Cursor + 1
 	}
 	return &GCQueueStats{
 		Pending:   pending,

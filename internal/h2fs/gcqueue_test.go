@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
@@ -244,11 +245,11 @@ func TestGCQueueStaleIntentDropped(t *testing.T) {
 	// for both the directory and the whole account.
 	res, _, err := m.resolve(ctx, "alice", "/zap")
 	mustNoErr(t, err)
-	_, err = m.enqueueGC(ctx, "alice", res.tuple.NS, res.parentNS, res.tuple.Name, false)
+	_, err = m.enqueueGC(ctx, core.GCEntry{Account: "alice", NS: res.tuple.NS, ParentNS: res.parentNS, Name: res.tuple.Name})
 	mustNoErr(t, err)
 	rootNS, err := m.rootNS(ctx, "alice")
 	mustNoErr(t, err)
-	_, err = m.enqueueGC(ctx, "alice", rootNS, "", "", true)
+	_, err = m.enqueueGC(ctx, core.GCEntry{Account: "alice", NS: rootNS, Root: true})
 	mustNoErr(t, err)
 	// The crash kills the operations mid-window: the restarted process has
 	// no in-flight state, so the drain below validates both intents.
@@ -301,7 +302,7 @@ func TestGCQueueDrainDefersInflightIntent(t *testing.T) {
 	// not yet submitted.
 	res, _, err := m.resolve(ctx, "alice", "/zap")
 	mustNoErr(t, err)
-	seq, err := m.enqueueGC(ctx, "alice", res.tuple.NS, res.parentNS, res.tuple.Name, false)
+	seq, err := m.enqueueGC(ctx, core.GCEntry{Account: "alice", NS: res.tuple.NS, ParentNS: res.parentNS, Name: res.tuple.Name})
 	mustNoErr(t, err)
 
 	drained, err := m.DrainGC(ctx)
@@ -496,6 +497,92 @@ func TestGCQueueBracketsEagerGC(t *testing.T) {
 	mustNoErr(t, err)
 	if drained != 1 {
 		t.Fatalf("drained = %d, want 1", drained)
+	}
+	mustNoErr(t, m.FlushAll(ctx))
+	assertKeepIntact(t, m)
+	rep, err := m.Scrub(ctx, clusterNames(c), false)
+	mustNoErr(t, err)
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("orphans: %v", rep.Orphans)
+	}
+}
+
+// TestGCQueueEagerDequeueKeepsEarlierIntent: an eager dequeue moves the
+// cursor only past its own sequence when nothing earlier is pending. A
+// failed eager walk leaves sequence 1 queued; the later RMDIR's eager
+// dequeue of sequence 2 must not carry the cursor past it, or no drain
+// would ever probe the surviving entry.
+func TestGCQueueEagerDequeueKeepsEarlierIntent(t *testing.T) {
+	c := newCluster(t)
+	reg := metrics.NewRegistry()
+	eng := chaos.New(chaos.Plan{Seed: 7}, reg)
+	eng.Bind(c)
+	cs := eng.Store(c)
+	m, err := New(Config{Store: cs, Node: 1, EagerGC: true, GCQueue: true, Metrics: reg})
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	setupKeep(t, m)
+	buildVictim(t, m, "/zap")
+	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/other"))
+	mustNoErr(t, m.FlushAll(ctx))
+
+	res, _, err := m.resolve(ctx, "alice", "/zap/sub")
+	mustNoErr(t, err)
+	cs.FailOn(chaos.OpDelete, res.tuple.NS)
+	if err := m.FS("alice").Rmdir(ctx, "/zap"); err == nil {
+		t.Fatal("rmdir succeeded despite injected walk failure")
+	}
+	cs.FailOn(chaos.OpDelete, "")
+	mustNoErr(t, m.FS("alice").Rmdir(ctx, "/other"))
+	if got := reg.Counter("gcqueue.reclaimed"); got != 1 {
+		t.Fatalf("reclaimed = %d after the eager rmdir, want 1", got)
+	}
+	drained, err := m.DrainGC(ctx)
+	mustNoErr(t, err)
+	if drained != 1 {
+		t.Fatalf("drained = %d, want 1: the failed walk's entry was skipped", drained)
+	}
+	mustNoErr(t, m.FlushAll(ctx))
+	assertKeepIntact(t, m)
+	rep, err := m.Scrub(ctx, clusterNames(c), false)
+	mustNoErr(t, err)
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("orphans: %v", rep.Orphans)
+	}
+}
+
+// cancelAwareStore fails a GC-queue write whose context is cancelled, as
+// a network client would; every other request ignores cancellation.
+type cancelAwareStore struct{ objstore.Store }
+
+func (s cancelAwareStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
+	if (core.IsGCQueueKey(name) || core.IsGCIndexKey(name)) && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return s.Store.Put(ctx, name, data, meta)
+}
+
+// TestGCQueueIntentIgnoresCallerCancellation: once RMDIR commits to its
+// tombstone the intent must land, so a caller that has already given up
+// still gets a queued, drainable entry.
+func TestGCQueueIntentIgnoresCallerCancellation(t *testing.T) {
+	c := newCluster(t)
+	m, err := New(Config{Store: cancelAwareStore{c}, Node: 1, GCQueue: true})
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	setupKeep(t, m)
+	buildVictim(t, m, "/zap")
+	mustNoErr(t, m.FlushAll(ctx))
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	mustNoErr(t, m.FS("alice").Rmdir(cancelled, "/zap"))
+	drained, err := m.DrainGC(ctx)
+	mustNoErr(t, err)
+	if drained != 1 {
+		t.Fatalf("drained = %d, want the cancelled rmdir's intent", drained)
 	}
 	mustNoErr(t, m.FlushAll(ctx))
 	assertKeepIntact(t, m)

@@ -85,24 +85,37 @@ func TestOpsOnMissingAccount(t *testing.T) {
 	}
 }
 
+// TestDeleteAccountReclaimsEverything: with the GC queue off, account
+// deletion walks the whole tree before the root record goes, with or
+// without EagerGC, and bills that walk to the caller.
 func TestDeleteAccountReclaimsEverything(t *testing.T) {
-	c := newCluster(t)
-	m := newMW(t, c, 1)
-	ctx := context.Background()
-	if err := m.CreateAccount(ctx, "alice"); err != nil {
-		t.Fatal(err)
+	bills := map[bool]time.Duration{}
+	for _, eager := range []bool{true, false} {
+		t.Run(fmt.Sprintf("EagerGC=%v", eager), func(t *testing.T) {
+			c, err := cluster.New(cluster.Config{Profile: cluster.SwiftProfile()})
+			mustNoErr(t, err)
+			m := newMW(t, c, 1, func(cfg *Config) { cfg.EagerGC = eager })
+			ctx := context.Background()
+			mustNoErr(t, m.CreateAccount(ctx, "alice"))
+			fs := m.FS("alice")
+			mustNoErr(t, fs.Mkdir(ctx, "/docs"))
+			mustNoErr(t, fs.Mkdir(ctx, "/docs/sub"))
+			mustNoErr(t, fs.WriteFile(ctx, "/docs/a", []byte("1")))
+			mustNoErr(t, fs.WriteFile(ctx, "/docs/sub/b", []byte("2")))
+			mustNoErr(t, m.FlushAll(ctx))
+			tr := vclock.NewTracker()
+			mustNoErr(t, m.DeleteAccount(vclock.With(ctx, tr), "alice"))
+			if st := c.Stats(); st.Objects != 0 {
+				t.Fatalf("%d objects left after account deletion", st.Objects)
+			}
+			if tr.Elapsed() <= c.Profile().Delete {
+				t.Fatalf("caller billed %v, want the walk on top of the root delete (%v)", tr.Elapsed(), c.Profile().Delete)
+			}
+			bills[eager] = tr.Elapsed()
+		})
 	}
-	fs := m.FS("alice")
-	mustNoErr(t, fs.Mkdir(ctx, "/docs"))
-	mustNoErr(t, fs.Mkdir(ctx, "/docs/sub"))
-	mustNoErr(t, fs.WriteFile(ctx, "/docs/a", []byte("1")))
-	mustNoErr(t, fs.WriteFile(ctx, "/docs/sub/b", []byte("2")))
-	mustNoErr(t, m.FlushAll(ctx))
-	if err := m.DeleteAccount(ctx, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Objects != 0 {
-		t.Fatalf("%d objects left after account deletion", st.Objects)
+	if bills[true] != bills[false] {
+		t.Fatalf("caller bill differs with EagerGC: %v vs %v", bills[true], bills[false])
 	}
 }
 

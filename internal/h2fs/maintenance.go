@@ -66,10 +66,8 @@ func (m *Middleware) MaintainOnce(ctx context.Context) {
 		m.reg.Inc("maintenance.flush.errors", 1)
 		log.Printf("h2fs: maintenance flush: %v", err)
 	}
-	if m.gcq {
-		if _, err := m.DrainGC(ctx); err != nil {
-			m.reg.Inc("maintenance.drain.errors", 1)
-			log.Printf("h2fs: maintenance gc drain: %v", err)
-		}
+	if _, err := m.DrainGC(ctx); err != nil {
+		m.reg.Inc("maintenance.drain.errors", 1)
+		log.Printf("h2fs: maintenance gc drain: %v", err)
 	}
 }

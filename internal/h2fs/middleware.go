@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -45,16 +44,19 @@ type Config struct {
 	// Gossip, when set, spreads NameRing update advertisements to peer
 	// middlewares after flushes.
 	Gossip gossip.Broadcaster
-	// EagerGC makes RMDIR and account deletion reclaim subtree objects
-	// synchronously (outside the measured operation cost). Without it,
-	// reclamation is left to an explicit GC pass, matching the paper's
-	// fake-deletion design.
+	// EagerGC makes RMDIR reclaim the subtree's objects synchronously,
+	// outside the measured operation cost. Without it, RMDIR leaves them
+	// to the GC queue's drain (or, with the queue off, to nothing but an
+	// orphan scrub), matching the paper's fake-deletion design. Account
+	// deletion reclaims synchronously either way when the queue is off —
+	// the walk runs before the root record goes, billed to the caller —
+	// and with the queue on it defers to the drain unless EagerGC is set.
 	EagerGC bool
 	// GCQueue enables the durable async reclamation queue: RMDIR and
 	// account deletion record a crash-safe GC intent (two O(1) puts)
 	// before the tombstone, and the maintenance loop drains the queue
 	// through the pipelined walker (DrainGC). With EagerGC also set the
-	// intent brackets the synchronous walk, so a crash mid-reclamation
+	// synchronous walk dequeues the intent, so a crash mid-reclamation
 	// is resumed instead of leaking the remainder.
 	GCQueue bool
 	// TombstoneTTL controls compaction of fake-deletion tombstones during
@@ -108,17 +110,7 @@ type Middleware struct {
 	rootsMu sync.Mutex
 	roots   map[string]string // account -> root namespace UUID
 
-	gcq        bool
-	gcmu       sync.Mutex
-	gcstates   map[string]*gcState     // account -> pending span mirror
-	gcinflight map[string]map[int]bool // account -> seqs in the enqueue-to-ack window
-	gcloaded   bool                    // gcstates primed from the durable index
-	gcdraining atomic.Bool
-	// gcidxmu serializes writes of the durable queue index so coverage is
-	// monotone; gcidxheads records, per account, the highest sequence a
-	// persisted snapshot covered (lock order: gcidxmu, then gcmu).
-	gcidxmu    sync.Mutex
-	gcidxheads map[string]int
+	gc gcQueue // the durable GC queue mirror (see gcqueue.go)
 }
 
 // New builds a middleware. If cfg.Gossip is a *gossip.Bus, the middleware
@@ -145,22 +137,19 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	store := storemw.Stack(cfg.Store, layers...)
 	m := &Middleware{
-		store:      store,
-		node:       cfg.Node,
-		profile:    cfg.Profile,
-		clock:      cfg.Clock,
-		bus:        cfg.Gossip,
-		eagerGC:    cfg.EagerGC,
-		tombTTL:    cfg.TombstoneTTL,
-		syncProto:  cfg.SyncProtocol,
-		gen:        uuid.NewGen(cfg.Node, func() time.Time { return cfg.Clock() }),
-		reg:        cfg.Metrics,
-		roots:      make(map[string]string),
-		gcq:        cfg.GCQueue,
-		gcstates:   make(map[string]*gcState),
-		gcinflight: make(map[string]map[int]bool),
-		gcidxheads: make(map[string]int),
+		store:     store,
+		node:      cfg.Node,
+		profile:   cfg.Profile,
+		clock:     cfg.Clock,
+		bus:       cfg.Gossip,
+		eagerGC:   cfg.EagerGC,
+		tombTTL:   cfg.TombstoneTTL,
+		syncProto: cfg.SyncProtocol,
+		gen:       uuid.NewGen(cfg.Node, func() time.Time { return cfg.Clock() }),
+		reg:       cfg.Metrics,
+		roots:     make(map[string]string),
 	}
+	m.gc.on = cfg.GCQueue
 	m.descs.limit = max(cfg.DescCacheLimit, 0)
 	if bus, ok := cfg.Gossip.(*gossip.Bus); ok && bus != nil {
 		bus.Register(cfg.Node, m.handleGossip)
@@ -189,29 +178,7 @@ func (m *Middleware) Metrics() *metrics.Registry { return m.reg }
 // and resumes any reclamation the crash interrupted.
 func (m *Middleware) Recover() {
 	m.dropDescriptors()
-	m.dropGCMirror()
-}
-
-func (m *Middleware) dropGCMirror() {
-	m.dropGCSpans()
-	m.dropGCIndexHeads()
-}
-
-func (m *Middleware) dropGCSpans() {
-	m.gcmu.Lock()
-	defer m.gcmu.Unlock()
-	m.gcstates = make(map[string]*gcState)
-	// In-flight windows die with the process being simulated away: any
-	// intent whose operation never acknowledged is validated against its
-	// still-live parent tuple at the next drain and dropped as stale.
-	m.gcinflight = make(map[string]map[int]bool)
-	m.gcloaded = false
-}
-
-func (m *Middleware) dropGCIndexHeads() {
-	m.gcidxmu.Lock()
-	defer m.gcidxmu.Unlock()
-	m.gcidxheads = make(map[string]int)
+	m.gc.reset()
 }
 
 // now returns the current tuple timestamp in nanoseconds.
@@ -255,50 +222,42 @@ func (m *Middleware) CreateAccount(ctx context.Context, account string) error {
 	return nil
 }
 
-// DeleteAccount removes a user's filesystem. Without the GC queue the
-// walk is synchronous: every object under the root namespace, then the
-// root record. With the queue a durable intent is recorded first and the
-// root record delete is the acknowledgment point — the subtree is then
-// reclaimed by the maintenance drain (or eagerly, bracketed by the
-// intent, when EagerGC is also set), so a crash anywhere resumes instead
-// of leaking.
+// DeleteAccount removes a user's filesystem: the root record delete is
+// the commit, and the reclamation of the tree follows Rmdir's steps
+// (gcqueue.go). Without the queue nothing could resume an interrupted
+// walk, so it runs first, billed to the caller: every object under the
+// root namespace, then the root record.
 func (m *Middleware) DeleteAccount(ctx context.Context, account string) error {
 	ns, err := m.rootNS(ctx, account)
 	if err != nil {
 		return err
 	}
-	if !m.gcq {
+	if !m.gc.on {
 		if err := m.gcNamespace(ctx, account, ns, ""); err != nil {
 			return err
 		}
-		m.dropRoot(account)
-		if err := m.store.Delete(ctx, core.RootKey(account)); err != nil {
-			return fmt.Errorf("h2fs: delete root record: %w", err)
-		}
-		return nil
+		return m.unlinkRoot(ctx, account)
 	}
-	// Intent before acknowledgment: enqueue survives caller cancellation
-	// (the drain drops it as stale if the root delete below never lands).
-	//h2vet:durable GC intent enqueue: must land regardless of caller cancellation
-	qctx := context.WithoutCancel(ctx)
-	seq, err := m.enqueueGC(qctx, account, ns, "", "", true)
+	e := core.GCEntry{Account: account, NS: ns, Root: true}
+	seq, err := m.enqueueGC(ctx, e)
 	if err != nil {
 		return err
 	}
-	// The intent stays in its in-flight window — invisible to drains, which
-	// would otherwise misread the still-present root record as proof the
-	// deletion never happened — until this operation returns.
+	// Until this operation returns the intent sits in its in-flight
+	// window, invisible to drains, which would otherwise misread the
+	// still-present root record as proof the deletion never happened.
 	defer m.gcSettle(account, seq)
+	if err := m.unlinkRoot(ctx, account); err != nil {
+		return err
+	}
+	return m.reclaimNow(ctx, e, seq)
+}
+
+// unlinkRoot deletes account's root record, forgetting the cached one.
+func (m *Middleware) unlinkRoot(ctx context.Context, account string) error {
 	m.dropRoot(account)
 	if err := m.store.Delete(ctx, core.RootKey(account)); err != nil {
 		return fmt.Errorf("h2fs: delete root record: %w", err)
-	}
-	if m.eagerGC {
-		gcCtx := vclock.With(qctx, nil) // do not bill GC to the caller
-		if err := m.gcNamespace(gcCtx, account, ns, ""); err != nil {
-			return err // intent stays queued; the drain finishes the walk
-		}
-		m.dequeueGC(gcCtx, account, seq)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/objstore"
-	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
 const (
@@ -242,8 +241,9 @@ func (m *Middleware) Remove(ctx context.Context, account, path string) error {
 // Rmdir removes a directory subtree in O(1) NameRing work: one fake-
 // deletion tombstone in the parent's ring makes the whole subtree
 // unreachable (Figure 8's flat curve). The objects underneath are
-// reclaimed out-of-band — synchronously here when EagerGC is set, charged
-// to a garbage-collection context rather than the caller's operation.
+// reclaimed out-of-band (gcqueue.go) — synchronously here when EagerGC
+// is set, charged to a garbage-collection context rather than the
+// caller's operation.
 func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 	p, err := fsapi.Clean(path)
 	if err != nil {
@@ -259,47 +259,25 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 	if !res.tuple.Dir {
 		return fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrNotDir)
 	}
-	// With the GC queue, a durable reclamation intent precedes the
-	// tombstone. The order matters for crash safety: an intent without a
-	// tombstone is validated against the still-live parent tuple at drain
-	// time and dropped, while a tombstone without an intent would strand
-	// the subtree forever. The enqueue context drops the caller's
-	// cancellation (but keeps its virtual clock): once we commit to the
-	// tombstone, the intent must land regardless of what the caller does.
-	var seq int
-	if m.gcq {
-		//h2vet:durable GC intent enqueue: the tombstone commits, so the intent must land
-		qctx := context.WithoutCancel(ctx)
-		var qerr error
-		seq, qerr = m.enqueueGC(qctx, account, res.tuple.NS, res.parentNS, res.tuple.Name, false)
-		if qerr != nil {
-			return fmt.Errorf("h2fs: rmdir %s: %w", p, qerr)
-		}
-		// Until this operation returns, the intent sits in its in-flight
-		// window: a concurrent drain must not validate it against a parent
-		// tuple the tombstone below has not yet replaced.
-		defer m.gcSettle(account, seq)
+	// The intent precedes the tombstone. The order matters for crash
+	// safety: an intent without a tombstone is validated against the
+	// still-live parent tuple at drain time and dropped, while a tombstone
+	// without an intent would strand the subtree forever.
+	e := core.GCEntry{Account: account, NS: res.tuple.NS, ParentNS: res.parentNS, Name: res.tuple.Name}
+	seq, err := m.enqueueGC(ctx, e)
+	if err != nil {
+		return fmt.Errorf("h2fs: rmdir %s: %w", p, err)
 	}
+	// Until this operation returns, the intent sits in its in-flight
+	// window: a concurrent drain must not validate it against a parent
+	// tuple the tombstone below has not yet replaced.
+	defer m.gcSettle(account, seq)
 	if err := m.submitPatch(ctx, account, res.parentNS, core.Tuple{
 		Name: res.tuple.Name, Time: m.now(), Deleted: true, Dir: true, NS: res.tuple.NS,
 	}); err != nil {
 		return err
 	}
-	if m.eagerGC {
-		//h2vet:durable eager GC bracket: reclamation after a committed tombstone must finish
-		gcCtx := context.WithoutCancel(ctx)
-		gcCtx = vclock.With(gcCtx, nil) // do not bill GC to the caller
-		if err := m.gcNamespace(gcCtx, account, res.tuple.NS,
-			core.ChildKey(account, res.parentNS, res.tuple.Name)); err != nil {
-			// The queued intent (if any) survives; the maintenance drain
-			// resumes the walk where this one failed.
-			return err
-		}
-		if m.gcq {
-			m.dequeueGC(gcCtx, account, seq)
-		}
-	}
-	return nil
+	return m.reclaimNow(ctx, e, seq)
 }
 
 // Move relocates a file or directory subtree. For directories this is the
@@ -499,8 +477,8 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 		keys[i], all = all[:n], all[n:]
 	}
 	// One multi-Head covers the whole page: a native Batcher charges the
-	// overlapped fanout window, exactly what the per-child vclock.Fanout
-	// used to cost. A child deleted mid-list is simply reported sizeless.
+	// overlapped fanout window over profile.Fanout workers. A child
+	// deleted mid-list is simply reported sizeless.
 	for i, r := range objstore.MultiHead(ctx, m.store, keys) {
 		if r.Err != nil || entries[i].IsDir {
 			continue

@@ -144,23 +144,28 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 	// subtree — every object under it, tombstoned or not, is garbage in
 	// flight, not an orphan. Stale intents (the delete they record never
 	// landed, so the live walk above already claimed the subtree) claim
-	// nothing extra: marks never downgrade live to queued.
+	// nothing extra: marks never downgrade live to queued. The staleness
+	// decision is the drain's own, core.GCEntry.Acked.
 	for _, e := range entries {
+		var t core.Tuple
+		var ok bool
+		var err error
 		if e.Root {
-			if s.rootAlive(ctx, e.Account, e.NS) {
-				continue // stale intent: the deletion was never acknowledged
-			}
+			t, ok, err = rootTuple(ctx, m.store, e.Account)
 		} else {
-			parent, err := s.mergedRing(ctx, e.Account, e.ParentNS)
-			if err != nil {
-				return ScrubReport{}, err
-			}
-			if t, ok := parent.Ring.Get(e.Name); ok && !t.Deleted && t.NS == e.NS {
-				continue // stale intent over a live subtree
-			} else if !ok || t.Deleted {
-				s.mark(e.EntryKey(), classQueued)
+			var parent RingRead
+			if parent, err = s.mergedRing(ctx, e.Account, e.ParentNS); err == nil {
+				t, ok = parent.Ring.Get(e.Name)
 			}
 		}
+		if err != nil {
+			return ScrubReport{}, err
+		}
+		acked, entryKey := e.Acked(t, ok)
+		if !acked {
+			continue // stale intent: the delete it records never landed
+		}
+		s.mark(entryKey, classQueued)
 		if err := s.walk(ctx, e.Account, e.NS, classQueued, true); err != nil {
 			return ScrubReport{}, err
 		}
@@ -255,13 +260,6 @@ func parseDataKey(key string) (account, ns, name string, ok bool) {
 		return "", "", "", false // ring, patch, and other reserved names
 	}
 	return account, ns, rest, true
-}
-
-// rootAlive reports whether account's root record still points at ns —
-// the sign that a queued account deletion was never acknowledged.
-func (s *scrubber) rootAlive(ctx context.Context, account, ns string) bool {
-	data, _, err := s.m.store.Get(ctx, core.RootKey(account))
-	return err == nil && string(data) == ns
 }
 
 // rootRecordAccount extracts the account from a root-record key.

@@ -6,9 +6,9 @@
 // repair) cannot enumerate their work up front: expanding one NameRing
 // discovers more directories to expand, and the paper's whole design is
 // that those expansions are independent object reads that an object cloud
-// absorbs concurrently. vclock.Fanout needs the full task slice before it
-// starts, so this package provides the dynamic counterpart: tasks may
-// spawn further tasks while running, every task's simulated service time
+// absorbs concurrently. A static batch (objstore.Batcher) needs its full
+// item list before it starts, so this package provides the dynamic
+// counterpart: tasks may spawn further tasks while running, every task's simulated service time
 // is captured, and Wait charges the LPT makespan of all captured
 // durations to the parent request — the same bounded-worker schedule
 // model vclock.Makespan applies to static fan-out.

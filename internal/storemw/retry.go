@@ -168,129 +168,79 @@ func (s *retryStore) Copy(ctx context.Context, src, dst string) error {
 	})
 }
 
-// retryWave re-issues the transiently failed subset of a batch. The
-// whole wave shares one backoff charge — the batch waits out a single
-// jittered window before its retries go back out together, mirroring how
-// the native Batcher charges the group one overlapped window. pending
-// holds the retriable item indexes; redo re-issues exactly those items
-// and reports which of them failed transiently again.
-func (s *retryStore) retryWave(ctx context.Context, op string, itemName func(int) string, pending []int, redo func([]int) []int) []int {
-	for attempt := 0; attempt < s.policy.MaxAttempts-1; attempt++ {
-		if len(pending) == 0 || ctx.Err() != nil {
-			return pending
-		}
+// retryBatch runs one batch through call, which forwards a (sub-)batch
+// to the inner store, and re-issues its transiently failed subset in
+// waves. Callers pass call as a literal that names the objstore.Multi*
+// helper, so costcheck sees the wrapper delegate. Each wave shares one
+// backoff charge — the batch waits out a single jittered window before
+// its retries go back out together, mirroring how the native Batcher
+// charges the group one overlapped window. A retried slot takes its
+// result from the wave that last issued it. Nothing of the caller's
+// items is written but what copyBack (nil for none) copies from a
+// retried one: the only output the Batcher contract names on an input
+// is PutReq.ETag.
+func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, items []In, name func(In) string,
+	call func([]In) []Out, errOf func(Out) error, copyBack func(dst *In, src In)) []Out {
+	out := call(items)
+	pending := transientSlots(out, errOf)
+	for attempt := 0; attempt < s.policy.MaxAttempts-1 && len(pending) > 0 && ctx.Err() == nil; attempt++ {
 		s.reg.Inc("retry.attempts", int64(len(pending)))
 		//h2vet:ignore costcheck batch backoff is real service time: the retried wave waits one jittered window on top of the inner store's charges
-		vclock.Charge(ctx, s.policy.Backoff(op, itemName(pending[0]), attempt))
-		pending = redo(pending)
+		vclock.Charge(ctx, s.policy.Backoff(op, name(items[pending[0]]), attempt))
+		sub := make([]In, len(pending))
+		for j, i := range pending {
+			sub[j] = items[i]
+		}
+		res := call(sub)
+		still := make([]int, 0, len(pending))
+		for j, i := range pending {
+			out[i] = res[j]
+			if copyBack != nil {
+				copyBack(&items[i], sub[j])
+			}
+			if objstore.Transient(errOf(res[j])) {
+				still = append(still, i)
+			}
+		}
+		pending = still
 	}
-	return pending
+	if len(pending) > 0 {
+		s.reg.Inc("retry.exhausted", int64(len(pending)))
+	}
+	return out
 }
 
 // MultiGet implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
-	out := objstore.MultiGet(ctx, s.inner, names)
-	exhausted := s.retryWave(ctx, "get", func(i int) string { return names[i] },
-		transientSlots(out, func(r objstore.GetResult) error { return r.Err }),
-		func(pending []int) []int {
-			sub := make([]string, len(pending))
-			for j, i := range pending {
-				sub[j] = names[i]
-			}
-			res := objstore.MultiGet(ctx, s.inner, sub)
-			still := make([]int, 0, len(pending))
-			for j, i := range pending {
-				out[i] = res[j]
-				if objstore.Transient(res[j].Err) {
-					still = append(still, i)
-				}
-			}
-			return still
-		})
-	if len(exhausted) > 0 {
-		s.reg.Inc("retry.exhausted", int64(len(exhausted)))
-	}
-	return out
+	return retryBatch(ctx, s, "get", names, itself, func(sub []string) []objstore.GetResult {
+		return objstore.MultiGet(ctx, s.inner, sub)
+	}, func(r objstore.GetResult) error { return r.Err }, nil)
 }
 
 // MultiHead implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiHead(ctx context.Context, names []string) []objstore.HeadResult {
-	out := objstore.MultiHead(ctx, s.inner, names)
-	exhausted := s.retryWave(ctx, "head", func(i int) string { return names[i] },
-		transientSlots(out, func(r objstore.HeadResult) error { return r.Err }),
-		func(pending []int) []int {
-			sub := make([]string, len(pending))
-			for j, i := range pending {
-				sub[j] = names[i]
-			}
-			res := objstore.MultiHead(ctx, s.inner, sub)
-			still := make([]int, 0, len(pending))
-			for j, i := range pending {
-				out[i] = res[j]
-				if objstore.Transient(res[j].Err) {
-					still = append(still, i)
-				}
-			}
-			return still
-		})
-	if len(exhausted) > 0 {
-		s.reg.Inc("retry.exhausted", int64(len(exhausted)))
-	}
-	return out
+	return retryBatch(ctx, s, "head", names, itself, func(sub []string) []objstore.HeadResult {
+		return objstore.MultiHead(ctx, s.inner, sub)
+	}, func(r objstore.HeadResult) error { return r.Err }, nil)
 }
 
-// MultiPut implements objstore.Batcher, retrying the transient subset; a
-// retried slot takes its ETag from the wave that last issued it.
+// MultiPut implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
-	out := objstore.MultiPut(ctx, s.inner, reqs)
-	exhausted := s.retryWave(ctx, "put", func(i int) string { return reqs[i].Name },
-		transientSlots(out, func(err error) error { return err }),
-		func(pending []int) []int {
-			sub := make([]objstore.PutReq, len(pending))
-			for j, i := range pending {
-				sub[j] = reqs[i]
-			}
-			res := objstore.MultiPut(ctx, s.inner, sub)
-			still := make([]int, 0, len(pending))
-			for j, i := range pending {
-				out[i], reqs[i].ETag = res[j], sub[j].ETag
-				if objstore.Transient(res[j]) {
-					still = append(still, i)
-				}
-			}
-			return still
-		})
-	if len(exhausted) > 0 {
-		s.reg.Inc("retry.exhausted", int64(len(exhausted)))
-	}
-	return out
+	return retryBatch(ctx, s, "put", reqs, func(r objstore.PutReq) string { return r.Name }, func(sub []objstore.PutReq) []error {
+		return objstore.MultiPut(ctx, s.inner, sub)
+	}, itself, func(dst *objstore.PutReq, src objstore.PutReq) { dst.ETag = src.ETag })
 }
 
 // MultiDelete implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiDelete(ctx context.Context, names []string) []error {
-	out := objstore.MultiDelete(ctx, s.inner, names)
-	exhausted := s.retryWave(ctx, "delete", func(i int) string { return names[i] },
-		transientSlots(out, func(err error) error { return err }),
-		func(pending []int) []int {
-			sub := make([]string, len(pending))
-			for j, i := range pending {
-				sub[j] = names[i]
-			}
-			res := objstore.MultiDelete(ctx, s.inner, sub)
-			still := make([]int, 0, len(pending))
-			for j, i := range pending {
-				out[i] = res[j]
-				if objstore.Transient(res[j]) {
-					still = append(still, i)
-				}
-			}
-			return still
-		})
-	if len(exhausted) > 0 {
-		s.reg.Inc("retry.exhausted", int64(len(exhausted)))
-	}
-	return out
+	return retryBatch(ctx, s, "delete", names, itself, func(sub []string) []error {
+		return objstore.MultiDelete(ctx, s.inner, sub)
+	}, itself, nil)
 }
+
+// itself is the identity: a name that is its own key, an error that is
+// its own result.
+func itself[T any](v T) T { return v }
 
 // transientSlots returns the indexes of results whose error is transient.
 func transientSlots[T any](results []T, errOf func(T) error) []int {

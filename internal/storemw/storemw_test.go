@@ -253,6 +253,35 @@ func TestMultiPutETagsSurviveRetryWaves(t *testing.T) {
 	}
 }
 
+// TestRetryWavesShareCallerNames: retry waves only read the caller's
+// names slice, so concurrent batches over one slice are race-free (run
+// under -race) and every retried slot still lands.
+func TestRetryWavesShareCallerNames(t *testing.T) {
+	base := newFakeStore(0)
+	s := Stack(base, Retry(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}, nil))
+	names := []string{"a", "b", "c"}
+	ctx := context.Background()
+	for _, n := range names {
+		if err := s.Put(ctx, n, []byte(n), nil); err != nil {
+			t.Fatal(err)
+		}
+		base.failures[n] = 2
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, r := range objstore.MultiGet(ctx, s, names) {
+				if r.Err != nil || string(r.Data) != names[i] {
+					t.Errorf("slot %d = (%q, %v)", i, r.Data, r.Err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestMetricsObservesWithoutDoubleCharging(t *testing.T) {
 	base := newFakeStore(9 * time.Millisecond)
 	reg := metrics.NewRegistry()

@@ -16,7 +16,6 @@ package vclock
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -110,41 +109,4 @@ func Makespan(durs []time.Duration, workers int) time.Duration {
 		}
 	}
 	return max
-}
-
-// Fanout runs the tasks concurrently with at most `workers` goroutines.
-// Each task receives a context carrying a fresh child Tracker; after all
-// tasks finish, the LPT makespan of the children's virtual durations is
-// charged to the Tracker attached to ctx (if any). The first non-nil task
-// error is returned; all tasks always run to completion.
-func Fanout(ctx context.Context, workers int, tasks []func(context.Context) error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	durs := make([]time.Duration, len(tasks))
-	errs := make([]error, len(tasks))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, task := range tasks {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, task func(context.Context) error) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			child := NewTracker()
-			errs[i] = task(With(ctx, child))
-			durs[i] = child.Elapsed()
-		}(i, task)
-	}
-	wg.Wait()
-	From(ctx).Charge(Makespan(durs, workers))
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

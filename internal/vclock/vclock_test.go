@@ -2,13 +2,10 @@ package vclock
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 )
 
 func TestTrackerChargeAccumulates(t *testing.T) {
@@ -152,90 +149,5 @@ func TestMakespanBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFanoutChargesMakespan(t *testing.T) {
-	tr := NewTracker()
-	ctx := With(context.Background(), tr)
-	tasks := make([]func(context.Context) error, 4)
-	for i := range tasks {
-		tasks[i] = func(ctx context.Context) error {
-			Charge(ctx, 10*time.Millisecond)
-			return nil
-		}
-	}
-	if err := Fanout(ctx, 2, tasks); err != nil {
-		t.Fatal(err)
-	}
-	// 4 tasks of 10ms on 2 workers => 20ms.
-	if got, want := tr.Elapsed(), 20*time.Millisecond; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
-	}
-}
-
-func TestFanoutPropagatesError(t *testing.T) {
-	wantErr := errors.New("boom")
-	tasks := []func(context.Context) error{
-		func(context.Context) error { return nil },
-		func(context.Context) error { return wantErr },
-		func(context.Context) error { return nil },
-	}
-	if err := Fanout(context.Background(), 3, tasks); !errors.Is(err, wantErr) {
-		t.Fatalf("Fanout error = %v, want %v", err, wantErr)
-	}
-}
-
-func TestFanoutEmptyTasks(t *testing.T) {
-	if err := Fanout(context.Background(), 4, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFanoutWithoutParentTracker(t *testing.T) {
-	ran := false
-	err := Fanout(context.Background(), 1, []func(context.Context) error{
-		func(ctx context.Context) error {
-			Charge(ctx, time.Millisecond) // child tracker exists even without parent
-			ran = true
-			return nil
-		},
-	})
-	if err != nil || !ran {
-		t.Fatalf("err=%v ran=%v", err, ran)
-	}
-}
-
-func TestFanoutBoundsConcurrency(t *testing.T) {
-	fstest.AssertNoGoroutineLeak(t)
-	var mu sync.Mutex
-	cur, peak := 0, 0
-	enter := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		cur++
-		if cur > peak {
-			peak = cur
-		}
-	}
-	exit := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		cur--
-	}
-	tasks := make([]func(context.Context) error, 32)
-	for i := range tasks {
-		tasks[i] = func(context.Context) error {
-			enter()
-			time.Sleep(time.Millisecond)
-			exit()
-			return nil
-		}
-	}
-	if err := Fanout(context.Background(), 4, tasks); err != nil {
-		t.Fatal(err)
-	}
-	if peak > 4 {
-		t.Fatalf("peak concurrency %d > 4", peak)
 	}
 }
