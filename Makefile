@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendQuotedName -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDirDecodeCompat -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParsePatchKey -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzParseKey -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeShardManifest -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseExtentKey -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz='^FuzzClean$$' -fuzztime=10s ./internal/fsapi/

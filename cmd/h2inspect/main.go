@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -82,27 +83,27 @@ func fail(err error) {
 
 // classify names the object kind from its key and content.
 func classify(key string, info objstore.ObjectInfo, data []byte) string {
-	switch {
-	case strings.HasSuffix(key, "|/root"):
+	k, _ := core.ParseKey(key)
+	switch k.Kind {
+	case core.KeyRoot:
 		return "account-root -> ns " + string(data)
-	case core.IsGCIndexKey(key):
+	case core.KeyGCIndex:
 		return "gc-queue index"
-	case core.IsGCQueueKey(key):
+	case core.KeyGCEntry:
 		e, err := core.DecodeGCEntry(data)
 		if err != nil {
 			return "gc-queue entry (corrupt)"
 		}
 		return "gc-queue entry -> ns " + e.NS
-	case strings.Contains(key, "::/NameRing/.Node"):
+	case core.KeyPatch:
 		return "patch"
-	case core.IsExtentKey(key):
+	case core.KeyExtent:
 		r, err := core.DecodeNameRing(data)
 		if err != nil {
 			return "NameRing extent (corrupt)"
 		}
-		_, _, shard, shards, _ := core.ParseExtentKey(key)
-		return fmt.Sprintf("NameRing extent %d/%d (%d tuples)", shard, shards, r.TotalLen())
-	case strings.HasSuffix(key, "::/NameRing/"):
+		return fmt.Sprintf("NameRing extent %d/%d (%d tuples)", k.Shard, k.Shards, r.TotalLen())
+	case core.KeyRing:
 		lay, err := core.DecodeLayout(data)
 		if err != nil {
 			return "shard manifest (corrupt)"
@@ -111,13 +112,15 @@ func classify(key string, info objstore.ObjectInfo, data []byte) string {
 			return fmt.Sprintf("shard manifest (%d extents, gen %d)", lay.Shards, lay.Gen)
 		}
 		return "NameRing"
+	}
+	switch {
 	case core.IsDirObject(data):
 		d, err := core.DecodeDir(data)
 		if err != nil {
 			return "directory (corrupt)"
 		}
 		return "directory -> ns " + d.NS
-	case info.Meta["h2type"] == "file" || !strings.Contains(key, "|"):
+	case info.Meta[core.MetaType] == core.TypeFile || !strings.Contains(key, "|"):
 		return fmt.Sprintf("file (%d bytes)", info.Size)
 	default:
 		return fmt.Sprintf("object (%d bytes)", info.Size)
@@ -152,10 +155,14 @@ func showRing(c *cluster.Cluster, account, ns string) {
 	ring := rr.Ring
 	fmt.Printf("NameRing %s::%s  (%d tuples, %d live, %d extents)\n",
 		account, ns, ring.TotalLen(), ring.Len(), rr.Layout.Shards)
-	for k, v := range rr.Head.Meta {
-		if strings.HasPrefix(k, "wm.") {
-			fmt.Printf("  merge watermark %s = %s\n", strings.TrimPrefix(k, "wm."), v)
-		}
+	wm := core.ParseWatermarks(rr.Head.Meta)
+	nodes := make([]int, 0, len(wm))
+	for node := range wm {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	for _, node := range nodes {
+		fmt.Printf("  merge watermark %d = %d\n", node, wm[node])
 	}
 	for _, t := range ring.All() {
 		flags := ""

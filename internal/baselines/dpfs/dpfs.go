@@ -476,7 +476,7 @@ func collectObjKeys(n *node, out *[]string) {
 // Move re-points the subtree: commits on the source and destination index
 // servers — O(1) regardless of subtree size (Figure 7's flat curve).
 func (f *FS) Move(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -511,7 +511,7 @@ func (f *FS) Move(ctx context.Context, src, dst string) error {
 
 // Copy duplicates content objects one by one — O(n) (Figure 11).
 func (f *FS) Copy(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -561,24 +561,6 @@ func (f *FS) copyNode(ctx context.Context, n *node, server int) (*node, error) {
 		clone.children[name] = cc
 	}
 	return clone, nil
-}
-
-func cleanSrcDst(src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
-	if err != nil {
-		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("dpfs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("dpfs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
-	}
-	return srcP, dstP, nil
 }
 
 // ServerLoads reports the number of directories held by each index server

@@ -380,7 +380,7 @@ func (f *FS) detach(n *inode, fileIDs *[]int64) {
 
 // Move re-points one directory entry — O(1).
 func (f *FS) Move(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -411,7 +411,7 @@ func (f *FS) Move(ctx context.Context, src, dst string) error {
 // Copy duplicates the subtree: metadata on the namenode, content via
 // server-side copies — O(n).
 func (f *FS) Copy(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -458,24 +458,6 @@ func (f *FS) copyInode(ctx context.Context, n *inode) (int64, error) {
 		clone.children[name] = ccid
 	}
 	return id, nil
-}
-
-func cleanSrcDst(src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
-	if err != nil {
-		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("sidxfs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("sidxfs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
-	}
-	return srcP, dstP, nil
 }
 
 // InodeCount reports the namenode table size (for tests).

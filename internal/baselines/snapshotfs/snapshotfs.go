@@ -361,7 +361,7 @@ func (f *FS) Rmdir(ctx context.Context, path string) error {
 
 // Move rewrites every affected record in the flattened list — O(N).
 func (f *FS) Move(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := f.checkSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -387,7 +387,7 @@ func (f *FS) Move(ctx context.Context, src, dst string) error {
 // Copy duplicates the records; segment content is shared (snapshots are
 // content-immutable) — O(N) log traversal.
 func (f *FS) Copy(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := f.checkSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -407,24 +407,6 @@ func (f *FS) Copy(ctx context.Context, src, dst string) error {
 		f.entries[to] = e
 	}
 	return nil
-}
-
-func (f *FS) checkSrcDst(src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
-	if err != nil {
-		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("snapshotfs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("snapshotfs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
-	}
-	return srcP, dstP, nil
 }
 
 func (f *FS) checkMovePairLocked(srcP, dstP string) error {

@@ -162,7 +162,7 @@ func (f *FS) Rmdir(ctx context.Context, path string) error {
 // it degrades to a full deep copy plus delete — the static-assignment
 // penalty.
 func (f *FS) Move(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := f.cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func (f *FS) Move(ctx context.Context, src, dst string) error {
 
 // Copy is delegated within a partition and deep-copied across partitions.
 func (f *FS) Copy(ctx context.Context, src, dst string) error {
-	srcP, dstP, err := f.cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -239,24 +239,6 @@ func (f *FS) crossCopy(ctx context.Context, srcFS *sidxfs.FS, srcP string, dstFS
 		}
 	}
 	return nil
-}
-
-func (f *FS) cleanSrcDst(src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
-	if err != nil {
-		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("staticfs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("staticfs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
-	}
-	return srcP, dstP, nil
 }
 
 // Partitions reports how many top-level names map to each partition

@@ -365,19 +365,9 @@ func (f *FS) Copy(ctx context.Context, src, dst string) error {
 }
 
 func (f *FS) checkSrcDst(ctx context.Context, src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("swiftfs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("swiftfs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
 	}
 	if _, ok := f.lookup(ctx, srcP); !ok {
 		return "", "", fmt.Errorf("swiftfs: %s: %w", srcP, fsapi.ErrNotFound)

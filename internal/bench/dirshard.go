@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -293,7 +292,8 @@ func newDirShardStore(c *cluster.Cluster) *dirShardStore {
 }
 
 func ringLayer(name string) bool {
-	return strings.HasSuffix(name, "::/NameRing/") || core.IsExtentKey(name)
+	k, _ := core.ParseKey(name)
+	return k.Kind == core.KeyRing || k.Kind == core.KeyExtent
 }
 
 func (s *dirShardStore) notePut(name string, n int) {

@@ -137,9 +137,8 @@ func TestPatchKeyMatchesPaperFormat(t *testing.T) {
 	if !strings.Contains(key, "N97::/NameRing/.Node01.Patch") {
 		t.Fatalf("patch key = %q", key)
 	}
-	node, seq, err := ParsePatchKey(key)
-	if err != nil || node != 1 || seq != 3 {
-		t.Fatalf("ParsePatchKey = %d, %d, %v", node, seq, err)
+	if k, ok := ParseKey(key); !ok || k.Kind != KeyPatch || k.Node != 1 || k.Seq != 3 {
+		t.Fatalf("ParseKey = %+v, %v", k, ok)
 	}
 }
 
@@ -162,8 +161,8 @@ func TestPatchKeyLayout(t *testing.T) {
 		if old := fmt.Sprintf("%s.Node%02d.Patch%06d", RingKey("alice", "N97"), c.node, c.seq); got != c.want || got != old {
 			t.Errorf("PatchKey(%d, %d) = %q, want %q (fmt renders %q)", c.node, c.seq, got, c.want, old)
 		}
-		if node, seq, err := ParsePatchKey(got); err != nil || node != c.node || seq != c.seq {
-			t.Errorf("ParsePatchKey(%q) = %d, %d, %v", got, node, seq, err)
+		if k, ok := ParseKey(got); !ok || k.Kind != KeyPatch || k.Node != c.node || k.Seq != c.seq {
+			t.Errorf("ParseKey(%q) = %+v, %v", got, k, ok)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = PatchKey("alice", "N97", 7, 1234567) }); n != 1 {
@@ -172,9 +171,16 @@ func TestPatchKeyLayout(t *testing.T) {
 }
 
 func TestParsePatchKeyErrors(t *testing.T) {
-	for _, bad := range []string{"", "alice|N97::/NameRing/", "x.Node01", "x.NodeAA.Patch01", "x.Node01.PatchZZ"} {
-		if _, _, err := ParsePatchKey(bad); err == nil {
-			t.Errorf("ParsePatchKey(%q) accepted", bad)
+	for _, bad := range []string{
+		"", "x.Node01", "x.NodeAA.Patch01", "x.Node01.PatchZZ",
+		"a|n::/NameRing/.NodeAA.Patch000001",
+		"a|n::/NameRing/.Node01.PatchZZ",
+		"a|n::/NameRing/.Node1.Patch000001", // not zero-padded
+		"a|n::/NameRing/.Node01.Patch01",
+		"a|n::/NameRing/.Node01",
+	} {
+		if k, ok := ParseKey(bad); ok && k.Kind == KeyPatch {
+			t.Errorf("ParseKey(%q) = %+v, a patch", bad, k)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Sharded directory rings. A giant directory's NameRing is split into
@@ -204,62 +203,6 @@ func fnv1a(h uint32, s string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// extentMarker is the key fragment every extent key contains, directly
-// after the ring suffix.
-const extentMarker = ringSuffix + ".Extent"
-
-// ExtentKey returns the object key of one sub-ring extent. The shard
-// count is part of the key, so a re-split to a different count writes to
-// fresh keys and the flip from old to new extents stays atomic at the
-// manifest object (e.g. "alice|N97::/NameRing/.Extent007-016" is extent 7
-// of 16).
-func ExtentKey(account, ns string, shard, shards int) string {
-	buf := make([]byte, 0, len(account)+len(ns)+len(extentMarker)+2+8)
-	buf = append(buf, account...)
-	buf = append(buf, '|')
-	buf = append(buf, ns...)
-	buf = append(buf, "::"...)
-	buf = append(buf, extentMarker...)
-	buf = appendPadded(buf, shard, 3)
-	buf = append(buf, '-')
-	buf = appendPadded(buf, shards, 3)
-	return string(buf)
-}
-
-// IsExtentKey reports whether key names a sub-ring extent object.
-func IsExtentKey(key string) bool {
-	return strings.Contains(key, "::"+extentMarker)
-}
-
-// ParseExtentKey extracts the account, namespace, shard index and shard
-// count from an extent key.
-func ParseExtentKey(key string) (account, ns string, shard, shards int, err error) {
-	account, rest, ok := strings.Cut(key, "|")
-	if !ok {
-		return "", "", 0, 0, fmt.Errorf("core: %q is not an extent key", key)
-	}
-	ns, rest, ok = strings.Cut(rest, "::"+extentMarker)
-	if !ok || ns == "" {
-		return "", "", 0, 0, fmt.Errorf("core: %q is not an extent key", key)
-	}
-	shardStr, shardsStr, ok := strings.Cut(rest, "-")
-	if !ok {
-		return "", "", 0, 0, fmt.Errorf("core: %q is not an extent key", key)
-	}
-	shard, err = strconv.Atoi(shardStr)
-	if err != nil {
-		return "", "", 0, 0, fmt.Errorf("core: bad shard in extent key %q: %w", key, err)
-	}
-	shards, err = strconv.Atoi(shardsStr)
-	if err != nil {
-		return "", "", 0, 0, fmt.Errorf("core: bad shard count in extent key %q: %w", key, err)
-	}
-	if shard < 0 || shards < 2 || shard >= shards {
-		return "", "", 0, 0, fmt.Errorf("core: extent key %q shard %d/%d out of range", key, shard, shards)
-	}
-	return account, ns, shard, shards, nil
 }
 
 // MergedExtents folds a sharded directory's decoded extents into one

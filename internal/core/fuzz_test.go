@@ -80,41 +80,63 @@ func FuzzDecodeShardManifest(f *testing.F) {
 	})
 }
 
-// FuzzParseExtentKey: extent-key parsing must never panic, and parsed
-// components must rebuild a key that parses identically.
+// FuzzParseKey: key parsing never panics, every parsed key rebuilds
+// through its kind's builder to exactly the input, and an extent's shard
+// is in range.
+func FuzzParseKey(f *testing.F) {
+	for _, k := range keyTable {
+		f.Add(k.key)
+	}
+	for _, bad := range lookAlikes {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		k, ok := ParseKey(key)
+		if !ok {
+			if k != (Key{}) {
+				t.Fatalf("rejected %q with a non-zero key %+v", key, k)
+			}
+			return
+		}
+		if got := rebuildKey(k); got != key {
+			t.Fatalf("ParseKey(%q) = %+v, which rebuilds to %q", key, k, got)
+		}
+		if k.Kind == KeyExtent && (k.Shard < 0 || k.Shards < 2 || k.Shard >= k.Shards) {
+			t.Fatalf("ParseKey(%q): extent %d/%d out of range", key, k.Shard, k.Shards)
+		}
+	})
+}
+
+// FuzzParseExtentKey: a key ParseKey reads as an extent rebuilds through
+// ExtentKey to exactly the input.
 func FuzzParseExtentKey(f *testing.F) {
 	f.Add(ExtentKey("alice", "N97", 7, 16))
 	f.Add("junk")
 	f.Add("a|n::/NameRing/.Extent-1-16")
 	f.Fuzz(func(t *testing.T, key string) {
-		account, ns, shard, shards, err := ParseExtentKey(key)
-		if err != nil {
+		k, ok := ParseKey(key)
+		if !ok || k.Kind != KeyExtent {
 			return
 		}
-		k2 := ExtentKey(account, ns, shard, shards)
-		a2, n2, s2, c2, err := ParseExtentKey(k2)
-		if err != nil || a2 != account || n2 != ns || s2 != shard || c2 != shards {
-			t.Fatalf("rebuild mismatch: %q %q %d/%d vs %q %q %d/%d (%v)",
-				a2, n2, s2, c2, account, ns, shard, shards, err)
+		if got := ExtentKey(k.Account, k.NS, k.Shard, k.Shards); got != key {
+			t.Fatalf("ParseKey(%q) = %+v, which rebuilds to %q", key, k, got)
 		}
 	})
 }
 
-// FuzzParsePatchKey: key parsing must never panic, and parsed components
-// must rebuild a key that parses to the same components.
+// FuzzParsePatchKey: a key ParseKey reads as a patch rebuilds through
+// PatchKey to exactly the input.
 func FuzzParsePatchKey(f *testing.F) {
 	f.Add(PatchKey("alice", "N97", 1, 3))
 	f.Add("junk")
 	f.Add("a|n::/NameRing/.Node-1.Patch-2")
 	f.Fuzz(func(t *testing.T, key string) {
-		node, seq, err := ParsePatchKey(key)
-		if err != nil {
+		k, ok := ParseKey(key)
+		if !ok || k.Kind != KeyPatch {
 			return
 		}
-		k2 := PatchKey("acct", "ns", node, seq)
-		n2, s2, err := ParsePatchKey(k2)
-		if err != nil || n2 != node || s2 != seq {
-			t.Fatalf("rebuild mismatch: %d/%d vs %d/%d (%v)", n2, s2, node, seq, err)
+		if got := PatchKey(k.Account, k.NS, k.Node, k.Seq); got != key {
+			t.Fatalf("ParseKey(%q) = %+v, which rebuilds to %q", key, k, got)
 		}
 	})
 }

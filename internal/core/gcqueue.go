@@ -22,10 +22,6 @@ import (
 const (
 	gcEntryMagic = "H2GCQ/1"
 	gcIndexMagic = "H2GCX/1"
-	gcQueueInfix = "|/gcq/Node"
-	// gcIndexPrefix starts with '#', which ValidAccount rejects, so index
-	// keys can never collide with any account's keyspace.
-	gcIndexPrefix = "#gc|Node"
 )
 
 // GCEntry is one durable reclamation intent: namespace NS of Account is
@@ -68,28 +64,6 @@ func (e GCEntry) Acked(t Tuple, ok bool) (acked bool, key string) {
 		return t.NS != e.NS, ""
 	}
 	return true, e.EntryKey()
-}
-
-// GCQueueKey returns the object key of one queue entry, following the
-// patch-chain naming discipline: per (account, node) sequences, so each
-// middleware owns (and drains) the intents it enqueued.
-func GCQueueKey(account string, node, seq int) string {
-	return fmt.Sprintf("%s|/gcq/Node%02d.Item%06d", account, node, seq)
-}
-
-// GCIndexKey returns the object key of one node's queue index.
-func GCIndexKey(node int) string {
-	return fmt.Sprintf("#gc|Node%02d", node)
-}
-
-// IsGCQueueKey reports whether key names a queue entry object.
-func IsGCQueueKey(key string) bool {
-	return strings.Contains(key, gcQueueInfix)
-}
-
-// IsGCIndexKey reports whether key names a queue index object.
-func IsGCIndexKey(key string) bool {
-	return strings.HasPrefix(key, gcIndexPrefix)
 }
 
 // EncodeGCEntry packs an intent record into its ASCII object form, one

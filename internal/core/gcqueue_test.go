@@ -68,18 +68,18 @@ func TestGCQueueKeyRoundTrip(t *testing.T) {
 	if want := "alice|/gcq/Node03.Item000017"; key != want {
 		t.Fatalf("GCQueueKey = %q, want %q", key, want)
 	}
-	if !IsGCQueueKey(key) {
-		t.Fatalf("IsGCQueueKey(%q) = false", key)
+	if k, ok := ParseKey(key); !ok || k != (Key{Kind: KeyGCEntry, Account: "alice", Node: 3, Seq: 17}) {
+		t.Fatalf("ParseKey(%q) = %+v, %v", key, k, ok)
 	}
-	if IsGCQueueKey(ChildKey("alice", "N01", "file")) {
+	if k, _ := ParseKey(ChildKey("alice", "N01", "file")); k.Kind == KeyGCEntry {
 		t.Fatal("child key misdetected as queue key")
 	}
 }
 
 func TestGCIndexKeyOutsideAccountKeyspace(t *testing.T) {
 	key := GCIndexKey(7)
-	if !IsGCIndexKey(key) {
-		t.Fatalf("IsGCIndexKey(%q) = false", key)
+	if k, ok := ParseKey(key); !ok || k != (Key{Kind: KeyGCIndex, Node: 7}) {
+		t.Fatalf("ParseKey(%q) = %+v, %v", key, k, ok)
 	}
 	// The '#' prefix can never be an account name, so index objects can
 	// never collide with user data.

@@ -74,30 +74,199 @@ func appendPadded(buf []byte, n, width int) []byte {
 // RootKey returns the object key of the account's root record, which
 // stores the namespace UUID of the user's root directory.
 func RootKey(account string) string {
-	return account + "|/root"
+	return account + rootSuffix
 }
 
-// ParsePatchKey extracts the node number and patch sequence from a patch
-// object key.
-func ParsePatchKey(key string) (node, seq int, err error) {
-	i := strings.LastIndex(key, ".Node")
-	if i < 0 {
-		return 0, 0, fmt.Errorf("core: %q is not a patch key", key)
-	}
-	rest := key[i+len(".Node"):]
-	nodeStr, seqPart, ok := strings.Cut(rest, ".Patch")
+// segmentInfix starts the child name of a chunked file's segments. It
+// contains '/', which no child name may, so segments can never collide
+// with sibling files.
+const segmentInfix = "/slo/"
+
+// SegmentKey returns the object key of segment i of the chunked file
+// name in namespace ns: ChildKey's shape with the reserved name
+// "/slo/<name>/%06d".
+func SegmentKey(account, ns, name string, i int) string {
+	var ib [20]byte
+	d := appendPadded(ib[:0], i, 6)
+	var b strings.Builder
+	b.Grow(len(account) + len("|") + len(ns) + len("::") + len(segmentInfix) + len(name) + len("/") + len(d))
+	b.WriteString(account)
+	b.WriteByte('|')
+	b.WriteString(ns)
+	b.WriteString("::")
+	b.WriteString(segmentInfix)
+	b.WriteString(name)
+	b.WriteByte('/')
+	b.Write(d)
+	return b.String()
+}
+
+// extentMarker starts the child name of every extent key: the ring
+// suffix, then ".Extent".
+const extentMarker = ringSuffix + ".Extent"
+
+// ExtentKey returns the object key of one sub-ring extent. The shard
+// count is part of the key, so a re-split to a different count writes to
+// fresh keys and the flip from old to new extents stays atomic at the
+// manifest object (e.g. "alice|N97::/NameRing/.Extent007-016" is extent 7
+// of 16).
+func ExtentKey(account, ns string, shard, shards int) string {
+	buf := make([]byte, 0, len(account)+len(ns)+len(extentMarker)+2+8)
+	buf = append(buf, account...)
+	buf = append(buf, '|')
+	buf = append(buf, ns...)
+	buf = append(buf, "::"...)
+	buf = append(buf, extentMarker...)
+	buf = appendPadded(buf, shard, 3)
+	buf = append(buf, '-')
+	buf = appendPadded(buf, shards, 3)
+	return string(buf)
+}
+
+const (
+	rootSuffix    = "|/root"
+	gcQueuePrefix = "/gcq/Node"
+	// gcIndexAccount starts with '#', which ValidAccount rejects, so index
+	// keys can never collide with any account's keyspace.
+	gcIndexAccount = "#gc"
+)
+
+// GCQueueKey returns the object key of one queue entry, following the
+// patch-chain naming discipline: per (account, node) sequences, so each
+// middleware owns (and drains) the intents it enqueued.
+func GCQueueKey(account string, node, seq int) string {
+	return fmt.Sprintf("%s|%s%02d.Item%06d", account, gcQueuePrefix, node, seq)
+}
+
+// GCIndexKey returns the object key of one node's queue index.
+func GCIndexKey(node int) string {
+	return fmt.Sprintf("%s|Node%02d", gcIndexAccount, node)
+}
+
+// KeyKind is the shape of an object key: which builder made it.
+type KeyKind uint8
+
+const (
+	KeyRoot    KeyKind = iota + 1 // RootKey
+	KeyChild                      // ChildKey
+	KeySegment                    // SegmentKey
+	KeyRing                       // RingKey
+	KeyPatch                      // PatchKey
+	KeyExtent                     // ExtentKey
+	KeyGCEntry                    // GCQueueKey
+	KeyGCIndex                    // GCIndexKey
+)
+
+// Key is a parsed object key: its kind and the arguments its builder
+// took. Fields a kind's builder does not take are zero.
+type Key struct {
+	Kind    KeyKind
+	Account string
+	NS      string
+	Name    string // child and segment name
+	Node    int    // patch, GC entry and GC index
+	Seq     int    // patch and GC entry sequence; a segment's index
+	Shard   int    // extent
+	Shards  int    // extent
+}
+
+// ParseKey classifies an object key and recovers its builder's
+// arguments; ok is false for any string no builder in this file makes.
+// Numbers must be in the builder's zero-padded form, so a parsed key
+// rebuilds to exactly the input, and an extent's shard is in range. It
+// allocates nothing: DecodePatch runs it on every patch it loads.
+func ParseKey(key string) (Key, bool) {
+	account, rest, ok := strings.Cut(key, "|")
 	if !ok {
-		return 0, 0, fmt.Errorf("core: %q is not a patch key", key)
+		return Key{}, false
 	}
-	node, err = strconv.Atoi(nodeStr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: bad node in patch key %q: %w", key, err)
+	k := Key{Account: account}
+	switch {
+	case account == gcIndexAccount:
+		k = Key{Kind: KeyGCIndex}
+		k.Node, _, ok = parseNums(rest, "Node", "", 2, 0)
+	case rest == rootSuffix[1:]:
+		k.Kind = KeyRoot
+	case strings.HasPrefix(rest, gcQueuePrefix):
+		k.Kind = KeyGCEntry
+		k.Node, k.Seq, ok = parseNums(rest, gcQueuePrefix, ".Item", 2, 6)
+	default:
+		k.NS, rest, ok = strings.Cut(rest, "::")
+		ok = ok && k.NS != "" && k.parseChild(rest)
 	}
-	seq, err = strconv.Atoi(seqPart)
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: bad sequence in patch key %q: %w", key, err)
+	if !ok {
+		return Key{}, false
 	}
-	return node, seq, nil
+	return k, true
+}
+
+// parseChild classifies the part of a namespace-scoped key after "::":
+// the ring, a patch, an extent, a segment, or a plain child name.
+func (k *Key) parseChild(rest string) (ok bool) {
+	switch {
+	case rest == ringSuffix:
+		k.Kind = KeyRing
+		return true
+	case strings.HasPrefix(rest, ringSuffix+".Node"):
+		k.Kind = KeyPatch
+		k.Node, k.Seq, ok = parseNums(rest, ringSuffix+".Node", ".Patch", 2, 6)
+		return ok
+	case strings.HasPrefix(rest, extentMarker):
+		k.Kind = KeyExtent
+		k.Shard, k.Shards, ok = parseNums(rest, extentMarker, "-", 3, 3)
+		return ok && k.Shard >= 0 && k.Shards >= 2 && k.Shard < k.Shards
+	case strings.HasPrefix(rest, segmentInfix):
+		var idx string
+		k.Kind = KeySegment
+		if k.Name, idx, ok = strings.Cut(rest[len(segmentInfix):], "/"); !ok || k.Name == "" {
+			return false
+		}
+		k.Seq, ok = parsePadded(idx, 6)
+		return ok
+	default:
+		k.Kind, k.Name = KeyChild, rest
+		return rest != "" && !strings.Contains(rest, "/")
+	}
+}
+
+// parseNums reads prefix+A, or prefix+A+sep+B when sep is set, where A
+// and B were written by appendPadded at widths wa and wb.
+func parseNums(s, prefix, sep string, wa, wb int) (a, b int, ok bool) {
+	if s, ok = strings.CutPrefix(s, prefix); !ok {
+		return 0, 0, false
+	}
+	if sep != "" {
+		var bs string
+		if s, bs, ok = strings.Cut(s, sep); !ok {
+			return 0, 0, false
+		}
+		if b, ok = parsePadded(bs, wb); !ok {
+			return 0, 0, false
+		}
+	}
+	a, ok = parsePadded(s, wa)
+	return a, b, ok
+}
+
+// parsePadded is appendPadded's inverse: it accepts only the exact
+// string appendPadded(nil, n, width) would write.
+func parsePadded(s string, width int) (int, bool) {
+	d := strings.TrimPrefix(s, "-")
+	if d == "" || len(d) > 18 {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(d); i++ {
+		if d[i] < '0' || d[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(d[i]-'0')
+	}
+	if len(d) < len(s) {
+		n = -n
+	}
+	var buf [24]byte
+	return n, string(appendPadded(buf[:0], n, width)) == s
 }
 
 // ValidAccount reports whether an account name is usable in object keys:

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Patch is the unit of NameRing maintenance (§3.3.2 phase 1): "a log file
 // recording the update information" submitted for every filesystem
@@ -31,23 +28,13 @@ func (p *Patch) Encode() []byte {
 
 // DecodePatch reconstructs a patch from its object key and body.
 func DecodePatch(key string, data []byte) (*Patch, error) {
-	account, rest, ok := strings.Cut(key, "|")
-	if !ok {
-		return nil, fmt.Errorf("core: patch key %q missing account", key)
-	}
-	marker := "::" + ringSuffix
-	i := strings.Index(rest, marker)
-	if i < 0 {
-		return nil, fmt.Errorf("core: patch key %q missing NameRing marker", key)
-	}
-	ns := rest[:i]
-	node, seq, err := ParsePatchKey(key)
-	if err != nil {
-		return nil, err
+	k, ok := ParseKey(key)
+	if !ok || k.Kind != KeyPatch {
+		return nil, fmt.Errorf("core: %q is not a patch key", key)
 	}
 	ring, err := DecodeNameRing(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: patch %q body: %w", key, err)
 	}
-	return &Patch{Account: account, NS: ns, Node: node, Seq: seq, Ring: ring}, nil
+	return &Patch{Account: k.Account, NS: k.NS, Node: k.Node, Seq: k.Seq, Ring: ring}, nil
 }

@@ -90,3 +90,22 @@ func IsAncestor(anc, path string) bool {
 	}
 	return strings.HasPrefix(path, anc+"/")
 }
+
+// CleanMovePair cleans the source and destination of a MOVE or COPY and
+// refuses the pairs no filesystem can carry out: the root as the source,
+// and a destination inside the source.
+func CleanMovePair(src, dst string) (srcP, dstP string, err error) {
+	if srcP, err = Clean(src); err != nil {
+		return "", "", err
+	}
+	if dstP, err = Clean(dst); err != nil {
+		return "", "", err
+	}
+	if srcP == "/" {
+		return "", "", fmt.Errorf("%w: cannot move or copy /", ErrInvalidPath)
+	}
+	if IsAncestor(srcP, dstP) {
+		return "", "", fmt.Errorf("%w: %s is inside %s", ErrInvalidPath, dstP, srcP)
+	}
+	return srcP, dstP, nil
+}

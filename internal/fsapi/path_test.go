@@ -105,6 +105,20 @@ func TestIsAncestor(t *testing.T) {
 	}
 }
 
+func TestCleanMovePair(t *testing.T) {
+	if src, dst, err := CleanMovePair("/a/", "/b/c"); err != nil || src != "/a" || dst != "/b/c" {
+		t.Fatalf("CleanMovePair = %q, %q, %v", src, dst, err)
+	}
+	if _, _, err := CleanMovePair("/a", "/a"); err != nil {
+		t.Fatalf("CleanMovePair(/a, /a) = %v; the filesystem reports the existing dst", err)
+	}
+	for _, c := range [][2]string{{"/", "/x"}, {"/a", "/a/b"}, {"a", "/b"}, {"/a", "/b/../c"}} {
+		if _, _, err := CleanMovePair(c[0], c[1]); !errors.Is(err, ErrInvalidPath) {
+			t.Errorf("CleanMovePair(%q, %q) = %v, want ErrInvalidPath", c[0], c[1], err)
+		}
+	}
+}
+
 // Property: Split then Join reconstructs any cleaned non-root path.
 func TestSplitJoinRoundTrip(t *testing.T) {
 	f := func(a, b uint8) bool {

@@ -53,7 +53,7 @@ type Registrar interface {
 	Register(node int, h Handler)
 }
 
-// Bus is an in-process gossip transport. The zero value is ready to use.
+// Bus is an in-process gossip transport; build one with NewBus.
 type Bus struct {
 	mu sync.Mutex
 	//h2vet:guardedby mu
@@ -61,11 +61,10 @@ type Bus struct {
 	//h2vet:guardedby mu
 	queue []envelope
 	//h2vet:guardedby mu
-	notify chan struct{} // buffered wakeup for Run
-	//h2vet:guardedby mu
-	done chan struct{} // closed by Close
-	//h2vet:guardedby mu
 	closed bool
+
+	notify chan struct{} // buffered wakeup for Run; set once by NewBus
+	done   chan struct{} // closed by Close; set once by NewBus
 }
 
 type envelope struct {
@@ -75,23 +74,10 @@ type envelope struct {
 
 // NewBus returns an empty bus.
 func NewBus() *Bus {
-	b := &Bus{}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.initLocked()
-	return b
-}
-
-// initLocked lazily allocates the bus internals so the zero value works.
-func (b *Bus) initLocked() {
-	if b.handlers == nil {
-		b.handlers = make(map[int]Handler)
-	}
-	if b.notify == nil {
-		b.notify = make(chan struct{}, 1)
-	}
-	if b.done == nil {
-		b.done = make(chan struct{})
+	return &Bus{
+		handlers: make(map[int]Handler),
+		notify:   make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -100,7 +86,6 @@ func (b *Bus) initLocked() {
 func (b *Bus) Register(node int, h Handler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.initLocked()
 	b.handlers[node] = h
 }
 
@@ -109,7 +94,6 @@ func (b *Bus) Register(node int, h Handler) {
 func (b *Bus) Broadcast(from int, msg Message) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.initLocked()
 	if b.closed {
 		return
 	}
@@ -173,28 +157,11 @@ func (b *Bus) Pending() int {
 func (b *Bus) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.initLocked()
 	if b.closed {
 		return
 	}
 	b.closed = true
 	close(b.done)
-}
-
-// doneCh returns the close-notification channel, allocating it if needed.
-func (b *Bus) doneCh() <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.initLocked()
-	return b.done
-}
-
-// notifyCh returns the broadcast wakeup channel, allocating it if needed.
-func (b *Bus) notifyCh() <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.initLocked()
-	return b.notify
 }
 
 // Run delivers messages until ctx is cancelled or the bus is closed,
@@ -207,17 +174,16 @@ func (b *Bus) Run(ctx context.Context, interval time.Duration) {
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	notify, done := b.notifyCh(), b.doneCh()
 	for {
 		b.Pump(ctx)
 		select {
 		case <-ctx.Done():
 			b.Pump(ctx) // final drain: deliver everything accepted so far
 			return
-		case <-done:
+		case <-b.done:
 			b.Pump(ctx)
 			return
-		case <-notify:
+		case <-b.notify:
 		case <-ticker.C:
 		}
 	}

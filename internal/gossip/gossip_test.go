@@ -80,8 +80,8 @@ func TestUnregisteredNodeIgnored(t *testing.T) {
 	}
 }
 
-func TestZeroValueBusReady(t *testing.T) {
-	var b Bus
+func TestNewBusReady(t *testing.T) {
+	b := NewBus()
 	var got []int64
 	b.Register(1, func(_ context.Context, m Message) { got = append(got, m.Version) })
 	b.Broadcast(0, Message{Version: 7})

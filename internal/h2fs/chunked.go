@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
@@ -20,34 +19,6 @@ import (
 // count and logical size in object metadata, so STAT, MOVE, COPY and
 // DELETE handle chunked files without reading any content, and ranged
 // reads touch only the segments they overlap.
-
-const (
-	metaChunks = "h2slo"     // chunk count, set on manifest objects
-	metaSize   = "h2size"    // logical file size, set on manifest objects
-	sloMagic   = "H2SLO/1\n" // manifest body, for human inspection
-)
-
-// sloSegKey names one segment of a chunked file. The "/slo/" infix
-// contains '/', which no child name may, so segments can never collide
-// with sibling files.
-func sloSegKey(account, ns, name string, i int) string {
-	return account + "|" + ns + "::/slo/" + name + "/" + fmt.Sprintf("%06d", i)
-}
-
-// manifestInfo extracts chunked-file metadata from object info; ok is
-// false for plain objects.
-func manifestInfo(info objstore.ObjectInfo) (chunks int, size int64, ok bool) {
-	cs, have := info.Meta[metaChunks]
-	if !have {
-		return 0, 0, false
-	}
-	chunks, err1 := strconv.Atoi(cs)
-	size, err2 := strconv.ParseInt(info.Meta[metaSize], 10, 64)
-	if err1 != nil || err2 != nil || chunks < 0 {
-		return 0, 0, false
-	}
-	return chunks, size, true
-}
 
 // WriteFileChunked streams r into chunkSize-byte segment objects plus a
 // manifest. Per the blocking rule of §3.3.3, the parent NameRing patch is
@@ -89,7 +60,7 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 	for {
 		n, rerr := io.ReadFull(r, buf)
 		if n > 0 {
-			key := sloSegKey(account, parentNS, name, chunks)
+			key := core.SegmentKey(account, parentNS, name, chunks)
 			if err := m.store.Put(ctx, key, buf[:n], nil); err != nil {
 				return fmt.Errorf("h2fs: chunk %d: %w", chunks, err)
 			}
@@ -103,13 +74,7 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 			return rerr
 		}
 	}
-	meta := map[string]string{
-		metaType:   typeFile,
-		metaChunks: strconv.Itoa(chunks),
-		metaSize:   strconv.FormatInt(total, 10),
-		"chunk":    strconv.Itoa(chunkSize),
-	}
-	body := []byte(fmt.Sprintf("%schunks=%d\nchunkSize=%d\nsize=%d\n", sloMagic, chunks, chunkSize, total))
+	body, meta := core.ChunkManifest{Chunks: chunks, Size: total, ChunkSize: int64(chunkSize)}.Encode()
 	if err := m.store.Put(ctx, core.ChildKey(account, parentNS, name), body, meta); err != nil {
 		return fmt.Errorf("h2fs: manifest: %w", err)
 	}
@@ -120,13 +85,13 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 // assembleChunked reads every segment of a chunked file with one
 // multi-Get, charged as a single overlapped fanout window by batch-aware
 // stores.
-func (m *Middleware) assembleChunked(ctx context.Context, account, ns, name string, chunks int, size int64) ([]byte, error) {
-	if chunks == 0 {
+func (m *Middleware) assembleChunked(ctx context.Context, account, ns, name string, c core.ChunkManifest) ([]byte, error) {
+	if c.Chunks == 0 {
 		return []byte{}, nil
 	}
-	names := make([]string, chunks)
+	names := make([]string, c.Chunks)
 	for i := range names {
-		names[i] = sloSegKey(account, ns, name, i)
+		names[i] = core.SegmentKey(account, ns, name, i)
 	}
 	results := objstore.MultiGet(ctx, m.store, names)
 	for i, r := range results {
@@ -134,7 +99,7 @@ func (m *Middleware) assembleChunked(ctx context.Context, account, ns, name stri
 			return nil, fmt.Errorf("h2fs: chunk %d: %w", i, r.Err)
 		}
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, c.Size)
 	for _, r := range results {
 		out = append(out, r.Data...)
 	}
@@ -143,7 +108,8 @@ func (m *Middleware) assembleChunked(ctx context.Context, account, ns, name stri
 
 // readChunkedRange serves a byte range touching only the overlapped
 // segments.
-func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name string, chunkSize int64, size int64, offset, length int64) ([]byte, error) {
+func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name string, c core.ChunkManifest, offset, length int64) ([]byte, error) {
+	size, chunkSize := c.Size, c.ChunkSize
 	if offset > size {
 		offset = size
 	}
@@ -161,7 +127,7 @@ func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name str
 		segStart := i * chunkSize
 		from := max(offset-segStart, 0)
 		to := min(end-segStart, chunkSize)
-		data, _, err := m.store.GetRange(ctx, sloSegKey(account, ns, name, int(i)), from, to-from)
+		data, _, err := m.store.GetRange(ctx, core.SegmentKey(account, ns, name, int(i)), from, to-from)
 		if err != nil {
 			return nil, fmt.Errorf("h2fs: chunk %d: %w", i, err)
 		}
@@ -180,10 +146,10 @@ func (m *Middleware) deleteFileObject(ctx context.Context, account, ns, name str
 		if err != nil {
 			return err
 		}
-		if chunks, _, ok := manifestInfo(info); ok {
-			segs := make([]string, chunks)
+		if c, ok := core.ParseChunkManifest(info.Meta); ok {
+			segs := make([]string, c.Chunks)
 			for i := range segs {
-				segs[i] = sloSegKey(account, ns, name, i)
+				segs[i] = core.SegmentKey(account, ns, name, i)
 			}
 			for _, derr := range objstore.MultiDelete(ctx, m.store, segs) {
 				if derr != nil && !errors.Is(derr, objstore.ErrNotFound) {
@@ -204,11 +170,11 @@ func (m *Middleware) copyFileObject(ctx context.Context, account, srcNS, srcName
 		if err != nil {
 			return err
 		}
-		if chunks, _, ok := manifestInfo(info); ok {
-			for i := 0; i < chunks; i++ {
+		if c, ok := core.ParseChunkManifest(info.Meta); ok {
+			for i := 0; i < c.Chunks; i++ {
 				if err := m.store.Copy(ctx,
-					sloSegKey(account, srcNS, srcName, i),
-					sloSegKey(account, dstNS, dstName, i)); err != nil {
+					core.SegmentKey(account, srcNS, srcName, i),
+					core.SegmentKey(account, dstNS, dstName, i)); err != nil {
 					return err
 				}
 			}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -126,32 +124,6 @@ func (d *descriptor) dirtyShardSet() []int {
 	return out
 }
 
-// parseWatermarks extracts per-node merge watermarks from ring object
-// metadata ("wm.<node>" -> seq).
-func parseWatermarks(meta map[string]string) map[int]int {
-	wm := map[int]int{}
-	for k, v := range meta {
-		rest, ok := strings.CutPrefix(k, "wm.")
-		if !ok {
-			continue
-		}
-		node, err1 := strconv.Atoi(rest)
-		seq, err2 := strconv.Atoi(v)
-		if err1 == nil && err2 == nil {
-			wm[node] = seq
-		}
-	}
-	return wm
-}
-
-func encodeWatermarks(wm map[int]int) map[string]string {
-	meta := make(map[string]string, len(wm))
-	for node, seq := range wm {
-		meta["wm."+strconv.Itoa(node)] = strconv.Itoa(seq)
-	}
-	return meta
-}
-
 // storedRing is what one store read tells a descriptor about its
 // directory's ring: the merged tuples it fetched, the flush watermarks, and
 // the layout they are stored under.
@@ -213,7 +185,7 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	if validate && headIsExtent && len(d.tags) == 1 && d.tags[0] != "" {
 		if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == d.tags[0] {
 			m.reg.Inc("flush.validated", 1)
-			return storedRing{wm: parseWatermarks(info.Meta), lay: d.lay, found: true, full: true, tags: d.tags}, nil
+			return storedRing{wm: core.ParseWatermarks(info.Meta), lay: d.lay, found: true, full: true, tags: d.tags}, nil
 		}
 		m.reg.Inc("flush.refetched", 1)
 	}
@@ -224,7 +196,7 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	case err != nil:
 		return storedRing{}, err
 	}
-	wm := parseWatermarks(h.Head.Meta)
+	wm := core.ParseWatermarks(h.Head.Meta)
 	if validate && !headIsExtent && h.Layout == d.lay {
 		sr, err := m.revalidate(ctx, d, d.dirtyShardSet())
 		sr.wm = wm

@@ -135,7 +135,15 @@ type ringBytesStore struct {
 }
 
 func ringLayer(name string) bool {
-	return strings.HasSuffix(name, "::/NameRing/") || core.IsExtentKey(name)
+	k := keyKind(name)
+	return k == core.KeyRing || k == core.KeyExtent
+}
+
+// keyKind is the kind core.ParseKey gives name; zero when it parses as
+// none.
+func keyKind(name string) core.KeyKind {
+	k, _ := core.ParseKey(name)
+	return k.Kind
 }
 
 func (s *ringBytesStore) notePut(n int) {
@@ -410,7 +418,7 @@ func TestDirShardCrashMidSplitConverges(t *testing.T) {
 		t.Fatalf("scrub reclaimed %d objects, want the 8 abandoned extents: %+v", rep.Reclaimed, rep)
 	}
 	for _, o := range rep.Orphans {
-		if !core.IsExtentKey(o) {
+		if keyKind(o) != core.KeyExtent {
 			t.Fatalf("scrub reclaimed non-extent %q", o)
 		}
 	}
@@ -765,10 +773,10 @@ func TestDirShardThresholdZeroWritesNoManifests(t *testing.T) {
 	populateBig(t, m, 60)
 	mustNoErr(t, m.FlushAll(ctx))
 	for _, name := range clusterNames(c) {
-		if core.IsExtentKey(name) {
+		if keyKind(name) == core.KeyExtent {
 			t.Fatalf("extent %q written with sharding disabled", name)
 		}
-		if strings.HasSuffix(name, "::/NameRing/") {
+		if keyKind(name) == core.KeyRing {
 			data, _, err := c.Get(ctx, name)
 			mustNoErr(t, err)
 			if core.IsShardManifest(data) {

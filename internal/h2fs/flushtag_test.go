@@ -181,7 +181,7 @@ func (f *tagFixture) ringWrites(reqs []string) []string {
 	var out []string
 	for _, r := range reqs {
 		op, name, _ := strings.Cut(r, " ")
-		if (op == "PUT" || op == "DELETE") && (name == f.ring || core.IsExtentKey(name) && strings.HasPrefix(name, f.ring)) {
+		if (op == "PUT" || op == "DELETE") && (name == f.ring || keyKind(name) == core.KeyExtent && strings.HasPrefix(name, f.ring)) {
 			out = append(out, r)
 		}
 	}
@@ -391,7 +391,7 @@ func TestFlushTagDiesWithDescriptor(t *testing.T) {
 					if name == f.ring {
 						ops = append(ops, op)
 					}
-					if op == "GET" && core.IsExtentKey(name) {
+					if op == "GET" && keyKind(name) == core.KeyExtent {
 						t.Fatalf("%s fetched %s; its tag was known", what, name)
 					}
 				}
@@ -541,7 +541,7 @@ func TestFlushCompactionAfterValidatedRead(t *testing.T) {
 		f.log.take()
 		flush()
 		for _, r := range f.log.take() {
-			if _, name, _ := strings.Cut(r, " "); core.IsExtentKey(name) {
+			if _, name, _ := strings.Cut(r, " "); keyKind(name) == core.KeyExtent {
 				t.Fatalf("monolithic flush asked for an extent: %s", r)
 			}
 		}

@@ -201,7 +201,7 @@ func (m *Middleware) enqueueGC(ctx context.Context, e core.GCEntry) (int, error)
 	}
 	e.Enqueued = m.now()
 	if err := m.store.Put(ctx, core.GCQueueKey(e.Account, m.node, seq),
-		core.EncodeGCEntry(e), map[string]string{metaType: "gcq"}); err != nil {
+		core.EncodeGCEntry(e), map[string]string{core.MetaType: core.TypeGCEntry}); err != nil {
 		m.gcSettle(e.Account, seq)
 		return 0, fmt.Errorf("h2fs: enqueue gc intent: %w", err)
 	}

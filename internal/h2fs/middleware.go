@@ -36,8 +36,9 @@ type Config struct {
 	Node int
 	// Profile prices ring consultations served from the File Descriptor
 	// Cache so that virtual operation time matches a store fetch; store
-	// primitives charge themselves. Fanout bounds concurrent outbound
-	// requests. A zero profile charges nothing.
+	// primitives charge themselves, and its SubtreeFanout and
+	// DirShardThreshold set the subtree engine's worker bound and the
+	// ring-sharding threshold. A zero profile charges nothing.
 	Profile cluster.CostProfile
 	// Clock supplies tuple timestamps; defaults to time.Now.
 	Clock func() time.Time
@@ -113,17 +114,14 @@ type Middleware struct {
 	gc gcQueue // the durable GC queue mirror (see gcqueue.go)
 }
 
-// New builds a middleware. If cfg.Gossip is a *gossip.Bus, the middleware
-// registers itself as node cfg.Node.
+// New builds a middleware. If cfg.Gossip is a gossip.Registrar, the
+// middleware registers itself as node cfg.Node.
 func New(cfg Config) (*Middleware, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("h2fs: Config.Store is required")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.Profile.Fanout <= 0 {
-		cfg.Profile.Fanout = 16
 	}
 	// Assemble the store middleware stack: retry innermost (each attempt
 	// goes straight to the cloud), op-tracing metrics outermost so its
@@ -151,9 +149,7 @@ func New(cfg Config) (*Middleware, error) {
 	}
 	m.gc.on = cfg.GCQueue
 	m.descs.limit = max(cfg.DescCacheLimit, 0)
-	if bus, ok := cfg.Gossip.(*gossip.Bus); ok && bus != nil {
-		bus.Register(cfg.Node, m.handleGossip)
-	} else if reg, ok := cfg.Gossip.(gossip.Registrar); ok {
+	if reg, ok := cfg.Gossip.(gossip.Registrar); ok {
 		reg.Register(cfg.Node, m.handleGossip)
 	}
 	return m, nil
@@ -216,7 +212,7 @@ func (m *Middleware) CreateAccount(ctx context.Context, account string) error {
 	if err := m.store.Put(ctx, core.RingKey(account, ns), core.EncodeNameRing(core.NewNameRing()), nil); err != nil {
 		return fmt.Errorf("h2fs: create root ring: %w", err)
 	}
-	if err := m.store.Put(ctx, core.RootKey(account), []byte(ns), map[string]string{"h2type": "root"}); err != nil {
+	if err := m.store.Put(ctx, core.RootKey(account), []byte(ns), map[string]string{core.MetaType: core.TypeRoot}); err != nil {
 		return fmt.Errorf("h2fs: create root record: %w", err)
 	}
 	return nil

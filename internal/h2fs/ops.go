@@ -4,19 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/objstore"
-)
-
-const (
-	metaType = "h2type"
-	typeFile = "file"
-	typeDir  = "dir"
 )
 
 // Mkdir creates an empty directory: a fresh namespace UUID, its directory
@@ -46,9 +39,7 @@ func (m *Middleware) Mkdir(ctx context.Context, account, path string) error {
 	}
 	now := m.now()
 	ns := m.gen.Next()
-	dirObj := core.EncodeDir(core.DirObject{NS: ns, Name: name, Created: now})
-	if err := m.store.Put(ctx, core.ChildKey(account, parentNS, name), dirObj,
-		map[string]string{metaType: typeDir, "ns": ns}); err != nil {
+	if err := m.putDirObject(ctx, account, parentNS, name, ns, now); err != nil {
 		return fmt.Errorf("h2fs: mkdir %s: %w", p, err)
 	}
 	if err := m.store.Put(ctx, core.RingKey(account, ns),
@@ -95,7 +86,7 @@ func (m *Middleware) WriteFile(ctx context.Context, account, path string, data [
 		}
 	}
 	if err := m.store.Put(ctx, core.ChildKey(account, parentNS, name), data,
-		map[string]string{metaType: typeFile}); err != nil {
+		map[string]string{core.MetaType: core.TypeFile}); err != nil {
 		return fmt.Errorf("h2fs: write %s: %w", p, err)
 	}
 	return m.submitPatch(ctx, account, parentNS, core.Tuple{Name: name, Time: m.now()})
@@ -122,8 +113,8 @@ func (m *Middleware) ReadFile(ctx context.Context, account, path string) ([]byte
 		return nil, readErr(p, err)
 	}
 	if res.tuple.Chunked {
-		if chunks, size, ok := manifestInfo(info); ok {
-			return m.assembleChunked(ctx, account, res.parentNS, res.tuple.Name, chunks, size)
+		if c, ok := core.ParseChunkManifest(info.Meta); ok {
+			return m.assembleChunked(ctx, account, res.parentNS, res.tuple.Name, c)
 		}
 	}
 	return data, nil
@@ -157,9 +148,8 @@ func (m *Middleware) ReadFileRange(ctx context.Context, account, path string, of
 		if err != nil {
 			return nil, readErr(p, err)
 		}
-		if _, size, ok := manifestInfo(info); ok {
-			chunkSize, _ := strconv.ParseInt(info.Meta["chunk"], 10, 64)
-			return m.readChunkedRange(ctx, account, res.parentNS, res.tuple.Name, chunkSize, size, offset, length)
+		if c, ok := core.ParseChunkManifest(info.Meta); ok {
+			return m.readChunkedRange(ctx, account, res.parentNS, res.tuple.Name, c, offset, length)
 		}
 	}
 	data, _, err := m.store.GetRange(ctx, key, offset, length)
@@ -205,8 +195,8 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 	if !res.tuple.Dir {
 		if oi, err := m.store.Head(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name)); err == nil {
 			info.Size = oi.Size
-			if _, size, ok := manifestInfo(oi); ok {
-				info.Size = size // logical size of a chunked file
+			if c, ok := core.ParseChunkManifest(oi.Meta); ok {
+				info.Size = c.Size // logical size of a chunked file
 			}
 		}
 	}
@@ -286,7 +276,7 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 // object and two parent NameRings are touched no matter how many files the
 // directory holds. RENAME is the same operation within one parent.
 func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -308,17 +298,13 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 		return fmt.Errorf("h2fs: %s: %w", dstP, fsapi.ErrExists)
 	}
 	now := m.now()
-	oldKey := core.ChildKey(account, res.parentNS, res.tuple.Name)
-	newKey := core.ChildKey(account, dstParentNS, dstName)
 	if res.tuple.Dir {
 		// Rewrite the directory object under its new name; the namespace —
 		// and with it every object inside the subtree — stays put.
-		dirObj := core.EncodeDir(core.DirObject{NS: res.tuple.NS, Name: dstName, Created: now})
-		if err := m.store.Put(ctx, newKey, dirObj,
-			map[string]string{metaType: typeDir, "ns": res.tuple.NS}); err != nil {
+		if err := m.putDirObject(ctx, account, dstParentNS, dstName, res.tuple.NS, now); err != nil {
 			return err
 		}
-		if err := m.store.Delete(ctx, oldKey); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+		if err := m.store.Delete(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return err
 		}
 	} else {
@@ -347,7 +333,7 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 // is O(n) (Figure 11); the copies are made with the cloud's server-side
 // copy primitive so no content flows through the middleware.
 func (m *Middleware) Copy(ctx context.Context, account, src, dst string) error {
-	srcP, dstP, err := cleanSrcDst(src, dst)
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
 	if err != nil {
 		return err
 	}
@@ -376,9 +362,7 @@ func (m *Middleware) Copy(ctx context.Context, account, src, dst string) error {
 		return m.submitPatch(ctx, account, dstParentNS, core.Tuple{Name: dstName, Time: now, Chunked: res.tuple.Chunked})
 	}
 	newNS := m.gen.Next()
-	dirObj := core.EncodeDir(core.DirObject{NS: newNS, Name: dstName, Created: now})
-	if err := m.store.Put(ctx, core.ChildKey(account, dstParentNS, dstName), dirObj,
-		map[string]string{metaType: typeDir, "ns": newNS}); err != nil {
+	if err := m.putDirObject(ctx, account, dstParentNS, dstName, newNS, now); err != nil {
 		return err
 	}
 	if err := m.copyTree(ctx, account, res.tuple.NS, newNS); err != nil {
@@ -484,28 +468,18 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 			continue
 		}
 		entries[i].Size = r.Info.Size
-		if _, size, ok := manifestInfo(r.Info); ok {
-			entries[i].Size = size
+		if c, ok := core.ParseChunkManifest(r.Info.Meta); ok {
+			entries[i].Size = c.Size
 		}
 	}
 	return entries, next, nil
 }
 
-// cleanSrcDst validates a src/dst pair shared by Move and Copy.
-func cleanSrcDst(src, dst string) (string, string, error) {
-	srcP, err := fsapi.Clean(src)
-	if err != nil {
-		return "", "", err
-	}
-	dstP, err := fsapi.Clean(dst)
-	if err != nil {
-		return "", "", err
-	}
-	if srcP == "/" {
-		return "", "", fmt.Errorf("h2fs: cannot move or copy /: %w", fsapi.ErrInvalidPath)
-	}
-	if fsapi.IsAncestor(srcP, dstP) {
-		return "", "", fmt.Errorf("h2fs: %s is inside %s: %w", dstP, srcP, fsapi.ErrInvalidPath)
-	}
-	return srcP, dstP, nil
+// putDirObject writes the directory object that links name in namespace
+// parentNS to the directory's own namespace ns: MKDIR, MOVE and COPY of a
+// directory, and every directory of a copied subtree.
+func (m *Middleware) putDirObject(ctx context.Context, account, parentNS, name, ns string, created int64) error {
+	return m.store.Put(ctx, core.ChildKey(account, parentNS, name),
+		core.EncodeDir(core.DirObject{NS: ns, Name: name, Created: created}),
+		map[string]string{core.MetaType: core.TypeDir, core.MetaNS: ns})
 }

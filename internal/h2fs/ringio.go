@@ -125,7 +125,7 @@ func (m *Middleware) writeLayout(ctx context.Context, d *descriptor, to core.Sha
 	if len(tags) != to.Shards {
 		tags = make([]string, to.Shards)
 	}
-	meta := encodeWatermarks(d.watermarks)
+	meta := core.EncodeWatermarks(d.watermarks)
 	written := 0 // extent objects put beside the head
 	if to.Shards == 1 {
 		// One object primitive: a batch of one costs two slices a flush.

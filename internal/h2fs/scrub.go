@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/objstore"
@@ -93,15 +92,23 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 		s.present[n] = true
 	}
 
-	// Pass 1: infrastructure keys and the patch inventory. Patch keys are
+	// Pass 1: classify every key once (core.ParseKey): infrastructure
+	// keys, the root records, and the patch inventory. Patch keys are
 	// grouped under their ring key so merged-ring reconstruction can fold
 	// unmerged chains in; sorted input keeps the groups deterministic.
 	var entries []core.GCEntry
+	var roots []string // accounts with a root record, in key order
 	for _, n := range sorted {
-		switch {
-		case core.IsGCIndexKey(n):
+		k, ok := core.ParseKey(n)
+		if !ok {
+			continue
+		}
+		switch k.Kind {
+		case core.KeyRoot:
+			roots = append(roots, k.Account)
+		case core.KeyGCIndex:
 			s.class[n] = classInfra
-		case core.IsGCQueueKey(n):
+		case core.KeyGCEntry:
 			s.class[n] = classInfra
 			data, _, err := m.store.Get(ctx, n)
 			if err != nil {
@@ -115,18 +122,15 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 				continue // corrupt entry claims nothing; its subtree surfaces as orphans
 			}
 			entries = append(entries, e)
-		case strings.Contains(n, "::/NameRing/.Node"):
-			rk := n[:strings.Index(n, ".Node")]
+		case core.KeyPatch:
+			rk := core.RingKey(k.Account, k.NS)
 			s.patches[rk] = append(s.patches[rk], n)
 		}
 	}
 
 	// Pass 2: live reachability from every account root record.
-	for _, n := range sorted {
-		account, ok := rootRecordAccount(n)
-		if !ok {
-			continue
-		}
+	for _, account := range roots {
+		n := core.RootKey(account)
 		s.class[n] = classLive
 		data, _, err := m.store.Get(ctx, n)
 		if err != nil {
@@ -223,52 +227,18 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 // links nothing. Ring and patch objects have no such cheap second check;
 // the quiescent-store contract covers them.
 func (s *scrubber) becameReachable(ctx context.Context, key string) (bool, error) {
-	account, ns, name, ok := parseDataKey(key)
-	if !ok {
+	k, ok := core.ParseKey(key)
+	if !ok || k.Kind != core.KeyChild && k.Kind != core.KeySegment {
 		return false, nil
 	}
-	if s.class[core.RingKey(account, ns)] != classLive {
+	if s.class[core.RingKey(k.Account, k.NS)] != classLive {
 		return false, nil
 	}
-	t, found, err := s.m.lookupChild(ctx, account, ns, name)
+	t, found, err := s.m.lookupChild(ctx, k.Account, k.NS, k.Name)
 	if err != nil {
 		return false, fmt.Errorf("h2fs: scrub re-verify %s: %w", key, err)
 	}
 	return found && !t.Deleted, nil
-}
-
-// parseDataKey splits a key of ChildKey or chunked-segment shape into
-// its account, namespace, and child name; ok is false for every other
-// shape (ring, patch, root record, GC queue infrastructure).
-func parseDataKey(key string) (account, ns, name string, ok bool) {
-	account, rest, found := strings.Cut(key, "|")
-	if !found {
-		return "", "", "", false
-	}
-	ns, rest, found = strings.Cut(rest, "::")
-	if !found || ns == "" {
-		return "", "", "", false
-	}
-	if seg, isSeg := strings.CutPrefix(rest, "/slo/"); isSeg {
-		i := strings.LastIndex(seg, "/")
-		if i <= 0 {
-			return "", "", "", false
-		}
-		return account, ns, seg[:i], true
-	}
-	if rest == "" || strings.Contains(rest, "/") {
-		return "", "", "", false // ring, patch, and other reserved names
-	}
-	return account, ns, rest, true
-}
-
-// rootRecordAccount extracts the account from a root-record key.
-func rootRecordAccount(key string) (string, bool) {
-	account, rest, ok := strings.Cut(key, "|")
-	if !ok || rest != "/root" {
-		return "", false
-	}
-	return account, true
 }
 
 // mark classifies a key, if it exists and was not already claimed:
@@ -376,12 +346,12 @@ func (s *scrubber) markSegments(ctx context.Context, account, ns, name string, c
 		}
 		return fmt.Errorf("h2fs: scrub head %s: %w", core.ChildKey(account, ns, name), err)
 	}
-	chunks, _, ok := manifestInfo(info)
+	cm, ok := core.ParseChunkManifest(info.Meta)
 	if !ok {
 		return nil
 	}
-	for i := 0; i < chunks; i++ {
-		s.mark(sloSegKey(account, ns, name, i), c)
+	for i := 0; i < cm.Chunks; i++ {
+		s.mark(core.SegmentKey(account, ns, name, i), c)
 	}
 	return nil
 }

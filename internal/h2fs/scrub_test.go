@@ -42,7 +42,7 @@ func TestScrubReportsAndReclaimsOrphans(t *testing.T) {
 
 	strays := []string{
 		"alice|N9999::ghost",
-		sloSegKey("alice", "N9999", "gone", 0),
+		core.SegmentKey("alice", "N9999", "gone", 0),
 	}
 	for _, key := range strays {
 		mustNoErr(t, c.Put(ctx, key, []byte("junk"), nil))

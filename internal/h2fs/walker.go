@@ -92,9 +92,7 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 			}
 			childNS := m.gen.Derive(dstNS, child.Name)
 			g.GoChild(child.Name, "\x00dir", func(ctx context.Context) error {
-				dirObj := core.EncodeDir(core.DirObject{NS: childNS, Name: child.Name, Created: now})
-				return m.store.Put(ctx, core.ChildKey(account, dstNS, child.Name), dirObj,
-					map[string]string{metaType: typeDir, "ns": childNS})
+				return m.putDirObject(ctx, account, dstNS, child.Name, childNS, now)
 			})
 			m.copySubtree(eng, g, lbl+"/"+child.Name, account, child.NS, childNS, now)
 			rb.set(core.Tuple{Name: child.Name, Time: now, Dir: true, NS: childNS})

@@ -40,17 +40,7 @@ type Server struct {
 // the wall clock — the inbound web API is the daemon edge where real
 // time is allowed to enter.
 func NewServer(mw *h2fs.Middleware) *Server {
-	return NewServerWithClock(mw, time.Now)
-}
-
-// NewServerWithClock builds the HTTP handler with an injected clock for
-// request metrics, making handler-latency tests deterministic. A nil now
-// falls back to the wall clock.
-func NewServerWithClock(mw *h2fs.Middleware, now func() time.Time) *Server {
-	if now == nil {
-		now = time.Now
-	}
-	s := &Server{mw: mw, mux: http.NewServeMux(), reg: metrics.NewRegistryWithClock(now), now: now}
+	s := &Server{mw: mw, mux: http.NewServeMux(), reg: metrics.NewRegistry(), now: time.Now}
 	s.mux.HandleFunc("PUT /v1/accounts/{account}", s.createAccount)
 	s.mux.HandleFunc("DELETE /v1/accounts/{account}", s.deleteAccount)
 	s.mux.HandleFunc("HEAD /v1/accounts/{account}", s.headAccount)

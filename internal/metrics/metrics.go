@@ -26,40 +26,17 @@ type opStats struct {
 }
 
 // Registry tracks a set of named operations. The zero value is ready to
-// use and reads the wall clock; construct with NewRegistryWithClock to
-// time operations against an injected clock (deterministic tests, or the
-// simulator's virtual time).
+// use. It never reads a clock: callers measure the durations they
+// Observe.
 type Registry struct {
 	mu       sync.RWMutex
 	ops      map[string]*opStats
 	counters map[string]*atomic.Int64
-	now      func() time.Time // nil means defaultNow
 }
 
-// defaultNow is the wall clock, referenced (never called) inside this
-// package so the daemon edge stays the only place real time enters.
-var defaultNow = time.Now
-
-// NewRegistry returns an empty registry timing against the wall clock.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return NewRegistryWithClock(nil)
-}
-
-// NewRegistryWithClock returns an empty registry whose Timed measures
-// durations with now. A nil now falls back to the wall clock.
-func NewRegistryWithClock(now func() time.Time) *Registry {
-	if now == nil {
-		now = defaultNow
-	}
-	return &Registry{ops: make(map[string]*opStats), now: now}
-}
-
-// clock returns the registry's time source.
-func (r *Registry) clock() func() time.Time {
-	if r.now == nil {
-		return defaultNow
-	}
-	return r.now
+	return &Registry{ops: make(map[string]*opStats)}
 }
 
 // lookup fetches an existing operation under the read lock.
@@ -193,16 +170,6 @@ func (r *Registry) Observe(name string, d time.Duration, err error) {
 	}
 	s.sumNano.Add(d.Nanoseconds())
 	s.buckets[bucketFor(d)].Add(1)
-}
-
-// Timed runs fn, observing its latency and error under name. Latency is
-// measured on the registry's injected clock (wall clock by default).
-func (r *Registry) Timed(name string, fn func() error) error {
-	now := r.clock()
-	start := now()
-	err := fn()
-	r.Observe(name, now().Sub(start), err)
-	return err
 }
 
 // OpSnapshot is one operation's aggregated view.

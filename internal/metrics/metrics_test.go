@@ -39,36 +39,6 @@ func TestSnapshotSortedByName(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
-	r := NewRegistry()
-	sentinel := errors.New("boom")
-	if err := r.Timed("op", func() error { return sentinel }); err != sentinel {
-		t.Fatalf("Timed err = %v", err)
-	}
-	s := r.Snapshot()[0]
-	if s.Count != 1 || s.Errors != 1 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-}
-
-func TestTimedInjectedClockDeterministic(t *testing.T) {
-	// A fake clock advancing 3ms per read makes Timed's recorded latency
-	// exact: start read + end read = 3ms measured, every run.
-	var ticks int
-	clock := func() time.Time {
-		ticks++
-		return time.Unix(0, int64(ticks)*3_000_000)
-	}
-	r := NewRegistryWithClock(clock)
-	if err := r.Timed("op", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Snapshot()[0]
-	if s.Mean != 3*time.Millisecond {
-		t.Fatalf("Mean = %v, want exactly 3ms from the injected clock", s.Mean)
-	}
-}
-
 func TestPercentileBuckets(t *testing.T) {
 	r := NewRegistry()
 	// 99 fast ops, 2 slow: the nearest-rank P99 (the 100th of 101) must

@@ -9,8 +9,7 @@
 // here as uniform Layers assembled with Stack. Each ring forwards both
 // the singular primitives and the batch API (objstore.Batcher), applying
 // its own behaviour per item without re-charging the inner store's
-// virtual cost; future rings (read-through caches, sharding) plug into
-// the same seam.
+// virtual cost.
 package storemw
 
 import "github.com/h2cloud/h2cloud/internal/objstore"
@@ -36,15 +35,4 @@ func Stack(base objstore.Store, layers ...Layer) objstore.Store {
 type Wrapper interface {
 	objstore.Store
 	Unwrap() objstore.Store
-}
-
-// Base follows Unwrap to the innermost Store of a stack.
-func Base(s objstore.Store) objstore.Store {
-	for {
-		w, ok := s.(Wrapper)
-		if !ok {
-			return s
-		}
-		s = w.Unwrap()
-	}
 }

@@ -112,12 +112,12 @@ func TestStackOrderAndBase(t *testing.T) {
 	if _, ok := s.(*metricsStore); !ok {
 		t.Fatalf("outermost ring is %T, want *metricsStore", s)
 	}
-	w := s.(Wrapper)
-	if _, ok := w.Unwrap().(*retryStore); !ok {
-		t.Fatalf("middle ring is %T, want *retryStore", w.Unwrap())
+	mid := s.(Wrapper).Unwrap()
+	if _, ok := mid.(*retryStore); !ok {
+		t.Fatalf("middle ring is %T, want *retryStore", mid)
 	}
-	if got := Base(s); got != objstore.Store(base) {
-		t.Fatalf("Base = %T, want the fake base store", got)
+	if got := mid.(Wrapper).Unwrap(); got != objstore.Store(base) {
+		t.Fatalf("innermost ring wraps %T, want the fake base store", got)
 	}
 	if got := Stack(base); got != objstore.Store(base) {
 		t.Fatal("empty Stack should return the base unchanged")
