@@ -227,6 +227,16 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += len(data)
 			}
 		}},
+		// A HEAD a primary answers places no handoff and allocates nothing.
+		{"cluster/head", 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				info, err := cl.Head(ctx, "hot/object")
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += int(info.Size)
+			}
+		}},
 		// One PUT seals its payload once for all three replicas: the copy,
 		// the Sealed, the ETag string.
 		{"cluster/put", 3, func(b *testing.B) {
@@ -322,9 +332,11 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += len(entries)
 			}
 		}},
-		// The detailed form adds the HEADs' results, their durations and the
-		// page's keys, which are cut from one string.
-		{"h2fs/list-detail-1000", 12, func(b *testing.B) {
+		// The detailed form adds the HEADs' results, their durations, the
+		// page's keys, which are cut from one string, and the window's
+		// makespan: its sorted copy and its worker loads. The ceiling is the
+		// count at both scales.
+		{"h2fs/list-detail-1000", 7, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				entries, err := bigFS.List(ctx, "/big", true)
 				if err != nil {
@@ -351,7 +363,7 @@ func HotPath(quick bool) (Result, error) {
 		// the count, so one more allocation per op trips it, let alone one
 		// per task (a goroutine, a tracker, a context, a joined label) or per
 		// replica of the 72 objects a pass copies.
-		{"h2fs/copy-rmdir-72", 1137, func(b *testing.B) {
+		{"h2fs/copy-rmdir-72", 1094, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := treeFS.Copy(ctx, "/template", "/w"); err != nil {
 					b.Fatal(err)
@@ -382,6 +394,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-30 baselines (a descriptor lookup locked its stripe and hashed the (account, ns) pair again for a Go map): allocs/op unchanged on every row; h2fs/stat-depth-16 2.65 and 3.25 us at -quick, now 2.46 and 2.81 us, one goroutine and so no lock traffic to remove — the two-goroutine cost is BenchmarkCachedStatParallel in internal/h2fs, 2212 ns/op at -cpu 2, now 1575",
 			"pre-PR-31 baselines (every name quoted through strconv.AppendQuote; a sharded flush hashed each extent it put for its tag), -quick, medians of three alternated runs: codec/encode-namering 19.3 us, now 11.4; codec/encode-extents 11.2 us, now 8.8; h2fs/flush-sharded 48 allocs/op, 4240 B and 17.5 us, now 47, 4224 B and 14.5 us; allocs/op unchanged on every other row",
 			"baselines before the single CLOCK table (32 stripes with LRU lists, a stub was a ring key in a per-stripe set and a reload built a new descriptor; now the evicted descriptor is the stub), -quick: h2fs/reload-evicted 10 allocs/op, 1532 B and 5.96 us, now 7, 440 B and 3.15 us; h2fs/evict-insert 0 allocs and 204 ns, now 0 and 150 ns; allocs/op unchanged on every other row",
+			"baselines before primaries-first reads (every read placed all eight nodes under a read lock; a batch window's makespan sorted through sort.Slice and scanned every worker per task), -quick, medians of three alternated runs: cluster/get 501 ns, now 339; cluster/head 482 ns, now 279, 0 allocs on both sides; h2fs/list-detail-1000 9 allocs/op and 145 us, now 7 and 102 us; h2fs/copy-rmdir-72 1127-1128 allocs/op and 714 us, now 1093-1094 and 652 us; allocs/op unchanged on every other row",
 		},
 	}
 	var over []string

@@ -13,9 +13,9 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -126,8 +126,9 @@ type Cluster struct {
 	profile CostProfile
 	clock   func() time.Time
 
-	mu    sync.RWMutex
-	nodes map[int]objstore.NodeStore
+	// nodes is indexed by device ID, filled once in New and never written
+	// after, so placement reads it with no lock.
+	nodes []objstore.NodeStore
 
 	gets, puts, deletes, heads, copies atomic.Int64
 	objects, bytes                     atomic.Int64
@@ -167,7 +168,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Clock = time.Now
 	}
 	devs := make([]ring.Device, cfg.Nodes)
-	nodes := make(map[int]objstore.NodeStore, cfg.Nodes)
+	nodes := make([]objstore.NodeStore, cfg.Nodes)
 	for i := range devs {
 		devs[i] = ring.Device{ID: i, Zone: i % cfg.Zones, Weight: 1}
 		if cfg.DataDir != "" {
@@ -229,8 +230,9 @@ func (c *Cluster) Ring() *ring.Ring { return c.ring }
 
 // Node returns the storage node with the given device ID, or nil.
 func (c *Cluster) Node(id int) objstore.NodeStore {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	if id < 0 || id >= len(c.nodes) {
+		return nil
+	}
 	return c.nodes[id]
 }
 
@@ -263,80 +265,49 @@ func (c *Cluster) SetNodeDown(id int, down bool) {
 // the append just spills to the heap.
 const fanoutBuf = 16
 
-// containsID reports whether id occurs in ids. Replica sets are tiny
-// (typically 3), so a linear scan beats building a set per call.
-func containsID(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
 // replicaNodes returns the primary replica nodes for an object.
 func (c *Cluster) replicaNodes(name string) []objstore.NodeStore {
-	nodes, _ := c.place(make([]objstore.NodeStore, 0, c.ring.ReplicaCount()), name, true, false)
+	nodes, _ := c.place(make([]objstore.NodeStore, 0, c.ring.ReplicaCount()), name)
 	return nodes
 }
 
-// handoffNodes returns the non-primary devices for an object in a
-// deterministic, partition-dependent order — Swift's handoff nodes, which
-// absorb writes whose primary replicas are unreachable so availability
-// survives multi-node failures.
-func (c *Cluster) handoffNodes(name string) []objstore.NodeStore {
-	nodes, _ := c.place(nil, name, false, true)
-	return nodes
+// place hashes name once and appends its primary replica nodes to dst in
+// ring order; hot paths pass a stack-backed buffer so the per-op fan-out
+// allocates nothing. It returns the extended slice and the partition,
+// which appendHandoffs takes so that falling through costs no second hash.
+func (c *Cluster) place(dst []objstore.NodeStore, name string) ([]objstore.NodeStore, uint32) {
+	part := c.ring.Partition(name)
+	var devBuf [fanoutBuf]int
+	for _, id := range c.ring.PartitionDevicesAppend(part, devBuf[:0]) {
+		dst = append(dst, c.nodes[id])
+	}
+	return dst, part
 }
 
-// readSequence is the replica fall-through order: primaries first, then
-// handoffs.
-func (c *Cluster) readSequence(name string) []objstore.NodeStore {
-	return c.appendReadSequence(nil, name)
-}
-
-// appendReadSequence appends the full fall-through order (primaries then
-// handoffs) to dst and returns the extended slice; hot paths pass a
-// stack-backed buffer so the per-op fan-out allocates nothing.
-func (c *Cluster) appendReadSequence(dst []objstore.NodeStore, name string) []objstore.NodeStore {
-	dst, _ = c.place(dst, name, true, true)
+// appendHandoffs appends the nodes that are not primaries of part, rotated
+// by the partition — Swift's handoff nodes, which absorb writes whose
+// primary replicas are unreachable so availability survives multi-node
+// failures — and returns the extended slice.
+func (c *Cluster) appendHandoffs(dst []objstore.NodeStore, part uint32) []objstore.NodeStore {
+	var devBuf [fanoutBuf]int
+	devs := c.ring.PartitionDevicesAppend(part, devBuf[:0])
+	rot := int(part) % len(c.nodes)
+	for i := range c.nodes {
+		if id := (rot + i) % len(c.nodes); !slices.Contains(devs, id) {
+			dst = append(dst, c.nodes[id])
+		}
+	}
 	return dst
 }
 
-// place hashes name once, whichever node lists the request needs, and
-// appends them to dst under one read lock: the primary replica nodes if
-// primaries is set, then, if handoffs is set, every other node, rotated by
-// the partition. It returns the extended slice and how many primaries it
-// appended.
-func (c *Cluster) place(dst []objstore.NodeStore, name string, primaries, handoffs bool) ([]objstore.NodeStore, int) {
-	part := c.ring.Partition(name)
-	var devBuf, idBuf [fanoutBuf]int
-	devs := c.ring.PartitionDevicesAppend(part, devBuf[:0])
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	np := 0
-	if primaries {
-		for _, id := range devs {
-			if n, ok := c.nodes[id]; ok {
-				dst = append(dst, n)
-				np++
-			}
-		}
+// fallThrough is a read's one lazy step: when seq[i], the last primary, has
+// just missed or failed, it appends the handoffs behind it; otherwise it
+// returns seq as it is. A read served by a primary never computes them.
+func (c *Cluster) fallThrough(seq []objstore.NodeStore, i int, part uint32) []objstore.NodeStore {
+	if i == c.ring.ReplicaCount()-1 {
+		return c.appendHandoffs(seq, part)
 	}
-	if handoffs {
-		ids := c.ring.DeviceIDsAppend(idBuf[:0])
-		rot := int(part) % len(ids)
-		for i := range ids {
-			id := ids[(rot+i)%len(ids)]
-			if containsID(devs, id) {
-				continue
-			}
-			if n, ok := c.nodes[id]; ok {
-				dst = append(dst, n)
-			}
-		}
-	}
-	return dst, np
+	return seq
 }
 
 func transferCost(per time.Duration, size int) time.Duration {
@@ -382,8 +353,9 @@ func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (tim
 func (c *Cluster) commit(op string, s *objstore.Sealed) error {
 	info := s.Info()
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	seq, np := c.place(seqBuf[:0], info.Name, true, true)
-	nodes, handoffs := seq[:np], seq[np:]
+	nodes, part := c.place(seqBuf[:0], info.Name)
+	seq := c.appendHandoffs(nodes, part)
+	handoffs := seq[len(nodes):]
 	existed := false
 	var prevSize int64
 	for _, n := range seq {
@@ -458,12 +430,13 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 	lastErr := error(objstore.ErrNotFound)
 	degraded := false
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
-		data, info, err := n.Get(name)
+	seq, part := c.place(seqBuf[:0], name)
+	for i := 0; i < len(seq); i++ {
+		data, info, err := seq[i].Get(name)
 		if err == nil {
 			if degraded {
 				c.degradedGets.Add(1)
-				if s, err := n.Load(name); err == nil {
+				if s, err := seq[i].Load(name); err == nil {
 					c.readRepair(s)
 				}
 			}
@@ -471,6 +444,7 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 		}
 		degraded = true
 		lastErr = err
+		seq = c.fallThrough(seq, i, part)
 	}
 	return nil, objstore.ObjectInfo{}, c.profile.Get, &keyError{op: "get", name: name, err: lastErr}
 }
@@ -506,11 +480,13 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 	var lastErr error = objstore.ErrNotFound
 	degraded := false
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
-		s, err := n.Load(name)
+	seq, part := c.place(seqBuf[:0], name)
+	for i := 0; i < len(seq); i++ {
+		s, err := seq[i].Load(name)
 		if err != nil {
 			degraded = true
 			lastErr = err
+			seq = c.fallThrough(seq, i, part)
 			continue
 		}
 		if degraded {
@@ -547,12 +523,14 @@ func (c *Cluster) headCore(name string) (objstore.ObjectInfo, time.Duration, err
 	c.heads.Add(1)
 	var lastErr error = objstore.ErrNotFound
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
-		info, err := n.Head(name)
+	seq, part := c.place(seqBuf[:0], name)
+	for i := 0; i < len(seq); i++ {
+		info, err := seq[i].Head(name)
 		if err == nil {
 			return info, c.profile.Head, nil
 		}
 		lastErr = err
+		seq = c.fallThrough(seq, i, part)
 	}
 	return objstore.ObjectInfo{}, c.profile.Head, &keyError{op: "head", name: name, err: lastErr}
 }
@@ -573,7 +551,8 @@ func (c *Cluster) deleteCore(name string) (time.Duration, error) {
 	removed := false
 	var size int64
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	for _, n := range c.appendReadSequence(seqBuf[:0], name) {
+	seq, part := c.place(seqBuf[:0], name)
+	for _, n := range c.appendHandoffs(seq, part) {
 		if info, err := n.Head(name); err == nil {
 			size = info.Size
 		}
@@ -599,10 +578,12 @@ func (c *Cluster) Copy(ctx context.Context, src, dst string) error {
 	var s *objstore.Sealed
 	err := objstore.ErrNotFound
 	var seqBuf [fanoutBuf]objstore.NodeStore
-	for _, n := range c.appendReadSequence(seqBuf[:0], src) {
-		if s, err = n.Load(src); err == nil {
+	seq, part := c.place(seqBuf[:0], src)
+	for i := 0; i < len(seq); i++ {
+		if s, err = seq[i].Load(src); err == nil {
 			break
 		}
+		seq = c.fallThrough(seq, i, part)
 	}
 	if err != nil {
 		return &keyError{op: "copy", name: src, err: err}
@@ -610,22 +591,11 @@ func (c *Cluster) Copy(ctx context.Context, src, dst string) error {
 	return c.commit("copy to", s.As(dst, c.clock()))
 }
 
-// allNodes snapshots the node set in ascending id order under the read
-// lock, so Repair's pass order (and therefore which replica wins a
-// LastModified tie) is deterministic across runs.
+// allNodes returns a copy of the node table, in ascending id order, so
+// Repair's pass order (and therefore which replica wins a LastModified
+// tie) is deterministic across runs.
 func (c *Cluster) allNodes() []objstore.NodeStore {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]int, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	nodes := make([]objstore.NodeStore, 0, len(ids))
-	for _, id := range ids {
-		nodes = append(nodes, c.nodes[id])
-	}
-	return nodes
+	return slices.Clone(c.nodes)
 }
 
 // Repair runs one anti-entropy pass: every object present on at least one

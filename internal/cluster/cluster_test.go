@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +93,8 @@ func TestGetSurvivesReplicaFailures(t *testing.T) {
 // TestPlacementGolden pins the node lists a request is placed on — ring
 // order for primaries, partition-rotated order for handoffs, primaries
 // then handoffs for the read sequence — to the values the three separate
-// lookups produced before they became one.
+// lookups produced before they became one. The handoffs come from the
+// partition place returned, with no second hash.
 func TestPlacementGolden(t *testing.T) {
 	c := newTest(t)
 	ids := func(nodes []objstore.NodeStore) []int {
@@ -113,12 +115,13 @@ func TestPlacementGolden(t *testing.T) {
 		if got := ids(c.replicaNodes(g.name)); !slices.Equal(got, g.primaries) {
 			t.Errorf("replicaNodes(%q) = %v, want %v", g.name, got, g.primaries)
 		}
-		if got := ids(c.handoffNodes(g.name)); !slices.Equal(got, g.handoff) {
-			t.Errorf("handoffNodes(%q) = %v, want %v", g.name, got, g.handoff)
+		seq, part := c.place(nil, g.name)
+		if got := ids(c.appendHandoffs(nil, part)); !slices.Equal(got, g.handoff) {
+			t.Errorf("appendHandoffs(%q) = %v, want %v", g.name, got, g.handoff)
 		}
 		want := append(slices.Clone(g.primaries), g.handoff...)
-		if got := ids(c.readSequence(g.name)); !slices.Equal(got, want) {
-			t.Errorf("readSequence(%q) = %v, want %v", g.name, got, want)
+		if got := ids(c.appendHandoffs(seq, part)); !slices.Equal(got, want) {
+			t.Errorf("read sequence of %q = %v, want %v", g.name, got, want)
 		}
 	}
 }
@@ -506,12 +509,89 @@ func TestCopyOverHandoffOnlyObjectIsAnOverwrite(t *testing.T) {
 	}
 }
 
+// A read asks the handoffs only after every primary missed, so an object
+// whose copies all sit on handoff nodes must still be found by every read:
+// Head, Get, GetRange, and Copy's source read. Get and GetRange are degraded
+// reads and heal the primaries; Head and Copy only read.
+func TestReadsFallThroughToHandoffs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		op       string
+		read     func(c *Cluster, name string) (string, error)
+		degraded int64
+	}{
+		{"head", func(c *Cluster, name string) (string, error) {
+			info, err := c.Head(ctx, name)
+			return strconv.FormatInt(info.Size, 10), err
+		}, 0},
+		{"get", func(c *Cluster, name string) (string, error) {
+			data, _, err := c.Get(ctx, name)
+			return string(data), err
+		}, 1},
+		{"get range", func(c *Cluster, name string) (string, error) {
+			data, _, err := c.GetRange(ctx, name, 0, -1)
+			return string(data), err
+		}, 1},
+		{"copy", func(c *Cluster, name string) (string, error) {
+			if err := c.Copy(ctx, name, name+".copy"); err != nil {
+				return "", err
+			}
+			data, _, err := c.Get(ctx, name+".copy")
+			return string(data), err
+		}, 0},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			c := newTest(t)
+			name := "fall/" + tc.op
+			devs := c.Ring().Devices(name)
+			for _, id := range devs {
+				c.SetNodeDown(id, true)
+			}
+			mustPut(t, c, ctx, name, []byte("payload"), nil) // lands on three handoffs
+			for _, id := range devs {
+				c.SetNodeDown(id, false)
+			}
+			want := "payload"
+			if tc.op == "head" {
+				want = "7"
+			}
+			if got, err := tc.read(c, name); err != nil || got != want {
+				t.Fatalf("%s of a handoff-only object = %q, %v; want %q", tc.op, got, err, want)
+			}
+			st := c.Stats()
+			if st.DegradedGets != tc.degraded || st.ReadRepairs != 3*tc.degraded {
+				t.Fatalf("%s: DegradedGets %d, ReadRepairs %d; want %d, %d", tc.op, st.DegradedGets, st.ReadRepairs, tc.degraded, 3*tc.degraded)
+			}
+			for _, id := range devs {
+				_, err := c.Node(id).Head(name)
+				if healed := err == nil; healed != (tc.degraded > 0) {
+					t.Fatalf("%s: primary %d holds the object: %v", tc.op, id, healed)
+				}
+			}
+			if tc.degraded == 0 {
+				return
+			}
+			// The primaries answer now: nothing after the repair is degraded.
+			if _, err := c.Head(ctx, name); err != nil {
+				t.Fatalf("Head after repair: %v", err)
+			}
+			if _, _, err := c.Get(ctx, name); err != nil {
+				t.Fatalf("Get after repair: %v", err)
+			}
+			if got := c.Stats().DegradedGets; got != tc.degraded {
+				t.Fatalf("reads after repair counted %d degraded gets, want 0", got-tc.degraded)
+			}
+		})
+	}
+}
+
 // replicaCopies reads name from every node that holds it, primaries and
 // handoffs alike.
 func replicaCopies(t *testing.T, c *Cluster, name string) map[int]string {
 	t.Helper()
 	out := map[int]string{}
-	for _, n := range c.readSequence(name) {
+	seq, part := c.place(nil, name)
+	for _, n := range c.appendHandoffs(seq, part) {
 		if data, _, err := n.Get(name); err == nil {
 			out[n.ID()] = string(data)
 		}

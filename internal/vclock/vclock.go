@@ -15,7 +15,7 @@ package vclock
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -74,39 +74,44 @@ func Charge(ctx context.Context, d time.Duration) {
 // Makespan computes the completion time of scheduling the given task
 // durations on `workers` parallel workers using longest-processing-time
 // (LPT) list scheduling. With workers <= 1 it degenerates to the sum.
+//
+// The worker loads are a binary min-heap: each task, longest first, goes
+// onto the root and sinks, so a window of n tasks costs O(n log w). Which
+// of several least-loaded workers takes a task does not matter: every
+// choice leaves the same multiset of loads, so the makespan is that of
+// any LPT schedule.
 func Makespan(durs []time.Duration, workers int) time.Duration {
-	if len(durs) == 0 {
-		return 0
-	}
-	if workers <= 1 || len(durs) == 1 {
+	if workers <= 1 || len(durs) <= 1 {
 		var sum time.Duration
 		for _, d := range durs {
 			sum += d
 		}
 		return sum
 	}
-	if workers > len(durs) {
-		workers = len(durs)
+	sorted := slices.Clone(durs)
+	slices.Sort(sorted)
+	loads := make([]time.Duration, min(workers, len(durs)))
+	for i := len(sorted) - 1; i >= 0; i-- {
+		loads[0] += sorted[i]
+		siftDown(loads)
 	}
-	sorted := make([]time.Duration, len(durs))
-	copy(sorted, durs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	loads := make([]time.Duration, workers)
-	for _, d := range sorted {
-		// Assign to the least-loaded worker.
-		min := 0
-		for w := 1; w < workers; w++ {
-			if loads[w] < loads[min] {
-				min = w
-			}
+	return slices.Max(loads)
+}
+
+// siftDown restores the min-heap order of h after its root grew.
+func siftDown(h []time.Duration) {
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
 		}
-		loads[min] += d
-	}
-	var max time.Duration
-	for _, l := range loads {
-		if l > max {
-			max = l
+		if r := m + 1; r < len(h) && h[r] < h[m] {
+			m = r
 		}
+		if h[i] <= h[m] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	return max
 }

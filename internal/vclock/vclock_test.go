@@ -2,6 +2,9 @@ package vclock
 
 import (
 	"context"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,5 +152,77 @@ func TestMakespanBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceLPT is the sort-and-scan LPT schedule Makespan replaced: sort
+// longest first, give each task to the lowest-numbered least-loaded
+// worker by a linear scan.
+func referenceLPT(durs []time.Duration, workers int) time.Duration {
+	if len(durs) == 0 {
+		return 0
+	}
+	if workers <= 1 || len(durs) == 1 {
+		var sum time.Duration
+		for _, d := range durs {
+			sum += d
+		}
+		return sum
+	}
+	if workers > len(durs) {
+		workers = len(durs)
+	}
+	sorted := make([]time.Duration, len(durs))
+	copy(sorted, durs)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+	loads := make([]time.Duration, workers)
+	for _, d := range sorted {
+		min := 0
+		for w := 1; w < workers; w++ {
+			if loads[w] < loads[min] {
+				min = w
+			}
+		}
+		loads[min] += d
+	}
+	var max time.Duration
+	for _, l := range loads {
+		if l > max {
+			max = l
+		}
+	}
+	return max
+}
+
+// The heap breaks ties between least-loaded workers differently from the
+// scan, and durations drawn from 0–19 tie constantly; the makespan must
+// not move on any of them, nor may the input be reordered.
+func TestMakespanMatchesReferenceLPT(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 200_000; c++ {
+		durs := make([]time.Duration, rng.Intn(61))
+		for i := range durs {
+			durs[i] = time.Duration(rng.Intn(20))
+		}
+		workers := rng.Intn(70) - 2
+		in := slices.Clone(durs)
+		want := referenceLPT(durs, workers)
+		if got := Makespan(durs, workers); got != want {
+			t.Fatalf("Makespan(%v, %d) = %v, want %v", durs, workers, got, want)
+		}
+		if !slices.Equal(durs, in) {
+			t.Fatalf("Makespan reordered its input: %v, was %v", durs, in)
+		}
+	}
+}
+
+// A window allocates its sorted copy and its loads, nothing per task.
+func TestMakespanAllocations(t *testing.T) {
+	durs := make([]time.Duration, 1000)
+	for i := range durs {
+		durs[i] = time.Duration(i % 37)
+	}
+	if n := testing.AllocsPerRun(20, func() { Makespan(durs, 48) }); n > 2 {
+		t.Fatalf("Makespan allocates %v times per call, want at most 2", n)
 	}
 }
