@@ -58,7 +58,6 @@ type FS struct {
 	// small namespaces stay on one server (which is also what keeps
 	// Dropbox-style file access flat in Figure 13).
 	minSplit int
-	eagerGC  bool
 
 	mu       sync.RWMutex
 	root     *node
@@ -90,10 +89,6 @@ func WithSplitFactor(s float64) Option {
 	}
 }
 
-// WithEagerGC controls whether RMDIR reclaims content objects
-// synchronously (default true).
-func WithEagerGC(on bool) Option { return func(f *FS) { f.eagerGC = on } }
-
 // WithMinSplit sets the minimum per-server directory count before load
 // shedding starts (default 32).
 func WithMinSplit(n int) Option {
@@ -117,7 +112,6 @@ func New(store objstore.Store, profile cluster.CostProfile, account string, cloc
 		servers:     4,
 		splitFactor: 1.5,
 		minSplit:    32,
-		eagerGC:     true,
 		root:        &node{isDir: true, children: map[string]*node{}, server: 0},
 	}
 	for _, o := range opts {
@@ -402,7 +396,7 @@ func (f *FS) List(ctx context.Context, path string, detail bool) ([]fsapi.EntryI
 }
 
 // Rmdir detaches the subtree pointer — one index commit, O(1). Content
-// objects are reclaimed out of band (eager here, uncharged).
+// objects are reclaimed out of band (eagerly, uncharged).
 func (f *FS) Rmdir(ctx context.Context, path string) error {
 	p, err := fsapi.Clean(path)
 	if err != nil {
@@ -426,8 +420,7 @@ func (f *FS) Rmdir(ctx context.Context, path string) error {
 }
 
 // detachSubtree unlinks the directory at cleaned path p from its parent
-// under the write lock and returns the content object keys to reclaim
-// (empty unless eager GC is on).
+// under the write lock and returns the content object keys to reclaim.
 func (f *FS) detachSubtree(ctx context.Context, p string) ([]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -447,9 +440,7 @@ func (f *FS) detachSubtree(ctx context.Context, p string) ([]string, error) {
 	f.releaseDirs(n)
 	vclock.Charge(ctx, f.profile.IndexCommit)
 	var objKeys []string
-	if f.eagerGC {
-		collectObjKeys(n, &objKeys)
-	}
+	collectObjKeys(n, &objKeys)
 	return objKeys, nil
 }
 

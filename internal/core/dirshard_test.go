@@ -235,15 +235,3 @@ func TestMergedExtentsSkipsNil(t *testing.T) {
 		t.Fatalf("TotalLen = %d", got.TotalLen())
 	}
 }
-
-func TestCompactFuncReportsDropped(t *testing.T) {
-	r := NewNameRing()
-	r.Set(Tuple{Name: "live", Time: 5})
-	r.Set(Tuple{Name: "old", Time: 3, Deleted: true})
-	r.Set(Tuple{Name: "fresh", Time: 9, Deleted: true})
-	var dropped []string
-	n := r.CompactFunc(4, func(t Tuple) { dropped = append(dropped, t.Name) })
-	if n != 1 || len(dropped) != 1 || dropped[0] != "old" {
-		t.Fatalf("CompactFunc = %d, dropped %v", n, dropped)
-	}
-}

@@ -225,31 +225,6 @@ func Merged(a, b *NameRing) *NameRing {
 	return out
 }
 
-// Compact "really" removes fake-deleted tuples whose timestamp is at or
-// before horizon (§3.3.2 leaves this until the NameRing is in use, e.g.
-// during MOVE or LIST). Tombstones newer than the horizon are kept so
-// that in-flight patches from other nodes cannot resurrect the child. It
-// reports how many tombstones were dropped.
-func (r *NameRing) Compact(horizon int64) int {
-	return r.CompactFunc(horizon, nil)
-}
-
-// CompactFunc is Compact with a per-dropped-tombstone callback: sharded
-// flushes use it to mark the extent of every removed tuple dirty, so the
-// store copy of that extent is rewritten without its tombstone instead of
-// silently keeping it. A nil fn is allowed.
-func (r *NameRing) CompactFunc(horizon int64, fn func(Tuple)) int {
-	n := len(r.tuples)
-	r.tuples = slices.DeleteFunc(r.tuples, func(t Tuple) bool {
-		drop := t.Deleted && t.Time <= horizon
-		if drop && fn != nil {
-			fn(t)
-		}
-		return drop
-	})
-	return n - len(r.tuples)
-}
-
 // Clone returns a deep copy.
 func (r *NameRing) Clone() *NameRing {
 	return &NameRing{tuples: slices.Clone(r.tuples)}

@@ -114,25 +114,6 @@ func TestMergeNil(t *testing.T) {
 	}
 }
 
-func TestCompactDropsOldTombstonesOnly(t *testing.T) {
-	r := NewNameRing()
-	r.Set(Tuple{Name: "old", Time: 5, Deleted: true})
-	r.Set(Tuple{Name: "new", Time: 50, Deleted: true})
-	r.Set(Tuple{Name: "live", Time: 5})
-	if got := r.Compact(10); got != 1 {
-		t.Fatalf("Compact dropped %d, want 1", got)
-	}
-	if _, ok := r.Get("old"); ok {
-		t.Fatal("old tombstone survived")
-	}
-	if _, ok := r.Get("new"); !ok {
-		t.Fatal("recent tombstone dropped")
-	}
-	if !r.Has("live") {
-		t.Fatal("live entry dropped")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	r := NewNameRing()
 	r.Set(Tuple{Name: "a", Time: 1})
@@ -172,14 +153,14 @@ func TestRingOf(t *testing.T) {
 }
 
 // TestNameRingModel drives a ring through random Set/Update/MergeFunc/
-// Compact/Range steps and encode→decode round trips against a map
+// Range steps and encode→decode round trips against a map
 // reference. After every step All is the map sorted by name, and every
 // merge reports — by count and through its callback — exactly the names
 // the reference says it changes. Merges cover one-tuple patches, small
 // rings built with repeated names, the MergedExtents shape (a batch of
 // names split into interleaved disjoint rings, merged one after another)
-// and self-merge. Names come from a small pool, so overwrites, tombstones,
-// resurrections and compaction happen many times.
+// and self-merge. Names come from a small pool, so overwrites, tombstones
+// and resurrections happen many times.
 func TestNameRingModel(t *testing.T) {
 	rounds, steps := 40, 300
 	if testing.Short() {
@@ -255,21 +236,6 @@ func TestNameRingModel(t *testing.T) {
 				}
 			case op < 14:
 				merge(r)
-			case op < 15:
-				horizon := clock - int64(rng.Intn(40))
-				want := map[string]Tuple{}
-				for name, tp := range ref {
-					if tp.Deleted && tp.Time <= horizon {
-						want[name] = tp
-					}
-				}
-				got := map[string]Tuple{}
-				if n := r.CompactFunc(horizon, func(tp Tuple) { got[tp.Name] = tp }); n != len(want) || !maps.Equal(got, want) {
-					t.Fatalf("%s: Compact dropped %d %v, want %v", where, n, got, want)
-				}
-				for name := range want {
-					delete(ref, name)
-				}
 			case op < 17:
 				// The marker walk: a marker that is a child, one that is not,
 				// or none; stopped after a random number of tuples.

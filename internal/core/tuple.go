@@ -6,8 +6,11 @@
 // direct children of the directory by recording their names" (§3.1) as a
 // list of (child, timestamp) tuples. Deletion is "fake" (§3.3.3): a
 // Deleted tag is appended and the tuple overrides its predecessor by
-// timestamp; tombstones are really removed only when the NameRing is in
-// use. Merging is last-writer-wins per child, which makes a NameRing a
+// timestamp. The paper really removes a tombstone once the NameRing is in
+// use; here it is kept, because a stale copy of the live tuple that
+// another middleware still caches would bring the child back once the
+// tombstone that beats it is gone. A ring changes only by merge, and
+// merging is last-writer-wins per child, which makes a NameRing a
 // convergent replicated structure: merge is commutative, associative and
 // idempotent — the properties the asynchronous maintenance protocol
 // (§3.3.2) relies on for eventual consistency.

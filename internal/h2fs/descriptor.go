@@ -94,9 +94,9 @@ func (d *descriptor) release() {
 	d.lay = core.ShardManifest{Shards: 1}
 }
 
-// noteChanged records one changed child; it is the MergeFunc/CompactFunc
-// callback every local mutation routes through, and what lets a sharded
-// flush rewrite only the extents that actually changed.
+// noteChanged records one changed child; it is the MergeFunc callback
+// every local mutation routes through, and what lets a sharded flush
+// rewrite only the extents that actually changed.
 func (d *descriptor) noteChanged(t core.Tuple) {
 	d.dirtyNames[t.Name] = struct{}{}
 }
@@ -198,7 +198,7 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	}
 	wm := core.ParseWatermarks(h.Head.Meta)
 	if validate && !headIsExtent && h.Layout == d.lay {
-		sr, err := m.revalidate(ctx, d, d.dirtyShardSet())
+		sr, err := m.revalidate(ctx, d)
 		sr.wm = wm
 		return sr, err
 	}
@@ -207,14 +207,15 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 }
 
 // revalidate is the O(dirty) read of a flush over many extents: one batched
-// HEAD over the given extents of the descriptor's layout, then a fetch of
+// HEAD over the dirty extents of the descriptor's layout, then a fetch of
 // only those whose stored ETag is not the one remembered — a peer rewrote
 // them, or this node never read them. A HEAD that fails is the flush's
 // failure: unlike the head object there is no cheaper-than-it read to fall
 // back on. The HEAD-to-put window it opens is the GET-to-put window of a
 // full read; gossip repairs a lost race in both.
-func (m *Middleware) revalidate(ctx context.Context, d *descriptor, which []int) (sr storedRing, err error) {
+func (m *Middleware) revalidate(ctx context.Context, d *descriptor) (sr storedRing, err error) {
 	sr = storedRing{lay: d.lay, found: true, tags: slices.Clone(d.tags)}
+	which := d.dirtyShardSet()
 	var stale []int
 	for i, h := range objstore.MultiHead(ctx, m.store, d.lay.Keys(d.account, d.ns, which)) {
 		switch s := which[i]; {
@@ -396,30 +397,25 @@ func (m *Middleware) lockedDesc(account, ns string) *descriptor {
 // flushLocked runs the Background Merger (§4.5) for one ring — the
 // "intra-node merging" step made durable; the caller holds the descriptor
 // monitor. The store copy is read, validating by ETag and fetching only
-// what a peer rewrote, merged with the local version and the peers'
-// watermark advances, tombstones past the TTL are compacted, the result is
-// put back by one writeLayout call — the extents holding dirty names, or
-// every extent when the layout changes — this node's folded patch objects
-// are deleted, and the update is advertised to the gossip bus, if any.
+// what a peer rewrote, and merged with the local version and the peers'
+// watermark advances; a layout change first re-reads the whole store
+// copy. The result is put back by one writeLayout call — the extents
+// holding dirty names, or every extent when the layout changes — this
+// node's folded patch objects are deleted, and the update is advertised
+// to the gossip bus, if any. Tombstones are kept: a ring changes only by
+// merge.
 func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	if d.clean() {
 		return nil
 	}
 	// Read-merge-write against the store copy. No extent is written that
 	// this flush has not validated or fetched: the read covers the dirty
-	// extents, and the ones only compaction dirties are validated late.
+	// extents.
 	sr, err := m.readStoredRing(ctx, d, true)
 	if err != nil {
 		return err
 	}
 	d.adopt(sr)
-	if late := m.compact(d); len(late) > 0 && !sr.full {
-		lr, err := m.revalidate(ctx, d, late)
-		if err != nil {
-			return err
-		}
-		d.adopt(lr)
-	}
 	to := m.desiredLayout(d)
 	if to != d.lay && !sr.full {
 		// A transition re-partitions every tuple, so it starts over from
@@ -428,7 +424,6 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 			return err
 		}
 		d.adopt(sr)
-		m.compact(d)
 		to = m.desiredLayout(d)
 	}
 	d.watermarks[m.node] = d.nextSeq - 1
@@ -454,21 +449,6 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 		})
 	}
 	return nil
-}
-
-// compact drops tombstones past the TTL from local. Their names turn
-// dirty, so the store copy of each one's extent is rewritten without it;
-// the extents that were not dirty before are returned, sorted.
-func (m *Middleware) compact(d *descriptor) []int {
-	if m.tombTTL <= 0 {
-		return nil
-	}
-	before := d.dirtyShardSet()
-	d.local.CompactFunc(m.now()-m.tombTTL.Nanoseconds(), d.noteChanged)
-	return slices.DeleteFunc(d.dirtyShardSet(), func(s int) bool {
-		_, was := slices.BinarySearch(before, s)
-		return was
-	})
 }
 
 // desiredLayout applies the split/merge policy: shard once the live-child

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/core"
@@ -671,42 +670,6 @@ func TestDirShardResplitKeepsPeerOnlyExtents(t *testing.T) {
 	}
 	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 145 {
 		t.Fatalf("stored view after the re-split = %d entries, want 145 (40 + 100 + the peer's 5)", len(got))
-	}
-}
-
-// TestDirShardCompactionValidatesLate: tombstone compaction can dirty an
-// extent after the flush has done its read. That extent is validated
-// before it is written too — here a peer rewrote it meanwhile, and its
-// tuple must survive our rewrite.
-func TestDirShardCompactionValidatesLate(t *testing.T) {
-	c := newCluster(t)
-	ctx := context.Background()
-	m0 := newMW(t, c, 1, withShardThreshold(8))
-	mustNoErr(t, m0.CreateAccount(ctx, "alice"))
-	names := populateBig(t, m0, 40)
-	mustNoErr(t, m0.FlushAll(ctx))
-	tombed := core.ShardOf(names[0], 8)
-	mustNoErr(t, m0.FS("alice").Remove(ctx, "/big/"+names[0]))
-	mustNoErr(t, m0.FlushAll(ctx)) // the tombstone is now stored in its extent
-
-	reg := metrics.NewRegistry()
-	m1 := newMW(t, c, 2, withShardThreshold(8), func(cfg *Config) {
-		cfg.Metrics = reg
-		cfg.TombstoneTTL = time.Nanosecond
-	})
-	listNames(t, m1, "/big") // loads the tombstone, clean
-
-	next := 0
-	mustNoErr(t, m0.FS("alice").WriteFile(ctx, "/big/"+nameInShard("peer", &next, tombed, 8, true), []byte("p")))
-	mustNoErr(t, m0.FlushAll(ctx))
-
-	mustNoErr(t, m1.FS("alice").WriteFile(ctx, "/big/"+nameInShard("mine", &next, tombed, 8, false), []byte("m")))
-	mustNoErr(t, m1.FlushAll(ctx))
-	if v, r := flushCounters(reg); v != 1 || r != 1 {
-		t.Fatalf("validated/refetched = %d/%d, want 1/1 (our extent by HEAD, the compacted one re-read)", v, r)
-	}
-	if got := listNames(t, newMW(t, c, 3, withShardThreshold(8)), "/big"); len(got) != 41 {
-		t.Fatalf("stored view = %d entries, want 41 (39 + the peer's 1 + our 1)", len(got))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -505,74 +504,6 @@ func TestWriteLayoutOrder(t *testing.T) {
 				t.Fatalf("ring-layer writes, in order:\n got  %v\n want %v", got, want)
 			}
 		})
-	}
-}
-
-// TestFlushCompactionAfterValidatedRead: tombstone compaction over a
-// validated read writes the same bytes it writes over a full read, and a
-// flush that compaction alone dirties never asks for an extent — the
-// validated ring covers the whole stored state.
-func TestFlushCompactionAfterValidatedRead(t *testing.T) {
-	run := func(validate bool) ([]byte, *tagFixture) {
-		now := time.Unix(1_700_000_000, 0)
-		f := newTagFixture(t, func(cfg *Config) {
-			cfg.Clock = func() time.Time { now = now.Add(time.Second); return now }
-			cfg.TombstoneTTL = time.Hour
-		})
-		ctx := context.Background()
-		flush := func() {
-			if !validate {
-				forgetTags(f.m)
-			}
-			mustNoErr(t, f.m.FlushAll(ctx))
-		}
-		f.write(t, "g")
-		mustNoErr(t, f.m.FS("alice").Remove(ctx, "/d/f"))
-		flush() // the tombstone of f is stored
-		now = now.Add(2 * time.Hour)
-		// A patch that changes nothing: the chain is not empty, so the
-		// flush runs, but only compaction dirties a name.
-		tup, ok, err := f.m.lookupChild(ctx, "alice", f.ns, "g")
-		mustNoErr(t, err)
-		if !ok {
-			t.Fatal("g missing")
-		}
-		mustNoErr(t, f.m.submitPatch(ctx, "alice", f.ns, tup))
-		f.log.take()
-		flush()
-		for _, r := range f.log.take() {
-			if _, name, _ := strings.Cut(r, " "); keyKind(name) == core.KeyExtent {
-				t.Fatalf("monolithic flush asked for an extent: %s", r)
-			}
-		}
-		data, _, err := f.c.Get(ctx, f.ring)
-		mustNoErr(t, err)
-		ring, err := core.DecodeNameRing(data)
-		mustNoErr(t, err)
-		if _, ok := ring.Get("f"); ok || ring.TotalLen() != 1 {
-			t.Fatalf("expired tombstone not compacted: %d tuples stored", ring.TotalLen())
-		}
-		return data, f
-	}
-	full, _ := run(false)
-	validated, f := run(true)
-	if !bytes.Equal(full, validated) {
-		t.Fatalf("compaction after a validated read wrote %d bytes, after a full read %d: they differ", len(validated), len(full))
-	}
-	if v, _ := flushCounters(f.reg); v != 2 {
-		t.Fatalf("flush.validated = %d, want 2 (both flushes of the validated run)", v)
-	}
-}
-
-// forgetTags makes every cached descriptor's next flush read in full.
-func forgetTags(m *Middleware) {
-	forget := func(d *descriptor) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		clear(d.tags)
-	}
-	for _, d := range m.cachedDescs() {
-		forget(d)
 	}
 }
 

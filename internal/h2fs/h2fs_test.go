@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
@@ -380,28 +382,38 @@ func TestGossipConcurrentUpdatesSameDirectory(t *testing.T) {
 	}
 }
 
-func TestTombstoneCompaction(t *testing.T) {
+// TestStalePeerCannotResurrectDeleted: a peer whose cached ring still
+// holds a deleted file live, and which never hears of the delete, writes
+// that stale tuple back with its next flush. The stored tombstone must
+// still beat it, however much time has passed since the delete.
+func TestStalePeerCannotResurrectDeleted(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { now = now.Add(time.Second); return now }
 	c := newCluster(t)
-	m := newMW(t, c, 1, func(cfg *Config) { cfg.TombstoneTTL = time.Nanosecond })
+	bus := chaos.New(chaos.Plan{DropRate: 1}, nil).Gossip(gossip.NewBus())
+	withBus := func(cfg *Config) { cfg.Clock, cfg.Gossip = clock, bus }
+	m1, m2 := newMW(t, c, 1, withBus), newMW(t, c, 2, withBus)
 	ctx := context.Background()
-	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	fs := m.FS("alice")
-	mustNoErr(t, fs.WriteFile(ctx, "/f", []byte("x")))
-	mustNoErr(t, fs.Remove(ctx, "/f"))
-	d := m.desc("alice", mustRootNS(t, m, "alice"))
-	m.lockDesc(d)
-	tombs := d.local.TotalLen() - d.local.Len()
-	m.unlockDesc(d)
-	if tombs != 1 {
-		t.Fatalf("tombstones before flush = %d, want 1", tombs)
+	mustNoErr(t, m1.CreateAccount(ctx, "alice"))
+	write := func(m *Middleware, p string) {
+		mustNoErr(t, m.FS("alice").WriteFile(ctx, p, []byte("x")))
+		mustNoErr(t, m.FlushAll(ctx))
 	}
-	time.Sleep(time.Millisecond) // let the TTL pass
-	mustNoErr(t, m.FlushAll(ctx))
-	m.lockDesc(d)
-	total := d.local.TotalLen()
-	m.unlockDesc(d)
-	if total != 0 {
-		t.Fatalf("ring holds %d tuples after compaction, want 0", total)
+
+	write(m1, "/f")
+	if !slices.Contains(listNames(t, m2, "/"), "f") {
+		t.Fatal("m2 does not list f before the delete")
+	}
+	mustNoErr(t, m1.FS("alice").Remove(ctx, "/f"))
+	mustNoErr(t, m1.FlushAll(ctx)) // the advert is dropped
+	now = now.Add(2 * time.Hour)
+	write(m1, "/h")
+	write(m2, "/g")
+
+	for _, m := range []*Middleware{m2, newMW(t, c, 3)} {
+		if got := listNames(t, m, "/"); slices.Contains(got, "f") {
+			t.Fatalf("node %d lists %v: the deleted f came back", m.Node(), got)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // StartMaintenance runs the Background Merger on a fixed interval until
 // ctx is cancelled: every dirty NameRing descriptor is flushed (folding
-// patch chains into ring objects, compacting expired tombstones, and
-// advertising updates over gossip), then the durable GC queue is drained
+// patch chains into ring objects and advertising updates over gossip),
+// then the durable GC queue is drained
 // when one is configured. Deployments call this once per middleware;
 // tests drive the loop through StartMaintenanceTicks (or MaintainOnce
 // directly) for determinism. The returned channel closes when the loop

@@ -60,10 +60,6 @@ type Config struct {
 	// synchronous walk dequeues the intent, so a crash mid-reclamation
 	// is resumed instead of leaking the remainder.
 	GCQueue bool
-	// TombstoneTTL controls compaction of fake-deletion tombstones during
-	// flushes: tombstones older than the TTL are really removed. Zero
-	// keeps tombstones forever.
-	TombstoneTTL time.Duration
 	// Retry, when enabled (MaxAttempts > 1), installs the typed-error
 	// retry loop between the middleware and the store: transient cloud
 	// errors are retried with capped exponential backoff charged to the
@@ -101,7 +97,6 @@ type Middleware struct {
 	clock     func() time.Time
 	bus       gossip.Broadcaster
 	eagerGC   bool
-	tombTTL   time.Duration
 	syncProto bool
 	gen       *uuid.Gen
 	reg       *metrics.Registry
@@ -141,7 +136,6 @@ func New(cfg Config) (*Middleware, error) {
 		clock:     cfg.Clock,
 		bus:       cfg.Gossip,
 		eagerGC:   cfg.EagerGC,
-		tombTTL:   cfg.TombstoneTTL,
 		syncProto: cfg.SyncProtocol,
 		gen:       uuid.NewGen(cfg.Node, func() time.Time { return cfg.Clock() }),
 		reg:       cfg.Metrics,

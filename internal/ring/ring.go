@@ -25,17 +25,15 @@ type Device struct {
 	Weight float64 // relative capacity; partitions assigned proportionally
 }
 
-// Ring maps object names to replica device sets. It is safe for
-// concurrent readers because it is immutable between structural mutations
-// (AddDevice/RemoveDevice/Rebalance), which are caller-synchronized.
+// Ring maps object names to replica device sets. It is immutable after
+// New, so it is safe for concurrent readers.
 type Ring struct {
 	partPower int
 	replicas  int
 	devices   map[int]Device
 	// part2dev[r][p] is the device ID holding replica r of partition p.
 	part2dev [][]int
-	// sortedIDs caches the sorted device IDs; rebuilt on add/remove so
-	// DeviceIDs stops re-sorting the device map on every call.
+	// sortedIDs is the device IDs, sorted once by New.
 	sortedIDs []int
 }
 
@@ -72,17 +70,15 @@ func New(partPower, replicas int, devices []Device) (*Ring, error) {
 	if replicas > len(r.devices) {
 		r.replicas = len(r.devices)
 	}
-	r.rebuildSortedIDs()
-	r.part2dev = make([][]int, r.replicas)
-	parts := r.PartitionCount()
-	for rep := range r.part2dev {
-		row := make([]int, parts)
-		for p := range row {
-			row[p] = -1
-		}
-		r.part2dev[rep] = row
+	for id := range r.devices {
+		r.sortedIDs = append(r.sortedIDs, id)
 	}
-	r.Rebalance()
+	sort.Ints(r.sortedIDs)
+	r.part2dev = make([][]int, r.replicas)
+	for rep := range r.part2dev {
+		r.part2dev[rep] = make([]int, r.PartitionCount())
+	}
+	r.balance()
 	return r, nil
 }
 
@@ -92,20 +88,8 @@ func (r *Ring) PartitionCount() int { return 1 << r.partPower }
 // ReplicaCount reports the number of replicas kept per partition.
 func (r *Ring) ReplicaCount() int { return r.replicas }
 
-// rebuildSortedIDs recomputes the cached sorted device-ID slice after a
-// membership change.
-func (r *Ring) rebuildSortedIDs() {
-	ids := make([]int, 0, len(r.devices))
-	for id := range r.devices {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	r.sortedIDs = ids
-}
-
 // DeviceIDs returns the IDs of all devices in the ring, sorted. The slice
-// is a copy of a cache computed at build/add/remove time, not re-sorted
-// per call.
+// is a copy of the one New sorted, not re-sorted per call.
 func (r *Ring) DeviceIDs() []int {
 	return r.DeviceIDsAppend(make([]int, 0, len(r.sortedIDs)))
 }
@@ -152,60 +136,23 @@ func (r *Ring) PartitionDevicesAppend(part uint32, dst []int) []int {
 	return dst
 }
 
-// devLoad tracks assignment progress for one device during a rebalance.
+// devLoad tracks assignment progress for one device during balance.
 type devLoad struct {
-	dev     Device
-	want    float64 // desired replica-partitions
-	have    int     // assigned replica-partitions
-	pressed float64 // have - want, lower means more starved
+	dev  Device
+	want float64 // desired replica-partitions
+	have int     // assigned replica-partitions
 }
 
-// Rebalance (re)assigns partition replicas to devices proportionally to
-// weight, keeping replicas of one partition on distinct devices and — when
-// enough zones exist — in distinct zones. Assignment is incremental: only
-// replicas that must move (unassigned, on a removed device, or on a device
-// holding more than its fair share) are reassigned. It returns the number
-// of replica-partitions that moved.
-func (r *Ring) Rebalance() int {
+// balance assigns every partition replica of a fresh ring to a device,
+// proportionally to weight, keeping replicas of one partition on distinct
+// devices and — when enough zones exist — in distinct zones. Slots are
+// filled replica by replica, so a slot reads only the ones before it.
+func (r *Ring) balance() {
 	parts := r.PartitionCount()
 	total := 0.0
 	for _, d := range r.devices {
 		total += d.Weight
 	}
-	loads := make(map[int]*devLoad, len(r.devices))
-	for id, d := range r.devices {
-		loads[id] = &devLoad{
-			dev:  d,
-			want: d.Weight / total * float64(parts*r.replicas),
-		}
-	}
-	for rep := 0; rep < r.replicas; rep++ {
-		for p := 0; p < parts; p++ {
-			if l, ok := loads[r.part2dev[rep][p]]; ok {
-				l.have++
-			}
-		}
-	}
-	// Pass 1: strip assignments that are invalid or exceed fair share.
-	moved := 0
-	type slot struct{ rep, part int }
-	var open []slot
-	for rep := 0; rep < r.replicas; rep++ {
-		for p := 0; p < parts; p++ {
-			id := r.part2dev[rep][p]
-			l, ok := loads[id]
-			switch {
-			case !ok: // unassigned or device removed
-				open = append(open, slot{rep, p})
-			case float64(l.have) > math.Ceil(l.want):
-				l.have--
-				r.part2dev[rep][p] = -1
-				open = append(open, slot{rep, p})
-			}
-		}
-	}
-	// Pass 2: hand open slots to the most starved device that keeps the
-	// partition's replicas on distinct devices (and zones when possible).
 	zones := make(map[int]bool)
 	for _, d := range r.devices {
 		zones[d.Zone] = true
@@ -214,38 +161,34 @@ func (r *Ring) Rebalance() int {
 	// Build the candidate list in ascending device-id order: pickDevice
 	// breaks starvation ties by list position, so map iteration order here
 	// would make replica placement differ run to run.
-	ids := make([]int, 0, len(loads))
-	for id := range loads {
-		ids = append(ids, id)
+	loads := make(map[int]*devLoad, len(r.devices))
+	order := make([]*devLoad, 0, len(r.sortedIDs))
+	for _, id := range r.sortedIDs {
+		d := r.devices[id]
+		l := &devLoad{dev: d, want: d.Weight / total * float64(parts*r.replicas)}
+		loads[id] = l
+		order = append(order, l)
 	}
-	sort.Ints(ids)
-	order := make([]*devLoad, 0, len(ids))
-	for _, id := range ids {
-		order = append(order, loads[id])
-	}
-	for _, s := range open {
-		usedDev := make(map[int]bool, r.replicas)
-		usedZone := make(map[int]bool, r.replicas)
-		for rep := 0; rep < r.replicas; rep++ {
-			if rep == s.rep {
-				continue
-			}
-			id := r.part2dev[rep][s.part]
-			if l, ok := loads[id]; ok {
-				usedDev[id] = true
+	// Hand each slot to the most starved device that keeps the partition's
+	// replicas on distinct devices (and zones when possible).
+	for rep := 0; rep < r.replicas; rep++ {
+		for p := 0; p < parts; p++ {
+			usedDev := make(map[int]bool, r.replicas)
+			usedZone := make(map[int]bool, r.replicas)
+			for other := 0; other < rep; other++ {
+				l := loads[r.part2dev[other][p]]
+				usedDev[l.dev.ID] = true
 				usedZone[l.dev.Zone] = true
 			}
+			best := r.pickDevice(order, usedDev, usedZone, distinctZones)
+			if best == nil {
+				// All devices carry a replica already; relax device uniqueness.
+				best = r.pickDevice(order, nil, nil, false)
+			}
+			best.have++
+			r.part2dev[rep][p] = best.dev.ID
 		}
-		best := r.pickDevice(order, usedDev, usedZone, distinctZones)
-		if best == nil {
-			// All devices carry a replica already; relax device uniqueness.
-			best = r.pickDevice(order, nil, nil, false)
-		}
-		best.have++
-		r.part2dev[s.rep][s.part] = best.dev.ID
-		moved++
 	}
-	return moved
 }
 
 // pickDevice selects the device with the largest deficit (want - have)
@@ -273,34 +216,6 @@ func (r *Ring) pickDevice(order []*devLoad, usedDev, usedZone map[int]bool, want
 		return r.pickDevice(order, usedDev, nil, false)
 	}
 	return best
-}
-
-// AddDevice inserts a device; call Rebalance afterwards to assign it load.
-func (r *Ring) AddDevice(d Device) error {
-	if d.Weight <= 0 {
-		return fmt.Errorf("ring: device %d has non-positive weight", d.ID)
-	}
-	if _, dup := r.devices[d.ID]; dup {
-		return fmt.Errorf("ring: duplicate device ID %d", d.ID)
-	}
-	r.devices[d.ID] = d
-	r.rebuildSortedIDs()
-	return nil
-}
-
-// RemoveDevice deletes a device; call Rebalance afterwards to reassign its
-// partitions. Removing below the replica count reduces effective replicas
-// on the affected partitions until devices are added back.
-func (r *Ring) RemoveDevice(id int) error {
-	if _, ok := r.devices[id]; !ok {
-		return fmt.Errorf("ring: unknown device ID %d", id)
-	}
-	if len(r.devices) == 1 {
-		return errors.New("ring: cannot remove the last device")
-	}
-	delete(r.devices, id)
-	r.rebuildSortedIDs()
-	return nil
 }
 
 // BalanceStats summarizes how evenly replica-partitions are spread.

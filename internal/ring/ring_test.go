@@ -162,70 +162,6 @@ func TestBalanceWeighted(t *testing.T) {
 	}
 }
 
-func TestAddDeviceRebalanceMovesBoundedLoad(t *testing.T) {
-	r, _ := New(10, 3, devs(8))
-	before := map[uint32][]int{}
-	for p := uint32(0); p < uint32(r.PartitionCount()); p++ {
-		before[p] = r.PartitionDevices(p)
-	}
-	if err := r.AddDevice(Device{ID: 100, Zone: 5, Weight: 1}); err != nil {
-		t.Fatal(err)
-	}
-	moved := r.Rebalance()
-	total := r.PartitionCount() * r.ReplicaCount()
-	// Adding 1 of 9 equal devices should move roughly 1/9 of assignments;
-	// allow generous slack but reject wholesale reshuffles.
-	if moved > total/3 {
-		t.Fatalf("rebalance moved %d of %d assignments; too many", moved, total)
-	}
-	newLoad := 0
-	for p := uint32(0); p < uint32(r.PartitionCount()); p++ {
-		for _, d := range r.PartitionDevices(p) {
-			if d == 100 {
-				newLoad++
-			}
-		}
-	}
-	if newLoad == 0 {
-		t.Fatal("new device received no partitions")
-	}
-}
-
-func TestRemoveDeviceReassigns(t *testing.T) {
-	r, _ := New(8, 3, devs(8))
-	if err := r.RemoveDevice(3); err != nil {
-		t.Fatal(err)
-	}
-	r.Rebalance()
-	for p := uint32(0); p < uint32(r.PartitionCount()); p++ {
-		for _, d := range r.PartitionDevices(p) {
-			if d == 3 {
-				t.Fatalf("partition %d still assigned to removed device", p)
-			}
-		}
-	}
-}
-
-func TestRemoveUnknownAndLastDevice(t *testing.T) {
-	r, _ := New(4, 1, devs(1))
-	if err := r.RemoveDevice(42); err == nil {
-		t.Error("removing unknown device succeeded")
-	}
-	if err := r.RemoveDevice(0); err == nil {
-		t.Error("removing last device succeeded")
-	}
-}
-
-func TestAddDeviceValidation(t *testing.T) {
-	r, _ := New(4, 1, devs(2))
-	if err := r.AddDevice(Device{ID: 9, Weight: 0}); err == nil {
-		t.Error("zero-weight device accepted")
-	}
-	if err := r.AddDevice(Device{ID: 0, Weight: 1}); err == nil {
-		t.Error("duplicate device accepted")
-	}
-}
-
 // Property: for any set of devices, every object maps to a full, distinct
 // replica set.
 func TestAssignmentProperty(t *testing.T) {
