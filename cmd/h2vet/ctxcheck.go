@@ -30,9 +30,9 @@ internal/ (non-test files):
     literal or resolves to a package-level context variable is a
     finding: neither carries the caller's cancellation.
 
-Local derivation chains are traced through the def-use pass: a ctx
-built by context.WithTimeout(parent, d) inherits parent's origin, so
-only the root of the chain is judged.`,
+Local derivation chains are traced through a fixpoint over local
+assignments: a ctx built by context.WithTimeout(parent, d) inherits
+parent's origin, so only the root of the chain is judged.`,
 }
 
 // ctxOrigin classifies where a context expression ultimately comes from.

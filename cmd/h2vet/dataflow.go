@@ -1,8 +1,9 @@
 package main
 
-// Hand-rolled dataflow layer backing poolcheck and ctxcheck. The repo is stdlib-only, so instead of lowering to
-// golang.org/x/tools/go/ssa this file provides the two pieces those rules
-// actually need, built directly over go/ast + go/types:
+// Hand-rolled dataflow layer backing poolcheck. The repo is stdlib-only,
+// so instead of lowering to golang.org/x/tools/go/ssa this file provides
+// the two pieces that rule actually needs, built directly over go/ast +
+// go/types:
 //
 //   - a per-function control-flow graph of basic blocks (funcCFG), precise
 //     enough for "on every non-error path" questions: if/for/range/switch/
@@ -20,7 +21,7 @@ package main
 //
 // Both are per-declared-function (function literals are part of their
 // enclosing declaration's graph only where noted); that matches the
-// pool/context disciplines being function-scoped contracts.
+// pool discipline being a function-scoped contract.
 
 import (
 	"go/ast"

@@ -18,9 +18,11 @@
 // h2vet loads and type-checks the entire module once into a shared typed
 // universe, builds a call graph over go/types (CHA expansion refined by
 // Rapid Type Analysis — run `h2vet -explain callgraph` for the measured
-// precision delta), and runs the analyzers over it. The dataflow rules
-// (poolcheck, ctxcheck) ride on a hand-rolled CFG and def-use/alias pass
-// (dataflow.go) instead of SSA, keeping the stdlib-only constraint.
+// precision delta), and runs the analyzers over it. The dataflow rule
+// poolcheck rides on a hand-rolled CFG and def-use/alias pass
+// (dataflow.go) instead of SSA, keeping the stdlib-only constraint;
+// ctxcheck traces a context's origin through its own fixpoint over
+// local assignments.
 //
 // h2vet is built only on the standard library (go/ast, go/parser,
 // go/types with the source importer), preserving the repo's

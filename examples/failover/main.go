@@ -52,7 +52,7 @@ func main() {
 	// reclaims the diverted handoff copies.
 	cloud.SetNodeDown(0, false)
 	cloud.SetNodeDown(1, false)
-	repaired := cloud.Repair(ctx)
+	repaired := cloud.Repair(ctx, 1)
 	fmt.Printf("nodes recovered; repair wrote/reclaimed %d replica copies\n", repaired)
 
 	data, err = fs.ReadFile(ctx, "/docs/during-outage.txt")
@@ -61,7 +61,7 @@ func main() {
 
 	// Every object is back to full replication.
 	must(mw.FlushAll(ctx))
-	if n := cloud.Repair(ctx); n != 0 {
+	if n := cloud.Repair(ctx, 1); n != 0 {
 		log.Fatalf("cluster not converged: second repair did %d writes", n)
 	}
 	fmt.Println("second repair pass found nothing to do — cluster fully healed ✔")

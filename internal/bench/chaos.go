@@ -13,7 +13,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/netsim"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -94,7 +93,7 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 	for i := range mws {
 		mws[i], err = h2fs.New(h2fs.Config{
 			Store: cs, Node: i + 1, Profile: profile, Clock: clock,
-			Gossip: bus, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
+			Gossip: bus, Retry: true, Metrics: reg,
 		})
 		if err != nil {
 			return nil, err
@@ -173,7 +172,7 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 		c.SetNodeDown(id, false)
 	}
 	for round := 0; round < 3; round++ {
-		c.Repair(bg())
+		c.Repair(bg(), 1)
 		for _, m := range mws {
 			if err := m.FlushAll(bg()); err != nil {
 				return nil, fmt.Errorf("heal flush: %w", err)

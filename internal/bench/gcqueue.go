@@ -10,7 +10,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // GCQueueReclamation is the durable-reclamation experiment: with EagerGC
@@ -66,7 +65,7 @@ func gcQueueRun(n int) ([]string, error) {
 	cs := eng.Store(c)
 	m, err := h2fs.New(h2fs.Config{
 		Store: cs, Node: 1, Profile: profile, Clock: clock,
-		GCQueue: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
+		GCQueue: true, Retry: true, Metrics: reg,
 	})
 	if err != nil {
 		return nil, err

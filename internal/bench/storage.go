@@ -10,9 +10,10 @@ import (
 // DefaultFileCounts is the x-axis for the storage-overhead figures.
 var DefaultFileCounts = []int{1000, 5000, 10000, 20000}
 
-// storagePopulate builds identical workloads on H2Cloud and Swift and
-// returns their cluster statistics after all NameRing patches are folded.
-func storageSweep(fileCounts []int, measure func(sys *System) float64, unit string) (map[string][]Point, error) {
+// storageSweep builds identical workloads on H2Cloud and Swift and
+// returns measure of each system, per file count, after all NameRing
+// patches are folded.
+func storageSweep(fileCounts []int, measure func(sys *System) float64) (map[string][]Point, error) {
 	out := map[string][]Point{}
 	for _, files := range fileCounts {
 		spec := workload.Spec{
@@ -38,7 +39,6 @@ func storageSweep(fileCounts []int, measure func(sys *System) float64, unit stri
 			out[kind] = append(out[kind], Point{X: float64(files), Y: measure(sys)})
 		}
 	}
-	_ = unit
 	return out, nil
 }
 
@@ -54,14 +54,14 @@ func Fig14ObjectCount(fileCounts []int) (Result, error) {
 		Experiment: "fig14", Title: "Number of objects (storage overhead)",
 		XLabel: "files in filesystem", YLabel: "objects in cloud", Unit: "objects",
 	}
-	sweep, err := storageSweep(fileCounts, func(sys *System) float64 {
+	points, err := storageSweep(fileCounts, func(sys *System) float64 {
 		return float64(sys.Cluster.Stats().Objects)
-	}, "objects")
+	})
 	if err != nil {
 		return res, err
 	}
 	for _, kind := range []string{"h2cloud", "swift"} {
-		res.Series = append(res.Series, Series{System: DisplayName(kind), Points: sweep[kind]})
+		res.Series = append(res.Series, Series{System: DisplayName(kind), Points: points[kind]})
 	}
 	res.Notes = append(res.Notes,
 		"H2Cloud stores one directory object + one NameRing object per directory; Swift stores only files and zero-byte markers (its file-path records live in the separate per-account DB).")
@@ -79,14 +79,14 @@ func Fig15ObjectSize(fileCounts []int) (Result, error) {
 		Experiment: "fig15", Title: "Size of objects (storage overhead)",
 		XLabel: "files in filesystem", YLabel: "stored bytes", Unit: "MB",
 	}
-	sweep, err := storageSweep(fileCounts, func(sys *System) float64 {
+	points, err := storageSweep(fileCounts, func(sys *System) float64 {
 		return float64(sys.Cluster.Stats().Bytes) / (1 << 20)
-	}, "MB")
+	})
 	if err != nil {
 		return res, err
 	}
 	for _, kind := range []string{"h2cloud", "swift"} {
-		res.Series = append(res.Series, Series{System: DisplayName(kind), Points: sweep[kind]})
+		res.Series = append(res.Series, Series{System: DisplayName(kind), Points: points[kind]})
 	}
 	res.Notes = append(res.Notes,
 		"File content here is capped at 4 KiB per file (laptop scale); with the paper's ~1 MB average files the relative metadata overhead shrinks by a further ~250x.")

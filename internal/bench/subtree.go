@@ -61,18 +61,15 @@ func subtreeRun(pipelined bool, treeFanout int) ([3]float64, error) {
 	// repair row drift between runs.
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { now = now.Add(time.Second); return now }
-	profile := cluster.SwiftProfile()
-	if pipelined {
-		profile.SubtreeFanout = 16
-	} else {
-		profile.Fanout = 1
-		profile.SubtreeFanout = 1
+	profile, workers := cluster.SwiftProfile(), 16
+	if !pipelined {
+		profile.Fanout, workers = 1, 1
 	}
 	c, err := cluster.New(cluster.Config{Profile: profile, Clock: clock})
 	if err != nil {
 		return out, err
 	}
-	mw, err := h2fs.New(h2fs.Config{Store: c, Node: 1, Profile: profile, Clock: clock, EagerGC: true})
+	mw, err := h2fs.New(h2fs.Config{Store: c, Node: 1, Profile: profile, SubtreeFanout: workers, Clock: clock, EagerGC: true})
 	if err != nil {
 		return out, err
 	}
@@ -123,7 +120,7 @@ func subtreeRun(pipelined bool, treeFanout int) ([3]float64, error) {
 	}
 	c.SetNodeDown(0, false)
 	repairTime, err := Measure(func(ctx context.Context) error {
-		c.Repair(ctx)
+		c.Repair(ctx, workers)
 		return nil
 	})
 	if err != nil {

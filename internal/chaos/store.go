@@ -58,9 +58,6 @@ func (e *Engine) Layer() storemw.Layer {
 	return func(inner objstore.Store) objstore.Store { return e.Store(inner) }
 }
 
-// Inner returns the wrapped store.
-func (s *Store) Inner() objstore.Store { return s.inner }
-
 // Unwrap implements storemw.Wrapper.
 func (s *Store) Unwrap() objstore.Store { return s.inner }
 

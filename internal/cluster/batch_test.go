@@ -154,7 +154,6 @@ func TestBatchResultsMatchSingular(t *testing.T) {
 
 func TestRepairProbesWithHeadOnly(t *testing.T) {
 	profile := SwiftProfile()
-	profile.SubtreeFanout = 8
 	c := newTestCluster(t, profile)
 	ctx := context.Background()
 	const n = 20
@@ -166,7 +165,7 @@ func TestRepairProbesWithHeadOnly(t *testing.T) {
 	// Healthy cluster: a pass must move no content — no replica Get, no
 	// Put, and zero repairs.
 	got := charge(func(ctx context.Context) {
-		if r := c.Repair(ctx); r != 0 {
+		if r := c.Repair(ctx, 8); r != 0 {
 			t.Fatalf("healthy repair pass repaired %d copies", r)
 		}
 	})
@@ -188,7 +187,7 @@ func TestRepairProbesWithHeadOnly(t *testing.T) {
 	}
 	c.SetNodeDown(0, false)
 	repaired := 0
-	cost := charge(func(ctx context.Context) { repaired = c.Repair(ctx) })
+	cost := charge(func(ctx context.Context) { repaired = c.Repair(ctx, 8) })
 	if repaired == 0 {
 		t.Fatal("stale replica was not repaired")
 	}
@@ -201,20 +200,15 @@ func TestRepairProbesWithHeadOnly(t *testing.T) {
 	if err != nil || string(data) != "new content" {
 		t.Fatalf("after repair Get = (%q, %v)", data, err)
 	}
-	if r := c.Repair(ctx); r != 0 {
+	if r := c.Repair(ctx, 8); r != 0 {
 		t.Fatalf("second pass repaired %d copies, want 0 (converged)", r)
 	}
 }
 
 func TestRepairChargesWindowUnderSubtreeFanout(t *testing.T) {
 	ctx := context.Background()
-	seqProfile := SwiftProfile()
-	seqProfile.SubtreeFanout = 1
-	pipeProfile := SwiftProfile()
-	pipeProfile.SubtreeFanout = 16
-
-	build := func(p CostProfile) *Cluster {
-		c := newTestCluster(t, p)
+	build := func() *Cluster {
+		c := newTestCluster(t, SwiftProfile())
 		for i := 0; i < 64; i++ {
 			if err := c.Put(ctx, fmt.Sprintf("obj-%02d", i), []byte("z"), nil); err != nil {
 				t.Fatal(err)
@@ -222,8 +216,8 @@ func TestRepairChargesWindowUnderSubtreeFanout(t *testing.T) {
 		}
 		return c
 	}
-	seq := charge(func(ctx context.Context) { build(seqProfile).Repair(ctx) })
-	pipe := charge(func(ctx context.Context) { build(pipeProfile).Repair(ctx) })
+	seq := charge(func(ctx context.Context) { build().Repair(ctx, 1) })
+	pipe := charge(func(ctx context.Context) { build().Repair(ctx, 16) })
 	if seq == 0 || pipe == 0 {
 		t.Fatalf("repair charges: seq=%v pipe=%v", seq, pipe)
 	}

@@ -56,15 +56,6 @@ type CostProfile struct {
 	// charged as.
 	Fanout int
 
-	// SubtreeFanout bounds the pipelined subtree engine: how many
-	// expansion and object tasks a maintenance walk (COPY of a tree, GC
-	// of a namespace, anti-entropy Repair) keeps in flight. Zero or one
-	// keeps those walks sequential — the charge degenerates to the exact
-	// per-item sum, preserving the paper's Table 1 / Figure 11 cost
-	// figures — so pipelining is an explicit opt-in for benchmarks and
-	// deployments that want maintenance to run at cloud concurrency.
-	SubtreeFanout int
-
 	// DirShardThreshold enables sharded directory rings: once a
 	// directory's live-child count exceeds the threshold, its NameRing is
 	// split into hash-partitioned sub-ring extents behind an H2DRX
@@ -137,17 +128,24 @@ type Cluster struct {
 
 // Config describes a cluster to build.
 type Config struct {
-	Nodes     int // number of storage nodes (devices)
-	Zones     int // failure zones the nodes are spread across
-	Replicas  int // replicas kept per object (paper uses 3)
-	PartPower int // ring has 2^PartPower partitions
-	Profile   CostProfile
-	Clock     func() time.Time // defaults to time.Now
+	Nodes    int // number of storage nodes (devices)
+	Replicas int // replicas kept per object (paper uses 3)
+	Profile  CostProfile
+	Clock    func() time.Time // defaults to time.Now
 	// DataDir, when set, makes every storage node persistent: node i
 	// stores its objects under DataDir/node-i and survives restarts.
 	// Empty means in-memory nodes.
 	DataDir string
 }
+
+// The placement ring's fixed shape: node i sits in failure zone
+// i % zones, and the ring has 2^partPower partitions. Persistent data
+// directories were placed with this shape, so it cannot change
+// (TestPlacementGolden pins it).
+const (
+	zones     = 4
+	partPower = 10
+)
 
 // New builds a cluster. Defaults mirror the paper's deployment: 8 storage
 // nodes in 4 zones, 3 replicas, 2^10 partitions.
@@ -155,14 +153,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 8
 	}
-	if cfg.Zones <= 0 {
-		cfg.Zones = 4
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
-	}
-	if cfg.PartPower <= 0 {
-		cfg.PartPower = 10
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -170,7 +162,7 @@ func New(cfg Config) (*Cluster, error) {
 	devs := make([]ring.Device, cfg.Nodes)
 	nodes := make([]objstore.NodeStore, cfg.Nodes)
 	for i := range devs {
-		devs[i] = ring.Device{ID: i, Zone: i % cfg.Zones, Weight: 1}
+		devs[i] = ring.Device{ID: i, Zone: i % zones, Weight: 1}
 		if cfg.DataDir != "" {
 			dn, err := objstore.OpenDiskNode(i, filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i)))
 			if err != nil {
@@ -181,7 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 			nodes[i] = objstore.NewNode(i)
 		}
 	}
-	rg, err := ring.New(cfg.PartPower, cfg.Replicas, devs)
+	rg, err := ring.New(partPower, cfg.Replicas, devs)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -608,12 +600,11 @@ func (c *Cluster) allNodes() []objstore.NodeStore {
 // and full object bytes are fetched exactly once — from the freshest
 // holder — and only when some replica is actually stale or missing, so a
 // pass over a healthy cluster moves no content at all. Each object is
-// healed as one task on the pipelined subtree engine (bounded by the
-// profile's SubtreeFanout; zero keeps the pass sequential), with the
-// simulated cost of the pass charged to the tracker carried by ctx —
-// callers that treat repair as free background work pass an uncharged
-// context, as before.
-func (c *Cluster) Repair(ctx context.Context) int {
+// healed as one task on the pipelined subtree engine, at most workers at
+// a time (below 2 the pass is sequential), with the simulated cost of
+// the pass charged to the tracker carried by ctx — callers that treat
+// repair as free background work pass an uncharged context.
+func (c *Cluster) Repair(ctx context.Context, workers int) int {
 	nodes := c.allNodes()
 	seen := make(map[string]bool)
 	var names []string
@@ -629,7 +620,7 @@ func (c *Cluster) Repair(ctx context.Context) int {
 		}
 	}
 	var repaired atomic.Int64
-	eng := pipeline.New(ctx, c.profile.SubtreeFanout)
+	eng := pipeline.New(ctx, workers)
 	for _, name := range names {
 		name := name
 		eng.Go(name, func(ctx context.Context) error {

@@ -183,7 +183,7 @@ func TestHandoffHandback(t *testing.T) {
 	// Primaries recover; repair restores them and reclaims the handoffs.
 	c.SetNodeDown(devs[0], false)
 	c.SetNodeDown(devs[1], false)
-	if n := c.Repair(context.Background()); n == 0 {
+	if n := c.Repair(context.Background(), 1); n == 0 {
 		t.Fatal("Repair did nothing")
 	}
 	for _, id := range devs {
@@ -316,14 +316,14 @@ func TestRepairRestoresMissingReplica(t *testing.T) {
 	if _, err := c.Node(devs[0]).Head("obj"); err == nil {
 		t.Fatal("node unexpectedly has the object before repair")
 	}
-	if n := c.Repair(context.Background()); n == 0 {
+	if n := c.Repair(context.Background(), 1); n == 0 {
 		t.Fatal("Repair reported no work")
 	}
 	if _, err := c.Node(devs[0]).Head("obj"); err != nil {
 		t.Fatalf("replica still missing after repair: %v", err)
 	}
 	// Repair is idempotent.
-	if n := c.Repair(context.Background()); n != 0 {
+	if n := c.Repair(context.Background(), 1); n != 0 {
 		t.Fatalf("second Repair wrote %d copies, want 0", n)
 	}
 }
@@ -341,7 +341,7 @@ func TestRepairPrefersNewest(t *testing.T) {
 	now = now.Add(time.Minute)
 	mustPut(t, c, ctx, "obj", []byte("new"), nil)
 	c.SetNodeDown(devs[0], false)
-	c.Repair(context.Background())
+	c.Repair(context.Background(), 1)
 	data, _, err := c.Node(devs[0]).Get("obj")
 	if err != nil || string(data) != "new" {
 		t.Fatalf("repaired replica = %q, %v; want \"new\"", data, err)
@@ -694,7 +694,7 @@ func TestHealingKeepsTheVersionHeader(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"Repair": func(c *Cluster) { c.Repair(context.Background()) },
+		"Repair": func(c *Cluster) { c.Repair(context.Background(), 1) },
 	}
 	for name, run := range heal {
 		now := time.Unix(1000, 0)

@@ -27,29 +27,17 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 	if chunkSize <= 0 {
 		chunkSize = 4 << 20
 	}
-	p, err := fsapi.Clean(path)
+	to, live, err := m.target(ctx, account, path, fsapi.ErrIsDir)
 	if err != nil {
 		return err
 	}
-	if p == "/" {
-		return fmt.Errorf("h2fs: /: %w", fsapi.ErrIsDir)
+	if to.tuple.Dir {
+		return fmt.Errorf("h2fs: %s: %w", to.path, fsapi.ErrIsDir)
 	}
-	dir, name, err := fsapi.Split(p)
-	if err != nil {
-		return err
-	}
-	parentNS, err := m.resolveDir(ctx, account, dir)
-	if err != nil {
-		return err
-	}
-	if t, ok, err := m.lookupChild(ctx, account, parentNS, name); err != nil {
-		return err
-	} else if ok && !t.Deleted {
-		if t.Dir {
-			return fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrIsDir)
-		}
-		// Overwriting: reclaim the previous incarnation's segments first.
-		if err := m.deleteFileObject(ctx, account, parentNS, name, t.Chunked); err != nil &&
+	parentNS, name := to.parentNS, to.tuple.Name
+	// Overwriting: reclaim the previous incarnation's segments first.
+	if live {
+		if err := m.deleteFileObject(ctx, account, parentNS, name, to.tuple.Chunked); err != nil &&
 			!errors.Is(err, objstore.ErrNotFound) {
 			return err
 		}

@@ -224,7 +224,7 @@ func TestRecoverForgetsStubs(t *testing.T) {
 // must not settle the ring. One that was already settled stays so.
 func TestFailedLoadLeavesNoStub(t *testing.T) {
 	cs := chaos.New(chaos.Plan{}, nil).Store(&reqLog{Store: newCluster(t)})
-	gl := cs.Inner().(*reqLog)
+	gl := cs.Unwrap().(*reqLog)
 	m, err := New(Config{Store: cs, Node: 1, DescCacheLimit: fixtureLimit})
 	mustNoErr(t, err)
 	ctx := context.Background()

@@ -12,7 +12,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // withShardThreshold arms directory sharding for a test middleware.
@@ -608,7 +607,7 @@ func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
 	m := newMW(t, c, 1, withShardThreshold(16), func(cfg *Config) {
-		cfg.Retry, cfg.Metrics = storemw.DefaultRetryPolicy(), reg
+		cfg.Retry, cfg.Metrics = true, reg
 	})
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))

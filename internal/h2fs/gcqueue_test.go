@@ -14,7 +14,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // clusterNames unions object names across every device — the key
@@ -152,7 +151,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	cs := eng.Store(c)
 	m, err := New(Config{
 		Store: cs, Node: 1, Clock: clock,
-		GCQueue: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
+		GCQueue: true, Retry: true, Metrics: reg,
 	})
 	mustNoErr(t, err)
 	ctx := context.Background()
@@ -162,7 +161,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	mustNoErr(t, m.FlushAll(ctx))
 	baseline := len(clusterNames(c)) // oracle: post-reclamation key count, minus the doomed subtree
 
-	subRes, _, err := m.resolve(ctx, "alice", "/zap/sub")
+	subRes, err := m.resolve(ctx, "alice", "/zap/sub")
 	mustNoErr(t, err)
 	mustNoErr(t, m.FS("alice").Rmdir(ctx, "/zap"))
 
@@ -187,7 +186,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	cs.FailOn(chaos.OpDelete, "")
 	eng.Step()
 	for round := 0; round < 3; round++ {
-		c.Repair(ctx)
+		c.Repair(ctx, 1)
 	}
 
 	drained, err := m.DrainGC(ctx)
@@ -197,7 +196,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	}
 	mustNoErr(t, m.FlushAll(ctx))
 	for round := 0; round < 3; round++ {
-		c.Repair(ctx)
+		c.Repair(ctx, 1)
 	}
 	// Replicas deleted while their nodes were down can come back through
 	// anti-entropy after the entry is gone; the scrubber is the backstop
@@ -243,7 +242,7 @@ func TestGCQueueStaleIntentDropped(t *testing.T) {
 
 	// Enqueue the intent by hand — the crash leaves exactly this state —
 	// for both the directory and the whole account.
-	res, _, err := m.resolve(ctx, "alice", "/zap")
+	res, err := m.resolve(ctx, "alice", "/zap")
 	mustNoErr(t, err)
 	_, err = m.enqueueGC(ctx, core.GCEntry{Account: "alice", NS: res.tuple.NS, ParentNS: res.parentNS, Name: res.tuple.Name})
 	mustNoErr(t, err)
@@ -300,7 +299,7 @@ func TestGCQueueDrainDefersInflightIntent(t *testing.T) {
 
 	// Open the window exactly as Rmdir does: intent recorded, tombstone
 	// not yet submitted.
-	res, _, err := m.resolve(ctx, "alice", "/zap")
+	res, err := m.resolve(ctx, "alice", "/zap")
 	mustNoErr(t, err)
 	seq, err := m.enqueueGC(ctx, core.GCEntry{Account: "alice", NS: res.tuple.NS, ParentNS: res.parentNS, Name: res.tuple.Name})
 	mustNoErr(t, err)
@@ -478,7 +477,7 @@ func TestGCQueueBracketsEagerGC(t *testing.T) {
 	mustNoErr(t, m.FlushAll(ctx))
 
 	// Kill the eager walk partway: deletes inside the doomed subtree fail.
-	res, _, err := m.resolve(ctx, "alice", "/zap/sub")
+	res, err := m.resolve(ctx, "alice", "/zap/sub")
 	mustNoErr(t, err)
 	cs.FailOn(chaos.OpDelete, res.tuple.NS)
 	if err := m.FS("alice").Rmdir(ctx, "/zap"); err == nil {
@@ -527,7 +526,7 @@ func TestGCQueueEagerDequeueKeepsEarlierIntent(t *testing.T) {
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/other"))
 	mustNoErr(t, m.FlushAll(ctx))
 
-	res, _, err := m.resolve(ctx, "alice", "/zap/sub")
+	res, err := m.resolve(ctx, "alice", "/zap/sub")
 	mustNoErr(t, err)
 	cs.FailOn(chaos.OpDelete, res.tuple.NS)
 	if err := m.FS("alice").Rmdir(ctx, "/zap"); err == nil {

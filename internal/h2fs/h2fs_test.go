@@ -137,7 +137,7 @@ func TestRelativeAccessQuickMethod(t *testing.T) {
 	mustNoErr(t, fs.Mkdir(ctx, "/home"))
 	mustNoErr(t, fs.WriteFile(ctx, "/home/file1", []byte("quick")))
 	// Learn the namespace through resolution, then access relatively.
-	res, _, err := m.resolve(ctx, "alice", "/home/file1")
+	res, err := m.resolve(ctx, "alice", "/home/file1")
 	mustNoErr(t, err)
 	data, _, err := m.AccessRelative(ctx, "alice", res.parentNS+"::file1")
 	mustNoErr(t, err)
@@ -162,7 +162,7 @@ func TestRelativeAccessIsO1(t *testing.T) {
 		mustNoErr(t, fs.Mkdir(ctx, path))
 	}
 	mustNoErr(t, fs.WriteFile(ctx, path+"/deep", []byte("x")))
-	res, _, err := m.resolve(ctx, "alice", path+"/deep")
+	res, err := m.resolve(ctx, "alice", path+"/deep")
 	mustNoErr(t, err)
 
 	tr := vclock.NewTracker()
@@ -482,7 +482,7 @@ func TestMoveDirectoryKeepsRelativeKeys(t *testing.T) {
 	fs := m.FS("alice")
 	mustNoErr(t, fs.Mkdir(ctx, "/old"))
 	mustNoErr(t, fs.WriteFile(ctx, "/old/f", []byte("stay")))
-	res, _, err := m.resolve(ctx, "alice", "/old")
+	res, err := m.resolve(ctx, "alice", "/old")
 	mustNoErr(t, err)
 	nsBefore := res.tuple.NS
 	puts := c.Stats().Puts
@@ -492,7 +492,7 @@ func TestMoveDirectoryKeepsRelativeKeys(t *testing.T) {
 	if got := c.Stats().Puts - puts; got > 4 {
 		t.Fatalf("directory move performed %d puts, want <= 4", got)
 	}
-	res, _, err = m.resolve(ctx, "alice", "/new")
+	res, err = m.resolve(ctx, "alice", "/new")
 	mustNoErr(t, err)
 	if res.tuple.NS != nsBefore {
 		t.Fatal("move changed the directory namespace")

@@ -25,7 +25,7 @@ func TestLazyGC(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustNoErr(t, fs.WriteFile(ctx, fmt.Sprintf("/d/f%d", i), []byte("x")))
 	}
-	res, _, err := m.resolve(ctx, "alice", "/d")
+	res, err := m.resolve(ctx, "alice", "/d")
 	mustNoErr(t, err)
 	ns := res.tuple.NS
 	mustNoErr(t, m.FlushAll(ctx))

@@ -204,7 +204,7 @@ func TestListPageCostsItsLengthNotTheDirectorys(t *testing.T) {
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/big"))
-	res, _, err := m.resolve(ctx, "alice", "/big")
+	res, err := m.resolve(ctx, "alice", "/big")
 	mustNoErr(t, err)
 	mustNoErr(t, m.withRing(ctx, "alice", res.tuple.NS, func(r *core.NameRing) error {
 		for i := 0; i < 50_000; i++ {

@@ -36,10 +36,16 @@ type Config struct {
 	Node int
 	// Profile prices ring consultations served from the File Descriptor
 	// Cache so that virtual operation time matches a store fetch; store
-	// primitives charge themselves, and its SubtreeFanout and
-	// DirShardThreshold set the subtree engine's worker bound and the
+	// primitives charge themselves, and its DirShardThreshold sets the
 	// ring-sharding threshold. A zero profile charges nothing.
 	Profile cluster.CostProfile
+	// SubtreeFanout bounds the pipelined subtree engine: how many
+	// expansion and object tasks a maintenance walk (COPY of a tree, GC
+	// of a namespace) keeps in flight. Zero or one keeps those walks
+	// sequential — the charge degenerates to the exact per-item sum,
+	// preserving the paper's Table 1 / Figure 11 cost figures — so
+	// pipelining is an explicit opt-in.
+	SubtreeFanout int
 	// Clock supplies tuple timestamps; defaults to time.Now.
 	Clock func() time.Time
 	// Gossip, when set, spreads NameRing update advertisements to peer
@@ -60,11 +66,11 @@ type Config struct {
 	// synchronous walk dequeues the intent, so a crash mid-reclamation
 	// is resumed instead of leaking the remainder.
 	GCQueue bool
-	// Retry, when enabled (MaxAttempts > 1), installs the typed-error
-	// retry loop between the middleware and the store: transient cloud
-	// errors are retried with capped exponential backoff charged to the
-	// virtual clock. The zero value performs no retries.
-	Retry storemw.RetryPolicy
+	// Retry installs the typed-error retry loop between the middleware
+	// and the store (storemw.Retry): transient cloud errors are retried
+	// with capped exponential backoff charged to the virtual clock. Off,
+	// nothing is retried.
+	Retry bool
 	// Metrics, when set, receives the middleware's robustness counters
 	// (retry.attempts, retry.exhausted), the descriptor-cache gauges
 	// (descCache.size, descCache.evicted, descCache.settled — stubs held
@@ -94,6 +100,7 @@ type Middleware struct {
 	store     objstore.Store
 	node      int
 	profile   cluster.CostProfile
+	fanout    int // Config.SubtreeFanout
 	clock     func() time.Time
 	bus       gossip.Broadcaster
 	eagerGC   bool
@@ -122,8 +129,8 @@ func New(cfg Config) (*Middleware, error) {
 	// goes straight to the cloud), op-tracing metrics outermost so its
 	// observations include retry-inflated service time.
 	var layers []storemw.Layer
-	if cfg.Retry.Enabled() {
-		layers = append(layers, storemw.Retry(cfg.Retry, cfg.Metrics))
+	if cfg.Retry {
+		layers = append(layers, storemw.Retry(cfg.Metrics))
 	}
 	if cfg.Metrics != nil {
 		layers = append(layers, storemw.Metrics(cfg.Metrics))
@@ -133,6 +140,7 @@ func New(cfg Config) (*Middleware, error) {
 		store:     store,
 		node:      cfg.Node,
 		profile:   cfg.Profile,
+		fanout:    cfg.SubtreeFanout,
 		clock:     cfg.Clock,
 		bus:       cfg.Gossip,
 		eagerGC:   cfg.EagerGC,
@@ -173,17 +181,6 @@ func (m *Middleware) Recover() {
 
 // now returns the current tuple timestamp in nanoseconds.
 func (m *Middleware) now() int64 { return m.clock().UnixNano() }
-
-// subtreeFanout is the worker bound of the pipelined subtree engine;
-// profiles that leave CostProfile.SubtreeFanout unset keep maintenance
-// walks sequential (and their charges identical to the unpipelined
-// code).
-func (m *Middleware) subtreeFanout() int {
-	if m.profile.SubtreeFanout > 1 {
-		return m.profile.SubtreeFanout
-	}
-	return 1
-}
 
 // chargeRingConsult prices one NameRing consultation served from the File
 // Descriptor Cache. The cache keeps merge state in memory, but a consult

@@ -17,37 +17,24 @@ import (
 // NameRing. All pieces are ordinary objects on the single consistent
 // hashing ring (§3.1).
 func (m *Middleware) Mkdir(ctx context.Context, account, path string) error {
-	p, err := fsapi.Clean(path)
+	to, live, err := m.target(ctx, account, path, fsapi.ErrExists)
 	if err != nil {
 		return err
 	}
-	if p == "/" {
-		return fmt.Errorf("h2fs: /: %w", fsapi.ErrExists)
-	}
-	dir, name, err := fsapi.Split(p)
-	if err != nil {
-		return err
-	}
-	parentNS, err := m.resolveDir(ctx, account, dir)
-	if err != nil {
-		return err
-	}
-	if t, ok, err := m.lookupChild(ctx, account, parentNS, name); err != nil {
-		return err
-	} else if ok && !t.Deleted {
-		return fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrExists)
+	if live {
+		return fmt.Errorf("h2fs: %s: %w", to.path, fsapi.ErrExists)
 	}
 	now := m.now()
 	ns := m.gen.Next()
-	if err := m.putDirObject(ctx, account, parentNS, name, ns, now); err != nil {
-		return fmt.Errorf("h2fs: mkdir %s: %w", p, err)
+	if err := m.putDirObject(ctx, account, to.parentNS, to.tuple.Name, ns, now); err != nil {
+		return fmt.Errorf("h2fs: mkdir %s: %w", to.path, err)
 	}
 	if err := m.store.Put(ctx, core.RingKey(account, ns),
 		core.EncodeNameRing(core.NewNameRing()), nil); err != nil {
-		return fmt.Errorf("h2fs: mkdir %s ring: %w", p, err)
+		return fmt.Errorf("h2fs: mkdir %s ring: %w", to.path, err)
 	}
-	return m.submitPatch(ctx, account, parentNS,
-		core.Tuple{Name: name, Time: now, Dir: true, NS: ns})
+	return m.submitPatch(ctx, account, to.parentNS,
+		core.Tuple{Name: to.tuple.Name, Time: now, Dir: true, NS: ns})
 }
 
 // WriteFile creates or replaces a file: the content object is put at the
@@ -55,62 +42,37 @@ func (m *Middleware) Mkdir(ctx context.Context, account, path string) error {
 // NameRing. Per the blocking rule of §3.3.3, patch submission happens only
 // after the content write completes.
 func (m *Middleware) WriteFile(ctx context.Context, account, path string, data []byte) error {
-	p, err := fsapi.Clean(path)
+	to, _, err := m.target(ctx, account, path, fsapi.ErrIsDir)
 	if err != nil {
 		return err
 	}
-	if p == "/" {
-		return fmt.Errorf("h2fs: /: %w", fsapi.ErrIsDir)
+	if to.tuple.Dir {
+		return fmt.Errorf("h2fs: %s: %w", to.path, fsapi.ErrIsDir)
 	}
-	dir, name, err := fsapi.Split(p)
-	if err != nil {
-		return err
-	}
-	parentNS, err := m.resolveDir(ctx, account, dir)
-	if err != nil {
-		return err
-	}
-	if t, ok, err := m.lookupChild(ctx, account, parentNS, name); err != nil {
-		return err
-	} else if ok && !t.Deleted {
-		if t.Dir {
-			return fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrIsDir)
-		}
-		// Overwriting a chunked file must reclaim its segments, or they
-		// leak once the manifest is replaced.
-		if t.Chunked {
-			if err := m.deleteFileObject(ctx, account, parentNS, name, true); err != nil &&
-				!errors.Is(err, objstore.ErrNotFound) {
-				return err
-			}
+	// Overwriting a chunked file must reclaim its segments, or they leak
+	// once the manifest is replaced.
+	if to.tuple.Chunked {
+		if err := m.deleteFileObject(ctx, account, to.parentNS, to.tuple.Name, true); err != nil &&
+			!errors.Is(err, objstore.ErrNotFound) {
+			return err
 		}
 	}
-	if err := m.store.Put(ctx, core.ChildKey(account, parentNS, name), data,
+	if err := m.store.Put(ctx, core.ChildKey(account, to.parentNS, to.tuple.Name), data,
 		map[string]string{core.MetaType: core.TypeFile}); err != nil {
-		return fmt.Errorf("h2fs: write %s: %w", p, err)
+		return fmt.Errorf("h2fs: write %s: %w", to.path, err)
 	}
-	return m.submitPatch(ctx, account, parentNS, core.Tuple{Name: name, Time: m.now()})
+	return m.submitPatch(ctx, account, to.parentNS, core.Tuple{Name: to.tuple.Name, Time: m.now()})
 }
 
 // ReadFile returns a file's content via the regular O(d) access method.
 func (m *Middleware) ReadFile(ctx context.Context, account, path string) ([]byte, error) {
-	p, err := fsapi.Clean(path)
+	res, err := m.file(ctx, account, path)
 	if err != nil {
 		return nil, err
-	}
-	if p == "/" {
-		return nil, fmt.Errorf("h2fs: /: %w", fsapi.ErrIsDir)
-	}
-	res, _, err := m.resolve(ctx, account, p)
-	if err != nil {
-		return nil, err
-	}
-	if res.tuple.Dir {
-		return nil, fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrIsDir)
 	}
 	data, info, err := m.store.Get(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name))
 	if err != nil {
-		return nil, readErr(p, err)
+		return nil, readErr(res.path, err)
 	}
 	if res.tuple.Chunked {
 		if c, ok := core.ParseChunkManifest(info.Meta); ok {
@@ -125,28 +87,22 @@ func (m *Middleware) ReadFile(ctx context.Context, account, path string) ([]byte
 // the cloud — how clients stream the paper's gigabyte videos without
 // whole-object reads.
 func (m *Middleware) ReadFileRange(ctx context.Context, account, path string, offset, length int64) ([]byte, error) {
-	p, err := fsapi.Clean(path)
-	if err != nil {
-		return nil, err
-	}
-	if p == "/" {
-		return nil, fmt.Errorf("h2fs: /: %w", fsapi.ErrIsDir)
-	}
+	// A negative offset loses only to what file refuses before it
+	// resolves anything: a malformed path and the root.
 	if offset < 0 {
-		return nil, fmt.Errorf("h2fs: negative offset: %w", fsapi.ErrInvalidPath)
+		if p, err := fsapi.Clean(path); err == nil && p != "/" {
+			return nil, fmt.Errorf("h2fs: negative offset: %w", fsapi.ErrInvalidPath)
+		}
 	}
-	res, _, err := m.resolve(ctx, account, p)
+	res, err := m.file(ctx, account, path)
 	if err != nil {
 		return nil, err
-	}
-	if res.tuple.Dir {
-		return nil, fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrIsDir)
 	}
 	key := core.ChildKey(account, res.parentNS, res.tuple.Name)
 	if res.tuple.Chunked {
 		info, err := m.store.Head(ctx, key)
 		if err != nil {
-			return nil, readErr(p, err)
+			return nil, readErr(res.path, err)
 		}
 		if c, ok := core.ParseChunkManifest(info.Meta); ok {
 			return m.readChunkedRange(ctx, account, res.parentNS, res.tuple.Name, c, offset, length)
@@ -154,7 +110,7 @@ func (m *Middleware) ReadFileRange(ctx context.Context, account, path string, of
 	}
 	data, _, err := m.store.GetRange(ctx, key, offset, length)
 	if err != nil {
-		return nil, readErr(p, err)
+		return nil, readErr(res.path, err)
 	}
 	return data, nil
 }
@@ -183,7 +139,7 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 		}
 		return fsapi.EntryInfo{Name: "/", IsDir: true}, nil
 	}
-	res, _, err := m.resolve(ctx, account, p)
+	res, err := m.resolve(ctx, account, p)
 	if err != nil {
 		return fsapi.EntryInfo{}, err
 	}
@@ -206,19 +162,9 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 // Remove deletes a single file: the content object is removed and a
 // fake-deletion tombstone is patched into the parent's NameRing (§3.3.3).
 func (m *Middleware) Remove(ctx context.Context, account, path string) error {
-	p, err := fsapi.Clean(path)
+	res, err := m.file(ctx, account, path)
 	if err != nil {
 		return err
-	}
-	if p == "/" {
-		return fmt.Errorf("h2fs: /: %w", fsapi.ErrIsDir)
-	}
-	res, _, err := m.resolve(ctx, account, p)
-	if err != nil {
-		return err
-	}
-	if res.tuple.Dir {
-		return fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrIsDir)
 	}
 	if err := m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked); err != nil &&
 		!errors.Is(err, objstore.ErrNotFound) {
@@ -242,7 +188,7 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 	if p == "/" {
 		return fmt.Errorf("h2fs: cannot remove /: %w", fsapi.ErrInvalidPath)
 	}
-	res, _, err := m.resolve(ctx, account, p)
+	res, err := m.resolve(ctx, account, p)
 	if err != nil {
 		return err
 	}
@@ -276,27 +222,11 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 // object and two parent NameRings are touched no matter how many files the
 // directory holds. RENAME is the same operation within one parent.
 func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
-	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
+	res, to, err := m.movePair(ctx, account, src, dst)
 	if err != nil {
 		return err
 	}
-	res, _, err := m.resolve(ctx, account, srcP)
-	if err != nil {
-		return err
-	}
-	dstDir, dstName, err := fsapi.Split(dstP)
-	if err != nil {
-		return err
-	}
-	dstParentNS, err := m.resolveDir(ctx, account, dstDir)
-	if err != nil {
-		return err
-	}
-	if t, ok, err := m.lookupChild(ctx, account, dstParentNS, dstName); err != nil {
-		return err
-	} else if ok && !t.Deleted {
-		return fmt.Errorf("h2fs: %s: %w", dstP, fsapi.ErrExists)
-	}
+	dstParentNS, dstName := to.parentNS, to.tuple.Name
 	now := m.now()
 	if res.tuple.Dir {
 		// Rewrite the directory object under its new name; the namespace —
@@ -333,27 +263,11 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 // is O(n) (Figure 11); the copies are made with the cloud's server-side
 // copy primitive so no content flows through the middleware.
 func (m *Middleware) Copy(ctx context.Context, account, src, dst string) error {
-	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
+	res, to, err := m.movePair(ctx, account, src, dst)
 	if err != nil {
 		return err
 	}
-	res, _, err := m.resolve(ctx, account, srcP)
-	if err != nil {
-		return err
-	}
-	dstDir, dstName, err := fsapi.Split(dstP)
-	if err != nil {
-		return err
-	}
-	dstParentNS, err := m.resolveDir(ctx, account, dstDir)
-	if err != nil {
-		return err
-	}
-	if t, ok, err := m.lookupChild(ctx, account, dstParentNS, dstName); err != nil {
-		return err
-	} else if ok && !t.Deleted {
-		return fmt.Errorf("h2fs: %s: %w", dstP, fsapi.ErrExists)
-	}
+	dstParentNS, dstName := to.parentNS, to.tuple.Name
 	now := m.now()
 	if !res.tuple.Dir {
 		if err := m.copyFileObject(ctx, account, res.parentNS, res.tuple.Name, dstParentNS, dstName, res.tuple.Chunked); err != nil {
@@ -373,6 +287,23 @@ func (m *Middleware) Copy(ctx context.Context, account, src, dst string) error {
 	})
 }
 
+// movePair resolves the source of a MOVE or COPY and the destination it
+// must not find taken.
+func (m *Middleware) movePair(ctx context.Context, account, src, dst string) (from, to resolved, err error) {
+	srcP, dstP, err := fsapi.CleanMovePair(src, dst)
+	if err != nil {
+		return from, to, err
+	}
+	if from, err = m.resolve(ctx, account, srcP); err != nil {
+		return from, to, err
+	}
+	to, live, err := m.target(ctx, account, dstP, nil)
+	if err == nil && live {
+		err = fmt.Errorf("h2fs: %s: %w", dstP, fsapi.ErrExists)
+	}
+	return from, to, err
+}
+
 // List returns a directory's direct children. The name-only form costs a
 // single NameRing consult — the O(1) LIST of Table 1; the detailed form
 // additionally touches each child object (O(m)), fanned out over the
@@ -388,24 +319,9 @@ func (m *Middleware) List(ctx context.Context, account, path string, detail bool
 // the next call. Huge directories — the paper's workloads reach half a
 // million files in one (§5.1) — are listed in bounded chunks this way.
 func (m *Middleware) ListPage(ctx context.Context, account, path string, detail bool, marker string, limit int) ([]fsapi.EntryInfo, string, error) {
-	p, err := fsapi.Clean(path)
+	ns, err := m.ResolveNS(ctx, account, path)
 	if err != nil {
 		return nil, "", err
-	}
-	var ns string
-	if p == "/" {
-		if ns, err = m.rootNS(ctx, account); err != nil {
-			return nil, "", err
-		}
-	} else {
-		res, _, rerr := m.resolve(ctx, account, p)
-		if rerr != nil {
-			return nil, "", rerr
-		}
-		if !res.tuple.Dir {
-			return nil, "", fmt.Errorf("h2fs: %s: %w", p, fsapi.ErrNotDir)
-		}
-		ns = res.tuple.NS
 	}
 	// The page is cut out of the ring's name order under the descriptor
 	// monitor: binary search to the marker, stop at the limit. It costs its

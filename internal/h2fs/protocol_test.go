@@ -141,7 +141,7 @@ func TestOperationsSurviveReplicaFailure(t *testing.T) {
 
 	// Recover the node; anti-entropy repair restores its replicas.
 	c.SetNodeDown(0, false)
-	if n := c.Repair(context.Background()); n == 0 {
+	if n := c.Repair(context.Background(), 1); n == 0 {
 		t.Log("repair found nothing to do (node 0 held no affected replicas)")
 	}
 	data, err = fs.ReadFile(ctx, "/d/during")
@@ -162,7 +162,7 @@ func TestReadRepairAfterStaleReplica(t *testing.T) {
 	mustNoErr(t, fs.WriteFile(ctx, "/f", []byte("v1")))
 
 	// Fail one replica of the file object, then overwrite.
-	res, _, err := m.resolve(ctx, "acct", "/f")
+	res, err := m.resolve(ctx, "acct", "/f")
 	mustNoErr(t, err)
 	key := childKeyForTest("acct", res.parentNS, "f")
 	devs := c.Ring().Devices(key)
@@ -170,7 +170,7 @@ func TestReadRepairAfterStaleReplica(t *testing.T) {
 	mustNoErr(t, fs.WriteFile(ctx, "/f", []byte("v2")))
 	c.SetNodeDown(devs[0], false)
 
-	c.Repair(context.Background())
+	c.Repair(context.Background(), 1)
 	stale, _, err := c.Node(devs[0]).Get(key)
 	mustNoErr(t, err)
 	if string(stale) != "v2" {

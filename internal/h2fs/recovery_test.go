@@ -13,7 +13,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/gossip"
 	"github.com/h2cloud/h2cloud/internal/metrics"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // TestCrashRestartReconvergesAgainstOracle drives two middlewares through
@@ -54,7 +53,7 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 	for i := range mws {
 		m, err := New(Config{
 			Store: cs, Node: i + 1, Gossip: bus, Clock: clock,
-			EagerGC: true, Retry: storemw.DefaultRetryPolicy(), Metrics: reg,
+			EagerGC: true, Retry: true, Metrics: reg,
 		})
 		mustNoErr(t, err)
 		mws[i] = m
@@ -124,7 +123,7 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 		c.SetNodeDown(id, false)
 	}
 	for round := 0; round < 4; round++ {
-		c.Repair(context.Background())
+		c.Repair(context.Background(), 1)
 		for _, m := range mws {
 			mustNoErr(t, m.FlushAll(ctx))
 		}

@@ -97,12 +97,11 @@ func buildSubtreeFixture(t testing.TB, m *Middleware, account string) {
 func newSubtreeSystem(t testing.TB, fanout int) (*cluster.Cluster, *Middleware) {
 	t.Helper()
 	profile := cluster.SwiftProfile()
-	profile.SubtreeFanout = fanout
 	c, err := cluster.New(cluster.Config{Profile: profile, Clock: constClock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{Store: c, Node: 1, Profile: profile, Clock: constClock, EagerGC: true})
+	m, err := New(Config{Store: c, Node: 1, Profile: profile, SubtreeFanout: fanout, Clock: constClock, EagerGC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +194,11 @@ func TestCopyIsDeterministicAcrossSchedules(t *testing.T) {
 func TestConcurrentSubtreeOps(t *testing.T) {
 	fstest.AssertNoGoroutineLeak(t)
 	profile := cluster.SwiftProfile()
-	profile.SubtreeFanout = 8
 	c, err := cluster.New(cluster.Config{Profile: profile})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{Store: c, Node: 1, Profile: profile, EagerGC: true})
+	m, err := New(Config{Store: c, Node: 1, Profile: profile, SubtreeFanout: 8, EagerGC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,6 @@ func TestChaosSeededBatchDeterminism(t *testing.T) {
 	fstest.AssertNoGoroutineLeak(t)
 	scenario := func() string {
 		profile := cluster.SwiftProfile()
-		profile.SubtreeFanout = 16
 		c, err := cluster.New(cluster.Config{Profile: profile, Clock: constClock})
 		if err != nil {
 			t.Fatal(err)
@@ -280,13 +277,14 @@ func TestChaosSeededBatchDeterminism(t *testing.T) {
 			Spike:     20 * time.Millisecond,
 		}, reg)
 		m, err := New(Config{
-			Store:   storemw.Stack(c, eng.Layer()),
-			Node:    1,
-			Profile: profile,
-			Clock:   constClock,
-			EagerGC: true,
-			Retry:   storemw.DefaultRetryPolicy(),
-			Metrics: reg,
+			Store:         storemw.Stack(c, eng.Layer()),
+			Node:          1,
+			Profile:       profile,
+			Clock:         constClock,
+			EagerGC:       true,
+			Retry:         true,
+			SubtreeFanout: 16,
+			Metrics:       reg,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -57,7 +57,7 @@ func (b *ringBuilder) encode() []byte {
 // after all child objects under it landed — the same blocking rule the
 // sequential walk enforced by ordering.
 func (m *Middleware) copyTree(ctx context.Context, account, srcNS, dstNS string) error {
-	eng := pipeline.New(ctx, m.subtreeFanout())
+	eng := pipeline.New(ctx, m.fanout)
 	m.copySubtree(eng, nil, "", account, srcNS, dstNS, m.now())
 	return eng.Wait()
 }
@@ -113,7 +113,7 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 // pass the tombstoned entry's key — and is deleted once the subtree is
 // gone.
 func (m *Middleware) gcNamespace(ctx context.Context, account, ns, entryKey string) error {
-	eng := pipeline.New(ctx, m.subtreeFanout())
+	eng := pipeline.New(ctx, m.fanout)
 	m.gcSubtree(eng, nil, "", account, ns, entryKey)
 	return eng.Wait()
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // newFaultableStack builds a client/server pair whose cluster is exposed
@@ -26,7 +25,7 @@ func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, string) {
 	}
 	mw, err := h2fs.New(h2fs.Config{
 		Store: c, Node: 1, EagerGC: true,
-		Retry: storemw.DefaultRetryPolicy(), Metrics: metrics.NewRegistry(),
+		Retry: true, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,53 +11,32 @@ import (
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
-// RetryPolicy controls the retry ring of the store stack. Transient
-// store errors (objstore.Transient: node down, no quorum) are retried up
-// to MaxAttempts total attempts with capped exponential backoff; the
-// backoff is charged to the request's virtual clock — the simulator
-// never sleeps — so retry-inflated service time shows up in measured
-// figures exactly like extra round trips would. Permanent errors
-// (ErrNotFound, injected test faults) surface immediately.
-//
-// The zero value disables retries, which keeps existing experiments'
-// cost figures untouched; chaos experiments opt in via h2fs.Config.Retry.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per primitive, including
-	// the first. Values below 2 disable retrying.
-	MaxAttempts int
-	// BaseBackoff is the pre-jitter wait before the first retry; each
-	// further retry doubles it, capped at MaxBackoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed drives the deterministic jitter hash. Two middlewares with
-	// equal policies charge identical backoff sequences.
-	Seed int64
-}
+// The retry ring's tuning. Transient store errors (objstore.Transient:
+// node down, no quorum) are retried up to maxAttempts total attempts per
+// primitive with capped exponential backoff: baseBackoff before the
+// first retry, doubling to maxBackoff. The backoff is charged to the
+// request's virtual clock — the simulator never sleeps — so
+// retry-inflated service time shows up in measured figures exactly like
+// extra round trips would. Permanent errors (ErrNotFound, injected test
+// faults) surface immediately. retrySeed drives the deterministic jitter
+// hash, so two retry rings charge identical backoff sequences.
+const (
+	maxAttempts = 4
+	baseBackoff = 5 * time.Millisecond
+	maxBackoff  = 80 * time.Millisecond
+	retrySeed   = 1
+)
 
-// Enabled reports whether the policy retries at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
-
-// DefaultRetryPolicy is the tuning the availability experiment uses:
-// four attempts, 5ms base backoff doubling to an 80ms cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Seed: 1}
-}
-
-// Backoff returns the jittered wait before retry number attempt (0-based)
-// of one primitive: min(Base<<attempt, Max) scaled by a deterministic
-// 0.5×–1.5× fraction hashed from (seed, op, name, attempt). Hash-derived
-// jitter keeps same-seed runs byte-identical while still decorrelating
-// concurrent retriers, which call-order PRNG draws would not.
-func (p RetryPolicy) Backoff(op, name string, attempt int) time.Duration {
-	d := p.BaseBackoff << attempt
-	if p.MaxBackoff > 0 && (d > p.MaxBackoff || d <= 0) {
-		d = p.MaxBackoff
-	}
-	if d <= 0 {
-		return 0
-	}
+// backoff returns the jittered wait before retry number attempt (0-based)
+// of one primitive: min(baseBackoff<<attempt, maxBackoff) scaled by a
+// deterministic 0.5×–1.5× fraction hashed from (seed, op, name,
+// attempt). Hash-derived jitter keeps same-seed runs byte-identical while
+// still decorrelating concurrent retriers, which call-order PRNG draws
+// would not.
+func backoff(op, name string, attempt int) time.Duration {
+	d := min(baseBackoff<<attempt, maxBackoff)
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(strconv.FormatInt(p.Seed, 10)))
+	_, _ = h.Write([]byte(strconv.FormatInt(retrySeed, 10)))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(op))
 	_, _ = h.Write([]byte{0})
@@ -69,19 +48,18 @@ func (p RetryPolicy) Backoff(op, name string, attempt int) time.Duration {
 }
 
 // Retry returns the retry Layer: transient failures from the inner store
-// are re-issued under policy, with backoff charged to the virtual clock
-// and counters reported to reg (nil-safe).
-func Retry(policy RetryPolicy, reg *metrics.Registry) Layer {
+// are re-issued with backoff charged to the virtual clock and counters
+// reported to reg (nil-safe). h2fs installs it when Config.Retry is set.
+func Retry(reg *metrics.Registry) Layer {
 	return func(inner objstore.Store) objstore.Store {
-		return &retryStore{inner: inner, policy: policy, reg: reg}
+		return &retryStore{inner: inner, reg: reg}
 	}
 }
 
 // retryStore is the retry ring.
 type retryStore struct {
-	inner  objstore.Store
-	policy RetryPolicy
-	reg    *metrics.Registry // nil-safe counter sink
+	inner objstore.Store
+	reg   *metrics.Registry // nil-safe counter sink
 }
 
 var (
@@ -96,17 +74,17 @@ func (s *retryStore) Unwrap() objstore.Store { return s.inner }
 // failures. It returns fn's last error.
 func (s *retryStore) do(ctx context.Context, op, name string, fn func() error) error {
 	var err error
-	for attempt := 0; attempt < s.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		err = fn()
 		if err == nil || !objstore.Transient(err) {
 			return err
 		}
-		if attempt == s.policy.MaxAttempts-1 || ctx.Err() != nil {
+		if attempt == maxAttempts-1 || ctx.Err() != nil {
 			break
 		}
 		s.reg.Inc("retry.attempts", 1)
 		//h2vet:ignore costcheck backoff between attempts is real service time charged on top of the inner store's per-attempt cost
-		vclock.Charge(ctx, s.policy.Backoff(op, name, attempt))
+		vclock.Charge(ctx, backoff(op, name, attempt))
 	}
 	s.reg.Inc("retry.exhausted", 1)
 	return err
@@ -183,10 +161,10 @@ func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, item
 	call func([]In) []Out, errOf func(Out) error, copyBack func(dst *In, src In)) []Out {
 	out := call(items)
 	pending := transientSlots(out, errOf)
-	for attempt := 0; attempt < s.policy.MaxAttempts-1 && len(pending) > 0 && ctx.Err() == nil; attempt++ {
+	for attempt := 0; attempt < maxAttempts-1 && len(pending) > 0 && ctx.Err() == nil; attempt++ {
 		s.reg.Inc("retry.attempts", int64(len(pending)))
 		//h2vet:ignore costcheck batch backoff is real service time: the retried wave waits one jittered window on top of the inner store's charges
-		vclock.Charge(ctx, s.policy.Backoff(op, name(items[pending[0]]), attempt))
+		vclock.Charge(ctx, backoff(op, name(items[pending[0]]), attempt))
 		sub := make([]In, len(pending))
 		for j, i := range pending {
 			sub[j] = items[i]

@@ -107,7 +107,7 @@ func (f *fakeStore) Copy(ctx context.Context, src, dst string) error {
 func TestStackOrderAndBase(t *testing.T) {
 	base := newFakeStore(0)
 	reg := metrics.NewRegistry()
-	s := Stack(base, Retry(DefaultRetryPolicy(), reg), Metrics(reg))
+	s := Stack(base, Retry(reg), Metrics(reg))
 	// Last layer is outermost.
 	if _, ok := s.(*metricsStore); !ok {
 		t.Fatalf("outermost ring is %T, want *metricsStore", s)
@@ -130,8 +130,7 @@ func TestStackOrderAndBase(t *testing.T) {
 func TestRetrySingularRecoversAndCharges(t *testing.T) {
 	base := newFakeStore(0)
 	reg := metrics.NewRegistry()
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: 4 * time.Millisecond, MaxBackoff: 32 * time.Millisecond, Seed: 7}
-	s := Stack(base, Retry(policy, reg))
+	s := Stack(base, Retry(reg))
 
 	base.failures["a"] = 2
 	tr := vclock.NewTracker()
@@ -142,7 +141,7 @@ func TestRetrySingularRecoversAndCharges(t *testing.T) {
 	if got := reg.Counter("retry.attempts"); got != 2 {
 		t.Fatalf("retry.attempts = %d, want 2", got)
 	}
-	want := policy.Backoff("put", "a", 0) + policy.Backoff("put", "a", 1)
+	want := backoff("put", "a", 0) + backoff("put", "a", 1)
 	if tr.Elapsed() != want {
 		t.Fatalf("charged %v, want the two jittered backoffs %v", tr.Elapsed(), want)
 	}
@@ -154,7 +153,7 @@ func TestRetrySingularRecoversAndCharges(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	base := newFakeStore(0)
 	reg := metrics.NewRegistry()
-	s := Stack(base, Retry(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Seed: 1}, reg))
+	s := Stack(base, Retry(reg))
 	base.failures["gone"] = 10
 	err := s.Put(context.Background(), "gone", nil, nil)
 	if !errors.Is(err, objstore.ErrNodeDown) {
@@ -176,8 +175,7 @@ func TestRetryExhaustion(t *testing.T) {
 func TestRetryBatchRetriesOnlyTransientSlots(t *testing.T) {
 	base := newFakeStore(0)
 	reg := metrics.NewRegistry()
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 16 * time.Millisecond, Seed: 3}
-	s := Stack(base, Retry(policy, reg))
+	s := Stack(base, Retry(reg))
 	ctx := context.Background()
 	for _, name := range []string{"a", "b", "c"} {
 		if err := base.Put(ctx, name, []byte(name), nil); err != nil {
@@ -201,15 +199,15 @@ func TestRetryBatchRetriesOnlyTransientSlots(t *testing.T) {
 	if !errors.Is(out[3].Err, objstore.ErrNotFound) {
 		t.Fatalf("slot 3 err = %v, want permanent ErrNotFound untouched", out[3].Err)
 	}
-	// Wave 0 retried {b, c}; wave 1 retried {c}: 3 attempt increments, one
-	// exhausted slot, one shared backoff charge per wave.
-	if got := reg.Counter("retry.attempts"); got != 3 {
-		t.Fatalf("retry.attempts = %d, want 3", got)
+	// Wave 0 retried {b, c}; waves 1 and 2 retried {c}: 4 attempt
+	// increments, one exhausted slot, one shared backoff charge per wave.
+	if got := reg.Counter("retry.attempts"); got != 4 {
+		t.Fatalf("retry.attempts = %d, want 4", got)
 	}
 	if got := reg.Counter("retry.exhausted"); got != 1 {
 		t.Fatalf("retry.exhausted = %d, want 1", got)
 	}
-	want := policy.Backoff("get", "b", 0) + policy.Backoff("get", "c", 1)
+	want := backoff("get", "b", 0) + backoff("get", "c", 1) + backoff("get", "c", 2)
 	if tr.Elapsed() != want {
 		t.Fatalf("charged %v, want one shared backoff per wave = %v", tr.Elapsed(), want)
 	}
@@ -222,8 +220,7 @@ func TestRetryBatchRetriesOnlyTransientSlots(t *testing.T) {
 func TestMultiPutETagsSurviveRetryWaves(t *testing.T) {
 	base := newFakeStore(0)
 	reg := metrics.NewRegistry()
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: 5}
-	s := Stack(base, Retry(policy, reg), Metrics(reg))
+	s := Stack(base, Retry(reg), Metrics(reg))
 	base.failures["b"] = 1 // lands in the first retry wave
 	base.failures["c"] = 9 // exhausts
 	reqs := []objstore.PutReq{
@@ -248,8 +245,8 @@ func TestMultiPutETagsSurviveRetryWaves(t *testing.T) {
 	if !errors.Is(out[2], objstore.ErrNodeDown) || reqs[2].ETag != "" {
 		t.Fatalf("exhausted slot = (%v, %q), want ErrNodeDown and no ETag", out[2], reqs[2].ETag)
 	}
-	if got := reg.Counter("retry.attempts"); got != 3 {
-		t.Fatalf("retry.attempts = %d, want 3 (waves {b, c} and {c})", got)
+	if got := reg.Counter("retry.attempts"); got != 4 {
+		t.Fatalf("retry.attempts = %d, want 4 (waves {b, c}, {c} and {c})", got)
 	}
 }
 
@@ -258,7 +255,7 @@ func TestMultiPutETagsSurviveRetryWaves(t *testing.T) {
 // under -race) and every retried slot still lands.
 func TestRetryWavesShareCallerNames(t *testing.T) {
 	base := newFakeStore(0)
-	s := Stack(base, Retry(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}, nil))
+	s := Stack(base, Retry(nil))
 	names := []string{"a", "b", "c"}
 	ctx := context.Background()
 	for _, n := range names {
@@ -341,8 +338,7 @@ func TestMetricsBatchObservation(t *testing.T) {
 func TestStackedRetryAndMetrics(t *testing.T) {
 	base := newFakeStore(3 * time.Millisecond)
 	reg := metrics.NewRegistry()
-	policy := RetryPolicy{MaxAttempts: 2, BaseBackoff: 8 * time.Millisecond, Seed: 2}
-	s := Stack(base, Retry(policy, reg), Metrics(reg))
+	s := Stack(base, Retry(reg), Metrics(reg))
 	base.failures["a"] = 1
 	tr := vclock.NewTracker()
 	if err := s.Put(vclock.With(context.Background(), tr), "a", []byte("x"), nil); err != nil {
@@ -350,7 +346,7 @@ func TestStackedRetryAndMetrics(t *testing.T) {
 	}
 	// Two inner attempts plus one backoff, observed once and re-charged
 	// exactly once.
-	want := 6*time.Millisecond + policy.Backoff("put", "a", 0)
+	want := 6*time.Millisecond + backoff("put", "a", 0)
 	if tr.Elapsed() != want {
 		t.Fatalf("charged %v, want %v", tr.Elapsed(), want)
 	}
