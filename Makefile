@@ -68,12 +68,14 @@ test:
 # engine's queue — park while a task runs, exit when it drains — gets
 # twenty more (< 5 s): its termination protocol is a schedule property. So
 # does the descriptor cache's lock-free lookup racing growth, eviction,
-# drops and restarts (< 5 s).
+# drops and restarts (< 5 s), and the cluster's gauges under four clients
+# that meet only on the storage nodes (< 3 s).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/pipeline/ ./internal/cluster/ ./internal/h2fs/ ./internal/gossip/
 	$(GO) test -race -count=20 ./internal/pipeline/
 	$(GO) test -race -count=20 -run TestDescCacheLockFreeLookupStress ./internal/h2fs/
+	$(GO) test -race -count=20 -run TestClusterConcurrentGauges ./internal/cluster/
 
 # One testing.B benchmark per paper table/figure plus micro-benchmarks.
 bench:

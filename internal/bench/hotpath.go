@@ -246,6 +246,19 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
+		// A PUT of a new name then its DELETE: the put's three
+		// allocations. The delete, one HEAD and three removals while no
+		// write was ever diverted, allocates nothing.
+		{"cluster/put-delete", 3, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := cl.Put(ctx, "hot/deleted", payload, nil); err != nil {
+					b.Fatal(err)
+				}
+				if err := cl.Delete(ctx, "hot/deleted"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		// A server-side COPY re-stamps the stored version: a header, no
 		// payload copy, no hash.
 		{"cluster/copy", 1, func(b *testing.B) {
@@ -395,6 +408,7 @@ func HotPath(quick bool) (Result, error) {
 			"pre-PR-31 baselines (every name quoted through strconv.AppendQuote; a sharded flush hashed each extent it put for its tag), -quick, medians of three alternated runs: codec/encode-namering 19.3 us, now 11.4; codec/encode-extents 11.2 us, now 8.8; h2fs/flush-sharded 48 allocs/op, 4240 B and 17.5 us, now 47, 4224 B and 14.5 us; allocs/op unchanged on every other row",
 			"baselines before the single CLOCK table (32 stripes with LRU lists, a stub was a ring key in a per-stripe set and a reload built a new descriptor; now the evicted descriptor is the stub), -quick: h2fs/reload-evicted 10 allocs/op, 1532 B and 5.96 us, now 7, 440 B and 3.15 us; h2fs/evict-insert 0 allocs and 204 ns, now 0 and 150 ns; allocs/op unchanged on every other row",
 			"baselines before primaries-first reads (every read placed all eight nodes under a read lock; a batch window's makespan sorted through sort.Slice and scanned every worker per task), -quick, medians of three alternated runs: cluster/get 501 ns, now 339; cluster/head 482 ns, now 279, 0 allocs on both sides; h2fs/list-detail-1000 9 allocs/op and 145 us, now 7 and 102 us; h2fs/copy-rmdir-72 1127-1128 allocs/op and 714 us, now 1093-1094 and 652 us; allocs/op unchanged on every other row",
+			"baseline before the node mutex and the write-side sweep (a healthy DELETE headed and deleted on all eight nodes, 16 node calls, and the PUT of a new name headed all eight), -quick, medians of three alternated runs: cluster/put-delete 2552 ns, now 1605 (3 HEADs + 3 puts, then 1 HEAD + 3 deletes); allocs/op unchanged on every row",
 		},
 	}
 	var over []string

@@ -124,6 +124,11 @@ type Cluster struct {
 	gets, puts, deletes, heads, copies atomic.Int64
 	objects, bytes                     atomic.Int64
 	degradedGets, readRepairs          atomic.Int64
+
+	// diverted is set, for good, before the first write lands on a node
+	// that is not a primary of its name. Until then no handoff holds
+	// anything, and the write-side sweeps (sweep) leave them out.
+	diverted atomic.Bool
 }
 
 // Config describes a cluster to build.
@@ -179,6 +184,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{ring: rg, profile: cfg.Profile, clock: cfg.Clock, nodes: nodes}
 	if cfg.DataDir != "" {
+		// A reopened node may keep a copy diverted in an earlier run.
+		c.diverted.Store(true)
 		c.recountUsage()
 	}
 	return c, nil
@@ -220,7 +227,10 @@ func (c *Cluster) Profile() CostProfile { return c.profile }
 // Ring exposes the cluster's consistent-hashing ring.
 func (c *Cluster) Ring() *ring.Ring { return c.ring }
 
-// Node returns the storage node with the given device ID, or nil.
+// Node returns the storage node with the given device ID, or nil. A
+// write straight to a node is outside the cluster's bookkeeping: the
+// gauges do not see it, and a delete looks for it on the primaries only
+// until the cluster itself has diverted a write.
 func (c *Cluster) Node(id int) objstore.NodeStore {
 	if id < 0 || id >= len(c.nodes) {
 		return nil
@@ -302,6 +312,17 @@ func (c *Cluster) fallThrough(seq []objstore.NodeStore, i int, part uint32) []ob
 	return seq
 }
 
+// sweep is what a write-side pass over part visits — commit's existence
+// probe and deleteCore's removals: the primaries, and the handoffs behind
+// them only once some write has been diverted, since before that no
+// handoff can hold a copy.
+func (c *Cluster) sweep(primaries []objstore.NodeStore, part uint32) []objstore.NodeStore {
+	if c.diverted.Load() {
+		return c.appendHandoffs(primaries, part)
+	}
+	return primaries
+}
+
 func transferCost(per time.Duration, size int) time.Duration {
 	if per <= 0 || size <= 0 {
 		return 0
@@ -339,18 +360,16 @@ func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (tim
 // commit is the one replicated write, PUT's and COPY's alike: s goes to
 // every reachable primary of its name, a write whose primary is down is
 // diverted to a handoff node (one per failed primary), and it succeeds —
-// moving the logical gauges by the difference to whatever version the read
-// sequence held before — when a majority of the replica count landed
+// moving the logical gauges by the difference to whatever version the
+// sweep found first — when a majority of the replica count landed
 // somewhere. op words the ErrNoQuorum it returns otherwise.
 func (c *Cluster) commit(op string, s *objstore.Sealed) error {
 	info := s.Info()
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	nodes, part := c.place(seqBuf[:0], info.Name)
-	seq := c.appendHandoffs(nodes, part)
-	handoffs := seq[len(nodes):]
 	existed := false
 	var prevSize int64
-	for _, n := range seq {
+	for _, n := range c.sweep(nodes, part) {
 		if old, err := n.Head(info.Name); err == nil {
 			existed = true
 			prevSize = old.Size
@@ -366,14 +385,18 @@ func (c *Cluster) commit(op string, s *objstore.Sealed) error {
 			failed++
 		}
 	}
-	// Divert failed replica writes to handoff nodes.
-	for _, h := range handoffs {
-		if failed == 0 {
-			break
-		}
-		if err := h.PutSealed(s); err == nil {
-			ok++
-			failed--
+	// Divert failed replica writes to handoff nodes, marking the cluster
+	// diverted before the first copy lands.
+	if failed > 0 {
+		c.diverted.Store(true)
+		for _, h := range c.appendHandoffs(nodes, part)[len(nodes):] {
+			if failed == 0 {
+				break
+			}
+			if err := h.PutSealed(s); err == nil {
+				ok++
+				failed--
+			}
 		}
 	}
 	if ok <= len(nodes)/2 {
@@ -537,16 +560,22 @@ func (c *Cluster) Delete(ctx context.Context, name string) error {
 }
 
 // deleteCore executes one replicated DELETE without charging, returning
-// the simulated service time it costs.
+// the simulated service time it costs. It deletes on every node of the
+// sweep, but asks for a header only until a replica has been removed: the
+// size leaving the gauge is the first holder's in read order, the copy
+// commit's probe read, so a stale copy a handoff still keeps does not
+// decide it.
 func (c *Cluster) deleteCore(name string) (time.Duration, error) {
 	c.deletes.Add(1)
 	removed := false
 	var size int64
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	seq, part := c.place(seqBuf[:0], name)
-	for _, n := range c.appendHandoffs(seq, part) {
-		if info, err := n.Head(name); err == nil {
-			size = info.Size
+	for _, n := range c.sweep(seq, part) {
+		if !removed {
+			if info, err := n.Head(name); err == nil {
+				size = info.Size
+			}
 		}
 		if err := n.Delete(name); err == nil {
 			removed = true

@@ -25,8 +25,8 @@ import (
 // leaves thousands of dirty residents, which an uncapped scan walked.
 const clockSteps = 32
 
-// stubLimit bounds the stubs. Like ring.partMemoLimit they are forgotten
-// wholesale when it is reached: a forgotten ring probes once more.
+// stubLimit bounds the stubs. When it is reached they are forgotten
+// wholesale: a forgotten ring probes once more.
 const stubLimit = 32 * 4096
 
 type descCache struct {

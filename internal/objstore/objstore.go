@@ -131,10 +131,15 @@ func (s *Sealed) As(name string, now time.Time) *Sealed {
 // Node is one in-memory storage device. It implements the per-device half
 // of the cloud: the replication, placement and cost accounting live in
 // internal/cluster. The zero value is not usable; call NewNode.
+//
+// Every method but Names holds mu for one map operation, reads included.
+// A plain Mutex spins about that long before it parks, where an RWMutex's
+// RLock parks at once behind any writer that holds or waits for the lock,
+// and every client writes the nodes it reads.
 type Node struct {
 	id int
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	down    bool
 	objects map[string]*Sealed
 	bytes   int64
@@ -158,8 +163,8 @@ func (n *Node) SetDown(down bool) {
 
 // Down reports whether the node is marked unavailable.
 func (n *Node) Down() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.down
 }
 
@@ -188,8 +193,8 @@ func (n *Node) PutSealed(s *Sealed) error {
 // Load returns the stored version itself, uncopied; its callers live in
 // this package and in internal/cluster.
 func (n *Node) Load(name string) (*Sealed, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.down {
 		return nil, ErrNodeDown
 	}
@@ -238,16 +243,16 @@ func (n *Node) Delete(name string) error {
 
 // Stats reports the node's object count and stored bytes.
 func (n *Node) Stats() (objects int, bytes int64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return len(n.objects), n.bytes
 }
 
 // Names returns all object names on the node, sorted. Intended for
 // anti-entropy repair and tests, not the data path.
 func (n *Node) Names() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	names := make([]string, 0, len(n.objects))
 	for name := range n.objects {
 		names = append(names, name)
