@@ -47,16 +47,19 @@ loc:
 	done
 
 # internal/h2fs — the paper's contribution, and the package that kept
-# growing — may not exceed the committed loc.budget. A PR that needs more
-# room raises the number in the same diff and says why; one that shrinks
-# the package lowers it, so the ceiling ratchets down.
+# growing — may not exceed the committed loc.budget, and cmd/h2vet — the
+# linter, which outgrew the code it checks — may not exceed
+# h2vet.loc.budget. A PR that needs more room raises the number in the
+# same diff and says why; one that shrinks the package lowers it, so the
+# ceiling ratchets down.
 loc-check:
-	@n=$$(cat $$(ls internal/h2fs/*.go | grep -v _test.go) | wc -l); budget=$$(cat loc.budget); \
-	echo "internal/h2fs: $$n non-test lines (budget $$budget)"; \
-	if [ $$n -gt $$budget ]; then \
-		echo "internal/h2fs grew past loc.budget; delete something or argue for the new ceiling"; \
-		exit 1; \
-	fi
+	@check() { n=$$(cat $$(ls $$1/*.go | grep -v _test.go) | wc -l); budget=$$(cat $$2); \
+		echo "$$1: $$n non-test lines (budget $$budget)"; \
+		if [ $$n -gt $$budget ]; then \
+			echo "$$1 grew past $$2; delete something or argue for the new ceiling"; \
+			return 1; \
+		fi; }; \
+	rc=0; check internal/h2fs loc.budget || rc=1; check cmd/h2vet h2vet.loc.budget || rc=1; exit $$rc
 
 test:
 	$(GO) test ./...

@@ -125,15 +125,9 @@ func main() {
 	for i, mw := range mws {
 		servers[i] = h2cloud.NewServer(mw)
 	}
-	var next atomic.Int64
+	var next atomic.Uint64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		idx := int(next.Add(1)) % len(servers)
-		if account := accountOf(r.URL.Path); account != "" {
-			h := fnv.New32a()
-			h.Write([]byte(account))
-			idx = int(h.Sum32()) % len(servers)
-		}
-		servers[idx].ServeHTTP(w, r)
+		servers[route(accountOf(r.URL.Path), next.Add(1), len(servers))].ServeHTTP(w, r)
 	})
 
 	srv := &http.Server{Addr: *addr, Handler: handler}
@@ -149,4 +143,17 @@ func main() {
 		log.Fatalf("h2cloudd: %v", err)
 	}
 	fmt.Println("h2cloudd: bye")
+}
+
+// route picks the server for a request: by the account's FNV-1a hash, so
+// a user's requests stay on one middleware, or by the round-robin count
+// for requests without an account. The modulo is unsigned: on a 32-bit
+// build int(hash) and int(count) can be negative.
+func route(account string, count uint64, servers int) int {
+	if account != "" {
+		h := fnv.New32a()
+		h.Write([]byte(account))
+		count = uint64(h.Sum32())
+	}
+	return int(count % uint64(servers))
 }

@@ -57,7 +57,10 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
 	})
 }
 
@@ -69,20 +72,13 @@ type Pass struct {
 	ModulePath string
 	Info       *types.Info
 
-	rule    string
-	ignores map[string]map[int]map[string]bool // file -> line -> rule set
-	used    map[string]map[int]map[string]bool // directives that suppressed something
-	diags   *[]Diagnostic
+	rule string
+	rep  *reporter
 }
 
 // Reportf records a diagnostic unless an ignore directive suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if file, line, rule, ok := ignoreMatch(p.ignores, p.rule, position); ok {
-		markUsed(p.used, file, line, rule)
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{Pos: position, Rule: p.rule, Msg: fmt.Sprintf(format, args...)})
+	p.rep.report(p.rule, p.Fset.Position(pos), format, args...)
 }
 
 // RelPkgPath is the package path relative to the module root ("" for the
@@ -100,19 +96,12 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // ProgramPass carries the whole typed module through a whole-program
-// analyzer. Reporting is restricted to the files of the analysis units
-// the command-line patterns selected, so `h2vet ./internal/cluster` never
-// surfaces findings in unrelated directories even though whole-program
-// rules always inspect the full module.
+// analyzer.
 type ProgramPass struct {
 	Prog *Program
 
-	rule     string
-	ignores  map[string]map[int]map[string]bool
-	used     map[string]map[int]map[string]bool
-	analyzed map[string]bool // filenames eligible for reporting; nil = all
-	diags    *[]Diagnostic
-	mu       *sync.Mutex
+	rule string
+	rep  *reporter
 }
 
 // Reportf records a diagnostic unless an ignore directive suppresses it
@@ -123,174 +112,48 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ReportfAt is Reportf for an already-resolved source position.
 func (p *ProgramPass) ReportfAt(position token.Position, format string, args ...any) {
-	if p.analyzed != nil && !p.analyzed[position.Filename] {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if file, line, rule, ok := ignoreMatch(p.ignores, p.rule, position); ok {
-		markUsed(p.used, file, line, rule)
-		return
-	}
-	*p.diags = append(*p.diags, Diagnostic{Pos: position, Rule: p.rule, Msg: fmt.Sprintf(format, args...)})
+	p.rep.report(p.rule, position, format, args...)
 }
 
-// ignoreMatch finds the "//h2vet:ignore" directive suppressing a rule
-// diagnostic at pos — on the same line or the line above — and returns
-// the directive's location and the rule name it was written with ("all"
-// when a blanket directive matched), so the caller can record the
-// directive as live.
-func ignoreMatch(ignores map[string]map[int]map[string]bool, rule string, pos token.Position) (string, int, string, bool) {
-	lines := ignores[pos.Filename]
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		switch rules := lines[line]; {
-		case rules[rule]:
-			return pos.Filename, line, rule, true
-		case rules["all"]:
-			return pos.Filename, line, "all", true
-		}
-	}
-	return "", 0, "", false
+// reporter is the one path every finding takes, per-unit and
+// whole-program alike. Findings are kept only in the files of the analysis
+// units the command-line patterns selected, so `h2vet ./internal/cluster`
+// never surfaces findings in unrelated directories even though
+// whole-program rules always inspect the full module. A finding an
+// //h2vet:ignore directive suppresses is dropped and the directive marked
+// used, which is what deadignore judges. Per-unit passes run
+// concurrently, so the shared state sits behind mu.
+type reporter struct {
+	dirs     directiveTable
+	analyzed map[string]bool // filenames eligible for reporting
+
+	mu    sync.Mutex
+	used  map[*directive]bool
+	diags []Diagnostic
 }
 
-// markUsed records that the directive at file:line for rule suppressed a
-// diagnostic. Usage feeds the deadignore rule: directives that never
-// suppress anything are themselves findings.
-func markUsed(used map[string]map[int]map[string]bool, file string, line int, rule string) {
-	if used == nil {
-		return
-	}
-	lines := used[file]
-	if lines == nil {
-		lines = map[int]map[string]bool{}
-		used[file] = lines
-	}
-	rules := lines[line]
-	if rules == nil {
-		rules = map[string]bool{}
-		lines[line] = rules
-	}
-	rules[rule] = true
-}
-
-func runAnalyzers(u *unit, analyzers []*Analyzer) ([]Diagnostic, map[string]map[int]map[string]bool) {
-	var diags []Diagnostic
-	ignores := map[string]map[int]map[string]bool{}
-	collectIgnores(u, ignores)
-	used := map[string]map[int]map[string]bool{}
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Fset:       u.fset,
-			Files:      u.files,
-			PkgPath:    u.pkgPath,
-			ModulePath: u.module,
-			Info:       u.info,
-			rule:       a.Name,
-			ignores:    ignores,
-			used:       used,
-			diags:      &diags,
-		}
-		a.Run(pass)
-	}
-	return diags, used
-}
-
-// programIgnores gathers //h2vet:ignore directives across every loaded
-// unit — whole-program rules report anywhere in the module, so their
-// suppression table must span it too.
-func programIgnores(prog *Program) map[string]map[int]map[string]bool {
-	ignores := map[string]map[int]map[string]bool{}
-	for _, u := range prog.source {
-		collectIgnores(u, ignores)
-	}
-	for _, u := range prog.units {
-		collectIgnores(u, ignores)
-	}
-	return ignores
-}
-
-// analyzedFiles is the set of filenames belonging to the analysis units
-// the command-line patterns selected; findings elsewhere are dropped.
-func analyzedFiles(prog *Program) map[string]bool {
+func newReporter(prog *Program) *reporter {
 	analyzed := map[string]bool{}
 	for _, u := range prog.units {
 		for _, f := range u.files {
 			analyzed[prog.fset.Position(f.Pos()).Filename] = true
 		}
 	}
-	return analyzed
+	return &reporter{dirs: prog.directives(), analyzed: analyzed, used: map[*directive]bool{}}
 }
 
-// runProgramAnalyzers runs the whole-program half of each analyzer over
-// the shared typed module. ignores and the analyzed-file set span every
-// loaded unit so suppression directives work identically for both kinds
-// of rule.
-func runProgramAnalyzers(prog *Program, analyzers []*Analyzer) ([]Diagnostic, map[string]map[int]map[string]bool) {
-	ignores := programIgnores(prog)
-	analyzed := analyzedFiles(prog)
-	used := map[string]map[int]map[string]bool{}
-	var diags []Diagnostic
-	var mu sync.Mutex
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		a.RunProgram(&ProgramPass{
-			Prog:     prog,
-			rule:     a.Name,
-			ignores:  ignores,
-			used:     used,
-			analyzed: analyzed,
-			diags:    &diags,
-			mu:       &mu,
-		})
+func (r *reporter) report(rule string, pos token.Position, format string, args ...any) {
+	if !r.analyzed[pos.Filename] {
+		return
 	}
-	return diags, used
-}
-
-// collectIgnores gathers //h2vet:ignore directives per file and line into
-// the shared table.
-func collectIgnores(u *unit, out map[string]map[int]map[string]bool) {
-	for _, f := range u.files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rule, ok := parseIgnoreDirective(c.Text)
-				if !ok {
-					continue
-				}
-				pos := u.fset.Position(c.Pos())
-				lines := out[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					out[pos.Filename] = lines
-				}
-				rules := lines[pos.Line]
-				if rules == nil {
-					rules = map[string]bool{}
-					lines[pos.Line] = rules
-				}
-				rules[rule] = true
-			}
-		}
+	d := r.dirs.suppressor(rule, pos)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d != nil {
+		r.used[d] = true
+		return
 	}
-}
-
-// parseIgnoreDirective parses one comment's text as an
-// "//h2vet:ignore <rule> <reason>" directive, returning the suppressed
-// rule name. The reason is free text and not interpreted.
-func parseIgnoreDirective(text string) (rule string, ok bool) {
-	rest, ok := strings.CutPrefix(text, "//h2vet:ignore")
-	if !ok {
-		return "", false
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return "", false
-	}
-	return fields[0], true
+	r.diags = append(r.diags, Diagnostic{Pos: pos, Rule: rule, Msg: fmt.Sprintf(format, args...)})
 }
 
 // splitRules splits a -rules flag value into trimmed rule names. Empty

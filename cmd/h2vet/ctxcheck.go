@@ -2,7 +2,6 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -50,7 +49,6 @@ const (
 
 func runCtxcheck(p *ProgramPass) {
 	prog := p.Prog
-	durables := collectLineDirectives(prog.source, "durable")
 
 	var primIfaces []primIface
 	for _, name := range []string{"Store", "Batcher"} {
@@ -72,7 +70,7 @@ func runCtxcheck(p *ProgramPass) {
 			if strings.HasSuffix(pos.Filename, "_test.go") {
 				continue
 			}
-			checkCtxFile(p, u, f, durables, primIfaces)
+			checkCtxFile(p, u, f, primIfaces)
 		}
 	}
 }
@@ -87,7 +85,7 @@ func internalPkg(path string) bool {
 	return false
 }
 
-func checkCtxFile(p *ProgramPass, u *unit, f *ast.File, durables map[string]map[int]string, primIfaces []primIface) {
+func checkCtxFile(p *ProgramPass, u *unit, f *ast.File, primIfaces []primIface) {
 	info := u.info
 
 	// Fresh roots and undeclared detaches are findings wherever they
@@ -102,8 +100,7 @@ func checkCtxFile(p *ProgramPass, u *unit, f *ast.File, durables map[string]map[
 		case "Background", "TODO":
 			p.Reportf(call.Pos(), "context.%s() in internal/ severs cancellation from the caller; accept a ctx parameter and derive from it (drivers own the root; //h2vet:ignore ctxcheck <reason> for deliberate harness roots)", ctxCallName(info, call))
 		case "WithoutCancel":
-			pos := u.fset.Position(call.Pos())
-			if _, ok := directiveFor(durables, pos.Filename, pos.Line); !ok {
+			if _, ok := p.Prog.directives().annotation("durable", u.fset.Position(call.Pos())); !ok {
 				p.Reportf(call.Pos(), "context.WithoutCancel detaches this work from the caller's cancellation; declare the durable bracket with //h2vet:durable <reason> (GC drain and scrub brackets are the intended uses) or propagate ctx unchanged")
 			}
 		}
@@ -124,13 +121,13 @@ func checkCtxFile(p *ProgramPass, u *unit, f *ast.File, durables map[string]map[
 		return true
 	})
 	for _, scope := range scopes {
-		checkCtxScope(p, u, scope, durables, primIfaces)
+		checkCtxScope(p, u, scope, primIfaces)
 	}
 }
 
 // checkCtxScope traces context locals inside one function scope and
 // judges the ctx argument of each Store/Batcher primitive call.
-func checkCtxScope(p *ProgramPass, u *unit, scope ast.Node, durables map[string]map[int]string, primIfaces []primIface) {
+func checkCtxScope(p *ProgramPass, u *unit, scope ast.Node, primIfaces []primIface) {
 	info := u.info
 	var body *ast.BlockStmt
 	var params *ast.FieldList
@@ -183,8 +180,7 @@ func checkCtxScope(p *ProgramPass, u *unit, scope ast.Node, durables map[string]
 			case "Background", "TODO":
 				return ctxBackground
 			case "WithoutCancel":
-				pos := u.fset.Position(e.Pos())
-				if _, ok := directiveFor(durables, pos.Filename, pos.Line); ok {
+				if _, ok := p.Prog.directives().annotation("durable", u.fset.Position(e.Pos())); ok {
 					return ctxDurable
 				}
 				return ctxDetached
@@ -236,7 +232,7 @@ func checkCtxScope(p *ProgramPass, u *unit, scope ast.Node, durables map[string]
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		fn := calleeFunc(info, call)
+		fn := staticCallee(info, call)
 		if fn == nil {
 			return true
 		}
@@ -289,18 +285,3 @@ func isContextType(t types.Type) bool {
 	}
 	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
 }
-
-// calleeFunc resolves the called function/method of a call expression.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-var _ = token.NoPos

@@ -1,11 +1,5 @@
 package main
 
-import (
-	"go/token"
-	"sort"
-	"strconv"
-)
-
 var deadignoreAnalyzer = &Analyzer{
 	Name: "deadignore",
 	Doc:  "every //h2vet:ignore directive suppresses a real diagnostic of a known rule",
@@ -17,7 +11,7 @@ back and the stale ignore swallows it silently.
 
 The rule has no Run/RunProgram of its own: the driver tracks which
 directives actually suppressed a diagnostic while the other analyzers
-run, then reports the remainder (see deadIgnores). When -rules
+run, then reports the remainder (see reporter.finish). When -rules
 restricts the analyzer set, directives for rules that did not run are
 given the benefit of the doubt; only unknown rule names are still
 reported. A deadignore finding is itself suppressible with an explicit
@@ -25,56 +19,10 @@ reported. A deadignore finding is itself suppressible with an explicit
 not apply — it would excuse its own staleness).`,
 }
 
-// ignoreDirective is one parsed //h2vet:ignore occurrence.
-type ignoreDirective struct {
-	pos  token.Position
-	rule string
-}
-
-// collectIgnoreDirectives parses every //h2vet:ignore directive in the
-// loaded module, deduplicated (the same file can be parsed into both a
-// source unit and an analysis unit) and position-sorted.
-func collectIgnoreDirectives(prog *Program) []ignoreDirective {
-	seen := map[string]bool{}
-	var out []ignoreDirective
-	for _, units := range [][]*unit{prog.source, prog.units} {
-		for _, u := range units {
-			for _, f := range u.files {
-				for _, cg := range f.Comments {
-					for _, c := range cg.List {
-						rule, ok := parseIgnoreDirective(c.Text)
-						if !ok {
-							continue
-						}
-						pos := u.fset.Position(c.Pos())
-						key := pos.Filename + "\x00" + rule + "\x00" + strconv.Itoa(pos.Line)
-						if seen[key] {
-							continue
-						}
-						seen[key] = true
-						out = append(out, ignoreDirective{pos: pos, rule: rule})
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
-		}
-		return a.rule < b.rule
-	})
-	return out
-}
-
-// deadIgnores runs after every analyzer has finished and reports the
-// directives that suppressed nothing. used is the merged usage table the
-// passes recorded through markUsed.
-func deadIgnores(prog *Program, analyzers []*Analyzer, subset bool, used map[string]map[int]map[string]bool) []Diagnostic {
+// finish runs after every analyzer has finished. When deadignore is
+// selected it reports the //h2vet:ignore directives that suppressed
+// nothing; then it returns every finding, sorted.
+func (r *reporter) finish(analyzers []*Analyzer, subset bool) []Diagnostic {
 	known := map[string]bool{"all": true}
 	for _, a := range allAnalyzers() {
 		known[a.Name] = true
@@ -83,46 +31,30 @@ func deadIgnores(prog *Program, analyzers []*Analyzer, subset bool, used map[str
 	for _, a := range analyzers {
 		selected[a.Name] = true
 	}
-	ignores := programIgnores(prog)
-	analyzed := analyzedFiles(prog)
-
-	var diags []Diagnostic
-	for _, dir := range collectIgnoreDirectives(prog) {
-		if !analyzed[dir.pos.Filename] {
+	keeps := func(d *directive) bool { return d.name == "ignore" && d.arg == deadignoreAnalyzer.Name }
+	for file, lines := range r.dirs {
+		if !selected[deadignoreAnalyzer.Name] || !r.analyzed[file] {
 			continue
 		}
-		if dir.rule == deadignoreAnalyzer.Name {
-			continue // meta-suppressions are judged by what they annotate
-		}
-		// An explicit deadignore suppression on the directive's line or
-		// the line above keeps it; a blanket "all" does not.
-		suppressed := false
-		for _, line := range []int{dir.pos.Line, dir.pos.Line - 1} {
-			if ignores[dir.pos.Filename][line][deadignoreAnalyzer.Name] {
-				suppressed = true
+		for _, d := range lines {
+			// Meta-suppressions are judged by what they annotate; an
+			// explicit deadignore suppression on the line above keeps a
+			// directive, a blanket "all" does not.
+			if d.name != "ignore" || keeps(d) || r.dirs.find(d.pos, keeps) != nil {
+				continue
 			}
-		}
-		if suppressed {
-			continue
-		}
-		if !known[dir.rule] {
-			diags = append(diags, Diagnostic{
-				Pos:  dir.pos,
-				Rule: deadignoreAnalyzer.Name,
-				Msg:  "//h2vet:ignore " + dir.rule + " suppresses nothing: unknown rule (see h2vet -list)",
-			})
-			continue
-		}
-		if subset && (dir.rule == "all" || !selected[dir.rule]) {
-			continue // the rule did not run; cannot judge the directive
-		}
-		if !used[dir.pos.Filename][dir.pos.Line][dir.rule] {
-			msg := "//h2vet:ignore " + dir.rule + " suppresses nothing: no " + dir.rule + " finding on this line or the next; delete the stale directive"
-			if dir.rule == "all" {
+			msg := "//h2vet:ignore " + d.arg + " suppresses nothing: no " + d.arg + " finding on this line or the next; delete the stale directive"
+			switch {
+			case !known[d.arg]:
+				msg = "//h2vet:ignore " + d.arg + " suppresses nothing: unknown rule (see h2vet -list)"
+			case r.used[d], subset && (d.arg == "all" || !selected[d.arg]):
+				continue // live, or its rule did not run and cannot be judged
+			case d.arg == "all":
 				msg = "//h2vet:ignore all suppresses nothing: no finding on this line or the next; delete the stale directive"
 			}
-			diags = append(diags, Diagnostic{Pos: dir.pos, Rule: deadignoreAnalyzer.Name, Msg: msg})
+			r.diags = append(r.diags, Diagnostic{Pos: d.pos, Rule: deadignoreAnalyzer.Name, Msg: msg})
 		}
 	}
-	return diags
+	sortDiagnostics(r.diags)
+	return r.diags
 }

@@ -53,7 +53,13 @@ func explainCallgraph(w io.Writer, prog *Program) {
 
 	countFindings := func(g *callGraph) map[string]int {
 		prog.graph = g
-		diags, _ := runProgramAnalyzers(prog, allAnalyzers())
+		var halves []*Analyzer
+		for _, a := range allAnalyzers() {
+			if a.RunProgram != nil {
+				halves = append(halves, &Analyzer{Name: a.Name, RunProgram: a.RunProgram})
+			}
+		}
+		diags := runAll(prog, halves, true)
 		m := map[string]int{}
 		for _, d := range diags {
 			m[d.Rule]++

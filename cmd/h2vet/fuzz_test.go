@@ -17,10 +17,10 @@ func FuzzIgnoreDirective(f *testing.F) {
 	f.Add("//h2vet:ignore\tall  spaced\treason")
 	f.Add("//h2vet:ignore  \t ")
 	f.Fuzz(func(t *testing.T, text string) {
-		rule, ok := parseIgnoreDirective(text)
-		if !ok {
-			if rule != "" {
-				t.Fatalf("parseIgnoreDirective(%q) = %q without ok", text, rule)
+		name, rule, ok := parseDirective(text)
+		if !ok || name != "ignore" {
+			if !ok && rule != "" {
+				t.Fatalf("parseDirective(%q) = %q without ok", text, rule)
 			}
 			return
 		}

@@ -23,6 +23,10 @@ itself and is never a guardee), and an explicit
 
 annotation on the field declaration (same line or the line above)
 seeds the map directly (a wrong mutex name is itself a finding).
+A site holds a mutex inside its lock span, the one lockcheck and
+lockorder read: from a Lock, RLock, TryLock or TryRLock to a direct
+unlock in the same block, or to the end of the function when the
+unlock is deferred, absent or in a nested early-exit branch.
 Locksets are propagated through the CHA call
 graph — a helper that never locks but is only called with the lock
 held (the *Locked naming idiom) inherits the callers' lockset — and
@@ -34,14 +38,6 @@ exactly the accesses a concurrent traffic driver can race on.
 
 Run h2vet -explain guardcheck -pkg <path> [patterns] to print the
 inferred guard table.`,
-}
-
-// lockSpan is one static mutex-held region of a function body: from the
-// Lock/RLock call to the matching direct Unlock, or to the end of the
-// enclosing defer scope when the unlock is deferred or absent.
-type lockSpan struct {
-	cls        *types.Var
-	start, end token.Pos
 }
 
 // goLit is a function literal launched directly by a `go` statement,
@@ -59,11 +55,8 @@ type funcLocks struct {
 }
 
 // collectFuncLocks computes the lock spans of one declared function,
-// function literals included, using the same span discipline as
-// lockorder: deferred unlocks hold to scope end, direct unlocks close
-// the span early.
+// function literals included, and its go-launched literals.
 func collectFuncLocks(fi *funcInfo) *funcLocks {
-	info := fi.unit.info
 	fl := &funcLocks{}
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
@@ -74,66 +67,7 @@ func collectFuncLocks(fi *funcInfo) *funcLocks {
 		return true
 	})
 	for _, scope := range lockScopes(fi.decl) {
-		type acq struct {
-			cls      *types.Var
-			pos, end token.Pos
-		}
-		var spans []acq
-		type rel struct {
-			cls *types.Var
-			pos token.Pos
-		}
-		var unlocks []rel
-		inspectShallow(scope, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			cls, method, ok := mutexClass(info, call)
-			if !ok {
-				return true
-			}
-			switch method {
-			case "Lock", "RLock":
-				spans = append(spans, acq{cls: cls, pos: call.Pos(), end: scope.End()})
-			case "Unlock", "RUnlock":
-				unlocks = append(unlocks, rel{cls: cls, pos: call.Pos()})
-			}
-			return true
-		})
-		deferredAt := map[token.Pos]bool{}
-		var blocks []ast.Node
-		inspectShallow(scope, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.DeferStmt:
-				deferredAt[n.(*ast.DeferStmt).Call.Pos()] = true
-			case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-				blocks = append(blocks, n)
-			}
-			return true
-		})
-		// Innermost enclosing block of a position: an unlock only closes a
-		// span opened in the same block. Unlocks in nested branches are
-		// early exits (`if err != nil { mu.Unlock(); return err }`) — on
-		// the fallthrough path the lock is still held.
-		innermost := func(pos token.Pos) ast.Node {
-			var best ast.Node
-			for _, b := range blocks {
-				if b.Pos() <= pos && pos <= b.End() && (best == nil || b.Pos() >= best.Pos()) {
-					best = b
-				}
-			}
-			return best
-		}
-		for i := range spans {
-			for _, ul := range unlocks {
-				if ul.cls == spans[i].cls && ul.pos > spans[i].pos && ul.pos < spans[i].end &&
-					!deferredAt[ul.pos] && innermost(ul.pos) == innermost(spans[i].pos) {
-					spans[i].end = ul.pos
-				}
-			}
-			fl.spans = append(fl.spans, lockSpan{cls: spans[i].cls, start: spans[i].pos, end: spans[i].end})
-		}
+		fl.spans = append(fl.spans, scopeLockSpans(fi.unit.info, scope)...)
 	}
 	return fl
 }
@@ -497,7 +431,7 @@ func (ga *guardAnalysis) siteLocks(acc guardAccess) map[*types.Var]bool {
 // on field declarations, overriding inference, and records malformed
 // annotations as diagnostics.
 func (ga *guardAnalysis) applyAnnotations() {
-	dirs := collectLineDirectives(ga.prog.source, "guardedby")
+	dirs := ga.prog.directives()
 	for _, u := range ga.prog.source {
 		for _, file := range u.files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -512,7 +446,7 @@ func (ga *guardAnalysis) applyAnnotations() {
 				for _, fieldDecl := range st.Fields.List {
 					for _, name := range fieldDecl.Names {
 						pos := u.fset.Position(name.Pos())
-						mutexName, ok := directiveFor(dirs, pos.Filename, pos.Line)
+						mutexName, ok := dirs.annotation("guardedby", pos)
 						if !ok {
 							continue
 						}

@@ -334,6 +334,58 @@ func Run(c *Counter) {
 `,
 			want: nil,
 		},
+		{
+			// A successful TryLock holds the mutex like a Lock does: the
+			// access after the failed-try early exit is guarded, and it is
+			// one of the sites the inference counts (5 of 5).
+			name: "TryLock-guarded access is held",
+			src: `package fake
+
+import "sync"
+
+type Counter struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *Counter) Inc() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n++
+}
+
+func (c *Counter) Dec() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n--
+}
+
+func (c *Counter) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n = 0
+}
+
+func (c *Counter) Get() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+func (c *Counter) TryBump() {
+	if !c.mu.TryLock() {
+		return
+	}
+	defer c.mu.Unlock()
+	c.n++
+}
+
+func Run(c *Counter) {
+	go c.TryBump()
+}
+`,
+			want: nil,
+		},
 	}
 	runGoldens(t, guardcheckAnalyzer, "internal/fake/impl.go", nil, cases)
 }

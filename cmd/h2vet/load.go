@@ -46,6 +46,8 @@ type Program struct {
 
 	graphOnce sync.Once
 	graph     *callGraph
+	dirsOnce  sync.Once
+	dirs      directiveTable
 }
 
 // callGraph builds (once) and returns the program's CHA call graph.

@@ -12,22 +12,26 @@ var lockcheckAnalyzer = &Analyzer{
 	Run:  runLockcheck,
 	Long: `lockcheck enforces two locking invariants:
 
- 1. every mu.Lock()/mu.RLock() statement must be paired with a
-    defer mu.Unlock()/defer mu.RUnlock() on the same mutex in the
-    same function — explicit unlock threading leaks locks on early
-    returns and panics; narrow the critical section into a helper
-    whose whole body holds the lock;
+ 1. every acquisition — mu.Lock(), mu.RLock(), and mu.TryLock() or
+    mu.TryRLock(), whose success holds the mutex just the same — must
+    be paired with a defer mu.Unlock()/defer mu.RUnlock() on the same
+    mutex in the same function — explicit unlock threading leaks locks
+    on early returns and panics; narrow the critical section into a
+    helper whose whole body holds the lock (a TryLock in a loop too);
  2. no calls to function *values* (handlers, callbacks, struct fields
     of func type) and no Broadcast/Pump-style re-entry while a lock is
     held — the gossip-bus deadlock shape, where a handler running
     under the bus lock calls back into the bus.
 
-Function literals are separate scopes: a defer inside a closure does
-not pair with a Lock outside it. Two kinds of function values are
-exempt from rule 2: closures defined in the same function (they are
-part of the critical section, not injected behaviour), and injected
-clocks (names containing "clock" or "now") — pure value providers
-that the virtualtime rule itself mandates.`,
+"Held" is the lock span lockorder and guardcheck read too: from the
+acquisition to a direct unlock in the same block, or to the end of
+the function when the unlock is deferred, absent or in a nested
+early-exit branch. Function literals are separate scopes: a defer
+inside a closure does not pair with a Lock outside it. Two kinds of
+function values are exempt from rule 2: closures defined in the same
+function (they are part of the critical section, not injected
+behaviour), and injected clocks (names containing "clock" or "now") —
+pure value providers that the virtualtime rule itself mandates.`,
 }
 
 // reentrantCallees are method names whose invocation under a lock is the
@@ -42,91 +46,29 @@ func runLockcheck(p *Pass) {
 	}
 }
 
-type lockCall struct {
-	key    string // rendered mutex expression, e.g. "b.mu"
-	read   bool   // RLock/RUnlock flavor
-	stmt   ast.Stmt
-	parent *ast.BlockStmt
-}
-
 func (p *Pass) lockcheckFunc(body *ast.BlockStmt) {
-	var locks, unlocks []lockCall
-	deferred := map[string]bool{} // key+flavor of deferred unlocks
-	inspectShallow(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if key, name, ok := p.mutexCall(n.Call); ok && (name == "Unlock" || name == "RUnlock") {
-				deferred[key+"/"+flavor(name)] = true
+	for _, sp := range scopeLockSpans(p.Info, body) {
+		key := types.ExprString(ast.Unparen(sp.call.Fun).(*ast.SelectorExpr).X)
+		if !sp.deferred {
+			unlock := "Unlock"
+			if sp.read() {
+				unlock = "RUnlock"
 			}
-		case *ast.BlockStmt:
-			for _, stmt := range n.List {
-				es, ok := stmt.(*ast.ExprStmt)
-				if !ok {
-					continue
-				}
-				call, ok := es.X.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				key, name, ok := p.mutexCall(call)
-				if !ok {
-					continue
-				}
-				lc := lockCall{key: key, read: name == "RLock" || name == "RUnlock", stmt: stmt, parent: n}
-				switch name {
-				case "Lock", "RLock":
-					locks = append(locks, lc)
-				case "Unlock", "RUnlock":
-					unlocks = append(unlocks, lc)
-				}
-			}
+			p.Reportf(sp.start, "%s.%s() without defer %s.%s() in the same function; narrow the critical section into a helper with defer", key, sp.method, key, unlock)
 		}
-		return true
-	})
-	if len(locks) == 0 {
-		return
-	}
-
-	for _, lock := range locks {
-		name, unlockName := "Lock", "Unlock"
-		if lock.read {
-			name, unlockName = "RLock", "RUnlock"
-		}
-		if !deferred[lock.key+"/"+flavor(name)] {
-			p.Reportf(lock.stmt.Pos(), "%s.%s() without defer %s.%s() in the same function; narrow the critical section into a helper with defer", lock.key, name, lock.key, unlockName)
-		}
-		p.checkHeldSpan(body, lock, unlocks)
-	}
-}
-
-// checkHeldSpan walks the statements where lock is held — from the Lock
-// statement to the matching explicit Unlock in the same block, or to the
-// end of the function when the unlock is deferred — and flags calls to
-// function values and re-entrant bus methods.
-func (p *Pass) checkHeldSpan(body *ast.BlockStmt, lock lockCall, unlocks []lockCall) {
-	end := body.End()
-	for _, ul := range unlocks {
-		if ul.key == lock.key && ul.read == lock.read && ul.parent == lock.parent && ul.stmt.Pos() > lock.stmt.Pos() {
-			end = ul.stmt.Pos()
-			break
-		}
-	}
-	for _, stmt := range lock.parent.List {
-		if stmt.Pos() <= lock.stmt.Pos() || stmt.Pos() >= end {
-			continue
-		}
-		inspectShallow(stmt, func(n ast.Node) bool {
+		// Calls made while the span is open.
+		inspectShallow(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || call.Pos() <= sp.start || call.Pos() >= sp.end {
 				return true
 			}
 			name := calleeName(call)
 			if reentrantCallees[name] {
-				p.Reportf(call.Pos(), "call to %s while %s is held; a handler may re-enter the lock (gossip-bus deadlock shape)", name, lock.key)
+				p.Reportf(call.Pos(), "call to %s while %s is held; a handler may re-enter the lock (gossip-bus deadlock shape)", name, key)
 				return true
 			}
 			if p.isFuncValueCall(body, call) {
-				p.Reportf(call.Pos(), "call to function value %s while %s is held; invoke handlers outside the critical section", exprText(call.Fun), lock.key)
+				p.Reportf(call.Pos(), "call to function value %s while %s is held; invoke handlers outside the critical section", exprText(call.Fun), key)
 			}
 			return true
 		})
@@ -165,53 +107,4 @@ func (p *Pass) isFuncValueCall(body *ast.BlockStmt, call *ast.CallExpr) bool {
 		return false // injected clock, mandated by the virtualtime rule
 	}
 	return true
-}
-
-// mutexCall matches <expr>.Lock/RLock/Unlock/RUnlock() and returns the
-// rendered mutex expression and method name. When the receiver's type
-// resolves, only sync package mutexes qualify; unresolved receivers are
-// accepted by name.
-func (p *Pass) mutexCall(call *ast.CallExpr) (key, name string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	key = exprText(sel.X)
-	if key == "" {
-		return "", "", false
-	}
-	if t := p.Info.TypeOf(sel.X); t != nil && !isSyncMutex(t) {
-		return "", "", false
-	}
-	return key, sel.Sel.Name, true
-}
-
-// isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isSyncMutex(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// flavor collapses Lock/Unlock to "w" and RLock/RUnlock to "r".
-func flavor(name string) string {
-	if name == "RLock" || name == "RUnlock" {
-		return "r"
-	}
-	return "w"
 }

@@ -142,6 +142,42 @@ func (s *store) stampAll(keys []string) {
 `,
 			want: nil,
 		},
+		{
+			// A successful TryLock holds the mutex like a Lock does, so it
+			// pairs with a defer like a Lock does; a TryLock in a loop goes
+			// into a helper whose whole body holds the lock. Its span also
+			// counts for rule 2.
+			name: "TryLock pairs with defer like Lock",
+			src: `package core
+
+import "sync"
+
+type bus struct {
+	mu sync.Mutex
+	h  func(int)
+}
+
+func (b *bus) poke(v int) {
+	if !b.mu.TryLock() {
+		return
+	}
+	b.h(v)
+	b.mu.Unlock()
+}
+
+func (b *bus) tryDeliver(v int) bool {
+	if !b.mu.TryLock() {
+		return false
+	}
+	defer b.mu.Unlock()
+	return v > 0
+}
+`,
+			want: []string{
+				"internal/core/src.go:11:6: lockcheck: b.mu.TryLock() without defer b.mu.Unlock() in the same function; narrow the critical section into a helper with defer",
+				"internal/core/src.go:14:2: lockcheck: call to function value b.h while b.mu is held; invoke handlers outside the critical section",
+			},
+		},
 	}
 	runGoldens(t, lockcheckAnalyzer, "internal/core/src.go", nil, cases)
 }

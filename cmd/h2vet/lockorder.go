@@ -17,11 +17,14 @@ and rejects shapes that can deadlock:
 
   - an edge A -> B means some code path acquires mutex class B while
     holding mutex class A, either directly or through any chain of
-    calls (propagated through the call graph). A successful TryLock
-    holds the mutex like a Lock does: it is an acquisition under
-    whatever is held at the call, and everything up to its Unlock
-    runs under it (the descriptor cache's evictor takes descriptor
-    monitors this way, under the cache lock);
+    calls (propagated through the call graph). "While holding" is
+    the lock span lockcheck and guardcheck read too: from the
+    acquisition to a direct unlock in the same block, or to the end of
+    the function when the unlock is deferred, absent or in a nested
+    early-exit branch. A successful TryLock holds the mutex like a
+    Lock does: it is an acquisition under whatever is held at the
+    call (the descriptor cache's evictor takes descriptor monitors
+    this way, under the cache lock);
   - a cycle A -> ... -> A means two executions can acquire the classes
     in opposite orders — the classic deadlock;
   - a self-edge A -> A means the same mutex class may be re-acquired
@@ -34,12 +37,6 @@ var, or a local. Class-level analysis conflates instances, so an
 intended hierarchy over two instances of one type needs an inline
 //h2vet:ignore lockorder <reason>. Otherwise fix a cycle by imposing
 one global acquisition order.`,
-}
-
-// lockClass is one mutex class with a stable display name and sort key.
-type lockClass struct {
-	obj  *types.Var
-	name string // e.g. "gossip.Bus.mu"
 }
 
 // heldCall is a function call made while a mutex class is held.
@@ -72,7 +69,7 @@ func runLockorder(p *ProgramPass) {
 	}
 	sort.Slice(fns, func(i, j int) bool { return objKey(fns[i]) < objKey(fns[j]) })
 
-	classes := map[*types.Var]*lockClass{}
+	classes := map[*types.Var]string{} // display names, e.g. "gossip.Bus.mu"
 	facts := map[*types.Func]*lockFacts{}
 	for _, fn := range fns {
 		facts[fn] = collectLockFacts(g, g.funcs[fn], classes)
@@ -126,8 +123,8 @@ func runLockorder(p *ProgramPass) {
 	}
 
 	name := func(cls *types.Var) string {
-		if c := classes[cls]; c != nil {
-			return c.name
+		if n, ok := classes[cls]; ok {
+			return n
 		}
 		return shortName(cls)
 	}
@@ -183,76 +180,30 @@ func runLockorder(p *ProgramPass) {
 	}
 }
 
-// collectLockFacts analyzes one declared function: every lock span (Lock
-// to matching explicit Unlock, or to the end of the enclosing function
-// scope when the unlock is deferred or absent) contributes the mutexes
-// locked and the calls made while the span is open. Function literals are
-// separate defer scopes for span matching, but their facts are attributed
-// to the enclosing declared function — a closure's acquisitions happen
-// during the enclosing call in the common inline case, which is the
-// conservative direction.
-func collectLockFacts(g *callGraph, fi *funcInfo, classes map[*types.Var]*lockClass) *lockFacts {
+// collectLockFacts analyzes one declared function: every lock span (see
+// lockSpan) contributes the mutex it locks and the calls made while it is
+// open. Function literals are separate defer scopes for span matching,
+// but their facts are attributed to the enclosing declared function — a
+// closure's acquisitions happen during the enclosing call in the common
+// inline case, which is the conservative direction.
+func collectLockFacts(g *callGraph, fi *funcInfo, classes map[*types.Var]string) *lockFacts {
 	facts := &lockFacts{acquires: map[*types.Var]token.Pos{}}
 	info := fi.unit.info
 	for _, scope := range lockScopes(fi.decl) {
-		type acq struct {
-			cls      *types.Var
-			pos, end token.Pos
+		spans := scopeLockSpans(info, scope)
+		for _, sp := range spans {
+			if _, seen := classes[sp.cls]; !seen {
+				classes[sp.cls] = lockClassName(info, sp.call, sp.cls)
+			}
+			facts.recordAcquire(sp.cls, sp.start)
 		}
-		var spans []acq
-		type rel struct {
-			cls *types.Var
-			pos token.Pos
-		}
-		var unlocks []rel
-		// Pass 1: find every lock/unlock in this scope.
-		inspectShallow(scope, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			cls, method, ok := mutexClass(info, call)
-			if !ok {
-				return true
-			}
-			if _, seen := classes[cls]; !seen {
-				classes[cls] = &lockClass{obj: cls, name: lockClassName(info, call, cls)}
-			}
-			switch method {
-			case "Lock", "RLock", "TryLock", "TryRLock":
-				spans = append(spans, acq{cls: cls, pos: call.Pos(), end: scope.End()})
-			case "Unlock", "RUnlock":
-				// Deferred unlocks hold to scope end; only direct unlock
-				// statements close a span early. Whether this call sits
-				// under a defer is decided in pass 2.
-				unlocks = append(unlocks, rel{cls: cls, pos: call.Pos()})
-			}
-			return true
-		})
-		// Pass 2: deferred unlocks do not close spans.
-		deferredAt := map[token.Pos]bool{}
-		inspectShallow(scope, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				deferredAt[d.Call.Pos()] = true
-			}
-			return true
-		})
-		for i := range spans {
-			for _, ul := range unlocks {
-				if ul.cls == spans[i].cls && ul.pos > spans[i].pos && ul.pos < spans[i].end && !deferredAt[ul.pos] {
-					spans[i].end = ul.pos
-				}
-			}
-			facts.recordAcquire(spans[i].cls, spans[i].pos)
-		}
-		// Pass 3: what happens inside each span.
 		inspectShallow(scope, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			for _, sp := range spans {
-				if call.Pos() <= sp.pos || call.Pos() >= sp.end {
+				if call.Pos() <= sp.start || call.Pos() >= sp.end {
 					continue
 				}
 				if cls, method, ok := mutexClass(info, call); ok {
@@ -275,51 +226,6 @@ func (f *lockFacts) recordAcquire(cls *types.Var, pos token.Pos) {
 	if old, ok := f.acquires[cls]; !ok || pos < old {
 		f.acquires[cls] = pos
 	}
-}
-
-// lockScopes returns the defer scopes of a declared function: its own
-// body plus each nested function literal body.
-func lockScopes(decl *ast.FuncDecl) []*ast.BlockStmt {
-	scopes := []*ast.BlockStmt{decl.Body}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scopes = append(scopes, lit.Body)
-		}
-		return true
-	})
-	return scopes
-}
-
-// mutexClass resolves <expr>.Lock/RLock/TryLock/TryRLock/Unlock/RUnlock()
-// to the declared mutex variable behind the expression: a struct field,
-// package var, or local. Receivers that don't resolve to a sync mutex
-// variable are skipped.
-func mutexClass(info *types.Info, call *ast.CallExpr) (cls *types.Var, method string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return nil, "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return nil, "", false
-	}
-	if t := info.TypeOf(sel.X); t == nil || !isSyncMutex(t) {
-		return nil, "", false
-	}
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		if s := info.Selections[x]; s != nil {
-			if v, ok := s.Obj().(*types.Var); ok {
-				return v, sel.Sel.Name, true
-			}
-		}
-	case *ast.Ident:
-		if v, ok := info.ObjectOf(x).(*types.Var); ok {
-			return v, sel.Sel.Name, true
-		}
-	}
-	return nil, "", false
 }
 
 // lockClassName renders a stable display name for a mutex class:

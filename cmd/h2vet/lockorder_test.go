@@ -212,6 +212,50 @@ func (d *Desc) flush() {
 `,
 			want: nil,
 		},
+		{
+			// The unlock in the early-exit branch ends A's span only on the
+			// path that returns; on the fallthrough path lockB runs under A,
+			// so BA's opposite order closes a cycle.
+			name: "early-exit unlock keeps the fallthrough span",
+			src: `package fake
+
+import "sync"
+
+type S struct {
+	a sync.Mutex
+	b sync.Mutex
+}
+
+func (s *S) AB(bad bool) {
+	s.a.Lock()
+	if bad {
+		s.a.Unlock()
+		return
+	}
+	s.lockB()
+	s.a.Unlock()
+}
+
+func (s *S) lockB() {
+	s.b.Lock()
+	defer s.b.Unlock()
+}
+
+func (s *S) BA() {
+	s.b.Lock()
+	defer s.b.Unlock()
+	s.lockA()
+}
+
+func (s *S) lockA() {
+	s.a.Lock()
+	defer s.a.Unlock()
+}
+`,
+			want: []string{
+				"internal/fake/locks.go:16:2: lockorder: lock-order cycle between fake.S.a -> fake.S.b -> fake.S.a; acquire these mutexes in one consistent order",
+			},
+		},
 	}
 	runGoldens(t, lockorderAnalyzer, "internal/fake/locks.go", nil, cases)
 }

@@ -13,6 +13,16 @@
 // every atomic is typed) — are left to those gates (DESIGN.md, "What
 // guards what").
 //
+// The three lock rules — lockcheck, lockorder, guardcheck — read one lock
+// model (lockspan.go). A span opens at Lock, RLock, TryLock or TryRLock.
+// A direct Unlock/RUnlock of the same mutex closes it only when it sits
+// in the innermost block of the acquisition; a deferred, absent or
+// early-exit unlock (`if bad { mu.Unlock(); return }`) leaves it open to
+// the end of the function, since on the fallthrough path the mutex is
+// still held. Each function literal is a scope of its own.
+// All thirteen rules report through one path, which applies the one
+// table of //h2vet: directives that every rule and deadignore read.
+//
 // The syntactic rules (virtualtime, mapiter, lockcheck, droppederr,
 // backoffcheck, atomiccheck) run per unit; the rest are whole-program:
 // h2vet loads and type-checks the entire module once into a shared typed
@@ -219,45 +229,31 @@ func plural(n int, one, many string) string {
 }
 
 // runAll runs the per-unit half of each analyzer concurrently across
-// units, and the whole-program half over the shared typed module, then
-// merges and sorts. Per-unit results land in preassigned slots so the
-// final ordering is independent of goroutine scheduling. subset records
-// that -rules restricted the analyzer set, which limits what deadignore
-// can conclude about directives for rules that did not run.
+// units and the whole-program half over the shared typed module, all
+// reporting through one reporter. subset records that -rules
+// restricted the analyzer set, which limits what deadignore can conclude
+// about directives for rules that did not run.
 func runAll(prog *Program, analyzers []*Analyzer, subset bool) []Diagnostic {
-	perUnit := make([][]Diagnostic, len(prog.units))
-	perUsed := make([]map[string]map[int]map[string]bool, len(prog.units))
+	rep := newReporter(prog)
 	var wg sync.WaitGroup
-	for i, u := range prog.units {
+	for _, u := range prog.units {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perUnit[i], perUsed[i] = runAnalyzers(u, analyzers)
-		}()
-	}
-	progDiags, used := runProgramAnalyzers(prog, analyzers)
-	wg.Wait()
-	var diags []Diagnostic
-	for _, d := range perUnit {
-		diags = append(diags, d...)
-	}
-	diags = append(diags, progDiags...)
-	for _, u := range perUsed {
-		for file, lines := range u {
-			for line, rules := range lines {
-				for rule := range rules {
-					markUsed(used, file, line, rule)
+			for _, a := range analyzers {
+				if a.Run != nil {
+					a.Run(&Pass{Fset: u.fset, Files: u.files, PkgPath: u.pkgPath, ModulePath: u.module, Info: u.info, rule: a.Name, rep: rep})
 				}
 			}
-		}
+		}()
 	}
 	for _, a := range analyzers {
-		if a.Name == deadignoreAnalyzer.Name {
-			diags = append(diags, deadIgnores(prog, analyzers, subset, used)...)
+		if a.RunProgram != nil {
+			a.RunProgram(&ProgramPass{Prog: prog, rule: a.Name, rep: rep})
 		}
 	}
-	sortDiagnostics(diags)
-	return diags
+	wg.Wait()
+	return rep.finish(analyzers, subset)
 }
 
 // writeJSON emits the diagnostics as a sorted JSON array ([] when empty).

@@ -509,3 +509,29 @@ func TestMoveDirectoryKeepsRelativeKeys(t *testing.T) {
 func TestDifferentialSuite(t *testing.T) {
 	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem { return newFS(t) })
 }
+
+// A clock that steps back between a write and its remove must not leave
+// the file live: the tombstone is stamped after the entry it deletes.
+func TestClockStepBackKeepsRemove(t *testing.T) {
+	tick := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { tick = tick.Add(time.Millisecond); return tick }
+	m := newMW(t, newCluster(t), 1, func(c *Config) { c.Clock = clock })
+	ctx := context.Background()
+	if err := m.CreateAccount(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteFile(ctx, "alice", "/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	tick = tick.Add(-time.Minute)
+	if err := m.Remove(ctx, "alice", "/f"); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := m.List(ctx, "alice", "/", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("List(/) after Remove(/f) = %v, want empty", entries)
+	}
+}

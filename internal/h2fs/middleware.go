@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -102,6 +103,7 @@ type Middleware struct {
 	profile   cluster.CostProfile
 	fanout    int // Config.SubtreeFanout
 	clock     func() time.Time
+	last      atomic.Int64 // the newest timestamp now has returned
 	bus       gossip.Broadcaster
 	eagerGC   bool
 	syncProto bool
@@ -179,8 +181,18 @@ func (m *Middleware) Recover() {
 	m.gc.reset()
 }
 
-// now returns the current tuple timestamp in nanoseconds.
-func (m *Middleware) now() int64 { return m.clock().UnixNano() }
+// now returns the current tuple timestamp in nanoseconds: the clock's
+// reading, or one past the newest timestamp returned if the clock stepped
+// back, so a tombstone never predates the entry it deletes.
+func (m *Middleware) now() int64 {
+	t := m.clock().UnixNano()
+	for {
+		last := m.last.Load()
+		if next := max(t, last+1); m.last.CompareAndSwap(last, next) {
+			return next
+		}
+	}
+}
 
 // chargeRingConsult prices one NameRing consultation served from the File
 // Descriptor Cache. The cache keeps merge state in memory, but a consult
