@@ -46,20 +46,22 @@ loc:
 		printf '%6d  %s\n' $$(cat /dev/null $$(ls $$d/*.go | grep -v _test.go) | wc -l) $$d; \
 	done
 
-# internal/h2fs — the paper's contribution, and the package that kept
-# growing — may not exceed the committed loc.budget, and cmd/h2vet — the
-# linter, which outgrew the code it checks — may not exceed
-# h2vet.loc.budget. A PR that needs more room raises the number in the
-# same diff and says why; one that shrinks the package lowers it, so the
-# ceiling ratchets down.
+# Each loc.budget row is '<dir> <lines>': the most non-test Go lines the
+# tree under dir may hold. internal/h2fs is the paper's contribution and
+# the package that kept growing, cmd/h2vet the linter that outgrew the
+# code it checks, internal/baselines the comparison systems, which keep
+# only what a figure measures. A PR that needs more room raises the row in
+# the same diff and says why; one that shrinks a tree lowers it, so the
+# ceilings ratchet down.
 loc-check:
-	@check() { n=$$(cat $$(ls $$1/*.go | grep -v _test.go) | wc -l); budget=$$(cat $$2); \
-		echo "$$1: $$n non-test lines (budget $$budget)"; \
+	@rc=0; while read -r dir budget; do \
+		n=$$(find $$dir -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		echo "$$dir: $$n non-test lines (budget $$budget)"; \
 		if [ $$n -gt $$budget ]; then \
-			echo "$$1 grew past $$2; delete something or argue for the new ceiling"; \
-			return 1; \
-		fi; }; \
-	rc=0; check internal/h2fs loc.budget || rc=1; check cmd/h2vet h2vet.loc.budget || rc=1; exit $$rc
+			echo "$$dir grew past its loc.budget row; delete something or argue for the new ceiling"; \
+			rc=1; \
+		fi; \
+	done < loc.budget; exit $$rc
 
 test:
 	$(GO) test ./...

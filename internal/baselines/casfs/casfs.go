@@ -8,8 +8,7 @@
 // content for free, but no block can be modified in place: any mutation
 // re-hashes the changed directory block and every pointer block above it
 // up to the root, which is why Table 1 charges directory operations O(N)-
-// class costs. Orphaned blocks are immutable garbage reclaimed by a
-// mark-and-sweep pass (GCSweep).
+// class costs.
 package casfs
 
 import (
@@ -45,8 +44,6 @@ type FS struct {
 
 	mu       sync.Mutex
 	rootHash string
-	// blocks registers every block key ever written, for mark-and-sweep.
-	blocks map[string]bool
 }
 
 var _ fsapi.FileSystem = (*FS)(nil)
@@ -61,7 +58,6 @@ func New(store objstore.Store, profile cluster.CostProfile, account string, cloc
 		profile: profile,
 		account: account,
 		clock:   clock,
-		blocks:  make(map[string]bool),
 	}
 }
 
@@ -70,36 +66,48 @@ func (f *FS) rootKey() string             { return "cas|" + f.account + "|ROOT" 
 
 func encodeDirBlock(entries map[string]centry) []byte {
 	names := make([]string, 0, len(entries))
-	for n := range entries {
+	// A line adds to its name and hash two quotes, four tabs, the kind
+	// byte, a newline and two int64s of at most 20 bytes each.
+	size := len(dirMagic) + 1
+	for n, e := range entries {
 		names = append(names, n)
+		size += len(n) + len(e.hash) + 48
 	}
 	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString(dirMagic)
-	b.WriteByte('\n')
+	b := make([]byte, 0, size)
+	b = append(b, dirMagic...)
+	b = append(b, '\n')
 	for _, n := range names {
 		e := entries[n]
-		kind := "F"
+		kind := byte('F')
 		if e.isDir {
-			kind = "D"
+			kind = 'D'
 		}
-		fmt.Fprintf(&b, "%s\t%s\t%s\t%d\t%d\n", strconv.Quote(n), e.hash, kind, e.size, e.modNano)
+		b = strconv.AppendQuote(b, n)
+		b = append(b, '\t')
+		b = append(b, e.hash...)
+		b = append(b, '\t', kind, '\t')
+		b = strconv.AppendInt(b, e.size, 10)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, e.modNano, 10)
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
 }
 
 func decodeDirBlock(data []byte) (map[string]centry, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || lines[0] != dirMagic {
+	line, rest, _ := strings.Cut(string(data), "\n")
+	if line != dirMagic {
 		return nil, fmt.Errorf("casfs: not a pointer block")
 	}
-	out := make(map[string]centry)
-	for _, line := range lines[1:] {
+	out := make(map[string]centry, strings.Count(rest, "\n"))
+	var fields [5]string
+	for rest != "" {
+		line, rest, _ = strings.Cut(rest, "\n")
 		if line == "" {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != 5 {
+		if !cutFields(line, fields[:]) {
 			return nil, fmt.Errorf("casfs: malformed pointer entry %q", line)
 		}
 		name, err := strconv.Unquote(fields[0])
@@ -119,6 +127,20 @@ func decodeDirBlock(data []byte) (map[string]centry, error) {
 	return out, nil
 }
 
+// cutFields splits line at its tabs into dst and reports whether it held
+// exactly len(dst) fields.
+func cutFields(line string, dst []string) bool {
+	last := len(dst) - 1
+	for i := 0; i < last; i++ {
+		var ok bool
+		if dst[i], line, ok = strings.Cut(line, "\t"); !ok {
+			return false
+		}
+	}
+	dst[last] = line
+	return strings.IndexByte(line, '\t') < 0
+}
+
 // putBlock stores a block under its content hash and returns the hash.
 // Identical content lands on the same key: deduplication for free.
 func (f *FS) putBlock(ctx context.Context, data []byte) (string, error) {
@@ -126,7 +148,6 @@ func (f *FS) putBlock(ctx context.Context, data []byte) (string, error) {
 	if err := f.store.Put(ctx, f.blockKey(hash), data, nil); err != nil {
 		return "", err
 	}
-	f.blocks[f.blockKey(hash)] = true
 	return hash, nil
 }
 
@@ -309,13 +330,6 @@ func (f *FS) ReadFile(ctx context.Context, path string) ([]byte, error) {
 	return data, nil
 }
 
-// GetByHash is the O(1) content-addressed access of Table 1: callers that
-// already hold a content hash skip the pointer-block walk entirely.
-func (f *FS) GetByHash(ctx context.Context, hash string) ([]byte, error) {
-	data, _, err := f.store.Get(ctx, f.blockKey(hash))
-	return data, err
-}
-
 // Stat resolves the path through the pointer blocks.
 func (f *FS) Stat(ctx context.Context, path string) (fsapi.EntryInfo, error) {
 	p, err := fsapi.Clean(path)
@@ -336,7 +350,7 @@ func (f *FS) Stat(ctx context.Context, path string) (fsapi.EntryInfo, error) {
 }
 
 // Remove deletes the entry and rebuilds the chain; the content block
-// becomes garbage for GCSweep.
+// becomes unreferenced garbage.
 func (f *FS) Remove(ctx context.Context, path string) error {
 	p, err := fsapi.Clean(path)
 	if err != nil {
@@ -493,50 +507,4 @@ func (f *FS) relink(ctx context.Context, src, dst string, unlinkSrc bool) error 
 	srcEntry.modNano = f.clock().UnixNano()
 	leaf.entries[leaf.child] = srcEntry
 	return f.rebuildChain(ctx, chain)
-}
-
-// GCSweep reclaims unreferenced blocks with a mark-and-sweep from the
-// root pointer. It returns the number of blocks deleted.
-func (f *FS) GCSweep(ctx context.Context) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.ensureRoot(ctx); err != nil {
-		return 0, err
-	}
-	marked := map[string]bool{}
-	var mark func(hash string, isDir bool) error
-	mark = func(hash string, isDir bool) error {
-		key := f.blockKey(hash)
-		if marked[key] {
-			return nil
-		}
-		marked[key] = true
-		if !isDir {
-			return nil
-		}
-		entries, err := f.readDirBlock(ctx, hash)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if err := mark(e.hash, e.isDir); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := mark(f.rootHash, true); err != nil {
-		return 0, err
-	}
-	swept := 0
-	for key := range f.blocks {
-		if marked[key] {
-			continue
-		}
-		if err := f.store.Delete(ctx, key); err == nil {
-			swept++
-		}
-		delete(f.blocks, key)
-	}
-	return swept, nil
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
-	"github.com/h2cloud/h2cloud/internal/objstore"
 )
 
 func newFS(t testing.TB) (*FS, *cluster.Cluster) {
@@ -50,19 +49,6 @@ func TestContentDeduplication(t *testing.T) {
 	}
 }
 
-func TestGetByHashO1(t *testing.T) {
-	fs, _ := newFS(t)
-	ctx := context.Background()
-	content := []byte("addressable")
-	if err := fs.WriteFile(ctx, "/x", content); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fs.GetByHash(ctx, objstore.ETag(content))
-	if err != nil || string(data) != "addressable" {
-		t.Fatalf("GetByHash = %q, %v", data, err)
-	}
-}
-
 func TestMutationRewritesChainToRoot(t *testing.T) {
 	fs, c := newFS(t)
 	ctx := context.Background()
@@ -98,45 +84,6 @@ func TestCopySharesSubtreeBlocks(t *testing.T) {
 	mustNoErr(t, err)
 	if string(data) != "shared" {
 		t.Fatalf("source after COW write = %q", data)
-	}
-}
-
-func TestGCSweepReclaimsOrphanedBlocks(t *testing.T) {
-	fs, c := newFS(t)
-	ctx := context.Background()
-	mustNoErr(t, fs.Mkdir(ctx, "/d"))
-	mustNoErr(t, fs.WriteFile(ctx, "/d/f", []byte("going away")))
-	mustNoErr(t, fs.Rmdir(ctx, "/d"))
-	swept, err := fs.GCSweep(ctx)
-	mustNoErr(t, err)
-	if swept == 0 {
-		t.Fatal("GCSweep reclaimed nothing after rmdir")
-	}
-	// After the sweep only the live chain remains: root block + ROOT.
-	if st := c.Stats(); st.Objects != 2 {
-		t.Fatalf("objects after sweep = %d, want 2", st.Objects)
-	}
-	// A second sweep is a no-op.
-	swept, err = fs.GCSweep(ctx)
-	mustNoErr(t, err)
-	if swept != 0 {
-		t.Fatalf("second sweep reclaimed %d blocks", swept)
-	}
-}
-
-func TestGCSweepKeepsLiveData(t *testing.T) {
-	fs, _ := newFS(t)
-	ctx := context.Background()
-	mustNoErr(t, fs.Mkdir(ctx, "/keep"))
-	mustNoErr(t, fs.WriteFile(ctx, "/keep/f", []byte("live")))
-	mustNoErr(t, fs.WriteFile(ctx, "/keep/f", []byte("live-v2"))) // orphan v1
-	if _, err := fs.GCSweep(ctx); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fs.ReadFile(ctx, "/keep/f")
-	mustNoErr(t, err)
-	if string(data) != "live-v2" {
-		t.Fatalf("live data lost by sweep: %q", data)
 	}
 }
 
@@ -181,6 +128,37 @@ func BenchmarkCASWriteFileDepth3(b *testing.B) {
 		data[2] = byte(i >> 16)
 		if err := fs.WriteFile(ctx, fmt.Sprintf("/a/b/c/f%09d", i), data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDirBlockEncoding pins the pointer-block bytes: every block hash,
+// and so every store key and charge, depends on them.
+func TestDirBlockEncoding(t *testing.T) {
+	entries := map[string]centry{
+		"b\tx": {hash: "h2", size: 0, modNano: -1},
+		"a":    {hash: "h1", isDir: true, size: 42, modNano: 1700000000000000000},
+	}
+	const want = "CASD/1\n" +
+		"\"a\"\th1\tD\t42\t1700000000000000000\n" +
+		"\"b\\tx\"\th2\tF\t0\t-1\n"
+	got := encodeDirBlock(entries)
+	if string(got) != want {
+		t.Fatalf("encodeDirBlock = %q, want %q", got, want)
+	}
+	back, err := decodeDirBlock(got)
+	mustNoErr(t, err)
+	if len(back) != len(entries) {
+		t.Fatalf("decoded %d entries, want %d", len(back), len(entries))
+	}
+	for n, e := range entries {
+		if back[n] != e {
+			t.Fatalf("decoded %q = %+v, want %+v", n, back[n], e)
+		}
+	}
+	for _, bad := range []string{"", "CASD/2\n", "CASD/1\n\"a\"\th\tF\t1\n", "CASD/1\n\"a\"\th\tF\t1\t2\t3\n", "CASD/1\na\th\tF\t1\t2\n"} {
+		if _, err := decodeDirBlock([]byte(bad)); err == nil {
+			t.Errorf("decodeDirBlock(%q) succeeded, want an error", bad)
 		}
 	}
 }

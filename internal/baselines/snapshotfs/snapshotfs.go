@@ -50,7 +50,6 @@ type FS struct {
 	entries map[string]entry
 	segBuf  []byte
 	segSeq  int
-	metaSeq int
 }
 
 var _ fsapi.FileSystem = (*FS)(nil)
@@ -78,10 +77,6 @@ func (f *FS) segKey(seq int) string {
 	return "cum|" + f.account + "|seg" + strconv.Itoa(seq)
 }
 
-func (f *FS) metaKey(seq int) string {
-	return "cum|" + f.account + "|meta" + strconv.Itoa(seq)
-}
-
 // chargeLogScan prices one full traversal of the metadata log — the O(N)
 // term that dominates every snapshot operation except appends.
 func (f *FS) chargeLogScan(ctx context.Context) {
@@ -104,30 +99,6 @@ func (f *FS) sealSegment(ctx context.Context) error {
 	f.segSeq++
 	f.segBuf = nil
 	return nil
-}
-
-// Checkpoint seals the current segment and uploads a fresh metadata log —
-// completing one Compressed Snapshot. Restore-from-cloud starts from the
-// latest metadata log object.
-func (f *FS) Checkpoint(ctx context.Context) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.sealSegment(ctx); err != nil {
-		return err
-	}
-	var b []byte
-	paths := make([]string, 0, len(f.entries))
-	for p := range f.entries {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		e := f.entries[p]
-		b = append(b, fmt.Sprintf("%q\t%v\t%d\t%d\t%q\t%d\n",
-			p, e.isDir, e.size, e.modTime.UnixNano(), e.segKey, e.offset)...)
-	}
-	f.metaSeq++
-	return f.store.Put(ctx, f.metaKey(f.metaSeq), b, nil)
 }
 
 // Mkdir appends one record to the incremental metadata log — O(1).

@@ -59,29 +59,6 @@ func TestSegmentPacking(t *testing.T) {
 	}
 }
 
-func TestCheckpointProducesSnapshot(t *testing.T) {
-	fs, c := newFS(t, cluster.ZeroProfile(), 1<<20)
-	ctx := context.Background()
-	if err := fs.Mkdir(ctx, "/docs"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile(ctx, "/docs/a", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Checkpoint(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// One sealed segment + one metadata log object.
-	if st := c.Stats(); st.Objects != 2 {
-		t.Fatalf("objects after checkpoint = %d, want 2", st.Objects)
-	}
-	// Content must be servable from the sealed segment.
-	data, err := fs.ReadFile(ctx, "/docs/a")
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("read after checkpoint = %q, %v", data, err)
-	}
-}
-
 func TestAccessCostLinearInN(t *testing.T) {
 	fs, _ := newFS(t, cluster.SwiftProfile(), 0)
 	ctx := context.Background()

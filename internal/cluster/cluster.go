@@ -513,7 +513,7 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 			offset = int64(len(data))
 		}
 		end := int64(len(data))
-		if length >= 0 && offset+length < end {
+		if length >= 0 && length < end-offset {
 			end = offset + length
 		}
 		part := make([]byte, end-offset)

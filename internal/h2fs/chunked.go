@@ -1,6 +1,7 @@
 package h2fs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,24 +43,23 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 			return err
 		}
 	}
-	buf := make([]byte, chunkSize)
+	var buf bytes.Buffer // sized by the bytes that arrive, not by chunkSize
 	chunks := 0
 	var total int64
-	for {
-		n, rerr := io.ReadFull(r, buf)
+	// Read chunk after chunk until one comes back short of chunkSize.
+	for n := int64(chunkSize); n == int64(chunkSize); {
+		buf.Reset()
+		var err error
+		if n, err = buf.ReadFrom(io.LimitReader(r, int64(chunkSize))); err != nil {
+			return err
+		}
 		if n > 0 {
 			key := core.SegmentKey(account, parentNS, name, chunks)
-			if err := m.store.Put(ctx, key, buf[:n], nil); err != nil {
+			if err := m.store.Put(ctx, key, buf.Bytes(), nil); err != nil {
 				return fmt.Errorf("h2fs: chunk %d: %w", chunks, err)
 			}
 			chunks++
-			total += int64(n)
-		}
-		if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-			break
-		}
-		if rerr != nil {
-			return rerr
+			total += n
 		}
 	}
 	body, meta := core.ChunkManifest{Chunks: chunks, Size: total, ChunkSize: int64(chunkSize)}.Encode()
@@ -102,7 +102,7 @@ func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name str
 		offset = size
 	}
 	end := size
-	if length >= 0 && offset+length < end {
+	if length >= 0 && length < end-offset {
 		end = offset + length
 	}
 	if chunkSize <= 0 || offset >= end {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -47,6 +48,27 @@ func TestChunkedWriteReadRoundTrip(t *testing.T) {
 	mustNoErr(t, err)
 	if len(entries) != 1 || entries[0].Size != int64(len(content)) {
 		t.Fatalf("List detail = %+v", entries)
+	}
+}
+
+// TestChunkedWriteAllocatesWhatArrives: the chunk size comes from the
+// caller (over HTTP, a request header), so a small body at a huge chunk
+// size must allocate for the body, not for the chunk.
+func TestChunkedWriteAllocatesWhatArrives(t *testing.T) {
+	m := newMW(t, newCluster(t), 1)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustNoErr(t, m.WriteFileChunked(ctx, "alice", "/f", bytes.NewReader([]byte("hello world")), 1<<30))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("an 11-byte chunked write allocated %d bytes", grew)
+	}
+	got, err := m.FS("alice").ReadFile(ctx, "/f")
+	mustNoErr(t, err)
+	if string(got) != "hello world" {
+		t.Fatalf("read back %q", got)
 	}
 }
 

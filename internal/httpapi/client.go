@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -389,7 +390,8 @@ func (f *ClientFS) ReadFileRange(ctx context.Context, path string, offset, lengt
 	if err != nil {
 		return nil, err
 	}
-	if length < 0 {
+	if length < 0 || length-1 > math.MaxInt64-offset {
+		// Open-ended, or a last byte past the largest int64: read to the end.
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", offset))
 	} else {
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", offset, offset+length-1))

@@ -3,7 +3,9 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/fsapi"
@@ -44,6 +46,7 @@ func TestReadFileRangeMatchesLocal(t *testing.T) {
 	mustOK(t, client.CreateAccount(ctx, "alice"))
 	fs := client.FS("alice")
 	mustOK(t, fs.WriteFile(ctx, "/v.bin", []byte("0123456789")))
+	mustOK(t, fs.WriteFileChunked(ctx, "/c.bin", strings.NewReader("0123456789"), 4))
 	mustOK(t, fs.Mkdir(ctx, "/d"))
 
 	sentinels := []error{fsapi.ErrNotFound, fsapi.ErrIsDir, fsapi.ErrInvalidPath}
@@ -66,6 +69,8 @@ func TestReadFileRangeMatchesLocal(t *testing.T) {
 		{"/v.bin", -1, 2, "", fsapi.ErrInvalidPath},
 		{"/v.bin", 20, 4, "", nil}, // past the end
 		{"/v.bin", 8, -1, "89", nil},
+		{"/v.bin", 8, math.MaxInt64, "89", nil}, // offset+length overflows
+		{"/c.bin", 8, math.MaxInt64, "89", nil},
 		{"/missing", 0, 2, "", fsapi.ErrNotFound},
 		{"/missing", 0, 0, "", fsapi.ErrNotFound},
 		{"/d", 0, 2, "", fsapi.ErrIsDir},
