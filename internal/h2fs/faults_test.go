@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
+	"github.com/h2cloud/h2cloud/internal/core"
+	"github.com/h2cloud/h2cloud/internal/fsapi"
 )
 
 // newChaosMW builds a middleware over a zero-plan chaos store wrapping a
@@ -135,4 +137,65 @@ func TestCorruptRingObjectDetected(t *testing.T) {
 		!strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt ring load = %v, want corruption error", err)
 	}
+}
+
+// TestCreateAccountKeepsTreeWhenRootHeadFails: only a missing root record
+// means an account is absent. A root HEAD that failed for any other
+// reason used to fall through to provisioning a fresh root namespace over
+// the existing one, and the whole tree was lost.
+func TestCreateAccountKeepsTreeWhenRootHeadFails(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.WriteFile(ctx, "/keep", []byte("x")))
+	cs.FailOn(chaos.OpHead, core.RootKey("alice"))
+	if err := m.CreateAccount(ctx, "alice"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("CreateAccount with failing root HEAD = %v, want the injected fault", err)
+	}
+	cs.FailOn(chaos.OpHead, "")
+	m.Recover()
+	if data, err := afs.ReadFile(ctx, "/keep"); err != nil || string(data) != "x" {
+		t.Fatalf("ReadFile(/keep) after the failed create = %q, %v", data, err)
+	}
+	entries, err := afs.List(ctx, "/", false)
+	mustNoErr(t, err)
+	if len(entries) != 1 {
+		t.Fatalf("root after the failed create = %+v, want /keep", entries)
+	}
+}
+
+// TestRootReadFaultIsNotAbsence: after a restart empties the root cache, a
+// root record that cannot be read is a fault, not a missing account, and
+// a file whose content HEAD fails has no size to report. Each failure
+// surfaces with its own identity instead of as not-found or size 0.
+func TestRootReadFaultIsNotAbsence(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("x")))
+	m.Recover()
+	cs.FailOn(chaos.OpGet, core.RootKey("alice"))
+	cs.FailOn(chaos.OpHead, core.RootKey("alice"))
+	faulted := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, chaos.ErrInjected) || errors.Is(err, fsapi.ErrNotFound) {
+			t.Fatalf("%s with an unreadable root record = %v, want the injected fault", op, err)
+		}
+	}
+	_, err := afs.ReadFile(ctx, "/f")
+	faulted("ReadFile", err)
+	ok, err := m.AccountExists(ctx, "alice")
+	faulted("AccountExists", err)
+	if ok {
+		t.Fatal("AccountExists reported true alongside its error")
+	}
+	_, err = afs.Stat(ctx, "/")
+	faulted("Stat(/)", err)
+
+	cs.FailOn(chaos.OpGet, "")
+	cs.FailOn(chaos.OpHead, "::f")
+	_, err = afs.Stat(ctx, "/f")
+	faulted("Stat(/f)", err)
 }

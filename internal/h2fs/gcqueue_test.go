@@ -607,8 +607,8 @@ func TestGCQueueDeleteAccountAsync(t *testing.T) {
 	mustNoErr(t, m.FlushAll(ctx))
 
 	mustNoErr(t, m.DeleteAccount(ctx, "alice"))
-	if m.AccountExists(ctx, "alice") {
-		t.Fatal("account visible after queued deletion")
+	if ok, err := m.AccountExists(ctx, "alice"); ok || err != nil {
+		t.Fatalf("AccountExists after queued deletion = %v, %v", ok, err)
 	}
 	drained, err := m.DrainGC(ctx)
 	mustNoErr(t, err)

@@ -70,8 +70,10 @@ func TestCreateAccountValidation(t *testing.T) {
 	if err := m.CreateAccount(ctx, "alice"); !errors.Is(err, fsapi.ErrExists) {
 		t.Fatalf("duplicate account = %v, want ErrExists", err)
 	}
-	if !m.AccountExists(ctx, "alice") || m.AccountExists(ctx, "bob") {
-		t.Fatal("AccountExists wrong")
+	alice, errA := m.AccountExists(ctx, "alice")
+	bob, errB := m.AccountExists(ctx, "bob")
+	if !alice || bob || errA != nil || errB != nil {
+		t.Fatalf("AccountExists = %v, %v (alice), %v, %v (bob)", alice, errA, bob, errB)
 	}
 }
 

@@ -12,6 +12,7 @@ package h2fs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -208,7 +209,10 @@ func (m *Middleware) CreateAccount(ctx context.Context, account string) error {
 	if !core.ValidAccount(account) {
 		return fmt.Errorf("h2fs: invalid account %q: %w", account, fsapi.ErrInvalidPath)
 	}
-	if _, err := m.store.Head(ctx, core.RootKey(account)); err == nil {
+	switch exists, err := m.AccountExists(ctx, account); {
+	case err != nil:
+		return err
+	case exists:
 		return fmt.Errorf("h2fs: account %q: %w", account, fsapi.ErrExists)
 	}
 	ns := m.gen.Next()
@@ -261,10 +265,15 @@ func (m *Middleware) unlinkRoot(ctx context.Context, account string) error {
 	return nil
 }
 
-// AccountExists reports whether the account has been created.
-func (m *Middleware) AccountExists(ctx context.Context, account string) bool {
+// AccountExists reports whether the account has been created. Only a
+// missing root record means it has not: any other failure to read the
+// record is returned, so a dead cloud is unavailable, not absent.
+func (m *Middleware) AccountExists(ctx context.Context, account string) (bool, error) {
 	_, err := m.store.Head(ctx, core.RootKey(account))
-	return err == nil
+	if err != nil && !errors.Is(err, objstore.ErrNotFound) {
+		return false, fmt.Errorf("h2fs: account %q: %w", account, err)
+	}
+	return err == nil, nil
 }
 
 // rootNS resolves (and caches) the account's root namespace UUID.
@@ -273,8 +282,11 @@ func (m *Middleware) rootNS(ctx context.Context, account string) (string, error)
 		return ns, nil
 	}
 	data, _, err := m.store.Get(ctx, core.RootKey(account))
+	if errors.Is(err, objstore.ErrNotFound) {
+		err = fsapi.ErrNotFound // as in AccountExists, only a missing record is absence
+	}
 	if err != nil {
-		return "", fmt.Errorf("h2fs: account %q: %w", account, fsapi.ErrNotFound)
+		return "", fmt.Errorf("h2fs: account %q: %w", account, err)
 	}
 	ns := string(data)
 	m.setRoot(account, ns)

@@ -134,7 +134,10 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 		return fsapi.EntryInfo{}, err
 	}
 	if p == "/" {
-		if !m.AccountExists(ctx, account) {
+		switch exists, err := m.AccountExists(ctx, account); {
+		case err != nil:
+			return fsapi.EntryInfo{}, err
+		case !exists:
 			return fsapi.EntryInfo{}, fmt.Errorf("h2fs: account %q: %w", account, fsapi.ErrNotFound)
 		}
 		return fsapi.EntryInfo{Name: "/", IsDir: true}, nil
@@ -149,11 +152,15 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 		ModTime: time.Unix(0, res.tuple.Time),
 	}
 	if !res.tuple.Dir {
-		if oi, err := m.store.Head(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name)); err == nil {
+		// A missing content object reads as size 0, any other failure fails.
+		switch oi, err := m.store.Head(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name)); {
+		case err == nil:
 			info.Size = oi.Size
 			if c, ok := core.ParseChunkManifest(oi.Meta); ok {
 				info.Size = c.Size // logical size of a chunked file
 			}
+		case !errors.Is(err, objstore.ErrNotFound):
+			return fsapi.EntryInfo{}, fmt.Errorf("h2fs: stat %s: %w", res.path, err)
 		}
 	}
 	return info, nil

@@ -14,7 +14,6 @@ import (
 
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
-	"github.com/h2cloud/h2cloud/internal/objstore"
 )
 
 // Client talks to an H2Cloud server. Account-scoped filesystem views
@@ -33,48 +32,32 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimSuffix(base, "/"), hc: httpClient}
 }
 
-// decodeErr reconstructs a typed error from an error response body, so
-// errors.Is works identically on both sides of the wire: filesystem
-// sentinels map back to fsapi errors, transient cloud faults (503s) map
-// back to the objstore sentinels callers' retry logic classifies.
+// decodeErr rebuilds a typed error from an error response body: the code
+// becomes the sentinel of the first wireErrors row that carries it, so
+// errors.Is works identically on both sides of the wire.
 func decodeErr(resp *http.Response) error {
 	var ae apiError
 	data, _ := io.ReadAll(resp.Body)
 	if err := json.Unmarshal(data, &ae); err != nil {
 		return fmt.Errorf("httpapi: status %d: %s", resp.StatusCode, data)
 	}
-	var base error
-	switch ae.Code {
-	case "not_found":
-		base = fsapi.ErrNotFound
-	case "exists":
-		base = fsapi.ErrExists
-	case "not_dir":
-		base = fsapi.ErrNotDir
-	case "is_dir":
-		base = fsapi.ErrIsDir
-	case "invalid_path":
-		base = fsapi.ErrInvalidPath
-	case "cross_account":
-		base = fsapi.ErrCrossAccount
-	case "node_down":
-		base = objstore.ErrNodeDown
-	case "no_quorum":
-		base = objstore.ErrNoQuorum
-	default:
-		return fmt.Errorf("httpapi: %s", ae.Error)
+	for _, row := range wireErrors {
+		if row.code == ae.Code {
+			return fmt.Errorf("httpapi: %s: %w", ae.Error, row.err)
+		}
 	}
-	return fmt.Errorf("httpapi: %s: %w", ae.Error, base)
+	return fmt.Errorf("httpapi: %s", ae.Error)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+// do sends one request, with header, if given, as a name and a value; a
+// reply of 400 or above comes back as decodeErr's typed error.
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, header ...string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return nil, err
+	}
+	if len(header) == 2 {
+		req.Header.Set(header[0], header[1])
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -88,8 +71,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 }
 
 // doDiscard performs a request whose successful body is irrelevant.
-func (c *Client) doDiscard(ctx context.Context, method, path string, body []byte) error {
-	resp, err := c.do(ctx, method, path, body)
+func (c *Client) doDiscard(ctx context.Context, method, path string, body io.Reader, header ...string) error {
+	resp, err := c.do(ctx, method, path, body, header...)
 	if err != nil {
 		return err
 	}
@@ -107,7 +90,8 @@ func (c *Client) DeleteAccount(ctx context.Context, account string) error {
 	return c.doDiscard(ctx, http.MethodDelete, "/v1/accounts/"+url.PathEscape(account), nil)
 }
 
-// AccountExists probes an account.
+// AccountExists probes an account. A reply other than 200 or 404 is an
+// error; a HEAD reply has no body, so the error carries only the status.
 func (c *Client) AccountExists(ctx context.Context, account string) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.base+"/v1/accounts/"+url.PathEscape(account), nil)
 	if err != nil {
@@ -118,7 +102,13 @@ func (c *Client) AccountExists(ctx context.Context, account string) (bool, error
 		return false, err
 	}
 	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK, nil
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return true, nil
+	case http.StatusNotFound:
+		return false, nil
+	}
+	return false, fmt.Errorf("httpapi: account %q: status %d", account, resp.StatusCode)
 }
 
 // ReadRelative performs the quick O(1) namespace-decorated access (§3.2).
@@ -247,27 +237,8 @@ func (f *ClientFS) Copy(ctx context.Context, src, dst string) error {
 
 // List implements fsapi.FileSystem.
 func (f *ClientFS) List(ctx context.Context, path string, detail bool) ([]fsapi.EntryInfo, error) {
-	r, err := f.route("list", path)
-	if err != nil {
-		return nil, err
-	}
-	if detail {
-		r += "?detail=1"
-	}
-	resp, err := f.c.do(ctx, http.MethodGet, r, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var entries []Entry
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		return nil, fmt.Errorf("httpapi: decode list: %w", err)
-	}
-	out := make([]fsapi.EntryInfo, len(entries))
-	for i, e := range entries {
-		out[i] = fsapi.EntryInfo{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime}
-	}
-	return out, nil
+	entries, _, err := f.ListPage(ctx, path, detail, "", 0)
+	return entries, err
 }
 
 // ListPage lists with Swift-style pagination: at most limit entries
@@ -277,18 +248,20 @@ func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marke
 	if err != nil {
 		return nil, "", err
 	}
-	q := url.Values{}
+	// Built by hand rather than with url.Values: a plain listing's URL is
+	// one concatenation.
+	q := ""
 	if detail {
-		q.Set("detail", "1")
-	}
-	if marker != "" {
-		q.Set("marker", marker)
+		q = "&detail=1"
 	}
 	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
+		q += "&limit=" + strconv.Itoa(limit)
 	}
-	if enc := q.Encode(); enc != "" {
-		r += "?" + enc
+	if marker != "" {
+		q += "&marker=" + url.QueryEscape(marker)
+	}
+	if q != "" {
+		r += "?" + q[1:]
 	}
 	resp, err := f.c.do(ctx, http.MethodGet, r, nil)
 	if err != nil {
@@ -301,7 +274,7 @@ func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marke
 	}
 	out := make([]fsapi.EntryInfo, len(entries))
 	for i, e := range entries {
-		out[i] = fsapi.EntryInfo{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime}
+		out[i] = fsapi.EntryInfo(e)
 	}
 	next, err := url.PathUnescape(resp.Header.Get("X-Next-Marker"))
 	if err != nil {
@@ -316,10 +289,7 @@ func (f *ClientFS) WriteFile(ctx context.Context, path string, data []byte) erro
 	if err != nil {
 		return err
 	}
-	if data == nil {
-		data = []byte{}
-	}
-	return f.c.doDiscard(ctx, http.MethodPut, r, data)
+	return f.c.doDiscard(ctx, http.MethodPut, r, bytes.NewReader(data))
 }
 
 // ReadFile implements fsapi.FileSystem.
@@ -345,21 +315,7 @@ func (f *ClientFS) WriteFileChunked(ctx context.Context, path string, r io.Reade
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, f.c.base+route, r)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("X-Chunk-Size", strconv.Itoa(chunkSize))
-	resp, err := f.c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeErr(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return f.c.doDiscard(ctx, http.MethodPut, route, r, "X-Chunk-Size", strconv.Itoa(chunkSize))
 }
 
 // ReadFileRange reads length bytes starting at offset (length < 0 means
@@ -386,24 +342,18 @@ func (f *ClientFS) ReadFileRange(ctx context.Context, path string, offset, lengt
 		}
 		return []byte{}, nil
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.c.base+r, nil)
-	if err != nil {
-		return nil, err
-	}
+	var rng string
 	if length < 0 || length-1 > math.MaxInt64-offset {
 		// Open-ended, or a last byte past the largest int64: read to the end.
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", offset))
+		rng = fmt.Sprintf("bytes=%d-", offset)
 	} else {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", offset, offset+length-1))
+		rng = fmt.Sprintf("bytes=%d-%d", offset, offset+length-1)
 	}
-	resp, err := f.c.hc.Do(req)
+	resp, err := f.c.do(ctx, http.MethodGet, r, nil, "Range", rng)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, decodeErr(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 
@@ -422,7 +372,7 @@ func (f *ClientFS) Stat(ctx context.Context, path string) (fsapi.EntryInfo, erro
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		return fsapi.EntryInfo{}, fmt.Errorf("httpapi: decode stat: %w", err)
 	}
-	return fsapi.EntryInfo{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime}, nil
+	return fsapi.EntryInfo(e), nil
 }
 
 // Remove implements fsapi.FileSystem.

@@ -2,7 +2,9 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,9 +17,9 @@ import (
 )
 
 // newFaultableStack builds a client/server pair whose cluster is exposed
-// for failure injection, with the middleware's retry layer and counter
-// registry configured.
-func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, string) {
+// for failure injection and whose middleware can be restarted, with the
+// middleware's retry layer and counter registry configured.
+func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, *h2fs.Middleware, string) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
@@ -32,7 +34,7 @@ func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, string) {
 	}
 	ts := httptest.NewServer(NewServer(mw))
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL, ts.Client()), c, ts.URL
+	return NewClient(ts.URL, ts.Client()), c, mw, ts.URL
 }
 
 // TestTransientErrorsSurviveTheWire checks the end-to-end typed-error
@@ -41,7 +43,7 @@ func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, string) {
 // sentinel so errors.Is-based retry logic works identically on both
 // sides of the HTTP boundary.
 func TestTransientErrorsSurviveTheWire(t *testing.T) {
-	client, c, base := newFaultableStack(t)
+	client, c, mw, base := newFaultableStack(t)
 	ctx := context.Background()
 	mustOK(t, client.CreateAccount(ctx, "alice"))
 	fs := client.FS("alice")
@@ -68,14 +70,33 @@ func TestTransientErrorsSurviveTheWire(t *testing.T) {
 	}
 
 	// The raw response is a 503 carrying Retry-After.
-	resp, err := http.Get(base + "/v1/fs/alice/f")
-	mustOK(t, err)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
+	unavailable := func(method, path string) {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, method, base+path, nil)
+		mustOK(t, err)
+		resp, err := http.DefaultClient.Do(req)
+		mustOK(t, err)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s %s status = %d, want 503", method, path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s %s: 503 response missing Retry-After", method, path)
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 response missing Retry-After")
+	unavailable(http.MethodGet, "/v1/fs/alice/f")
+
+	// A restart empties the root cache, so the account's root record
+	// itself is unreadable now: still a dead cloud, not a missing account.
+	mw.Recover()
+	_, err = fs.ReadFile(ctx, "/f")
+	if !errors.Is(err, objstore.ErrNodeDown) || errors.Is(err, fsapi.ErrNotFound) {
+		t.Fatalf("ReadFile over dead cloud after restart = %v, want ErrNodeDown", err)
+	}
+	unavailable(http.MethodGet, "/v1/fs/alice/f")
+	unavailable(http.MethodHead, "/v1/accounts/alice")
+	if ok, err := client.AccountExists(ctx, "alice"); err == nil {
+		t.Fatalf("AccountExists over dead cloud = %v, nil; want an error", ok)
 	}
 
 	// A genuinely missing file keeps its 404 semantics after recovery.
@@ -90,7 +111,7 @@ func TestTransientErrorsSurviveTheWire(t *testing.T) {
 // TestStatsExposeRobustnessCounters checks that the middleware's retry
 // counters ride along in /v1/stats.
 func TestStatsExposeRobustnessCounters(t *testing.T) {
-	client, c, _ := newFaultableStack(t)
+	client, c, _, _ := newFaultableStack(t)
 	ctx := context.Background()
 	mustOK(t, client.CreateAccount(ctx, "alice"))
 	fs := client.FS("alice")
@@ -120,7 +141,7 @@ func TestStatsExposeRobustnessCounters(t *testing.T) {
 // absent when it is not.
 func TestStatsExposeGCQueue(t *testing.T) {
 	ctx := context.Background()
-	client, _, _ := newFaultableStack(t)
+	client, _, _, _ := newFaultableStack(t)
 	mustOK(t, client.CreateAccount(ctx, "alice"))
 	stats, err := client.Stats(ctx)
 	mustOK(t, err)
@@ -155,5 +176,40 @@ func TestStatsExposeGCQueue(t *testing.T) {
 	mustOK(t, err)
 	if stats.GCQueue == nil || stats.GCQueue.Pending != 0 || stats.GCQueue.Reclaimed != 1 {
 		t.Fatalf("queue gauge after drain = %+v, want 0 pending / 1 reclaimed", stats.GCQueue)
+	}
+}
+
+// TestWireErrorsRoundTrip sends every wireErrors row's sentinel, wrapped,
+// through writeErr and back through decodeErr: the status and the code
+// are the row's, Retry-After is set iff the status is 503, and the client
+// gets the sentinel of the first row carrying that code.
+func TestWireErrorsRoundTrip(t *testing.T) {
+	for i, row := range wireErrors {
+		t.Run(fmt.Sprintf("%d_%s", i, row.code), func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			writeErr(rec, fmt.Errorf("x: %w", row.err))
+			resp := rec.Result()
+			if resp.StatusCode != row.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, row.status)
+			}
+			if retry := resp.Header.Get("Retry-After") != ""; retry != (row.status == http.StatusServiceUnavailable) {
+				t.Fatalf("Retry-After set = %v on a %d", retry, row.status)
+			}
+			var ae apiError
+			mustOK(t, json.Unmarshal(rec.Body.Bytes(), &ae))
+			if ae.Code != row.code {
+				t.Fatalf("code = %q, want %q", ae.Code, row.code)
+			}
+			var want error
+			for _, r := range wireErrors {
+				if r.code == row.code {
+					want = r.err
+					break
+				}
+			}
+			if err := decodeErr(resp); !errors.Is(err, want) {
+				t.Fatalf("decodeErr = %v, want %v", err, want)
+			}
+		})
 	}
 }

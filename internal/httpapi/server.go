@@ -151,16 +151,13 @@ func (s *Server) resolveNS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"ns": ns})
 }
 
-// Entry is the JSON form of fsapi.EntryInfo.
+// Entry is the JSON form of fsapi.EntryInfo: the same fields, so the two
+// convert into each other.
 type Entry struct {
 	Name    string    `json:"name"`
 	IsDir   bool      `json:"isDir"`
 	Size    int64     `json:"size"`
 	ModTime time.Time `json:"modTime"`
-}
-
-func toEntry(e fsapi.EntryInfo) Entry {
-	return Entry{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime}
 }
 
 // apiError is the JSON error body.
@@ -169,31 +166,43 @@ type apiError struct {
 	Code  string `json:"code"`
 }
 
-// writeErr maps fsapi's and the store's typed errors onto HTTP statuses.
-// Transient cloud faults become 503 + Retry-After so clients can tell
-// "gone" (404, give up) from "unavailable" (503, retry) — the sentinel
-// survives the wire round trip via the code field.
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	code := "internal"
-	switch {
-	case errors.Is(err, objstore.ErrNodeDown):
-		status, code = http.StatusServiceUnavailable, "node_down"
-	case errors.Is(err, objstore.ErrNoQuorum):
-		status, code = http.StatusServiceUnavailable, "no_quorum"
-	case errors.Is(err, fsapi.ErrNotFound), errors.Is(err, objstore.ErrNotFound):
-		status, code = http.StatusNotFound, "not_found"
-	case errors.Is(err, fsapi.ErrExists):
-		status, code = http.StatusConflict, "exists"
-	case errors.Is(err, fsapi.ErrNotDir):
-		status, code = http.StatusConflict, "not_dir"
-	case errors.Is(err, fsapi.ErrIsDir):
-		status, code = http.StatusConflict, "is_dir"
-	case errors.Is(err, fsapi.ErrInvalidPath):
-		status, code = http.StatusBadRequest, "invalid_path"
-	case errors.Is(err, fsapi.ErrCrossAccount):
-		status, code = http.StatusForbidden, "cross_account"
+// wireErrors is the web API's error taxonomy, in match order: writeErr
+// sends the first row whose sentinel the error wraps, and decodeErr
+// rebuilds a code as the first row that carries it, so errors.Is works
+// the same on both sides of the wire. Both not-found sentinels travel as
+// "not_found" and arrive as fsapi.ErrNotFound. Transient cloud faults are
+// 503s, so clients can tell "gone" (404, give up) from "unavailable"
+// (503, retry).
+var wireErrors = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{objstore.ErrNodeDown, http.StatusServiceUnavailable, "node_down"},
+	{objstore.ErrNoQuorum, http.StatusServiceUnavailable, "no_quorum"},
+	{fsapi.ErrNotFound, http.StatusNotFound, "not_found"},
+	{objstore.ErrNotFound, http.StatusNotFound, "not_found"},
+	{fsapi.ErrExists, http.StatusConflict, "exists"},
+	{fsapi.ErrNotDir, http.StatusConflict, "not_dir"},
+	{fsapi.ErrIsDir, http.StatusConflict, "is_dir"},
+	{fsapi.ErrInvalidPath, http.StatusBadRequest, "invalid_path"},
+	{fsapi.ErrCrossAccount, http.StatusForbidden, "cross_account"},
+}
+
+// wireRow returns the status and code of the first wireErrors row err
+// matches, or a 500 "internal" when none does.
+func wireRow(err error) (status int, code string) {
+	for _, row := range wireErrors {
+		if errors.Is(err, row.err) {
+			return row.status, row.code
+		}
 	}
+	return http.StatusInternalServerError, "internal"
+}
+
+// writeErr sends err's wireErrors row, with Retry-After on a 503.
+func writeErr(w http.ResponseWriter, err error) {
+	status, code := wireRow(err)
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -234,11 +243,13 @@ func (s *Server) deleteAccount(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) headAccount(w http.ResponseWriter, r *http.Request) {
-	if !s.mw.AccountExists(r.Context(), r.PathValue("account")) {
+	ok, err := s.mw.AccountExists(r.Context(), r.PathValue("account"))
+	switch {
+	case err != nil:
+		writeErr(w, err)
+	case !ok:
 		w.WriteHeader(http.StatusNotFound)
-		return
 	}
-	w.WriteHeader(http.StatusOK)
 }
 
 func (s *Server) readFile(w http.ResponseWriter, r *http.Request) {
@@ -247,7 +258,8 @@ func (s *Server) readFile(w http.ResponseWriter, r *http.Request) {
 		offset, length, ok := parseRange(rng)
 		if !ok {
 			// Typed like a bad path, so the client's errors.Is sees it.
-			writeAPIError(w, http.StatusRequestedRangeNotSatisfiable, "invalid_path", fmt.Sprintf("bad Range %q", rng))
+			_, code := wireRow(fsapi.ErrInvalidPath)
+			writeAPIError(w, http.StatusRequestedRangeNotSatisfiable, code, fmt.Sprintf("bad Range %q", rng))
 			return
 		}
 		data, err := s.mw.ReadFileRange(r.Context(), account, path, offset, length)
@@ -338,7 +350,7 @@ func (s *Server) stat(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, toEntry(info))
+	writeJSON(w, Entry(info))
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
@@ -365,7 +377,7 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
-		out[i] = toEntry(e)
+		out[i] = Entry(e)
 	}
 	writeJSON(w, out)
 }
