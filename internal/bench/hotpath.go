@@ -2,13 +2,16 @@ package bench
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/core"
+	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
+	"github.com/h2cloud/h2cloud/internal/httpapi"
 	"github.com/h2cloud/h2cloud/internal/pathdb"
 	"github.com/h2cloud/h2cloud/internal/ring"
 )
@@ -122,10 +125,24 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
-	deepFS, deepPath, err := deepFile(16)
+	deepMW, deepPath, err := deepFile(16)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+	deepFS := deepMW.FS("deep")
+	writeMW, err := overwriteDir()
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
+	// The http/* rows drive the same two middlewares through the web API
+	// over loopback TCP, so each subtracts from its h2fs/* row to the cost
+	// of the client, net/http and the server.
+	deepSrv := httptest.NewServer(httpapi.NewServer(deepMW))
+	defer deepSrv.Close()
+	writeSrv := httptest.NewServer(httpapi.NewServer(writeMW))
+	defer writeSrv.Close()
+	deepHTTP := httpapi.NewClient(deepSrv.URL, deepSrv.Client()).FS("deep")
+	writeHTTP := httpapi.NewClient(writeSrv.URL, writeSrv.Client()).FS("w")
 
 	scan := func(pathdb.Record) bool { hotSink++; return true }
 
@@ -293,6 +310,29 @@ func HotPath(quick bool) (Result, error) {
 				hotSink += int(info.Size)
 			}
 		}},
+		// The same Stat through the web API: the client's request, net/http
+		// on both ends of a loopback connection, the server's dispatch and
+		// the JSON reply. Of the 75 allocations above h2fs/stat-depth-16,
+		// httpapi's are the URL, the reply buffer, the boxed Entry and the
+		// JSON codec's; the rest are net/http's. The ceiling is the count at
+		// both scales.
+		{"http/stat-depth-16", 76, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				info, err := deepHTTP.Stat(ctx, deepPath)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotSink += int(info.Size)
+			}
+		}},
+		// An overwrite of one file in one directory: the data PUT and the
+		// patch PUT, with a flush every overwriteFlush ops so the patch
+		// chain stays bounded. The ceiling is the count at both scales.
+		{"h2fs/write-file", 14, overwriteLoop(writeMW, writeMW.FS("w"), payload)},
+		// The same overwrite through the web API, its body read into one
+		// buffer sized by its Content-Length. The ceiling is the count at
+		// both scales.
+		{"http/write-file", 82, overwriteLoop(writeMW, writeHTTP, payload)},
 		// Waking a stub in a full cache of 1024: the hand releases the
 		// descriptor under it, which becomes a stub in place, and the woken
 		// one takes its slot on the clock.
@@ -409,6 +449,7 @@ func HotPath(quick bool) (Result, error) {
 			"baselines before the single CLOCK table (32 stripes with LRU lists, a stub was a ring key in a per-stripe set and a reload built a new descriptor; now the evicted descriptor is the stub), -quick: h2fs/reload-evicted 10 allocs/op, 1532 B and 5.96 us, now 7, 440 B and 3.15 us; h2fs/evict-insert 0 allocs and 204 ns, now 0 and 150 ns; allocs/op unchanged on every other row",
 			"baselines before primaries-first reads (every read placed all eight nodes under a read lock; a batch window's makespan sorted through sort.Slice and scanned every worker per task), -quick, medians of three alternated runs: cluster/get 501 ns, now 339; cluster/head 482 ns, now 279, 0 allocs on both sides; h2fs/list-detail-1000 9 allocs/op and 145 us, now 7 and 102 us; h2fs/copy-rmdir-72 1127-1128 allocs/op and 714 us, now 1093-1094 and 652 us; allocs/op unchanged on every other row",
 			"baseline before the node mutex and the write-side sweep (a healthy DELETE headed and deleted on all eight nodes, 16 node calls, and the PUT of a new name headed all eight), -quick, medians of three alternated runs: cluster/put-delete 2552 ns, now 1605 (3 HEADs + 3 puts, then 1 HEAD + 3 deletes); allocs/op unchanged on every row",
+			"baselines before the web API's route table (http.ServeMux and a status wrapper on the server; a Split and a Join per path, a second URL concatenation and an io.ReadAll or json.Decoder per reply on the client), at both scales: http/stat-depth-16 91 allocs/op, now 76; http/write-file 95, now 82; h2fs/write-file 14, unchanged",
 		},
 	}
 	var over []string
@@ -488,10 +529,51 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 	return paths, fs, nil
 }
 
+// overwriteFlush is how many overwrites h2fs/write-file and
+// http/write-file run between flushes: without one, every overwrite would
+// leave a patch object in the store for the rest of the run.
+const overwriteFlush = 1024
+
+// overwriteDir builds account "w" with an empty directory /w behind a
+// middleware over a zero-cost cluster.
+func overwriteDir() (*h2fs.Middleware, error) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		return nil, err
+	}
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1})
+	if err != nil {
+		return nil, err
+	}
+	if err := mw.CreateAccount(bg(), "w"); err != nil {
+		return nil, err
+	}
+	return mw, mw.FS("w").Mkdir(bg(), "/w")
+}
+
+// overwriteLoop overwrites /w/f through fs, flushing mw's rings every
+// overwriteFlush ops.
+func overwriteLoop(mw *h2fs.Middleware, fs fsapi.FileSystem, payload []byte) func(b *testing.B) {
+	return func(b *testing.B) {
+		ctx := bg()
+		for i := 0; i < b.N; i++ {
+			if err := fs.WriteFile(ctx, "/w/f", payload); err != nil {
+				b.Fatal(err)
+			}
+			if i%overwriteFlush == overwriteFlush-1 {
+				if err := mw.FlushAll(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // deepFile writes one file depth levels down behind a middleware over a
 // zero-cost cluster and Stats it once, so every descriptor on its path is
-// cached. It returns the file's path.
-func deepFile(depth int) (*h2fs.AccountFS, string, error) {
+// cached. It returns the middleware and the file's path; the account is
+// "deep".
+func deepFile(depth int) (*h2fs.Middleware, string, error) {
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
 		return nil, "", err
@@ -517,7 +599,7 @@ func deepFile(depth int) (*h2fs.AccountFS, string, error) {
 		return nil, "", err
 	}
 	_, err = fs.Stat(ctx, path)
-	return fs, path, err
+	return mw, path, err
 }
 
 // templateTree builds the benchmark's subtree_ops template — /template

@@ -49,10 +49,11 @@ func decodeErr(resp *http.Response) error {
 	return fmt.Errorf("httpapi: %s", ae.Error)
 }
 
-// do sends one request, with header, if given, as a name and a value; a
-// reply of 400 or above comes back as decodeErr's typed error.
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader, header ...string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+// do sends one request to target, with header, if given, as a name and a
+// value. A reply of 400 or above comes back as decodeErr's typed error,
+// but for a HEAD, which has no body to decode.
+func (c *Client) do(ctx context.Context, method, target string, body io.Reader, header ...string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return nil, err
 	}
@@ -63,62 +64,69 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, he
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode >= 400 && method != http.MethodHead {
 		defer resp.Body.Close()
 		return nil, decodeErr(resp)
 	}
 	return resp, nil
 }
 
-// doDiscard performs a request whose successful body is irrelevant.
-func (c *Client) doDiscard(ctx context.Context, method, path string, body io.Reader, header ...string) error {
-	resp, err := c.do(ctx, method, path, body, header...)
+// call sends one request through do. It returns the reply's header and
+// its body, read into one buffer sized by its Content-Length when the
+// server announced one.
+func (c *Client) call(ctx context.Context, method, target string, body io.Reader, header ...string) (http.Header, []byte, error) {
+	resp, err := c.do(ctx, method, target, body, header...)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.Body.Close()
+	defer resp.Body.Close()
+	data, err := readBody(resp.Body, resp.ContentLength)
+	return resp.Header, data, err
+}
+
+// getJSON GETs target and decodes its JSON reply into v, returning the
+// reply's header.
+func (c *Client) getJSON(ctx context.Context, target string, v any) (http.Header, error) {
+	h, data, err := c.call(ctx, http.MethodGet, target, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return nil, fmt.Errorf("httpapi: decode %s: %w", target, err)
+	}
+	return h, nil
 }
 
 // CreateAccount provisions an account.
 func (c *Client) CreateAccount(ctx context.Context, account string) error {
-	return c.doDiscard(ctx, http.MethodPut, "/v1/accounts/"+url.PathEscape(account), nil)
+	_, _, err := c.call(ctx, http.MethodPut, c.base+"/v1/accounts/"+url.PathEscape(account), nil)
+	return err
 }
 
 // DeleteAccount removes an account and its filesystem.
 func (c *Client) DeleteAccount(ctx context.Context, account string) error {
-	return c.doDiscard(ctx, http.MethodDelete, "/v1/accounts/"+url.PathEscape(account), nil)
+	_, _, err := c.call(ctx, http.MethodDelete, c.base+"/v1/accounts/"+url.PathEscape(account), nil)
+	return err
 }
 
 // AccountExists probes an account. A reply other than 200 or 404 is an
 // error; a HEAD reply has no body, so the error carries only the status.
 func (c *Client) AccountExists(ctx context.Context, account string) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.base+"/v1/accounts/"+url.PathEscape(account), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(ctx, http.MethodHead, c.base+"/v1/accounts/"+url.PathEscape(account), nil)
 	if err != nil {
 		return false, err
 	}
 	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+		return false, fmt.Errorf("httpapi: account %q: status %d", account, resp.StatusCode)
 	}
-	return false, fmt.Errorf("httpapi: account %q: status %d", account, resp.StatusCode)
+	return resp.StatusCode == http.StatusOK, nil
 }
 
 // ReadRelative performs the quick O(1) namespace-decorated access (§3.2).
 func (c *Client) ReadRelative(ctx context.Context, account, rel string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/rel/"+url.PathEscape(account)+"/"+escapePath(rel), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	_, data, err := c.call(ctx, http.MethodGet, c.base+"/v1/rel/"+url.PathEscape(account)+"/"+escapePath(rel), nil)
+	return data, err
 }
 
 // ResolveNS asks the server for a directory's namespace UUID, the key to
@@ -128,44 +136,23 @@ func (c *Client) ResolveNS(ctx context.Context, account, path string) (string, e
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.do(ctx, http.MethodGet, "/v1/ns/"+url.PathEscape(account)+escapePath(p), nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
 	var out map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("httpapi: decode ns: %w", err)
-	}
-	return out["ns"], nil
+	_, err = c.getJSON(ctx, c.base+"/v1/ns/"+url.PathEscape(account)+escapePath(p), &out)
+	return out["ns"], err
 }
 
 // Usage fetches an account's filesystem footprint.
 func (c *Client) Usage(ctx context.Context, account string) (h2fs.Usage, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/usage/"+url.PathEscape(account), nil)
-	if err != nil {
-		return h2fs.Usage{}, err
-	}
-	defer resp.Body.Close()
 	var u h2fs.Usage
-	if err := json.NewDecoder(resp.Body).Decode(&u); err != nil {
-		return h2fs.Usage{}, fmt.Errorf("httpapi: decode usage: %w", err)
-	}
-	return u, nil
+	_, err := c.getJSON(ctx, c.base+"/v1/usage/"+url.PathEscape(account), &u)
+	return u, err
 }
 
 // Stats fetches the server's monitoring snapshot.
 func (c *Client) Stats(ctx context.Context) (StatsPayload, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
-		return StatsPayload{}, err
-	}
-	defer resp.Body.Close()
 	var out StatsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return StatsPayload{}, fmt.Errorf("httpapi: decode stats: %w", err)
-	}
-	return out, nil
+	_, err := c.getJSON(ctx, c.base+"/v1/stats", &out)
+	return out, err
 }
 
 // FS returns the account-scoped filesystem view.
@@ -183,56 +170,74 @@ type ClientFS struct {
 
 var _ fsapi.FileSystem = (*ClientFS)(nil)
 
-// escapePath escapes each path segment but keeps separators.
+// escapePath escapes each segment of p but keeps its separators. A path
+// no segment of which needs escaping comes back as itself.
 func escapePath(p string) string {
-	segs := strings.Split(p, "/")
-	for i, s := range segs {
-		segs[i] = url.PathEscape(s)
+	for rest, more := p, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		if url.PathEscape(seg) != seg {
+			segs := strings.Split(p, "/")
+			for i, s := range segs {
+				segs[i] = url.PathEscape(s)
+			}
+			return strings.Join(segs, "/")
+		}
 	}
-	return strings.Join(segs, "/")
+	return p
 }
 
-// route builds "/v1/<verb>/<account><path>". Paths are validated and
-// canonicalized client-side: URL normalization would otherwise rewrite
-// sequences like "//" or "/../" before the server could reject them.
-func (f *ClientFS) route(verb, path string) (string, error) {
+// route builds "<base>/v1/<verb>/<account><path>?<query>" in one
+// concatenation, the '&' that starts a non-empty query becoming the '?'.
+// Paths are cleaned client-side: the server answers 400 to "//", "/./" or
+// "/../" in a URL.
+func (f *ClientFS) route(verb, path, query string) (string, error) {
 	p, err := fsapi.Clean(path)
 	if err != nil {
 		return "", err
 	}
-	return "/v1/" + verb + "/" + url.PathEscape(f.account) + escapePath(p), nil
+	sep := ""
+	if query != "" {
+		sep, query = "?", query[1:]
+	}
+	return f.c.base + "/v1/" + verb + "/" + url.PathEscape(f.account) + escapePath(p) + sep + query, nil
+}
+
+// send sends method to verb's route for path, for its error alone.
+func (f *ClientFS) send(ctx context.Context, method, verb, path string, body io.Reader, header ...string) error {
+	r, err := f.route(verb, path, "")
+	if err == nil {
+		_, _, err = f.c.call(ctx, method, r, body, header...)
+	}
+	return err
+}
+
+// pairOp sends MOVE or COPY. The query is built by hand, in the order
+// url.Values.Encode would sort it, so the URL is one concatenation.
+func (f *ClientFS) pairOp(ctx context.Context, verb, src, dst string) error {
+	_, _, err := f.c.call(ctx, http.MethodPost, f.c.base+"/v1/"+verb+"/"+url.PathEscape(f.account)+
+		"?dst="+url.QueryEscape(dst)+"&src="+url.QueryEscape(src), nil)
+	return err
 }
 
 // Mkdir implements fsapi.FileSystem.
 func (f *ClientFS) Mkdir(ctx context.Context, path string) error {
-	r, err := f.route("mkdir", path)
-	if err != nil {
-		return err
-	}
-	return f.c.doDiscard(ctx, http.MethodPost, r, nil)
+	return f.send(ctx, http.MethodPost, "mkdir", path, nil)
 }
 
 // Rmdir implements fsapi.FileSystem.
 func (f *ClientFS) Rmdir(ctx context.Context, path string) error {
-	r, err := f.route("rmdir", path)
-	if err != nil {
-		return err
-	}
-	return f.c.doDiscard(ctx, http.MethodPost, r, nil)
+	return f.send(ctx, http.MethodPost, "rmdir", path, nil)
 }
 
 // Move implements fsapi.FileSystem.
 func (f *ClientFS) Move(ctx context.Context, src, dst string) error {
-	q := url.Values{"src": {src}, "dst": {dst}}
-	return f.c.doDiscard(ctx, http.MethodPost,
-		"/v1/move/"+url.PathEscape(f.account)+"?"+q.Encode(), nil)
+	return f.pairOp(ctx, "move", src, dst)
 }
 
 // Copy implements fsapi.FileSystem.
 func (f *ClientFS) Copy(ctx context.Context, src, dst string) error {
-	q := url.Values{"src": {src}, "dst": {dst}}
-	return f.c.doDiscard(ctx, http.MethodPost,
-		"/v1/copy/"+url.PathEscape(f.account)+"?"+q.Encode(), nil)
+	return f.pairOp(ctx, "copy", src, dst)
 }
 
 // List implements fsapi.FileSystem.
@@ -244,12 +249,8 @@ func (f *ClientFS) List(ctx context.Context, path string, detail bool) ([]fsapi.
 // ListPage lists with Swift-style pagination: at most limit entries
 // strictly after marker, plus the next marker ("" when exhausted).
 func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marker string, limit int) ([]fsapi.EntryInfo, string, error) {
-	r, err := f.route("list", path)
-	if err != nil {
-		return nil, "", err
-	}
-	// Built by hand rather than with url.Values: a plain listing's URL is
-	// one concatenation.
+	// Built by hand rather than with url.Values, so a listing with no
+	// marker and no limit adds nothing to route's one concatenation.
 	q := ""
 	if detail {
 		q = "&detail=1"
@@ -260,23 +261,20 @@ func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marke
 	if marker != "" {
 		q += "&marker=" + url.QueryEscape(marker)
 	}
-	if q != "" {
-		r += "?" + q[1:]
-	}
-	resp, err := f.c.do(ctx, http.MethodGet, r, nil)
+	r, err := f.route("list", path, q)
 	if err != nil {
 		return nil, "", err
 	}
-	defer resp.Body.Close()
 	var entries []Entry
-	if err := json.NewDecoder(resp.Body).Decode(&entries); err != nil {
-		return nil, "", fmt.Errorf("httpapi: decode list: %w", err)
+	h, err := f.c.getJSON(ctx, r, &entries)
+	if err != nil {
+		return nil, "", err
 	}
 	out := make([]fsapi.EntryInfo, len(entries))
 	for i, e := range entries {
 		out[i] = fsapi.EntryInfo(e)
 	}
-	next, err := url.PathUnescape(resp.Header.Get("X-Next-Marker"))
+	next, err := url.PathUnescape(h.Get("X-Next-Marker"))
 	if err != nil {
 		return nil, "", fmt.Errorf("httpapi: bad next marker: %w", err)
 	}
@@ -285,25 +283,17 @@ func (f *ClientFS) ListPage(ctx context.Context, path string, detail bool, marke
 
 // WriteFile implements fsapi.FileSystem.
 func (f *ClientFS) WriteFile(ctx context.Context, path string, data []byte) error {
-	r, err := f.route("fs", path)
-	if err != nil {
-		return err
-	}
-	return f.c.doDiscard(ctx, http.MethodPut, r, bytes.NewReader(data))
+	return f.send(ctx, http.MethodPut, "fs", path, bytes.NewReader(data))
 }
 
 // ReadFile implements fsapi.FileSystem.
 func (f *ClientFS) ReadFile(ctx context.Context, path string) ([]byte, error) {
-	r, err := f.route("fs", path)
+	r, err := f.route("fs", path, "")
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.c.do(ctx, http.MethodGet, r, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	_, data, err := f.c.call(ctx, http.MethodGet, r, nil)
+	return data, err
 }
 
 // WriteFileChunked streams r into a chunked (large object) file: the
@@ -311,11 +301,7 @@ func (f *ClientFS) ReadFile(ctx context.Context, path string) ([]byte, error) {
 // upload never materializes in middleware memory and later ranged reads
 // touch only the overlapped segments.
 func (f *ClientFS) WriteFileChunked(ctx context.Context, path string, r io.Reader, chunkSize int) error {
-	route, err := f.route("fs", path)
-	if err != nil {
-		return err
-	}
-	return f.c.doDiscard(ctx, http.MethodPut, route, r, "X-Chunk-Size", strconv.Itoa(chunkSize))
+	return f.send(ctx, http.MethodPut, "fs", path, r, "X-Chunk-Size", strconv.Itoa(chunkSize))
 }
 
 // ReadFileRange reads length bytes starting at offset (length < 0 means
@@ -325,7 +311,7 @@ func (f *ClientFS) WriteFileChunked(ctx context.Context, path string, r io.Reade
 // empty range — which has no "bytes=a-b" form — reads nothing from a file
 // that exists and is not a directory.
 func (f *ClientFS) ReadFileRange(ctx context.Context, path string, offset, length int64) ([]byte, error) {
-	r, err := f.route("fs", path)
+	r, err := f.route("fs", path, "")
 	if err != nil {
 		return nil, err
 	}
@@ -342,44 +328,27 @@ func (f *ClientFS) ReadFileRange(ctx context.Context, path string, offset, lengt
 		}
 		return []byte{}, nil
 	}
-	var rng string
-	if length < 0 || length-1 > math.MaxInt64-offset {
-		// Open-ended, or a last byte past the largest int64: read to the end.
-		rng = fmt.Sprintf("bytes=%d-", offset)
-	} else {
-		rng = fmt.Sprintf("bytes=%d-%d", offset, offset+length-1)
+	// Open-ended, or with a last byte past the largest int64: to the end.
+	rng := "bytes=" + strconv.FormatInt(offset, 10) + "-"
+	if length > 0 && length-1 <= math.MaxInt64-offset {
+		rng += strconv.FormatInt(offset+length-1, 10)
 	}
-	resp, err := f.c.do(ctx, http.MethodGet, r, nil, "Range", rng)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	_, data, err := f.c.call(ctx, http.MethodGet, r, nil, "Range", rng)
+	return data, err
 }
 
 // Stat implements fsapi.FileSystem.
 func (f *ClientFS) Stat(ctx context.Context, path string) (fsapi.EntryInfo, error) {
-	r, err := f.route("stat", path)
+	r, err := f.route("stat", path, "")
 	if err != nil {
 		return fsapi.EntryInfo{}, err
 	}
-	resp, err := f.c.do(ctx, http.MethodGet, r, nil)
-	if err != nil {
-		return fsapi.EntryInfo{}, err
-	}
-	defer resp.Body.Close()
 	var e Entry
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		return fsapi.EntryInfo{}, fmt.Errorf("httpapi: decode stat: %w", err)
-	}
-	return fsapi.EntryInfo(e), nil
+	_, err = f.c.getJSON(ctx, r, &e)
+	return fsapi.EntryInfo(e), err
 }
 
 // Remove implements fsapi.FileSystem.
 func (f *ClientFS) Remove(ctx context.Context, path string) error {
-	r, err := f.route("fs", path)
-	if err != nil {
-		return err
-	}
-	return f.c.doDiscard(ctx, http.MethodDelete, r, nil)
+	return f.send(ctx, http.MethodDelete, "fs", path, nil)
 }

@@ -3,7 +3,6 @@ package httpapi
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -160,35 +159,85 @@ func TestSpecialCharactersInNames(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Name != strings.TrimPrefix(name, "/") {
 		t.Fatalf("List = %+v, %v", entries, err)
 	}
+	// An account name holding a '/' travels as one escaped segment, never
+	// as an account and a path into "alice".
+	if err := client.CreateAccount(ctx, "alice/x"); !errors.Is(err, fsapi.ErrInvalidPath) {
+		t.Fatalf("CreateAccount(alice/x) = %v, want ErrInvalidPath", err)
+	}
+	if _, err := client.FS("alice"+name).Stat(ctx, "/"); !errors.Is(err, fsapi.ErrNotFound) {
+		t.Fatalf("Stat of account %q = %v, want ErrNotFound", "alice"+name, err)
+	}
 }
 
+// TestRawHTTPStatuses pins, route by route, the statuses the web API
+// answers on the wire: every (method, verb) against a missing account, a
+// HEAD on a GET route, 405 with Allow for a wrong method on a known verb,
+// 404 for an unknown verb or extra segments on an account-only route.
 func TestRawHTTPStatuses(t *testing.T) {
-	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
-	if err != nil {
-		t.Fatal(err)
+	base, hc, _ := newRawStack(t)
+	cases := []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		// Every route on an account that does not exist.
+		{"HEAD", "/v1/accounts/nobody", 404, ""},
+		{"PUT", "/v1/accounts/newbie", 201, ""},
+		{"DELETE", "/v1/accounts/nobody", 404, ""},
+		{"GET", "/v1/fs/nobody/x", 404, ""},
+		{"PUT", "/v1/fs/nobody/x", 404, ""},
+		{"DELETE", "/v1/fs/nobody/x", 404, ""},
+		{"GET", "/v1/stat/nobody/", 404, ""},
+		{"GET", "/v1/list/nobody/", 404, ""},
+		{"POST", "/v1/mkdir/nobody/d", 404, ""},
+		{"POST", "/v1/rmdir/nobody/d", 404, ""},
+		{"POST", "/v1/move/nobody?src=/a&dst=/b", 404, ""},
+		{"POST", "/v1/copy/nobody?src=/a&dst=/b", 404, ""},
+		{"GET", "/v1/rel/nobody/x", 400, ""},
+		{"GET", "/v1/ns/nobody/", 404, ""},
+		{"GET", "/v1/usage/nobody", 404, ""},
+		{"GET", "/v1/stats", 200, ""},
+		// A GET route serves a HEAD.
+		{"HEAD", "/v1/stat/alice/x", 200, ""},
+		{"HEAD", "/v1/fs/alice/x", 200, ""},
+		{"HEAD", "/v1/fs/nobody/x", 404, ""},
+		{"HEAD", "/v1/usage/alice", 200, ""},
+		// A known verb with a method it has no route for.
+		{"POST", "/v1/fs/alice/x", 405, "DELETE, GET, HEAD, PUT"},
+		{"PATCH", "/v1/fs/alice/x", 405, "DELETE, GET, HEAD, PUT"},
+		{"GET", "/v1/accounts/alice", 405, "DELETE, HEAD, PUT"},
+		{"DELETE", "/v1/stat/alice/x", 405, "GET, HEAD"},
+		{"GET", "/v1/mkdir/alice/d", 405, "POST"},
+		{"PUT", "/v1/move/alice", 405, "POST"},
+		{"POST", "/v1/stats", 405, "GET, HEAD"},
+		// Unknown verbs, prefixes and spellings.
+		{"GET", "/v1/bogus/alice/x", 404, ""},
+		{"GET", "/v1/FS/alice/x", 404, ""},
+		{"GET", "/v2/fs/alice/x", 404, ""},
+		{"GET", "/v1/", 404, ""},
+		{"GET", "/", 404, ""},
+		// Extra or missing segments around the account.
+		{"PUT", "/v1/accounts/alice/x", 404, ""},
+		{"PUT", "/v1/accounts/alice/", 404, ""},
+		{"PUT", "/v1/accounts/", 404, ""},
+		{"GET", "/v1/stats/x", 404, ""},
+		{"GET", "/v1/stats/", 404, ""},
+		{"GET", "/v1/usage/alice/x", 404, ""},
+		{"POST", "/v1/move/alice/x?src=/x&dst=/y", 404, ""},
+		{"GET", "/v1/fs/", 404, ""},
+		// Escaped segments are matched unescaped.
+		{"GET", "/v1/%66s/alice/x", 200, ""},
+		{"GET", "/v1/fs/al%69ce/x", 200, ""},
+		{"GET", "/v1/fs/alice/%2E%2E/b", 400, ""},
 	}
-	mw, err := h2fs.New(h2fs.Config{Store: c, Node: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mw))
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/stat/ghost/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("stat on missing account = %d", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/v1/move/ghost?src=/a&dst=/b", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("move on missing account = %d", resp.StatusCode)
+	for _, c := range cases {
+		resp, _ := rawDo(t, hc, c.method, base+c.path)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+		}
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("%s %s: Allow %q, want %q", c.method, c.path, got, c.allow)
+		}
 	}
 }
 

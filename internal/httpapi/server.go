@@ -31,7 +31,6 @@ import (
 // Server serves the H2Cloud web APIs over one middleware.
 type Server struct {
 	mw  *h2fs.Middleware
-	mux *http.ServeMux
 	reg *metrics.Registry
 	now func() time.Time
 }
@@ -40,63 +39,124 @@ type Server struct {
 // the wall clock — the inbound web API is the daemon edge where real
 // time is allowed to enter.
 func NewServer(mw *h2fs.Middleware) *Server {
-	s := &Server{mw: mw, mux: http.NewServeMux(), reg: metrics.NewRegistry(), now: time.Now}
-	s.mux.HandleFunc("PUT /v1/accounts/{account}", s.createAccount)
-	s.mux.HandleFunc("DELETE /v1/accounts/{account}", s.deleteAccount)
-	s.mux.HandleFunc("HEAD /v1/accounts/{account}", s.headAccount)
-	s.mux.HandleFunc("GET /v1/fs/{account}/{path...}", s.readFile)
-	s.mux.HandleFunc("PUT /v1/fs/{account}/{path...}", s.writeFile)
-	s.mux.HandleFunc("DELETE /v1/fs/{account}/{path...}", s.removeFile)
-	s.mux.HandleFunc("GET /v1/stat/{account}/{path...}", s.stat)
-	s.mux.HandleFunc("GET /v1/list/{account}/{path...}", s.list)
-	s.mux.HandleFunc("POST /v1/mkdir/{account}/{path...}", s.mkdir)
-	s.mux.HandleFunc("POST /v1/rmdir/{account}/{path...}", s.rmdir)
-	s.mux.HandleFunc("POST /v1/move/{account}", s.move)
-	s.mux.HandleFunc("POST /v1/copy/{account}", s.copy)
-	s.mux.HandleFunc("GET /v1/rel/{account}/{rel...}", s.readRelative)
-	s.mux.HandleFunc("GET /v1/ns/{account}/{path...}", s.resolveNS)
-	s.mux.HandleFunc("GET /v1/usage/{account}", s.usage)
-	s.mux.HandleFunc("GET /v1/stats", s.stats)
-	return s
+	return &Server{mw: mw, reg: metrics.NewRegistry(), now: time.Now}
 }
 
-// ServeHTTP implements http.Handler, recording per-route metrics for the
-// monitoring module (§4.2).
+// shape is what a verb's URLs hold after /v1/<verb>.
+type shape uint8
+
+const (
+	bare        shape = iota // nothing: /v1/stats
+	accountOnly              // one segment: /v1/accounts/<account>
+	accountPath              // an account, then a path: /v1/fs/<account>/<path...>
+)
+
+type routeKey struct{ method, verb string }
+
+// route is one row of the dispatch table. Its handler gets the unescaped
+// rest of the URL after the account, with its leading '/'.
+type route struct {
+	name   string
+	shape  shape
+	handle func(s *Server, w http.ResponseWriter, r *http.Request, account, path string) error
+}
+
+// routes is the dispatch table. A HEAD is served by the verb's GET route
+// when the verb has no HEAD route of its own.
+var routes = map[routeKey]route{
+	{"PUT", "accounts"}:    {"PUT accounts", accountOnly, (*Server).createAccount},
+	{"DELETE", "accounts"}: {"DELETE accounts", accountOnly, (*Server).deleteAccount},
+	{"HEAD", "accounts"}:   {"HEAD accounts", accountOnly, (*Server).headAccount},
+	{"GET", "fs"}:          {"GET fs", accountPath, (*Server).readFile},
+	{"PUT", "fs"}:          {"PUT fs", accountPath, (*Server).writeFile},
+	{"DELETE", "fs"}:       {"DELETE fs", accountPath, (*Server).removeFile},
+	{"GET", "stat"}:        {"GET stat", accountPath, (*Server).stat},
+	{"GET", "list"}:        {"GET list", accountPath, (*Server).list},
+	{"POST", "mkdir"}:      {"POST mkdir", accountPath, (*Server).mkdir},
+	{"POST", "rmdir"}:      {"POST rmdir", accountPath, (*Server).rmdir},
+	{"POST", "move"}:       {"POST move", accountOnly, (*Server).move},
+	{"POST", "copy"}:       {"POST copy", accountOnly, (*Server).copy},
+	{"GET", "rel"}:         {"GET rel", accountPath, (*Server).readRelative},
+	{"GET", "ns"}:          {"GET ns", accountPath, (*Server).resolveNS},
+	{"GET", "usage"}:       {"GET usage", accountOnly, (*Server).usage},
+	{"GET", "stats"}:       {"GET stats", bare, (*Server).stats},
+}
+
+// unmatched is the /v1/stats bucket of every request no route served.
+const unmatched = "unmatched"
+
+// lookup returns the route serving method on verb.
+func lookup(method, verb string) (route, bool) {
+	rt, ok := routes[routeKey{method, verb}]
+	if !ok && method == http.MethodHead {
+		rt, ok = routes[routeKey{http.MethodGet, verb}]
+	}
+	return rt, ok
+}
+
+// ServeHTTP implements http.Handler: it answers a route's error through
+// writeErr, and records the request under the route's bucket for the
+// monitoring module (§4.2), counting only a 5xx as an error.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	var err error
-	if sw.status >= 500 {
-		err = fmt.Errorf("status %d", sw.status)
+	name, err := s.dispatch(w, r)
+	if err != nil && writeErr(w, err) < http.StatusInternalServerError {
+		err = nil
 	}
-	s.reg.Observe(routeName(r), s.now().Sub(start), err)
+	s.reg.Observe(name, s.now().Sub(start), err)
 }
 
-// statusWriter captures the response status for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader implements http.ResponseWriter.
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// routeName maps a request to its metrics bucket: the verb segment of the
-// /v1/<verb>/... routes plus the method.
-func routeName(r *http.Request) string {
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/")
+// dispatch cuts the escaped URL path once into verb, account and path,
+// unescaping a part only if it holds a '%', and runs the route. A path
+// that is not absolute or has an empty, "." or ".." segment is a 400:
+// redirecting it to its clean form, as http.ServeMux did, turns a PUT
+// into a bodiless GET that reports success. An unknown verb or a URL of
+// the wrong shape for its verb is a 404, a method the verb has no route
+// for a 405 with Allow.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) (string, error) {
+	p := r.URL.EscapedPath()
+	if !strings.HasPrefix(p, "/") || strings.Contains(p, "//") || strings.Contains(p, "/./") ||
+		strings.Contains(p, "/../") || strings.HasSuffix(p, "/.") || strings.HasSuffix(p, "/..") {
+		return unmatched, fmt.Errorf("%w: %q is not canonical", fsapi.ErrInvalidPath, p)
+	}
+	// Outside /v1/ the verb is "", which no route has.
+	verb, rest, more := strings.Cut(strings.TrimPrefix(p, "/v1/"), "/")
+	verb = unescape(verb)
+	account, _, _ := strings.Cut(rest, "/")
+	path := rest[len(account):]
+	rt, ok := lookup(r.Method, verb)
+	var allow []string
 	if !ok {
-		return r.Method + " other"
+		// The methods the verb has routes for, sorted as Allow lists them.
+		for _, m := range []string{"DELETE", "GET", "HEAD", "POST", "PUT"} {
+			if other, found := lookup(m, verb); found {
+				allow, rt.shape = append(allow, m), other.shape
+			}
+		}
 	}
-	verb := rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		verb = rest[:i]
+	if (!ok && allow == nil) || (rt.shape == bare && more) ||
+		(rt.shape != bare && account == "") || (rt.shape == accountOnly && path != "") {
+		http.NotFound(w, r)
+		return unmatched, nil
 	}
-	return r.Method + " " + verb
+	if !ok {
+		w.Header()["Allow"] = []string{strings.Join(allow, ", ")}
+		http.Error(w, "Method Not Allowed", http.StatusMethodNotAllowed)
+		return unmatched, nil
+	}
+	if rt.shape == accountPath && path == "" {
+		return unmatched, fmt.Errorf("%w: %q has no path after the account", fsapi.ErrInvalidPath, p)
+	}
+	return rt.name, rt.handle(s, w, r, unescape(account), unescape(path))
+}
+
+// unescape unescapes a part of an escaped path that holds a '%'. It cannot
+// fail: EscapedPath is a valid escaping, and no escape spans a '/'.
+func unescape(s string) string {
+	if strings.IndexByte(s, '%') >= 0 {
+		s, _ = url.PathUnescape(s)
+	}
+	return s
 }
 
 // StatsPayload is the /v1/stats response body.
@@ -115,7 +175,7 @@ type StatsPayload struct {
 // stats serves the monitoring snapshot: per-route operation metrics plus
 // the storage cloud's primitive counters when the backing store exposes
 // them.
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) stats(w http.ResponseWriter, r *http.Request, _, _ string) error {
 	payload := StatsPayload{Node: s.mw.Node(), Ops: s.reg.Snapshot()}
 	if c, ok := s.mw.Store().(*cluster.Cluster); ok {
 		st := c.Stats()
@@ -127,28 +187,20 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		// rest of the monitoring payload is still worth serving.
 		payload.GCQueue = q
 	}
-	writeJSON(w, payload)
+	return writeJSON(w, payload, nil)
 }
 
 // usage serves the account's filesystem footprint.
-func (s *Server) usage(w http.ResponseWriter, r *http.Request) {
-	u, err := s.mw.Usage(r.Context(), r.PathValue("account"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, u)
+func (s *Server) usage(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	u, err := s.mw.Usage(r.Context(), account)
+	return writeJSON(w, u, err)
 }
 
 // resolveNS resolves a directory path to its namespace UUID so clients
 // can use the quick O(1) relative-access method afterwards.
-func (s *Server) resolveNS(w http.ResponseWriter, r *http.Request) {
-	ns, err := s.mw.ResolveNS(r.Context(), r.PathValue("account"), fsPath(r))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"ns": ns})
+func (s *Server) resolveNS(w http.ResponseWriter, r *http.Request, account, path string) error {
+	ns, err := s.mw.ResolveNS(r.Context(), account, path)
+	return writeJSON(w, map[string]string{"ns": ns}, err)
 }
 
 // Entry is the JSON form of fsapi.EntryInfo: the same fields, so the two
@@ -200,87 +252,94 @@ func wireRow(err error) (status int, code string) {
 	return http.StatusInternalServerError, "internal"
 }
 
-// writeErr sends err's wireErrors row, with Retry-After on a 503.
-func writeErr(w http.ResponseWriter, err error) {
+// Reply header values, assigned to the header map instead of Set so no
+// reply builds them again; net/http only reads them.
+var (
+	jsonType   = []string{"application/json"}
+	octetType  = []string{"application/octet-stream"}
+	retryAfter = []string{"1"}
+)
+
+// writeErr sends err's wireErrors row, with Retry-After on a 503, and
+// returns the status it sent.
+func writeErr(w http.ResponseWriter, err error) int {
 	status, code := wireRow(err)
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+		w.Header()["Retry-After"] = retryAfter
 	}
 	writeAPIError(w, status, code, err.Error())
+	return status
 }
 
 // writeAPIError writes the JSON error body decodeErr reads back.
 func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(apiError{Error: msg, Code: code})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// fsPath reconstructs the absolute filesystem path from the wildcard.
-func fsPath(r *http.Request) string {
-	return "/" + r.PathValue("path")
-}
-
-func (s *Server) createAccount(w http.ResponseWriter, r *http.Request) {
-	if err := s.mw.CreateAccount(r.Context(), r.PathValue("account")); err != nil {
-		writeErr(w, err)
-		return
+// writeJSON answers a handler's call: its error, or else v as JSON.
+func writeJSON(w http.ResponseWriter, v any, err error) error {
+	if err == nil {
+		w.Header()["Content-Type"] = jsonType
+		_ = json.NewEncoder(w).Encode(v)
 	}
-	w.WriteHeader(http.StatusCreated)
+	return err
 }
 
-func (s *Server) deleteAccount(w http.ResponseWriter, r *http.Request) {
-	if err := s.mw.DeleteAccount(r.Context(), r.PathValue("account")); err != nil {
-		writeErr(w, err)
-		return
+// reply answers a handler's call: its error, or else status.
+func reply(w http.ResponseWriter, status int, err error) error {
+	if err == nil {
+		w.WriteHeader(status)
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return err
 }
 
-func (s *Server) headAccount(w http.ResponseWriter, r *http.Request) {
-	ok, err := s.mw.AccountExists(r.Context(), r.PathValue("account"))
-	switch {
-	case err != nil:
-		writeErr(w, err)
-	case !ok:
+// writeBytes answers a read: its error, or else status and data as an
+// octet stream.
+func writeBytes(w http.ResponseWriter, status int, data []byte, err error) error {
+	if err == nil {
+		w.Header()["Content-Type"] = octetType
+		w.WriteHeader(status)
+		_, _ = w.Write(data)
+	}
+	return err
+}
+
+func (s *Server) createAccount(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	return reply(w, http.StatusCreated, s.mw.CreateAccount(r.Context(), account))
+}
+
+func (s *Server) deleteAccount(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	return reply(w, http.StatusNoContent, s.mw.DeleteAccount(r.Context(), account))
+}
+
+func (s *Server) headAccount(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	ok, err := s.mw.AccountExists(r.Context(), account)
+	if err == nil && !ok {
 		w.WriteHeader(http.StatusNotFound)
 	}
+	return err
 }
 
-func (s *Server) readFile(w http.ResponseWriter, r *http.Request) {
-	account, path := r.PathValue("account"), fsPath(r)
-	if rng := r.Header.Get("Range"); rng != "" {
-		offset, length, ok := parseRange(rng)
-		if !ok {
-			// Typed like a bad path, so the client's errors.Is sees it.
-			_, code := wireRow(fsapi.ErrInvalidPath)
-			writeAPIError(w, http.StatusRequestedRangeNotSatisfiable, code, fmt.Sprintf("bad Range %q", rng))
-			return
-		}
-		data, err := s.mw.ReadFileRange(r.Context(), account, path, offset, length)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/*", offset, offset+int64(len(data))-1))
-		w.WriteHeader(http.StatusPartialContent)
-		_, _ = w.Write(data)
-		return
+func (s *Server) readFile(w http.ResponseWriter, r *http.Request, account, path string) error {
+	rng := r.Header.Get("Range")
+	if rng == "" {
+		data, err := s.mw.ReadFile(r.Context(), account, path)
+		return writeBytes(w, http.StatusOK, data, err)
 	}
-	data, err := s.mw.ReadFile(r.Context(), account, path)
-	if err != nil {
-		writeErr(w, err)
-		return
+	offset, length, ok := parseRange(rng)
+	if !ok {
+		// Typed like a bad path, so the client's errors.Is sees it.
+		_, code := wireRow(fsapi.ErrInvalidPath)
+		writeAPIError(w, http.StatusRequestedRangeNotSatisfiable, code, fmt.Sprintf("bad Range %q", rng))
+		return nil
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
+	data, err := s.mw.ReadFileRange(r.Context(), account, path, offset, length)
+	if err == nil {
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/*", offset, offset+int64(len(data))-1))
+	}
+	return writeBytes(w, http.StatusPartialContent, data, err)
 }
 
 // parseRange understands the single-range form "bytes=start-end" (end
@@ -308,67 +367,59 @@ func parseRange(h string) (offset, length int64, ok bool) {
 	return start, end - start + 1, true
 }
 
-func (s *Server) writeFile(w http.ResponseWriter, r *http.Request) {
+// maxSizedBody caps the buffer an announced Content-Length sizes up
+// front. Past it, or with no length, a body is read with io.ReadAll, so a
+// peer that claims a huge body cannot force a huge allocation.
+const maxSizedBody = 1 << 20
+
+// readBody reads a body the peer announced as n bytes (-1: unknown).
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
+}
+
+func (s *Server) writeFile(w http.ResponseWriter, r *http.Request, account, path string) error {
 	if cs := r.Header.Get("X-Chunk-Size"); cs != "" {
 		// Chunked (large object) upload: stream the body into segment
 		// objects plus a manifest without buffering the whole file.
 		chunkSize, err := strconv.Atoi(cs)
 		if err != nil || chunkSize <= 0 {
-			writeErr(w, fmt.Errorf("bad X-Chunk-Size %q: %w", cs, fsapi.ErrInvalidPath))
-			return
+			return fmt.Errorf("bad X-Chunk-Size %q: %w", cs, fsapi.ErrInvalidPath)
 		}
-		if err := s.mw.WriteFileChunked(r.Context(), r.PathValue("account"), fsPath(r), r.Body, chunkSize); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-		return
+		return reply(w, http.StatusCreated, s.mw.WriteFileChunked(r.Context(), account, path, r.Body, chunkSize))
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
-		writeErr(w, fmt.Errorf("read body: %w", err))
-		return
+		return fmt.Errorf("read body: %w", err)
 	}
-	if err := s.mw.WriteFile(r.Context(), r.PathValue("account"), fsPath(r), data); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
+	return reply(w, http.StatusCreated, s.mw.WriteFile(r.Context(), account, path, data))
 }
 
-func (s *Server) removeFile(w http.ResponseWriter, r *http.Request) {
-	if err := s.mw.Remove(r.Context(), r.PathValue("account"), fsPath(r)); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func (s *Server) removeFile(w http.ResponseWriter, r *http.Request, account, path string) error {
+	return reply(w, http.StatusNoContent, s.mw.Remove(r.Context(), account, path))
 }
 
-func (s *Server) stat(w http.ResponseWriter, r *http.Request) {
-	info, err := s.mw.Stat(r.Context(), r.PathValue("account"), fsPath(r))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, Entry(info))
+func (s *Server) stat(w http.ResponseWriter, r *http.Request, account, path string) error {
+	info, err := s.mw.Stat(r.Context(), account, path)
+	return writeJSON(w, Entry(info), err)
 }
 
-func (s *Server) list(w http.ResponseWriter, r *http.Request) {
+func (s *Server) list(w http.ResponseWriter, r *http.Request, account, path string) error {
 	q := r.URL.Query()
-	detail := q.Get("detail") == "1"
 	limit := 0
 	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("bad limit %q: %w", ls, fsapi.ErrInvalidPath))
-			return
+		var err error
+		if limit, err = strconv.Atoi(ls); err != nil || limit < 0 {
+			return fmt.Errorf("bad limit %q: %w", ls, fsapi.ErrInvalidPath)
 		}
-		limit = n
 	}
-	entries, next, err := s.mw.ListPage(r.Context(), r.PathValue("account"), fsPath(r), detail, q.Get("marker"), limit)
+	entries, next, err := s.mw.ListPage(r.Context(), account, path, q.Get("detail") == "1", q.Get("marker"), limit)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return err
 	}
 	if next != "" {
 		// A child name may hold any byte but '/', a header value may not:
@@ -379,49 +430,28 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		out[i] = Entry(e)
 	}
-	writeJSON(w, out)
+	return writeJSON(w, out, nil)
 }
 
-func (s *Server) mkdir(w http.ResponseWriter, r *http.Request) {
-	if err := s.mw.Mkdir(r.Context(), r.PathValue("account"), fsPath(r)); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
+func (s *Server) mkdir(w http.ResponseWriter, r *http.Request, account, path string) error {
+	return reply(w, http.StatusCreated, s.mw.Mkdir(r.Context(), account, path))
 }
 
-func (s *Server) rmdir(w http.ResponseWriter, r *http.Request) {
-	if err := s.mw.Rmdir(r.Context(), r.PathValue("account"), fsPath(r)); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func (s *Server) rmdir(w http.ResponseWriter, r *http.Request, account, path string) error {
+	return reply(w, http.StatusNoContent, s.mw.Rmdir(r.Context(), account, path))
 }
 
-func (s *Server) move(w http.ResponseWriter, r *http.Request) {
-	src, dst := r.URL.Query().Get("src"), r.URL.Query().Get("dst")
-	if err := s.mw.Move(r.Context(), r.PathValue("account"), src, dst); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func (s *Server) move(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	q := r.URL.Query()
+	return reply(w, http.StatusNoContent, s.mw.Move(r.Context(), account, q.Get("src"), q.Get("dst")))
 }
 
-func (s *Server) copy(w http.ResponseWriter, r *http.Request) {
-	src, dst := r.URL.Query().Get("src"), r.URL.Query().Get("dst")
-	if err := s.mw.Copy(r.Context(), r.PathValue("account"), src, dst); err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
+func (s *Server) copy(w http.ResponseWriter, r *http.Request, account, _ string) error {
+	q := r.URL.Query()
+	return reply(w, http.StatusCreated, s.mw.Copy(r.Context(), account, q.Get("src"), q.Get("dst")))
 }
 
-func (s *Server) readRelative(w http.ResponseWriter, r *http.Request) {
-	data, _, err := s.mw.AccessRelative(r.Context(), r.PathValue("account"), r.PathValue("rel"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
+func (s *Server) readRelative(w http.ResponseWriter, r *http.Request, account, path string) error {
+	data, _, err := s.mw.AccessRelative(r.Context(), account, path[1:])
+	return writeBytes(w, http.StatusOK, data, err)
 }
