@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -155,14 +154,8 @@ func showRing(c *cluster.Cluster, account, ns string) {
 	ring := rr.Ring
 	fmt.Printf("NameRing %s::%s  (%d tuples, %d live, %d extents)\n",
 		account, ns, ring.TotalLen(), ring.Len(), rr.Layout.Shards)
-	wm := core.ParseWatermarks(rr.Head.Meta)
-	nodes := make([]int, 0, len(wm))
-	for node := range wm {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
-	for _, node := range nodes {
-		fmt.Printf("  merge watermark %d = %d\n", node, wm[node])
+	for _, w := range core.ParseWatermarks(nil, rr.Head.Meta) {
+		fmt.Printf("  merge watermark %d = %d\n", w.Node, w.Seq)
 	}
 	for _, t := range ring.All() {
 		flags := ""

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -154,15 +156,71 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 }
 
 func TestWatermarksRoundTrip(t *testing.T) {
-	wm := map[int]int{0: 4, 3: 17}
+	wm := Watermarks{{Node: 0, Seq: 4}, {Node: 3, Seq: 17}}
 	meta := EncodeWatermarks(wm)
 	if want := map[string]string{"wm.0": "4", "wm.3": "17"}; !reflect.DeepEqual(meta, want) {
 		t.Fatalf("EncodeWatermarks = %v, want %v", meta, want)
 	}
 	meta[MetaType] = TypeDir
-	meta["wm.x"] = "1"
-	meta["wm.5"] = "y"
-	if got := ParseWatermarks(meta); !reflect.DeepEqual(got, wm) {
+	if got := ParseWatermarks(nil, meta); !reflect.DeepEqual(got, wm) {
 		t.Fatalf("ParseWatermarks = %v, want %v", got, wm)
+	}
+	if got := ParseWatermarks(nil, nil); len(got) != 0 {
+		t.Fatalf("ParseWatermarks(nil) = %v, want none", got)
+	}
+}
+
+// TestWatermarksIgnoreMalformedFields: a "wm." field whose node or
+// sequence is not an integer is not a watermark.
+func TestWatermarksIgnoreMalformedFields(t *testing.T) {
+	meta := map[string]string{"wm.": "1", "wm.x": "1", "wm.5": "y", "wm.2": "", "wm.7": "3", "wmx.1": "2"}
+	if got, want := ParseWatermarks(nil, meta), (Watermarks{{Node: 7, Seq: 3}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseWatermarks(%v) = %v, want %v", meta, got, want)
+	}
+}
+
+// TestWatermarksRaiseNeverLowers: parsing into a set, like Raise, keeps
+// the higher of the two sequences per node; Set is the one way down.
+func TestWatermarksRaiseNeverLowers(t *testing.T) {
+	wm := Watermarks{{Node: 1, Seq: 9}}
+	wm = wm.Raise(1, 4)
+	if got := wm.Get(1); got != 9 {
+		t.Fatalf("Raise(1, 4) over 9 left %d", got)
+	}
+	wm = ParseWatermarks(wm, map[string]string{"wm.1": "2", "wm.2": "6"})
+	if want := (Watermarks{{Node: 1, Seq: 9}, {Node: 2, Seq: 6}}); !reflect.DeepEqual(wm, want) {
+		t.Fatalf("ParseWatermarks over %v = %v, want %v", Watermarks{{Node: 1, Seq: 9}}, wm, want)
+	}
+	wm = wm.Raise(2, 8).Set(1, 3)
+	if want := (Watermarks{{Node: 1, Seq: 3}, {Node: 2, Seq: 8}}); !reflect.DeepEqual(wm, want) {
+		t.Fatalf("Raise(2, 8).Set(1, 3) = %v, want %v", wm, want)
+	}
+	if got := wm.Get(5); got != 0 {
+		t.Fatalf("Get of a node without a watermark = %d, want 0", got)
+	}
+}
+
+// TestWatermarksNodeSorted: whatever order the metadata map yields its
+// fields in, the parsed set is in ascending node order, and parsing into
+// spare capacity allocates nothing.
+func TestWatermarksNodeSorted(t *testing.T) {
+	meta := map[string]string{}
+	for _, node := range []int{12, 3, 40, 0, 7, 25} {
+		meta["wm."+strconv.Itoa(node)] = strconv.Itoa(node * 2)
+	}
+	for i := 0; i < 20; i++ {
+		got := ParseWatermarks(nil, meta)
+		if !slices.IsSortedFunc(got, func(a, b Watermark) int { return a.Node - b.Node }) || len(got) != 6 {
+			t.Fatalf("ParseWatermarks = %v, want 6 entries in node order", got)
+		}
+		for _, w := range got {
+			if w.Seq != w.Node*2 {
+				t.Fatalf("ParseWatermarks = %v: node %d has seq %d", got, w.Node, w.Seq)
+			}
+		}
+	}
+	var slots [6]Watermark
+	if n := testing.AllocsPerRun(100, func() { _ = ParseWatermarks(slots[:0], meta) }); n != 0 {
+		t.Errorf("ParseWatermarks into spare capacity allocates %v times", n)
 	}
 }

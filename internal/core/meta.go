@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -68,21 +70,65 @@ func ParseChunkManifest(meta map[string]string) (c ChunkManifest, ok bool) {
 	return c, true
 }
 
-// EncodeWatermarks renders per-node merge watermarks (node -> highest
-// patch sequence folded into the stored ring) as ring object metadata,
-// one "wm.<node>" field each.
-func EncodeWatermarks(wm map[int]int) map[string]string {
+// Watermark is one node's merge watermark: the highest patch sequence of
+// that node already folded into a stored ring.
+type Watermark struct {
+	Node, Seq int
+}
+
+// Watermarks is a ring's watermark set, one entry per node in ascending
+// node order. The zero value is the empty set.
+type Watermarks []Watermark
+
+// find returns the index of node's entry, or where it would go.
+func (w Watermarks) find(node int) (int, bool) {
+	return slices.BinarySearchFunc(w, node, func(m Watermark, node int) int { return cmp.Compare(m.Node, node) })
+}
+
+// Get returns node's watermark, 0 if it has none.
+func (w Watermarks) Get(node int) int {
+	if i, ok := w.find(node); ok {
+		return w[i].Seq
+	}
+	return 0
+}
+
+// Raise returns w with node's watermark at least seq; a node without one
+// gets seq. A watermark is never lowered.
+func (w Watermarks) Raise(node, seq int) Watermarks {
+	i, ok := w.find(node)
+	if !ok {
+		return slices.Insert(w, i, Watermark{Node: node, Seq: seq})
+	}
+	w[i].Seq = max(w[i].Seq, seq)
+	return w
+}
+
+// Set returns w with node's watermark exactly seq.
+func (w Watermarks) Set(node, seq int) Watermarks {
+	i, ok := w.find(node)
+	if !ok {
+		return slices.Insert(w, i, Watermark{Node: node, Seq: seq})
+	}
+	w[i].Seq = seq
+	return w
+}
+
+// EncodeWatermarks renders per-node merge watermarks as ring object
+// metadata, one "wm.<node>" field each.
+func EncodeWatermarks(wm Watermarks) map[string]string {
 	meta := make(map[string]string, len(wm))
-	for node, seq := range wm {
-		meta[metaWatermark+strconv.Itoa(node)] = strconv.Itoa(seq)
+	for _, w := range wm {
+		meta[metaWatermark+strconv.Itoa(w.Node)] = strconv.Itoa(w.Seq)
 	}
 	return meta
 }
 
-// ParseWatermarks is EncodeWatermarks' inverse; fields that are not
+// ParseWatermarks is EncodeWatermarks' inverse: it raises dst by every
+// "wm.<node>" field of meta and returns it, so a caller that passes
+// spare capacity parses without allocating. Fields that are not
 // well-formed watermarks are ignored.
-func ParseWatermarks(meta map[string]string) map[int]int {
-	wm := map[int]int{}
+func ParseWatermarks(dst Watermarks, meta map[string]string) Watermarks {
 	for k, v := range meta {
 		rest, ok := strings.CutPrefix(k, metaWatermark)
 		if !ok {
@@ -91,8 +137,8 @@ func ParseWatermarks(meta map[string]string) map[int]int {
 		node, err1 := strconv.Atoi(rest)
 		seq, err2 := strconv.Atoi(v)
 		if err1 == nil && err2 == nil {
-			wm[node] = seq
+			dst = dst.Raise(node, seq)
 		}
 	}
-	return wm
+	return dst
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,12 +22,14 @@ type descriptor struct {
 	ns      string
 	key     string // core.RingKey(account, ns), built once: the ring object's name
 
-	// local is this node's local version (§3.3.2 step 1) and
-	// watermarks[node] the highest patch sequence of that node already
-	// folded into the flushed ring object. Both are nil until the first
-	// store read is adopted: a load owns what it decoded.
+	// local is this node's local version (§3.3.2 step 1) and watermarks
+	// the highest patch sequence of each node already folded into the
+	// flushed ring object. Both are nil until the first store read is
+	// adopted: a load owns what it decoded, and parses the watermarks into
+	// wmSlots, which hold two middlewares' without an allocation.
 	local      *core.NameRing
-	watermarks map[int]int
+	watermarks core.Watermarks
+	wmSlots    [2]core.Watermark
 	loaded     bool
 	// settled marks a descriptor that was released clean after it had
 	// loaded — a stub, or one woken from it (descache.go): this node's own
@@ -125,11 +126,12 @@ func (d *descriptor) dirtyShardSet() []int {
 }
 
 // storedRing is what one store read tells a descriptor about its
-// directory's ring: the merged tuples it fetched, the flush watermarks, and
-// the layout they are stored under.
+// directory's ring: the merged tuples it fetched, the head's sealed
+// metadata that carries the flush watermarks, and the layout they are
+// stored under.
 type storedRing struct {
 	ring  *core.NameRing
-	wm    map[int]int
+	meta  map[string]string
 	lay   core.ShardManifest
 	found bool
 	tags  []string // descriptor.tags once ring is merged
@@ -147,22 +149,16 @@ type storedRing struct {
 // transitioned to.
 func (d *descriptor) adopt(sr storedRing) {
 	if d.local == nil {
-		// The first read: own the decoded ring and the parsed watermarks
-		// instead of merging them tuple by tuple into empty copies.
-		d.local, d.watermarks = sr.ring, sr.wm
+		// The first read: own the decoded ring instead of merging it tuple
+		// by tuple into an empty copy.
+		d.local = sr.ring
 		if d.local == nil {
 			d.local = core.NewNameRing()
 		}
-		if d.watermarks == nil {
-			d.watermarks = map[int]int{}
-		}
+		d.watermarks = core.ParseWatermarks(d.wmSlots[:0], sr.meta)
 	} else if sr.found {
 		d.local.Merge(sr.ring)
-		for node, seq := range sr.wm {
-			if seq > d.watermarks[node] {
-				d.watermarks[node] = seq
-			}
-		}
+		d.watermarks = core.ParseWatermarks(d.watermarks, sr.meta)
 	}
 	if sr.found {
 		d.lay, d.tags = sr.lay, sr.tags
@@ -185,7 +181,7 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	if validate && headIsExtent && len(d.tags) == 1 && d.tags[0] != "" {
 		if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == d.tags[0] {
 			m.reg.Inc("flush.validated", 1)
-			return storedRing{wm: core.ParseWatermarks(info.Meta), lay: d.lay, found: true, full: true, tags: d.tags}, nil
+			return storedRing{meta: info.Meta, lay: d.lay, found: true, full: true, tags: d.tags}, nil
 		}
 		m.reg.Inc("flush.refetched", 1)
 	}
@@ -196,14 +192,13 @@ func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate
 	case err != nil:
 		return storedRing{}, err
 	}
-	wm := core.ParseWatermarks(h.Head.Meta)
 	if validate && !headIsExtent && h.Layout == d.lay {
 		sr, err := m.revalidate(ctx, d)
-		sr.wm = wm
+		sr.meta = h.Head.Meta
 		return sr, err
 	}
 	ring, tags, err := h.readAll(ctx, m.store, d.account, d.ns, d.loaded)
-	return storedRing{ring: ring, wm: wm, lay: h.Layout, found: true, tags: tags, full: true}, err
+	return storedRing{ring: ring, meta: h.Head.Meta, lay: h.Layout, found: true, tags: tags, full: true}, err
 }
 
 // revalidate is the O(dirty) read of a flush over many extents: one batched
@@ -249,29 +244,25 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	// Replay this node's orphaned patches (crash recovery) — unless the
 	// descriptor is settled: its chain was empty when it was released clean
 	// and nobody else writes it, so the probe could only miss.
-	seq := d.watermarks[m.node] + 1
+	seq := d.watermarks.Get(m.node) + 1
 	if d.settled {
 		m.reg.Inc("descCache.probes.skipped", 1)
 	} else if seq, err = m.replayChain(ctx, d, m.node, seq); err != nil {
 		return err
 	}
 	d.nextSeq = seq
-	d.firstUnflushed = d.watermarks[m.node] + 1
-	// Replay peers' unmerged patch chains too, in sorted node order for
+	d.firstUnflushed = d.watermarks.Get(m.node) + 1
+	// Replay peers' unmerged patch chains too, in node order for
 	// determinism: after a restart the flushed ring object may trail
 	// patches peers have already acknowledged to their clients, and a
 	// reloading middleware must not serve a view missing those updates.
 	// Peers unknown to the watermarks (never flushed) reconverge through
 	// gossip instead.
-	var peers []int // usually none: a lone middleware's reload allocates nothing here
-	for node := range d.watermarks {
-		if node != m.node {
-			peers = append(peers, node)
+	for _, w := range d.watermarks {
+		if w.Node == m.node {
+			continue
 		}
-	}
-	sort.Ints(peers)
-	for _, node := range peers {
-		if _, err := m.replayChain(ctx, d, node, d.watermarks[node]+1); err != nil {
+		if _, err := m.replayChain(ctx, d, w.Node, w.Seq+1); err != nil {
 			return err
 		}
 	}
@@ -426,7 +417,7 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 		d.adopt(sr)
 		to = m.desiredLayout(d)
 	}
-	d.watermarks[m.node] = d.nextSeq - 1
+	d.watermarks = d.watermarks.Set(m.node, d.nextSeq-1)
 	which := d.dirtyShardSet()
 	if to != d.lay {
 		which = to.All()

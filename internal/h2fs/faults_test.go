@@ -199,3 +199,28 @@ func TestRootReadFaultIsNotAbsence(t *testing.T) {
 	_, err = afs.Stat(ctx, "/f")
 	faulted("Stat(/f)", err)
 }
+
+// TestDetailedListFailsOnHeadFault: a detailed LIST reports a child whose
+// content object is gone as sizeless, like Stat, but a HEAD that failed
+// for any other reason fails the page instead of reading as size 0.
+func TestDetailedListFailsOnHeadFault(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("xyz")))
+	mustNoErr(t, afs.WriteFile(ctx, "/g", []byte("xy")))
+	cs.FailOn(chaos.OpHead, "::f")
+	if entries, err := afs.List(ctx, "/", true); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("detailed List with a failing HEAD = %+v, %v, want the injected fault", entries, err)
+	}
+	if entries, err := afs.List(ctx, "/", false); err != nil || len(entries) != 2 {
+		t.Fatalf("plain List with a failing HEAD = %+v, %v, want both names", entries, err)
+	}
+	cs.FailOn(chaos.OpHead, "")
+	entries, err := afs.List(ctx, "/", true)
+	mustNoErr(t, err)
+	if len(entries) != 2 || entries[0].Size != 3 || entries[1].Size != 2 {
+		t.Fatalf("detailed List = %+v, want f of 3 bytes and g of 2", entries)
+	}
+}

@@ -384,10 +384,16 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 		keys[i], all = all[:n], all[n:]
 	}
 	// One multi-Head covers the whole page: a native Batcher charges the
-	// overlapped fanout window over profile.Fanout workers. A child
-	// deleted mid-list is simply reported sizeless.
+	// overlapped fanout window over profile.Fanout workers. As in Stat, a
+	// child deleted mid-list is reported sizeless; any other failed HEAD
+	// fails the page.
 	for i, r := range objstore.MultiHead(ctx, m.store, keys) {
-		if r.Err != nil || entries[i].IsDir {
+		switch {
+		case errors.Is(r.Err, objstore.ErrNotFound):
+			continue
+		case r.Err != nil:
+			return nil, "", fmt.Errorf("h2fs: list %s: %s: %w", path, entries[i].Name, r.Err)
+		case entries[i].IsDir:
 			continue
 		}
 		entries[i].Size = r.Info.Size

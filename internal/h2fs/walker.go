@@ -3,7 +3,6 @@ package h2fs
 import (
 	"context"
 	"errors"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -187,10 +186,9 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 		}
 		// Collect patch chains: probe upward from each node's merge
 		// watermark until the chain ends.
-		for _, node := range sortedNodeIDs(watermarks) {
-			node, wm := node, watermarks[node]
-			g.GoChild("", "\x00patch."+strconv.Itoa(node), func(ctx context.Context) error {
-				return m.collectPatchChain(ctx, account, ns, node, wm)
+		for _, w := range watermarks {
+			g.GoChild("", "\x00patch."+strconv.Itoa(w.Node), func(ctx context.Context) error {
+				return m.collectPatchChain(ctx, account, ns, w.Node, w.Seq)
 			})
 		}
 		return nil
@@ -199,20 +197,17 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 
 // gcSnapshot captures a namespace's tuples, per-node patch watermarks,
 // and store layout under the descriptor lock.
-func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, map[int]int, core.ShardManifest, error) {
+func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, core.Watermarks, core.ShardManifest, error) {
 	d := m.lockedDesc(account, ns)
 	defer m.unlockDesc(d)
 	if err := m.load(ctx, d); err != nil {
 		return nil, nil, core.ShardManifest{}, err
 	}
 	tuples := d.local.All()
-	watermarks := make(map[int]int, len(d.watermarks)+1)
-	for node, seq := range d.watermarks {
-		watermarks[node] = seq
-	}
-	if _, ok := watermarks[m.node]; !ok {
-		watermarks[m.node] = 0
-	}
+	// A copy with this node's chain in it, probed from its start if the
+	// node never flushed.
+	watermarks := make(core.Watermarks, 0, len(d.watermarks)+1)
+	watermarks = append(watermarks, d.watermarks...).Raise(m.node, 0)
 	return tuples, watermarks, d.lay, nil
 }
 
@@ -242,15 +237,4 @@ func (m *Middleware) collectPatchChain(ctx context.Context, account, ns string, 
 			return err
 		}
 	}
-}
-
-// sortedNodeIDs returns the map's keys in ascending order, so task
-// scheduling never depends on map iteration order.
-func sortedNodeIDs(watermarks map[int]int) []int {
-	ids := make([]int, 0, len(watermarks))
-	for id := range watermarks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

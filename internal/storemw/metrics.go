@@ -2,7 +2,6 @@ package storemw
 
 import (
 	"context"
-	"sync"
 
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
@@ -35,21 +34,11 @@ var (
 // Unwrap implements Wrapper.
 func (s *metricsStore) Unwrap() objstore.Store { return s.inner }
 
-// trackerPool recycles the child trackers observed interposes, so the
-// metrics ring adds no per-op tracker allocation. A tracker is returned
-// to the pool only after the wrapped call finished and its elapsed time
-// was read, so no reference outlives the observation.
-var trackerPool = sync.Pool{New: func() any { return vclock.NewTracker() }}
-
-// observed runs fn with a pooled child tracker, records the intercepted
-// virtual duration under op (a constant "store.<op>" label), and hands
-// the cost back to the parent request.
+// observed runs fn under vclock.Observe, records the intercepted virtual
+// duration under op (a constant "store.<op>" label), and hands the cost
+// back to the parent request.
 func (s *metricsStore) observed(ctx context.Context, op string, fn func(context.Context) error) {
-	child := trackerPool.Get().(*vclock.Tracker)
-	child.Reset()
-	err := fn(vclock.With(ctx, child))
-	elapsed := child.Elapsed()
-	trackerPool.Put(child)
+	elapsed, err := vclock.Observe(ctx, fn)
 	//h2vet:ignore costcheck op tracing intercepts the inner store's charges on a child tracker and re-charges the parent unchanged
 	vclock.Charge(ctx, elapsed)
 	s.reg.Observe(op, elapsed, err)

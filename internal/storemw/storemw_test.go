@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/vclock"
@@ -349,5 +350,31 @@ func TestStackedRetryAndMetrics(t *testing.T) {
 	want := 6*time.Millisecond + backoff("put", "a", 0)
 	if tr.Elapsed() != want {
 		t.Fatalf("charged %v, want %v", tr.Elapsed(), want)
+	}
+}
+
+// TestMetricsGetAllocatesWhatTheClusterDoes: observing a store call costs
+// no allocation, so a Get through Retry and Metrics allocates exactly what
+// the bare cluster Get does — its returned copy.
+func TestMetricsGetAllocatesWhatTheClusterDoes(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := vclock.With(context.Background(), vclock.NewTracker())
+	if err := cl.Put(ctx, "hot/object", []byte("0123456789abcdef"), nil); err != nil {
+		t.Fatal(err)
+	}
+	stack := Stack(cl, Retry(metrics.NewRegistry()), Metrics(metrics.NewRegistry()))
+	get := func(s objstore.Store) func() {
+		return func() {
+			if _, _, err := s.Get(ctx, "hot/object"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bare := testing.AllocsPerRun(200, get(cl))
+	if wrapped := testing.AllocsPerRun(200, get(stack)); wrapped != bare {
+		t.Fatalf("Get through Retry and Metrics allocates %v times, the bare cluster %v", wrapped, bare)
 	}
 }

@@ -16,6 +16,7 @@ package vclock
 import (
 	"context"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -69,6 +70,46 @@ func From(ctx context.Context) *Tracker {
 // Charge adds d to the tracker attached to ctx, if any.
 func Charge(ctx context.Context, d time.Duration) {
 	From(ctx).Charge(d)
+}
+
+// scope is the context Observe runs its function under: the parent's
+// values, deadline and cancellation, except that the tracker key answers
+// with the scope's own Tracker.
+type scope struct {
+	context.Context
+	t Tracker
+}
+
+// Value implements context.Context.
+func (s *scope) Value(key any) any {
+	if key == (ctxKey{}) {
+		return &s.t
+	}
+	return s.Context.Value(key)
+}
+
+// Reset detaches the scope from its parent and zeroes its tracker.
+func (s *scope) Reset() {
+	s.Context = nil
+	s.t.Reset()
+}
+
+// scopes recycles the scopes Observe interposes, so an observation
+// allocates nothing.
+var scopes = sync.Pool{New: func() any { return new(scope) }}
+
+// Observe runs fn on a context whose tracker is fresh and returns the
+// virtual time fn charged to it, with fn's error. Nothing is charged to
+// ctx's tracker: the caller decides what the parent pays. fn must not
+// retain its context past its return, because the scope is recycled.
+func Observe(ctx context.Context, fn func(context.Context) error) (time.Duration, error) {
+	s := scopes.Get().(*scope)
+	s.Context = ctx
+	err := fn(s)
+	d := s.t.Elapsed()
+	s.Reset()
+	scopes.Put(s)
+	return d, err
 }
 
 // Makespan computes the completion time of scheduling the given task

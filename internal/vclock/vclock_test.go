@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -224,5 +225,109 @@ func TestMakespanAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { Makespan(durs, 48) }); n > 2 {
 		t.Fatalf("Makespan allocates %v times per call, want at most 2", n)
+	}
+}
+
+func TestObserveReturnsWhatFnCharged(t *testing.T) {
+	parent := NewTracker()
+	ctx := With(context.Background(), parent)
+	boom := errors.New("boom")
+	d, err := Observe(ctx, func(ctx context.Context) error {
+		Charge(ctx, 3*time.Millisecond)
+		From(ctx).Charge(4 * time.Millisecond)
+		return boom
+	})
+	if d != 7*time.Millisecond || err != boom {
+		t.Fatalf("Observe = %v, %v, want 7ms and fn's error", d, err)
+	}
+	if got := parent.Elapsed(); got != 0 {
+		t.Fatalf("parent charged %v by Observe, want 0", got)
+	}
+	// The recycled scope starts from zero.
+	if d, _ := Observe(ctx, func(context.Context) error { return nil }); d != 0 {
+		t.Fatalf("Observe of a free fn = %v, want 0", d)
+	}
+}
+
+func TestObserveNested(t *testing.T) {
+	parent := NewTracker()
+	ctx := With(context.Background(), parent)
+	var inner time.Duration
+	outer, err := Observe(ctx, func(ctx context.Context) error {
+		Charge(ctx, time.Millisecond)
+		d, err := Observe(ctx, func(ctx context.Context) error {
+			Charge(ctx, 5*time.Millisecond)
+			return nil
+		})
+		inner = d
+		Charge(ctx, d)
+		return err
+	})
+	if err != nil || inner != 5*time.Millisecond || outer != 6*time.Millisecond {
+		t.Fatalf("nested Observe: inner %v, outer %v, %v; want 5ms and 6ms", inner, outer, err)
+	}
+	if got := parent.Elapsed(); got != 0 {
+		t.Fatalf("parent charged %v, want 0", got)
+	}
+}
+
+func TestObserveForwardsContext(t *testing.T) {
+	type otherKey struct{}
+	deadline := time.Unix(1_700_000_000, 0)
+	base, cancel := context.WithDeadline(context.WithValue(context.Background(), otherKey{}, "v"), deadline)
+	ctx := With(base, NewTracker())
+	d, err := Observe(ctx, func(ctx context.Context) error {
+		if got := ctx.Value(otherKey{}); got != "v" {
+			t.Errorf("Value(otherKey) = %v, want v", got)
+		}
+		if got, ok := ctx.Deadline(); !ok || !got.Equal(deadline) {
+			t.Errorf("Deadline = %v, %v, want %v", got, ok, deadline)
+		}
+		cancel()
+		<-ctx.Done()
+		if ctx.Err() == nil {
+			t.Error("Err = nil after the parent was cancelled")
+		}
+		// Detaching the tracker inside the scope stops billing it.
+		Charge(With(ctx, nil), time.Second)
+		return ctx.Err()
+	})
+	if d != 0 || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Observe = %v, %v, want 0 and the parent's error", d, err)
+	}
+}
+
+func TestObserveConcurrent(t *testing.T) {
+	parent := NewTracker()
+	ctx := With(context.Background(), parent)
+	var wg sync.WaitGroup
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				d, _ := Observe(ctx, func(ctx context.Context) error {
+					Charge(ctx, time.Duration(g)*time.Microsecond)
+					return nil
+				})
+				if d != time.Duration(g)*time.Microsecond {
+					t.Errorf("goroutine %d observed %v", g, d)
+					return
+				}
+				Charge(ctx, d)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := parent.Elapsed(), 200*36*time.Microsecond; got != want {
+		t.Fatalf("parent = %v, want %v", got, want)
+	}
+}
+
+func TestObserveAllocations(t *testing.T) {
+	ctx := With(context.Background(), NewTracker())
+	fn := func(ctx context.Context) error { Charge(ctx, time.Millisecond); return nil }
+	if n := testing.AllocsPerRun(100, func() { _, _ = Observe(ctx, fn) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per call, want 0", n)
 	}
 }
