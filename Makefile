@@ -10,11 +10,11 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Repo-specific static analysis, thirteen rules: per-unit (virtualtime,
+# Repo-specific static analysis, twelve rules: per-unit (virtualtime,
 # mapiter, lockcheck, droppederr, backoffcheck, atomiccheck) plus
 # whole-program (costcheck, lockorder, sentinelcheck, guardcheck,
-# poolcheck, ctxcheck, deadignore) over a shared typed module with an
-# RTA-refined call graph. 'h2vet -explain <rule>' documents each; DESIGN.md,
+# ctxcheck, deadignore) over a shared typed module with an RTA-refined
+# call graph. 'h2vet -explain <rule>' documents each; DESIGN.md,
 # "What guards what", says which gate owns the bug classes h2vet leaves
 # to tests and benches.
 lint:
@@ -28,7 +28,7 @@ lint-json:
 
 # Wall-clock guard for the whole-program analyses: make lint must finish
 # within 2x the committed budget (seconds in lint.budget; 50s covers the
-# v4 dataflow rules plus CI cold-cache compile — warm local runs take
+# whole-program rules plus CI cold-cache compile — warm local runs take
 # ~4s). A blowup usually means an analyzer went superlinear on the call
 # graph or the RTA fixpoint stopped converging.
 lint-timed:

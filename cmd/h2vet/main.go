@@ -3,14 +3,15 @@
 // evaluation depends on (DESIGN.md, "Determinism & concurrency
 // invariants").
 //
-// Run `h2vet -list` for the thirteen rules, one line each, and
+// Run `h2vet -list` for the twelve rules, one line each, and
 // `h2vet -explain <rule>` for what a rule computes, why the repo cares and
 // how to satisfy or suppress it: each analyzer carries that text itself,
 // and nothing else restates it. Every rule is something only static
 // analysis sees; the bug classes something cheaper already catches —
 // goroutine leaks (leak assertions under -race), hot-path allocations
 // (allocs/op ceilings), mixed atomic/plain access (the compiler, once
-// every atomic is typed) — are left to those gates (DESIGN.md, "What
+// every atomic is typed), sync.Pool misuse (an allocs/op ceiling and a
+// reuse test per pool) — are left to those gates (DESIGN.md, "What
 // guards what").
 //
 // The three lock rules — lockcheck, lockorder, guardcheck — read one lock
@@ -20,7 +21,7 @@
 // early-exit unlock (`if bad { mu.Unlock(); return }`) leaves it open to
 // the end of the function, since on the fallthrough path the mutex is
 // still held. Each function literal is a scope of its own.
-// All thirteen rules report through one path, which applies the one
+// All twelve rules report through one path, which applies the one
 // table of //h2vet: directives that every rule and deadignore read.
 //
 // The syntactic rules (virtualtime, mapiter, lockcheck, droppederr,
@@ -28,11 +29,8 @@
 // h2vet loads and type-checks the entire module once into a shared typed
 // universe, builds a call graph over go/types (CHA expansion refined by
 // Rapid Type Analysis — run `h2vet -explain callgraph` for the measured
-// precision delta), and runs the analyzers over it. The dataflow rule
-// poolcheck rides on a hand-rolled CFG and def-use/alias pass
-// (dataflow.go) instead of SSA, keeping the stdlib-only constraint;
-// ctxcheck traces a context's origin through its own fixpoint over
-// local assignments.
+// precision delta), and runs the analyzers over it. ctxcheck traces a
+// context's origin through its own fixpoint over local assignments.
 //
 // h2vet is built only on the standard library (go/ast, go/parser,
 // go/types with the source importer), preserving the repo's

@@ -43,7 +43,7 @@ func TestExplainCoversAllRules(t *testing.T) {
 // The rule set is the contract CI's lint job runs, so a rule that compiles
 // but is not wired into allAnalyzers would silently stop checking.
 func TestV4RulesRegistered(t *testing.T) {
-	for _, name := range []string{"poolcheck", "ctxcheck", "atomiccheck"} {
+	for _, name := range []string{"ctxcheck", "atomiccheck"} {
 		a := analyzerByName(name)
 		if a == nil {
 			t.Errorf("rule %s not registered in allAnalyzers", name)
@@ -65,7 +65,6 @@ func TestV4RulesRegistered(t *testing.T) {
 // `h2vet -explain <rule>` is a sufficient fix guide.
 func TestV4ExplainTextsMentionDirectives(t *testing.T) {
 	cases := map[string][]string{
-		"poolcheck":   {"Put", "clear", "escape", "//h2vet:ignore poolcheck"},
 		"ctxcheck":    {"context.Background", "WithoutCancel", "//h2vet:durable", "//h2vet:ignore ctxcheck"},
 		"atomiccheck": {"sync/atomic", "atomic.Int64", "does not compile"},
 	}

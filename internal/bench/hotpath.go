@@ -139,6 +139,10 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+	removeMW, err := overwriteDir()
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
 	// The http/* rows drive the same two middlewares through the web API
 	// over loopback TCP, so each subtracts from its h2fs/* row to the cost
 	// of the client, net/http and the server.
@@ -348,11 +352,15 @@ func HotPath(quick bool) (Result, error) {
 		// An overwrite of one file in one directory: the data PUT and the
 		// patch PUT, with a flush every overwriteFlush ops so the patch
 		// chain stays bounded. The ceiling is the count at both scales.
-		{"h2fs/write-file", 14, overwriteLoop(writeMW, writeMW.FS("w"), payload)},
+		{"h2fs/write-file", 14, overwriteLoop(writeMW, writeMW.FS("w"), payload, false)},
 		// The same overwrite through the web API, its body read into one
 		// buffer sized by its Content-Length. The ceiling is the count at
 		// both scales.
-		{"http/write-file", 82, overwriteLoop(writeMW, writeHTTP, payload)},
+		{"http/write-file", 82, overwriteLoop(writeMW, writeHTTP, payload, false)},
+		// A write of one file in one directory, then its Remove: the data
+		// PUT and its patch, then the tombstone patch and, only after it,
+		// the DELETE of the bytes. The ceiling is the count at both scales.
+		{"h2fs/write-remove", 21, overwriteLoop(removeMW, removeMW.FS("w"), payload, true)},
 		// Waking a stub in a full cache of 1024: the hand releases the
 		// descriptor under it, which becomes a stub in place, and the woken
 		// one takes its slot on the clock.
@@ -550,9 +558,9 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 	return paths, fs, nil
 }
 
-// overwriteFlush is how many overwrites h2fs/write-file and
-// http/write-file run between flushes: without one, every overwrite would
-// leave a patch object in the store for the rest of the run.
+// overwriteFlush is how many iterations h2fs/write-file, http/write-file
+// and h2fs/write-remove run between flushes: without one, every write or
+// remove would leave a patch object in the store for the rest of the run.
 const overwriteFlush = 1024
 
 // overwriteDir builds account "w" with an empty directory /w behind a
@@ -572,14 +580,19 @@ func overwriteDir() (*h2fs.Middleware, error) {
 	return mw, mw.FS("w").Mkdir(bg(), "/w")
 }
 
-// overwriteLoop overwrites /w/f through fs, flushing mw's rings every
-// overwriteFlush ops.
-func overwriteLoop(mw *h2fs.Middleware, fs fsapi.FileSystem, payload []byte) func(b *testing.B) {
+// overwriteLoop overwrites /w/f through fs, and removes it again when
+// remove is set, flushing mw's rings every overwriteFlush ops.
+func overwriteLoop(mw *h2fs.Middleware, fs fsapi.FileSystem, payload []byte, remove bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		ctx := bg()
 		for i := 0; i < b.N; i++ {
 			if err := fs.WriteFile(ctx, "/w/f", payload); err != nil {
 				b.Fatal(err)
+			}
+			if remove {
+				if err := fs.Remove(ctx, "/w/f"); err != nil {
+					b.Fatal(err)
+				}
 			}
 			if i%overwriteFlush == overwriteFlush-1 {
 				if err := mw.FlushAll(ctx); err != nil {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestShardManifestRoundTrip(t *testing.T) {
@@ -225,6 +229,93 @@ func TestExtentPartition(t *testing.T) {
 	if got := EncodeNameRingExtents(src, shards, nil); len(got) != 0 {
 		t.Fatalf("no extents wanted, %d encoded", len(got))
 	}
+}
+
+// extentRing is a ring of n tuples whose names start with prefix, with
+// every extent of shards encoded on its own through EncodeNameRing, the
+// path that shares no scratch with EncodeNameRingExtents.
+func extentRing(prefix string, n, shards int) (*NameRing, [][]byte) {
+	r := NewNameRing()
+	parts := make([]*NameRing, shards)
+	for s := range parts {
+		parts[s] = NewNameRing()
+	}
+	for i := 0; i < n; i++ {
+		tp := Tuple{Name: fmt.Sprintf("%s%04d", prefix, i), Time: int64(i + 1), Deleted: i%5 == 0}
+		r.Set(tp)
+		parts[ShardOf(tp.Name, shards)].Set(tp)
+	}
+	want := make([][]byte, shards)
+	for s, p := range parts {
+		want[s] = EncodeNameRing(p)
+	}
+	return r, want
+}
+
+// The encoder's pooled scratch carries nothing from one call into the
+// next and is never shared by calls in flight: two different rings
+// encoded back to back, then eight rings from eight goroutines, each come
+// out as their own fresh encode, compared after the later calls ran.
+func TestEncodeExtentsReusesScratch(t *testing.T) {
+	const shards = 8
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	check := func(label string, got, want [][]byte) {
+		t.Helper()
+		for s := range want {
+			if !bytes.Equal(got[s], want[s]) {
+				t.Errorf("%s: extent %d differs from its fresh encode (%d bytes, want %d)", label, s, len(got[s]), len(want[s]))
+				return
+			}
+		}
+	}
+	a, wantA := extentRing("a", 300, shards)
+	b, wantB := extentRing("b", 40, shards)
+	for i := 0; i < 4; i++ {
+		gotA := EncodeNameRingExtents(a, shards, all)
+		gotB := EncodeNameRingExtents(b, shards, all)
+		check("first ring", gotA, wantA)
+		check("second ring", gotB, wantB)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		r, want := extentRing(fmt.Sprintf("g%d-", g), 50+40*g, shards)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				check(fmt.Sprintf("goroutine %d", g), EncodeNameRingExtents(r, shards, all), want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The scratch goes back to the pool holding no name: one GC moves the
+// pool's contents to its victim cache, where a name the scratch still
+// held would live on, so a name only the encoded ring held must be freed
+// by that GC.
+func TestEncodeExtentsPinsNoName(t *testing.T) {
+	freed := make(chan struct{})
+	encodeWatchedName(freed)
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a name survived a GC after its ring was dropped: the pooled scratch still holds it")
+	}
+}
+
+// encodeWatchedName encodes a ring whose one name lives in its own
+// allocation, which closes freed when collected.
+//
+//go:noinline
+func encodeWatchedName(freed chan struct{}) {
+	buf := make([]byte, 64)
+	copy(buf, "watched")
+	runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
+	r := NewNameRing()
+	r.Set(Tuple{Name: unsafe.String(&buf[0], len(buf)), Time: 1})
+	EncodeNameRingExtents(r, 4, []int{0, 1, 2, 3})
 }
 
 func TestMergedExtentsSkipsNil(t *testing.T) {

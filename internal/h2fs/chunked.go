@@ -38,8 +38,7 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 	parentNS, name := to.parentNS, to.tuple.Name
 	// Overwriting: reclaim the previous incarnation's segments first.
 	if live {
-		if err := m.deleteFileObject(ctx, account, parentNS, name, to.tuple.Chunked); err != nil &&
-			!errors.Is(err, objstore.ErrNotFound) {
+		if err := m.deleteFileObject(ctx, account, parentNS, name, to.tuple.Chunked); err != nil {
 			return err
 		}
 	}
@@ -126,13 +125,14 @@ func (m *Middleware) readChunkedRange(ctx context.Context, account, ns, name str
 
 // deleteFileObject removes a file's object — and, when the NameRing tuple
 // marked it chunked, every segment its manifest references. The chunked
-// bit rides in the tuple so plain files pay no probing.
+// bit rides in the tuple so plain files pay no probing. An object already
+// gone is not an error.
 func (m *Middleware) deleteFileObject(ctx context.Context, account, ns, name string, chunked bool) error {
 	key := core.ChildKey(account, ns, name)
 	if chunked {
 		info, err := m.store.Head(ctx, key)
 		if err != nil {
-			return err
+			return ignoreNotFound(err)
 		}
 		if c, ok := core.ParseChunkManifest(info.Meta); ok {
 			segs := make([]string, c.Chunks)
@@ -146,7 +146,7 @@ func (m *Middleware) deleteFileObject(ctx context.Context, account, ns, name str
 			}
 		}
 	}
-	return m.store.Delete(ctx, key)
+	return ignoreNotFound(m.store.Delete(ctx, key))
 }
 
 // copyFileObject duplicates a file object under a new namespace/name,
@@ -169,4 +169,13 @@ func (m *Middleware) copyFileObject(ctx context.Context, account, srcNS, srcName
 		}
 	}
 	return m.store.Copy(ctx, srcKey, core.ChildKey(account, dstNS, dstName))
+}
+
+// ignoreNotFound maps a missing object to success: reclaiming what is
+// already gone is done.
+func ignoreNotFound(err error) error {
+	if errors.Is(err, objstore.ErrNotFound) {
+		return nil
+	}
+	return err
 }

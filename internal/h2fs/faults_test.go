@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,5 +223,86 @@ func TestDetailedListFailsOnHeadFault(t *testing.T) {
 	mustNoErr(t, err)
 	if len(entries) != 2 || entries[0].Size != 3 || entries[1].Size != 2 {
 		t.Fatalf("detailed List = %+v, want f of 3 bytes and g of 2", entries)
+	}
+}
+
+// wantFile fails unless path is listed in / and reads back as data after
+// the middleware drops every cached descriptor.
+func wantFile(t *testing.T, m *Middleware, path, data string) {
+	t.Helper()
+	m.Recover()
+	if names := listNames(t, m, "/"); !slices.Contains(names, path[1:]) {
+		t.Fatalf("%s not listed after recovery: %v", path, names)
+	}
+	got, err := m.FS("alice").ReadFile(context.Background(), path)
+	if err != nil || string(got) != data {
+		t.Fatalf("ReadFile(%s) = %q, %v; want %q", path, got, err, data)
+	}
+}
+
+// A Remove tombstones the name before it reclaims the bytes: a failed
+// tombstone leaves the file whole, and a failed reclaim after it still
+// surfaces but leaves the name gone.
+func TestRemoveTombstonesBeforeReclaim(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("x")))
+	cs.FailOn(chaos.OpPut, ".Patch")
+	if err := afs.Remove(ctx, "/f"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Remove with failing tombstone = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpPut, "")
+	wantFile(t, m, "/f", "x")
+
+	cs.FailOn(chaos.OpDelete, "::f")
+	if err := afs.Remove(ctx, "/f"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Remove with failing reclaim = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpDelete, "")
+	m.Recover()
+	if names := listNames(t, m, "/"); len(names) != 0 {
+		t.Fatalf("removed file still listed: %v", names)
+	}
+}
+
+// A file Move copies, patches the destination and tombstones the source
+// before it deletes the source bytes: a failed patch leaves the source
+// whole, and a failed reclaim leaves the destination whole.
+func TestMoveReclaimsAfterFlip(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.WriteFile(ctx, "/g", []byte("y")))
+	cs.FailOn(chaos.OpPut, ".Patch")
+	if err := afs.Move(ctx, "/g", "/h"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Move with failing patch = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpPut, "")
+	wantFile(t, m, "/g", "y")
+
+	cs.FailOn(chaos.OpDelete, "::g")
+	if err := afs.Move(ctx, "/g", "/h"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Move with failing reclaim = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpDelete, "")
+	wantFile(t, m, "/h", "y")
+	if names := listNames(t, m, "/"); !slices.Equal(names, []string{"h"}) {
+		t.Fatalf("listing after move = %v, want [h]", names)
+	}
+
+	// A directory Move deletes its old entry object only after both patches.
+	mustNoErr(t, afs.Mkdir(ctx, "/d"))
+	cs.FailOn(chaos.OpPut, ".Patch")
+	if err := afs.Move(ctx, "/d", "/e"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("directory Move with failing patch = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpPut, "")
+	root, err := m.rootNS(ctx, "alice")
+	mustNoErr(t, err)
+	if _, err := cs.Head(ctx, core.ChildKey("alice", root, "d")); err != nil {
+		t.Fatalf("entry object of /d after a failed move: %v", err)
 	}
 }

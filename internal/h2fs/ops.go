@@ -52,8 +52,7 @@ func (m *Middleware) WriteFile(ctx context.Context, account, path string, data [
 	// Overwriting a chunked file must reclaim its segments, or they leak
 	// once the manifest is replaced.
 	if to.tuple.Chunked {
-		if err := m.deleteFileObject(ctx, account, to.parentNS, to.tuple.Name, true); err != nil &&
-			!errors.Is(err, objstore.ErrNotFound) {
+		if err := m.deleteFileObject(ctx, account, to.parentNS, to.tuple.Name, true); err != nil {
 			return err
 		}
 	}
@@ -166,19 +165,19 @@ func (m *Middleware) Stat(ctx context.Context, account, path string) (fsapi.Entr
 	return info, nil
 }
 
-// Remove deletes a single file: the content object is removed and a
-// fake-deletion tombstone is patched into the parent's NameRing (§3.3.3).
+// Remove deletes a single file: a fake-deletion tombstone is patched into
+// the parent's NameRing (§3.3.3), and only then is the content reclaimed,
+// so a crash leaves unreferenced bytes, never a listed name without them.
 func (m *Middleware) Remove(ctx context.Context, account, path string) error {
 	res, err := m.file(ctx, account, path)
 	if err != nil {
 		return err
 	}
-	if err := m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked); err != nil &&
-		!errors.Is(err, objstore.ErrNotFound) {
+	if err := m.submitPatch(ctx, account, res.parentNS,
+		core.Tuple{Name: res.tuple.Name, Time: m.now(), Deleted: true}); err != nil {
 		return err
 	}
-	return m.submitPatch(ctx, account, res.parentNS,
-		core.Tuple{Name: res.tuple.Name, Time: m.now(), Deleted: true})
+	return m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked)
 }
 
 // Rmdir removes a directory subtree in O(1) NameRing work: one fake-
@@ -227,7 +226,8 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 // paper's O(1) headline (Figure 7): the subtree's objects are keyed by the
 // directory's own namespace, which does not change, so only the entry
 // object and two parent NameRings are touched no matter how many files the
-// directory holds. RENAME is the same operation within one parent.
+// directory holds. RENAME is the same operation within one parent. As in
+// Remove, the old entry or file object is reclaimed after the tombstone.
 func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	res, to, err := m.movePair(ctx, account, src, dst)
 	if err != nil {
@@ -238,20 +238,12 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	if res.tuple.Dir {
 		// Rewrite the directory object under its new name; the namespace —
 		// and with it every object inside the subtree — stays put.
-		if err := m.putDirObject(ctx, account, dstParentNS, dstName, res.tuple.NS, now); err != nil {
-			return err
-		}
-		if err := m.store.Delete(ctx, core.ChildKey(account, res.parentNS, res.tuple.Name)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
+		err = m.putDirObject(ctx, account, dstParentNS, dstName, res.tuple.NS, now)
 	} else {
-		if err := m.copyFileObject(ctx, account, res.parentNS, res.tuple.Name, dstParentNS, dstName, res.tuple.Chunked); err != nil {
-			return err
-		}
-		if err := m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked); err != nil &&
-			!errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
+		err = m.copyFileObject(ctx, account, res.parentNS, res.tuple.Name, dstParentNS, dstName, res.tuple.Chunked)
+	}
+	if err != nil {
+		return err
 	}
 	if err := m.submitPatch(ctx, account, dstParentNS, core.Tuple{
 		Name: dstName, Time: now, Dir: res.tuple.Dir, Chunked: res.tuple.Chunked, NS: res.tuple.NS,
@@ -260,9 +252,12 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	}
 	// The tombstone carries no namespace: the subtree lives on under its
 	// new parent, and subtree GC descends into whatever NS a tuple names.
-	return m.submitPatch(ctx, account, res.parentNS, core.Tuple{
+	if err := m.submitPatch(ctx, account, res.parentNS, core.Tuple{
 		Name: res.tuple.Name, Time: now, Deleted: true, Dir: res.tuple.Dir,
-	})
+	}); err != nil {
+		return err
+	}
+	return m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked)
 }
 
 // Copy duplicates a file or directory subtree. Unlike MOVE, every file's

@@ -164,11 +164,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 				m.gcSubtree(eng, g, lbl+"/"+t.Name, account, t.NS, core.ChildKey(account, ns, t.Name))
 			case t.Chunked:
 				g.GoChild(t.Name, "", func(ctx context.Context) error {
-					if err := m.deleteFileObject(ctx, account, ns, t.Name, true); err != nil &&
-						!errors.Is(err, objstore.ErrNotFound) {
-						return err
-					}
-					return nil
+					return m.deleteFileObject(ctx, account, ns, t.Name, true)
 				})
 			default:
 				plain = append(plain, core.ChildKey(account, ns, t.Name))

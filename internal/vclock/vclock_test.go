@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -329,5 +330,35 @@ func TestObserveAllocations(t *testing.T) {
 	fn := func(ctx context.Context) error { Charge(ctx, time.Millisecond); return nil }
 	if n := testing.AllocsPerRun(100, func() { _, _ = Observe(ctx, fn) }); n != 0 {
 		t.Fatalf("Observe allocates %v times per call, want 0", n)
+	}
+}
+
+// The scope goes back to the pool detached from its parent: one GC moves
+// the pool's contents to its victim cache, where a parent the scope still
+// held would live on, so a parent nothing else holds must be freed by
+// that GC.
+func TestObservePinsNoParent(t *testing.T) {
+	freed := make(chan struct{})
+	observeWatchedParent(freed)
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a parent context survived a GC after Observe returned: the pooled scope still holds it")
+	}
+}
+
+// watchedCtx is a parent context in an allocation of its own.
+type watchedCtx struct{ context.Context }
+
+// observeWatchedParent observes a no-op under a parent that closes freed
+// when collected.
+//
+//go:noinline
+func observeWatchedParent(freed chan struct{}) {
+	parent := &watchedCtx{Context: context.Background()}
+	runtime.SetFinalizer(parent, func(*watchedCtx) { close(freed) })
+	if _, err := Observe(parent, func(context.Context) error { return nil }); err != nil {
+		panic(err)
 	}
 }
