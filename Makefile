@@ -10,13 +10,13 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Repo-specific static analysis, twelve rules: per-unit (virtualtime,
+# Repo-specific static analysis, eleven rules: per-unit (virtualtime,
 # mapiter, lockcheck, droppederr, backoffcheck, atomiccheck) plus
-# whole-program (costcheck, lockorder, sentinelcheck, guardcheck,
-# ctxcheck, deadignore) over a shared typed module with an RTA-refined
-# call graph. 'h2vet -explain <rule>' documents each; DESIGN.md,
-# "What guards what", says which gate owns the bug classes h2vet leaves
-# to tests and benches.
+# whole-program (costcheck, lockorder, sentinelcheck, ctxcheck,
+# deadignore) over a shared typed module with an RTA-refined call graph.
+# 'h2vet -explain <rule>' documents each; DESIGN.md, "What guards what",
+# says which gate owns the bug classes h2vet leaves to tests and benches
+# (data races: fstest's ConcurrentMix under make race).
 lint:
 	$(GO) run ./cmd/h2vet ./...
 

@@ -215,8 +215,8 @@ func runFsck(c *cluster.Cluster, reclaim bool) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("objects: %d\nlive: %d\nqueued: %d\ninfra: %d\norphans: %d\n",
-		rep.Objects, rep.Live, rep.Queued, rep.Infra, len(rep.Orphans))
+	fmt.Printf("objects: %d\nlive: %d\nqueued: %d\ninfra: %d\norphans: %d\ndangling: %d\naliased: %d\n",
+		rep.Objects, rep.Live, rep.Queued, rep.Infra, len(rep.Orphans), rep.Dangling, rep.Aliased)
 	for _, o := range rep.Orphans {
 		fmt.Printf("  orphan %s\n", o)
 	}

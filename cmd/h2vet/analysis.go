@@ -29,7 +29,7 @@ func allAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		virtualtimeAnalyzer, mapiterAnalyzer, lockcheckAnalyzer, droppederrAnalyzer, backoffcheckAnalyzer,
 		costcheckAnalyzer, lockorderAnalyzer, sentinelcheckAnalyzer,
-		guardcheckAnalyzer, ctxcheckAnalyzer, atomiccheckAnalyzer,
+		ctxcheckAnalyzer, atomiccheckAnalyzer,
 		deadignoreAnalyzer,
 	}
 }

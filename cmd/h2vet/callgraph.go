@@ -12,7 +12,7 @@ import (
 // measured CHA-vs-RTA table; it is also the description of callGraph.
 const callgraphDoc = `callgraph is not a rule but the shared analysis substrate: h2vet builds
 one call graph over the typed module and every whole-program rule that
-follows calls (costcheck, lockorder, guardcheck) consumes it. Static
+follows calls (costcheck, lockorder) consumes it. Static
 calls resolve to their exact callee. Call sites through interfaces are
 first expanded CHA-style (every implementing type's method is a possible
 callee), then refined with Rapid Type Analysis: an interface edge to a
@@ -22,8 +22,7 @@ in code reachable from the roots (package main functions, init, and the
 exported API, which is how the test packages enter). Uninstantiated
 implementations keep their declared-body analysis but receive no
 interface edges, so a golden-test stub or a retired baseline cannot
-widen lockorder cycles, goroutine reachability, or costcheck delegation
-onto live code.
+widen lockorder cycles or costcheck delegation onto live code.
 
 Calls through plain function values are unresolvable and omitted — the
 lockcheck rule independently bans invoking those under a lock, so the

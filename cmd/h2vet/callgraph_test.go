@@ -100,7 +100,7 @@ func TestExplainCallgraphEntry(t *testing.T) {
 		t.Fatal("callgraph must not be a registered analyzer")
 	}
 	var sb strings.Builder
-	explain(&sb, "callgraph", nil, "")
+	explain(&sb, "callgraph", nil)
 	out := sb.String()
 	for _, want := range []string{"Rapid Type Analysis", "instantiated"} {
 		if !strings.Contains(out, want) {

@@ -6,8 +6,8 @@ import (
 )
 
 // directive is one "//h2vet:<name> <arg>" comment: ignore (arg is the
-// rule name; the reason after it is free text and not kept), guardedby
-// (arg is the mutex name) or durable (arg is the reason).
+// rule name; the reason after it is free text and not kept) or durable
+// (arg is the reason).
 type directive struct {
 	pos  token.Position
 	name string
@@ -21,8 +21,7 @@ type directive struct {
 type directiveTable map[string]map[int]*directive
 
 // directives scans the program's comments once and returns the table
-// that serves ignore matching, deadignore, //h2vet:guardedby and
-// //h2vet:durable.
+// that serves ignore matching, deadignore and //h2vet:durable.
 func (p *Program) directives() directiveTable {
 	p.dirsOnce.Do(func() {
 		p.dirs = directiveTable{}

@@ -4,26 +4,19 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // explain prints what -explain shows for one rule, or for the callgraph
-// pseudo-rule: the one-line Doc and the Long text, then the computed table
-// for the two names that have one. prog may be nil when loading was
-// skipped; the text still prints.
-func explain(w io.Writer, name string, prog *Program, pkgFilter string) {
+// pseudo-rule: the one-line Doc and the Long text, then, for callgraph,
+// the computed precision table. prog is nil for every other name; the
+// text still prints.
+func explain(w io.Writer, name string, prog *Program) {
 	if a := analyzerByName(name); a != nil {
 		fmt.Fprintf(w, "%s — %s\n\n%s\n", a.Name, a.Doc, a.Long)
 	} else {
 		fmt.Fprintf(w, "%s\n\n%s\n", name, callgraphDoc)
 	}
-	if prog == nil {
-		return
-	}
-	switch name {
-	case "guardcheck":
-		explainGuards(w, prog, pkgFilter)
-	case "callgraph":
+	if prog != nil {
 		explainCallgraph(w, prog)
 	}
 }
@@ -100,44 +93,4 @@ func analyzerByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-// matchesPkg filters by package path: empty matches everything,
-// otherwise the path must end in or contain the filter.
-func matchesPkg(path, filter string) bool {
-	if filter == "" {
-		return true
-	}
-	return path == filter || strings.HasSuffix(path, "/"+filter) || strings.Contains(path, filter)
-}
-
-// explainGuards prints the inferred/annotated guard table.
-func explainGuards(w io.Writer, prog *Program, pkgFilter string) {
-	ga := analyzeGuards(prog)
-	fields := make([]*guardFact, 0, len(ga.facts))
-	for _, fact := range ga.facts {
-		if fact.guard == nil {
-			continue
-		}
-		pkg := ""
-		if fact.field.Pkg() != nil {
-			pkg = fact.field.Pkg().Path()
-		}
-		if !matchesPkg(pkg, pkgFilter) {
-			continue
-		}
-		fields = append(fields, fact)
-	}
-	sort.Slice(fields, func(i, j int) bool {
-		return ga.fieldName(fields[i].field) < ga.fieldName(fields[j].field)
-	})
-	fmt.Fprintf(w, "\nguard table (%d guarded fields):\n", len(fields))
-	for _, fact := range fields {
-		origin := fmt.Sprintf("inferred: held at %d of %d sites", fact.guarded, fact.total)
-		if fact.annotated {
-			origin = "//h2vet:guardedby annotation"
-		}
-		fmt.Fprintf(w, "  %-40s guarded by %-20s (%s)\n",
-			ga.fieldName(fact.field), fact.guard.Name(), origin)
-	}
 }

@@ -23,7 +23,7 @@ var lockcheckAnalyzer = &Analyzer{
     held — the gossip-bus deadlock shape, where a handler running
     under the bus lock calls back into the bus.
 
-"Held" is the lock span lockorder and guardcheck read too: from the
+"Held" is the lock span lockorder reads too: from the
 acquisition to a direct unlock in the same block, or to the end of
 the function when the unlock is deferred, absent or in a nested
 early-exit branch. Function literals are separate scopes: a defer

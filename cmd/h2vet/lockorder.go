@@ -18,7 +18,7 @@ and rejects shapes that can deadlock:
   - an edge A -> B means some code path acquires mutex class B while
     holding mutex class A, either directly or through any chain of
     calls (propagated through the call graph). "While holding" is
-    the lock span lockcheck and guardcheck read too: from the
+    the lock span lockcheck reads too: from the
     acquisition to a direct unlock in the same block, or to the end of
     the function when the unlock is deferred, absent or in a nested
     early-exit branch. A successful TryLock holds the mutex like a

@@ -7,7 +7,7 @@ import (
 )
 
 // lockSpan is one static mutex-held region of a function scope: the one
-// lock model lockcheck, lockorder and guardcheck read. The package doc
+// lock model lockcheck and lockorder read. The package doc
 // states its rule; scopeLockSpans is the rule's only implementation.
 type lockSpan struct {
 	cls        *types.Var

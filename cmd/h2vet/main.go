@@ -3,7 +3,7 @@
 // evaluation depends on (DESIGN.md, "Determinism & concurrency
 // invariants").
 //
-// Run `h2vet -list` for the twelve rules, one line each, and
+// Run `h2vet -list` for the eleven rules, one line each, and
 // `h2vet -explain <rule>` for what a rule computes, why the repo cares and
 // how to satisfy or suppress it: each analyzer carries that text itself,
 // and nothing else restates it. Every rule is something only static
@@ -11,17 +11,17 @@
 // goroutine leaks (leak assertions under -race), hot-path allocations
 // (allocs/op ceilings), mixed atomic/plain access (the compiler, once
 // every atomic is typed), sync.Pool misuse (an allocs/op ceiling and a
-// reuse test per pool) — are left to those gates (DESIGN.md, "What
-// guards what").
+// reuse test per pool), data races (fstest's ConcurrentMix cell under
+// -race) — are left to those gates (DESIGN.md, "What guards what").
 //
-// The three lock rules — lockcheck, lockorder, guardcheck — read one lock
-// model (lockspan.go). A span opens at Lock, RLock, TryLock or TryRLock.
+// The two lock rules — lockcheck and lockorder — read one lock model
+// (lockspan.go). A span opens at Lock, RLock, TryLock or TryRLock.
 // A direct Unlock/RUnlock of the same mutex closes it only when it sits
 // in the innermost block of the acquisition; a deferred, absent or
 // early-exit unlock (`if bad { mu.Unlock(); return }`) leaves it open to
 // the end of the function, since on the fallthrough path the mutex is
 // still held. Each function literal is a scope of its own.
-// All twelve rules report through one path, which applies the one
+// All eleven rules report through one path, which applies the one
 // table of //h2vet: directives that every rule and deadignore read.
 //
 // The syntactic rules (virtualtime, mapiter, lockcheck, droppederr,
@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	baselinePath := fs.String("baseline", "", "JSON baseline file; findings present in it do not affect the exit code")
 	explainFlag := fs.String("explain", "", "print the long-form documentation for one rule and exit")
-	pkgFlag := fs.String("pkg", "", "with -explain guardcheck: restrict the printed guard table to one package path")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,9 +99,9 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "h2vet: unknown rule %q (run h2vet -list)\n", *explainFlag)
 			return 2
 		}
-		// Only the two names with computed tables need the typed module.
+		// Only callgraph's computed table needs the typed module.
 		var prog *Program
-		if *explainFlag == "guardcheck" || *explainFlag == "callgraph" {
+		if *explainFlag == "callgraph" {
 			patterns := fs.Args()
 			if len(patterns) == 0 {
 				patterns = []string{"./..."}
@@ -114,7 +113,7 @@ func run(args []string, stdout, stderr *os.File) int {
 				return 2
 			}
 		}
-		explain(stdout, *explainFlag, prog, *pkgFlag)
+		explain(stdout, *explainFlag, prog)
 		return 0
 	}
 	if *rulesFlag != "" {

@@ -32,7 +32,7 @@ func TestExplainCoversAllRules(t *testing.T) {
 			continue
 		}
 		var sb strings.Builder
-		explain(&sb, a.Name, nil, "")
+		explain(&sb, a.Name, nil)
 		out := sb.String()
 		if !strings.HasPrefix(a.Long, a.Name+" ") || !strings.Contains(out, a.Doc) || !strings.Contains(out, a.Long) {
 			t.Errorf("explain(%s) output missing the rule name, doc line or long text:\n%s", a.Name, out)

@@ -483,7 +483,10 @@ func HotPath(quick bool) (Result, error) {
 	}
 	var over []string
 	for _, c := range cases {
-		r := testing.Benchmark(c.bench)
+		r, err := benchWithin(c, rowLimit)
+		if err != nil {
+			return res, err
+		}
 		allocs := r.AllocsPerOp()
 		status := "ok"
 		if allocs > c.ceiling {
@@ -503,6 +506,28 @@ func HotPath(quick bool) (Result, error) {
 		return res, fmt.Errorf("allocs/op over the committed ceiling on %s", strings.Join(over, ", "))
 	}
 	return res, nil
+}
+
+// rowLimit bounds one row's testing.Benchmark. The slowest row takes
+// about 2.5 s at -quick and 3 s at full scale on a 2-core host; a row past
+// 20 times that is a path whose cost grows with every call, which would
+// otherwise hang the gate.
+const rowLimit = 60 * time.Second
+
+// benchWithin runs c's benchmark and gives up on it after limit, failing
+// with the row's name. A row given up on keeps running on its goroutine
+// until the process exits, as the bench-wallclock gate's does at once.
+func benchWithin(c hotpathCase, limit time.Duration) (testing.BenchmarkResult, error) {
+	done := make(chan testing.BenchmarkResult, 1)
+	go func() { done <- testing.Benchmark(c.bench) }()
+	timer := time.NewTimer(limit)
+	defer timer.Stop()
+	select {
+	case r := <-done:
+		return r, nil
+	case <-timer.C:
+		return testing.BenchmarkResult{}, fmt.Errorf("hotpath row %s ran past %v: its cost grows with every call", c.path, limit)
+	}
 }
 
 // reloadDirs is how many single-file directories h2fs/reload-evicted

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -44,6 +46,65 @@ func TestClusterPersistsAcrossRestart(t *testing.T) {
 	st := c2.Stats()
 	if st.Objects != 1 || st.Bytes != 6 {
 		t.Fatalf("rebuilt gauges = %+v, want 1 object / 6 bytes", st)
+	}
+}
+
+// TestDiskClusterConcurrentClients: four clients put, copy and delete
+// their own keys on one DataDir-backed cluster at once, as h2cloudd's
+// request goroutines do, and a restart serves exactly what each left.
+func TestDiskClusterConcurrentClients(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{Profile: ZeroProfile(), DataDir: t.TempDir(), Nodes: 4}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, rounds = 4, 25
+	models := make([]map[string]string, clients)
+	var wg sync.WaitGroup
+	for w := range models {
+		model := map[string]string{}
+		models[w] = model
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := fmt.Sprintf("c%d/k%d", w, r%5)
+				data := fmt.Sprintf("%s@%d", k, r)
+				err := c.Put(ctx, k, []byte(data), nil)
+				model[k] = data
+				if err == nil && r%3 == 0 {
+					err = c.Copy(ctx, k, k+".copy")
+					model[k+".copy"] = data
+				}
+				if err == nil && r%4 == 0 {
+					err = c.Delete(ctx, k)
+					delete(model, k)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	c2, err := New(cfg) // "restart"
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objects int64
+	for _, model := range models {
+		for k, want := range model {
+			if data, _, err := c2.Get(ctx, k); err != nil || string(data) != want {
+				t.Fatalf("%s after restart = %q, %v; want %q", k, data, err, want)
+			}
+		}
+		objects += int64(len(model))
+	}
+	if st := c2.Stats(); st.Objects != objects {
+		t.Fatalf("rebuilt gauges = %+v, want %d objects", st, objects)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,7 +79,7 @@ var suite = []struct {
 	{"DeepNesting", testDeepNesting},
 	{"ManyChildren", testManyChildren},
 	{"InvalidPaths", testInvalidPaths},
-	{"ConcurrentWriters", testConcurrentWriters},
+	{"ConcurrentMix", testConcurrentMix},
 }
 
 //h2vet:ignore ctxcheck test scaffold owns its root context
@@ -487,38 +489,128 @@ func testInvalidPaths(t *testing.T, fs fsapi.FileSystem) {
 	}
 }
 
-func testConcurrentWriters(t *testing.T, fs fsapi.FileSystem) {
-	const writers, files = 4, 25
-	for w := 0; w < writers; w++ {
-		mustMkdir(t, fs, fmt.Sprintf("/w%d", w))
+// testConcurrentMix runs four goroutines, released together, through
+// every operation at once. Goroutine g owns /g<g> and the names g<g>-* in
+// the one shared directory /s, so each reply it gets is checked against
+// its own replay on a model, and the final tree must be the union of the
+// four models. Under -race this is the cell that executes each
+// filesystem's locking instead of inferring it.
+func testConcurrentMix(t *testing.T, fs fsapi.FileSystem) {
+	const workers, rounds = 4, 40
+	mustMkdir(t, fs, "/s")
+	models := make([]*model, workers)
+	for g := range models {
+		models[g] = newModel()
+		mustMkdir(t, models[g], "/s")
+		mustMkdir(t, models[g], fmt.Sprintf("/g%d", g))
+		mustMkdir(t, fs, fmt.Sprintf("/g%d", g))
 	}
+	start := make(chan struct{})
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	errCh := make(chan error, writers)
-	for w := 0; w < writers; w++ {
+	for g := range models {
 		wg.Add(1)
-		go func(w int) {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < files; i++ {
-				p := fmt.Sprintf("/w%d/f%d", w, i)
-				if err := fs.WriteFile(ctx(), p, []byte(p)); err != nil {
-					errCh <- fmt.Errorf("write %s: %w", p, err)
-					return
-				}
-			}
-		}(w)
+			<-start
+			errs[g] = mixRounds(fs, models[g], g, rounds)
+		}(g)
 	}
+	close(start)
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	for w := 0; w < writers; w++ {
-		entries, err := fs.List(ctx(), fmt.Sprintf("/w%d", w), false)
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != files {
-			t.Fatalf("writer %d has %d files, want %d", w, len(entries), files)
+	}
+	union := newModel()
+	for _, m := range models {
+		for p, e := range m.entries {
+			union.entries[p] = e
 		}
 	}
+	compareTrees(t, ctx(), fs, union)
+}
+
+// mixRounds is goroutine g's cycle: write, move into /s, detailed LIST of
+// /s, copy back, remove, mkdir, move into that directory, write beside it
+// (so a pipelined copy has two children to run at once), copy the
+// directory, rmdir, read, stat. It returns the first reply that differs
+// from the model's.
+func mixRounds(fs fsapi.FileSystem, m *model, g, rounds int) error {
+	c := ctx()
+	x := mixer{g: g}
+	own, mine := fmt.Sprintf("/g%d", g), fmt.Sprintf("g%d-", g)
+	f, c1 := own+"/f", own+"/c"
+	sf, sd := "/s/"+mine+"f", "/s/"+mine+"d"
+	for r := 0; r < rounds && x.err == nil; r++ {
+		data := []byte(strings.Repeat(fmt.Sprintf("g%d.r%d;", g, r), 1+r%3))
+		dcopy := fmt.Sprintf("%s/d%d", own, r)
+		x.same("WriteFile "+f, fs.WriteFile(c, f, data), m.WriteFile(c, f, data))
+		x.same("Move "+f, fs.Move(c, f, sf), m.Move(c, f, sf))
+		got, err := fs.List(c, "/s", true)
+		want, merr := m.List(c, "/s", true)
+		if x.same("List /s", err, merr) {
+			got = slices.DeleteFunc(got, func(e fsapi.EntryInfo) bool { return !strings.HasPrefix(e.Name, mine) })
+			if !slices.EqualFunc(got, want, sameEntry) {
+				x.fail("List /s = %v, model %v", got, want)
+			}
+		}
+		x.same("Copy "+sf, fs.Copy(c, sf, c1), m.Copy(c, sf, c1))
+		x.same("Remove "+sf, fs.Remove(c, sf), m.Remove(c, sf))
+		x.same("Mkdir "+sd, fs.Mkdir(c, sd), m.Mkdir(c, sd))
+		x.same("Move "+c1, fs.Move(c, c1, sd+"/c"), m.Move(c, c1, sd+"/c"))
+		x.same("WriteFile "+sd+"/w", fs.WriteFile(c, sd+"/w", data), m.WriteFile(c, sd+"/w", data))
+		x.same("Copy "+sd, fs.Copy(c, sd, dcopy), m.Copy(c, sd, dcopy))
+		x.same("Rmdir "+sd, fs.Rmdir(c, sd), m.Rmdir(c, sd))
+		b, err := fs.ReadFile(c, dcopy+"/c")
+		wb, merr := m.ReadFile(c, dcopy+"/c")
+		if x.same("ReadFile "+dcopy+"/c", err, merr) && !bytes.Equal(b, wb) {
+			x.fail("ReadFile %s/c = %q, model %q", dcopy, b, wb)
+		}
+		for _, p := range []string{dcopy, sd} {
+			info, err := fs.Stat(c, p)
+			winfo, merr := m.Stat(c, p)
+			if x.same("Stat "+p, err, merr) && !sameEntry(info, winfo) {
+				x.fail("Stat %s = %+v, model %+v", p, info, winfo)
+			}
+		}
+	}
+	return x.err
+}
+
+// mixer keeps the first divergence of one goroutine's replies from its
+// model.
+type mixer struct {
+	g   int
+	err error
+}
+
+func (x *mixer) fail(format string, args ...any) {
+	if x.err == nil {
+		x.err = fmt.Errorf("goroutine %d: "+format, append([]any{x.g}, args...)...)
+	}
+}
+
+// same reports whether the implementation's error is of the model's kind.
+func (x *mixer) same(what string, got, want error) bool {
+	if errKind(got) != errKind(want) {
+		x.fail("%s = %v, model %v", what, got, want)
+	}
+	return x.err == nil
+}
+
+func errKind(err error) error {
+	for _, kind := range []error{fsapi.ErrNotFound, fsapi.ErrExists, fsapi.ErrNotDir, fsapi.ErrIsDir, fsapi.ErrInvalidPath} {
+		if errors.Is(err, kind) {
+			return kind
+		}
+	}
+	return err
+}
+
+// sameEntry compares what every filesystem reports alike: the name, the
+// kind and a file's size.
+func sameEntry(a, b fsapi.EntryInfo) bool {
+	return a.Name == b.Name && a.IsDir == b.IsDir && (a.IsDir || a.Size == b.Size)
 }

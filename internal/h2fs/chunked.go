@@ -36,9 +36,11 @@ func (m *Middleware) WriteFileChunked(ctx context.Context, account, path string,
 		return fmt.Errorf("h2fs: %s: %w", to.path, fsapi.ErrIsDir)
 	}
 	parentNS, name := to.parentNS, to.tuple.Name
-	// Overwriting: reclaim the previous incarnation's segments first.
-	if live {
-		if err := m.deleteFileObject(ctx, account, parentNS, name, to.tuple.Chunked); err != nil {
+	// Overwriting a chunked file reclaims its segments first, because the
+	// new ones take the same keys (DESIGN.md, "Write new, flip, reclaim").
+	// A plain file's object is replaced by the manifest put.
+	if live && to.tuple.Chunked {
+		if err := m.deleteFileObject(ctx, account, parentNS, name, true); err != nil {
 			return err
 		}
 	}
@@ -134,19 +136,40 @@ func (m *Middleware) deleteFileObject(ctx context.Context, account, ns, name str
 		if err != nil {
 			return ignoreNotFound(err)
 		}
-		if c, ok := core.ParseChunkManifest(info.Meta); ok {
-			segs := make([]string, c.Chunks)
-			for i := range segs {
-				segs[i] = core.SegmentKey(account, ns, name, i)
-			}
-			for _, derr := range objstore.MultiDelete(ctx, m.store, segs) {
-				if derr != nil && !errors.Is(derr, objstore.ErrNotFound) {
-					return derr
-				}
-			}
+		c, _ := core.ParseChunkManifest(info.Meta)
+		if err := m.deleteSegments(ctx, account, ns, name, c.Chunks); err != nil {
+			return err
 		}
 	}
 	return ignoreNotFound(m.store.Delete(ctx, key))
+}
+
+// deleteSegments removes a chunked file's first chunks segment objects.
+// A segment already gone is not an error.
+func (m *Middleware) deleteSegments(ctx context.Context, account, ns, name string, chunks int) error {
+	if chunks == 0 {
+		return nil
+	}
+	segs := make([]string, chunks)
+	for i := range segs {
+		segs[i] = core.SegmentKey(account, ns, name, i)
+	}
+	for _, err := range objstore.MultiDelete(ctx, m.store, segs) {
+		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			return err
+		}
+	}
+	return nil
+}
+
+// reclaimed passes on the error of a delete that ran after the flip made
+// its object unreachable, and counts it in reclaim.errors: no tuple names
+// the bytes it left behind, so the counter is where they show.
+func (m *Middleware) reclaimed(err error) error {
+	if err != nil {
+		m.reg.Inc("reclaim.errors", 1)
+	}
+	return err
 }
 
 // copyFileObject duplicates a file object under a new namespace/name,

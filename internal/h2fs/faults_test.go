@@ -11,6 +11,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
+	"github.com/h2cloud/h2cloud/internal/metrics"
 )
 
 // newChaosMW builds a middleware over a zero-plan chaos store wrapping a
@@ -19,7 +20,7 @@ import (
 func newChaosMW(t *testing.T) (*Middleware, *chaos.Store) {
 	t.Helper()
 	cs := chaos.New(chaos.Plan{}, nil).Store(newCluster(t))
-	m, err := New(Config{Store: cs, Node: 1, EagerGC: true})
+	m, err := New(Config{Store: cs, Node: 1, EagerGC: true, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +262,46 @@ func TestRemoveTombstonesBeforeReclaim(t *testing.T) {
 		t.Fatalf("Remove with failing reclaim = %v, want injected fault", err)
 	}
 	cs.FailOn(chaos.OpDelete, "")
+	if n := m.Metrics().Counter("reclaim.errors"); n != 1 {
+		t.Fatalf("reclaim.errors = %d after one failed reclaim, want 1", n)
+	}
 	m.Recover()
 	if names := listNames(t, m, "/"); len(names) != 0 {
 		t.Fatalf("removed file still listed: %v", names)
 	}
+}
+
+// An overwrite of a chunked file puts the new content and its tuple
+// before it deletes the old segments: a failed put leaves the old file
+// whole, and a failed segment delete leaves the new one whole. A chunked
+// write over a plain file deletes nothing up front either.
+func TestOverwriteWritesBeforeItDeletes(t *testing.T) {
+	m, cs := newChaosMW(t)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	mustNoErr(t, m.WriteFileChunked(ctx, "alice", "/f", strings.NewReader("0123456789"), 4))
+	mustNoErr(t, m.FlushAll(ctx))
+	cs.FailOn(chaos.OpPut, "::f")
+	if err := m.FS("alice").WriteFile(ctx, "/f", []byte("new")); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("WriteFile with failing put = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpPut, "")
+	wantFile(t, m, "/f", "0123456789")
+
+	cs.FailOn(chaos.OpDelete, "/slo/f/")
+	if err := m.FS("alice").WriteFile(ctx, "/f", []byte("new")); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("WriteFile with failing segment delete = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpDelete, "")
+	wantFile(t, m, "/f", "new")
+	if n := m.Metrics().Counter("reclaim.errors"); n != 1 {
+		t.Fatalf("reclaim.errors = %d after one failed segment delete, want 1", n)
+	}
+
+	cs.FailOn(chaos.OpDelete, "::f")
+	mustNoErr(t, m.WriteFileChunked(ctx, "alice", "/f", strings.NewReader("chunked again"), 4))
+	cs.FailOn(chaos.OpDelete, "")
+	wantFile(t, m, "/f", "chunked again")
 }
 
 // A file Move copies, patches the destination and tombstones the source

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -419,6 +420,67 @@ func TestGCQueueConcurrentRmdirDrain(t *testing.T) {
 	if snap.Pending != 0 {
 		t.Fatalf("pending = %d after convergence", snap.Pending)
 	}
+}
+
+// TestGCQueueConcurrentRecover shares the GC mirror between four
+// clients' Rmdirs, maintenance and restarts: a Recover drops the mirror
+// while intents are being reserved, and the next use reloads it. Every
+// Rmdir must succeed, and once quiet only the kept tree is left.
+func TestGCQueueConcurrentRecover(t *testing.T) {
+	fstest.AssertNoGoroutineLeak(t)
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.GCQueue = true })
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	setupKeep(t, m)
+	fs := m.FS("alice")
+	stop := make(chan struct{})
+	var restarts sync.WaitGroup
+	restarts.Add(1)
+	go func() {
+		defer restarts.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.MaintainOnce(ctx)
+				m.Recover()
+			}
+		}
+	}()
+	const clients, rounds = 4, 20
+	var ops sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		ops.Add(1)
+		go func(g int) {
+			defer ops.Done()
+			for r := 0; r < rounds; r++ {
+				dir := fmt.Sprintf("/g%d-%d", g, r)
+				err := fs.Mkdir(ctx, dir)
+				if err == nil {
+					err = fs.WriteFile(ctx, dir+"/f", []byte(dir))
+				}
+				if err == nil {
+					err = fs.Rmdir(ctx, dir)
+				}
+				if err != nil {
+					t.Errorf("%s: %v", dir, err)
+					return
+				}
+			}
+		}(g)
+	}
+	ops.Wait()
+	close(stop)
+	restarts.Wait()
+
+	mustNoErr(t, m.FlushAll(ctx))
+	_, err := m.DrainGC(ctx)
+	mustNoErr(t, err)
+	if names := listNames(t, m, "/"); !slices.Equal(names, []string{"keep"}) {
+		t.Fatalf("root after the Rmdirs = %v, want [keep]", names)
+	}
+	assertKeepIntact(t, m)
 }
 
 // TestGCQueueRestartResumesPending simulates a full process loss: the

@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/gossip"
+	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -50,6 +51,35 @@ func newFS(t testing.TB) *AccountFS {
 
 func TestConformance(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) fsapi.FileSystem { return newFS(t) })
+}
+
+// TestConformanceAllFeatures runs the suite with every option that changes
+// how h2fs schedules or shares work switched on at once — sharded rings,
+// the durable GC queue, the pipelined subtree engine, a one-descriptor
+// cache, retries, a metrics registry and a maintenance loop flushing and
+// draining beside the operations — so ConcurrentMix under -race reaches
+// their shared state.
+func TestConformanceAllFeatures(t *testing.T) {
+	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
+		m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+			cfg.Profile.DirShardThreshold = 3
+			cfg.GCQueue = true
+			cfg.SubtreeFanout = 4
+			cfg.DescCacheLimit = 1
+			cfg.Retry = true
+			cfg.Metrics = metrics.NewRegistry()
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := m.CreateAccount(ctx, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		done := m.StartMaintenance(ctx, time.Millisecond)
+		t.Cleanup(func() {
+			cancel()
+			<-done
+		})
+		return m.FS("alice")
+	})
 }
 
 func TestNewRequiresStore(t *testing.T) {

@@ -49,18 +49,26 @@ func (m *Middleware) WriteFile(ctx context.Context, account, path string, data [
 	if to.tuple.Dir {
 		return fmt.Errorf("h2fs: %s: %w", to.path, fsapi.ErrIsDir)
 	}
-	// Overwriting a chunked file must reclaim its segments, or they leak
-	// once the manifest is replaced.
+	// Overwriting a chunked file leaves its segments to reclaim once the
+	// new content and its tuple are in place: the put replaces the
+	// manifest at the same key, and a failure before the flip leaves the
+	// old file whole.
+	key := core.ChildKey(account, to.parentNS, to.tuple.Name)
+	var old core.ChunkManifest
 	if to.tuple.Chunked {
-		if err := m.deleteFileObject(ctx, account, to.parentNS, to.tuple.Name, true); err != nil {
+		info, err := m.store.Head(ctx, key)
+		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return err
 		}
+		old, _ = core.ParseChunkManifest(info.Meta)
 	}
-	if err := m.store.Put(ctx, core.ChildKey(account, to.parentNS, to.tuple.Name), data,
-		map[string]string{core.MetaType: core.TypeFile}); err != nil {
+	if err := m.store.Put(ctx, key, data, map[string]string{core.MetaType: core.TypeFile}); err != nil {
 		return fmt.Errorf("h2fs: write %s: %w", to.path, err)
 	}
-	return m.submitPatch(ctx, account, to.parentNS, core.Tuple{Name: to.tuple.Name, Time: m.now()})
+	if err := m.submitPatch(ctx, account, to.parentNS, core.Tuple{Name: to.tuple.Name, Time: m.now()}); err != nil {
+		return err
+	}
+	return m.reclaimed(m.deleteSegments(ctx, account, to.parentNS, to.tuple.Name, old.Chunks))
 }
 
 // ReadFile returns a file's content via the regular O(d) access method.
@@ -177,7 +185,7 @@ func (m *Middleware) Remove(ctx context.Context, account, path string) error {
 		core.Tuple{Name: res.tuple.Name, Time: m.now(), Deleted: true}); err != nil {
 		return err
 	}
-	return m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked)
+	return m.reclaimed(m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked))
 }
 
 // Rmdir removes a directory subtree in O(1) NameRing work: one fake-
@@ -257,7 +265,7 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	}); err != nil {
 		return err
 	}
-	return m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked)
+	return m.reclaimed(m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked))
 }
 
 // Copy duplicates a file or directory subtree. Unlike MOVE, every file's

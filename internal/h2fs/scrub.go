@@ -45,6 +45,8 @@ type ScrubReport struct {
 	Infra     int      `json:"infra"`             // GC queue entries and indexes
 	Orphans   []string `json:"orphans,omitempty"` // unreachable and unclaimed
 	Reclaimed int      `json:"reclaimed"`         // orphans deleted (reclaim mode)
+	Dangling  int      `json:"dangling"`          // live tuples whose object is not stored
+	Aliased   int      `json:"aliased"`           // second live tuples naming a walked namespace
 }
 
 // classification marks; live beats queued so a scrub never over-claims.
@@ -62,6 +64,8 @@ type scrubber struct {
 	patches map[string][]string // RingKey -> patch object keys, sorted
 	rings   map[string]RingRead // by RingKey: the stored ring with its unmerged patches folded in
 	visited map[string]bool     // RingKey -> walked already
+
+	dangling, aliased int // the live walk's ScrubReport counts
 }
 
 // Scrub cross-checks every stored object key in names against the live
@@ -176,7 +180,7 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 	}
 
 	// Classify and (optionally) reclaim.
-	rep := ScrubReport{Objects: len(sorted)}
+	rep := ScrubReport{Objects: len(sorted), Dangling: s.dangling, Aliased: s.aliased}
 	var orphans []string
 	for _, n := range sorted {
 		switch s.class[n] {
@@ -295,11 +299,18 @@ func (s *scrubber) mergedRing(ctx context.Context, account, ns string) (RingRead
 
 // walk claims one namespace subtree for class c. The live walk recurses
 // only through live directory tuples; the queued walk (all set) claims
-// everything — the subtree is doomed wholesale, tombstones included.
+// everything — the subtree is doomed wholesale, tombstones included. The
+// live walk also counts the two shapes a tree must never take: a tuple
+// whose object is not in the key universe (dangling), and a namespace two
+// live tuples name (aliased). Like orphans, both are exact on a quiescent
+// store only.
 func (s *scrubber) walk(ctx context.Context, account, ns string, c byte, all bool) error {
 	rk := core.RingKey(account, ns)
 	vk := string(c) + rk
 	if s.visited[vk] {
+		if c == classLive {
+			s.aliased++
+		}
 		return nil
 	}
 	s.visited[vk] = true
@@ -320,6 +331,9 @@ func (s *scrubber) walk(ctx context.Context, account, ns string, c byte, all boo
 			continue // live walk: a tombstoned subtree belongs to queue or scrub
 		}
 		key := core.ChildKey(account, ns, t.Name)
+		if c == classLive && !s.present[key] {
+			s.dangling++
+		}
 		s.mark(key, c)
 		if t.Chunked {
 			if err := s.markSegments(ctx, account, ns, t.Name, c); err != nil {

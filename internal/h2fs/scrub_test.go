@@ -28,6 +28,61 @@ func TestScrubCleanTreeAllLive(t *testing.T) {
 	if len(rep.Orphans) != 0 || rep.Queued != 0 || rep.Infra != 0 {
 		t.Fatalf("clean tree misclassified: %+v", rep)
 	}
+	wantSound(t, rep)
+}
+
+// wantSound fails unless a quiescent scrub found no dangling tuple and no
+// aliased namespace.
+func wantSound(t *testing.T, rep ScrubReport) {
+	t.Helper()
+	if rep.Dangling != 0 || rep.Aliased != 0 {
+		t.Fatalf("report = %+v, want no dangling tuple and no aliased namespace", rep)
+	}
+}
+
+// TestScrubCountsDanglingTuple: a listed file whose object was deleted
+// behind the middleware is a live tuple naming nothing.
+func TestScrubCountsDanglingTuple(t *testing.T) {
+	c := newCluster(t)
+	m := newMW(t, c, 1)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	setupKeep(t, m)
+	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/lost", []byte("x")))
+	mustNoErr(t, m.FlushAll(ctx))
+	root, err := m.rootNS(ctx, "alice")
+	mustNoErr(t, err)
+	mustNoErr(t, c.Delete(ctx, core.ChildKey("alice", root, "lost")))
+
+	rep, err := m.Scrub(ctx, clusterNames(c), false)
+	mustNoErr(t, err)
+	if rep.Dangling != 1 || rep.Aliased != 0 || len(rep.Orphans) != 0 {
+		t.Fatalf("report = %+v, want one dangling tuple", rep)
+	}
+}
+
+// TestScrubCountsAliasedNamespace: a second live directory tuple patched
+// onto an existing namespace makes the live walk reach it twice.
+func TestScrubCountsAliasedNamespace(t *testing.T) {
+	c := newCluster(t)
+	m := newMW(t, c, 1)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	setupKeep(t, m)
+	mustNoErr(t, m.FlushAll(ctx))
+	root, err := m.rootNS(ctx, "alice")
+	mustNoErr(t, err)
+	ns, err := m.ResolveNS(ctx, "alice", "/keep")
+	mustNoErr(t, err)
+	now := m.now()
+	mustNoErr(t, m.putDirObject(ctx, "alice", root, "alias", ns, now))
+	mustNoErr(t, m.submitPatch(ctx, "alice", root, core.Tuple{Name: "alias", Time: now, Dir: true, NS: ns}))
+
+	rep, err := m.Scrub(ctx, clusterNames(c), false)
+	mustNoErr(t, err)
+	if rep.Aliased != 1 || rep.Dangling != 0 || len(rep.Orphans) != 0 {
+		t.Fatalf("report = %+v, want one aliased namespace", rep)
+	}
 }
 
 // TestScrubReportsAndReclaimsOrphans: stray objects — an unknown
@@ -65,6 +120,7 @@ func TestScrubReportsAndReclaimsOrphans(t *testing.T) {
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans after reclaim: %v", rep.Orphans)
 	}
+	wantSound(t, rep)
 }
 
 // TestScrubReclaimSparesJustLinkedFile models WriteFile's create window
@@ -144,6 +200,7 @@ func TestScrubSparesQueuedSubtree(t *testing.T) {
 	if rep.Queued != 0 || len(rep.Orphans) != 0 {
 		t.Fatalf("post-drain report = %+v, want nothing queued, no orphans", rep)
 	}
+	wantSound(t, rep)
 	assertKeepIntact(t, m)
 }
 
@@ -174,6 +231,7 @@ func TestScrubReclaimsLazyGCGarbage(t *testing.T) {
 	if len(rep.Orphans) != 0 {
 		t.Fatalf("orphans after fallback reclaim: %v", rep.Orphans)
 	}
+	wantSound(t, rep)
 }
 
 // TestScrubRefusesCorruptRing: a ring that does not decode is not an empty
