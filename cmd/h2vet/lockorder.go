@@ -248,26 +248,6 @@ func lockClassName(info *types.Info, call *ast.CallExpr, cls *types.Var) string 
 	return pkg + "." + cls.Name()
 }
 
-// calleesOf resolves one call expression to the functions it may invoke,
-// expanding interface methods over the program's instantiated types (the
-// same RTA refinement the precomputed sites get).
-func (g *callGraph) calleesOf(info *types.Info, call *ast.CallExpr) []*types.Func {
-	obj := staticCallee(info, call)
-	if obj == nil {
-		return nil
-	}
-	if recvInterface(obj) != nil {
-		out := []*types.Func{obj}
-		for _, impl := range g.implementations(obj) {
-			if g.chaOnly || g.inst[recvNamed(impl)] {
-				out = append(out, impl)
-			}
-		}
-		return out
-	}
-	return []*types.Func{obj}
-}
-
 // stronglyConnected returns the strongly connected components of the
 // class graph (Tarjan), with deterministic ordering via less.
 func stronglyConnected(adj map[*types.Var][]*types.Var, less func(a, b *types.Var) bool) [][]*types.Var {

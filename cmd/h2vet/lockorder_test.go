@@ -68,6 +68,42 @@ func (s *S) inner() {
 			},
 		},
 		{
+			// An interface call reaches every implementation in the module,
+			// instantiated or not: Bad is never built, and its Lock still
+			// counts.
+			name: "re-entry through any implementation of an interface",
+			src: `package fake
+
+import "sync"
+
+var mu sync.Mutex
+
+type Runner interface{ Run() }
+
+type Good struct{}
+
+func (Good) Run() {}
+
+type Bad struct{}
+
+func (Bad) Run() {
+	mu.Lock()
+	defer mu.Unlock()
+}
+
+func Drive(r Runner) {
+	mu.Lock()
+	defer mu.Unlock()
+	r.Run()
+}
+
+func Use() { Drive(Good{}) }
+`,
+			want: []string{
+				"internal/fake/locks.go:23:2: lockorder: mutex fake.mu may be re-acquired while already held (same-mutex re-entry deadlocks)",
+			},
+		},
+		{
 			name: "consistent order is clean",
 			src: `package fake
 

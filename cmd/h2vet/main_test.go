@@ -5,26 +5,8 @@ import (
 	"testing"
 )
 
-func TestStaleBaseline(t *testing.T) {
-	entries := []jsonFinding{
-		{File: "a.go", Rule: "lockcheck", Msg: "still fires"},
-		{File: "b.go", Rule: "mapiter", Msg: "fixed long ago"},
-		{File: "b.go", Rule: "mapiter", Msg: "fixed long ago"}, // dup collapses
-	}
-	matched := map[string]bool{entries[0].key(): true}
-	stale := staleBaseline(entries, matched)
-	if len(stale) != 1 || stale[0].File != "b.go" || stale[0].Rule != "mapiter" {
-		t.Fatalf("stale = %+v, want the single unmatched b.go entry", stale)
-	}
-	if got := staleBaseline(entries, map[string]bool{
-		entries[0].key(): true, entries[1].key(): true,
-	}); len(got) != 0 {
-		t.Fatalf("fully matched baseline reported stale entries: %+v", got)
-	}
-}
-
 // Every registered rule carries its long-form documentation, and
-// -explain renders it even without a loaded program.
+// -explain renders it.
 func TestExplainCoversAllRules(t *testing.T) {
 	for _, a := range allAnalyzers() {
 		if strings.TrimSpace(a.Long) == "" {
@@ -32,7 +14,7 @@ func TestExplainCoversAllRules(t *testing.T) {
 			continue
 		}
 		var sb strings.Builder
-		explain(&sb, a.Name, nil)
+		explain(&sb, a)
 		out := sb.String()
 		if !strings.HasPrefix(a.Long, a.Name+" ") || !strings.Contains(out, a.Doc) || !strings.Contains(out, a.Long) {
 			t.Errorf("explain(%s) output missing the rule name, doc line or long text:\n%s", a.Name, out)

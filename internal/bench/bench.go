@@ -10,7 +10,10 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/baselines/casfs"
@@ -172,3 +175,47 @@ type Result struct {
 
 // ms converts a duration to the float milliseconds the figures plot.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// claims reads a gated experiment's table by column name and collects
+// every claim the table breaks, so one run names all of them. Each gated
+// experiment returns its check's error beside its table, which h2bench
+// prints before it exits nonzero.
+type claims struct {
+	res    Result
+	broken []string
+}
+
+// str is row's cell in the named column; a missing cell is itself a
+// broken claim.
+func (c *claims) str(row []string, name string) string {
+	for i, h := range c.res.Header {
+		if h == name && i < len(row) {
+			return row[i]
+		}
+	}
+	c.check(false, "no %q cell in row %v", name, row)
+	return ""
+}
+
+// num is row's cell in the named column as a number.
+func (c *claims) num(row []string, name string) float64 {
+	s := c.str(row, name)
+	v, err := strconv.ParseFloat(s, 64)
+	c.check(err == nil, "%q cell %q is not a number", name, s)
+	return v
+}
+
+// check records the claim formatted by format as broken unless ok.
+func (c *claims) check(ok bool, format string, args ...any) {
+	if !ok {
+		c.broken = append(c.broken, fmt.Sprintf(format, args...))
+	}
+}
+
+// err joins the broken claims into one error, or is nil.
+func (c *claims) err() error {
+	if len(c.broken) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(c.broken, "; "))
+}

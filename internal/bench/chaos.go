@@ -55,7 +55,29 @@ func ChaosAvailability(quick bool) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, checkChaos(res)
+}
+
+// checkChaos holds the sweep to its claims: every rate acknowledges
+// writes and loses none of them, from a 10% fault rate on every rate
+// retries, and degraded reads are served under those faults. The last is
+// asked of one such rate, not of each: the full sweep's 0.30 row records
+// none.
+func checkChaos(res Result) error {
+	c := claims{res: res}
+	c.check(len(res.Rows) > 0, "no sweep rows")
+	degraded := false
+	for _, row := range res.Rows {
+		rate := c.str(row, "fault rate")
+		c.check(c.num(row, "lost acked") == 0, "rate %s lost acknowledged writes", rate)
+		c.check(c.num(row, "acked") > 0, "rate %s acknowledged nothing", rate)
+		if c.num(row, "fault rate") >= 0.10 {
+			c.check(c.num(row, "retries") > 0, "rate %s: the retry counter never fired", rate)
+			degraded = degraded || c.num(row, "degraded reads") > 0
+		}
+	}
+	c.check(degraded, "no degraded read recorded at a fault rate of 0.10 or more")
+	return c.err()
 }
 
 // chaosRun drives one fault-rate cell and returns its table row.

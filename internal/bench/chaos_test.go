@@ -4,23 +4,11 @@ import (
 	"testing"
 )
 
-// col finds a header column index by name.
-func col(t *testing.T, r Result, name string) int {
-	t.Helper()
-	for i, h := range r.Header {
-		if h == name {
-			return i
-		}
-	}
-	t.Fatalf("column %q missing from header %v", name, r.Header)
-	return -1
-}
-
-// TestChaosAvailabilityDeterministic is the tentpole's acceptance check:
-// two runs of the availability sweep with the same seed must produce
-// byte-identical artifacts, every acknowledged write must survive Repair,
-// and the retry / degraded-read machinery must actually fire at nonzero
-// fault rates.
+// TestChaosAvailabilityDeterministic: two runs of the availability sweep
+// with the same seed must produce byte-identical artifacts, and the sweep
+// must hold its own claims (checkChaos: no acknowledged write lost, the
+// retry and degraded-read machinery firing). At -quick every faulted rate
+// also serves a degraded read, which checkChaos asks of one rate only.
 func TestChaosAvailabilityDeterministic(t *testing.T) {
 	r1, err := ChaosAvailability(true)
 	if err != nil {
@@ -30,33 +18,16 @@ func TestChaosAvailabilityDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := FormatJSON(r1), FormatJSON(r2)
-	if j1 != j2 {
+	if j1, j2 := FormatJSON(r1), FormatJSON(r2); j1 != j2 {
 		t.Fatalf("same-seed runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", j1, j2)
 	}
-
-	rate := col(t, r1, "fault rate")
-	acked := col(t, r1, "acked")
-	retries := col(t, r1, "retries")
-	degraded := col(t, r1, "degraded reads")
-	lost := col(t, r1, "lost acked")
-	if len(r1.Rows) == 0 {
-		t.Fatal("sweep produced no rows")
-	}
+	c := claims{res: r1}
 	for _, row := range r1.Rows {
-		if row[lost] != "0" {
-			t.Fatalf("rate %s lost %s acknowledged writes after Repair", row[rate], row[lost])
+		if c.num(row, "fault rate") >= 0.10 {
+			c.check(c.num(row, "degraded reads") > 0, "rate %s: no degraded read recorded", c.str(row, "fault rate"))
 		}
-		if parseF(t, row[acked]) == 0 {
-			t.Fatalf("rate %s acknowledged nothing: %v", row[rate], row)
-		}
-		if parseF(t, row[rate]) >= 0.10 {
-			if parseF(t, row[retries]) == 0 {
-				t.Fatalf("rate %s: retry counter zero: %v", row[rate], row)
-			}
-			if parseF(t, row[degraded]) == 0 {
-				t.Fatalf("rate %s: degraded-read counter zero: %v", row[rate], row)
-			}
-		}
+	}
+	if err := c.err(); err != nil {
+		t.Fatal(err)
 	}
 }

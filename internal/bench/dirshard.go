@@ -25,9 +25,9 @@ import (
 // the monolithic and 16-shard configurations on:
 //
 //   - per-patch ring bytes: ring-layer bytes one flush writes after a
-//     single-file patch (the CI gate: >= 4x reduction at m=500000)
+//     single-file patch (checkDirShard: >= 4x reduction at m=500000)
 //   - flush read bytes / GETs: ring-layer bytes and objects the same
-//     flush fetches (the CI gate at m=500000: monolithic 0 and 0,
+//     flush fetches (checkDirShard at m=500000: monolithic 0 and 0,
 //     sharded < 1 KiB)
 //   - cold detailed-LIST latency: manifest + extent fan-out reads in one
 //     overlapped window vs one monolithic mega-object GET
@@ -57,7 +57,7 @@ func DirShard(quick bool) (Result, error) {
 		Notes: []string{
 			"patch bytes = ring-layer bytes (ring, manifest, extents) one merger flush writes after a one-tuple patch",
 			"flush read bytes / GETs = ring-layer bytes and objects the same flush fetches; a ring or extent validated by HEAD against a remembered ETag is not fetched (the sharded GET is the manifest)",
-			"CI gates the m=500000 row: sharded per-patch bytes >= 4x below monolithic, monolithic flush read bytes and GETs both 0, sharded flush read bytes < 1 KiB",
+			"the m=500000 row is gated: sharded per-patch bytes >= 4x below monolithic, monolithic flush read bytes and GETs both 0, sharded flush read bytes < 1 KiB",
 			"crash cell: flush killed between extent writes and manifest flip; replay + scrub must converge with 0 orphans",
 			"DirShardThreshold=0 (the default) never writes a manifest: Table 1 and results/*.csv are byte-identical",
 		},
@@ -69,7 +69,34 @@ func DirShard(quick bool) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, checkDirShard(res)
+}
+
+// checkDirShard holds the sweep to its claims: no crash cell leaves an
+// orphan, and at the paper's half-million-file directory sharding writes
+// at least 4x fewer ring bytes per patch, the steady monolithic flush
+// fetches nothing and the steady sharded flush reads under 1 KiB.
+func checkDirShard(res Result) error {
+	c := claims{res: res}
+	c.check(len(res.Rows) >= 2, "%d sweep rows, want at least 2", len(res.Rows))
+	var big []string
+	for _, row := range res.Rows {
+		m := c.str(row, "m")
+		c.check(c.num(row, "crash orphans") == 0, "m=%s: orphans after the crashed split", m)
+		if m == "500000" {
+			big = row
+		}
+	}
+	c.check(big != nil, "no m=500000 row")
+	if big != nil {
+		mono, sharded := c.num(big, "patch bytes (mono)"), c.num(big, "patch bytes (sharded)")
+		c.check(mono >= 4*sharded, "m=500000: sharded patch bytes %.0f not 4x below monolithic %.0f", sharded, mono)
+		c.check(c.num(big, "flush read bytes (mono)") == 0, "m=500000: the steady monolithic flush read ring bytes")
+		c.check(c.num(big, "flush GETs (mono)") == 0, "m=500000: the steady monolithic flush issued ring GETs")
+		read := c.num(big, "flush read bytes (sharded)")
+		c.check(read < 1024, "m=500000: the steady sharded flush read %.0f ring bytes, want < 1 KiB", read)
+	}
+	return c.err()
 }
 
 // dirShardRun drives one directory-size cell: a monolithic control and a

@@ -47,7 +47,29 @@ func GCQueueReclamation(quick bool) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, checkGCQueue(res)
+}
+
+// checkGCQueue holds the sweep to its claims: rmdir costs the same at
+// every subtree size (O(1), Figure 8), every first drain hits the injected
+// crash and every replay converges with no orphan, and the reclamation
+// lag grows with the subtree, so the deferred work did not vanish.
+func checkGCQueue(res Result) error {
+	c := claims{res: res}
+	rows := res.Rows
+	c.check(len(rows) >= 2, "%d sweep rows, want at least 2", len(rows))
+	if len(rows) == 0 {
+		return c.err()
+	}
+	for _, row := range rows {
+		files := c.str(row, "files")
+		c.check(c.str(row, "rmdir (ms)") == c.str(rows[0], "rmdir (ms)"), "files %s: rmdir cost differs from the smallest subtree's", files)
+		c.check(c.str(row, "crashed drain") == "yes", "files %s: the first drain was not crashed", files)
+		c.check(c.num(row, "orphans") == 0, "files %s: orphans after replay", files)
+	}
+	first, last := c.num(rows[0], "replay drain (ms)"), c.num(rows[len(rows)-1], "replay drain (ms)")
+	c.check(last > first, "replay drain %.2f ms at the largest subtree is not above %.2f ms at the smallest", last, first)
+	return c.err()
 }
 
 // gcQueueRun drives one subtree-size cell and returns its table row.

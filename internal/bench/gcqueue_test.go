@@ -5,9 +5,9 @@ import (
 )
 
 // TestGCQueueDeterministic: two same-seed runs of the reclamation sweep
-// must produce byte-identical artifacts, rmdir must cost the same at
-// every subtree size (the O(1) bar), every first drain must hit the
-// injected crash, and every replay must converge with zero orphans.
+// must produce byte-identical artifacts, and the sweep must hold its own
+// claims (checkGCQueue: O(1) rmdir, a crashed and replayed drain, zero
+// orphans, a lag that grows with the subtree).
 func TestGCQueueDeterministic(t *testing.T) {
 	r1, err := GCQueueReclamation(true)
 	if err != nil {
@@ -17,34 +17,7 @@ func TestGCQueueDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, j2 := FormatJSON(r1), FormatJSON(r2)
-	if j1 != j2 {
+	if j1, j2 := FormatJSON(r1), FormatJSON(r2); j1 != j2 {
 		t.Fatalf("same-seed runs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", j1, j2)
-	}
-
-	rmdir := col(t, r1, "rmdir (ms)")
-	crashed := col(t, r1, "crashed drain")
-	drain := col(t, r1, "replay drain (ms)")
-	orphans := col(t, r1, "orphans")
-	if len(r1.Rows) < 2 {
-		t.Fatal("sweep produced too few rows")
-	}
-	for _, row := range r1.Rows {
-		if row[rmdir] != r1.Rows[0][rmdir] {
-			t.Fatalf("rmdir cost varies with subtree size: %v", r1.Rows)
-		}
-		if row[crashed] != "yes" {
-			t.Fatalf("first drain was not crashed: %v", row)
-		}
-		if row[orphans] != "0" {
-			t.Fatalf("orphans after replay: %v", row)
-		}
-	}
-	// Reclamation lag must actually grow with the subtree — the work the
-	// O(1) rmdir deferred did not vanish.
-	first := parseF(t, r1.Rows[0][drain])
-	last := parseF(t, r1.Rows[len(r1.Rows)-1][drain])
-	if last <= first {
-		t.Fatalf("drain lag did not grow with subtree size: %v", r1.Rows)
 	}
 }

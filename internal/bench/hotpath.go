@@ -22,8 +22,8 @@ import (
 var hotSink int
 
 // hotpathCase is one measured hot path with its committed allocs/op
-// ceiling. The ceiling is the CI contract: a change that pushes a hot
-// path above it fails the bench-wallclock gate. Nothing else polices
+// ceiling. The ceiling is the contract checkHotPath holds: a change that
+// pushes a hot path above it fails the bench-wallclock gate. Nothing else polices
 // allocations on these paths, so the codec, merge, scan and cluster
 // ceilings are the measured counts themselves, per scale where -quick and
 // full differ: one stray allocation per op — a one-element append, a
@@ -462,26 +462,10 @@ func HotPath(quick bool) (Result, error) {
 		Unit:       "ns/op",
 		Header:     []string{"path", "ns/op", "B/op", "allocs/op", "ceiling", "status"},
 		Notes: []string{
-			"allocs/op is gated in CI against the committed ceiling; ns/op and B/op are informational (wall clock)",
-			"pre-PR-8 full-scale baselines: encode-namering 5767 allocs/op, decode-namering 1025, partition 1, devices 2, merged 32, live 4, cluster/get 7, cluster/put 20",
-			"all simulated-cost figures (results/*.csv, chaos/subtree/gcqueue artifacts) are unaffected: these paths changed wall-clock speed only",
-			"pre-PR-16 baselines: h2fs/reload-evicted 31 allocs/op (own-chain probe, re-merge into an empty ring); h2fs/evict-insert 4 allocs/op and 27 KB (a candidate slice of the whole stripe, reflect-sorted per insert)",
-			"pre-PR-18 baseline: h2fs/flush-validated 96 allocs/op and 411 KB/op at full scale (ring GET, decode, tuple-by-tuple merge); now 85 and 180 KB",
-			"pre-PR-20 baselines: h2fs/list-1000 331 us and 107 KB/op (copy and sort all tuples), now 83 us and 57 KB; h2fs/list-detail-1000 1015 allocs/op (a key per child, an MD5 buffer per memo miss), now 15; h2fs/list-page-of-100k 39.7 ms and 4.86 MB/op, now 0.07 ms and 58 KB; merge/live 219 us, now 28 us; placement/partition 28 ns on a memo hit, now 173 ns on every call with no memo, lock or allocation behind it",
-			"pre-PR-22 baseline: h2fs/copy-rmdir-72 3540 allocs/op and 2.2 ms (a goroutine, tracker, context, closure and joined label per task; fmt-built patch keys and miss errors), now 2650 and 0.9 ms",
-			"pre-PR-24 baselines: cluster/put 12 allocs/op, 576 B and 1.5 us (a payload copy, an MD5 and an ETag string per replica), now 3, 160 B and 0.7 us; cluster/copy is new (a Get copy, then the same per replica; now a re-stamped header: 1 alloc, 96 B); h2fs/flush-validated 78 allocs/op and 177 KB/op at full scale, now 42 and 93 KB; h2fs/copy-rmdir-72 2650 allocs/op, 255 KB and 0.8 ms, now 1219, 138 KB and 0.5 ms",
-			"pre-PR-27 baselines: h2fs/stat-depth-16 22 allocs/op, 1.7 KB and 5.8 us (a ring key concatenated per level to look its descriptor up, a Split and a Join per path), now 1, 32 B and 2.9 us; h2fs/reload-evicted 17 allocs/op, now 11; h2fs/list-1000 and h2fs/list-page-of-100k 7, now 1; h2fs/list-detail-1000 15, now 9; h2fs/flush-validated 42, now 30; h2fs/copy-rmdir-72 1219, now 1191",
-			"pre-PR-29 baselines (a NameRing was a Go map): codec/decode-namering 6 allocs/op at -quick and 8 at full scale, 172 KB and 150 us/op at full (a map sized for every line, filled by Set), now 3, 74 KB and 131 us; merge/merged 5 and 11, 295 KB and 279 us, now 3, 147 KB and 174 us (one sorted join per input); h2fs/reload-evicted 11, now 10; h2fs/copy-rmdir-72 1191 and 137 KB, now 1137 and 128 KB (the COPY walker appends its tuples and sorts once)",
-			"pre-PR-30 baselines (a descriptor lookup locked its stripe and hashed the (account, ns) pair again for a Go map): allocs/op unchanged on every row; h2fs/stat-depth-16 2.65 and 3.25 us at -quick, now 2.46 and 2.81 us, one goroutine and so no lock traffic to remove — the two-goroutine cost is BenchmarkCachedStatParallel in internal/h2fs, 2212 ns/op at -cpu 2, now 1575",
-			"pre-PR-31 baselines (every name quoted through strconv.AppendQuote; a sharded flush hashed each extent it put for its tag), -quick, medians of three alternated runs: codec/encode-namering 19.3 us, now 11.4; codec/encode-extents 11.2 us, now 8.8; h2fs/flush-sharded 48 allocs/op, 4240 B and 17.5 us, now 47, 4224 B and 14.5 us; allocs/op unchanged on every other row",
-			"baselines before the single CLOCK table (32 stripes with LRU lists, a stub was a ring key in a per-stripe set and a reload built a new descriptor; now the evicted descriptor is the stub), -quick: h2fs/reload-evicted 10 allocs/op, 1532 B and 5.96 us, now 7, 440 B and 3.15 us; h2fs/evict-insert 0 allocs and 204 ns, now 0 and 150 ns; allocs/op unchanged on every other row",
-			"baselines before primaries-first reads (every read placed all eight nodes under a read lock; a batch window's makespan sorted through sort.Slice and scanned every worker per task), -quick, medians of three alternated runs: cluster/get 501 ns, now 339; cluster/head 482 ns, now 279, 0 allocs on both sides; h2fs/list-detail-1000 9 allocs/op and 145 us, now 7 and 102 us; h2fs/copy-rmdir-72 1127-1128 allocs/op and 714 us, now 1093-1094 and 652 us; allocs/op unchanged on every other row",
-			"baseline before the node mutex and the write-side sweep (a healthy DELETE headed and deleted on all eight nodes, 16 node calls, and the PUT of a new name headed all eight), -quick, medians of three alternated runs: cluster/put-delete 2552 ns, now 1605 (3 HEADs + 3 puts, then 1 HEAD + 3 deletes); allocs/op unchanged on every row",
-			"baselines before the web API's route table (http.ServeMux and a status wrapper on the server; a Split and a Join per path, a second URL concatenation and an io.ReadAll or json.Decoder per reply on the client), at both scales: http/stat-depth-16 91 allocs/op, now 76; http/write-file 95, now 82; h2fs/write-file 14, unchanged",
-			"baselines before observation without a context and map-free watermarks (the metrics ring made a context.WithValue per store call; a ring read parsed its watermarks into a map[int]int), at both scales: h2fs/reload-evicted 7 allocs/op, now 5; h2fs/flush-validated 30, now 28; h2fs/flush-sharded 47, now 45; h2fs/copy-rmdir-72 1093-1094, now 1067; storemw/get is new, at cluster/get's 1",
+			"allocs/op is gated against the committed ceiling; ns/op and B/op are informational (wall clock)",
+			"no simulated-cost figure (results/*.csv, the chaos/subtree/gcqueue/dirshard artifacts) reads these paths' wall clock",
 		},
 	}
-	var over []string
 	for _, c := range cases {
 		r, err := benchWithin(c, rowLimit)
 		if err != nil {
@@ -491,7 +475,6 @@ func HotPath(quick bool) (Result, error) {
 		status := "ok"
 		if allocs > c.ceiling {
 			status = "regress"
-			over = append(over, c.path)
 		}
 		res.Rows = append(res.Rows, []string{
 			c.path,
@@ -502,10 +485,33 @@ func HotPath(quick bool) (Result, error) {
 			status,
 		})
 	}
-	if len(over) > 0 {
-		return res, fmt.Errorf("allocs/op over the committed ceiling on %s", strings.Join(over, ", "))
+	return res, checkHotPath(res)
+}
+
+// checkHotPath holds the table to its contract: no row over its allocs/op
+// ceiling, a hot set of at least ten rows that still holds the storemw and
+// web API rungs, and ring placement at a ceiling of zero.
+func checkHotPath(res Result) error {
+	c := claims{res: res}
+	c.check(len(res.Rows) >= 10, "hot set shrank to %d rows", len(res.Rows))
+	var over []string
+	ceilings := map[string]float64{}
+	for _, row := range res.Rows {
+		path := c.str(row, "path")
+		ceilings[path] = c.num(row, "ceiling")
+		if c.num(row, "allocs/op") > ceilings[path] {
+			over = append(over, path)
+		}
 	}
-	return res, nil
+	c.check(len(over) == 0, "allocs/op over the committed ceiling on %s", strings.Join(over, ", "))
+	for _, rung := range []string{"storemw/get", "http/stat-depth-16", "http/write-file", "placement/partition"} {
+		_, ok := ceilings[rung]
+		c.check(ok, "hot set lost the %s row", rung)
+	}
+	if ceiling, ok := ceilings["placement/partition"]; ok {
+		c.check(ceiling == 0, "placement/partition's ceiling is %.0f, want 0", ceiling)
+	}
+	return c.err()
 }
 
 // rowLimit bounds one row's testing.Benchmark. The slowest row takes

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
@@ -49,7 +50,22 @@ func SubtreePipeline(quick bool) (Result, error) {
 			fmt.Sprintf("%.1fx", seq[i]/pipe[i]),
 		})
 	}
-	return res, nil
+	return res, checkSubtree(res)
+}
+
+// checkSubtree holds the comparison to its claim: pipelined issue keeps
+// deep-tree COPY, REPAIR and GC each at least 2x cheaper than sequential.
+func checkSubtree(res Result) error {
+	c := claims{res: res}
+	var ops []string
+	for _, row := range res.Rows {
+		op := c.str(row, "operation")
+		ops = append(ops, op)
+		seq, pipe := c.num(row, "sequential (ms)"), c.num(row, "pipelined (ms)")
+		c.check(seq >= 2*pipe, "%s: pipelined %.1f ms is not 2x below sequential %.1f ms", op, pipe, seq)
+	}
+	c.check(slices.Equal(ops, []string{"copy", "repair", "gc"}), "operations %v, want [copy repair gc]", ops)
+	return c.err()
 }
 
 // subtreeRun builds a fresh depth-3 tree and returns the measured
