@@ -3,6 +3,7 @@ package h2fs
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -104,10 +105,10 @@ func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, l
 // directory objects, subtree rings (recursively), the namespace's own
 // NameRing object and its patch chains. This is the "really removing"
 // half of fake deletion (§3.3.2) — it never runs inside a measured
-// filesystem operation. Plain child files are reclaimed with one
-// MultiDelete batch per namespace and patch chains are probed in batched
-// windows, so even the sequential (SubtreeFanout <= 1) walk benefits
-// from overlapped-window charging. entryKey, when non-empty, is the
+// filesystem operation. Plain child files and this node's own patches go
+// in one MultiDelete batch per namespace and peers' chains are probed in
+// batched windows, so even the sequential (SubtreeFanout <= 1) walk
+// benefits from overlapped-window charging. entryKey, when non-empty, is the
 // directory child object that pointed at ns — the queue drain and RMDIR
 // pass the tombstoned entry's key — and is deleted once the subtree is
 // gone.
@@ -145,19 +146,15 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 				return err
 			}
 		}
-		if err := m.store.Delete(ctx, core.RingKey(account, ns)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
-		return nil
+		return ignoreNotFound(m.store.Delete(ctx, core.RingKey(account, ns)))
 	})
 	g.GoChild("", "\x00expand", func(ctx context.Context) error {
 		defer g.Close()
-		tuples, watermarks, lay, err := m.gcSnapshot(ctx, account, ns)
+		tuples, peers, plain, lay, err := m.gcSnapshot(ctx, account, ns) // plain starts as this node's patches
 		if err != nil {
 			return err
 		}
 		extentKeys = lay.Extents(account, ns)
-		var plain []string
 		for _, t := range tuples {
 			switch {
 			case t.Dir && t.NS != "":
@@ -180,9 +177,9 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 				return nil
 			})
 		}
-		// Collect patch chains: probe upward from each node's merge
-		// watermark until the chain ends.
-		for _, w := range watermarks {
+		// Collect peers' patch chains, which this node may not have seen:
+		// probe upward from each peer's merge watermark until the chain ends.
+		for _, w := range peers {
 			g.GoChild("", "\x00patch."+strconv.Itoa(w.Node), func(ctx context.Context) error {
 				return m.collectPatchChain(ctx, account, ns, w.Node, w.Seq)
 			})
@@ -191,27 +188,29 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 	})
 }
 
-// gcSnapshot captures a namespace's tuples, per-node patch watermarks,
-// and store layout under the descriptor lock.
-func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, core.Watermarks, core.ShardManifest, error) {
+// gcSnapshot captures a namespace's tuples, peers' patch watermarks, store
+// layout and the keys of this node's live patches under the descriptor lock.
+// Those keys are exactly [firstUnflushed, nextSeq): submitPatch is their only
+// writer and load replayed any a crash left, so they need no probe.
+func (m *Middleware) gcSnapshot(ctx context.Context, account, ns string) ([]core.Tuple, core.Watermarks, []string, core.ShardManifest, error) {
 	d := m.lockedDesc(account, ns)
 	defer m.unlockDesc(d)
 	if err := m.load(ctx, d); err != nil {
-		return nil, nil, core.ShardManifest{}, err
+		return nil, nil, nil, core.ShardManifest{}, err
 	}
-	tuples := d.local.All()
-	// A copy with this node's chain in it, probed from its start if the
-	// node never flushed.
-	watermarks := make(core.Watermarks, 0, len(d.watermarks)+1)
-	watermarks = append(watermarks, d.watermarks...).Raise(m.node, 0)
-	return tuples, watermarks, d.lay, nil
+	var own []string
+	for seq := d.firstUnflushed; seq < d.nextSeq; seq++ {
+		own = append(own, core.PatchKey(account, ns, m.node, seq))
+	}
+	peers := slices.DeleteFunc(slices.Clone(d.watermarks), func(w core.Watermark) bool { return w.Node == m.node })
+	return d.local.All(), peers, own, d.lay, nil
 }
 
 // patchProbeWindow is how many consecutive patch sequence numbers one
 // MultiDelete probes at a time during chain collection.
 const patchProbeWindow = 8
 
-// collectPatchChain deletes one node's patch objects from seq wm+1 until
+// collectPatchChain deletes one peer's patch objects from seq wm+1 until
 // the chain ends. Probing happens in batched windows: one MultiDelete
 // covers patchProbeWindow consecutive sequence numbers, so a long chain
 // costs ceil(len/window) overlapped windows instead of len sequential
