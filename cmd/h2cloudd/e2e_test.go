@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/h2cloud/h2cloud/internal/httpapi"
 )
 
 // TestEndToEnd builds the real binaries, boots an H2Cloud daemon with
@@ -111,6 +114,19 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if out := run("get", "/mirror/sub/deep.txt"); out != "d" {
 		t.Fatalf("synced get = %q", out)
+	}
+
+	// /v1/stats round-robins over the middlewares: each reports the
+	// storage cloud's block beside its own counters.
+	stats := httpapi.NewClient(server, http.DefaultClient)
+	for range 2 {
+		st, err := stats.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cluster == nil || st.Cluster.Objects == 0 {
+			t.Fatalf("/v1/stats from node %d has no cluster block: %+v", st.Node, st)
+		}
 	}
 
 	// Let the maintenance loop flush NameRing patches to disk.

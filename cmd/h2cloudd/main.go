@@ -84,7 +84,6 @@ func main() {
 		mw, err := h2cloud.NewMiddleware(h2cloud.Config{
 			Store: cloud, Node: i + 1, Profile: profile, Gossip: bus,
 			EagerGC: !*gcQueue, GCQueue: *gcQueue,
-			Metrics: h2cloud.NewMetricsRegistry(),
 		})
 		if err != nil {
 			log.Fatalf("h2cloudd: middleware %d: %v", i+1, err)

@@ -5,50 +5,21 @@
 // times side by side.
 //
 // This is the paper's Table 1 brought to life on a realistic mixed
-// workload instead of single-operation microbenchmarks.
+// workload instead of single-operation microbenchmarks: the full-scale
+// `h2bench -exp shootout` table (one light user, a 500-op trace).
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/h2cloud/h2cloud/internal/bench"
-	"github.com/h2cloud/h2cloud/internal/vclock"
-	"github.com/h2cloud/h2cloud/internal/workload"
 )
 
 func main() {
-	// One light user's filesystem plus a 500-operation interactive trace.
-	tree := workload.Generate(workload.LightUser(2026))
-	ops := workload.GenerateOps(tree, 500, 7, nil)
-	st := tree.Stats()
-	fmt.Printf("workload: %d dirs, %d files (max depth %d, max %d files/dir), %d ops\n\n",
-		st.Dirs, st.Files, st.MaxDepth, st.MaxPerDir, len(ops))
-
-	fmt.Printf("%-22s %14s %14s %12s\n", "system", "populate", "500-op trace", "per op")
-	for _, kind := range bench.Kinds {
-		sys, err := bench.NewSystem(kind)
-		if err != nil {
-			log.Fatal(err)
-		}
-		popTracker := vclock.NewTracker()
-		popCtx := vclock.With(context.Background(), popTracker)
-		if err := tree.Populate(popCtx, sys.FS, 256); err != nil {
-			log.Fatalf("%s populate: %v", kind, err)
-		}
-		opTracker := vclock.NewTracker()
-		opCtx := vclock.With(context.Background(), opTracker)
-		if err := workload.Replay(opCtx, sys.FS, ops); err != nil {
-			log.Fatalf("%s replay: %v", kind, err)
-		}
-		perOp := opTracker.Elapsed() / time.Duration(len(ops))
-		fmt.Printf("%-22s %14s %14s %12s\n",
-			bench.DisplayName(kind),
-			popTracker.Elapsed().Round(time.Millisecond),
-			opTracker.Elapsed().Round(time.Millisecond),
-			perOp.Round(100*time.Microsecond))
+	res, err := bench.Shootout(false)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("\ntimes are simulated service time (virtual clock), excluding WAN RTT — the paper's metric")
+	fmt.Print(bench.FormatText(res))
 }

@@ -76,9 +76,10 @@ type (
 
 // Observability.
 type (
-	// MetricsRegistry collects per-op latency and robustness counters;
-	// pass one to Config.Metrics to light up /v1/stats counters and the
-	// GC-queue gauge.
+	// MetricsRegistry collects per-op latency and robustness counters.
+	// Every middleware reports to one (a private registry when
+	// Config.Metrics is nil); passing one only chooses where the counters
+	// go, for example to share a registry between middlewares.
 	MetricsRegistry = metrics.Registry
 )
 

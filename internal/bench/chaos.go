@@ -19,8 +19,8 @@ import (
 // ChaosAvailability is the availability-under-faults experiment: a seeded
 // chaos engine injects transient store errors (rate swept along the x
 // axis), latency spikes, a node crash/restart schedule, and gossip
-// drops/delays, while two retry-enabled middlewares run a deterministic
-// create/write/read workload. Reported per rate: acknowledged vs failed
+// drops/delays, while two middlewares, each retrying transient errors in
+// its store ring, run a deterministic create/write/read workload. Reported per rate: acknowledged vs failed
 // operations, retry and degraded-read counters, the retry-inflated mean
 // service time, the paper's α ratio against that mean, and — the
 // robustness acceptance bar — how many acknowledged writes were lost
@@ -115,7 +115,7 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 	for i := range mws {
 		mws[i], err = h2fs.New(h2fs.Config{
 			Store: cs, Node: i + 1, Profile: profile, Clock: clock,
-			Gossip: bus, Retry: true, Metrics: reg,
+			Gossip: bus, Metrics: reg,
 		})
 		if err != nil {
 			return nil, err

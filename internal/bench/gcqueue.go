@@ -87,7 +87,7 @@ func gcQueueRun(n int) ([]string, error) {
 	cs := eng.Store(c)
 	m, err := h2fs.New(h2fs.Config{
 		Store: cs, Node: 1, Profile: profile, Clock: clock,
-		GCQueue: true, Retry: true, Metrics: reg,
+		GCQueue: true, Metrics: reg,
 	})
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/httpapi"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/pathdb"
 	"github.com/h2cloud/h2cloud/internal/ring"
 	"github.com/h2cloud/h2cloud/internal/storemw"
@@ -98,6 +99,14 @@ func HotPath(quick bool) (Result, error) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	if err := cl.Put(ctx, "hot/object", payload, nil); err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
+
+	headNames := make([]string, 16)
+	for i := range headNames {
+		headNames[i] = fmt.Sprintf("hot/head%02d", i)
+		if err := cl.Put(ctx, headNames[i], payload, nil); err != nil {
+			return Result{}, fmt.Errorf("hotpath: %w", err)
+		}
 	}
 
 	reg := metrics.NewRegistry()
@@ -263,6 +272,19 @@ func HotPath(quick bool) (Result, error) {
 					b.Fatal(err)
 				}
 				hotSink += len(data)
+			}
+		}},
+		// A healthy 16-name MultiHead through the same stack: the retry
+		// ring looks for transient slots without allocating, so what is
+		// left is the batch the cluster and the metrics ring build.
+		{"storemw/multihead-16", 4, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range objstore.MultiHead(ctx, stacked, headNames) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+					hotSink += int(r.Info.Size)
+				}
 			}
 		}},
 		// A HEAD a primary answers places no handoff and allocates nothing.

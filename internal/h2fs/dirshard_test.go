@@ -607,7 +607,7 @@ func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
 	m := newMW(t, c, 1, withShardThreshold(16), func(cfg *Config) {
-		cfg.Retry, cfg.Metrics = true, reg
+		cfg.Metrics = reg
 	})
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))

@@ -271,6 +271,44 @@ func TestRemoveTombstonesBeforeReclaim(t *testing.T) {
 	}
 }
 
+// Account deletion commits before it reclaims, as every other deletion
+// does: a delete that fails mid-walk leaves the account gone and what the
+// walk missed as orphans for a scrub, never a live account whose names
+// dangle.
+func TestDeleteAccountCommitsBeforeReclaim(t *testing.T) {
+	c := newCluster(t)
+	cs := chaos.New(chaos.Plan{}, nil).Store(c)
+	m, err := New(Config{Store: cs, Node: 1})
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	afs := m.FS("alice")
+	mustNoErr(t, afs.Mkdir(ctx, "/d"))
+	mustNoErr(t, afs.WriteFile(ctx, "/d/a", []byte("a")))
+	mustNoErr(t, afs.WriteFile(ctx, "/d/f", []byte("f")))
+	mustNoErr(t, m.FlushAll(ctx))
+
+	cs.FailOn(chaos.OpDelete, "::f")
+	if err := m.DeleteAccount(ctx, "alice"); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("DeleteAccount with failing reclaim = %v, want injected fault", err)
+	}
+	cs.FailOn(chaos.OpDelete, "")
+	if ok, err := m.AccountExists(ctx, "alice"); err != nil || ok {
+		t.Fatalf("AccountExists after a failed walk = %v, %v; want the deletion committed", ok, err)
+	}
+	if n := m.Metrics().Counter("reclaim.errors"); n != 1 {
+		t.Fatalf("reclaim.errors = %d after one failed walk, want 1", n)
+	}
+	rep, err := m.Scrub(ctx, c.Names(), true)
+	mustNoErr(t, err)
+	if rep.Dangling != 0 || rep.Live != 0 || rep.Reclaimed == 0 {
+		t.Fatalf("scrub after a failed walk = %+v, want orphans only", rep)
+	}
+	if n := len(c.Names()); n != 0 {
+		t.Fatalf("%d objects left after the scrub reclaimed the orphans", n)
+	}
+}
+
 // An overwrite of a chunked file puts the new content and its tuple
 // before it deletes the old segments: a failed put leaves the old file
 // whole, and a failed segment delete leaves the new one whole. A chunked

@@ -152,7 +152,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	cs := eng.Store(c)
 	m, err := New(Config{
 		Store: cs, Node: 1, Clock: clock,
-		GCQueue: true, Retry: true, Metrics: reg,
+		GCQueue: true, Metrics: reg,
 	})
 	mustNoErr(t, err)
 	ctx := context.Background()

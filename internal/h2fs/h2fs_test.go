@@ -13,7 +13,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/gossip"
-	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -56,9 +55,10 @@ func TestConformance(t *testing.T) {
 // TestConformanceAllFeatures runs the suite with every option that changes
 // how h2fs schedules or shares work switched on at once — sharded rings,
 // the durable GC queue, the pipelined subtree engine, a one-descriptor
-// cache, retries, a metrics registry and a maintenance loop flushing and
-// draining beside the operations — so ConcurrentMix under -race reaches
-// their shared state.
+// cache and a maintenance loop flushing and draining beside the
+// operations — so ConcurrentMix under -race reaches their shared state.
+// The retry and metrics rings are on every middleware, so TestConformance
+// runs them too.
 func TestConformanceAllFeatures(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
 		m := newMW(t, newCluster(t), 1, func(cfg *Config) {
@@ -66,8 +66,6 @@ func TestConformanceAllFeatures(t *testing.T) {
 			cfg.GCQueue = true
 			cfg.SubtreeFanout = 4
 			cfg.DescCacheLimit = 1
-			cfg.Retry = true
-			cfg.Metrics = metrics.NewRegistry()
 		})
 		ctx, cancel := context.WithCancel(context.Background())
 		if err := m.CreateAccount(ctx, "alice"); err != nil {

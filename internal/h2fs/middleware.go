@@ -58,7 +58,7 @@ type Config struct {
 	// to the GC queue's drain (or, with the queue off, to nothing but an
 	// orphan scrub), matching the paper's fake-deletion design. Account
 	// deletion reclaims synchronously either way when the queue is off —
-	// the walk runs before the root record goes, billed to the caller —
+	// the walk runs after the root record goes, billed to the caller —
 	// and with the queue on it defers to the drain unless EagerGC is set.
 	EagerGC bool
 	// GCQueue enables the durable async reclamation queue: RMDIR and
@@ -68,18 +68,14 @@ type Config struct {
 	// synchronous walk dequeues the intent, so a crash mid-reclamation
 	// is resumed instead of leaking the remainder.
 	GCQueue bool
-	// Retry installs the typed-error retry loop between the middleware
-	// and the store (storemw.Retry): transient cloud errors are retried
-	// with capped exponential backoff charged to the virtual clock. Off,
-	// nothing is retried.
-	Retry bool
-	// Metrics, when set, receives the middleware's robustness counters
+	// Metrics is the registry the middleware reports to: the store
+	// rings' per-primitive observations (store.<op>) and retry counters
 	// (retry.attempts, retry.exhausted), the descriptor-cache gauges
 	// (descCache.size, descCache.evicted, descCache.settled — stubs held
 	// for clean-evicted rings — and descCache.probes.skipped, the own-chain
 	// probes those stubs saved), and the directory-sharding counters
-	// (dirShard.splits, dirShard.merges, dirShard.extents); it is exposed
-	// via Metrics().
+	// (dirShard.splits, dirShard.merges, dirShard.extents). Nil means a
+	// private registry; either way Metrics() returns it.
 	Metrics *metrics.Registry
 	// DescCacheLimit caps the resident File Descriptors, exactly: an
 	// insert past it releases a clean descriptor the CLOCK hand finds
@@ -99,7 +95,8 @@ type Config struct {
 
 // Middleware is one H2Middleware instance.
 type Middleware struct {
-	store     objstore.Store
+	store     objstore.Store // cloud behind the retry and metrics rings
+	cloud     objstore.Store // Config.Store
 	node      int
 	profile   cluster.CostProfile
 	fanout    int // Config.SubtreeFanout
@@ -128,19 +125,16 @@ func New(cfg Config) (*Middleware, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	// Assemble the store middleware stack: retry innermost (each attempt
-	// goes straight to the cloud), op-tracing metrics outermost so its
-	// observations include retry-inflated service time.
-	var layers []storemw.Layer
-	if cfg.Retry {
-		layers = append(layers, storemw.Retry(cfg.Metrics))
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Metrics != nil {
-		layers = append(layers, storemw.Metrics(cfg.Metrics))
-	}
-	store := storemw.Stack(cfg.Store, layers...)
 	m := &Middleware{
-		store:     store,
+		// One store path for every middleware: the retry ring innermost
+		// (each attempt goes straight to the cloud, and only a transient
+		// error is re-issued), op-tracing metrics outermost so its
+		// observations include retry-inflated service time.
+		store:     storemw.Stack(cfg.Store, storemw.Retry(cfg.Metrics), storemw.Metrics(cfg.Metrics)),
+		cloud:     cfg.Store,
 		node:      cfg.Node,
 		profile:   cfg.Profile,
 		fanout:    cfg.SubtreeFanout,
@@ -164,11 +158,11 @@ func New(cfg Config) (*Middleware, error) {
 func (m *Middleware) Node() int { return m.node }
 
 // Store returns the underlying object storage cloud (the Outbound API
-// target), including the retry layer when one is configured.
-func (m *Middleware) Store() objstore.Store { return m.store }
+// target): Config.Store, without the rings the middleware stacks on it.
+func (m *Middleware) Store() objstore.Store { return m.cloud }
 
-// Metrics returns the middleware's counter registry (nil when none was
-// configured).
+// Metrics returns the middleware's registry: Config.Metrics, or the
+// private one New made when that was nil.
 func (m *Middleware) Metrics() *metrics.Registry { return m.reg }
 
 // Recover simulates a middleware process restart: every cached File
@@ -227,19 +221,19 @@ func (m *Middleware) CreateAccount(ctx context.Context, account string) error {
 
 // DeleteAccount removes a user's filesystem: the root record delete is
 // the commit, and the reclamation of the tree follows Rmdir's steps
-// (gcqueue.go). Without the queue nothing could resume an interrupted
-// walk, so it runs first, billed to the caller: every object under the
-// root namespace, then the root record.
+// (gcqueue.go). Without the queue the walk runs right after the commit,
+// billed to the caller; a delete it fails leaves orphans for a scrub,
+// counted in reclaim.errors, never a live account with dangling names.
 func (m *Middleware) DeleteAccount(ctx context.Context, account string) error {
 	ns, err := m.rootNS(ctx, account)
 	if err != nil {
 		return err
 	}
 	if !m.gc.on {
-		if err := m.gcNamespace(ctx, account, ns, ""); err != nil {
+		if err := m.unlinkRoot(ctx, account); err != nil {
 			return err
 		}
-		return m.unlinkRoot(ctx, account)
+		return m.reclaimed(m.gcNamespace(ctx, account, ns, ""))
 	}
 	e := core.GCEntry{Account: account, NS: ns, Root: true}
 	seq, err := m.enqueueGC(ctx, e)

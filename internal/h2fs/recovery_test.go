@@ -53,7 +53,7 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 	for i := range mws {
 		m, err := New(Config{
 			Store: cs, Node: i + 1, Gossip: bus, Clock: clock,
-			EagerGC: true, Retry: true, Metrics: reg,
+			EagerGC: true, Metrics: reg,
 		})
 		mustNoErr(t, err)
 		mws[i] = m

@@ -282,7 +282,6 @@ func TestChaosSeededBatchDeterminism(t *testing.T) {
 			Profile:       profile,
 			Clock:         constClock,
 			EagerGC:       true,
-			Retry:         true,
 			SubtreeFanout: 16,
 			Metrics:       reg,
 		})

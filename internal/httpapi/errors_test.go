@@ -18,7 +18,7 @@ import (
 
 // newFaultableStack builds a client/server pair whose cluster is exposed
 // for failure injection and whose middleware can be restarted, with the
-// middleware's retry layer and counter registry configured.
+// middleware reporting to a registry the caller passed.
 func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, *h2fs.Middleware, string) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
@@ -26,8 +26,7 @@ func newFaultableStack(t *testing.T) (*Client, *cluster.Cluster, *h2fs.Middlewar
 		t.Fatal(err)
 	}
 	mw, err := h2fs.New(h2fs.Config{
-		Store: c, Node: 1, EagerGC: true,
-		Retry: true, Metrics: metrics.NewRegistry(),
+		Store: c, Node: 1, EagerGC: true, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -164,8 +164,8 @@ type StatsPayload struct {
 	Node    int                  `json:"node"`
 	Ops     []metrics.OpSnapshot `json:"ops"`
 	Cluster *cluster.Stats       `json:"cluster,omitempty"`
-	// Counters carries the robustness counters (retries, injected faults,
-	// degraded reads) when the middleware has a registry configured.
+	// Counters carries the middleware registry's counters (retries,
+	// injected faults, degraded reads, descriptor-cache gauges).
 	Counters []metrics.CounterSnapshot `json:"counters,omitempty"`
 	// GCQueue carries reclamation-queue depth and lifetime counters when
 	// the durable GC queue is configured.

@@ -69,6 +69,20 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsClusterBehindStoreRings checks /v1/stats on a middleware
+// with a registry: the cluster block reports the cloud the middleware
+// was built over, not the retry and metrics rings stacked on it.
+func TestStatsClusterBehindStoreRings(t *testing.T) {
+	client, c, _, _ := newFaultableStack(t)
+	ctx := context.Background()
+	mustOK(t, client.CreateAccount(ctx, "alice"))
+	stats, err := client.Stats(ctx)
+	mustOK(t, err)
+	if stats.Cluster == nil || stats.Cluster.Objects != c.Stats().Objects {
+		t.Fatalf("cluster block = %+v, want the cluster's %+v", stats.Cluster, c.Stats())
+	}
+}
+
 func mustOK(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

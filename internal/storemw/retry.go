@@ -49,7 +49,8 @@ func backoff(op, name string, attempt int) time.Duration {
 
 // Retry returns the retry Layer: transient failures from the inner store
 // are re-issued with backoff charged to the virtual clock and counters
-// reported to reg (nil-safe). h2fs installs it when Config.Retry is set.
+// reported to reg (nil-safe). Every h2fs middleware stacks it under the
+// Metrics ring.
 func Retry(reg *metrics.Registry) Layer {
 	return func(inner objstore.Store) objstore.Store {
 		return &retryStore{inner: inner, reg: reg}
@@ -70,80 +71,76 @@ var (
 // Unwrap implements Wrapper.
 func (s *retryStore) Unwrap() objstore.Store { return s.inner }
 
-// do runs fn under the retry loop, charging backoff between transient
-// failures. It returns fn's last error.
-func (s *retryStore) do(ctx context.Context, op, name string, fn func() error) error {
-	var err error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		err = fn()
-		if err == nil || !objstore.Transient(err) {
-			return err
-		}
-		if attempt == maxAttempts-1 || ctx.Err() != nil {
-			break
-		}
-		s.reg.Inc("retry.attempts", 1)
-		//h2vet:ignore costcheck backoff between attempts is real service time charged on top of the inner store's per-attempt cost
-		vclock.Charge(ctx, backoff(op, name, attempt))
+// again reports whether a primitive that returned err on try number
+// attempt (0-based) goes out again, and charges the backoff before it
+// does. Only a transient error is retried, so a healthy call makes one
+// trip through the ring and builds no closure.
+func (s *retryStore) again(ctx context.Context, op, name string, err error, attempt int) bool {
+	if err == nil || !objstore.Transient(err) {
+		return false
 	}
-	s.reg.Inc("retry.exhausted", 1)
-	return err
+	if attempt == maxAttempts-1 || ctx.Err() != nil {
+		s.reg.Inc("retry.exhausted", 1)
+		return false
+	}
+	s.reg.Inc("retry.attempts", 1)
+	//h2vet:ignore costcheck backoff between attempts is real service time charged on top of the inner store's per-attempt cost
+	vclock.Charge(ctx, backoff(op, name, attempt))
+	return true
 }
 
 // Put implements objstore.Store.
 func (s *retryStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	return s.do(ctx, "put", name, func() error {
-		return s.inner.Put(ctx, name, data, meta)
-	})
+	err := s.inner.Put(ctx, name, data, meta)
+	for attempt := 0; s.again(ctx, "put", name, err, attempt); attempt++ {
+		err = s.inner.Put(ctx, name, data, meta)
+	}
+	return err
 }
 
 // Get implements objstore.Store.
 func (s *retryStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	var data []byte
-	var info objstore.ObjectInfo
-	err := s.do(ctx, "get", name, func() error {
-		var err error
+	data, info, err := s.inner.Get(ctx, name)
+	for attempt := 0; s.again(ctx, "get", name, err, attempt); attempt++ {
 		data, info, err = s.inner.Get(ctx, name)
-		return err
-	})
+	}
 	return data, info, err
 }
 
 // GetRange implements objstore.Store.
 func (s *retryStore) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, objstore.ObjectInfo, error) {
-	var data []byte
-	var info objstore.ObjectInfo
-	err := s.do(ctx, "getrange", name, func() error {
-		var err error
+	data, info, err := s.inner.GetRange(ctx, name, offset, length)
+	for attempt := 0; s.again(ctx, "getrange", name, err, attempt); attempt++ {
 		data, info, err = s.inner.GetRange(ctx, name, offset, length)
-		return err
-	})
+	}
 	return data, info, err
 }
 
 // Head implements objstore.Store.
 func (s *retryStore) Head(ctx context.Context, name string) (objstore.ObjectInfo, error) {
-	var info objstore.ObjectInfo
-	err := s.do(ctx, "head", name, func() error {
-		var err error
+	info, err := s.inner.Head(ctx, name)
+	for attempt := 0; s.again(ctx, "head", name, err, attempt); attempt++ {
 		info, err = s.inner.Head(ctx, name)
-		return err
-	})
+	}
 	return info, err
 }
 
 // Delete implements objstore.Store.
 func (s *retryStore) Delete(ctx context.Context, name string) error {
-	return s.do(ctx, "delete", name, func() error {
-		return s.inner.Delete(ctx, name)
-	})
+	err := s.inner.Delete(ctx, name)
+	for attempt := 0; s.again(ctx, "delete", name, err, attempt); attempt++ {
+		err = s.inner.Delete(ctx, name)
+	}
+	return err
 }
 
 // Copy implements objstore.Store.
 func (s *retryStore) Copy(ctx context.Context, src, dst string) error {
-	return s.do(ctx, "copy", src, func() error {
-		return s.inner.Copy(ctx, src, dst)
-	})
+	err := s.inner.Copy(ctx, src, dst)
+	for attempt := 0; s.again(ctx, "copy", src, err, attempt); attempt++ {
+		err = s.inner.Copy(ctx, src, dst)
+	}
+	return err
 }
 
 // retryBatch runs one batch through call, which forwards a (sub-)batch
@@ -156,9 +153,10 @@ func (s *retryStore) Copy(ctx context.Context, src, dst string) error {
 // result from the wave that last issued it. Nothing of the caller's
 // items is written but what copyBack (nil for none) copies from a
 // retried one: the only output the Batcher contract names on an input
-// is PutReq.ETag.
+// is PutReq.ETag. errOf reads a slot's error in place, so a healthy
+// batch is scanned without copying its results.
 func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, items []In, name func(In) string,
-	call func([]In) []Out, errOf func(Out) error, copyBack func(dst *In, src In)) []Out {
+	call func([]In) []Out, errOf func(*Out) error, copyBack func(dst *In, src In)) []Out {
 	out := call(items)
 	pending := transientSlots(out, errOf)
 	for attempt := 0; attempt < maxAttempts-1 && len(pending) > 0 && ctx.Err() == nil; attempt++ {
@@ -176,7 +174,7 @@ func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, item
 			if copyBack != nil {
 				copyBack(&items[i], sub[j])
 			}
-			if objstore.Transient(errOf(res[j])) {
+			if objstore.Transient(errOf(&res[j])) {
 				still = append(still, i)
 			}
 		}
@@ -192,39 +190,43 @@ func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, item
 func (s *retryStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
 	return retryBatch(ctx, s, "get", names, itself, func(sub []string) []objstore.GetResult {
 		return objstore.MultiGet(ctx, s.inner, sub)
-	}, func(r objstore.GetResult) error { return r.Err }, nil)
+	}, func(r *objstore.GetResult) error { return r.Err }, nil)
 }
 
 // MultiHead implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiHead(ctx context.Context, names []string) []objstore.HeadResult {
 	return retryBatch(ctx, s, "head", names, itself, func(sub []string) []objstore.HeadResult {
 		return objstore.MultiHead(ctx, s.inner, sub)
-	}, func(r objstore.HeadResult) error { return r.Err }, nil)
+	}, func(r *objstore.HeadResult) error { return r.Err }, nil)
 }
 
 // MultiPut implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
 	return retryBatch(ctx, s, "put", reqs, func(r objstore.PutReq) string { return r.Name }, func(sub []objstore.PutReq) []error {
 		return objstore.MultiPut(ctx, s.inner, sub)
-	}, itself, func(dst *objstore.PutReq, src objstore.PutReq) { dst.ETag = src.ETag })
+	}, ownErr, func(dst *objstore.PutReq, src objstore.PutReq) { dst.ETag = src.ETag })
 }
 
 // MultiDelete implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiDelete(ctx context.Context, names []string) []error {
 	return retryBatch(ctx, s, "delete", names, itself, func(sub []string) []error {
 		return objstore.MultiDelete(ctx, s.inner, sub)
-	}, itself, nil)
+	}, ownErr, nil)
 }
 
-// itself is the identity: a name that is its own key, an error that is
-// its own result.
+// itself is the identity: a name that is its own key.
 func itself[T any](v T) T { return v }
 
-// transientSlots returns the indexes of results whose error is transient.
-func transientSlots[T any](results []T, errOf func(T) error) []int {
-	slots := make([]int, 0, len(results))
-	for i, r := range results {
-		if objstore.Transient(errOf(r)) {
+// ownErr reads a result that is its own error.
+func ownErr(p *error) error { return *p }
+
+// transientSlots returns the indexes of results whose error is
+// transient. It allocates only once one is found, so a healthy batch
+// passes through the ring for free.
+func transientSlots[T any](results []T, errOf func(*T) error) []int {
+	var slots []int
+	for i := range results {
+		if err := errOf(&results[i]); err != nil && objstore.Transient(err) {
 			slots = append(slots, i)
 		}
 	}

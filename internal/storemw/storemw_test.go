@@ -378,3 +378,57 @@ func TestMetricsGetAllocatesWhatTheClusterDoes(t *testing.T) {
 		t.Fatalf("Get through Retry and Metrics allocates %v times, the bare cluster %v", wrapped, bare)
 	}
 }
+
+// TestRetryRingAllocatesNothingOnHealthyBatches: a batch with no
+// transient slot passes through the retry ring for free, so each Multi*
+// through Retry and Metrics allocates what it does through Metrics alone.
+func TestRetryRingAllocatesNothingOnHealthyBatches(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := vclock.With(context.Background(), vclock.NewTracker())
+	names := make([]string, 16)
+	reqs := make([]objstore.PutReq, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("hot/obj%02d", i)
+		reqs[i] = objstore.PutReq{Name: names[i], Data: []byte("0123456789abcdef")}
+	}
+	missing := []string{"hot/gone"}
+	batches := []struct {
+		name string
+		run  func(s objstore.Store)
+	}{
+		{"MultiPut", func(s objstore.Store) {
+			for _, err := range objstore.MultiPut(ctx, s, reqs) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"MultiGet", func(s objstore.Store) {
+			for _, r := range objstore.MultiGet(ctx, s, names) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		}},
+		{"MultiHead", func(s objstore.Store) {
+			for _, r := range objstore.MultiHead(ctx, s, names) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+		}},
+		// A permanent miss is not retried either.
+		{"MultiDelete", func(s objstore.Store) { objstore.MultiDelete(ctx, s, missing) }},
+	}
+	metered := Stack(cl, Metrics(metrics.NewRegistry()))
+	full := Stack(cl, Retry(metrics.NewRegistry()), Metrics(metrics.NewRegistry()))
+	for _, b := range batches {
+		want := testing.AllocsPerRun(100, func() { b.run(metered) })
+		if got := testing.AllocsPerRun(100, func() { b.run(full) }); got != want {
+			t.Errorf("%s through Retry and Metrics allocates %v times, through Metrics alone %v", b.name, got, want)
+		}
+	}
+}
