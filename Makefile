@@ -10,15 +10,15 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Repo-specific static analysis, eleven rules: per-unit (virtualtime,
-# mapiter, lockcheck, droppederr, backoffcheck, atomiccheck) plus
-# whole-program (costcheck, lockorder, sentinelcheck, ctxcheck,
-# deadignore) over a shared typed module with one class-hierarchy call
-# graph. Any finding fails it; a tolerated one is an inline
-# //h2vet:ignore that deadignore audits. 'h2vet -explain <rule>'
-# documents each; DESIGN.md, "What guards what", says which gate owns the
-# bug classes h2vet leaves to tests and benches (data races: fstest's
-# ConcurrentMix under make race).
+# Repo-specific static analysis, nine rules: per-unit (virtualtime,
+# mapiter, lockcheck, droppederr, atomiccheck) plus whole-program
+# (costcheck, lockorder, sentinelcheck, deadignore) over a shared typed
+# module with one class-hierarchy call graph. Any finding fails it; a
+# tolerated one is an inline //h2vet:ignore that deadignore audits.
+# 'h2vet -explain <rule>' documents each; DESIGN.md, "What guards what",
+# says which gate owns the bug classes h2vet leaves to tests and benches
+# (data races: fstest's ConcurrentMix under make race; a store call on a
+# context that lost its caller's: fstest.Probe on every conformance run).
 lint:
 	$(GO) run ./cmd/h2vet ./...
 

@@ -27,9 +27,8 @@ type Analyzer struct {
 
 func allAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		virtualtimeAnalyzer, mapiterAnalyzer, lockcheckAnalyzer, droppederrAnalyzer, backoffcheckAnalyzer,
+		virtualtimeAnalyzer, mapiterAnalyzer, lockcheckAnalyzer, droppederrAnalyzer, atomiccheckAnalyzer,
 		costcheckAnalyzer, lockorderAnalyzer, sentinelcheckAnalyzer,
-		ctxcheckAnalyzer, atomiccheckAnalyzer,
 		deadignoreAnalyzer,
 	}
 }

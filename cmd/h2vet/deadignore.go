@@ -31,7 +31,7 @@ func (r *reporter) finish(analyzers []*Analyzer, subset bool) []Diagnostic {
 	for _, a := range analyzers {
 		selected[a.Name] = true
 	}
-	keeps := func(d *directive) bool { return d.name == "ignore" && d.arg == deadignoreAnalyzer.Name }
+	keeps := func(d *directive) bool { return d.rule == deadignoreAnalyzer.Name }
 	for file, lines := range r.dirs {
 		if !selected[deadignoreAnalyzer.Name] || !r.analyzed[file] {
 			continue
@@ -40,16 +40,16 @@ func (r *reporter) finish(analyzers []*Analyzer, subset bool) []Diagnostic {
 			// Meta-suppressions are judged by what they annotate; an
 			// explicit deadignore suppression on the line above keeps a
 			// directive, a blanket "all" does not.
-			if d.name != "ignore" || keeps(d) || r.dirs.find(d.pos, keeps) != nil {
+			if keeps(d) || r.dirs.find(d.pos, keeps) != nil {
 				continue
 			}
-			msg := "//h2vet:ignore " + d.arg + " suppresses nothing: no " + d.arg + " finding on this line or the next; delete the stale directive"
+			msg := "//h2vet:ignore " + d.rule + " suppresses nothing: no " + d.rule + " finding on this line or the next; delete the stale directive"
 			switch {
-			case !known[d.arg]:
-				msg = "//h2vet:ignore " + d.arg + " suppresses nothing: unknown rule (see h2vet -list)"
-			case r.used[d], subset && (d.arg == "all" || !selected[d.arg]):
+			case !known[d.rule]:
+				msg = "//h2vet:ignore " + d.rule + " suppresses nothing: unknown rule (see h2vet -list)"
+			case r.used[d], subset && (d.rule == "all" || !selected[d.rule]):
 				continue // live, or its rule did not run and cannot be judged
-			case d.arg == "all":
+			case d.rule == "all":
 				msg = "//h2vet:ignore all suppresses nothing: no finding on this line or the next; delete the stale directive"
 			}
 			r.diags = append(r.diags, Diagnostic{Pos: d.pos, Rule: deadignoreAnalyzer.Name, Msg: msg})

@@ -3,7 +3,7 @@
 // evaluation depends on (DESIGN.md, "Determinism & concurrency
 // invariants").
 //
-// Run `h2vet -list` for the eleven rules, one line each, and
+// Run `h2vet -list` for the nine rules, one line each, and
 // `h2vet -explain <rule>` for what a rule computes, why the repo cares and
 // how to satisfy or suppress it: each analyzer carries that text itself,
 // and nothing else restates it. Every rule is something only static
@@ -12,7 +12,9 @@
 // (allocs/op ceilings), mixed atomic/plain access (the compiler, once
 // every atomic is typed), sync.Pool misuse (an allocs/op ceiling and a
 // reuse test per pool), data races (fstest's ConcurrentMix cell under
-// -race) — are left to those gates (DESIGN.md, "What guards what").
+// -race), a store call on a context that lost its caller's (fstest.Probe
+// on every conformance run) — are left to those gates (DESIGN.md, "What
+// guards what").
 //
 // The two lock rules — lockcheck and lockorder — read one lock model
 // (lockspan.go). A span opens at Lock, RLock, TryLock or TryRLock.
@@ -21,16 +23,14 @@
 // early-exit unlock (`if bad { mu.Unlock(); return }`) leaves it open to
 // the end of the function, since on the fallthrough path the mutex is
 // still held. Each function literal is a scope of its own.
-// All eleven rules report through one path, which applies the one
-// table of //h2vet: directives that every rule and deadignore read.
+// All nine rules report through one path, which applies the one
+// table of //h2vet:ignore directives that every rule and deadignore read.
 //
 // The syntactic rules (virtualtime, mapiter, lockcheck, droppederr,
-// backoffcheck, atomiccheck) run per unit; the rest are whole-program:
-// h2vet loads and type-checks the entire module once into a shared typed
-// universe, builds one class-hierarchy call graph over go/types (an
-// interface call reaches every implementation in the module), and runs
-// the analyzers over it. ctxcheck traces a context's origin through its
-// own fixpoint over local assignments.
+// atomiccheck) run per unit; the rest are whole-program: h2vet loads and
+// type-checks the entire module once into a shared typed universe, builds
+// one class-hierarchy call graph over go/types (an interface call reaches
+// every implementation in the module), and runs the analyzers over it.
 //
 // h2vet is built only on the standard library (go/ast, go/parser,
 // go/types with the source importer), preserving the repo's

@@ -25,7 +25,7 @@ func TestExplainCoversAllRules(t *testing.T) {
 // The rule set is the contract CI's lint job runs, so a rule that compiles
 // but is not wired into allAnalyzers would silently stop checking.
 func TestV4RulesRegistered(t *testing.T) {
-	for _, name := range []string{"ctxcheck", "atomiccheck"} {
+	for _, name := range []string{"virtualtime", "atomiccheck"} {
 		a := analyzerByName(name)
 		if a == nil {
 			t.Errorf("rule %s not registered in allAnalyzers", name)
@@ -47,7 +47,7 @@ func TestV4RulesRegistered(t *testing.T) {
 // `h2vet -explain <rule>` is a sufficient fix guide.
 func TestV4ExplainTextsMentionDirectives(t *testing.T) {
 	cases := map[string][]string{
-		"ctxcheck":    {"context.Background", "WithoutCancel", "//h2vet:durable", "//h2vet:ignore ctxcheck"},
+		"virtualtime": {"time.Sleep", "time.NewTimer", "time.NewTicker is allowed", "//h2vet:ignore virtualtime"},
 		"atomiccheck": {"sync/atomic", "atomic.Int64", "does not compile"},
 	}
 	for rule, wants := range cases {

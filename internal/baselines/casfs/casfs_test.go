@@ -20,10 +20,7 @@ func newFS(t testing.TB) (*FS, *cluster.Cluster) {
 }
 
 func TestConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		fs, _ := newFS(t)
-		return fs
-	})
+	fstest.Run(t, probedFS)
 }
 
 func TestContentDeduplication(t *testing.T) {
@@ -97,14 +94,17 @@ func mustNoErr(t testing.TB, err error) {
 // TestDifferential replays random operation traces against the in-memory
 // oracle model (see fstest.RunDifferential).
 func TestDifferential(t *testing.T) {
-	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
-		return newDifferentialFS(t)
-	})
+	fstest.RunDifferential(t, probedFS)
 }
 
-func newDifferentialFS(t *testing.T) fsapi.FileSystem {
-	fs, _ := newFS(t)
-	return fs
+// probedFS is the conformance factory: a fresh filesystem over a
+// zero-cost cluster whose every store call fstest.Probe checks.
+func probedFS(t *testing.T) fsapi.FileSystem {
+	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(fstest.Probe(t, c), cluster.ZeroProfile(), "alice", nil)
 }
 
 func BenchmarkCASWriteFileDepth3(b *testing.B) {

@@ -410,7 +410,7 @@ func (f *FS) Rmdir(ctx context.Context, path string) error {
 		return err
 	}
 	for _, key := range objKeys {
-		//h2vet:durable GC bracket: once the rmdir tombstone landed, orphan deletes must finish
+		// Detached: once the rmdir tombstone landed, the orphan deletes must finish.
 		gcCtx := vclock.With(context.WithoutCancel(ctx), nil)
 		if err := f.store.Delete(gcCtx, key); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return err

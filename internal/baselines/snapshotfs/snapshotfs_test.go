@@ -22,19 +22,13 @@ func newFS(t testing.TB, profile cluster.CostProfile, segTarget int) (*FS, *clus
 }
 
 func TestConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		fs, _ := newFS(t, cluster.ZeroProfile(), 0)
-		return fs
-	})
+	fstest.Run(t, probedFS(0))
 }
 
 func TestConformanceTinySegments(t *testing.T) {
 	// A 1-byte segment target forces a seal on every write, covering the
 	// sealed-segment read path.
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		fs, _ := newFS(t, cluster.ZeroProfile(), 1)
-		return fs
-	})
+	fstest.Run(t, probedFS(1))
 }
 
 func TestSegmentPacking(t *testing.T) {
@@ -134,12 +128,18 @@ func TestCopySharesSegments(t *testing.T) {
 // TestDifferential replays random operation traces against the in-memory
 // oracle model (see fstest.RunDifferential).
 func TestDifferential(t *testing.T) {
-	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
-		return newDifferentialFS(t)
-	})
+	fstest.RunDifferential(t, probedFS(64))
 }
 
-func newDifferentialFS(t *testing.T) fsapi.FileSystem {
-	fs, _ := newFS(t, cluster.ZeroProfile(), 64)
-	return fs
+// probedFS returns the conformance factory: a fresh filesystem with the
+// given segment target over a zero-cost cluster whose every store call
+// fstest.Probe checks.
+func probedFS(segTarget int) fstest.Factory {
+	return func(t *testing.T) fsapi.FileSystem {
+		c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(fstest.Probe(t, c), cluster.ZeroProfile(), "alice", nil, segTarget)
+	}
 }

@@ -20,17 +20,11 @@ func newFS(t testing.TB, servers int) (*FS, *cluster.Cluster) {
 }
 
 func TestConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		fs, _ := newFS(t, 4)
-		return fs
-	})
+	fstest.Run(t, probedFS(4))
 }
 
 func TestConformanceSingleServer(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		fs, _ := newFS(t, 1)
-		return fs
-	})
+	fstest.Run(t, probedFS(1))
 }
 
 // findCrossPair locates two top-level names mapping to different
@@ -145,12 +139,18 @@ func mustNoErr(t testing.TB, err error) {
 // TestDifferential replays random operation traces against the in-memory
 // oracle model (see fstest.RunDifferential).
 func TestDifferential(t *testing.T) {
-	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
-		return newDifferentialFS(t)
-	})
+	fstest.RunDifferential(t, probedFS(4))
 }
 
-func newDifferentialFS(t *testing.T) fsapi.FileSystem {
-	fs, _ := newFS(t, 4)
-	return fs
+// probedFS returns the conformance factory: a fresh filesystem over the
+// given number of servers and a zero-cost cluster whose every store call
+// fstest.Probe checks.
+func probedFS(servers int) fstest.Factory {
+	return func(t *testing.T) fsapi.FileSystem {
+		c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(fstest.Probe(t, c), cluster.ZeroProfile(), "alice", nil, servers)
+	}
 }

@@ -85,7 +85,6 @@ func NewSystem(kind string) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		//h2vet:ignore ctxcheck bench harness owns its root context
 		if err := mw.CreateAccount(context.Background(), "bench"); err != nil {
 			return nil, err
 		}
@@ -115,7 +114,6 @@ func NewSystem(kind string) (*System, error) {
 // simulated operation time.
 func Measure(op func(ctx context.Context) error) (time.Duration, error) {
 	tr := vclock.NewTracker()
-	//h2vet:ignore ctxcheck bench harness owns its root context
 	ctx := vclock.With(context.Background(), tr)
 	if err := op(ctx); err != nil {
 		return 0, err
@@ -124,8 +122,6 @@ func Measure(op func(ctx context.Context) error) (time.Duration, error) {
 }
 
 // bg is the uncharged context used to build fixtures.
-//
-//h2vet:ignore ctxcheck bench harness owns its root context
 func bg() context.Context { return context.Background() }
 
 // populateDir fills a directory with n small files named f000000..; the

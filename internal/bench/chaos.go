@@ -128,7 +128,6 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 
 	content := func(p string) []byte { return []byte("chaos payload @ " + p) }
 	tr := vclock.NewTracker()
-	//h2vet:ignore ctxcheck chaos harness owns its root context
 	ctx := vclock.With(context.Background(), tr)
 	// Each worker owns the directories it created (per-directory affinity,
 	// as a load balancer would route): unflushed NameRing updates are

@@ -26,12 +26,10 @@ func storageSweep(fileCounts []int, measure func(sys *System) float64) (map[stri
 			if err != nil {
 				return nil, err
 			}
-			//h2vet:ignore ctxcheck bench fixture population owns its root context
 			if err := fs.Populate(context.Background(), sys.FS, 4096); err != nil {
 				return nil, fmt.Errorf("%s: %w", kind, err)
 			}
 			if sys.MW != nil {
-				//h2vet:ignore ctxcheck bench fixture population owns its root context
 				if err := sys.MW.FlushAll(context.Background()); err != nil {
 					return nil, err
 				}

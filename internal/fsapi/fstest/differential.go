@@ -22,8 +22,7 @@ func RunDifferential(t *testing.T, mk Factory) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			impl := mk(t)
 			model := newModel()
-			//h2vet:ignore ctxcheck test scaffold owns its root context
-			ctx := context.Background()
+			ctx := Context()
 
 			base := workload.Generate(workload.Spec{
 				Seed: seed, Dirs: 25, Files: 80, MaxDepth: 5,

@@ -82,8 +82,7 @@ var suite = []struct {
 	{"ConcurrentMix", testConcurrentMix},
 }
 
-//h2vet:ignore ctxcheck test scaffold owns its root context
-func ctx() context.Context { return context.Background() }
+func ctx() context.Context { return Context() }
 
 func mustMkdir(t *testing.T, fs fsapi.FileSystem, path string) {
 	t.Helper()

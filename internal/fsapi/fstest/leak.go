@@ -37,7 +37,7 @@ func AssertNoGoroutineLeak(t testing.TB) {
 				return
 			}
 			//h2vet:ignore virtualtime real sleep while polling the runtime for goroutine exit
-			time.Sleep(10 * time.Millisecond) //h2vet:ignore backoffcheck polling the runtime, nothing to charge to vclock
+			time.Sleep(10 * time.Millisecond)
 		}
 	})
 }

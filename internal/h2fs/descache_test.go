@@ -338,11 +338,10 @@ func (f flushOnRead) List(ctx context.Context, path string, detail bool) ([]fsap
 func TestDifferentialDescCacheLimitOne(t *testing.T) {
 	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
 		reg := metrics.NewRegistry()
-		m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+		m := newProbedMW(t, func(cfg *Config) {
 			cfg.DescCacheLimit = 1
 			cfg.Metrics = reg
 		})
-		mustNoErr(t, m.CreateAccount(context.Background(), "alice"))
 		t.Cleanup(func() {
 			if reg.Counter("descCache.probes.skipped") == 0 {
 				t.Error("the trace never reloaded a settled ring; the test exercises nothing")

@@ -567,8 +567,7 @@ func TestSyncProtocolAlwaysGets(t *testing.T) {
 func TestDifferentialValidatedFlush(t *testing.T) {
 	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
 		reg := metrics.NewRegistry()
-		m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.Metrics = reg })
-		mustNoErr(t, m.CreateAccount(context.Background(), "alice"))
+		m := newProbedMW(t, func(cfg *Config) { cfg.Metrics = reg })
 		t.Cleanup(func() {
 			if v, _ := flushCounters(reg); v == 0 {
 				t.Error("the trace never validated a flush; the test exercises nothing")

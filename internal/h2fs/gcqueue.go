@@ -189,7 +189,7 @@ func (m *Middleware) enqueueGC(ctx context.Context, e core.GCEntry) (int, error)
 	if !m.gc.on {
 		return 0, nil
 	}
-	//h2vet:durable GC intent enqueue: the commit follows, so the intent must land
+	// Detached: the commit follows, so the intent must land.
 	ctx = context.WithoutCancel(ctx)
 	seq, err := m.gcReserve(ctx, e.Account)
 	if err != nil {
@@ -278,7 +278,7 @@ func (m *Middleware) reclaimNow(ctx context.Context, e core.GCEntry, seq int) er
 	if !m.eagerGC {
 		return nil
 	}
-	//h2vet:durable eager reclamation: once the commit landed, the walk must finish
+	// Detached: once the commit landed, the walk must finish.
 	ctx = vclock.With(context.WithoutCancel(ctx), nil) // do not bill GC to the caller
 	if _, err := m.reclaimEntry(ctx, e); err != nil || seq == 0 {
 		return err

@@ -48,8 +48,20 @@ func newFS(t testing.TB) *AccountFS {
 	return m.FS("alice")
 }
 
+// newProbedMW is newMW on a fresh cluster behind fstest.Probe, with
+// account alice created on fstest.Context: the middleware every
+// fstest.Run and RunDifferential caller in this package drives, so each
+// store call it makes must carry the suite's context.
+func newProbedMW(t testing.TB, opts ...func(*Config)) *Middleware {
+	t.Helper()
+	probe := func(cfg *Config) { cfg.Store = fstest.Probe(t, cfg.Store) }
+	m := newMW(t, newCluster(t), 1, append(opts, probe)...)
+	mustNoErr(t, m.CreateAccount(fstest.Context(), "alice"))
+	return m
+}
+
 func TestConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem { return newFS(t) })
+	fstest.Run(t, func(t *testing.T) fsapi.FileSystem { return newProbedMW(t).FS("alice") })
 }
 
 // TestConformanceAllFeatures runs the suite with every option that changes
@@ -61,16 +73,13 @@ func TestConformance(t *testing.T) {
 // runs them too.
 func TestConformanceAllFeatures(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+		m := newProbedMW(t, func(cfg *Config) {
 			cfg.Profile.DirShardThreshold = 3
 			cfg.GCQueue = true
 			cfg.SubtreeFanout = 4
 			cfg.DescCacheLimit = 1
 		})
-		ctx, cancel := context.WithCancel(context.Background())
-		if err := m.CreateAccount(ctx, "alice"); err != nil {
-			t.Fatal(err)
-		}
+		ctx, cancel := context.WithCancel(fstest.Context())
 		done := m.StartMaintenance(ctx, time.Millisecond)
 		t.Cleanup(func() {
 			cancel()
@@ -537,7 +546,7 @@ func TestMoveDirectoryKeepsRelativeKeys(t *testing.T) {
 // TestDifferentialSuite runs the shared random-trace differential suite
 // (in addition to the sidxfs-oracle test in differential_test.go).
 func TestDifferentialSuite(t *testing.T) {
-	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem { return newFS(t) })
+	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem { return newProbedMW(t).FS("alice") })
 }
 
 // A clock that steps back between a write and its remove must not leave

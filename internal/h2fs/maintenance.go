@@ -42,7 +42,7 @@ func (m *Middleware) maintenanceLoop(ctx context.Context, ticks <-chan time.Time
 				// Final flush so a clean shutdown persists local state. The
 				// queue needs no parting drain: its entries are durable and
 				// the next start (or any peer of a dead node) resumes them.
-				//h2vet:durable shutdown flush: local state must persist even though ctx is already cancelled
+				// Detached: ctx is already cancelled, and local state must persist.
 				if err := m.FlushAll(context.WithoutCancel(ctx)); err != nil {
 					m.reg.Inc("maintenance.flush.errors", 1)
 					log.Printf("h2fs: final flush: %v", err)

@@ -15,11 +15,7 @@ import (
 // equivalent — only slower and lock-bound.
 func TestSyncProtocolConformance(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		m := newMW(t, newCluster(t), 1, func(cfg *Config) { cfg.SyncProtocol = true })
-		if err := m.CreateAccount(context.Background(), "alice"); err != nil {
-			t.Fatal(err)
-		}
-		return m.FS("alice")
+		return newProbedMW(t, func(cfg *Config) { cfg.SyncProtocol = true }).FS("alice")
 	})
 }
 

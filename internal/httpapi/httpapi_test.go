@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,19 +12,42 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
+	"github.com/h2cloud/h2cloud/internal/objstore"
 )
 
-func newStack(t testing.TB) (*Client, *h2fs.Middleware) {
+func newStack(t testing.TB) (*Client, *h2fs.Middleware) { return serveStack(t, false) }
+
+// newProbedFS is the conformance factory: account alice on a stack whose
+// cluster sits behind fstest.Probe and whose server roots every request
+// in fstest.Context, so a handler that does not pass r.Context() down to
+// the middleware fails t.
+func newProbedFS(t *testing.T) fsapi.FileSystem {
+	client, _ := serveStack(t, true)
+	if err := client.CreateAccount(fstest.Context(), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	return client.FS("alice")
+}
+
+func serveStack(t testing.TB, probed bool) (*Client, *h2fs.Middleware) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mw, err := h2fs.New(h2fs.Config{Store: c, Node: 1, EagerGC: true})
+	var store objstore.Store = c
+	if probed {
+		store = fstest.Probe(t, c)
+	}
+	mw, err := h2fs.New(h2fs.Config{Store: store, Node: 1, EagerGC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(mw))
+	ts := httptest.NewUnstartedServer(NewServer(mw))
+	if probed {
+		ts.Config.BaseContext = func(net.Listener) context.Context { return fstest.Context() }
+	}
+	ts.Start()
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, ts.Client()), mw
 }
@@ -31,13 +55,7 @@ func newStack(t testing.TB) (*Client, *h2fs.Middleware) {
 // TestConformanceOverHTTP drives the full filesystem conformance suite
 // through the web API: client -> HTTP -> middleware -> object cloud.
 func TestConformanceOverHTTP(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FileSystem {
-		client, _ := newStack(t)
-		if err := client.CreateAccount(context.Background(), "alice"); err != nil {
-			t.Fatal(err)
-		}
-		return client.FS("alice")
-	})
+	fstest.Run(t, newProbedFS)
 }
 
 func TestAccountLifecycle(t *testing.T) {
@@ -244,11 +262,5 @@ func TestRawHTTPStatuses(t *testing.T) {
 // TestDifferentialOverHTTP replays random traces through the full HTTP
 // stack against the oracle model.
 func TestDifferentialOverHTTP(t *testing.T) {
-	fstest.RunDifferential(t, func(t *testing.T) fsapi.FileSystem {
-		client, _ := newStack(t)
-		if err := client.CreateAccount(context.Background(), "alice"); err != nil {
-			t.Fatal(err)
-		}
-		return client.FS("alice")
-	})
+	fstest.RunDifferential(t, newProbedFS)
 }
