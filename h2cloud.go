@@ -76,10 +76,12 @@ type (
 
 // Observability.
 type (
-	// MetricsRegistry collects per-op latency and robustness counters.
-	// Every middleware reports to one (a private registry when
-	// Config.Metrics is nil); passing one only chooses where the counters
-	// go, for example to share a registry between middlewares.
+	// MetricsRegistry collects per-op latency, robustness counters and
+	// the request table: every store request a middleware makes, by
+	// primitive and key kind. Every middleware reports to one (a private
+	// registry when Config.Metrics is nil); passing one only chooses
+	// where the counters go, for example to share a registry between
+	// middlewares.
 	MetricsRegistry = metrics.Registry
 )
 

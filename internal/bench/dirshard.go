@@ -3,12 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
+	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
 )
 
@@ -117,54 +118,65 @@ func dirShardRun(m, shards int) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crash: %w", err)
 	}
+	monoPut, shardPut := ringLayer(mono, metrics.PrimPut), ringLayer(sharded, metrics.PrimPut)
+	monoGet, shardGet := ringLayer(mono, metrics.PrimGet), ringLayer(sharded, metrics.PrimGet)
 	return []string{
 		fmt.Sprintf("%d", m),
 		fmt.Sprintf("%d", shards),
-		fmt.Sprintf("%d", mono.putBytes),
-		fmt.Sprintf("%d", sharded.putBytes),
-		fmt.Sprintf("%.1fx", float64(mono.putBytes)/float64(sharded.putBytes)),
-		fmt.Sprintf("%d", mono.getBytes),
-		fmt.Sprintf("%d", sharded.getBytes),
-		fmt.Sprintf("%d", mono.gets),
-		fmt.Sprintf("%d", sharded.gets),
+		fmt.Sprintf("%d", monoPut.Bytes),
+		fmt.Sprintf("%d", shardPut.Bytes),
+		fmt.Sprintf("%.1fx", float64(monoPut.Bytes)/float64(shardPut.Bytes)),
+		fmt.Sprintf("%d", monoGet.Bytes),
+		fmt.Sprintf("%d", shardGet.Bytes),
+		fmt.Sprintf("%d", monoGet.N),
+		fmt.Sprintf("%d", shardGet.N),
 		fmt.Sprintf("%.2f", ms(monoList)),
 		fmt.Sprintf("%.2f", ms(shardList)),
 		fmt.Sprintf("%d", orphans),
 	}, nil
 }
 
+// ringLayer sums the ring-layer cells of primitive p in a request table:
+// rings and manifests (both at RingKey) and extents, not patches or file
+// objects.
+func ringLayer(t metrics.RequestTable, p metrics.Primitive) metrics.Requests {
+	r, e := t[p][core.KeyRing], t[p][core.KeyExtent]
+	return metrics.Requests{N: r.N + e.N, Bytes: r.Bytes + e.Bytes}
+}
+
 // dirShardConfig builds an m-child directory under the given threshold,
 // reaches the steady state (split complete when threshold > 0), and
-// measures one per-patch flush plus a cold detailed LIST page.
-func dirShardConfig(m, threshold int) (ringTraffic, time.Duration, error) {
+// measures one per-patch flush (its requests, from the middleware's
+// request table) plus a cold detailed LIST page.
+func dirShardConfig(m, threshold int) (metrics.RequestTable, time.Duration, error) {
 	f, err := newDirShardFixture(m, threshold)
 	if err != nil {
-		return ringTraffic{}, 0, err
+		return metrics.RequestTable{}, 0, err
 	}
 	// Reach steady state: the first flush after the ring injection does
 	// the split (threshold > 0) or the first full rewrite (threshold 0).
 	if err := f.patchAndFlush("extra1"); err != nil {
-		return ringTraffic{}, 0, err
+		return metrics.RequestTable{}, 0, err
 	}
 	// The measured cell: one single-tuple patch, one merger flush.
-	f.store.take()
+	before := f.mw.Metrics().Requests()
 	if err := f.patchAndFlush("extra2"); err != nil {
-		return ringTraffic{}, 0, err
+		return metrics.RequestTable{}, 0, err
 	}
-	flush := f.store.take()
+	flush := f.mw.Metrics().Requests().Sub(before)
 
 	// Cold detailed LIST of the first page through a fresh middleware:
 	// ring load (manifest + extent window when sharded) + one multi-HEAD.
-	cold, err := h2fs.New(h2fs.Config{Store: f.store, Node: 2, Profile: f.profile, Clock: f.clock})
+	cold, err := h2fs.New(h2fs.Config{Store: f.cluster, Node: 2, Profile: f.profile, Clock: f.clock})
 	if err != nil {
-		return ringTraffic{}, 0, err
+		return metrics.RequestTable{}, 0, err
 	}
 	listTime, err := Measure(func(ctx context.Context) error {
 		_, _, err := cold.ListPage(ctx, "bench", "/big", true, "", 1000)
 		return err
 	})
 	if err != nil {
-		return ringTraffic{}, 0, err
+		return metrics.RequestTable{}, 0, err
 	}
 	return flush, listTime, nil
 }
@@ -181,11 +193,11 @@ func dirShardCrash(m, threshold int) (int, error) {
 	if err := f.mw.FS("bench").WriteFile(bg(), "/big/extra1", []byte("x")); err != nil {
 		return -1, err
 	}
-	f.store.setFailFlip(true)
+	f.store.failFlip.Store(true)
 	if err := f.mw.FlushAll(bg()); err == nil {
 		return -1, fmt.Errorf("split flush survived the injected flip failure")
 	}
-	f.store.setFailFlip(false)
+	f.store.failFlip.Store(false)
 
 	// Restart: descriptors drop, the patch chain replays, and the
 	// half-written extents are unreferenced garbage for the scrubber.
@@ -237,7 +249,7 @@ func newDirShardFixture(m, threshold int) (*dirShardFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := newDirShardStore(c)
+	store := &dirShardStore{Cluster: c}
 	mw, err := h2fs.New(h2fs.Config{Store: store, Node: 1, Profile: profile, Clock: clock})
 	if err != nil {
 		return nil, err
@@ -293,110 +305,21 @@ func (f *dirShardFixture) patchAndFlush(name string) error {
 	return f.mw.FlushAll(bg())
 }
 
-// ringTraffic is the ring-layer traffic (rings, manifests, extents — not
-// patches or file objects) of one measured window, both directions.
-type ringTraffic struct {
-	putBytes, getBytes int64
-	gets               int
-}
-
-// dirShardStore wraps the cluster to count ring-layer traffic and to
-// inject the crash between extent writes and manifest flip. It forwards
-// the batch contract to the cluster's native Batcher so overlapped-window
-// charging is preserved (interface embedding alone would hide it and
-// silently serialize every fan-out).
+// dirShardStore wraps the cluster to inject the crash between the extent
+// writes and the manifest flip: while failFlip is set, it fails every
+// singular Put of a manifest. chaos.FailOn cannot aim there, because its
+// substring trigger on the RingKey also hits every extent key (they start
+// with it). Embedding the cluster keeps its native Batcher, so the
+// flush's batches charge overlapped windows and go straight through.
 type dirShardStore struct {
-	objstore.Store
-	batch objstore.Batcher
-
-	mu       sync.Mutex
-	traffic  ringTraffic
-	failFlip bool
-}
-
-func newDirShardStore(c *cluster.Cluster) *dirShardStore {
-	return &dirShardStore{Store: c, batch: c}
-}
-
-func ringLayer(name string) bool {
-	k, _ := core.ParseKey(name)
-	return k.Kind == core.KeyRing || k.Kind == core.KeyExtent
-}
-
-func (s *dirShardStore) notePut(name string, n int) {
-	if !ringLayer(name) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traffic.putBytes += int64(n)
-}
-
-func (s *dirShardStore) noteGet(name string, n int, err error) {
-	if err != nil || !ringLayer(name) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traffic.getBytes += int64(n)
-	s.traffic.gets++
-}
-
-// take returns the traffic tallied since the last take.
-func (s *dirShardStore) take() ringTraffic {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.traffic
-	s.traffic = ringTraffic{}
-	return t
-}
-
-func (s *dirShardStore) setFailFlip(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failFlip = on
-}
-
-func (s *dirShardStore) flipArmed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failFlip
+	*cluster.Cluster
+	failFlip atomic.Bool
 }
 
 func (s *dirShardStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
 	// Anything that is not a plain ring is a manifest, well-formed or not.
-	if lay, err := core.DecodeLayout(data); (err != nil || lay.Shards > 1) && s.flipArmed() {
+	if lay, err := core.DecodeLayout(data); (err != nil || lay.Shards > 1) && s.failFlip.Load() {
 		return fmt.Errorf("dirshard: injected crash before manifest flip: %w", objstore.ErrNodeDown)
 	}
-	s.notePut(name, len(data))
-	return s.Store.Put(ctx, name, data, meta)
-}
-
-func (s *dirShardStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	data, info, err := s.Store.Get(ctx, name)
-	s.noteGet(name, len(data), err)
-	return data, info, err
-}
-
-func (s *dirShardStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
-	out := s.batch.MultiGet(ctx, names)
-	for i, r := range out {
-		s.noteGet(names[i], len(r.Data), r.Err)
-	}
-	return out
-}
-
-func (s *dirShardStore) MultiHead(ctx context.Context, names []string) []objstore.HeadResult {
-	return s.batch.MultiHead(ctx, names)
-}
-
-func (s *dirShardStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
-	for _, r := range reqs {
-		s.notePut(r.Name, len(r.Data))
-	}
-	return s.batch.MultiPut(ctx, reqs)
-}
-
-func (s *dirShardStore) MultiDelete(ctx context.Context, names []string) []error {
-	return s.batch.MultiDelete(ctx, names)
+	return s.Cluster.Put(ctx, name, data, meta)
 }

@@ -760,16 +760,4 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// ResetCounters zeroes the primitive-operation counters (not the storage
-// usage gauges).
-func (c *Cluster) ResetCounters() {
-	c.gets.Store(0)
-	c.puts.Store(0)
-	c.deletes.Store(0)
-	c.heads.Store(0)
-	c.copies.Store(0)
-	c.degradedGets.Store(0)
-	c.readRepairs.Store(0)
-}
-
 var _ objstore.Store = (*Cluster)(nil)

@@ -363,11 +363,6 @@ func TestStatsCounters(t *testing.T) {
 	if st.Objects != 1 || st.Bytes != 2 {
 		t.Fatalf("usage: %+v", st)
 	}
-	c.ResetCounters()
-	st = c.Stats()
-	if st.Puts != 0 || st.Objects != 1 {
-		t.Fatalf("after reset: %+v", st)
-	}
 }
 
 func TestOverwriteKeepsLogicalCount(t *testing.T) {

@@ -81,8 +81,8 @@ func FuzzDecodeShardManifest(f *testing.F) {
 }
 
 // FuzzParseKey: key parsing never panics, every parsed key rebuilds
-// through its kind's builder to exactly the input, and an extent's shard
-// is in range.
+// through its kind's builder to exactly the input, KindOf gives it the
+// same kind, and an extent's shard is in range.
 func FuzzParseKey(f *testing.F) {
 	for _, k := range keyTable {
 		f.Add(k.key)
@@ -100,6 +100,9 @@ func FuzzParseKey(f *testing.F) {
 		}
 		if got := rebuildKey(k); got != key {
 			t.Fatalf("ParseKey(%q) = %+v, which rebuilds to %q", key, k, got)
+		}
+		if got := KindOf(key); got != k.Kind {
+			t.Fatalf("KindOf(%q) = %v, ParseKey says %v", key, got, k.Kind)
 		}
 		if k.Kind == KeyExtent && (k.Shard < 0 || k.Shards < 2 || k.Shard >= k.Shards) {
 			t.Fatalf("ParseKey(%q): extent %d/%d out of range", key, k.Shard, k.Shards)

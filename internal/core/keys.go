@@ -143,7 +143,8 @@ func GCIndexKey(node int) string {
 	return fmt.Sprintf("%s|Node%02d", gcIndexAccount, node)
 }
 
-// KeyKind is the shape of an object key: which builder made it.
+// KeyKind is the shape of an object key: which builder made it. Zero is
+// a string no builder makes.
 type KeyKind uint8
 
 const (
@@ -156,6 +157,14 @@ const (
 	KeyGCEntry                    // GCQueueKey
 	KeyGCIndex                    // GCIndexKey
 )
+
+// NumKeyKinds sizes a table indexed by KeyKind, zero included.
+const NumKeyKinds = KeyGCIndex + 1
+
+var kindNames = [NumKeyKinds]string{"other", "root", "child", "segment", "ring", "patch", "extent", "gc-entry", "gc-index"}
+
+// String names the kind after its builder; zero is "other".
+func (k KeyKind) String() string { return kindNames[k] }
 
 // Key is a parsed object key: its kind and the arguments its builder
 // took. Fields a kind's builder does not take are zero.
@@ -170,63 +179,84 @@ type Key struct {
 	Shards  int    // extent
 }
 
+// KindOf classifies an object key from its separators and the prefixes
+// after them, reading no number or name: the request table classifies
+// every key the store is asked for. It returns ParseKey's Kind for every
+// key ParseKey accepts; a malformed key may get the kind it mimics.
+func KindOf(key string) KeyKind {
+	kind, _, _, _ := cutKey(key)
+	return kind
+}
+
+// cutKey is KindOf keeping what it cut: the account (none for a GC
+// index) and, for a namespace-scoped kind, the namespace; rest follows
+// "::" there and '|' elsewhere.
+func cutKey(key string) (kind KeyKind, account, ns, rest string) {
+	i := strings.IndexByte(key, '|')
+	if i < 0 {
+		return 0, "", "", ""
+	}
+	account, rest = key[:i], key[i+1:]
+	switch {
+	case account == gcIndexAccount:
+		return KeyGCIndex, "", "", rest
+	case rest == rootSuffix[1:]:
+		return KeyRoot, account, "", rest
+	case strings.HasPrefix(rest, gcQueuePrefix):
+		return KeyGCEntry, account, "", rest
+	}
+	j := strings.Index(rest, "::")
+	if j <= 0 {
+		return 0, "", "", ""
+	}
+	ns, rest = rest[:j], rest[j+2:]
+	kind = KeyChild
+	switch {
+	case rest == "" || rest[0] != '/': // a child; every reserved name starts with '/'
+	case rest == ringSuffix:
+		kind = KeyRing
+	case strings.HasPrefix(rest, ringSuffix+".Node"):
+		kind = KeyPatch
+	case strings.HasPrefix(rest, extentMarker):
+		kind = KeyExtent
+	case strings.HasPrefix(rest, segmentInfix):
+		kind = KeySegment
+	}
+	return kind, account, ns, rest
+}
+
 // ParseKey classifies an object key and recovers its builder's
 // arguments; ok is false for any string no builder in this file makes.
+// It starts from KindOf's walk, then reads what that kind carries.
 // Numbers must be in the builder's zero-padded form, so a parsed key
 // rebuilds to exactly the input, and an extent's shard is in range. It
 // allocates nothing: DecodePatch runs it on every patch it loads.
 func ParseKey(key string) (Key, bool) {
-	account, rest, ok := strings.Cut(key, "|")
-	if !ok {
-		return Key{}, false
-	}
-	k := Key{Account: account}
-	switch {
-	case account == gcIndexAccount:
-		k = Key{Kind: KeyGCIndex}
+	kind, account, ns, rest := cutKey(key)
+	k, ok := Key{Kind: kind, Account: account, NS: ns}, kind != 0
+	switch kind {
+	case KeyGCIndex:
 		k.Node, _, ok = parseNums(rest, "Node", "", 2, 0)
-	case rest == rootSuffix[1:]:
-		k.Kind = KeyRoot
-	case strings.HasPrefix(rest, gcQueuePrefix):
-		k.Kind = KeyGCEntry
+	case KeyGCEntry:
 		k.Node, k.Seq, ok = parseNums(rest, gcQueuePrefix, ".Item", 2, 6)
-	default:
-		k.NS, rest, ok = strings.Cut(rest, "::")
-		ok = ok && k.NS != "" && k.parseChild(rest)
+	case KeyPatch:
+		k.Node, k.Seq, ok = parseNums(rest, ringSuffix+".Node", ".Patch", 2, 6)
+	case KeyExtent:
+		k.Shard, k.Shards, ok = parseNums(rest, extentMarker, "-", 3, 3)
+		ok = ok && k.Shard >= 0 && k.Shards >= 2 && k.Shard < k.Shards
+	case KeySegment:
+		var idx string
+		k.Name, idx, ok = strings.Cut(rest[len(segmentInfix):], "/")
+		if ok = ok && k.Name != ""; ok {
+			k.Seq, ok = parsePadded(idx, 6)
+		}
+	case KeyChild:
+		k.Name, ok = rest, rest != "" && !strings.Contains(rest, "/")
 	}
 	if !ok {
 		return Key{}, false
 	}
 	return k, true
-}
-
-// parseChild classifies the part of a namespace-scoped key after "::":
-// the ring, a patch, an extent, a segment, or a plain child name.
-func (k *Key) parseChild(rest string) (ok bool) {
-	switch {
-	case rest == ringSuffix:
-		k.Kind = KeyRing
-		return true
-	case strings.HasPrefix(rest, ringSuffix+".Node"):
-		k.Kind = KeyPatch
-		k.Node, k.Seq, ok = parseNums(rest, ringSuffix+".Node", ".Patch", 2, 6)
-		return ok
-	case strings.HasPrefix(rest, extentMarker):
-		k.Kind = KeyExtent
-		k.Shard, k.Shards, ok = parseNums(rest, extentMarker, "-", 3, 3)
-		return ok && k.Shard >= 0 && k.Shards >= 2 && k.Shard < k.Shards
-	case strings.HasPrefix(rest, segmentInfix):
-		var idx string
-		k.Kind = KeySegment
-		if k.Name, idx, ok = strings.Cut(rest[len(segmentInfix):], "/"); !ok || k.Name == "" {
-			return false
-		}
-		k.Seq, ok = parsePadded(idx, 6)
-		return ok
-	default:
-		k.Kind, k.Name = KeyChild, rest
-		return rest != "" && !strings.Contains(rest, "/")
-	}
 }
 
 // parseNums reads prefix+A, or prefix+A+sep+B when sep is set, where A

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/chaos"
@@ -119,96 +119,21 @@ func TestDirShardSplitAndReadback(t *testing.T) {
 	}
 }
 
-// ringBytesStore counts the bytes put to ring-layer objects (rings,
-// manifests, extents — not patches), the write-amplification metric the
-// sharding exists to cut, and records the ring-layer objects fetched, the
-// read amplification the tag protocol cuts. It hides the cluster's
-// Batcher, so every batched item arrives here singly.
-type ringBytesStore struct {
-	objstore.Store
-	mu      sync.Mutex
-	bytes   int64
-	read    int64
-	fetched []string
-}
-
-func ringLayer(name string) bool {
-	k := keyKind(name)
-	return k == core.KeyRing || k == core.KeyExtent
-}
-
-// keyKind is the kind core.ParseKey gives name; zero when it parses as
-// none.
-func keyKind(name string) core.KeyKind {
-	k, _ := core.ParseKey(name)
-	return k.Kind
-}
-
-func (s *ringBytesStore) notePut(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bytes += int64(n)
-}
-
-func (s *ringBytesStore) noteGet(name string, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.read += int64(n)
-	s.fetched = append(s.fetched, name)
-}
-
-func (s *ringBytesStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if ringLayer(name) {
-		s.notePut(len(data))
-	}
-	return s.Store.Put(ctx, name, data, meta)
-}
-
-func (s *ringBytesStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	data, info, err := s.Store.Get(ctx, name)
-	if ringLayer(name) && err == nil {
-		s.noteGet(name, len(data))
-	}
-	return data, info, err
-}
-
-// take returns and resets the put-byte tally; takeReads does the same for
-// the fetched ring-layer objects and their bytes.
-func (s *ringBytesStore) take() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.bytes
-	s.bytes = 0
-	return b
-}
-
-func (s *ringBytesStore) takeReads() ([]string, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names, b := s.fetched, s.read
-	s.fetched, s.read = nil, 0
-	return names, b
-}
-
 // TestDirShardSteadyFlushWriteAmplification: once sharded, a one-child
 // patch flush rewrites O(m/shards) ring bytes, not O(m). The monolithic
 // control run pins the baseline the sharded run must beat by >= 4x.
 func TestDirShardSteadyFlushWriteAmplification(t *testing.T) {
 	ctx := context.Background()
 	perPatchRingBytes := func(threshold int) int64 {
-		c := newCluster(t)
-		rbs := &ringBytesStore{Store: c}
-		cfg := Config{Store: rbs, Node: 1, Profile: c.Profile(), EagerGC: true}
-		cfg.Profile.DirShardThreshold = threshold
-		m, err := New(cfg)
-		mustNoErr(t, err)
+		m := newMW(t, newCluster(t), 1, withShardThreshold(threshold))
 		mustNoErr(t, m.CreateAccount(ctx, "alice"))
 		populateBig(t, m, 256)
 		mustNoErr(t, m.FlushAll(ctx))
-		rbs.take() // discard population and split cost
+		before := m.Metrics().Requests() // discard population and split cost
 		mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
 		mustNoErr(t, m.FlushAll(ctx))
-		return rbs.take()
+		put := m.Metrics().Requests().Sub(before)[metrics.PrimPut]
+		return put[core.KeyRing].Bytes + put[core.KeyExtent].Bytes
 	}
 	mono := perPatchRingBytes(0)
 	sharded := perPatchRingBytes(16) // 256/16 = 16 shards
@@ -346,31 +271,11 @@ func TestDirShardSplitMidList(t *testing.T) {
 // manifest flip: every manifest put fails while armed.
 type flipFailStore struct {
 	objstore.Store
-	mu    sync.Mutex
-	armed bool
-	hits  int
-}
-
-func (s *flipFailStore) arm(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.armed = on
-}
-
-func (s *flipFailStore) shouldFail(data []byte) bool {
-	if !core.IsShardManifest(data) {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.armed {
-		s.hits++
-	}
-	return s.armed
+	armed atomic.Bool
 }
 
 func (s *flipFailStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if s.shouldFail(data) {
+	if s.armed.Load() && core.IsShardManifest(data) {
 		return fmt.Errorf("flip injected: %w", objstore.ErrNodeDown)
 	}
 	return s.Store.Put(ctx, name, data, meta)
@@ -392,14 +297,11 @@ func TestDirShardCrashMidSplitConverges(t *testing.T) {
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	populateBig(t, m, 40)
 
-	ffs.arm(true)
-	if err := m.FlushAll(ctx); err == nil {
-		t.Fatal("flush during flip failure succeeded")
+	ffs.armed.Store(true)
+	if err := m.FlushAll(ctx); !errors.Is(err, objstore.ErrNodeDown) {
+		t.Fatalf("flush during flip failure = %v, want the injected fault", err)
 	}
-	ffs.arm(false)
-	if ffs.hits == 0 {
-		t.Fatal("flip fault never fired")
-	}
+	ffs.armed.Store(false)
 
 	// Crash and restart: the patch chain replays into a converged view.
 	m.Recover()
@@ -416,7 +318,7 @@ func TestDirShardCrashMidSplitConverges(t *testing.T) {
 		t.Fatalf("scrub reclaimed %d objects, want the 8 abandoned extents: %+v", rep.Reclaimed, rep)
 	}
 	for _, o := range rep.Orphans {
-		if keyKind(o) != core.KeyExtent {
+		if core.KindOf(o) != core.KeyExtent {
 			t.Fatalf("scrub reclaimed non-extent %q", o)
 		}
 	}
@@ -576,23 +478,21 @@ func TestDirShardFlushFetchesPeerRewrittenExtent(t *testing.T) {
 // manifest — read amplification is O(1), not O(m).
 func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
 	c := newCluster(t)
-	rbs := &ringBytesStore{Store: c}
 	reg := metrics.NewRegistry()
-	cfg := Config{Store: rbs, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
-	cfg.Profile.DirShardThreshold = 16
-	m, err := New(cfg)
-	mustNoErr(t, err)
+	// The bare Store interface hides the cluster's Batcher.
+	m := newMW(t, c, 1, withShardThreshold(16), func(cfg *Config) {
+		cfg.Store, cfg.Metrics = struct{ objstore.Store }{c}, reg
+	})
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	populateBig(t, m, 256)
 	mustNoErr(t, m.FlushAll(ctx))
-	ns := bigDirNS(t, m)
-	rbs.takeReads()
+	before := reg.Requests()
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
-	fetched, n := rbs.takeReads()
-	if len(fetched) != 1 || fetched[0] != core.RingKey("alice", ns) || n > 64 {
-		t.Fatalf("steady flush fetched %v (%d bytes), want the manifest alone", fetched, n)
+	get := reg.Requests().Sub(before)[metrics.PrimGet]
+	if ring, ext := get[core.KeyRing], get[core.KeyExtent]; ring.N != 1 || ring.Bytes > 64 || ext.N != 0 {
+		t.Fatalf("steady flush fetched %d rings (%d bytes) and %d extents, want the manifest alone", ring.N, ring.Bytes, ext.N)
 	}
 	if v, r := flushCounters(reg); v != 1 || r != 0 {
 		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
@@ -613,13 +513,14 @@ func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	populateBig(t, m, 256)
 	mustNoErr(t, m.FlushAll(ctx))
-	put, fetched := reg.Counter("store.multiput.objects"), reg.Counter("store.multiget.objects")
+	before := reg.Requests()
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
-	if got := reg.Counter("store.multiput.objects") - put; got != 1 {
-		t.Fatalf("steady flush batched %d extent puts, want the one dirty extent", got)
+	d := reg.Requests().Sub(before)
+	if got := d[metrics.PrimPut][core.KeyExtent].N; got != 1 {
+		t.Fatalf("steady flush put %d extents, want the one dirty extent", got)
 	}
-	if got := reg.Counter("store.multiget.objects") - fetched; got != 0 {
+	if got := d[metrics.PrimGet][core.KeyExtent].N; got != 0 {
 		t.Fatalf("steady flush fetched %d extents, want none", got)
 	}
 	if v, r := flushCounters(reg); v != 1 || r != 0 {
@@ -735,10 +636,10 @@ func TestDirShardThresholdZeroWritesNoManifests(t *testing.T) {
 	populateBig(t, m, 60)
 	mustNoErr(t, m.FlushAll(ctx))
 	for _, name := range clusterNames(c) {
-		if keyKind(name) == core.KeyExtent {
+		if core.KindOf(name) == core.KeyExtent {
 			t.Fatalf("extent %q written with sharding disabled", name)
 		}
-		if keyKind(name) == core.KeyRing {
+		if core.KindOf(name) == core.KeyRing {
 			data, _, err := c.Get(ctx, name)
 			mustNoErr(t, err)
 			if core.IsShardManifest(data) {

@@ -180,7 +180,7 @@ func (f *tagFixture) ringWrites(reqs []string) []string {
 	var out []string
 	for _, r := range reqs {
 		op, name, _ := strings.Cut(r, " ")
-		if (op == "PUT" || op == "DELETE") && (name == f.ring || keyKind(name) == core.KeyExtent && strings.HasPrefix(name, f.ring)) {
+		if (op == "PUT" || op == "DELETE") && (name == f.ring || core.KindOf(name) == core.KeyExtent && strings.HasPrefix(name, f.ring)) {
 			out = append(out, r)
 		}
 	}
@@ -390,7 +390,7 @@ func TestFlushTagDiesWithDescriptor(t *testing.T) {
 					if name == f.ring {
 						ops = append(ops, op)
 					}
-					if op == "GET" && keyKind(name) == core.KeyExtent {
+					if op == "GET" && core.KindOf(name) == core.KeyExtent {
 						t.Fatalf("%s fetched %s; its tag was known", what, name)
 					}
 				}

@@ -18,7 +18,7 @@ import (
 func patchDeletes(reqs []string) []string {
 	var keys []string
 	for _, r := range reqs {
-		if key, ok := strings.CutPrefix(r, "DELETE "); ok && keyKind(key) == core.KeyPatch {
+		if key, ok := strings.CutPrefix(r, "DELETE "); ok && core.KindOf(key) == core.KeyPatch {
 			keys = append(keys, key)
 		}
 	}
@@ -29,7 +29,7 @@ func patchDeletes(reqs []string) []string {
 func storedPatches(names []string) []string {
 	var keys []string
 	for _, name := range names {
-		if keyKind(name) == core.KeyPatch {
+		if core.KindOf(name) == core.KeyPatch {
 			keys = append(keys, name)
 		}
 	}
@@ -103,7 +103,7 @@ func TestGCPatchRequests(t *testing.T) {
 		// The seven namespaces were all reclaimed: the walk did run.
 		if got := slices.DeleteFunc(reqs, func(r string) bool {
 			key, ok := strings.CutPrefix(r, "DELETE ")
-			return !ok || keyKind(key) != core.KeyRing
+			return !ok || core.KindOf(key) != core.KeyRing
 		}); len(got) != 7 {
 			t.Fatalf("RMDIR deleted %d ring objects, want the copy's 7", len(got))
 		}

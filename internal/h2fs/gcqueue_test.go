@@ -618,7 +618,7 @@ func TestGCQueueEagerDequeueKeepsEarlierIntent(t *testing.T) {
 type cancelAwareStore struct{ objstore.Store }
 
 func (s cancelAwareStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if k := keyKind(name); (k == core.KeyGCEntry || k == core.KeyGCIndex) && ctx.Err() != nil {
+	if k := core.KindOf(name); (k == core.KeyGCEntry || k == core.KeyGCIndex) && ctx.Err() != nil {
 		return ctx.Err()
 	}
 	return s.Store.Put(ctx, name, data, meta)

@@ -69,7 +69,7 @@ type Config struct {
 	// is resumed instead of leaking the remainder.
 	GCQueue bool
 	// Metrics is the registry the middleware reports to: the store
-	// rings' per-primitive observations (store.<op>) and retry counters
+	// rings' store.<op> observations, request table and retry counters
 	// (retry.attempts, retry.exhausted), the descriptor-cache gauges
 	// (descCache.size, descCache.evicted, descCache.settled — stubs held
 	// for clean-evicted rings — and descCache.probes.skipped, the own-chain

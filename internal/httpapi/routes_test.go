@@ -107,6 +107,8 @@ func TestStatsBucketsAreBounded(t *testing.T) {
 		"GET fs", "PUT fs", "DELETE fs", "GET stat", "GET list",
 		"POST mkdir", "POST rmdir", "POST move", "POST copy",
 		"GET rel", "GET ns", "GET usage", "GET stats", "unmatched",
+		"store.put", "store.get", "store.getrange", "store.head", "store.delete", "store.copy",
+		"store.multiget", "store.multihead", "store.multiput", "store.multidelete",
 	}
 	for _, op := range stats.Ops {
 		if !slices.Contains(allowed, op.Name) {

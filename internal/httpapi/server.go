@@ -161,7 +161,9 @@ func unescape(s string) string {
 
 // StatsPayload is the /v1/stats response body.
 type StatsPayload struct {
-	Node    int                  `json:"node"`
+	Node int `json:"node"`
+	// Ops carries the per-route operations, then the middleware's
+	// store.<op> observations.
 	Ops     []metrics.OpSnapshot `json:"ops"`
 	Cluster *cluster.Stats       `json:"cluster,omitempty"`
 	// Counters carries the middleware registry's counters (retries,
@@ -170,18 +172,22 @@ type StatsPayload struct {
 	// GCQueue carries reclamation-queue depth and lifetime counters when
 	// the durable GC queue is configured.
 	GCQueue *h2fs.GCQueueStats `json:"gcQueue,omitempty"`
+	// Requests is the middleware's request table: store requests and
+	// payload bytes by primitive, then by key kind, zero cells left out.
+	Requests map[string]map[string]metrics.Requests `json:"requests,omitempty"`
 }
 
-// stats serves the monitoring snapshot: per-route operation metrics plus
-// the storage cloud's primitive counters when the backing store exposes
-// them.
+// stats serves the monitoring snapshot: per-route and per-store-primitive
+// operation metrics, the request table, plus the storage cloud's
+// primitive counters when the backing store exposes them.
 func (s *Server) stats(w http.ResponseWriter, r *http.Request, _, _ string) error {
-	payload := StatsPayload{Node: s.mw.Node(), Ops: s.reg.Snapshot()}
+	reg := s.mw.Metrics()
+	payload := StatsPayload{Node: s.mw.Node(), Ops: append(s.reg.Snapshot(), reg.Snapshot()...)}
 	if c, ok := s.mw.Store().(*cluster.Cluster); ok {
 		st := c.Stats()
 		payload.Cluster = &st
 	}
-	payload.Counters = s.mw.Metrics().Counters()
+	payload.Counters, payload.Requests = reg.Counters(), reg.Requests().Named()
 	if q, err := s.mw.GCQueueSnapshot(r.Context()); err == nil && q != nil {
 		// A failed snapshot only drops the gauge from this response; the
 		// rest of the monitoring payload is still worth serving.

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/h2cloud/h2cloud/internal/fsapi"
@@ -61,9 +62,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if byName["PUT fs"] != 1 || byName["GET fs"] != 1 {
 		t.Fatalf("fs op counts wrong: %v", byName)
 	}
-	// A 404 is a client error, not a server error: no error counted.
+	if byName["store.put"] == 0 || stats.Requests["put"]["ring"].N == 0 {
+		t.Fatalf("store rings not served: ops %v, requests %v", byName, stats.Requests)
+	}
+	// A 404 is a client error, not a server error: no route counts an
+	// error. (A store miss is a failed store call, so store.get may.)
 	for _, op := range stats.Ops {
-		if op.Errors != 0 {
+		if op.Errors != 0 && !strings.HasPrefix(op.Name, "store.") {
 			t.Fatalf("unexpected server errors: %+v", op)
 		}
 	}

@@ -4,7 +4,9 @@
 //
 // A Registry tracks named operations; each records a count, an error
 // count, and a log2-bucketed latency histogram cheap enough for the data
-// path. Snapshots serialize to JSON through the web API's /v1/stats.
+// path. Beside them it keeps one fixed request table, store requests by
+// primitive and key kind. Snapshots serialize to JSON through the web
+// API's /v1/stats.
 package metrics
 
 import (
@@ -12,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/h2cloud/h2cloud/internal/core"
 )
 
 // nBuckets covers 1µs .. ~17min in powers of two.
@@ -32,6 +36,89 @@ type Registry struct {
 	mu       sync.RWMutex
 	ops      map[string]*opStats
 	counters map[string]*atomic.Int64
+	requests [NumPrimitives][core.NumKeyKinds]requestCell
+}
+
+// Primitive is a store primitive as the cloud bills it.
+type Primitive uint8
+
+const (
+	PrimGet Primitive = iota // Get, GetRange and each name of a MultiGet
+	PrimPut
+	PrimHead
+	PrimDelete
+	PrimCopy
+	NumPrimitives
+)
+
+// String is the primitive's lower-case name.
+func (p Primitive) String() string {
+	return [NumPrimitives]string{"get", "put", "head", "delete", "copy"}[p]
+}
+
+// Requests is one cell of the request table: requests billed, and the
+// payload bytes they moved (sent by a PUT, received by a GET).
+type Requests struct {
+	N     int64 `json:"n"`
+	Bytes int64 `json:"bytes"`
+}
+
+type requestCell struct{ n, bytes atomic.Int64 }
+
+// AddRequests bills n requests of primitive p on keys of kind k that
+// moved bytes payload bytes. It takes no lock and looks nothing up.
+func (r *Registry) AddRequests(p Primitive, k core.KeyKind, n, bytes int64) {
+	c := &r.requests[p][k]
+	c.n.Add(n)
+	if bytes != 0 {
+		c.bytes.Add(bytes)
+	}
+}
+
+// RequestTable is a copy of the request table, indexed by primitive and
+// key kind.
+type RequestTable [NumPrimitives][core.NumKeyKinds]Requests
+
+// Requests copies the request table.
+func (r *Registry) Requests() RequestTable {
+	var t RequestTable
+	for p := range t {
+		for k := range t[p] {
+			c := &r.requests[p][k]
+			t[p][k] = Requests{N: c.n.Load(), Bytes: c.bytes.Load()}
+		}
+	}
+	return t
+}
+
+// Sub returns t minus base cell by cell: the requests made between two
+// copies of one table.
+func (t RequestTable) Sub(base RequestTable) RequestTable {
+	for p := range t {
+		for k := range t[p] {
+			t[p][k].N -= base[p][k].N
+			t[p][k].Bytes -= base[p][k].Bytes
+		}
+	}
+	return t
+}
+
+// Named keys the table's non-zero cells by primitive name, then by key
+// kind name: the form /v1/stats serves.
+func (t RequestTable) Named() map[string]map[string]Requests {
+	out := map[string]map[string]Requests{}
+	for p, row := range t {
+		cells := map[string]Requests{}
+		for k, c := range row {
+			if c.N > 0 {
+				cells[core.KeyKind(k).String()] = c
+			}
+		}
+		if len(cells) > 0 {
+			out[Primitive(p).String()] = cells
+		}
+	}
+	return out
 }
 
 // NewRegistry returns an empty registry.
@@ -39,55 +126,43 @@ func NewRegistry() *Registry {
 	return &Registry{ops: make(map[string]*opStats)}
 }
 
-// lookup fetches an existing operation under the read lock.
-func (r *Registry) lookup(name string) (*opStats, bool) {
+// find fetches name's entry from the map at m under the read lock.
+func find[T any](r *Registry, m *map[string]*T, name string) (*T, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.ops[name]
-	return s, ok
+	v, ok := (*m)[name]
+	return v, ok
 }
 
-func (r *Registry) op(name string) *opStats {
-	if s, ok := r.lookup(name); ok {
-		return s
+// entry fetches name's entry from the map at m, creating it on first use.
+func entry[T any](r *Registry, m *map[string]*T, name string) *T {
+	if v, ok := find(r, m, name); ok {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.ops[name]; ok {
-		return s
+	if v, ok := (*m)[name]; ok {
+		return v
 	}
-	if r.ops == nil {
-		r.ops = make(map[string]*opStats)
+	if *m == nil {
+		*m = make(map[string]*T)
 	}
-	s := &opStats{}
-	r.ops[name] = s
-	return s
+	v := new(T)
+	(*m)[name] = v
+	return v
 }
 
-// lookupCounter fetches an existing counter under the read lock.
-func (r *Registry) lookupCounter(name string) (*atomic.Int64, bool) {
+// sortedNames returns the keys of the map at m, sorted, read under the
+// read lock.
+func sortedNames[T any](r *Registry, m *map[string]*T) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c, ok := r.counters[name]
-	return c, ok
-}
-
-// counter fetches or creates the named counter.
-func (r *Registry) counter(name string) *atomic.Int64 {
-	if c, ok := r.lookupCounter(name); ok {
-		return c
+	names := make([]string, 0, len(*m))
+	for name := range *m {
+		names = append(names, name)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	if r.counters == nil {
-		r.counters = make(map[string]*atomic.Int64)
-	}
-	c := &atomic.Int64{}
-	r.counters[name] = c
-	return c
+	sort.Strings(names)
+	return names
 }
 
 // Inc adds delta to the named event counter. Counters are the plain
@@ -99,7 +174,7 @@ func (r *Registry) Inc(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.counter(name).Add(delta)
+	entry(r, &r.counters, name).Add(delta)
 }
 
 // Counter reads the named counter (0 if it was never incremented). Safe
@@ -108,7 +183,7 @@ func (r *Registry) Counter(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	if c, ok := r.lookupCounter(name); ok {
+	if c, ok := find(r, &r.counters, name); ok {
 		return c.Load()
 	}
 	return 0
@@ -120,26 +195,13 @@ type CounterSnapshot struct {
 	Value int64  `json:"value"`
 }
 
-// counterNames returns the registered counter names, sorted, reading
-// under the read lock.
-func (r *Registry) counterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Counters returns all event counters sorted by name. Safe on a nil
 // registry (returns nil).
 func (r *Registry) Counters() []CounterSnapshot {
 	if r == nil {
 		return nil
 	}
-	names := r.counterNames()
+	names := sortedNames(r, &r.counters)
 	out := make([]CounterSnapshot, 0, len(names))
 	for _, name := range names {
 		out = append(out, CounterSnapshot{Name: name, Value: r.Counter(name)})
@@ -163,7 +225,7 @@ func bucketFor(d time.Duration) int {
 
 // Observe records one completed operation.
 func (r *Registry) Observe(name string, d time.Duration, err error) {
-	s := r.op(name)
+	s := entry(r, &r.ops, name)
 	s.count.Add(1)
 	if err != nil {
 		s.errors.Add(1)
@@ -184,25 +246,12 @@ type OpSnapshot struct {
 	P99 time.Duration `json:"p99Ns"`
 }
 
-// opNames returns the registered operation names, sorted, reading under
-// the read lock.
-func (r *Registry) opNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.ops))
-	for name := range r.ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot returns all operations sorted by name.
 func (r *Registry) Snapshot() []OpSnapshot {
-	names := r.opNames()
+	names := sortedNames(r, &r.ops)
 	out := make([]OpSnapshot, 0, len(names))
 	for _, name := range names {
-		s := r.op(name)
+		s := entry(r, &r.ops, name)
 		snap := OpSnapshot{Name: name, Count: s.count.Load(), Errors: s.errors.Load()}
 		if snap.Count > 0 {
 			snap.Mean = time.Duration(s.sumNano.Load() / snap.Count)

@@ -3,6 +3,7 @@ package storemw
 import (
 	"context"
 
+	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/vclock"
@@ -14,6 +15,10 @@ import (
 // child tracker so the observation covers exactly the wrapped call —
 // including retry backoff when stacked outside the retry ring — and then
 // re-charges the parent, leaving the request's total unchanged.
+// It also bills reg's request table by primitive and core.KindOf of each
+// key, as the cloud bills: a batch of n names is n requests, a GetRange a
+// GET, a COPY counts under its destination, a miss counts, a retry does
+// not (outside the retry ring it sees one call; retry.attempts the rest).
 func Metrics(reg *metrics.Registry) Layer {
 	return func(inner objstore.Store) objstore.Store {
 		return &metricsStore{inner: inner, reg: reg}
@@ -51,6 +56,7 @@ func (s *metricsStore) Put(ctx context.Context, name string, data []byte, meta m
 		err = s.inner.Put(ctx, name, data, meta)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimPut, core.KindOf(name), 1, int64(len(data)))
 	return err
 }
 
@@ -63,6 +69,7 @@ func (s *metricsStore) Get(ctx context.Context, name string) ([]byte, objstore.O
 		data, info, err = s.inner.Get(ctx, name)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimGet, core.KindOf(name), 1, int64(len(data)))
 	return data, info, err
 }
 
@@ -75,6 +82,7 @@ func (s *metricsStore) GetRange(ctx context.Context, name string, offset, length
 		data, info, err = s.inner.GetRange(ctx, name, offset, length)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimGet, core.KindOf(name), 1, int64(len(data)))
 	return data, info, err
 }
 
@@ -86,6 +94,7 @@ func (s *metricsStore) Head(ctx context.Context, name string) (objstore.ObjectIn
 		info, err = s.inner.Head(ctx, name)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimHead, core.KindOf(name), 1, 0)
 	return info, err
 }
 
@@ -96,6 +105,7 @@ func (s *metricsStore) Delete(ctx context.Context, name string) error {
 		err = s.inner.Delete(ctx, name)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimDelete, core.KindOf(name), 1, 0)
 	return err
 }
 
@@ -106,6 +116,7 @@ func (s *metricsStore) Copy(ctx context.Context, src, dst string) error {
 		err = s.inner.Copy(ctx, src, dst)
 		return err
 	})
+	s.reg.AddRequests(metrics.PrimCopy, core.KindOf(dst), 1, 0)
 	return err
 }
 
@@ -120,6 +131,24 @@ func firstErr[T any](results []T, errOf func(T) error) error {
 	return nil
 }
 
+// billBatch bills a batch of n names of primitive p into the request
+// table, item(i) giving slot i's key and payload bytes: the table takes
+// one add per key kind present rather than one per name.
+func (s *metricsStore) billBatch(p metrics.Primitive, n int, item func(int) (string, int)) {
+	var byKind [core.NumKeyKinds]metrics.Requests
+	for i := 0; i < n; i++ {
+		name, bytes := item(i)
+		c := &byKind[core.KindOf(name)]
+		c.N++
+		c.Bytes += int64(bytes)
+	}
+	for k, c := range byKind {
+		if c.N > 0 {
+			s.reg.AddRequests(p, core.KeyKind(k), c.N, c.Bytes)
+		}
+	}
+}
+
 // MultiGet implements objstore.Batcher.
 func (s *metricsStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
 	var out []objstore.GetResult
@@ -127,7 +156,7 @@ func (s *metricsStore) MultiGet(ctx context.Context, names []string) []objstore.
 		out = objstore.MultiGet(ctx, s.inner, names)
 		return firstErr(out, func(r objstore.GetResult) error { return r.Err })
 	})
-	s.reg.Inc("store.multiget.objects", int64(len(names)))
+	s.billBatch(metrics.PrimGet, len(names), func(i int) (string, int) { return names[i], len(out[i].Data) })
 	return out
 }
 
@@ -138,7 +167,7 @@ func (s *metricsStore) MultiHead(ctx context.Context, names []string) []objstore
 		out = objstore.MultiHead(ctx, s.inner, names)
 		return firstErr(out, func(r objstore.HeadResult) error { return r.Err })
 	})
-	s.reg.Inc("store.multihead.objects", int64(len(names)))
+	s.billBatch(metrics.PrimHead, len(names), func(i int) (string, int) { return names[i], 0 })
 	return out
 }
 
@@ -149,7 +178,7 @@ func (s *metricsStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []e
 		out = objstore.MultiPut(ctx, s.inner, reqs)
 		return firstErr(out, func(err error) error { return err })
 	})
-	s.reg.Inc("store.multiput.objects", int64(len(reqs)))
+	s.billBatch(metrics.PrimPut, len(reqs), func(i int) (string, int) { return reqs[i].Name, len(reqs[i].Data) })
 	return out
 }
 
@@ -160,6 +189,6 @@ func (s *metricsStore) MultiDelete(ctx context.Context, names []string) []error 
 		out = objstore.MultiDelete(ctx, s.inner, names)
 		return firstErr(out, func(err error) error { return err })
 	})
-	s.reg.Inc("store.multidelete.objects", int64(len(names)))
+	s.billBatch(metrics.PrimDelete, len(names), func(i int) (string, int) { return names[i], 0 })
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/cluster"
+	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
 	"github.com/h2cloud/h2cloud/internal/vclock"
@@ -331,8 +332,46 @@ func TestMetricsBatchObservation(t *testing.T) {
 	if tr.Elapsed() != 10*time.Millisecond {
 		t.Fatalf("request charged %v, want the inner 10ms", tr.Elapsed())
 	}
-	if got := reg.Counter("store.multiget.objects"); got != 2 {
-		t.Fatalf("store.multiget.objects = %d, want 2", got)
+}
+
+// TestRequestTableBilling pins how the metrics ring bills the request
+// table: a batch of n names is n requests, a GetRange is a GET, a COPY
+// counts under its destination, PUT and GET carry their payload bytes, a
+// miss is a request, and a retried call counts once.
+func TestRequestTableBilling(t *testing.T) {
+	base := newFakeStore(0)
+	reg := metrics.NewRegistry()
+	s := Stack(base, Retry(reg), Metrics(reg))
+	ctx := context.Background()
+	ring, child := core.RingKey("a", "N1"), core.ChildKey("a", "N1", "f")
+	patch, missing := core.PatchKey("a", "N1", 1, 1), core.PatchKey("a", "N1", 1, 2)
+	base.failures[ring] = 1
+	if err := s.Put(ctx, ring, []byte("ring!"), nil); err != nil {
+		t.Fatal(err)
+	}
+	objstore.MultiPut(ctx, s, []objstore.PutReq{{Name: patch, Data: []byte("pp")}, {Name: child, Data: []byte("ccc")}})
+	if _, _, err := s.GetRange(ctx, ring, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	objstore.MultiGet(ctx, s, []string{patch, patch, missing})
+	objstore.MultiHead(ctx, s, []string{ring, child})
+	if err := s.Copy(ctx, child, core.SegmentKey("a", "N1", "f", 0)); err != nil {
+		t.Fatal(err)
+	}
+	var want metrics.RequestTable
+	want[metrics.PrimPut][core.KeyRing] = metrics.Requests{N: 1, Bytes: 5}
+	want[metrics.PrimPut][core.KeyPatch] = metrics.Requests{N: 1, Bytes: 2}
+	want[metrics.PrimPut][core.KeyChild] = metrics.Requests{N: 1, Bytes: 3}
+	want[metrics.PrimGet][core.KeyRing] = metrics.Requests{N: 1, Bytes: 5}
+	want[metrics.PrimGet][core.KeyPatch] = metrics.Requests{N: 3, Bytes: 4}
+	want[metrics.PrimHead][core.KeyRing] = metrics.Requests{N: 1}
+	want[metrics.PrimHead][core.KeyChild] = metrics.Requests{N: 1}
+	want[metrics.PrimCopy][core.KeySegment] = metrics.Requests{N: 1}
+	if got := reg.Requests(); got != want {
+		t.Fatalf("request table = %v, want %v", got.Named(), want.Named())
+	}
+	if got := reg.Counter("retry.attempts"); got != 1 {
+		t.Fatalf("retry.attempts = %d, want the one retried PUT", got)
 	}
 }
 
