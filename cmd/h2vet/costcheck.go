@@ -24,9 +24,9 @@ every interface primitive (Put, Get, GetRange, Head, Delete, Copy):
     primitive) must reach vclock.Charge through the call graph;
   - a wrapper (one that delegates) must not also reach a charge call on
     its own frames — the inner implementation owns the cost. Wrappers
-    that model extra cost deliberately (chaos latency spikes, retry
-    backoff) annotate the single charge site with
-    //h2vet:ignore costcheck <reason>.
+    that model extra cost deliberately (retry backoff) annotate the one
+    charge site with //h2vet:ignore costcheck <reason>; a storemw.Before
+    hook is a function value, so its charge (chaos spikes) is its own.
 
 The same contract covers the optional objstore.Batcher interface: a
 native MultiGet/MultiHead/MultiPut/MultiDelete must charge its one

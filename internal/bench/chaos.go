@@ -216,7 +216,6 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 	}
 
 	st := c.Stats()
-	cc := eng.Counters()
 	return []string{
 		fmt.Sprintf("%.2f", rate),
 		fmt.Sprintf("%d", ops),
@@ -225,7 +224,7 @@ func chaosRun(rate float64, ops int, rtt time.Duration) ([]string, error) {
 		fmt.Sprintf("%d", reg.Counter("retry.attempts")),
 		fmt.Sprintf("%d", st.DegradedGets),
 		fmt.Sprintf("%d", st.ReadRepairs),
-		fmt.Sprintf("%d", cc.Faults),
+		fmt.Sprintf("%d", reg.Counter("chaos.faults")),
 		fmt.Sprintf("%.2f", ms(meanOp)),
 		fmt.Sprintf("%.2f", netsim.Alpha(rtt, meanOp)),
 		fmt.Sprintf("%d", lost),

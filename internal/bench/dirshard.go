@@ -11,6 +11,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // DirShard is the giant-directory sharding experiment. The paper's
@@ -193,11 +194,11 @@ func dirShardCrash(m, threshold int) (int, error) {
 	if err := f.mw.FS("bench").WriteFile(bg(), "/big/extra1", []byte("x")); err != nil {
 		return -1, err
 	}
-	f.store.failFlip.Store(true)
+	f.failFlip.Store(true)
 	if err := f.mw.FlushAll(bg()); err == nil {
 		return -1, fmt.Errorf("split flush survived the injected flip failure")
 	}
-	f.store.failFlip.Store(false)
+	f.failFlip.Store(false)
 
 	// Restart: descriptors drop, the patch chain replays, and the
 	// half-written extents are unreferenced garbage for the scrubber.
@@ -233,11 +234,11 @@ func dirShardCrash(m, threshold int) (int, error) {
 // children through WriteFile would swamp the fixture, and the flush
 // paths under test only care about the stored ring).
 type dirShardFixture struct {
-	cluster *cluster.Cluster
-	store   *dirShardStore
-	mw      *h2fs.Middleware
-	profile cluster.CostProfile
-	clock   func() time.Time
+	cluster  *cluster.Cluster
+	mw       *h2fs.Middleware
+	profile  cluster.CostProfile
+	clock    func() time.Time
+	failFlip atomic.Bool // see flipHook
 }
 
 func newDirShardFixture(m, threshold int) (*dirShardFixture, error) {
@@ -249,11 +250,12 @@ func newDirShardFixture(m, threshold int) (*dirShardFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := &dirShardStore{Cluster: c}
-	mw, err := h2fs.New(h2fs.Config{Store: store, Node: 1, Profile: profile, Clock: clock})
+	f := &dirShardFixture{cluster: c, profile: profile, clock: clock}
+	mw, err := h2fs.New(h2fs.Config{Store: storemw.Before(f.flipHook)(c), Node: 1, Profile: profile, Clock: clock})
 	if err != nil {
 		return nil, err
 	}
+	f.mw = mw
 	if err := mw.CreateAccount(bg(), "bench"); err != nil {
 		return nil, err
 	}
@@ -293,7 +295,7 @@ func newDirShardFixture(m, threshold int) (*dirShardFixture, error) {
 	if err := c.Put(bg(), core.RingKey("bench", ns), core.EncodeNameRing(big), nil); err != nil {
 		return nil, err
 	}
-	return &dirShardFixture{cluster: c, store: store, mw: mw, profile: profile, clock: clock}, nil
+	return f, nil
 }
 
 // patchAndFlush submits one single-tuple patch and runs the Background
@@ -305,21 +307,15 @@ func (f *dirShardFixture) patchAndFlush(name string) error {
 	return f.mw.FlushAll(bg())
 }
 
-// dirShardStore wraps the cluster to inject the crash between the extent
-// writes and the manifest flip: while failFlip is set, it fails every
-// singular Put of a manifest. chaos.FailOn cannot aim there, because its
-// substring trigger on the RingKey also hits every extent key (they start
-// with it). Embedding the cluster keeps its native Batcher, so the
-// flush's batches charge overlapped windows and go straight through.
-type dirShardStore struct {
-	*cluster.Cluster
-	failFlip atomic.Bool
-}
-
-func (s *dirShardStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	// Anything that is not a plain ring is a manifest, well-formed or not.
-	if lay, err := core.DecodeLayout(data); (err != nil || lay.Shards > 1) && s.failFlip.Load() {
+// flipHook injects the crash between the extent writes and the manifest
+// flip: while failFlip is set, every put of a manifest fails.
+// chaos.FailOn cannot aim there, because its substring trigger on the
+// RingKey also hits every extent key (they start with it). The extents'
+// batch passes the hook slot by slot and reaches the cluster's native
+// Batcher as one batch, so it charges one overlapped window.
+func (f *dirShardFixture) flipHook(_ context.Context, _ storemw.Op, _ string, data []byte) error {
+	if f.failFlip.Load() && core.IsShardManifest(data) {
 		return fmt.Errorf("dirshard: injected crash before manifest flip: %w", objstore.ErrNodeDown)
 	}
-	return s.Cluster.Put(ctx, name, data, meta)
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/h2fs"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // GCQueueReclamation is the durable-reclamation experiment: with EagerGC
@@ -131,12 +132,12 @@ func gcQueueRun(n int) ([]string, error) {
 
 	// Crash the first drain partway through the file deletes, restart,
 	// and measure the replayed drain — the reclamation lag.
-	cs.FailOn(chaos.OpDelete, "::f0")
+	eng.FailOn(storemw.OpDelete, "::f0")
 	crashed := "no"
 	if _, err := m.DrainGC(bg()); err != nil {
 		crashed = "yes"
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	m.Recover()
 	drainTime, err := Measure(func(ctx context.Context) error {
 		drained, err := m.DrainGC(ctx)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // Event is one entry of a crash/restart schedule: at step Step (as
@@ -63,44 +64,35 @@ type NodeFailer interface {
 	SetNodeDown(id int, down bool)
 }
 
-// Counters is a snapshot of the faults an engine has injected.
-type Counters struct {
-	Faults        int64 `json:"faults"`        // transient store errors injected
-	Spikes        int64 `json:"spikes"`        // latency spikes charged
-	GossipDropped int64 `json:"gossipDropped"` // broadcasts dropped
-	GossipDelayed int64 `json:"gossipDelayed"` // broadcasts deferred
-	Crashes       int64 `json:"crashes"`       // scheduled node downs applied
-	Restarts      int64 `json:"restarts"`      // scheduled node ups applied
-}
-
-// Engine makes the fault decisions for one experiment or test. It is safe
-// for concurrent use.
+// Engine makes the fault decisions for one experiment or test, and wraps
+// one store (Store) and any number of gossip buses. It is safe for
+// concurrent use.
 type Engine struct {
 	plan Plan
-	reg  *metrics.Registry // optional mirror of the counters; may be nil
+	reg  *metrics.Registry // where the engine counts what it injected; may be nil
 
 	step    atomic.Int64
 	events  []Event // sorted by step
 	nextEv  atomic.Int64
 	errRate atomic.Uint64 // math.Float64bits of the live error rate
 
-	mu   sync.Mutex
-	seqs map[string]int64 // per-(kind|name) occurrence counters
-
-	faults, spikes, dropped, delayed, crashes, restarts atomic.Int64
+	mu       sync.Mutex
+	seqs     map[string]int64      // per-(kind|name) occurrence counters
+	triggers map[storemw.Op]string // FailOn substrings
 
 	failerMu sync.Mutex
 	failer   NodeFailer
 }
 
-// New builds an engine for the plan. reg, when non-nil, mirrors the
-// engine's fault counters ("chaos.faults", "chaos.spikes", ...) so they
-// surface alongside retry and degradation counters in one registry.
+// New builds an engine for the plan. It counts every fault it injects in
+// reg ("chaos.faults", "chaos.spikes", "chaos.gossipDropped",
+// "chaos.gossipDelayed", "chaos.crashes", "chaos.restarts"), beside the
+// retry and degradation counters; a nil reg counts nothing.
 func New(plan Plan, reg *metrics.Registry) *Engine {
 	events := make([]Event, len(plan.Events))
 	copy(events, plan.Events)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Step < events[j].Step })
-	e := &Engine{plan: plan, reg: reg, events: events, seqs: make(map[string]int64)}
+	e := &Engine{plan: plan, reg: reg, events: events, seqs: make(map[string]int64), triggers: make(map[storemw.Op]string)}
 	e.errRate.Store(math.Float64bits(plan.ErrRate))
 	return e
 }
@@ -153,24 +145,10 @@ func (e *Engine) Step() {
 			f.SetNodeDown(ev.Node, ev.Down)
 		}
 		if ev.Down {
-			e.crashes.Add(1)
 			e.reg.Inc("chaos.crashes", 1)
 		} else {
-			e.restarts.Add(1)
 			e.reg.Inc("chaos.restarts", 1)
 		}
-	}
-}
-
-// Counters snapshots the engine's injected-fault tallies.
-func (e *Engine) Counters() Counters {
-	return Counters{
-		Faults:        e.faults.Load(),
-		Spikes:        e.spikes.Load(),
-		GossipDropped: e.dropped.Load(),
-		GossipDelayed: e.delayed.Load(),
-		Crashes:       e.crashes.Load(),
-		Restarts:      e.restarts.Load(),
 	}
 }
 
@@ -213,7 +191,7 @@ func (e *Engine) decide(kind, name string, rate float64) bool {
 // spikeFor rolls a latency spike for one primitive: zero most of the
 // time, otherwise 0.5×–1.5× the plan's Spike, the fraction drawn from
 // the same deterministic hash stream.
-func (e *Engine) spikeFor(op Op, name string) time.Duration {
+func (e *Engine) spikeFor(op storemw.Op, name string) time.Duration {
 	if e.plan.SpikeRate <= 0 || e.plan.Spike <= 0 {
 		return 0
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/gossip"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -93,8 +94,8 @@ func TestDecisionsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestErrRateApproximatelyHolds(t *testing.T) {
-	eng := New(Plan{Seed: 7, ErrRate: 0.2}, nil)
-	st := eng.Store(memStore(t))
+	reg := metrics.NewRegistry()
+	st := New(Plan{Seed: 7, ErrRate: 0.2}, reg).Store(memStore(t))
 	ctx := context.Background()
 	fails := 0
 	const n = 2000
@@ -110,8 +111,8 @@ func TestErrRateApproximatelyHolds(t *testing.T) {
 	if rate < 0.15 || rate > 0.25 {
 		t.Fatalf("observed fault rate %.3f, want ~0.2", rate)
 	}
-	if got := eng.Counters().Faults; got != int64(fails) {
-		t.Fatalf("Counters().Faults = %d, want %d", got, fails)
+	if got := reg.Counter("chaos.faults"); got != int64(fails) {
+		t.Fatalf("chaos.faults = %d, want %d", got, fails)
 	}
 }
 
@@ -119,7 +120,7 @@ func TestTargetedTriggerIsPermanentAndScoped(t *testing.T) {
 	eng := New(Plan{}, nil)
 	st := eng.Store(memStore(t))
 	ctx := context.Background()
-	st.FailOn(OpPut, "::doomed")
+	eng.FailOn(storemw.OpPut, "::doomed")
 	if err := st.Put(ctx, "a::doomed::b", nil, nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("targeted Put = %v, want ErrInjected", err)
 	}
@@ -129,7 +130,7 @@ func TestTargetedTriggerIsPermanentAndScoped(t *testing.T) {
 	if err := st.Put(ctx, "a::fine", []byte("x"), nil); err != nil {
 		t.Fatalf("untargeted Put = %v", err)
 	}
-	st.FailOn(OpPut, "") // disarm
+	eng.FailOn(storemw.OpPut, "") // disarm
 	if err := st.Put(ctx, "a::doomed::b", []byte("x"), nil); err != nil {
 		t.Fatalf("disarmed Put = %v", err)
 	}
@@ -139,15 +140,16 @@ func TestTargetedTriggerIsPermanentAndScoped(t *testing.T) {
 // no ETag, whatever its request carried; the forwarded slots report the
 // ETag a following Head returns.
 func TestMultiPutETagsSkipInjectedSlots(t *testing.T) {
-	st := New(Plan{}, nil).Store(memStore(t))
+	eng := New(Plan{}, nil)
+	st := eng.Store(memStore(t))
 	ctx := context.Background()
-	st.FailOn(OpPut, "::doomed")
+	eng.FailOn(storemw.OpPut, "::doomed")
 	reqs := []objstore.PutReq{
 		{Name: "a", Data: []byte("alpha")},
 		{Name: "b::doomed", Data: []byte("beta"), ETag: "stale"},
 		{Name: "c", Data: []byte("gamma"), ETag: "stale"},
 	}
-	out := st.MultiPut(ctx, reqs)
+	out := objstore.MultiPut(ctx, st, reqs)
 	if !errors.Is(out[1], ErrInjected) || reqs[1].ETag != "" {
 		t.Fatalf("injected slot = (%v, %q), want ErrInjected and no ETag", out[1], reqs[1].ETag)
 	}
@@ -166,8 +168,8 @@ func TestMultiPutETagsSkipInjectedSlots(t *testing.T) {
 }
 
 func TestSpikesChargeVirtualClock(t *testing.T) {
-	eng := New(Plan{Seed: 1, SpikeRate: 1.0, Spike: 100 * time.Millisecond}, nil)
-	st := eng.Store(memStore(t))
+	reg := metrics.NewRegistry()
+	st := New(Plan{Seed: 1, SpikeRate: 1.0, Spike: 100 * time.Millisecond}, reg).Store(memStore(t))
 	tr := vclock.NewTracker()
 	ctx := vclock.With(context.Background(), tr)
 	if err := st.Put(ctx, "k", []byte("x"), nil); err != nil {
@@ -177,8 +179,8 @@ func TestSpikesChargeVirtualClock(t *testing.T) {
 	if got < 50*time.Millisecond || got > 150*time.Millisecond {
 		t.Fatalf("spike charged %v, want within [0.5, 1.5] of 100ms", got)
 	}
-	if eng.Counters().Spikes != 1 {
-		t.Fatalf("Spikes = %d, want 1", eng.Counters().Spikes)
+	if got := reg.Counter("chaos.spikes"); got != 1 {
+		t.Fatalf("chaos.spikes = %d, want 1", got)
 	}
 }
 
@@ -210,12 +212,8 @@ func TestCrashScheduleAppliesInStepOrder(t *testing.T) {
 	if f.downs[3] || !f.downs[1] {
 		t.Fatalf("schedule at step 5 wrong: %v", f.downs)
 	}
-	c := eng.Counters()
-	if c.Crashes != 2 || c.Restarts != 1 {
-		t.Fatalf("Crashes=%d Restarts=%d, want 2/1", c.Crashes, c.Restarts)
-	}
 	if reg.Counter("chaos.crashes") != 2 || reg.Counter("chaos.restarts") != 1 {
-		t.Fatalf("registry mirror wrong: %v", reg.Counters())
+		t.Fatalf("chaos.crashes/restarts wrong, want 2/1: %v", reg.Counters())
 	}
 }
 
@@ -225,15 +223,15 @@ func TestGossipDropAndDelay(t *testing.T) {
 	var got []gossip.Message
 	inner.Register(1, func(ctx context.Context, msg gossip.Message) { got = append(got, msg) })
 
-	eng := New(Plan{Seed: 3, DropRate: 0.5}, nil)
-	bus := eng.Gossip(inner)
+	reg := metrics.NewRegistry()
+	bus := New(Plan{Seed: 3, DropRate: 0.5}, reg).Gossip(inner)
 	ctx := context.Background()
 	const n = 200
 	for i := 0; i < n; i++ {
 		bus.Broadcast(2, gossip.Message{Account: "a", NS: "ns", Origin: 2, Version: int64(i)})
 	}
 	inner.Pump(ctx)
-	dropped := eng.Counters().GossipDropped
+	dropped := reg.Counter("chaos.gossipDropped")
 	if dropped == 0 || int(dropped) == n {
 		t.Fatalf("dropped %d of %d, want partial drop", dropped, n)
 	}

@@ -51,12 +51,10 @@ func msgKey(from int, msg gossip.Message) string {
 func (b *Bus) Broadcast(from int, msg gossip.Message) {
 	key := msgKey(from, msg)
 	if b.eng.decide("gossip.drop", key, b.eng.plan.DropRate) {
-		b.eng.dropped.Add(1)
 		b.eng.reg.Inc("chaos.gossipDropped", 1)
 		return
 	}
 	if b.eng.decide("gossip.delay", key, b.eng.plan.DelayRate) {
-		b.eng.delayed.Add(1)
 		b.eng.reg.Inc("chaos.gossipDelayed", 1)
 		b.bufferDelayed(delayedMsg{from: from, msg: msg})
 		return

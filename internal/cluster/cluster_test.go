@@ -496,32 +496,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterPut(b *testing.B) {
-	c, _ := New(Config{Profile: ZeroProfile()})
-	ctx := context.Background()
-	data := make([]byte, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Put(ctx, "bench-object", data, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClusterGet(b *testing.B) {
-	c, _ := New(Config{Profile: ZeroProfile()})
-	ctx := context.Background()
-	mustPut(b, c, ctx, "bench-object", make([]byte, 256), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Get(ctx, "bench-object"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClusterParallelMix runs a Put/Get/Head/Delete cycle from every
 // goroutine on keys of its own, so the goroutines meet only on the nodes.
 // Its -cpu 1,2 ratio is the cluster's scaling under concurrent clients.

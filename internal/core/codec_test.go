@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,35 +259,6 @@ func TestValidChildName(t *testing.T) {
 	for _, bad := range []string{"", ".", "..", "a/b"} {
 		if ValidChildName(bad) {
 			t.Errorf("ValidChildName(%q) = true", bad)
-		}
-	}
-}
-
-func BenchmarkEncodeNameRing1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	r := NewNameRing()
-	for i := 0; i < 1000; i++ {
-		r.Set(Tuple{Name: randName(rng), Time: int64(i)})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeNameRing(r)
-	}
-}
-
-func BenchmarkDecodeNameRing1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	r := NewNameRing()
-	for i := 0; i < 1000; i++ {
-		r.Set(Tuple{Name: randName(rng), Time: int64(i)})
-	}
-	data := EncodeNameRing(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeNameRing(data); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -391,16 +391,6 @@ func benchRing(seed int64, n int) *NameRing {
 	return r
 }
 
-func BenchmarkMerged1000(b *testing.B) {
-	x := benchRing(7, 1000)
-	y := benchRing(8, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Merged(x, y)
-	}
-}
-
 func BenchmarkMergePatch(b *testing.B) {
 	// The descriptor path: a small patch folded into a large local ring.
 	big := benchRing(9, 10000)
@@ -409,15 +399,6 @@ func BenchmarkMergePatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		big.Merge(patch)
-	}
-}
-
-func BenchmarkLive1000(b *testing.B) {
-	r := benchRing(11, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Live()
 	}
 }
 

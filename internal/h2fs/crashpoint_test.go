@@ -12,19 +12,18 @@ import (
 
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
-// crashStore is a middleware's store that dies. It implements only the
-// six Store methods, so a batch slot reaches it through the objstore.Multi*
-// fallback and counts as one primitive like any other call; past limit
-// primitives every call fails with objstore.ErrNodeDown.
+// crashStore kills a middleware's store: its hook counts every primitive,
+// a batch slot as one like any other call, and past limit primitives it
+// fails every call with objstore.ErrNodeDown.
 type crashStore struct {
-	inner objstore.Store
 	limit int64 // negative: never die
 	calls atomic.Int64
 }
 
-func (s *crashStore) pass() error {
+func (s *crashStore) pass(context.Context, storemw.Op, string, []byte) error {
 	if n := s.calls.Add(1); s.limit >= 0 && n > s.limit {
 		return objstore.ErrNodeDown
 	}
@@ -32,48 +31,6 @@ func (s *crashStore) pass() error {
 }
 
 func (s *crashStore) dead() bool { return s.limit >= 0 && s.calls.Load() > s.limit }
-
-func (s *crashStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if err := s.pass(); err != nil {
-		return err
-	}
-	return s.inner.Put(ctx, name, data, meta)
-}
-
-func (s *crashStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	if err := s.pass(); err != nil {
-		return nil, objstore.ObjectInfo{}, err
-	}
-	return s.inner.Get(ctx, name)
-}
-
-func (s *crashStore) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, objstore.ObjectInfo, error) {
-	if err := s.pass(); err != nil {
-		return nil, objstore.ObjectInfo{}, err
-	}
-	return s.inner.GetRange(ctx, name, offset, length)
-}
-
-func (s *crashStore) Head(ctx context.Context, name string) (objstore.ObjectInfo, error) {
-	if err := s.pass(); err != nil {
-		return objstore.ObjectInfo{}, err
-	}
-	return s.inner.Head(ctx, name)
-}
-
-func (s *crashStore) Delete(ctx context.Context, name string) error {
-	if err := s.pass(); err != nil {
-		return err
-	}
-	return s.inner.Delete(ctx, name)
-}
-
-func (s *crashStore) Copy(ctx context.Context, src, dst string) error {
-	if err := s.pass(); err != nil {
-		return err
-	}
-	return s.inner.Copy(ctx, src, dst)
-}
 
 // crashModel is the tree an operation sequence should leave: every path
 // under the root, mapped to its content, or to crashDir for a directory.
@@ -265,8 +222,8 @@ func runCrashPoint(t *testing.T, set crashSetting, ops []crashOp, limit int64) (
 		}
 		return m
 	}
-	cs := &crashStore{inner: c, limit: -1}
-	m := start(cs)
+	cs := &crashStore{limit: -1}
+	m := start(storemw.Before(cs.pass)(c))
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	cs.calls.Store(0)
 	cs.limit = limit

@@ -17,6 +17,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // fixtureLimit is the cache cap of the fixtures that evict on purpose:
@@ -101,8 +102,8 @@ func steppingClock() func() time.Time {
 // holding the flushed file f, and /d's namespace.
 func newDirD(t *testing.T, reg *metrics.Registry) (*Middleware, *reqLog, string) {
 	t.Helper()
-	gl := &reqLog{Store: newCluster(t)}
-	m, err := New(Config{Store: gl, Node: 1, Clock: steppingClock(), DescCacheLimit: fixtureLimit, Metrics: reg})
+	store, gl := logged(newCluster(t))
+	m, err := New(Config{Store: store, Node: 1, Clock: steppingClock(), DescCacheLimit: fixtureLimit, Metrics: reg})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -155,7 +156,7 @@ func TestReloadAfterCleanEvictionIsOneGet(t *testing.T) {
 	pushOut(t, m, ns)
 	m.dropDesc("alice", ns) // a collected ring takes its stub along
 	wantGauge(t, m, reg, 0)
-	fresh, err := New(Config{Store: gl, Node: 2})
+	fresh, err := New(Config{Store: m.Store(), Node: 2})
 	mustNoErr(t, err)
 	if !hasChild(t, fresh, ns, "f") || !hasChild(t, fresh, ns, "g") {
 		t.Fatal("a fresh middleware does not see what the settled descriptor flushed")
@@ -191,7 +192,7 @@ func TestStubsAreBounded(t *testing.T) {
 // remembered from the old one may suppress a crash replay.
 func TestRecoverForgetsStubs(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m, gl, ns := newDirD(t, reg)
+	m, _, ns := newDirD(t, reg)
 	ctx := context.Background()
 
 	// A descriptor re-created over a stub takes a write and dies unflushed.
@@ -209,7 +210,7 @@ func TestRecoverForgetsStubs(t *testing.T) {
 	// ring sat evicted here.
 	pushOut(t, m, ns)
 	wantGauge(t, m, reg, 1)
-	twin, err := New(Config{Store: gl, Node: 1})
+	twin, err := New(Config{Store: m.Store(), Node: 1})
 	mustNoErr(t, err)
 	mustNoErr(t, twin.FS("alice").WriteFile(ctx, "/d/h", []byte("z")))
 	m.Recover()
@@ -223,9 +224,9 @@ func TestRecoverForgetsStubs(t *testing.T) {
 // evictable — but has learned nothing about its chain, so its eviction
 // must not settle the ring. One that was already settled stays so.
 func TestFailedLoadLeavesNoStub(t *testing.T) {
-	cs := chaos.New(chaos.Plan{}, nil).Store(&reqLog{Store: newCluster(t)})
-	gl := cs.Unwrap().(*reqLog)
-	m, err := New(Config{Store: cs, Node: 1, DescCacheLimit: fixtureLimit})
+	eng := chaos.New(chaos.Plan{}, nil)
+	store, gl := logged(newCluster(t))
+	m, err := New(Config{Store: eng.Store(store), Node: 1, DescCacheLimit: fixtureLimit})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -239,7 +240,7 @@ func TestFailedLoadLeavesNoStub(t *testing.T) {
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/d/f", []byte("x")))
 	m.Recover()
 
-	cs.FailOn(chaos.OpGet, ring)
+	eng.FailOn(storemw.OpGet, ring)
 	if _, _, err := m.lookupChild(ctx, "alice", ns, "f"); err == nil {
 		t.Fatal("ring GET fault did not surface")
 	}
@@ -247,7 +248,7 @@ func TestFailedLoadLeavesNoStub(t *testing.T) {
 	if n := stubs(m); n != 0 {
 		t.Fatalf("evicting a never-loaded descriptor left %d stubs", n)
 	}
-	cs.FailOn(chaos.OpGet, "")
+	eng.FailOn(storemw.OpGet, "")
 	if !hasChild(t, m, ns, "f") {
 		t.Fatal("crash-orphaned patch not replayed after a failed load was evicted")
 	}
@@ -255,12 +256,12 @@ func TestFailedLoadLeavesNoStub(t *testing.T) {
 	// Settled, then a failed load, then evicted again: still settled.
 	mustNoErr(t, m.FlushAll(ctx))
 	pushOut(t, m, ns)
-	cs.FailOn(chaos.OpGet, ring)
+	eng.FailOn(storemw.OpGet, ring)
 	if _, _, err := m.lookupChild(ctx, "alice", ns, "f"); err == nil {
 		t.Fatal("ring GET fault did not surface")
 	}
 	pushOut(t, m, ns)
-	cs.FailOn(chaos.OpGet, "")
+	eng.FailOn(storemw.OpGet, "")
 	gl.take()
 	if !hasChild(t, m, ns, "f") {
 		t.Fatal("f lost")
@@ -275,7 +276,7 @@ func TestFailedLoadLeavesNoStub(t *testing.T) {
 func TestReloadKeepsPeerProbes(t *testing.T) {
 	m, gl, ns := newDirD(t, nil)
 	ctx := context.Background()
-	peer, err := New(Config{Store: gl, Node: 2})
+	peer, err := New(Config{Store: m.Store(), Node: 2})
 	mustNoErr(t, err)
 	// The peer becomes known to the ring's watermarks by flushing once.
 	mustNoErr(t, peer.FS("alice").WriteFile(ctx, "/d/p1", []byte("1")))

@@ -12,6 +12,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // withShardThreshold arms directory sharding for a test middleware.
@@ -267,20 +268,6 @@ func TestDirShardSplitMidList(t *testing.T) {
 	}
 }
 
-// flipFailStore injects a crash exactly between the extent writes and the
-// manifest flip: every manifest put fails while armed.
-type flipFailStore struct {
-	objstore.Store
-	armed atomic.Bool
-}
-
-func (s *flipFailStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if s.armed.Load() && core.IsShardManifest(data) {
-		return fmt.Errorf("flip injected: %w", objstore.ErrNodeDown)
-	}
-	return s.Store.Put(ctx, name, data, meta)
-}
-
 // TestDirShardCrashMidSplitConverges: a crash after the new extents are
 // written but before the manifest flip leaves the monolithic ring intact
 // and the half-split extents unreferenced. Replay converges (the patch
@@ -288,8 +275,16 @@ func (s *flipFailStore) Put(ctx context.Context, name string, data []byte, meta 
 // and the retried flush completes the split with zero orphans.
 func TestDirShardCrashMidSplitConverges(t *testing.T) {
 	c := newCluster(t)
-	ffs := &flipFailStore{Store: c}
-	cfg := Config{Store: ffs, Node: 1, Profile: c.Profile(), EagerGC: true}
+	// Every manifest put fails while armed: a crash exactly between the
+	// extent writes and the manifest flip.
+	var armed atomic.Bool
+	flip := storemw.Before(func(_ context.Context, _ storemw.Op, _ string, data []byte) error {
+		if armed.Load() && core.IsShardManifest(data) {
+			return fmt.Errorf("flip injected: %w", objstore.ErrNodeDown)
+		}
+		return nil
+	})
+	cfg := Config{Store: flip(c), Node: 1, Profile: c.Profile(), EagerGC: true}
 	cfg.Profile.DirShardThreshold = 8
 	m, err := New(cfg)
 	mustNoErr(t, err)
@@ -297,11 +292,11 @@ func TestDirShardCrashMidSplitConverges(t *testing.T) {
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	populateBig(t, m, 40)
 
-	ffs.armed.Store(true)
+	armed.Store(true)
 	if err := m.FlushAll(ctx); !errors.Is(err, objstore.ErrNodeDown) {
 		t.Fatalf("flush during flip failure = %v, want the injected fault", err)
 	}
-	ffs.armed.Store(false)
+	armed.Store(false)
 
 	// Crash and restart: the patch chain replays into a converged view.
 	m.Recover()
@@ -394,9 +389,9 @@ func TestReadRingCompleteOrError(t *testing.T) {
 		t.Fatalf("read of a missing ring = %v, want not found", err)
 	}
 
-	cs := chaos.New(chaos.Plan{}, nil).Store(c)
-	cs.FailOn(chaos.OpGet, rr.Extents[3])
-	if _, err := ReadRing(ctx, cs, "alice", ns); !errors.Is(err, chaos.ErrInjected) {
+	eng := chaos.New(chaos.Plan{}, nil)
+	eng.FailOn(storemw.OpGet, rr.Extents[3])
+	if _, err := ReadRing(ctx, eng.Store(c), "alice", ns); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("read with an unfetchable extent = %v, want the injected fault", err)
 	}
 	held, _, err := c.Get(ctx, rr.Extents[3])

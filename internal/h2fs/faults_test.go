@@ -12,40 +12,41 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // newChaosMW builds a middleware over a zero-plan chaos store wrapping a
 // fresh cluster; tests arm targeted triggers with FailOn to exercise the
 // middleware's error paths.
-func newChaosMW(t *testing.T) (*Middleware, *chaos.Store) {
+func newChaosMW(t *testing.T) (*Middleware, *chaos.Engine) {
 	t.Helper()
-	cs := chaos.New(chaos.Plan{}, nil).Store(newCluster(t))
-	m, err := New(Config{Store: cs, Node: 1, EagerGC: true, Metrics: metrics.NewRegistry()})
+	eng := chaos.New(chaos.Plan{}, nil)
+	m, err := New(Config{Store: eng.Store(newCluster(t)), Node: 1, EagerGC: true, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, cs
+	return m, eng
 }
 
 func TestMkdirFailsWhenDirObjectPutFails(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	cs.FailOn(chaos.OpPut, "::doomed")
+	eng.FailOn(storemw.OpPut, "::doomed")
 	err := m.FS("alice").Mkdir(ctx, "/doomed")
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Mkdir = %v, want injected fault", err)
 	}
 	// The namespace must not have been recorded: the name stays free.
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/doomed"))
 }
 
 func TestWriteFileFailsWhenContentPutFails(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	cs.FailOn(chaos.OpPut, "::payload")
+	eng.FailOn(storemw.OpPut, "::payload")
 	err := m.FS("alice").WriteFile(ctx, "/payload", []byte("x"))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("WriteFile = %v", err)
@@ -60,10 +61,10 @@ func TestWriteFileFailsWhenContentPutFails(t *testing.T) {
 }
 
 func TestPatchSubmitFailureSurfaces(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
-	cs.FailOn(chaos.OpPut, ".Patch")
+	eng.FailOn(storemw.OpPut, ".Patch")
 	err := m.FS("alice").WriteFile(ctx, "/f", []byte("x"))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("WriteFile with patch failure = %v", err)
@@ -71,18 +72,18 @@ func TestPatchSubmitFailureSurfaces(t *testing.T) {
 }
 
 func TestFlushFailureSurfacesAndRetries(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/f", []byte("x")))
-	cs.FailOn(chaos.OpPut, "/NameRing/")
+	eng.FailOn(storemw.OpPut, "/NameRing/")
 	if err := m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("FlushAll = %v, want injected fault", err)
 	}
 	// The patch stays pending; a later flush succeeds and folds it.
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	mustNoErr(t, m.FlushAll(ctx))
-	m2, err := New(Config{Store: cs, Node: 2}) // fresh view, no local state
+	m2, err := New(Config{Store: m.Store(), Node: 2}) // fresh view, no local state
 	mustNoErr(t, err)
 	entries, err := m2.FS("alice").List(ctx, "/", false)
 	mustNoErr(t, err)
@@ -92,7 +93,7 @@ func TestFlushFailureSurfacesAndRetries(t *testing.T) {
 }
 
 func TestCopyTreeFailurePropagates(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
@@ -101,7 +102,7 @@ func TestCopyTreeFailurePropagates(t *testing.T) {
 		mustNoErr(t, afs.WriteFile(ctx, fmt.Sprintf("/src/f%d", i), []byte("x")))
 	}
 	// Fail the destination ring write: the deep copy must error out.
-	cs.FailOn(chaos.OpPut, "/NameRing/")
+	eng.FailOn(storemw.OpPut, "/NameRing/")
 	// (flushes would also fail; Copy writes the fresh dst ring directly.)
 	err := afs.Copy(ctx, "/src", "/dst")
 	if !errors.Is(err, chaos.ErrInjected) {
@@ -110,13 +111,13 @@ func TestCopyTreeFailurePropagates(t *testing.T) {
 }
 
 func TestGCDeleteFailurePropagates(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.Mkdir(ctx, "/d"))
 	mustNoErr(t, afs.WriteFile(ctx, "/d/f", []byte("x")))
-	cs.FailOn(chaos.OpDelete, "::f")
+	eng.FailOn(storemw.OpDelete, "::f")
 	if err := afs.Rmdir(ctx, "/d"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Rmdir with failing GC = %v", err)
 	}
@@ -146,16 +147,16 @@ func TestCorruptRingObjectDetected(t *testing.T) {
 // reason used to fall through to provisioning a fresh root namespace over
 // the existing one, and the whole tree was lost.
 func TestCreateAccountKeepsTreeWhenRootHeadFails(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.WriteFile(ctx, "/keep", []byte("x")))
-	cs.FailOn(chaos.OpHead, core.RootKey("alice"))
+	eng.FailOn(storemw.OpHead, core.RootKey("alice"))
 	if err := m.CreateAccount(ctx, "alice"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("CreateAccount with failing root HEAD = %v, want the injected fault", err)
 	}
-	cs.FailOn(chaos.OpHead, "")
+	eng.FailOn(storemw.OpHead, "")
 	m.Recover()
 	if data, err := afs.ReadFile(ctx, "/keep"); err != nil || string(data) != "x" {
 		t.Fatalf("ReadFile(/keep) after the failed create = %q, %v", data, err)
@@ -172,14 +173,14 @@ func TestCreateAccountKeepsTreeWhenRootHeadFails(t *testing.T) {
 // a file whose content HEAD fails has no size to report. Each failure
 // surfaces with its own identity instead of as not-found or size 0.
 func TestRootReadFaultIsNotAbsence(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("x")))
 	m.Recover()
-	cs.FailOn(chaos.OpGet, core.RootKey("alice"))
-	cs.FailOn(chaos.OpHead, core.RootKey("alice"))
+	eng.FailOn(storemw.OpGet, core.RootKey("alice"))
+	eng.FailOn(storemw.OpHead, core.RootKey("alice"))
 	faulted := func(op string, err error) {
 		t.Helper()
 		if !errors.Is(err, chaos.ErrInjected) || errors.Is(err, fsapi.ErrNotFound) {
@@ -196,8 +197,8 @@ func TestRootReadFaultIsNotAbsence(t *testing.T) {
 	_, err = afs.Stat(ctx, "/")
 	faulted("Stat(/)", err)
 
-	cs.FailOn(chaos.OpGet, "")
-	cs.FailOn(chaos.OpHead, "::f")
+	eng.FailOn(storemw.OpGet, "")
+	eng.FailOn(storemw.OpHead, "::f")
 	_, err = afs.Stat(ctx, "/f")
 	faulted("Stat(/f)", err)
 }
@@ -206,20 +207,20 @@ func TestRootReadFaultIsNotAbsence(t *testing.T) {
 // content object is gone as sizeless, like Stat, but a HEAD that failed
 // for any other reason fails the page instead of reading as size 0.
 func TestDetailedListFailsOnHeadFault(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("xyz")))
 	mustNoErr(t, afs.WriteFile(ctx, "/g", []byte("xy")))
-	cs.FailOn(chaos.OpHead, "::f")
+	eng.FailOn(storemw.OpHead, "::f")
 	if entries, err := afs.List(ctx, "/", true); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("detailed List with a failing HEAD = %+v, %v, want the injected fault", entries, err)
 	}
 	if entries, err := afs.List(ctx, "/", false); err != nil || len(entries) != 2 {
 		t.Fatalf("plain List with a failing HEAD = %+v, %v, want both names", entries, err)
 	}
-	cs.FailOn(chaos.OpHead, "")
+	eng.FailOn(storemw.OpHead, "")
 	entries, err := afs.List(ctx, "/", true)
 	mustNoErr(t, err)
 	if len(entries) != 2 || entries[0].Size != 3 || entries[1].Size != 2 {
@@ -245,23 +246,23 @@ func wantFile(t *testing.T, m *Middleware, path, data string) {
 // tombstone leaves the file whole, and a failed reclaim after it still
 // surfaces but leaves the name gone.
 func TestRemoveTombstonesBeforeReclaim(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.WriteFile(ctx, "/f", []byte("x")))
-	cs.FailOn(chaos.OpPut, ".Patch")
+	eng.FailOn(storemw.OpPut, ".Patch")
 	if err := afs.Remove(ctx, "/f"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Remove with failing tombstone = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	wantFile(t, m, "/f", "x")
 
-	cs.FailOn(chaos.OpDelete, "::f")
+	eng.FailOn(storemw.OpDelete, "::f")
 	if err := afs.Remove(ctx, "/f"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Remove with failing reclaim = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	if n := m.Metrics().Counter("reclaim.errors"); n != 1 {
 		t.Fatalf("reclaim.errors = %d after one failed reclaim, want 1", n)
 	}
@@ -277,8 +278,8 @@ func TestRemoveTombstonesBeforeReclaim(t *testing.T) {
 // dangle.
 func TestDeleteAccountCommitsBeforeReclaim(t *testing.T) {
 	c := newCluster(t)
-	cs := chaos.New(chaos.Plan{}, nil).Store(c)
-	m, err := New(Config{Store: cs, Node: 1})
+	eng := chaos.New(chaos.Plan{}, nil)
+	m, err := New(Config{Store: eng.Store(c), Node: 1})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -288,11 +289,11 @@ func TestDeleteAccountCommitsBeforeReclaim(t *testing.T) {
 	mustNoErr(t, afs.WriteFile(ctx, "/d/f", []byte("f")))
 	mustNoErr(t, m.FlushAll(ctx))
 
-	cs.FailOn(chaos.OpDelete, "::f")
+	eng.FailOn(storemw.OpDelete, "::f")
 	if err := m.DeleteAccount(ctx, "alice"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("DeleteAccount with failing reclaim = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	if ok, err := m.AccountExists(ctx, "alice"); err != nil || ok {
 		t.Fatalf("AccountExists after a failed walk = %v, %v; want the deletion committed", ok, err)
 	}
@@ -314,31 +315,31 @@ func TestDeleteAccountCommitsBeforeReclaim(t *testing.T) {
 // whole, and a failed segment delete leaves the new one whole. A chunked
 // write over a plain file deletes nothing up front either.
 func TestOverwriteWritesBeforeItDeletes(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	mustNoErr(t, m.WriteFileChunked(ctx, "alice", "/f", strings.NewReader("0123456789"), 4))
 	mustNoErr(t, m.FlushAll(ctx))
-	cs.FailOn(chaos.OpPut, "::f")
+	eng.FailOn(storemw.OpPut, "::f")
 	if err := m.FS("alice").WriteFile(ctx, "/f", []byte("new")); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("WriteFile with failing put = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	wantFile(t, m, "/f", "0123456789")
 
-	cs.FailOn(chaos.OpDelete, "/slo/f/")
+	eng.FailOn(storemw.OpDelete, "/slo/f/")
 	if err := m.FS("alice").WriteFile(ctx, "/f", []byte("new")); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("WriteFile with failing segment delete = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	wantFile(t, m, "/f", "new")
 	if n := m.Metrics().Counter("reclaim.errors"); n != 1 {
 		t.Fatalf("reclaim.errors = %d after one failed segment delete, want 1", n)
 	}
 
-	cs.FailOn(chaos.OpDelete, "::f")
+	eng.FailOn(storemw.OpDelete, "::f")
 	mustNoErr(t, m.WriteFileChunked(ctx, "alice", "/f", strings.NewReader("chunked again"), 4))
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	wantFile(t, m, "/f", "chunked again")
 }
 
@@ -346,23 +347,23 @@ func TestOverwriteWritesBeforeItDeletes(t *testing.T) {
 // before it deletes the source bytes: a failed patch leaves the source
 // whole, and a failed reclaim leaves the destination whole.
 func TestMoveReclaimsAfterFlip(t *testing.T) {
-	m, cs := newChaosMW(t)
+	m, eng := newChaosMW(t)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	afs := m.FS("alice")
 	mustNoErr(t, afs.WriteFile(ctx, "/g", []byte("y")))
-	cs.FailOn(chaos.OpPut, ".Patch")
+	eng.FailOn(storemw.OpPut, ".Patch")
 	if err := afs.Move(ctx, "/g", "/h"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Move with failing patch = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	wantFile(t, m, "/g", "y")
 
-	cs.FailOn(chaos.OpDelete, "::g")
+	eng.FailOn(storemw.OpDelete, "::g")
 	if err := afs.Move(ctx, "/g", "/h"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Move with failing reclaim = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	wantFile(t, m, "/h", "y")
 	if names := listNames(t, m, "/"); !slices.Equal(names, []string{"h"}) {
 		t.Fatalf("listing after move = %v, want [h]", names)
@@ -370,14 +371,14 @@ func TestMoveReclaimsAfterFlip(t *testing.T) {
 
 	// A directory Move deletes its old entry object only after both patches.
 	mustNoErr(t, afs.Mkdir(ctx, "/d"))
-	cs.FailOn(chaos.OpPut, ".Patch")
+	eng.FailOn(storemw.OpPut, ".Patch")
 	if err := afs.Move(ctx, "/d", "/e"); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("directory Move with failing patch = %v, want injected fault", err)
 	}
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	root, err := m.rootNS(ctx, "alice")
 	mustNoErr(t, err)
-	if _, err := cs.Head(ctx, core.ChildKey("alice", root, "d")); err != nil {
+	if _, err := m.Store().Head(ctx, core.ChildKey("alice", root, "d")); err != nil {
 		t.Fatalf("entry object of /d after a failed move: %v", err)
 	}
 }

@@ -20,50 +20,28 @@ import (
 	"github.com/h2cloud/h2cloud/internal/gossip"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
-// reqLog records every request the middleware issues as "OP name". It
-// hides the cluster's Batcher, so batched items arrive here singly.
+// reqLog records every request the middleware issues as "OP name", a
+// batch slot as its singular op.
 type reqLog struct {
-	objstore.Store
 	mu   sync.Mutex
 	reqs []string
 }
 
-func (s *reqLog) note(op, name string) {
+// logged wraps s in a storemw.Before hook that notes every request in a
+// fresh log; batches still reach s as batches.
+func logged(s objstore.Store) (objstore.Store, *reqLog) {
+	l := &reqLog{}
+	return storemw.Before(l.note)(s), l
+}
+
+func (s *reqLog) note(_ context.Context, op storemw.Op, name string, _ []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reqs = append(s.reqs, op+" "+name)
-}
-
-func (s *reqLog) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	s.note("PUT", name)
-	return s.Store.Put(ctx, name, data, meta)
-}
-
-func (s *reqLog) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
-	s.note("GET", name)
-	return s.Store.Get(ctx, name)
-}
-
-func (s *reqLog) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, objstore.ObjectInfo, error) {
-	s.note("GETRANGE", name)
-	return s.Store.GetRange(ctx, name, offset, length)
-}
-
-func (s *reqLog) Head(ctx context.Context, name string) (objstore.ObjectInfo, error) {
-	s.note("HEAD", name)
-	return s.Store.Head(ctx, name)
-}
-
-func (s *reqLog) Delete(ctx context.Context, name string) error {
-	s.note("DELETE", name)
-	return s.Store.Delete(ctx, name)
-}
-
-func (s *reqLog) Copy(ctx context.Context, src, dst string) error {
-	s.note("COPY", src)
-	return s.Store.Copy(ctx, src, dst)
+	s.reqs = append(s.reqs, strings.ToUpper(string(op))+" "+name)
+	return nil
 }
 
 // take returns and resets the log.
@@ -127,8 +105,9 @@ func fixtureLive(n int) int { return fixtureThreshold*n - 4 }
 func newTagFixtureN(t *testing.T, n int, opts ...func(*Config)) *tagFixture {
 	t.Helper()
 	f := &tagFixture{c: newCluster(t), reg: metrics.NewRegistry(), lay: core.ShardManifest{Shards: n}, live: 1}
-	f.log = &reqLog{Store: f.c}
-	cfg := Config{Store: f.log, Node: 1, Profile: f.c.Profile(), Clock: steppingClock(), EagerGC: true, Metrics: f.reg}
+	var store objstore.Store
+	store, f.log = logged(f.c)
+	cfg := Config{Store: store, Node: 1, Profile: f.c.Profile(), Clock: steppingClock(), EagerGC: true, Metrics: f.reg}
 	if n > 1 {
 		cfg.Profile.DirShardThreshold = fixtureThreshold
 		f.lay.Gen = 1
@@ -314,11 +293,8 @@ func TestFlushFailedPutForgetsRingTag(t *testing.T) {
 		{n: 4, retry: []string{"HEAD", "GET", "PUT"}, validated: 1, refetched: 1},
 	} {
 		t.Run(fmt.Sprintf("n=%d", row.n), func(t *testing.T) {
-			var cs *chaos.Store
-			f := newTagFixtureN(t, row.n, func(cfg *Config) {
-				cs = chaos.New(chaos.Plan{}, nil).Store(cfg.Store)
-				cfg.Store = cs
-			})
+			eng := chaos.New(chaos.Plan{}, nil)
+			f := newTagFixtureN(t, row.n, func(cfg *Config) { cfg.Store = eng.Store(cfg.Store) })
 			ctx := context.Background()
 			doomed, fine := 0, row.n-1
 			next, wrote := 0, 1
@@ -329,11 +305,11 @@ func TestFlushFailedPutForgetsRingTag(t *testing.T) {
 			}
 			before := extentTagsOf(f.m, f.ns)
 			doomedKey := f.lay.Key("alice", f.ns, doomed)
-			cs.FailOn(chaos.OpPut, doomedKey)
+			eng.FailOn(storemw.OpPut, doomedKey)
 			if err := f.m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
 				t.Fatalf("flush with a failing extent put = %v, want the injected fault", err)
 			}
-			cs.FailOn(chaos.OpPut, "")
+			eng.FailOn(storemw.OpPut, "")
 			after := extentTagsOf(f.m, f.ns)
 			if after[doomed] != "" {
 				t.Fatalf("tag of the failed extent still remembered: %q", after[doomed])
@@ -512,9 +488,9 @@ func TestWriteLayoutOrder(t *testing.T) {
 // tag; the split in between dropped the monolithic one.
 func TestFlushAfterMergeBackValidates(t *testing.T) {
 	c := newCluster(t)
-	log := &reqLog{Store: c}
+	store, log := logged(c)
 	reg := metrics.NewRegistry()
-	cfg := Config{Store: log, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
+	cfg := Config{Store: store, Node: 1, Profile: c.Profile(), EagerGC: true, Metrics: reg}
 	cfg.Profile.DirShardThreshold = 8
 	m, err := New(cfg)
 	mustNoErr(t, err)
@@ -668,9 +644,9 @@ func TestFlushTagGossipConvergence(t *testing.T) {
 // only a cancelled context stops the pass.
 func TestFlushAllOutlivesAFailingRing(t *testing.T) {
 	c := newCluster(t)
-	cs := chaos.New(chaos.Plan{}, nil).Store(c)
-	log := &reqLog{Store: cs}
-	m, err := New(Config{Store: log, Node: 1, Profile: c.Profile(), EagerGC: true})
+	eng := chaos.New(chaos.Plan{}, nil)
+	store, log := logged(eng.Store(c))
+	m, err := New(Config{Store: store, Node: 1, Profile: c.Profile(), EagerGC: true})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
@@ -693,7 +669,7 @@ func TestFlushAllOutlivesAFailingRing(t *testing.T) {
 		t.Fatalf("%d dirty rings, want 3", len(dirty))
 	}
 
-	cs.FailOn(chaos.OpPut, dirty[0].key) // the first in flush order
+	eng.FailOn(storemw.OpPut, dirty[0].key) // the first in flush order
 	log.take()
 	err = m.FlushAll(ctx)
 	if !errors.Is(err, chaos.ErrInjected) {
@@ -724,7 +700,7 @@ func TestFlushAllOutlivesAFailingRing(t *testing.T) {
 		}
 	}
 
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	mustNoErr(t, m.FlushAll(ctx))
 	fresh := newMW(t, c, 2)
 	for _, d := range dirs {
@@ -740,8 +716,8 @@ func TestFlushAllOutlivesAFailingRing(t *testing.T) {
 // dropped since the snapshot is skipped.
 func TestMaintenanceIsNotAUserAccess(t *testing.T) {
 	c := newCluster(t)
-	log := &reqLog{Store: c}
-	m, err := New(Config{Store: log, Node: 1, Profile: c.Profile(), DescCacheLimit: 64})
+	store, log := logged(c)
+	m, err := New(Config{Store: store, Node: 1, Profile: c.Profile(), DescCacheLimit: 64})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))

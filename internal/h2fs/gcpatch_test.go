@@ -11,6 +11,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/gossip"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // patchDeletes narrows a request log to the DELETEs of patch objects, as
@@ -55,11 +56,8 @@ func wantNoOrphans(t *testing.T, m *Middleware, names []string) {
 // so an RMDIR right after the failure leaves no patch behind.
 func TestRmdirAfterFailedFlushCollectsOwnPatch(t *testing.T) {
 	c := newCluster(t)
-	var cs *chaos.Store
-	m := newMW(t, c, 1, func(cfg *Config) {
-		cs = chaos.New(chaos.Plan{}, nil).Store(cfg.Store)
-		cfg.Store = cs
-	})
+	eng := chaos.New(chaos.Plan{}, nil)
+	m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = eng.Store(cfg.Store) })
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))
 	fs := m.FS("alice")
@@ -69,11 +67,11 @@ func TestRmdirAfterFailedFlushCollectsOwnPatch(t *testing.T) {
 	mustNoErr(t, err)
 	mustNoErr(t, fs.WriteFile(ctx, "/d/f", []byte("x")))
 
-	cs.FailOn(chaos.OpPut, core.RingKey("alice", ns))
+	eng.FailOn(storemw.OpPut, core.RingKey("alice", ns))
 	if err := m.FlushAll(ctx); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("flush with a failing ring put = %v, want the injected fault", err)
 	}
-	cs.FailOn(chaos.OpPut, "")
+	eng.FailOn(storemw.OpPut, "")
 	mustNoErr(t, fs.Rmdir(ctx, "/d"))
 	mustNoErr(t, m.FlushAll(ctx))
 	wantNoOrphans(t, m, c.Names())
@@ -89,8 +87,8 @@ func TestGCPatchRequests(t *testing.T) {
 
 	t.Run("copied subtree", func(t *testing.T) {
 		c := newCluster(t)
-		log := &reqLog{Store: c}
-		m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = log })
+		store, log := logged(c)
+		m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = store })
 		buildSubtreeFixture(t, m, "alice")
 		mustNoErr(t, m.FlushAll(ctx))
 		mustNoErr(t, m.FS("alice").Copy(ctx, "/src", "/dst"))
@@ -111,8 +109,8 @@ func TestGCPatchRequests(t *testing.T) {
 
 	t.Run("unflushed own patches", func(t *testing.T) {
 		c := newCluster(t)
-		log := &reqLog{Store: c}
-		m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = log })
+		store, log := logged(c)
+		m := newMW(t, c, 1, func(cfg *Config) { cfg.Store = store })
 		mustNoErr(t, m.CreateAccount(ctx, "alice"))
 		fs := m.FS("alice")
 		mustNoErr(t, fs.Mkdir(ctx, "/v"))
@@ -139,8 +137,8 @@ func TestGCPatchRequests(t *testing.T) {
 	t.Run("peer chain", func(t *testing.T) {
 		c := newCluster(t)
 		bus := gossip.NewBus()
-		log := &reqLog{Store: c}
-		m1 := newMW(t, c, 1, func(cfg *Config) { cfg.Store, cfg.Gossip = log, bus })
+		store, log := logged(c)
+		m1 := newMW(t, c, 1, func(cfg *Config) { cfg.Store, cfg.Gossip = store, bus })
 		m2 := newMW(t, c, 2, func(cfg *Config) { cfg.Gossip = bus })
 		mustNoErr(t, m1.CreateAccount(ctx, "alice"))
 		fs1, fs2 := m1.FS("alice"), m2.FS("alice")

@@ -14,7 +14,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
-	"github.com/h2cloud/h2cloud/internal/objstore"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 // clusterNames unions object names across every device — the key
@@ -170,7 +170,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	// a hard fault kills the walk inside /zap/sub — the process dies with
 	// the subtree half reclaimed.
 	eng.Step()
-	cs.FailOn(chaos.OpDelete, subRes.tuple.NS)
+	eng.FailOn(storemw.OpDelete, subRes.tuple.NS)
 	if _, err := m.DrainGC(ctx); err == nil {
 		t.Fatal("drain succeeded despite injected crash; chaos exercised nothing")
 	}
@@ -184,7 +184,7 @@ func TestGCQueueCrashMidDrainConverges(t *testing.T) {
 	// drops the span mirror, so the drain below re-reads the durable
 	// index: the resumed-reclamation path.
 	m.Recover()
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	eng.Step()
 	for round := 0; round < 3; round++ {
 		c.Repair(ctx, 1)
@@ -541,7 +541,7 @@ func TestGCQueueBracketsEagerGC(t *testing.T) {
 	// Kill the eager walk partway: deletes inside the doomed subtree fail.
 	res, err := m.resolve(ctx, "alice", "/zap/sub")
 	mustNoErr(t, err)
-	cs.FailOn(chaos.OpDelete, res.tuple.NS)
+	eng.FailOn(storemw.OpDelete, res.tuple.NS)
 	if err := m.FS("alice").Rmdir(ctx, "/zap"); err == nil {
 		t.Fatal("rmdir succeeded despite injected walk failure")
 	}
@@ -552,7 +552,7 @@ func TestGCQueueBracketsEagerGC(t *testing.T) {
 		t.Fatal("failed walk must not dequeue")
 	}
 	// Process restarts, fault heals, the drain finishes the job.
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	m.Recover()
 	drained, err := m.DrainGC(ctx)
 	mustNoErr(t, err)
@@ -590,11 +590,11 @@ func TestGCQueueEagerDequeueKeepsEarlierIntent(t *testing.T) {
 
 	res, err := m.resolve(ctx, "alice", "/zap/sub")
 	mustNoErr(t, err)
-	cs.FailOn(chaos.OpDelete, res.tuple.NS)
+	eng.FailOn(storemw.OpDelete, res.tuple.NS)
 	if err := m.FS("alice").Rmdir(ctx, "/zap"); err == nil {
 		t.Fatal("rmdir succeeded despite injected walk failure")
 	}
-	cs.FailOn(chaos.OpDelete, "")
+	eng.FailOn(storemw.OpDelete, "")
 	mustNoErr(t, m.FS("alice").Rmdir(ctx, "/other"))
 	if got := reg.Counter("gcqueue.reclaimed"); got != 1 {
 		t.Fatalf("reclaimed = %d after the eager rmdir, want 1", got)
@@ -613,23 +613,20 @@ func TestGCQueueEagerDequeueKeepsEarlierIntent(t *testing.T) {
 	}
 }
 
-// cancelAwareStore fails a GC-queue write whose context is cancelled, as
-// a network client would; every other request ignores cancellation.
-type cancelAwareStore struct{ objstore.Store }
-
-func (s cancelAwareStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	if k := core.KindOf(name); (k == core.KeyGCEntry || k == core.KeyGCIndex) && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return s.Store.Put(ctx, name, data, meta)
-}
-
 // TestGCQueueIntentIgnoresCallerCancellation: once RMDIR commits to its
 // tombstone the intent must land, so a caller that has already given up
 // still gets a queued, drainable entry.
 func TestGCQueueIntentIgnoresCallerCancellation(t *testing.T) {
 	c := newCluster(t)
-	m, err := New(Config{Store: cancelAwareStore{c}, Node: 1, GCQueue: true})
+	// A GC-queue write whose context is cancelled fails, as it would on a
+	// network client; every other request ignores cancellation.
+	cancelAware := storemw.Before(func(ctx context.Context, op storemw.Op, name string, _ []byte) error {
+		if k := core.KindOf(name); op == storemw.OpPut && (k == core.KeyGCEntry || k == core.KeyGCIndex) {
+			return ctx.Err()
+		}
+		return nil
+	})
+	m, err := New(Config{Store: cancelAware(c), Node: 1, GCQueue: true})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "alice"))

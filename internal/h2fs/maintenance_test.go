@@ -8,6 +8,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/chaos"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
+	"github.com/h2cloud/h2cloud/internal/storemw"
 )
 
 func TestStartMaintenanceFlushesPeriodically(t *testing.T) {
@@ -112,8 +113,8 @@ func TestMaintainOnceCountsErrors(t *testing.T) {
 	mustNoErr(t, m.FlushAll(ctx))
 	mustNoErr(t, m.FS("alice").Rmdir(ctx, "/zap")) // leaves a dirty ring + a queued entry
 
-	cs.FailOn(chaos.OpPut, "/NameRing/") // ring folds fail -> flush errors
-	cs.FailOn(chaos.OpGet, "|/gcq/Node") // entry probes fail -> drain errors
+	eng.FailOn(storemw.OpPut, "/NameRing/") // ring folds fail -> flush errors
+	eng.FailOn(storemw.OpGet, "|/gcq/Node") // entry probes fail -> drain errors
 	m.MaintainOnce(ctx)
 	if got := reg.Counter("maintenance.flush.errors"); got != 1 {
 		t.Fatalf("flush error counter = %d, want 1", got)
@@ -123,8 +124,8 @@ func TestMaintainOnceCountsErrors(t *testing.T) {
 	}
 
 	// Heal; the next pass retries both halves cleanly.
-	cs.FailOn(chaos.OpPut, "")
-	cs.FailOn(chaos.OpGet, "")
+	eng.FailOn(storemw.OpPut, "")
+	eng.FailOn(storemw.OpGet, "")
 	m.MaintainOnce(ctx)
 	if got := reg.Counter("maintenance.flush.errors"); got != 1 {
 		t.Fatalf("flush errors after heal = %d, want still 1", got)

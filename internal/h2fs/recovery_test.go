@@ -111,9 +111,8 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 	if reg.Counter("retry.attempts") == 0 {
 		t.Fatal("retry layer never engaged under 10% error rate")
 	}
-	cc := eng.Counters()
-	if cc.Crashes != 2 || cc.Restarts != 2 {
-		t.Fatalf("schedule applied %d crashes / %d restarts, want 2/2", cc.Crashes, cc.Restarts)
+	if c, r := reg.Counter("chaos.crashes"), reg.Counter("chaos.restarts"); c != 2 || r != 2 {
+		t.Fatalf("schedule applied %d crashes / %d restarts, want 2/2", c, r)
 	}
 
 	// Heal: fault window closes, all nodes back up, anti-entropy, flushes,

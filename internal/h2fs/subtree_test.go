@@ -14,7 +14,6 @@ import (
 	"github.com/h2cloud/h2cloud/internal/cluster"
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
-	"github.com/h2cloud/h2cloud/internal/storemw"
 	"github.com/h2cloud/h2cloud/internal/vclock"
 )
 
@@ -277,7 +276,7 @@ func TestChaosSeededBatchDeterminism(t *testing.T) {
 			Spike:     20 * time.Millisecond,
 		}, reg)
 		m, err := New(Config{
-			Store:         storemw.Stack(c, eng.Layer()),
+			Store:         eng.Store(c),
 			Node:          1,
 			Profile:       profile,
 			Clock:         constClock,

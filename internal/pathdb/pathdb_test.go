@@ -198,27 +198,6 @@ func BenchmarkDBInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkDBScanPrefix is the detailed-LIST shape: one ordered range
-// scan visiting 1000 records per op out of a 100k-record DB.
-func BenchmarkDBScanPrefix(b *testing.B) {
-	db := New(Costs{})
-	ctx := context.Background()
-	for i := 0; i < 100; i++ {
-		for j := 0; j < 1000; j++ {
-			db.Insert(ctx, Record{Path: fmt.Sprintf("/d%03d/%06d", i, j)})
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		db.ScanPrefix(ctx, fmt.Sprintf("/d%03d/", i%100), func(Record) bool { n++; return true })
-		if n != 1000 {
-			b.Fatalf("visited %d records", n)
-		}
-	}
-}
-
 // BenchmarkDBScanPrefixCharged is the same scan with a vclock tracker
 // attached, the way the Swift baseline's detailed LIST actually runs it.
 func BenchmarkDBScanPrefixCharged(b *testing.B) {

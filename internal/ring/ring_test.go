@@ -230,14 +230,6 @@ func TestAssignmentDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkPartition(b *testing.B) {
-	r, _ := New(16, 3, devs(8))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Partition("account/container/some/deep/path/object.dat")
-	}
-}
-
 func BenchmarkDevices(b *testing.B) {
 	r, _ := New(16, 3, devs(8))
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package storemw
 
 import (
 	"context"
+	"errors"
 
 	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/metrics"
@@ -19,6 +20,7 @@ import (
 // key, as the cloud bills: a batch of n names is n requests, a GetRange a
 // GET, a COPY counts under its destination, a miss counts, a retry does
 // not (outside the retry ring it sees one call; retry.attempts the rest).
+// A miss is an answer, not an error: "store.<op>" counts only faults.
 func Metrics(reg *metrics.Registry) Layer {
 	return func(inner objstore.Store) objstore.Store {
 		return &metricsStore{inner: inner, reg: reg}
@@ -41,12 +43,21 @@ func (s *metricsStore) Unwrap() objstore.Store { return s.inner }
 
 // observed runs fn under vclock.Observe, records the intercepted virtual
 // duration under op (a constant "store.<op>" label), and hands the cost
-// back to the parent request.
+// back to the parent request. A miss is the store's answer, not its
+// failure, so only a fault counts as the op's error.
 func (s *metricsStore) observed(ctx context.Context, op string, fn func(context.Context) error) {
 	elapsed, err := vclock.Observe(ctx, fn)
 	//h2vet:ignore costcheck op tracing intercepts the inner store's charges on a child tracker and re-charges the parent unchanged
 	vclock.Charge(ctx, elapsed)
-	s.reg.Observe(op, elapsed, err)
+	s.reg.Observe(op, elapsed, fault(err))
+}
+
+// fault is err unless it is a miss (objstore.ErrNotFound), which is nil.
+func fault(err error) error {
+	if err != nil && errors.Is(err, objstore.ErrNotFound) {
+		return nil
+	}
+	return err
 }
 
 // Put implements objstore.Store.
@@ -121,10 +132,10 @@ func (s *metricsStore) Copy(ctx context.Context, src, dst string) error {
 }
 
 // firstErr picks the representative error recorded for a batch
-// observation: the first failed slot, in input order.
+// observation: the first faulted slot, in input order (a miss is not one).
 func firstErr[T any](results []T, errOf func(T) error) error {
 	for _, r := range results {
-		if err := errOf(r); err != nil {
+		if err := fault(errOf(r)); err != nil {
 			return err
 		}
 	}

@@ -33,7 +33,7 @@ const (
 // attempt). Hash-derived jitter keeps same-seed runs byte-identical while
 // still decorrelating concurrent retriers, which call-order PRNG draws
 // would not.
-func backoff(op, name string, attempt int) time.Duration {
+func backoff(op Op, name string, attempt int) time.Duration {
 	d := min(baseBackoff<<attempt, maxBackoff)
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(strconv.FormatInt(retrySeed, 10)))
@@ -75,7 +75,7 @@ func (s *retryStore) Unwrap() objstore.Store { return s.inner }
 // attempt (0-based) goes out again, and charges the backoff before it
 // does. Only a transient error is retried, so a healthy call makes one
 // trip through the ring and builds no closure.
-func (s *retryStore) again(ctx context.Context, op, name string, err error, attempt int) bool {
+func (s *retryStore) again(ctx context.Context, op Op, name string, err error, attempt int) bool {
 	if err == nil || !objstore.Transient(err) {
 		return false
 	}
@@ -92,7 +92,7 @@ func (s *retryStore) again(ctx context.Context, op, name string, err error, atte
 // Put implements objstore.Store.
 func (s *retryStore) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
 	err := s.inner.Put(ctx, name, data, meta)
-	for attempt := 0; s.again(ctx, "put", name, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpPut, name, err, attempt); attempt++ {
 		err = s.inner.Put(ctx, name, data, meta)
 	}
 	return err
@@ -101,7 +101,7 @@ func (s *retryStore) Put(ctx context.Context, name string, data []byte, meta map
 // Get implements objstore.Store.
 func (s *retryStore) Get(ctx context.Context, name string) ([]byte, objstore.ObjectInfo, error) {
 	data, info, err := s.inner.Get(ctx, name)
-	for attempt := 0; s.again(ctx, "get", name, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpGet, name, err, attempt); attempt++ {
 		data, info, err = s.inner.Get(ctx, name)
 	}
 	return data, info, err
@@ -110,7 +110,7 @@ func (s *retryStore) Get(ctx context.Context, name string) ([]byte, objstore.Obj
 // GetRange implements objstore.Store.
 func (s *retryStore) GetRange(ctx context.Context, name string, offset, length int64) ([]byte, objstore.ObjectInfo, error) {
 	data, info, err := s.inner.GetRange(ctx, name, offset, length)
-	for attempt := 0; s.again(ctx, "getrange", name, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpGetRange, name, err, attempt); attempt++ {
 		data, info, err = s.inner.GetRange(ctx, name, offset, length)
 	}
 	return data, info, err
@@ -119,7 +119,7 @@ func (s *retryStore) GetRange(ctx context.Context, name string, offset, length i
 // Head implements objstore.Store.
 func (s *retryStore) Head(ctx context.Context, name string) (objstore.ObjectInfo, error) {
 	info, err := s.inner.Head(ctx, name)
-	for attempt := 0; s.again(ctx, "head", name, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpHead, name, err, attempt); attempt++ {
 		info, err = s.inner.Head(ctx, name)
 	}
 	return info, err
@@ -128,7 +128,7 @@ func (s *retryStore) Head(ctx context.Context, name string) (objstore.ObjectInfo
 // Delete implements objstore.Store.
 func (s *retryStore) Delete(ctx context.Context, name string) error {
 	err := s.inner.Delete(ctx, name)
-	for attempt := 0; s.again(ctx, "delete", name, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpDelete, name, err, attempt); attempt++ {
 		err = s.inner.Delete(ctx, name)
 	}
 	return err
@@ -137,7 +137,7 @@ func (s *retryStore) Delete(ctx context.Context, name string) error {
 // Copy implements objstore.Store.
 func (s *retryStore) Copy(ctx context.Context, src, dst string) error {
 	err := s.inner.Copy(ctx, src, dst)
-	for attempt := 0; s.again(ctx, "copy", src, err, attempt); attempt++ {
+	for attempt := 0; s.again(ctx, OpCopy, src, err, attempt); attempt++ {
 		err = s.inner.Copy(ctx, src, dst)
 	}
 	return err
@@ -155,7 +155,7 @@ func (s *retryStore) Copy(ctx context.Context, src, dst string) error {
 // retried one: the only output the Batcher contract names on an input
 // is PutReq.ETag. errOf reads a slot's error in place, so a healthy
 // batch is scanned without copying its results.
-func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, items []In, name func(In) string,
+func retryBatch[In, Out any](ctx context.Context, s *retryStore, op Op, items []In, name func(In) string,
 	call func([]In) []Out, errOf func(*Out) error, copyBack func(dst *In, src In)) []Out {
 	out := call(items)
 	pending := transientSlots(out, errOf)
@@ -188,28 +188,28 @@ func retryBatch[In, Out any](ctx context.Context, s *retryStore, op string, item
 
 // MultiGet implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiGet(ctx context.Context, names []string) []objstore.GetResult {
-	return retryBatch(ctx, s, "get", names, itself, func(sub []string) []objstore.GetResult {
+	return retryBatch(ctx, s, OpGet, names, itself, func(sub []string) []objstore.GetResult {
 		return objstore.MultiGet(ctx, s.inner, sub)
 	}, func(r *objstore.GetResult) error { return r.Err }, nil)
 }
 
 // MultiHead implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiHead(ctx context.Context, names []string) []objstore.HeadResult {
-	return retryBatch(ctx, s, "head", names, itself, func(sub []string) []objstore.HeadResult {
+	return retryBatch(ctx, s, OpHead, names, itself, func(sub []string) []objstore.HeadResult {
 		return objstore.MultiHead(ctx, s.inner, sub)
 	}, func(r *objstore.HeadResult) error { return r.Err }, nil)
 }
 
 // MultiPut implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
-	return retryBatch(ctx, s, "put", reqs, func(r objstore.PutReq) string { return r.Name }, func(sub []objstore.PutReq) []error {
+	return retryBatch(ctx, s, OpPut, reqs, func(r objstore.PutReq) string { return r.Name }, func(sub []objstore.PutReq) []error {
 		return objstore.MultiPut(ctx, s.inner, sub)
 	}, ownErr, func(dst *objstore.PutReq, src objstore.PutReq) { dst.ETag = src.ETag })
 }
 
 // MultiDelete implements objstore.Batcher, retrying the transient subset.
 func (s *retryStore) MultiDelete(ctx context.Context, names []string) []error {
-	return retryBatch(ctx, s, "delete", names, itself, func(sub []string) []error {
+	return retryBatch(ctx, s, OpDelete, names, itself, func(sub []string) []error {
 		return objstore.MultiDelete(ctx, s.inner, sub)
 	}, ownErr, nil)
 }

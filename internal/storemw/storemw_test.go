@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +336,29 @@ func TestMetricsBatchObservation(t *testing.T) {
 	}
 }
 
+// TestMetricsCountsFaultsNotMisses: a miss is the store's answer, so
+// neither a singular nor a batched one counts as its op's error; a fault
+// beside a miss in one batch still does.
+func TestMetricsCountsFaultsNotMisses(t *testing.T) {
+	base := newFakeStore(0)
+	reg := metrics.NewRegistry()
+	s := Stack(base, Metrics(reg))
+	ctx := context.Background()
+	if _, _, err := s.Get(ctx, "nope"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("Get = %v, want a miss", err)
+	}
+	objstore.MultiGet(ctx, s, []string{"nope"})
+	base.failures["down"] = 1
+	objstore.MultiGet(ctx, s, []string{"nope", "down"})
+	errs := map[string]int64{}
+	for _, op := range reg.Snapshot() {
+		errs[op.Name] = op.Errors
+	}
+	if errs["store.get"] != 0 || errs["store.multiget"] != 1 {
+		t.Fatalf("errors = %v, want store.get 0 and store.multiget 1 (the fault)", errs)
+	}
+}
+
 // TestRequestTableBilling pins how the metrics ring bills the request
 // table: a batch of n names is n requests, a GetRange is a GET, a COPY
 // counts under its destination, PUT and GET carry their payload bytes, a
@@ -469,5 +494,66 @@ func TestRetryRingAllocatesNothingOnHealthyBatches(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { b.run(full) }); got != want {
 			t.Errorf("%s through Retry and Metrics allocates %v times, through Metrics alone %v", b.name, got, want)
 		}
+	}
+}
+
+// TestBeforeRingContract pins the pre-call ring over a cluster behind the
+// metrics ring, whose observations count the batches that reach it: the
+// hook runs per call and per batch slot, in slot order, with the op, the
+// name (a Copy's source) and a put's payload; a refused call or slot
+// reports the hook's error and never reaches the inner store, a refused
+// MultiPut slot reports no ETag, and the slots that pass arrive as one
+// batch whose ETags are copied back.
+func TestBeforeRingContract(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	errHook := errors.New("hook refused")
+	var hooked []string
+	s := Stack(cl, Metrics(reg), Before(func(_ context.Context, op Op, name string, data []byte) error {
+		hooked = append(hooked, fmt.Sprintf("%s %s %s", op, name, data))
+		if name[0] == 'x' {
+			return errHook
+		}
+		return nil
+	}))
+	ctx := context.Background()
+	reqs := []objstore.PutReq{{Name: "a", Data: []byte("A")}, {Name: "x", Data: []byte("X"), ETag: "stale"}, {Name: "c", Data: []byte("C")}}
+	puts := objstore.MultiPut(ctx, s, reqs)
+	names := []string{"a", "x", "c"}
+	gets, heads := objstore.MultiGet(ctx, s, names), objstore.MultiHead(ctx, s, names)
+	copyErr, refusedCopy := s.Copy(ctx, "a", "b"), s.Copy(ctx, "x", "y")
+	_, _, rangeErr := s.GetRange(ctx, "xr", 0, 1)
+	dels := objstore.MultiDelete(ctx, s, names)
+
+	want := []string{"put a A", "put x X", "put c C", "get a ", "get x ", "get c ", "head a ", "head x ", "head c ",
+		"copy a ", "copy x ", "getrange xr ", "delete a ", "delete x ", "delete c "}
+	if !slices.Equal(hooked, want) {
+		t.Fatalf("hooks ran as %q, want %q", hooked, want)
+	}
+	if !errors.Is(puts[1], errHook) || reqs[1].ETag != "" || !errors.Is(gets[1].Err, errHook) ||
+		!errors.Is(heads[1].Err, errHook) || !errors.Is(dels[1], errHook) || !errors.Is(refusedCopy, errHook) || !errors.Is(rangeErr, errHook) {
+		t.Fatalf("refused = %v %q, %v, %v, %v, %v, %v; want the hook's error and no ETag", puts[1], reqs[1].ETag, gets[1].Err, heads[1].Err, dels[1], refusedCopy, rangeErr)
+	}
+	for _, i := range []int{0, 2} {
+		if puts[i] != nil || reqs[i].ETag != objstore.ETag(reqs[i].Data) || string(gets[i].Data) != string(reqs[i].Data) || heads[i].Err != nil || dels[i] != nil {
+			t.Fatalf("slot %d = %v %q, %v, %v, %v; want it served, with the ETag the cluster sealed", i, puts[i], reqs[i].ETag, gets[i].Err, heads[i].Err, dels[i])
+		}
+	}
+	if copyErr != nil {
+		t.Fatal(copyErr)
+	}
+	got := map[string]int64{}
+	for _, op := range reg.Snapshot() {
+		got[op.Name] = op.Count
+	}
+	// One inner batch per Multi* call, and only the one copy that passed.
+	if wantOps := map[string]int64{"store.multiput": 1, "store.multiget": 1, "store.multihead": 1, "store.multidelete": 1, "store.copy": 1}; !maps.Equal(got, wantOps) {
+		t.Fatalf("inner store saw %v, want %v", got, wantOps)
+	}
+	if n := reg.Requests()[metrics.PrimPut][0].N; n != 2 { // bare names are no builder's kind
+		t.Fatalf("inner batch put %d names, want the 2 that passed", n)
 	}
 }
