@@ -31,9 +31,9 @@ type descriptor struct {
 	watermarks core.Watermarks
 	wmSlots    [2]core.Watermark
 	loaded     bool
-	// settled marks a descriptor that was released clean after it had
-	// loaded — a stub, or one woken from it (descache.go): this node's own
-	// patch chain is known empty, so load skips probing it.
+	// settled: this node's own patch chain is known empty — a stub released
+	// clean after it had loaded, one woken from it (descache.go), or one
+	// born from a ring this node put — so load skips probing it.
 	settled        bool
 	nextSeq        int // next patch sequence this node will submit
 	firstUnflushed int
@@ -270,6 +270,22 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 	return nil
 }
 
+// born puts ring as the whole state of a namespace no other node knows yet
+// (a COPY's destination) and installs the descriptor a load of it would
+// build: monolithic, no watermarks, own chain empty (settled), no tag kept.
+// A descriptor that already adopted a read keeps it.
+func (m *Middleware) born(ctx context.Context, account, ns string, ring *core.NameRing) error {
+	if err := m.store.Put(ctx, core.RingKey(account, ns), core.EncodeNameRing(ring), nil); err != nil {
+		return err
+	}
+	d := m.lockedDesc(account, ns)
+	defer m.unlockDesc(d)
+	if d.local == nil {
+		d.local, d.nextSeq, d.firstUnflushed, d.loaded, d.settled = ring, 1, 1, true, true
+	}
+	return nil
+}
+
 // replayChain merges node's patches into local from sequence seq until the
 // chain ends, and returns the first sequence number the store does not
 // hold.
@@ -294,39 +310,23 @@ func (m *Middleware) replayChain(ctx context.Context, d *descriptor, node, seq i
 // withRing runs fn on the ring's local version under the descriptor
 // monitor. One ring-consult charge is applied (either the load's real
 // store GET or the cache-consult charge). fn must not consult other rings.
-func (m *Middleware) withRing(ctx context.Context, account, ns string, fn func(*core.NameRing) error) error {
+func (m *Middleware) withRing(ctx context.Context, account, ns string, fn func(*core.NameRing)) error {
 	d := m.lockedDesc(account, ns)
 	defer m.unlockDesc(d)
-	if !d.loaded {
-		if err := m.load(ctx, d); err != nil {
-			return err
-		}
-	} else {
+	if d.loaded {
 		m.chargeRingConsult(ctx)
+	} else if err := m.load(ctx, d); err != nil {
+		return err
 	}
-	return fn(d.local)
+	fn(d.local)
+	return nil
 }
 
 // lookupChild returns the tuple for one child of a directory, counting a
 // single ring consult.
-func (m *Middleware) lookupChild(ctx context.Context, account, ns, name string) (core.Tuple, bool, error) {
-	var t core.Tuple
-	var ok bool
-	err := m.withRing(ctx, account, ns, func(r *core.NameRing) error {
-		t, ok = r.Get(name)
-		return nil
-	})
+func (m *Middleware) lookupChild(ctx context.Context, account, ns, name string) (t core.Tuple, ok bool, err error) {
+	err = m.withRing(ctx, account, ns, func(r *core.NameRing) { t, ok = r.Get(name) })
 	return t, ok, err
-}
-
-// liveChildren snapshots the live (non-tombstoned) tuples of a directory.
-func (m *Middleware) liveChildren(ctx context.Context, account, ns string) ([]core.Tuple, error) {
-	var out []core.Tuple
-	err := m.withRing(ctx, account, ns, func(r *core.NameRing) error {
-		out = r.Live()
-		return nil
-	})
-	return out, err
 }
 
 // submitPatch implements §3.3.2 phase 1: the tuples are packed as a patch

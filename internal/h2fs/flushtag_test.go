@@ -619,10 +619,7 @@ func TestFlushTagGossipConvergence(t *testing.T) {
 				mustNoErr(t, err)
 				for _, mw := range mws {
 					var local []byte
-					mustNoErr(t, mw.withRing(ctx, "alice", ns, func(r *core.NameRing) error {
-						local = core.EncodeNameRing(r)
-						return nil
-					}))
+					mustNoErr(t, mw.withRing(ctx, "alice", ns, func(r *core.NameRing) { local = core.EncodeNameRing(r) }))
 					if !bytes.Equal(local, stored) {
 						t.Fatalf("node %d's ring of %s differs from the stored object after quiescence", mw.Node(), d)
 					}

@@ -98,6 +98,17 @@ func TestGCPatchRequests(t *testing.T) {
 		if got := patchDeletes(reqs); len(got) != 0 {
 			t.Fatalf("RMDIR of a copied subtree deleted patch keys %v, want none: a copy writes its rings directly", got)
 		}
+		// The copy's descriptors were born loaded, so the walk reads back
+		// no ring it wrote and probes no chain it never started.
+		var reads []string
+		for _, r := range reqs {
+			if key, ok := strings.CutPrefix(r, "GET "); ok && (core.KindOf(key) == core.KeyRing || core.KindOf(key) == core.KeyPatch) {
+				reads = append(reads, key)
+			}
+		}
+		if len(reads) != 0 {
+			t.Fatalf("RMDIR of a fresh copy sent %d ring and patch GETs %v, want none", len(reads), reads)
+		}
 		// The seven namespaces were all reclaimed: the walk did run.
 		if got := slices.DeleteFunc(reqs, func(r string) bool {
 			key, ok := strings.CutPrefix(r, "DELETE ")

@@ -206,11 +206,10 @@ func TestListPageCostsItsLengthNotTheDirectorys(t *testing.T) {
 	mustNoErr(t, m.FS("alice").Mkdir(ctx, "/big"))
 	res, err := m.resolve(ctx, "alice", "/big")
 	mustNoErr(t, err)
-	mustNoErr(t, m.withRing(ctx, "alice", res.tuple.NS, func(r *core.NameRing) error {
+	mustNoErr(t, m.withRing(ctx, "alice", res.tuple.NS, func(r *core.NameRing) {
 		for i := 0; i < 50_000; i++ {
 			r.Set(core.Tuple{Name: fmt.Sprintf("f%06d", i), Time: int64(i + 1), Deleted: i%10 == 3})
 		}
-		return nil
 	}))
 	page := func() {
 		entries, next, err := m.ListPage(ctx, "alice", "/big", false, "f025000", 10)

@@ -338,7 +338,7 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 	// own length, not the directory's.
 	var entries []fsapi.EntryInfo
 	next := ""
-	err = m.withRing(ctx, account, ns, func(r *core.NameRing) error {
+	err = m.withRing(ctx, account, ns, func(r *core.NameRing) {
 		n := r.TotalLen()
 		if limit > 0 && limit < n {
 			n = limit
@@ -356,7 +356,6 @@ func (m *Middleware) ListPage(ctx context.Context, account, path string, detail 
 			entries = append(entries, fsapi.EntryInfo{Name: t.Name, IsDir: t.Dir, ModTime: time.Unix(0, t.Time)})
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		return nil, "", err

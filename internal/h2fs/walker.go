@@ -31,7 +31,7 @@ import (
 // byte-identical store state on every run, whatever the schedule.
 
 // ringBuilder accumulates the destination NameRing tuples that
-// concurrent copy tasks contribute, in the order they finish; encode
+// concurrent copy tasks contribute, in the order they finish; ring
 // sorts them once.
 type ringBuilder struct {
 	mu     sync.Mutex
@@ -44,16 +44,17 @@ func (b *ringBuilder) set(t core.Tuple) {
 	b.tuples = append(b.tuples, t)
 }
 
-func (b *ringBuilder) encode() []byte {
+func (b *ringBuilder) ring() *core.NameRing {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return core.EncodeNameRing(core.RingOf(b.tuples...))
+	return core.RingOf(b.tuples...)
 }
 
 // copyTree deep-copies the contents of namespace srcNS into the freshly
 // created namespace dstNS. Destination NameRings are written directly
 // (no patches): the namespaces are new, so no other node can be updating
-// them. Every destination ring is written by its group's finalizer, only
+// them, and the node that puts one keeps it as its loaded descriptor
+// (born). Every destination ring is written by its group's finalizer, only
 // after all child objects under it landed — the same blocking rule the
 // sequential walk enforced by ordering.
 func (m *Middleware) copyTree(ctx context.Context, account, srcNS, dstNS string) error {
@@ -68,12 +69,12 @@ func (m *Middleware) copyTree(ctx context.Context, account, srcNS, dstNS string)
 func (m *Middleware) copySubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl, account, srcNS, dstNS string, now int64) {
 	rb := new(ringBuilder)
 	g := eng.NewGroup(parent, lbl, func(ctx context.Context) error {
-		return m.store.Put(ctx, core.RingKey(account, dstNS), rb.encode(), nil)
+		return m.born(ctx, account, dstNS, rb.ring())
 	})
 	g.GoChild("", "\x00expand", func(ctx context.Context) error {
 		defer g.Close()
-		children, err := m.liveChildren(ctx, account, srcNS)
-		if err != nil {
+		var children []core.Tuple
+		if err := m.withRing(ctx, account, srcNS, func(r *core.NameRing) { children = r.Live() }); err != nil {
 			return err
 		}
 		for _, child := range children {
