@@ -8,7 +8,9 @@ import (
 // with the same seed must produce byte-identical artifacts, and the sweep
 // must hold its own claims (checkChaos: no acknowledged write lost, the
 // retry and degraded-read machinery firing). At -quick every faulted rate
-// also serves a degraded read, which checkChaos asks of one rate only.
+// also serves a degraded read, which checkChaos asks of one rate only: the
+// heal phase reads every acknowledged file back before repair, and a
+// restarted node misses whatever was written while it was down.
 func TestChaosAvailabilityDeterministic(t *testing.T) {
 	r1, err := ChaosAvailability(true)
 	if err != nil {

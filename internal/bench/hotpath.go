@@ -152,6 +152,13 @@ func HotPath(quick bool) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
+	renameMW, err := overwriteDir()
+	if err == nil {
+		err = renameMW.FS("w").WriteFile(bg(), "/w/f", payload)
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("hotpath: %w", err)
+	}
 	// The http/* rows drive the same two middlewares through the web API
 	// over loopback TCP, so each subtracts from its h2fs/* row to the cost
 	// of the client, net/http and the server.
@@ -383,6 +390,11 @@ func HotPath(quick bool) (Result, error) {
 		// PUT and its patch, then the tombstone patch and, only after it,
 		// the DELETE of the bytes. The ceiling is the count at both scales.
 		{"h2fs/write-remove", 21, overwriteLoop(removeMW, removeMW.FS("w"), payload, true)},
+		// A RENAME of one file within /w, back and forth: the server-side
+		// COPY, one patch carrying the new name's tuple and the old name's
+		// tombstone, then the DELETE of the old name. The ceiling is the
+		// count at both scales; a second patch PUT trips it.
+		{"h2fs/rename", 10, renameLoop(renameMW)},
 		// Waking a stub in a full cache of 1024: the hand releases the
 		// descriptor under it, which becomes a stub in place, and the woken
 		// one takes its slot on the clock.
@@ -651,6 +663,29 @@ func overwriteLoop(mw *h2fs.Middleware, fs fsapi.FileSystem, payload []byte, rem
 				}
 			}
 			if i%overwriteFlush == overwriteFlush-1 {
+				if err := mw.FlushAll(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// renameLoop renames mw's /w/f to /w/g and back, one rename per
+// iteration, flushing every overwriteFlush renames. The count runs on
+// across the benchmark's calls, so each starts where the last one left
+// the file.
+func renameLoop(mw *h2fs.Middleware) func(b *testing.B) {
+	names := [2]string{"/w/f", "/w/g"}
+	n := 0
+	return func(b *testing.B) {
+		ctx := bg()
+		fs := mw.FS("w")
+		for i := 0; i < b.N; i, n = i+1, n+1 {
+			if err := fs.Move(ctx, names[n%2], names[1-n%2]); err != nil {
+				b.Fatal(err)
+			}
+			if n%overwriteFlush == overwriteFlush-1 {
 				if err := mw.FlushAll(ctx); err != nil {
 					b.Fatal(err)
 				}

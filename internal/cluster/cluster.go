@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -410,8 +411,8 @@ func (c *Cluster) commit(op string, s *objstore.Sealed) error {
 }
 
 // keyError is a read, probe or delete that found no replica holding the
-// key: the operation, the key, and the sentinel or last replica error it
-// unwraps to. Every chain-end probe of a cold load or a GC window ends in
+// key: the operation, the key, and the sentinel or node error it unwraps
+// to (missErr). Every chain-end probe of a cold load or a GC window ends in
 // one and tests it with errors.Is, so the text — byte for byte what
 // fmt.Errorf("cluster: <op> %q: %w", name, err) rendered — is only built
 // when somebody asks for it.
@@ -425,6 +426,33 @@ func (e *keyError) Error() string {
 }
 
 func (e *keyError) Unwrap() error { return e.err }
+
+// readMiss tallies the nodes a read tried that failed rather than
+// missed, with the last such failure.
+type readMiss struct {
+	failed int
+	err    error
+}
+
+func (r *readMiss) note(err error) {
+	if !errors.Is(err, objstore.ErrNotFound) {
+		r.failed, r.err = r.failed+1, err
+	}
+}
+
+// missErr is the error of a read no replica served. It unwraps to
+// ErrNotFound while fewer nodes failed than a write quorum: an
+// acknowledged write sits on at least that many, so one of its holders
+// answered, and a chain-end probe with one node down still ends cleanly.
+// Otherwise the object may sit on the failed nodes, and the read reports
+// the last node's error.
+func (c *Cluster) missErr(op, name string, r readMiss) error {
+	err := error(objstore.ErrNotFound)
+	if r.failed >= c.ring.ReplicaCount()/2+1 {
+		err = r.err
+	}
+	return &keyError{op: op, name: name, err: err}
+}
 
 // Get reads from the first reachable replica holding the object, falling
 // through primaries and then handoffs. A read that succeeds only after an
@@ -442,14 +470,13 @@ func (c *Cluster) Get(ctx context.Context, name string) ([]byte, objstore.Object
 // simulated service time it costs.
 func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Duration, error) {
 	c.gets.Add(1)
-	lastErr := error(objstore.ErrNotFound)
-	degraded := false
+	var miss readMiss
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	seq, part := c.place(seqBuf[:0], name)
 	for i := 0; i < len(seq); i++ {
 		data, info, err := seq[i].Get(name)
 		if err == nil {
-			if degraded {
+			if i > 0 {
 				c.degradedGets.Add(1)
 				if s, err := seq[i].Load(name); err == nil {
 					c.readRepair(s)
@@ -457,11 +484,10 @@ func (c *Cluster) getCore(name string) ([]byte, objstore.ObjectInfo, time.Durati
 			}
 			return data, info, c.profile.Get + transferCost(c.profile.PerKB, len(data)), nil
 		}
-		degraded = true
-		lastErr = err
+		miss.note(err)
 		seq = c.fallThrough(seq, i, part)
 	}
-	return nil, objstore.ObjectInfo{}, c.profile.Get, &keyError{op: "get", name: name, err: lastErr}
+	return nil, objstore.ObjectInfo{}, c.profile.Get, c.missErr("get", name, miss)
 }
 
 // readRepair pushes the version a degraded read was served from to every
@@ -492,19 +518,17 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 		return nil, objstore.ObjectInfo{}, fmt.Errorf("cluster: negative range offset %d", offset)
 	}
 	c.gets.Add(1)
-	var lastErr error = objstore.ErrNotFound
-	degraded := false
+	var miss readMiss
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	seq, part := c.place(seqBuf[:0], name)
 	for i := 0; i < len(seq); i++ {
 		s, err := seq[i].Load(name)
 		if err != nil {
-			degraded = true
-			lastErr = err
+			miss.note(err)
 			seq = c.fallThrough(seq, i, part)
 			continue
 		}
-		if degraded {
+		if i > 0 {
 			c.degradedGets.Add(1)
 			c.readRepair(s)
 		}
@@ -522,7 +546,7 @@ func (c *Cluster) GetRange(ctx context.Context, name string, offset, length int6
 		return part, s.Info(), nil
 	}
 	vclock.Charge(ctx, c.profile.Get)
-	return nil, objstore.ObjectInfo{}, &keyError{op: "get range", name: name, err: lastErr}
+	return nil, objstore.ObjectInfo{}, c.missErr("get range", name, miss)
 }
 
 // Head reads metadata from the first reachable replica.
@@ -536,7 +560,7 @@ func (c *Cluster) Head(ctx context.Context, name string) (objstore.ObjectInfo, e
 // simulated service time it costs.
 func (c *Cluster) headCore(name string) (objstore.ObjectInfo, time.Duration, error) {
 	c.heads.Add(1)
-	var lastErr error = objstore.ErrNotFound
+	var miss readMiss
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	seq, part := c.place(seqBuf[:0], name)
 	for i := 0; i < len(seq); i++ {
@@ -544,10 +568,10 @@ func (c *Cluster) headCore(name string) (objstore.ObjectInfo, time.Duration, err
 		if err == nil {
 			return info, c.profile.Head, nil
 		}
-		lastErr = err
+		miss.note(err)
 		seq = c.fallThrough(seq, i, part)
 	}
-	return objstore.ObjectInfo{}, c.profile.Head, &keyError{op: "head", name: name, err: lastErr}
+	return objstore.ObjectInfo{}, c.profile.Head, c.missErr("head", name, miss)
 }
 
 // Delete removes the object from all reachable replicas and from any

@@ -92,6 +92,35 @@ func TestGetSurvivesReplicaFailures(t *testing.T) {
 	}
 }
 
+// TestMissWithNodesDown: a read that finds no copy reports ErrNotFound
+// while fewer nodes failed than a write quorum, since an acknowledged
+// write would have had a holder answer, and the node's error once a
+// quorum's worth failed, where the object may be out of reach.
+func TestMissWithNodesDown(t *testing.T) {
+	c := newTest(t)
+	ctx := context.Background()
+	devs := c.Ring().DeviceIDs()
+	quorum := c.Ring().ReplicaCount()/2 + 1
+	for down := 1; down <= quorum; down++ {
+		c.SetNodeDown(devs[down-1], true)
+		want := objstore.ErrNotFound
+		if down == quorum {
+			want = objstore.ErrNodeDown
+		}
+		for i := 0; i < 64; i++ {
+			name := fmt.Sprintf("missing%03d", i)
+			_, _, gerr := c.Get(ctx, name)
+			_, _, rerr := c.GetRange(ctx, name, 0, -1)
+			_, herr := c.Head(ctx, name)
+			for _, err := range []error{gerr, rerr, herr} {
+				if !errors.Is(err, want) {
+					t.Fatalf("%d nodes down: read of %q = %v, want %v", down, name, err, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPlacementGolden pins the node lists a request is placed on — ring
 // order for primaries, partition-rotated order for handoffs, primaries
 // then handoffs for the read sequence — to the values the three separate

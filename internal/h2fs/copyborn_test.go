@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/h2cloud/h2cloud/internal/core"
 	"github.com/h2cloud/h2cloud/internal/gossip"
+	"github.com/h2cloud/h2cloud/internal/metrics"
 )
 
 // dirNamespaces resolves the namespace of dir and of every directory
@@ -111,4 +113,40 @@ func TestCopyBornUnderOneDescriptorCache(t *testing.T) {
 	mustNoErr(t, fs.Rmdir(ctx, "/dst"))
 	mustNoErr(t, m.FlushAll(ctx))
 	wantNoOrphans(t, m, c.Names())
+}
+
+// TestNamespaceChangeRequests counts, in the request table, what a new
+// directory's first write and a rename send: a directory Mkdir made is
+// born loaded, so writing into it reads no ring and probes no chain; a
+// rename within one directory is one patch; a move across directories is
+// still one patch per parent.
+func TestNamespaceChangeRequests(t *testing.T) {
+	ctx := context.Background()
+	m := newMW(t, newCluster(t), 1)
+	fs := m.FS("alice")
+	mustNoErr(t, m.CreateAccount(ctx, "alice"))
+	mustNoErr(t, fs.Mkdir(ctx, "/a"))
+	mustNoErr(t, fs.WriteFile(ctx, "/a/f", []byte("f")))
+	mustNoErr(t, fs.WriteFile(ctx, "/a/g", []byte("g")))
+	since := func(step func()) metrics.RequestTable {
+		before := m.Metrics().Requests()
+		step()
+		return m.Metrics().Requests().Sub(before)
+	}
+
+	d := since(func() {
+		mustNoErr(t, fs.Mkdir(ctx, "/n"))
+		mustNoErr(t, fs.WriteFile(ctx, "/n/f", []byte("x")))
+	})
+	if get := d[metrics.PrimGet]; get[core.KeyRing].N != 0 || get[core.KeyPatch].N != 0 {
+		t.Errorf("mkdir then write: %d ring GETs and %d patch GETs, want none", get[core.KeyRing].N, get[core.KeyPatch].N)
+	}
+	d = since(func() { mustNoErr(t, fs.Move(ctx, "/a/f", "/a/h")) })
+	if got := d[metrics.PrimPut][core.KeyPatch].N; got != 1 {
+		t.Errorf("same-parent rename put %d patches, want 1", got)
+	}
+	d = since(func() { mustNoErr(t, fs.Move(ctx, "/a/g", "/n/g")) })
+	if got := d[metrics.PrimPut][core.KeyPatch].N; got != 2 {
+		t.Errorf("cross-parent move put %d patches, want 2", got)
+	}
 }

@@ -64,9 +64,10 @@ type crashOp struct {
 	apply func(mod crashModel)
 }
 
-// crashWorkload is ROADMAP item 15's three steps, then a chunked write, a
-// chunked overwrite of that file and an Rmdir of a moved directory, each
-// group closed by a flush and a drain.
+// crashWorkload is ROADMAP item 15's three steps with a file and a
+// directory renamed in place, then a chunked write, a chunked overwrite of
+// that file and an Rmdir of a moved directory, each group closed by a
+// flush and a drain.
 func crashWorkload() []crashOp {
 	fs := func(m *Middleware) *AccountFS { return m.FS("alice") }
 	mkdir := func(p string) crashOp {
@@ -122,7 +123,8 @@ func crashWorkload() []crashOp {
 	}
 	return append(ops,
 		mkdir("/a/b"), write("/a/b/g0", "g0 v1"), write("/a/b/g1", "g1 v1"), settle,
-		cp("/a", "/c"), mv("/c/b", "/d"), mv("/a/f3", "/a/b/z"), rm("/a/f1"), write("/a/f2", "f2 v2"), settle,
+		cp("/a", "/c"), mv("/c/b", "/d"), mv("/a/f3", "/a/b/z"), rm("/a/f1"), write("/a/f2", "f2 v2"),
+		mv("/a/f4", "/a/f9"), mkdir("/a/m"), mv("/a/m", "/a/n"), settle,
 		rmdir("/a/b"), rmdir("/c"), write("/d/x", "x v1"), settle,
 		chunked("chunked write", "/a/k", "chunked one"), settle,
 		chunked("chunked overwrite", "/a/k", "chunked two, longer"), settle,

@@ -271,9 +271,9 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 }
 
 // born puts ring as the whole state of a namespace no other node knows yet
-// (a COPY's destination) and installs the descriptor a load of it would
-// build: monolithic, no watermarks, own chain empty (settled), no tag kept.
-// A descriptor that already adopted a read keeps it.
+// (a new directory, an account root, a COPY's destination) and installs
+// what a load of it would build: monolithic, no watermarks, own chain empty
+// (settled), no tag kept. A descriptor that already adopted a read keeps it.
 func (m *Middleware) born(ctx context.Context, account, ns string, ring *core.NameRing) error {
 	if err := m.store.Put(ctx, core.RingKey(account, ns), core.EncodeNameRing(ring), nil); err != nil {
 		return err

@@ -210,7 +210,7 @@ func (m *Middleware) CreateAccount(ctx context.Context, account string) error {
 		return fmt.Errorf("h2fs: account %q: %w", account, fsapi.ErrExists)
 	}
 	ns := m.gen.Next()
-	if err := m.store.Put(ctx, core.RingKey(account, ns), core.EncodeNameRing(core.NewNameRing()), nil); err != nil {
+	if err := m.born(ctx, account, ns, core.NewNameRing()); err != nil {
 		return fmt.Errorf("h2fs: create root ring: %w", err)
 	}
 	if err := m.store.Put(ctx, core.RootKey(account), []byte(ns), map[string]string{core.MetaType: core.TypeRoot}); err != nil {

@@ -13,9 +13,9 @@ import (
 )
 
 // Mkdir creates an empty directory: a fresh namespace UUID, its directory
-// object, an empty NameRing object, and a creation patch to the parent's
-// NameRing. All pieces are ordinary objects on the single consistent
-// hashing ring (§3.1).
+// object, an empty NameRing object born loaded, and a creation patch to the
+// parent's NameRing. All pieces are ordinary objects on the single
+// consistent hashing ring (§3.1).
 func (m *Middleware) Mkdir(ctx context.Context, account, path string) error {
 	to, live, err := m.target(ctx, account, path, fsapi.ErrExists)
 	if err != nil {
@@ -29,8 +29,7 @@ func (m *Middleware) Mkdir(ctx context.Context, account, path string) error {
 	if err := m.putDirObject(ctx, account, to.parentNS, to.tuple.Name, ns, now); err != nil {
 		return fmt.Errorf("h2fs: mkdir %s: %w", to.path, err)
 	}
-	if err := m.store.Put(ctx, core.RingKey(account, ns),
-		core.EncodeNameRing(core.NewNameRing()), nil); err != nil {
+	if err := m.born(ctx, account, ns, core.NewNameRing()); err != nil {
 		return fmt.Errorf("h2fs: mkdir %s ring: %w", to.path, err)
 	}
 	return m.submitPatch(ctx, account, to.parentNS,
@@ -234,8 +233,9 @@ func (m *Middleware) Rmdir(ctx context.Context, account, path string) error {
 // paper's O(1) headline (Figure 7): the subtree's objects are keyed by the
 // directory's own namespace, which does not change, so only the entry
 // object and two parent NameRings are touched no matter how many files the
-// directory holds. RENAME is the same operation within one parent. As in
-// Remove, the old entry or file object is reclaimed after the tombstone.
+// directory holds. RENAME is the same operation within one parent, where
+// both tuples go in one patch: no crash lists the entry under both names.
+// As in Remove, the old entry or file object is reclaimed after the flip.
 func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	res, to, err := m.movePair(ctx, account, src, dst)
 	if err != nil {
@@ -253,16 +253,16 @@ func (m *Middleware) Move(ctx context.Context, account, src, dst string) error {
 	if err != nil {
 		return err
 	}
-	if err := m.submitPatch(ctx, account, dstParentNS, core.Tuple{
-		Name: dstName, Time: now, Dir: res.tuple.Dir, Chunked: res.tuple.Chunked, NS: res.tuple.NS,
-	}); err != nil {
-		return err
-	}
+	live := core.Tuple{Name: dstName, Time: now, Dir: res.tuple.Dir, Chunked: res.tuple.Chunked, NS: res.tuple.NS}
 	// The tombstone carries no namespace: the subtree lives on under its
 	// new parent, and subtree GC descends into whatever NS a tuple names.
-	if err := m.submitPatch(ctx, account, res.parentNS, core.Tuple{
-		Name: res.tuple.Name, Time: now, Deleted: true, Dir: res.tuple.Dir,
-	}); err != nil {
+	tomb := core.Tuple{Name: res.tuple.Name, Time: now, Deleted: true, Dir: res.tuple.Dir}
+	if dstParentNS == res.parentNS {
+		err = m.submitPatch(ctx, account, dstParentNS, live, tomb)
+	} else if err = m.submitPatch(ctx, account, dstParentNS, live); err == nil {
+		err = m.submitPatch(ctx, account, res.parentNS, tomb)
+	}
+	if err != nil {
 		return err
 	}
 	return m.reclaimed(m.deleteFileObject(ctx, account, res.parentNS, res.tuple.Name, res.tuple.Chunked))

@@ -161,3 +161,34 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestColdStatWithANodeDown: after a restart with one storage node of
+// eight down, every cold Stat loads two rings and probes each chain's
+// end, a GET that has to miss. A miss the down node took part in is
+// still a miss, so every Stat succeeds, whichever node is down.
+func TestColdStatWithANodeDown(t *testing.T) {
+	now := time.Unix(1_600_000_000, 0)
+	clock := func() time.Time { now = now.Add(time.Second); return now }
+	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile(), Clock: clock})
+	mustNoErr(t, err)
+	m, err := New(Config{Store: c, Node: 1, Clock: clock})
+	mustNoErr(t, err)
+	ctx := context.Background()
+	mustNoErr(t, m.CreateAccount(ctx, "u"))
+	const dirs = 64
+	for i := 0; i < dirs; i++ {
+		mustNoErr(t, m.Mkdir(ctx, "u", fmt.Sprintf("/d%02d", i)))
+		mustNoErr(t, m.WriteFile(ctx, "u", fmt.Sprintf("/d%02d/f", i), []byte("x")))
+	}
+	mustNoErr(t, m.FlushAll(ctx))
+	for _, id := range c.Ring().DeviceIDs() {
+		m.Recover()
+		c.SetNodeDown(id, true)
+		for i := 0; i < dirs; i++ {
+			if _, err := m.Stat(ctx, "u", fmt.Sprintf("/d%02d/f", i)); err != nil {
+				t.Errorf("cold stat with node %d down: %v", id, err)
+			}
+		}
+		c.SetNodeDown(id, false)
+	}
+}
