@@ -71,15 +71,17 @@ test:
 # engine's queue — park while a task runs, exit when it drains — gets
 # twenty more (< 5 s): its termination protocol is a schedule property. So
 # does the descriptor cache's lock-free lookup racing growth, eviction,
-# drops and restarts (< 5 s), and the cluster's gauges under four clients
-# that meet only on the storage nodes (< 3 s). Last, the benchmark
+# drops and restarts, with the CLOCK tests beside it, since an admission
+# swaps slots on the clock while lookups run (~15 s on two cores), and
+# the cluster's gauges under four clients that meet only on the storage
+# nodes (< 3 s). Last, the benchmark
 # module (~11 s), its own module that ./... does not reach, whose tracing
 # store is shared by the workloads' concurrent clients.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/pipeline/ ./internal/cluster/ ./internal/h2fs/ ./internal/gossip/
 	$(GO) test -race -count=20 ./internal/pipeline/
-	$(GO) test -race -count=20 -run TestDescCacheLockFreeLookupStress ./internal/h2fs/
+	$(GO) test -race -count=20 -run 'TestDescCacheLockFreeLookupStress|TestClock' ./internal/h2fs/
 	$(GO) test -race -count=20 -run TestClusterConcurrentGauges ./internal/cluster/
 	cd benchmark && $(GO) test -race ./...
 

@@ -112,11 +112,12 @@ func HotPath(quick bool) (Result, error) {
 	reg := metrics.NewRegistry()
 	stacked := storemw.Stack(cl, storemw.Retry(reg), storemw.Metrics(reg))
 
-	coldPaths, coldFS, err := coldTree(reloadDirs)
+	coldPaths, coldFS, err := coldTree(reloadDirs, nil)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
 	}
-	evictInsert := h2fs.EvictInsertLoop(evictResidents)
+	_, evictInsert := h2fs.EvictInsertLoop(evictResidents, false)
+	_, evictNew := h2fs.EvictInsertLoop(evictResidents, true)
 	bigMW, bigFS, err := bigRingDir(ringSize, 0)
 	if err != nil {
 		return Result{}, fmt.Errorf("hotpath: %w", err)
@@ -397,10 +398,21 @@ func HotPath(quick bool) (Result, error) {
 		{"h2fs/rename", 10, renameLoop(renameMW)},
 		// Waking a stub in a full cache of 1024: the hand releases the
 		// descriptor under it, which becomes a stub in place, and the woken
-		// one takes its slot on the clock.
+		// one, released one step earlier, takes its slot a whole turn from
+		// the hand.
 		{"h2fs/evict-insert", 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				evictInsert()
+			}
+		}},
+		// Admitting a ring the full cache has never seen: the hand releases
+		// one, and the new descriptor trades its released slot for one a
+		// tenth of a turn ahead. What is left is the descriptor, its ring
+		// key and its dirty-name set. The ceiling is the count at both
+		// scales.
+		{"h2fs/evict-new", 3, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				evictNew()
 			}
 		}},
 		// A one-tuple patch folded into the monolithic ring this node wrote
@@ -576,7 +588,7 @@ func benchWithin(c hotpathCase, limit time.Duration) (testing.BenchmarkResult, e
 // reloadDirs is how many single-file directories h2fs/reload-evicted
 // cycles through under a two-descriptor cache: the root ring stays, and
 // every Stat finds its parent ring evicted. evictResidents is the cache
-// population h2fs/evict-insert runs at.
+// population h2fs/evict-insert and h2fs/evict-new run at.
 const (
 	reloadDirs     = 256
 	evictResidents = 1024
@@ -585,8 +597,9 @@ const (
 // coldTree builds n flushed single-file directories behind a middleware
 // whose descriptor cache holds two descriptors, restarts it, and walks the
 // files once so that every ring has been loaded, evicted clean and left a
-// stub. It returns the file paths in walk order.
-func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
+// stub. It returns the file paths in walk order. reg, when not nil, is the
+// middleware's registry.
+func coldTree(n int, reg *metrics.Registry) ([]string, *h2fs.AccountFS, error) {
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
 	if err != nil {
 		return nil, nil, err
@@ -594,7 +607,7 @@ func coldTree(n int) ([]string, *h2fs.AccountFS, error) {
 	// A logical clock, so namespace UUIDs are the same on every run.
 	tick := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { tick = tick.Add(time.Millisecond); return tick }
-	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Clock: clock, DescCacheLimit: 2})
+	mw, err := h2fs.New(h2fs.Config{Store: cl, Node: 1, Clock: clock, DescCacheLimit: 2, Metrics: reg})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/h2cloud/h2cloud/internal/core"
+	"github.com/h2cloud/h2cloud/internal/metrics"
 )
 
 // A row whose per-call cost grows with every call never settles on a b.N
@@ -30,5 +33,29 @@ func TestHotPathRowPastLimitFails(t *testing.T) {
 	}
 	if took := time.Since(start); took > limit+time.Second {
 		t.Fatalf("benchWithin returned after %v, limit %v", took, limit)
+	}
+}
+
+// h2fs/reload-evicted measures a Stat whose parent ring was evicted: under
+// its two-descriptor cache every Stat of the walk must release one ring
+// and GET one back, whatever seat the cache gives a woken stub.
+func TestReloadEvictedEvictsEveryStat(t *testing.T) {
+	reg := metrics.NewRegistry()
+	paths, fs, err := coldTree(reloadDirs, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted, reqs := reg.Counter("descCache.evicted"), reg.Requests()
+	for i := 0; i < 2*len(paths); i++ {
+		if _, err := fs.Stat(bg(), paths[i%len(paths)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := int64(2 * len(paths))
+	if got := reg.Counter("descCache.evicted") - evicted; got != stats {
+		t.Errorf("%d Stats evicted %d descriptors, want one each", stats, got)
+	}
+	if got := reg.Requests().Sub(reqs)[metrics.PrimGet][core.KeyRing].N; got != stats {
+		t.Errorf("%d Stats sent %d ring GETs, want one each", stats, got)
 	}
 }

@@ -304,10 +304,12 @@ func (c *Cluster) appendHandoffs(dst []objstore.NodeStore, part uint32) []objsto
 }
 
 // fallThrough is a read's one lazy step: when seq[i], the last primary, has
-// just missed or failed, it appends the handoffs behind it; otherwise it
-// returns seq as it is. A read served by a primary never computes them.
+// just missed or failed and some write has been diverted, it appends the
+// handoffs behind it; otherwise it returns seq as it is. A read served by a
+// primary never computes them, and until a diversion no handoff holds a
+// copy, so a miss tallies only the key's primaries (missErr).
 func (c *Cluster) fallThrough(seq []objstore.NodeStore, i int, part uint32) []objstore.NodeStore {
-	if i == c.ring.ReplicaCount()-1 {
+	if i == c.ring.ReplicaCount()-1 && c.diverted.Load() {
 		return c.appendHandoffs(seq, part)
 	}
 	return seq
@@ -445,7 +447,8 @@ func (r *readMiss) note(err error) {
 // acknowledged write sits on at least that many, so one of its holders
 // answered, and a chain-end probe with one node down still ends cleanly.
 // Otherwise the object may sit on the failed nodes, and the read reports
-// the last node's error.
+// the last node's error. Before a diversion the read tried the primaries
+// only, so a down node that is not one of them does not count.
 func (c *Cluster) missErr(op, name string, r readMiss) error {
 	err := error(objstore.ErrNotFound)
 	if r.failed >= c.ring.ReplicaCount()/2+1 {

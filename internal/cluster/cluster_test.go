@@ -93,31 +93,58 @@ func TestGetSurvivesReplicaFailures(t *testing.T) {
 }
 
 // TestMissWithNodesDown: a read that finds no copy reports ErrNotFound
-// while fewer nodes failed than a write quorum, since an acknowledged
-// write would have had a holder answer, and the node's error once a
-// quorum's worth failed, where the object may be out of reach.
+// while fewer of the nodes it tried failed than a write quorum, since an
+// acknowledged write would have had a holder answer, and the node's error
+// once a quorum's worth failed, where the object may be out of reach.
+// Until a write is diverted a read tries only the key's primaries, so a
+// down node that is not one of them does not count; after, the handoffs
+// are tried too and count again.
 func TestMissWithNodesDown(t *testing.T) {
-	c := newTest(t)
 	ctx := context.Background()
-	devs := c.Ring().DeviceIDs()
-	quorum := c.Ring().ReplicaCount()/2 + 1
-	for down := 1; down <= quorum; down++ {
-		c.SetNodeDown(devs[down-1], true)
-		want := objstore.ErrNotFound
-		if down == quorum {
-			want = objstore.ErrNodeDown
-		}
-		for i := 0; i < 64; i++ {
-			name := fmt.Sprintf("missing%03d", i)
-			_, _, gerr := c.Get(ctx, name)
-			_, _, rerr := c.GetRange(ctx, name, 0, -1)
-			_, herr := c.Head(ctx, name)
-			for _, err := range []error{gerr, rerr, herr} {
-				if !errors.Is(err, want) {
-					t.Fatalf("%d nodes down: read of %q = %v, want %v", down, name, err, want)
+	for _, tc := range []struct {
+		name string
+		// down picks the nodes to take down for a key from its primaries
+		// and the other nodes, in ID order.
+		down    func(primaries, others []int) []int
+		divert  bool
+		wantErr error
+	}{
+		{"one node down", func(p, _ []int) []int { return p[:1] }, false, objstore.ErrNotFound},
+		{"two non-replicas down", func(_, o []int) []int { return o[:2] }, false, objstore.ErrNotFound},
+		{"two primaries down", func(p, _ []int) []int { return p[:2] }, false, objstore.ErrNodeDown},
+		{"a primary and a non-replica down", func(p, o []int) []int { return []int{p[0], o[0]} }, false, objstore.ErrNotFound},
+		{"a primary and a handoff down after a diversion", func(p, o []int) []int { return []int{p[0], o[0]} }, true, objstore.ErrNodeDown},
+		{"two handoffs down after a diversion", func(_, o []int) []int { return o[:2] }, true, objstore.ErrNodeDown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 64; i++ {
+				c := newTest(t)
+				if tc.divert {
+					c.SetNodeDown(c.Ring().Devices("diverted")[0], true)
+					mustPut(t, c, ctx, "diverted", []byte("x"), nil)
+					c.SetNodeDown(c.Ring().Devices("diverted")[0], false)
+				}
+				name := fmt.Sprintf("missing%03d", i)
+				primaries := c.Ring().Devices(name)
+				var others []int
+				for _, id := range c.Ring().DeviceIDs() {
+					if !slices.Contains(primaries, id) {
+						others = append(others, id)
+					}
+				}
+				for _, id := range tc.down(primaries, others) {
+					c.SetNodeDown(id, true)
+				}
+				_, _, gerr := c.Get(ctx, name)
+				_, _, rerr := c.GetRange(ctx, name, 0, -1)
+				_, herr := c.Head(ctx, name)
+				for _, err := range []error{gerr, rerr, herr} {
+					if !errors.Is(err, tc.wantErr) {
+						t.Fatalf("read of %q = %v, want %v", name, err, tc.wantErr)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

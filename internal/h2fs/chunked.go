@@ -154,12 +154,7 @@ func (m *Middleware) deleteSegments(ctx context.Context, account, ns, name strin
 	for i := range segs {
 		segs[i] = core.SegmentKey(account, ns, name, i)
 	}
-	for _, err := range objstore.MultiDelete(ctx, m.store, segs) {
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
-	}
-	return nil
+	return m.deleteAll(ctx, segs)
 }
 
 // reclaimed passes on the error of a delete that ran after the flip made
@@ -201,4 +196,15 @@ func ignoreNotFound(err error) error {
 		return nil
 	}
 	return err
+}
+
+// deleteAll deletes keys in one MultiDelete and returns the first error
+// that is not a missing object.
+func (m *Middleware) deleteAll(ctx context.Context, keys []string) error {
+	for _, err := range objstore.MultiDelete(ctx, m.store, keys) {
+		if err = ignoreNotFound(err); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -19,7 +19,9 @@ import (
 // its own chain, so until Recover that chain is provably empty, and the
 // woken stub's load skips the own-chain probe. One that never loaded knows
 // nothing of its chain and leaves the table. A caller that held a
-// descriptor across its release finds it not resident and looks again.
+// descriptor across its release finds it not resident and looks again. A
+// new descriptor starts a tenth of a turn from the hand, so a ring read once
+// leaves first; a stub woken soon after its release, a whole turn away.
 
 // clockSteps caps how far one insert moves the hand: populating a tree
 // leaves thousands of dirty residents, which an uncapped scan walked.
@@ -30,13 +32,14 @@ const clockSteps = 32
 const stubLimit = 32 * 4096
 
 type descCache struct {
-	mu    sync.Mutex
-	table atomic.Pointer[buckets] // nil before the first insert
-	n     int                     // descriptors in table, stubs included
-	stubs int
-	limit int           // Config.DescCacheLimit; 0 = unlimited
-	clock []*descriptor // residents at their slots, swept by the hand; only under a limit
-	hand  int
+	mu       sync.Mutex
+	table    atomic.Pointer[buckets] // nil before the first insert
+	n        int                     // descriptors in table, stubs included
+	stubs    int
+	limit    int           // Config.DescCacheLimit; 0 = unlimited
+	clock    []*descriptor // residents at their slots, swept by the hand; only under a limit
+	hand     int
+	releases int // releases so far, stamped into descriptor.releasedAt
 }
 
 // buckets is a power of two of chain heads, indexed by the ring hash.
@@ -154,9 +157,12 @@ func (m *Middleware) desc(account, ns string) *descriptor {
 
 // admitLocked makes d resident and, under a limit, gives it a place on the
 // clock. While the circle is full the hand sweeps; d takes the slot of the
-// first descriptor released — just behind the hand, a whole turn from its
-// next visit — and an overflowed circle sheds more. If nothing was released
-// within clockSteps, d overflows too. The caller holds the cache lock.
+// first descriptor released (a whole turn from the hand) and an overflowed
+// circle sheds more. If nothing was released within clockSteps, d overflows
+// too. Unless d is a stub woken within limit releases of its own, it trades
+// that slot for the one max(1, limit/10) visits ahead: a ring read once
+// leaves soon unless a hit sets its bit first (S3-FIFO's small queue, the
+// recent stubs its ghosts). The caller holds the cache lock.
 func (m *Middleware) admitLocked(d *descriptor) {
 	c := &m.descs
 	d.referenced.Store(false)
@@ -180,6 +186,10 @@ func (m *Middleware) admitLocked(d *descriptor) {
 	if room < c.limit {
 		d.slot = len(c.clock)
 		c.clock = append(c.clock, d)
+	} else if d.releasedAt == 0 || c.releases-d.releasedAt > c.limit {
+		ahead := (c.hand + max(1, c.limit/10) - 1) % len(c.clock) // the hand's k-th visit
+		v := c.clock[ahead]
+		c.clock[d.slot], c.clock[ahead], v.slot, d.slot = v, d, d.slot, ahead
 	}
 }
 
@@ -222,6 +232,8 @@ func (m *Middleware) releaseLocked(d *descriptor) {
 	} else {
 		c.remove(d)
 	}
+	c.releases++
+	d.releasedAt = c.releases
 	d.resident.Store(false)
 	m.reg.Inc("descCache.size", -1)
 	m.reg.Inc("descCache.evicted", 1)
@@ -298,23 +310,26 @@ func (m *Middleware) dropDescriptors() {
 }
 
 // EvictInsertLoop returns the evictor's steady state as a step function,
-// for the hot-path benchmark: a full clock of n loaded, clean residents,
-// where each step wakes the stub released n steps earlier, releasing the
-// descriptor under the hand in turn.
-func EvictInsertLoop(n int) (step func()) {
-	m := &Middleware{descs: descCache{limit: n}}
+// for the hot-path benchmark, with its middleware: a full clock of clean
+// residents, where each step releases the descriptor under the hand and
+// wakes the stub released one step earlier. With fresh, each step admits
+// a ring new to the table instead: it never loads, so its release leaves
+// no stub.
+func EvictInsertLoop(n int, fresh bool) (m *Middleware, step func()) {
+	m = &Middleware{descs: descCache{limit: n}}
 	nss := make([]string, n+1)
 	for i := range nss {
+		m.desc("bench", "old"+strconv.Itoa(i)).loaded = true // residents no step names
 		nss[i] = "ns" + strconv.Itoa(i)
 	}
 	next := 0
 	step = func() {
 		d := m.desc("bench", nss[next])
 		next = (next + 1) % len(nss)
-		d.loaded = true
+		d.loaded = !fresh
 	}
 	for range nss {
 		step()
 	}
-	return step
+	return m, step
 }

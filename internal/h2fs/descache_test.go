@@ -18,6 +18,7 @@ import (
 	"github.com/h2cloud/h2cloud/internal/fsapi/fstest"
 	"github.com/h2cloud/h2cloud/internal/metrics"
 	"github.com/h2cloud/h2cloud/internal/storemw"
+	"github.com/h2cloud/h2cloud/internal/workload"
 )
 
 // fixtureLimit is the cache cap of the fixtures that evict on purpose:
@@ -675,6 +676,8 @@ func fillClock(t *testing.T, n int) *Middleware {
 
 // TestClockSparesReferenced: a resident hit since the hand last passed
 // survives the pass, which clears its bit, and the next clean one goes.
+// The new descriptor trades the released slot for the one the hand visits
+// next (a tenth of a turn of 4), whose resident takes the whole turn.
 func TestClockSparesReferenced(t *testing.T) {
 	m := fillClock(t, 4)
 	m.desc("alice", "r0") // a hit
@@ -683,8 +686,104 @@ func TestClockSparesReferenced(t *testing.T) {
 		t.Fatalf("r0 cached %v, r1 cached %v: want the hand to pass r0 and release r1",
 			cached(m, "alice", "r0"), cached(m, "alice", "r1"))
 	}
-	if hand, clock := clockOf(m); hand != 2 || !reflect.DeepEqual(clock, []string{"r0 false", "new false", "r2 false", "r3 false"}) {
+	if hand, clock := clockOf(m); hand != 2 || !reflect.DeepEqual(clock, []string{"r0 false", "r2 false", "new false", "r3 false"}) {
 		t.Fatalf("hand %d over %v", hand, clock)
+	}
+}
+
+// seat returns on which of the hand's visits it reaches the ring's
+// resident descriptor: 1 is the next visit, the clock's length a whole turn.
+func seat(m *Middleware, ns string) int {
+	c := &m.descs
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d, n := c.find("alice", ns, core.RingHash("alice", ns)), len(c.clock)
+	return (d.slot-c.hand%n+n)%n + 1
+}
+
+// TestClockReleasesANewRingReadOnce: a new descriptor starts a tenth of a
+// turn from the hand, so one that nobody touches again is released before
+// the older residents that were unreferenced all along; under plain CLOCK
+// it would outlast every one of them.
+func TestClockReleasesANewRingReadOnce(t *testing.T) {
+	m := fillClock(t, 20)
+	m.desc("alice", "new") // releases r0
+	if got := seat(m, "new"); got != 2 {
+		t.Fatalf("new sits %d visits from the hand, want 2", got)
+	}
+	m.desc("alice", "a1") // releases r1
+	m.desc("alice", "a2") // reaches new
+	if cached(m, "alice", "new") {
+		t.Fatal("the new ring nobody touched outlived the hand's second visit")
+	}
+	for i := 2; i < 20; i++ {
+		if !cached(m, "alice", fmt.Sprintf("r%d", i)) {
+			t.Fatalf("r%d was released before the new ring nobody touched", i)
+		}
+	}
+}
+
+// TestClockKeepsANewRingHitInItsWindow: a new descriptor hit before the
+// hand arrives is a resident like any other: the hand clears its bit and
+// passes on.
+func TestClockKeepsANewRingHitInItsWindow(t *testing.T) {
+	m := fillClock(t, 20)
+	m.desc("alice", "new")
+	m.desc("alice", "a1")
+	m.desc("alice", "new") // a hit inside the window
+	m.desc("alice", "a2")
+	if !cached(m, "alice", "new") {
+		t.Fatal("a new ring hit inside its window was released")
+	}
+	c := &m.descs
+	if d := c.find("alice", "new", core.RingHash("alice", "new")); d.referenced.Load() {
+		t.Fatal("the hand passed the hit new ring without clearing its bit")
+	}
+}
+
+// TestClockGivesARecentStubTheWholeTurn: a stub woken within limit
+// releases of its own release was evicted too early, and starts a whole
+// turn from the hand; one released longer ago starts a tenth of a turn
+// away, like a ring never seen.
+func TestClockGivesARecentStubTheWholeTurn(t *testing.T) {
+	const n = 20
+	m := fillClock(t, n)
+	c := &m.descs
+	loadAll := func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, d := range c.clock {
+			d.loaded = true // a release leaves a stub
+		}
+	}
+	loadAll()
+	m.desc("alice", "new") // releases r0, a stub
+	loadAll()
+	m.desc("alice", "r0") // wakes it one release later
+	if got := seat(m, "r0"); got != n {
+		t.Fatalf("a stub woken one release after its own sits %d visits from the hand, want %d", got, n)
+	}
+	for i := 0; c.releases-c.find("alice", "r1", core.RingHash("alice", "r1")).releasedAt <= n; i++ {
+		m.desc("alice", fmt.Sprintf("a%d", i))
+	}
+	m.desc("alice", "r1") // released more than limit releases ago
+	if got := seat(m, "r1"); got != n/10 {
+		t.Fatalf("a stub woken %d releases late sits %d visits from the hand, want %d", n, got, n/10)
+	}
+}
+
+// TestClockNeverReleasesANewDirtyRing: a new descriptor that takes a write
+// before the hand arrives stays through the visit and every later one.
+func TestClockNeverReleasesANewDirtyRing(t *testing.T) {
+	m := fillClock(t, 20)
+	d := m.lockedDesc("alice", "new")
+	d.dirtyNames["f"] = struct{}{}
+	m.unlockDesc(d)
+	for i := 0; i < 3*20; i++ {
+		m.desc("alice", fmt.Sprintf("a%d", i))
+		if !cached(m, "alice", "new") {
+			t.Fatalf("insert %d released the dirty new ring", i)
+		}
 	}
 }
 
@@ -720,6 +819,31 @@ func TestClockStepsAreCapped(t *testing.T) {
 	m.desc("alice", "new")
 	if hand, clock := clockOf(m); hand != clockSteps || len(clock) != n+1 {
 		t.Fatalf("hand at %d with %d residents, want %d and %d", hand, len(clock), clockSteps, n+1)
+	}
+}
+
+// TestEvictInsertLoopReleasesEveryStep: the hot-path rows h2fs/evict-insert
+// and h2fs/evict-new measure an admission to a full clock, so no step may
+// be a hit. Each must find its ring a stub (fresh: not in the table) and
+// release one descriptor.
+func TestEvictInsertLoopReleasesEveryStep(t *testing.T) {
+	const n = 64
+	for _, fresh := range []bool{false, true} {
+		m, step := EvictInsertLoop(n, fresh)
+		c := &m.descs
+		for i := 0; i < 3*n; i++ {
+			ns := fmt.Sprintf("ns%d", i%(n+1)) // the warm-up stepped once round
+			d := c.find("bench", ns, core.RingHash("bench", ns))
+			if fresh && d != nil || !fresh && (d == nil || d.resident.Load()) {
+				t.Fatalf("fresh %v: step %d found %s in the table %v, resident %v",
+					fresh, i, ns, d != nil, d != nil && d.resident.Load())
+			}
+			releases := c.releases
+			step()
+			if c.releases != releases+1 {
+				t.Fatalf("fresh %v: step %d released %d descriptors, want 1", fresh, i, c.releases-releases)
+			}
+		}
 	}
 }
 
@@ -820,4 +944,44 @@ func benchCachedStat(b *testing.B, limit int) {
 			}
 		}
 	})
+}
+
+// TestColdLookupRingGets: two accounts' lookups in turn over deep
+// generated trees after a restart, under a cache of a twentieth of their
+// rings, as the benchmark's counted pass replays its two clients. Each walk
+// reads the same few ancestors and a deep tail rarely read again, so the
+// ring GETs a lookup sends count how well the cache keeps the ancestors,
+// and, once the second account starts, how soon its ancestors displace the
+// first's. Measured per lookup: 3.85 with the short seat and its stub
+// rule; 4.64 under plain CLOCK, which seats every new descriptor a whole
+// turn from the hand; 6.26 with the short seat for every admission, where
+// the second account's ancestors, each released a tenth of a turn after
+// it arrives, never take over.
+func TestColdLookupRingGets(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := newMW(t, newCluster(t), 1, func(cfg *Config) {
+		cfg.Clock = steppingClock()
+		cfg.DescCacheLimit = 32
+		cfg.Metrics = reg
+	})
+	ctx := context.Background()
+	accounts := []string{"alice", "bob"}
+	trees := make([]*workload.Filesystem, len(accounts))
+	for i, acct := range accounts {
+		mustNoErr(t, m.CreateAccount(ctx, acct))
+		trees[i] = workload.Generate(workload.Spec{Seed: int64(1 + i), Dirs: 300, Files: 1000, MaxDepth: 22})
+		mustNoErr(t, trees[i].Populate(ctx, m.FS(acct), 1))
+	}
+	mustNoErr(t, m.FlushAll(ctx))
+	m.Recover()
+	const lookups = 1000 // per account
+	before := reg.Requests()
+	for i, acct := range accounts {
+		ops := workload.GenerateOps(trees[i], lookups, int64(3+i), map[workload.OpKind]int{workload.OpStat: 70, workload.OpRead: 30})
+		mustNoErr(t, workload.Replay(ctx, m.FS(acct), ops))
+	}
+	gets := reg.Requests().Sub(before)[metrics.PrimGet][core.KeyRing].N
+	if perLookup := float64(gets) / (2 * lookups); perLookup > 4.25 {
+		t.Fatalf("%.3f ring GETs per lookup, want at most 4.25", perLookup)
+	}
 }

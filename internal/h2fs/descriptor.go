@@ -60,8 +60,9 @@ type descriptor struct {
 	// referenced is the CLOCK bit: set by a cache hit, cleared by the hand.
 	referenced atomic.Bool
 	// slot is the descriptor's place on the clock while it is resident
-	// under a limit; written under the cache lock.
-	slot int
+	// under a limit, and releasedAt the cache's release count at its last
+	// release (0 = never); both written under the cache lock.
+	slot, releasedAt int
 	// hash is core.RingHash(account, ns); next chains the descriptor into
 	// the table, written under the cache lock. Lookups read both with no
 	// lock.
@@ -427,8 +428,7 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	}
 	for seq := d.firstUnflushed; seq < d.nextSeq; seq++ {
 		// A missing patch object was already collected by a peer's merge.
-		err := m.store.Delete(ctx, core.PatchKey(d.account, d.ns, m.node, seq))
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
+		if err := ignoreNotFound(m.store.Delete(ctx, core.PatchKey(d.account, d.ns, m.node, seq))); err != nil {
 			return fmt.Errorf("h2fs: collect patch %d: %w", seq, err)
 		}
 	}

@@ -283,8 +283,7 @@ func (m *Middleware) reclaimNow(ctx context.Context, e core.GCEntry, seq int) er
 	if _, err := m.reclaimEntry(ctx, e); err != nil || seq == 0 {
 		return err
 	}
-	if err := m.store.Delete(ctx, core.GCQueueKey(e.Account, m.node, seq)); err != nil &&
-		!errors.Is(err, objstore.ErrNotFound) {
+	if ignoreNotFound(m.store.Delete(ctx, core.GCQueueKey(e.Account, m.node, seq))) != nil {
 		m.reg.Inc("gcqueue.dequeue.errors", 1)
 		return nil
 	}
@@ -396,36 +395,36 @@ func (m *Middleware) drainEntry(ctx context.Context, key string) (ok bool, err e
 // tombstone (or root-record delete) never landed, so the subtree is live
 // and must not be touched.
 func (m *Middleware) reclaimEntry(ctx context.Context, e core.GCEntry) (bool, error) {
-	var t core.Tuple
-	var ok bool
-	var err error
-	if e.Root {
-		t, ok, err = rootTuple(ctx, m.store, e.Account)
-	} else {
-		t, ok, err = m.lookupChild(ctx, e.Account, e.ParentNS, e.Name)
-	}
-	if err != nil {
+	acked, entryKey, err := m.acked(ctx, e, m.lookupChild)
+	if !acked || err != nil {
 		return false, err
-	}
-	acked, entryKey := e.Acked(t, ok)
-	if !acked {
-		return false, nil
 	}
 	return true, m.gcNamespace(ctx, e.Account, e.NS, entryKey)
 }
 
-// rootTuple reads account's root record as the tuple an account-deletion
-// intent validates against: ok while the record exists, NS the
-// namespace it names.
-func rootTuple(ctx context.Context, store objstore.Store, account string) (core.Tuple, bool, error) {
-	data, _, err := store.Get(ctx, core.RootKey(account))
-	if errors.Is(err, objstore.ErrNotFound) {
-		return core.Tuple{}, false, nil
+// acked validates the intent e (core.GCEntry.Acked) against the tuple it
+// records the delete of: the account's root record — ok while it exists,
+// NS the namespace it names — or e's name in its parent ring, as lookup
+// reads it.
+func (m *Middleware) acked(ctx context.Context, e core.GCEntry,
+	lookup func(ctx context.Context, account, ns, name string) (core.Tuple, bool, error)) (bool, string, error) {
+	var t core.Tuple
+	var ok bool
+	var err error
+	if e.Root {
+		var data []byte
+		if data, _, err = m.store.Get(ctx, core.RootKey(e.Account)); err == nil {
+			t, ok = core.Tuple{NS: string(data)}, true
+		}
+		err = ignoreNotFound(err)
+	} else {
+		t, ok, err = lookup(ctx, e.Account, e.ParentNS, e.Name)
 	}
 	if err != nil {
-		return core.Tuple{}, false, err
+		return false, "", err
 	}
-	return core.Tuple{NS: string(data)}, true, nil
+	acked, entryKey := e.Acked(t, ok)
+	return acked, entryKey, nil
 }
 
 // GCQueueSnapshot reports queue depth and lifetime counters; nil when

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,28 +169,77 @@ func TestCrashRestartReconvergesAgainstOracle(t *testing.T) {
 // end, a GET that has to miss. A miss the down node took part in is
 // still a miss, so every Stat succeeds, whichever node is down.
 func TestColdStatWithANodeDown(t *testing.T) {
+	c, m, _ := coldStatFixture(t)
+	for _, id := range c.Ring().DeviceIDs() {
+		coldStats(t, c, m, nil, id)
+	}
+}
+
+// TestColdStatWithTwoNodesDown: with two nodes of eight down and no write
+// ever diverted, a read tries only its key's primaries, so a cold Stat may
+// fail only if some key it asked for has a write quorum of its primaries
+// among the two; every other chain-end probe still ends in a clean miss.
+func TestColdStatWithTwoNodesDown(t *testing.T) {
+	c, m, log := coldStatFixture(t)
+	ids := c.Ring().DeviceIDs()
+	for a := range ids {
+		for b := a + 1; b < len(ids); b++ {
+			coldStats(t, c, m, log, ids[a], ids[b])
+		}
+	}
+}
+
+// coldStatFixture is an account of 64 directories holding one file each,
+// flushed, on a cluster whose requests log records.
+func coldStatFixture(t *testing.T) (*cluster.Cluster, *Middleware, *reqLog) {
 	now := time.Unix(1_600_000_000, 0)
 	clock := func() time.Time { now = now.Add(time.Second); return now }
 	c, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile(), Clock: clock})
 	mustNoErr(t, err)
-	m, err := New(Config{Store: c, Node: 1, Clock: clock})
+	store, log := logged(c)
+	m, err := New(Config{Store: store, Node: 1, Clock: clock})
 	mustNoErr(t, err)
 	ctx := context.Background()
 	mustNoErr(t, m.CreateAccount(ctx, "u"))
-	const dirs = 64
-	for i := 0; i < dirs; i++ {
+	for i := 0; i < coldDirs; i++ {
 		mustNoErr(t, m.Mkdir(ctx, "u", fmt.Sprintf("/d%02d", i)))
 		mustNoErr(t, m.WriteFile(ctx, "u", fmt.Sprintf("/d%02d/f", i), []byte("x")))
 	}
 	mustNoErr(t, m.FlushAll(ctx))
-	for _, id := range c.Ring().DeviceIDs() {
-		m.Recover()
-		c.SetNodeDown(id, true)
-		for i := 0; i < dirs; i++ {
-			if _, err := m.Stat(ctx, "u", fmt.Sprintf("/d%02d/f", i)); err != nil {
-				t.Errorf("cold stat with node %d down: %v", id, err)
+	return c, m, log
+}
+
+const coldDirs = 64
+
+// coldStats restarts m, takes the nodes down and Stats every file cold.
+// A Stat may fail only if some key it requested (log; nil allows none)
+// has a write quorum of its primaries down.
+func coldStats(t *testing.T, c *cluster.Cluster, m *Middleware, log *reqLog, down ...int) {
+	t.Helper()
+	quorum := c.Ring().ReplicaCount()/2 + 1
+	unreachable := func(req string) bool {
+		n := 0
+		for _, id := range c.Ring().Devices(req[strings.IndexByte(req, ' ')+1:]) {
+			if slices.Contains(down, id) {
+				n++
 			}
 		}
+		return n >= quorum
+	}
+	m.Recover()
+	for _, id := range down {
+		c.SetNodeDown(id, true)
+	}
+	for i := 0; i < coldDirs; i++ {
+		if log != nil {
+			log.take()
+		}
+		_, err := m.Stat(context.Background(), "u", fmt.Sprintf("/d%02d/f", i))
+		if err != nil && (log == nil || !slices.ContainsFunc(log.take(), unreachable)) {
+			t.Errorf("cold stat with nodes %v down: %v", down, err)
+		}
+	}
+	for _, id := range down {
 		c.SetNodeDown(id, false)
 	}
 }

@@ -164,10 +164,8 @@ func (m *Middleware) writeLayout(ctx context.Context, d *descriptor, to core.Sha
 	// garbage for Scrub, never an inconsistent directory.
 	collected := old.Extents(d.account, d.ns)
 	if len(collected) > 0 { // a split of one extent leaves none behind, and asks the store nothing
-		for _, err := range objstore.MultiDelete(ctx, m.store, collected) {
-			if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				return fmt.Errorf("h2fs: collect old extent: %w", err)
-			}
+		if err := m.deleteAll(ctx, collected); err != nil {
+			return fmt.Errorf("h2fs: collect old extent: %w", err)
 		}
 	}
 	if to.Shards > old.Shards {

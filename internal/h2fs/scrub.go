@@ -155,21 +155,10 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 	// nothing extra: marks never downgrade live to queued. The staleness
 	// decision is the drain's own, core.GCEntry.Acked.
 	for _, e := range entries {
-		var t core.Tuple
-		var ok bool
-		var err error
-		if e.Root {
-			t, ok, err = rootTuple(ctx, m.store, e.Account)
-		} else {
-			var parent RingRead
-			if parent, err = s.mergedRing(ctx, e.Account, e.ParentNS); err == nil {
-				t, ok = parent.Ring.Get(e.Name)
-			}
-		}
+		acked, entryKey, err := m.acked(ctx, e, s.lookupChild)
 		if err != nil {
 			return ScrubReport{}, err
 		}
-		acked, entryKey := e.Acked(t, ok)
 		if !acked {
 			continue // stale intent: the delete it records never landed
 		}
@@ -209,10 +198,8 @@ func (m *Middleware) Scrub(ctx context.Context, names []string, reclaim bool) (S
 			victims = append(victims, key)
 		}
 		rep.Orphans = victims
-		for _, err := range objstore.MultiDelete(ctx, m.store, victims) {
-			if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				return rep, fmt.Errorf("h2fs: scrub reclaim: %w", err)
-			}
+		if err := m.deleteAll(ctx, victims); err != nil {
+			return rep, fmt.Errorf("h2fs: scrub reclaim: %w", err)
 		}
 		rep.Reclaimed = len(victims)
 	}
@@ -243,6 +230,17 @@ func (s *scrubber) becameReachable(ctx context.Context, key string) (bool, error
 		return false, fmt.Errorf("h2fs: scrub re-verify %s: %w", key, err)
 	}
 	return found && !t.Deleted, nil
+}
+
+// lookupChild reads one child of a namespace as the store holds it
+// (mergedRing), the scrub's view of an intent's parent tuple.
+func (s *scrubber) lookupChild(ctx context.Context, account, ns, name string) (core.Tuple, bool, error) {
+	rr, err := s.mergedRing(ctx, account, ns)
+	if err != nil {
+		return core.Tuple{}, false, err
+	}
+	t, ok := rr.Ring.Get(name)
+	return t, ok, nil
 }
 
 // mark classifies a key, if it exists and was not already claimed:

@@ -135,17 +135,15 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 	g := eng.NewGroup(parent, lbl, func(ctx context.Context) error {
 		m.dropDesc(account, ns)
 		if entryKey != "" {
-			if err := m.store.Delete(ctx, entryKey); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			if err := ignoreNotFound(m.store.Delete(ctx, entryKey)); err != nil {
 				return err
 			}
 		}
 		// Sub-ring extents go before the manifest at RingKey, so a crash in
 		// between leaves a referenced-but-empty layout (readers tolerate
 		// it) rather than unreferenced garbage.
-		for _, err := range objstore.MultiDelete(ctx, m.store, extentKeys) {
-			if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				return err
-			}
+		if err := m.deleteAll(ctx, extentKeys); err != nil {
+			return err
 		}
 		return ignoreNotFound(m.store.Delete(ctx, core.RingKey(account, ns)))
 	})
@@ -169,14 +167,7 @@ func (m *Middleware) gcSubtree(eng *pipeline.Engine, parent *pipeline.Group, lbl
 			}
 		}
 		if len(plain) > 0 {
-			g.GoChild("", "\x00files", func(ctx context.Context) error {
-				for _, err := range objstore.MultiDelete(ctx, m.store, plain) {
-					if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-						return err
-					}
-				}
-				return nil
-			})
+			g.GoChild("", "\x00files", func(ctx context.Context) error { return m.deleteAll(ctx, plain) })
 		}
 		// Collect peers' patch chains, which this node may not have seen:
 		// probe upward from each peer's merge watermark until the chain ends.
