@@ -52,11 +52,11 @@ func TestClaimChecksRejectViolatingRows(t *testing.T) {
 	dirshard := Result{
 		Header: []string{
 			"m", "patch bytes (mono)", "patch bytes (sharded)", "flush read bytes (mono)",
-			"flush read bytes (sharded)", "flush GETs (mono)", "crash orphans",
+			"flush read bytes (sharded)", "flush GETs (mono)", "flush GETs (sharded)", "crash orphans",
 		},
 		Rows: [][]string{
-			{"64000", "1268967", "79388", "0", "24", "0", "0"},
-			{"500000", "10388968", "649406", "0", "24", "0", "0"},
+			{"64000", "1268967", "79388", "0", "0", "0", "0", "0"},
+			{"500000", "10388968", "649406", "0", "0", "0", "0", "0"},
 		},
 	}
 	hotpath := Result{Header: []string{"path", "allocs/op", "ceiling", "status"}}
@@ -103,7 +103,8 @@ func TestClaimChecksRejectViolatingRows(t *testing.T) {
 			{"under 4x", with(dirshard, 1, "patch bytes (sharded)", "2597243")},
 			{"monolithic flush reads", with(dirshard, 1, "flush read bytes (mono)", "10")},
 			{"monolithic flush GETs", with(dirshard, 1, "flush GETs (mono)", "1")},
-			{"sharded flush reads 1 KiB", with(dirshard, 1, "flush read bytes (sharded)", "1024")},
+			{"sharded flush reads the manifest", with(dirshard, 1, "flush read bytes (sharded)", "24")},
+			{"sharded flush GETs", with(dirshard, 1, "flush GETs (sharded)", "1")},
 		}},
 		{"hotpath", checkHotPath, hotpath, []violation{
 			{"over ceiling", with(hotpath, 5, "allocs/op", "4")},

@@ -314,6 +314,19 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
+		// The same PUT as a one-slot MultiPut over the ETag it replaces: the
+		// check rides the sweep commit already makes, the durations stay on
+		// the stack and a batch that landed returns a shared result, so the
+		// ceiling is cluster/put's.
+		{"cluster/put-if-match", 3, func(b *testing.B) {
+			req := []objstore.PutReq{{Name: "hot/conditional", Data: payload}}
+			for i := 0; i < b.N; i++ {
+				req[0].IfMatch = req[0].ETag
+				if err := cl.MultiPut(ctx, req)[0]; err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		// A PUT of a new name then its DELETE: the put's three
 		// allocations. The delete, one HEAD and three removals while no
 		// write was ever diverted, allocates nothing.
@@ -416,11 +429,12 @@ func HotPath(quick bool) (Result, error) {
 			}
 		}},
 		// A one-tuple patch folded into the monolithic ring this node wrote
-		// last (WriteFile + FlushAll): the flush HEADs the ring object
-		// instead of fetching it, so the op holds no decode-namering of that
-		// ring and no merge. The ceiling is the count at both scales, far
-		// below what one decode would add — falling back to GET + decode +
-		// merge measured 15 allocs/op more at quick scale, 18 at full.
+		// last (WriteFile + FlushAll): the flush puts the ring object over
+		// the tag it remembers and reads nothing, so the op holds no
+		// decode-namering of that ring and no merge. The ceiling is the
+		// count at both scales, far below what one decode would add —
+		// falling back to GET + decode + merge measured 15 allocs/op more at
+		// quick scale, 18 at full.
 		{"h2fs/flush-validated", 28, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := bigFS.WriteFile(ctx, "/big/f", payload); err != nil {
@@ -431,13 +445,13 @@ func HotPath(quick bool) (Result, error) {
 				}
 			}
 		}},
-		// The same patch folded into the 16-extent directory: the flush GETs
-		// the manifest, HEADs the one dirty extent against its tag, encodes
-		// it and puts it back in a MultiPut whose reported ETag is the new
-		// tag, then puts the manifest. The ceiling is the count at both
-		// scales; hashing the extent again for its tag would add the ETag
-		// string and trip it.
-		{"h2fs/flush-sharded", 45, func(b *testing.B) {
+		// The same patch folded into the 16-extent directory: the flush
+		// encodes the one dirty extent and puts it over its tag in a
+		// MultiPut whose reported ETag is the new tag, then puts the
+		// manifest over its own; it reads nothing. The ceiling is the count
+		// at both scales; hashing the extent again for its tag would add
+		// the ETag string and trip it.
+		{"h2fs/flush-sharded", 37, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := shardFS.WriteFile(ctx, "/big/f", payload); err != nil {
 					b.Fatal(err)

@@ -52,16 +52,36 @@ func (c *Cluster) MultiHead(ctx context.Context, names []string) []objstore.Head
 }
 
 // MultiPut implements objstore.Batcher; each slot's ETag is the one its
-// put sealed.
+// put sealed, and its IfMatch is checked as putCore checks it. A batch of
+// up to fanoutBuf slots keeps its durations on the stack, and one whose
+// every slot landed returns a shared slice of nils — read it, never write
+// it — so a one-slot conditional put allocates what a Put does.
 func (c *Cluster) MultiPut(ctx context.Context, reqs []objstore.PutReq) []error {
-	out := make([]error, len(reqs))
-	durs := make([]time.Duration, len(reqs))
+	var out []error
+	var durBuf [fanoutBuf]time.Duration
+	durs := durBuf[:0]
 	for i, r := range reqs {
-		durs[i], reqs[i].ETag, out[i] = c.putCore(r.Name, r.Data, r.Meta)
+		d, etag, err := c.putCore(r.Name, r.Data, r.Meta, r.IfMatch)
+		durs, reqs[i].ETag = append(durs, d), etag
+		if err != nil {
+			if out == nil {
+				out = make([]error, len(reqs))
+			}
+			out[i] = err
+		}
 	}
 	vclock.Charge(ctx, vclock.Makespan(durs, c.batchWorkers()))
-	return out
+	switch {
+	case out != nil:
+		return out
+	case len(reqs) <= len(landed):
+		return landed[:len(reqs):len(reqs)]
+	}
+	return make([]error, len(reqs))
 }
+
+// landed is the result of a MultiPut whose every slot succeeded.
+var landed [fanoutBuf]error
 
 // MultiDelete implements objstore.Batcher.
 func (c *Cluster) MultiDelete(ctx context.Context, names []string) []error {

@@ -62,8 +62,8 @@ func TestMultiPutChargesOneWindow(t *testing.T) {
 }
 
 // TestMultiPutReportsSealedETags: a slot that lands reports the ETag of
-// its content, which a following Head returns; a slot that misses quorum
-// clears whatever its request carried.
+// its content and metadata, which a following Head returns; a slot that
+// misses quorum clears whatever its request carried.
 func TestMultiPutReportsSealedETags(t *testing.T) {
 	c := newTestCluster(t, SwiftProfile())
 	ctx := context.Background()
@@ -80,7 +80,7 @@ func TestMultiPutReportsSealedETags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := objstore.ETag(reqs[i].Data); reqs[i].ETag != want || info.ETag != want {
+		if want := objstore.SealedETag(reqs[i].Data, reqs[i].Meta); reqs[i].ETag != want || info.ETag != want {
 			t.Fatalf("slot %d reported %q, Head says %q, want %q", i, reqs[i].ETag, info.ETag, want)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -130,6 +131,11 @@ type Cluster struct {
 	// that is not a primary of its name. Until then no handoff holds
 	// anything, and the write-side sweeps (sweep) leave them out.
 	diverted atomic.Bool
+
+	// parts holds one lock per placement partition. Every write of an
+	// object — commit, deleteCore — holds its partition's, so a
+	// conditional put's check and its write are one step against them all.
+	parts [1 << partPower]sync.Mutex
 }
 
 // Config describes a cluster to build.
@@ -340,7 +346,7 @@ func transferCost(per time.Duration, size int) time.Duration {
 // returning ErrNoQuorum otherwise. Replica writes happen server-side in
 // parallel, so one base service time is charged.
 func (c *Cluster) Put(ctx context.Context, name string, data []byte, meta map[string]string) error {
-	cost, _, err := c.putCore(name, data, meta)
+	cost, _, err := c.putCore(name, data, meta, "")
 	vclock.Charge(ctx, cost)
 	return err
 }
@@ -349,12 +355,14 @@ func (c *Cluster) Put(ctx context.Context, name string, data []byte, meta map[st
 // simulated service time it costs — singular callers charge it directly,
 // batched callers fold it into one overlapped window — and the ETag of the
 // stored version, "" when the put failed. The payload is sealed (copied,
-// hashed) once here, and every replica holds that one value.
-func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (time.Duration, string, error) {
+// hashed) once here, and every replica holds that one value. ifMatch is
+// the put's precondition (objstore.Holds); a put that fails it costs and
+// counts what any put does.
+func (c *Cluster) putCore(name string, data []byte, meta map[string]string, ifMatch string) (time.Duration, string, error) {
 	cost := c.profile.Put + transferCost(c.profile.PerKB, len(data))
 	c.puts.Add(1)
 	s := objstore.Seal(name, data, meta, c.clock())
-	if err := c.commit("put", s); err != nil {
+	if err := c.commit("put", s, ifMatch); err != nil {
 		return cost, "", err
 	}
 	return cost, s.Info().ETag, nil
@@ -365,19 +373,35 @@ func (c *Cluster) putCore(name string, data []byte, meta map[string]string) (tim
 // diverted to a handoff node (one per failed primary), and it succeeds —
 // moving the logical gauges by the difference to whatever version the
 // sweep found first — when a majority of the replica count landed
-// somewhere. op words the ErrNoQuorum it returns otherwise.
-func (c *Cluster) commit(op string, s *objstore.Sealed) error {
+// somewhere. op words the ErrNoQuorum it returns otherwise. The sweep
+// visits the nodes in a Head's read order, so the first version it finds
+// is the one a Head would read: ifMatch is checked against it, under the
+// partition's lock, and a put that fails the check writes no replica. A
+// sweep that found nothing while a write quorum of nodes failed cannot
+// tell a miss, and returns the node error as a Head would.
+func (c *Cluster) commit(op string, s *objstore.Sealed, ifMatch string) error {
 	info := s.Info()
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	nodes, part := c.place(seqBuf[:0], info.Name)
+	mu := &c.parts[part]
+	mu.Lock()
+	defer mu.Unlock()
 	existed := false
-	var prevSize int64
+	var prev objstore.ObjectInfo
+	var miss readMiss
 	for _, n := range c.sweep(nodes, part) {
-		if old, err := n.Head(info.Name); err == nil {
-			existed = true
-			prevSize = old.Size
+		old, err := n.Head(info.Name)
+		if err == nil {
+			existed, prev = true, old
 			break
 		}
+		miss.note(err)
+	}
+	if !objstore.Holds(ifMatch, prev, existed) {
+		if err := c.missErr(op, info.Name, miss); !existed && !errors.Is(err, objstore.ErrNotFound) {
+			return err
+		}
+		return &keyError{op: op, name: info.Name, err: objstore.ErrPrecondition}
 	}
 	ok := 0
 	failed := 0
@@ -408,7 +432,7 @@ func (c *Cluster) commit(op string, s *objstore.Sealed) error {
 	if !existed {
 		c.objects.Add(1)
 	}
-	c.bytes.Add(info.Size - prevSize)
+	c.bytes.Add(info.Size - prev.Size)
 	return nil
 }
 
@@ -598,6 +622,9 @@ func (c *Cluster) deleteCore(name string) (time.Duration, error) {
 	var size int64
 	var seqBuf [fanoutBuf]objstore.NodeStore
 	seq, part := c.place(seqBuf[:0], name)
+	mu := &c.parts[part]
+	mu.Lock()
+	defer mu.Unlock()
 	for _, n := range c.sweep(seq, part) {
 		if !removed {
 			if info, err := n.Head(name); err == nil {
@@ -636,7 +663,7 @@ func (c *Cluster) Copy(ctx context.Context, src, dst string) error {
 	if err != nil {
 		return &keyError{op: "copy", name: src, err: err}
 	}
-	return c.commit("copy to", s.As(dst, c.clock()))
+	return c.commit("copy to", s.As(dst, c.clock()), "")
 }
 
 // allNodes returns a copy of the node table, in ascending id order, so

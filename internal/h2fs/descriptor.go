@@ -46,12 +46,14 @@ type descriptor struct {
 	// extent (the ring object at RingKey itself) or an H2DRX manifest there
 	// plus that many sub-ring extents.
 	lay core.ShardManifest
-	// tags[i] is the ETag of a stored version of extent i that local is
-	// known to dominate: content this node fetched and merged, or put
-	// itself. "" = none remembered. A flush that finds the store still
-	// holding that ETag skips the read — merging it would change nothing.
-	// One slot per extent of lay, or nil while nothing is remembered.
-	tags []string
+	// headTag is the ETag of the version of the object at RingKey this
+	// node last read or put — objstore.Absent for none stored, "" for none
+	// remembered — and tags[i] the same for extent i of a sharded layout
+	// (nil for a monolithic one). local dominates every remembered
+	// version, so a flush puts over it with the tag as its precondition
+	// and reads nothing; a failed precondition means a peer wrote since.
+	headTag string
+	tags    []string
 	// resident is false for a stub and for a descriptor dropped from the
 	// cache while a caller still held its pointer; lockedDesc retries on
 	// seeing it. Written under the cache lock, and under mu unless the
@@ -91,7 +93,7 @@ func newDescriptor(account, ns string, hash uint32) *descriptor {
 // leaves it settled: the stub of a clean descriptor that had loaded
 // (descache.go). The caller holds mu.
 func (d *descriptor) release() {
-	d.local, d.watermarks, d.tags, d.loaded, d.settled = nil, nil, nil, false, true
+	d.local, d.watermarks, d.tags, d.headTag, d.loaded, d.settled = nil, nil, nil, "", false, true
 	d.nextSeq, d.firstUnflushed, d.lastGossip = 0, 0, 0
 	d.lay = core.ShardManifest{Shards: 1}
 }
@@ -126,27 +128,40 @@ func (d *descriptor) dirtyShardSet() []int {
 	return out
 }
 
+// untagged returns the dirty extents of a sharded layout whose stored
+// version the descriptor does not remember.
+func (d *descriptor) untagged() []int {
+	if d.lay.Shards == 1 {
+		return nil
+	}
+	var out []int
+	for _, s := range d.dirtyShardSet() {
+		if d.tags[s] == "" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // storedRing is what one store read tells a descriptor about its
 // directory's ring: the merged tuples it fetched, the head's sealed
-// metadata that carries the flush watermarks, and the layout they are
-// stored under.
+// metadata that carries the flush watermarks, the layout they are stored
+// under, and the tags of what it read.
 type storedRing struct {
-	ring  *core.NameRing
-	meta  map[string]string
-	lay   core.ShardManifest
-	found bool
-	tags  []string // descriptor.tags once ring is merged
-	// full reports that the descriptor, once it adopts this read, dominates
-	// the whole stored state: ring holds every stored tuple, or the one
-	// extent of a monolithic layout validated unchanged. A validated read of
-	// more extents covers only the ones it was asked about.
+	ring    *core.NameRing
+	meta    map[string]string
+	lay     core.ShardManifest
+	headTag string   // descriptor.headTag once ring is merged
+	tags    []string // descriptor.tags once ring is merged
+	// full reports that ring holds every stored tuple; a narrow read of a
+	// sharded layout covers only the extents it was asked about.
 	full bool
 }
 
 // adopt folds a store read into the descriptor: the tuples (which never
 // dirty an extent — they come from already-flushed state), the peers'
-// watermark advances, and the layout with its extent tags. Dirty names
-// are names, not indices, so pending dirt remaps onto a layout a peer
+// watermark advances, and the layout with its tags. Dirty names are
+// names, not indices, so pending dirt remaps onto a layout a peer
 // transitioned to.
 func (d *descriptor) adopt(sr storedRing) {
 	if d.local == nil {
@@ -157,74 +172,34 @@ func (d *descriptor) adopt(sr storedRing) {
 			d.local = core.NewNameRing()
 		}
 		d.watermarks = core.ParseWatermarks(d.wmSlots[:0], sr.meta)
-	} else if sr.found {
+	} else if sr.headTag != objstore.Absent {
 		d.local.Merge(sr.ring)
 		d.watermarks = core.ParseWatermarks(d.watermarks, sr.meta)
 	}
-	if sr.found {
-		d.lay, d.tags = sr.lay, sr.tags
-	}
+	d.headTag, d.lay, d.tags = sr.headTag, sr.lay, sr.tags
 }
 
 // readStoredRing reads a directory's store representation: the head object
-// at RingKey, then every extent of the layout it names. With validate set —
-// the Background Merger's read — nothing is fetched that a remembered tag
-// shows unchanged, and the layout decides only how the head is asked. The
-// one extent of a monolithic layout is the head, so a HEAD of it validates
-// the tuples and brings the watermarks (the ETag hashes content only, and a
-// peer may have advanced them under identical tuples); no tag, a different
-// one, not found or any HEAD error falls through to the GET, so errors,
-// retries and a peer's split are handled in one place. A manifest is a few
-// bytes and is fetched; if it still names the layout the descriptor knows,
-// the read narrows to the dirty extents (revalidate).
-func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, validate bool) (storedRing, error) {
-	headIsExtent := d.lay.Shards == 1
-	if validate && headIsExtent && len(d.tags) == 1 && d.tags[0] != "" {
-		if info, err := m.store.Head(ctx, d.key); err == nil && info.ETag == d.tags[0] {
-			m.reg.Inc("flush.validated", 1)
-			return storedRing{meta: info.Meta, lay: d.lay, found: true, full: true, tags: d.tags}, nil
-		}
-		m.reg.Inc("flush.refetched", 1)
-	}
+// at RingKey, then the extents of the layout it names — every one, or,
+// narrow and the head naming the sharded layout the descriptor knows, only
+// the dirty extents whose tag the descriptor does not hold. A directory
+// with no stored ring reads as an empty monolithic one under the
+// generation it had, so a layout it grows into uses new keys.
+func (m *Middleware) readStoredRing(ctx context.Context, d *descriptor, narrow bool) (storedRing, error) {
 	h, err := readHead(ctx, m.store, d.account, d.ns, d.key)
 	switch {
 	case errors.Is(err, objstore.ErrNotFound):
-		return storedRing{lay: core.ShardManifest{Shards: 1}, full: true}, nil
+		return storedRing{lay: core.ShardManifest{Shards: 1, Gen: d.lay.Gen}, headTag: objstore.Absent, full: true}, nil
 	case err != nil:
 		return storedRing{}, err
 	}
-	if validate && !headIsExtent && h.Layout == d.lay {
-		sr, err := m.revalidate(ctx, d)
-		sr.meta = h.Head.Meta
+	sr := storedRing{meta: h.Head.Meta, lay: h.Layout, headTag: h.Head.ETag, full: true}
+	if narrow && h.Layout == d.lay && d.lay.Shards > 1 {
+		sr.tags, sr.full = slices.Clone(d.tags), false
+		sr.ring, err = fetchExtents(ctx, m.store, d.account, d.ns, d.lay, d.untagged(), sr.tags)
 		return sr, err
 	}
-	ring, tags, err := h.readAll(ctx, m.store, d.account, d.ns, d.loaded)
-	return storedRing{ring: ring, meta: h.Head.Meta, lay: h.Layout, found: true, tags: tags, full: true}, err
-}
-
-// revalidate is the O(dirty) read of a flush over many extents: one batched
-// HEAD over the dirty extents of the descriptor's layout, then a fetch of
-// only those whose stored ETag is not the one remembered — a peer rewrote
-// them, or this node never read them. A HEAD that fails is the flush's
-// failure: unlike the head object there is no cheaper-than-it read to fall
-// back on. The HEAD-to-put window it opens is the GET-to-put window of a
-// full read; gossip repairs a lost race in both.
-func (m *Middleware) revalidate(ctx context.Context, d *descriptor) (sr storedRing, err error) {
-	sr = storedRing{lay: d.lay, found: true, tags: slices.Clone(d.tags)}
-	which := d.dirtyShardSet()
-	var stale []int
-	for i, h := range objstore.MultiHead(ctx, m.store, d.lay.Keys(d.account, d.ns, which)) {
-		switch s := which[i]; {
-		case errors.Is(h.Err, objstore.ErrNotFound): // nothing stored, nothing to merge
-		case h.Err != nil:
-			return storedRing{}, h.Err
-		case sr.tags[s] == "" || sr.tags[s] != h.Info.ETag:
-			stale = append(stale, s)
-		}
-	}
-	m.reg.Inc("flush.validated", int64(len(which)-len(stale)))
-	m.reg.Inc("flush.refetched", int64(len(stale)))
-	sr.ring, err = fetchExtents(ctx, m.store, d.account, d.ns, d.lay, stale, sr.tags)
+	sr.ring, sr.tags, err = h.readAll(ctx, m.store, d.account, d.ns)
 	return sr, err
 }
 
@@ -274,7 +249,9 @@ func (m *Middleware) load(ctx context.Context, d *descriptor) error {
 // born puts ring as the whole state of a namespace no other node knows yet
 // (a new directory, an account root, a COPY's destination) and installs
 // what a load of it would build: monolithic, no watermarks, own chain empty
-// (settled), no tag kept. A descriptor that already adopted a read keeps it.
+// (settled). An empty ring keeps its tag, which is a constant; a COPY's
+// ring keeps none, which would cost a hash per ring. A descriptor that
+// already adopted a read keeps it.
 func (m *Middleware) born(ctx context.Context, account, ns string, ring *core.NameRing) error {
 	if err := m.store.Put(ctx, core.RingKey(account, ns), core.EncodeNameRing(ring), nil); err != nil {
 		return err
@@ -283,9 +260,15 @@ func (m *Middleware) born(ctx context.Context, account, ns string, ring *core.Na
 	defer m.unlockDesc(d)
 	if d.local == nil {
 		d.local, d.nextSeq, d.firstUnflushed, d.loaded, d.settled = ring, 1, 1, true, true
+		if ring.TotalLen() == 0 {
+			d.headTag = emptyRingTag
+		}
 	}
 	return nil
 }
+
+// emptyRingTag is the ETag of an empty ring stored without metadata.
+var emptyRingTag = objstore.ETag(core.EncodeNameRing(core.NewNameRing()))
 
 // replayChain merges node's patches into local from sequence seq until the
 // chain ends, and returns the first sequence number the store does not
@@ -349,7 +332,8 @@ func (m *Middleware) submitPatch(ctx context.Context, account, ns string, tuples
 		// hot directories bottleneck on the lock — the drawbacks that
 		// motivate the asynchronous patch protocol.
 		d.local.MergeFunc(ring, d.noteChanged)
-		clear(d.tags) // the strawman is by definition the naive GET-merge-PUT: it trusts no tag
+		d.headTag = "" // the strawman is by definition the naive GET-merge-PUT: it trusts no tag
+		clear(d.tags)
 		return m.flushLocked(ctx, d)
 	}
 	p := &core.Patch{Account: account, NS: ns, Node: m.node, Seq: d.nextSeq, Ring: ring}
@@ -388,42 +372,22 @@ func (m *Middleware) lockedDesc(account, ns string) *descriptor {
 
 // flushLocked runs the Background Merger (§4.5) for one ring — the
 // "intra-node merging" step made durable; the caller holds the descriptor
-// monitor. The store copy is read, validating by ETag and fetching only
-// what a peer rewrote, and merged with the local version and the peers'
-// watermark advances; a layout change first re-reads the whole store
-// copy. The result is put back by one writeLayout call — the extents
-// holding dirty names, or every extent when the layout changes — this
-// node's folded patch objects are deleted, and the update is advertised
-// to the gossip bus, if any. Tombstones are kept: a ring changes only by
-// merge.
+// monitor. One round (mergeAndPut) puts the local version over the stored
+// one, each object conditional on its remembered tag; a precondition that
+// fails forgets its tag, and a second round reads that object, merges it
+// and puts again. Then this node's folded patch objects are deleted and
+// the update is advertised to the gossip bus, if any. Tombstones are kept:
+// a ring changes only by merge.
 func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 	if d.clean() {
 		return nil
 	}
-	// Read-merge-write against the store copy. No extent is written that
-	// this flush has not validated or fetched: the read covers the dirty
-	// extents.
-	sr, err := m.readStoredRing(ctx, d, true)
+	err := m.mergeAndPut(ctx, d)
+	if errors.Is(err, objstore.ErrPrecondition) {
+		m.reg.Inc("flush.refetched", 1)
+		err = m.mergeAndPut(ctx, d)
+	}
 	if err != nil {
-		return err
-	}
-	d.adopt(sr)
-	to := m.desiredLayout(d)
-	if to != d.lay && !sr.full {
-		// A transition re-partitions every tuple, so it starts over from
-		// the full store state.
-		if sr, err = m.readStoredRing(ctx, d, false); err != nil {
-			return err
-		}
-		d.adopt(sr)
-		to = m.desiredLayout(d)
-	}
-	d.watermarks = d.watermarks.Set(m.node, d.nextSeq-1)
-	which := d.dirtyShardSet()
-	if to != d.lay {
-		which = to.All()
-	}
-	if err := m.writeLayout(ctx, d, to, which); err != nil {
 		return err
 	}
 	for seq := d.firstUnflushed; seq < d.nextSeq; seq++ {
@@ -440,6 +404,38 @@ func (m *Middleware) flushLocked(ctx context.Context, d *descriptor) error {
 		})
 	}
 	return nil
+}
+
+// mergeAndPut is one read-merge-write round of a flush. It reads only what
+// the put needs and no tag covers — nothing at all in a steady flush — and
+// a layout transition first re-reads the whole store copy, since it
+// re-partitions every tuple. The result goes out in one writeLayout call:
+// the extents holding dirty names, or every extent when the layout changes.
+func (m *Middleware) mergeAndPut(ctx context.Context, d *descriptor) error {
+	full := false
+	if d.headTag == "" || len(d.untagged()) > 0 {
+		sr, err := m.readStoredRing(ctx, d, true)
+		if err != nil {
+			return err
+		}
+		d.adopt(sr)
+		full = sr.full
+	}
+	to := m.desiredLayout(d)
+	if to != d.lay && !full {
+		sr, err := m.readStoredRing(ctx, d, false)
+		if err != nil {
+			return err
+		}
+		d.adopt(sr)
+		to = m.desiredLayout(d)
+	}
+	d.watermarks = d.watermarks.Set(m.node, d.nextSeq-1)
+	which := d.dirtyShardSet()
+	if to != d.lay {
+		which = to.All()
+	}
+	return m.writeLayout(ctx, d, to, which)
 }
 
 // desiredLayout applies the split/merge policy: shard once the live-child
@@ -529,7 +525,7 @@ func (m *Middleware) handleGossip(ctx context.Context, msg gossip.Message) {
 			m.unlockDesc(d)
 			return
 		}
-	} else if sr, err := m.readStoredRing(ctx, d, false); err == nil && sr.found {
+	} else if sr, err := m.readStoredRing(ctx, d, false); err == nil && sr.headTag != objstore.Absent {
 		// Detect tuples the store copy is missing before merging.
 		sr.ring.Clone().MergeFunc(d.local, d.noteChanged)
 		d.adopt(sr)

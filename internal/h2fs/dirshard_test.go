@@ -421,23 +421,25 @@ func nameInShard(prefix string, next *int, shard, shards int, in bool) string {
 	}
 }
 
-// flushCounters reads the tag protocol's hit/miss counters.
-func flushCounters(reg *metrics.Registry) (validated, refetched int64) {
-	return reg.Counter("flush.validated"), reg.Counter("flush.refetched")
-}
+// refetched reads the flushes that failed a precondition and read again.
+func refetched(reg *metrics.Registry) int64 { return reg.Counter("flush.refetched") }
 
-// extentTagsOf snapshots a directory descriptor's remembered tags.
+// extentTagsOf snapshots the tags a directory descriptor remembers for its
+// extents; a monolithic ring's one extent is the object at RingKey.
 func extentTagsOf(m *Middleware, ns string) []string {
 	d := m.lockedDesc("alice", ns)
 	defer m.unlockDesc(d)
+	if d.lay.Shards == 1 {
+		return []string{d.headTag}
+	}
 	return append([]string(nil), d.tags...)
 }
 
 // TestDirShardFlushFetchesPeerRewrittenExtent: a peer rewrites an extent
-// between two of our flushes. Our HEAD no longer matches the remembered
-// tag, so exactly that extent is fetched and merged before it is written
-// back; the extent we alone touch is validated by HEAD. No tuple of
-// either node is lost.
+// between two of our flushes. Our put over the remembered tag fails its
+// precondition, so exactly that extent is fetched and merged before it is
+// put again; the extent we alone touch is never read. No tuple of either
+// node is lost.
 func TestDirShardFlushFetchesPeerRewrittenExtent(t *testing.T) {
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
@@ -456,9 +458,13 @@ func TestDirShardFlushFetchesPeerRewrittenExtent(t *testing.T) {
 	fs := m1.FS("alice")
 	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, shared, 8, true), []byte("m")))
 	mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, own, 8, true), []byte("m")))
+	before := reg.Requests()
 	mustNoErr(t, m1.FlushAll(ctx))
-	if v, r := flushCounters(reg); v != 1 || r != 1 {
-		t.Fatalf("validated/refetched = %d/%d, want 1/1 (extent %d untouched by the peer, extent %d rewritten)", v, r, own, shared)
+	if r := refetched(reg); r != 1 {
+		t.Fatalf("refetched = %d, want 1", r)
+	}
+	if got := reg.Requests().Sub(before)[metrics.PrimGet][core.KeyExtent].N; got != 1 {
+		t.Fatalf("the flush fetched %d extents, want 1 (extent %d rewritten by the peer; extent %d untouched)", got, shared, own)
 	}
 	if got := listNames(t, m1, "/big"); len(got) != 43 {
 		t.Fatalf("our view after the merge = %d entries, want 43", len(got))
@@ -468,10 +474,11 @@ func TestDirShardFlushFetchesPeerRewrittenExtent(t *testing.T) {
 	}
 }
 
-// TestDirShardSteadyFlushReadsOnlyManifest: a single writer's steady
-// flush validates its dirty extent by HEAD and fetches nothing but the
-// manifest — read amplification is O(1), not O(m).
-func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
+// TestDirShardSteadyFlushReadsNothing: a single writer's steady flush puts
+// its dirty extent and the manifest over their remembered tags and fetches
+// nothing — read amplification is zero, not O(m). Over a store without a
+// Batcher, objstore.MultiPut checks each precondition by HEAD.
+func TestDirShardSteadyFlushReadsNothing(t *testing.T) {
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
 	// The bare Store interface hides the cluster's Batcher.
@@ -486,19 +493,20 @@ func TestDirShardSteadyFlushReadsOnlyManifest(t *testing.T) {
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
 	get := reg.Requests().Sub(before)[metrics.PrimGet]
-	if ring, ext := get[core.KeyRing], get[core.KeyExtent]; ring.N != 1 || ring.Bytes > 64 || ext.N != 0 {
-		t.Fatalf("steady flush fetched %d rings (%d bytes) and %d extents, want the manifest alone", ring.N, ring.Bytes, ext.N)
+	if ring, ext := get[core.KeyRing], get[core.KeyExtent]; ring.N != 0 || ext.N != 0 {
+		t.Fatalf("steady flush fetched %d rings and %d extents, want none", ring.N, ext.N)
 	}
-	if v, r := flushCounters(reg); v != 1 || r != 0 {
-		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
+	if r := refetched(reg); r != 0 {
+		t.Fatalf("refetched = %d, want 0", r)
 	}
 }
 
-// TestDirShardSteadyFlushReadsOnlyManifestOverBatcher is the twin of the
-// test above over storemw and the cluster's native Batcher, where the
-// extent tags are the ETags MultiPut reports rather than the fallback's
-// hash: the steady flush still validates its dirty extent and fetches none.
-func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
+// TestDirShardSteadyFlushReadsNothingOverBatcher is the twin of the test
+// above over storemw and the cluster's native Batcher, where the tags are
+// the ETags MultiPut reports rather than the fallback's hash and the store
+// checks each precondition itself: the steady flush is one MultiPut of the
+// dirty extent and one PUT of the manifest, and asks nothing else.
+func TestDirShardSteadyFlushReadsNothingOverBatcher(t *testing.T) {
 	c := newCluster(t)
 	reg := metrics.NewRegistry()
 	m := newMW(t, c, 1, withShardThreshold(16), func(cfg *Config) {
@@ -512,14 +520,16 @@ func TestDirShardSteadyFlushReadsOnlyManifestOverBatcher(t *testing.T) {
 	mustNoErr(t, m.FS("alice").WriteFile(ctx, "/big/onemore", []byte("x")))
 	mustNoErr(t, m.FlushAll(ctx))
 	d := reg.Requests().Sub(before)
-	if got := d[metrics.PrimPut][core.KeyExtent].N; got != 1 {
-		t.Fatalf("steady flush put %d extents, want the one dirty extent", got)
+	if ext, ring := d[metrics.PrimPut][core.KeyExtent].N, d[metrics.PrimPut][core.KeyRing].N; ext != 1 || ring != 1 {
+		t.Fatalf("steady flush put %d extents and %d manifests, want the one dirty extent and the manifest", ext, ring)
 	}
-	if got := d[metrics.PrimGet][core.KeyExtent].N; got != 0 {
-		t.Fatalf("steady flush fetched %d extents, want none", got)
+	for _, p := range []metrics.Primitive{metrics.PrimGet, metrics.PrimHead} {
+		if ext, ring := d[p][core.KeyExtent].N, d[p][core.KeyRing].N; ext != 0 || ring != 0 {
+			t.Fatalf("steady flush read %d extents and %d manifests (primitive %d), want none", ext, ring, p)
+		}
 	}
-	if v, r := flushCounters(reg); v != 1 || r != 0 {
-		t.Fatalf("validated/refetched = %d/%d, want 1/0", v, r)
+	if r := refetched(reg); r != 0 {
+		t.Fatalf("refetched = %d, want 0", r)
 	}
 }
 
@@ -550,9 +560,10 @@ func TestDirShardResplitKeepsPeerOnlyExtents(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mustNoErr(t, fs.WriteFile(ctx, "/big/"+nameInShard("mine", &next, peers, 8, false), []byte("m")))
 		if i == 49 {
+			before := reg.Requests()
 			mustNoErr(t, m1.FlushAll(ctx))
-			if _, r := flushCounters(reg); r != 0 {
-				t.Fatalf("steady flush refetched %d extents; the peer's extent was never dirty here", r)
+			if got := reg.Requests().Sub(before)[metrics.PrimGet][core.KeyExtent].N; got != 0 {
+				t.Fatalf("steady flush fetched %d extents; the peer's extent was never dirty here", got)
 			}
 			if got := listNames(t, m1, "/big"); len(got) != 90 {
 				t.Fatalf("before the re-split this node sees %d entries, want 90 (none of the peer's)", len(got))

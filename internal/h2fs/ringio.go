@@ -37,7 +37,7 @@ func ReadRing(ctx context.Context, s objstore.Store, account, ns string) (RingRe
 		return RingRead{}, err
 	}
 	rr.Extents = rr.Layout.Extents(account, ns)
-	rr.Ring, _, err = rr.readAll(ctx, s, account, ns, false)
+	rr.Ring, _, err = rr.readAll(ctx, s, account, ns)
 	rr.head = nil // decoded; a caller that keeps the read should not keep the bytes too
 	return rr, err
 }
@@ -57,21 +57,16 @@ func readHead(ctx context.Context, s objstore.Store, account, ns, key string) (R
 }
 
 // readAll is the second half: every tuple stored under the head's layout,
-// and tags[i], the ETag extent i was read at. The head of a monolithic
-// layout is the one extent, so nothing more is fetched — and its tag costs
-// a slot only when the caller will remember it: a descriptor's first load
-// does not, which keeps a reload (the cold-lookup hot path) free of the
-// allocation and makes the first flush after one read in full.
-func (rr RingRead) readAll(ctx context.Context, s objstore.Store, account, ns string, remember bool) (*core.NameRing, []string, error) {
+// and for a sharded one tags[i], the ETag extent i was read at. The head
+// of a monolithic layout is the one extent, so nothing more is fetched,
+// and its tag is the head's.
+func (rr RingRead) readAll(ctx context.Context, s objstore.Store, account, ns string) (*core.NameRing, []string, error) {
 	if rr.Layout.Shards == 1 {
 		ring, err := core.DecodeNameRing(rr.head)
 		if err != nil {
 			return nil, nil, fmt.Errorf("h2fs: ring %s/%s corrupt: %w", account, ns, err)
 		}
-		if !remember {
-			return ring, nil, nil
-		}
-		return ring, []string{rr.Head.ETag}, nil
+		return ring, nil, nil
 	}
 	tags := make([]string, rr.Layout.Shards)
 	ring, err := fetchExtents(ctx, s, account, ns, rr.Layout, rr.Layout.All(), tags)
@@ -81,7 +76,8 @@ func (rr RingRead) readAll(ctx context.Context, s objstore.Store, account, ns st
 // fetchExtents reads the given extents of a layout in one batched window
 // (objstore.MultiGet — the cluster charges it as one overlapped LPT
 // fan-out) and returns them merged, recording in tags the ETag of each one
-// read. It is the only code that follows a manifest to its extents.
+// read, objstore.Absent for one not stored. It is the only code that
+// follows a manifest to its extents.
 func fetchExtents(ctx context.Context, s objstore.Store, account, ns string, lay core.ShardManifest, which []int, tags []string) (*core.NameRing, error) {
 	if len(which) == 0 {
 		return nil, nil
@@ -89,7 +85,7 @@ func fetchExtents(ctx context.Context, s objstore.Store, account, ns string, lay
 	extents := make([]*core.NameRing, len(which))
 	for i, res := range objstore.MultiGet(ctx, s, lay.Keys(account, ns, which)) {
 		if errors.Is(res.Err, objstore.ErrNotFound) {
-			tags[which[i]] = ""
+			tags[which[i]] = objstore.Absent
 			continue
 		}
 		if res.Err != nil {
@@ -116,44 +112,44 @@ func fetchExtents(ctx context.Context, s objstore.Store, account, ns string, lay
 // atomic flip: a crash at any point leaves the old state plus unreferenced
 // garbage for Scrub, or the new state complete.
 //
-// tags remembers the ETag of everything that landed — as MultiPut reported
-// it for an extent, hashed here for the one monolithic put — and forgets
-// what failed: the store may hold either version of that. A transition's
-// tags are adopted only with its flip.
+// Every put over a version this node remembers names its tag (IfMatch):
+// the object at RingKey always, a steady flush's extents too. A
+// transition's extents are new keys that nothing references before the
+// flip, and go unconditionally. The store reports the ETag it sealed for
+// each put, which becomes the tag; a failed put forgets it, since the store
+// may hold either version. A transition's tags are adopted only with its
+// flip.
 func (m *Middleware) writeLayout(ctx context.Context, d *descriptor, to core.ShardManifest, which []int) error {
 	tags := d.tags
-	if len(tags) != to.Shards {
+	if to.Shards == 1 {
+		tags = nil
+	} else if to != d.lay {
 		tags = make([]string, to.Shards)
 	}
 	meta := core.EncodeWatermarks(d.watermarks)
 	written := 0 // extent objects put beside the head
+	var head []byte
 	if to.Shards == 1 {
-		// One object primitive: a batch of one costs two slices a flush.
-		data := core.EncodeNameRing(d.local)
-		if err := m.store.Put(ctx, d.key, data, meta); err != nil {
-			tags[0] = ""
-			return fmt.Errorf("h2fs: flush ring: %w", err)
-		}
-		tags[0] = objstore.ETag(data)
+		head = core.EncodeNameRing(d.local)
 	} else {
 		reqs := make([]objstore.PutReq, len(which))
 		for i, data := range core.EncodeNameRingExtents(d.local, to.Shards, which) {
-			reqs[i] = objstore.PutReq{Name: to.Key(d.account, d.ns, which[i]), Data: data}
+			reqs[i] = objstore.PutReq{Name: to.Key(d.account, d.ns, which[i]), Data: data, IfMatch: tags[which[i]]}
 		}
 		var failed error
 		for i, err := range objstore.MultiPut(ctx, m.store, reqs) {
 			tags[which[i]] = reqs[i].ETag // what the store sealed; "" for a slot that failed
-			if err != nil {
-				failed = errors.Join(failed, err)
-			}
+			failed = errors.Join(failed, err)
 		}
 		if failed != nil {
 			return fmt.Errorf("h2fs: flush extent: %w", failed)
 		}
-		written = len(reqs)
-		if err := m.store.Put(ctx, d.key, core.EncodeShardManifest(to), meta); err != nil {
-			return fmt.Errorf("h2fs: flush manifest: %w", err)
-		}
+		written, head = len(reqs), core.EncodeShardManifest(to)
+	}
+	req := []objstore.PutReq{{Name: d.key, Data: head, Meta: meta, IfMatch: d.headTag}}
+	err := objstore.MultiPut(ctx, m.store, req)[0]
+	if d.headTag = req[0].ETag; err != nil {
+		return fmt.Errorf("h2fs: flush ring: %w", err)
 	}
 	old := d.lay
 	d.lay, d.tags = to, tags

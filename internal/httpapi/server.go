@@ -245,6 +245,7 @@ var wireErrors = []struct {
 	{fsapi.ErrIsDir, http.StatusConflict, "is_dir"},
 	{fsapi.ErrInvalidPath, http.StatusBadRequest, "invalid_path"},
 	{fsapi.ErrCrossAccount, http.StatusForbidden, "cross_account"},
+	{objstore.ErrPrecondition, http.StatusPreconditionFailed, "precondition_failed"},
 }
 
 // wireRow returns the status and code of the first wireErrors row err

@@ -1,6 +1,9 @@
 package objstore
 
-import "context"
+import (
+	"context"
+	"errors"
+)
 
 // Batch API. The paper's maintenance operations (COPY of a subtree, GC of
 // a namespace, anti-entropy repair) touch many independent objects at
@@ -31,14 +34,18 @@ type HeadResult struct {
 	Err  error
 }
 
-// PutReq is one object write in a MultiPut. ETag is an output: MultiPut
+// PutReq is one object write in a MultiPut. IfMatch is its precondition
+// (Holds): "" writes whatever is stored, Absent creates only, and an ETag
+// replaces only the version carrying it. A slot whose precondition fails
+// writes nothing and reports ErrPrecondition. ETag is an output: MultiPut
 // sets it to the ETag the store sealed when the slot succeeds and clears
 // it when the slot fails.
 type PutReq struct {
-	Name string
-	Data []byte
-	Meta map[string]string
-	ETag string
+	Name    string
+	Data    []byte
+	Meta    map[string]string
+	IfMatch string
+	ETag    string
 }
 
 // Batcher is the optional batched half of the store contract. All
@@ -85,18 +92,31 @@ func MultiHead(ctx context.Context, s Store, names []string) []HeadResult {
 	return out
 }
 
-// MultiPut dispatches like MultiGet. Store.Put reports no ETag, so the
-// fallback hashes each payload that landed.
+// MultiPut dispatches like MultiGet. The fallback checks a slot's IfMatch
+// with a Head and then puts: two requests, not one step, so a write that
+// lands between them is overwritten — only a native Batcher makes the
+// check atomic. Store.Put reports no ETag, so the fallback hashes each
+// version that landed as Seal does.
 func MultiPut(ctx context.Context, s Store, reqs []PutReq) []error {
 	if b, ok := s.(Batcher); ok {
 		return b.MultiPut(ctx, reqs)
 	}
 	out := make([]error, len(reqs))
 	for i, r := range reqs {
-		out[i] = s.Put(ctx, r.Name, r.Data, r.Meta)
 		reqs[i].ETag = ""
-		if out[i] == nil {
-			reqs[i].ETag = ETag(r.Data)
+		if r.IfMatch != "" {
+			cur, err := s.Head(ctx, r.Name)
+			if err != nil && !errors.Is(err, ErrNotFound) {
+				out[i] = err
+				continue
+			}
+			if !Holds(r.IfMatch, cur, err == nil) {
+				out[i] = ErrPrecondition
+				continue
+			}
+		}
+		if out[i] = s.Put(ctx, r.Name, r.Data, r.Meta); out[i] == nil {
+			reqs[i].ETag = SealedETag(r.Data, r.Meta)
 		}
 	}
 	return out

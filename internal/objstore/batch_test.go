@@ -73,3 +73,32 @@ func TestMultiPutFallbackReportsETags(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiPutFallbackChecksPreconditions: over a store without Batcher,
+// MultiPut checks each slot's IfMatch with a Head before it puts; a slot
+// that fails writes nothing and reports ErrPrecondition.
+func TestMultiPutFallbackChecksPreconditions(t *testing.T) {
+	s := &nodeStore{n: NewNode(0)}
+	ctx := context.Background()
+	if err := s.Put(ctx, "a", []byte("alpha"), map[string]string{"k": "v"}); err != nil {
+		t.Fatal(err)
+	}
+	tag := SealedETag([]byte("alpha"), map[string]string{"k": "v"})
+	reqs := []PutReq{
+		{Name: "a", Data: []byte("stale"), IfMatch: ETag([]byte("alpha"))}, // the content-only hash
+		{Name: "a", Data: []byte("fresh"), IfMatch: tag},
+		{Name: "b", Data: []byte("beta"), IfMatch: Absent},
+		{Name: "a", Data: []byte("again"), IfMatch: Absent},
+	}
+	out := MultiPut(ctx, s, reqs)
+	for i, want := range []error{ErrPrecondition, nil, nil, ErrPrecondition} {
+		if !errors.Is(out[i], want) || (want == nil) != (reqs[i].ETag != "") {
+			t.Fatalf("slot %d = (%v, %q), want %v", i, out[i], reqs[i].ETag, want)
+		}
+	}
+	for name, want := range map[string]string{"a": "fresh", "b": "beta"} {
+		if data, _, err := s.Get(ctx, name); err != nil || string(data) != want {
+			t.Fatalf("%s holds %q (%v), want %q", name, data, err, want)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,7 +24,7 @@ import (
 type ObjectInfo struct {
 	Name         string
 	Size         int64
-	ETag         string // hex MD5 of the content
+	ETag         string // SealedETag of the content and metadata
 	LastModified time.Time
 	Meta         map[string]string // user metadata, copied on write
 }
@@ -37,12 +38,16 @@ var (
 	// ErrNoQuorum reports that too few replicas were reachable to commit a
 	// write durably.
 	ErrNoQuorum = errors.New("objstore: quorum not reached")
+	// ErrPrecondition reports that a conditional write (PutReq.IfMatch)
+	// found another version than the one it names, and wrote nothing.
+	ErrPrecondition = errors.New("objstore: precondition failed")
 )
 
 // Transient reports whether err is a fault that may heal on retry: a
 // node that is down can restart, and a write that missed quorum can
 // succeed once replicas return. ErrNotFound is not transient — the
-// object is genuinely absent from every reachable replica.
+// object is genuinely absent from every reachable replica — and neither
+// is ErrPrecondition: the version it found stays until someone rewrites it.
 func Transient(err error) bool {
 	return errors.Is(err, ErrNodeDown) || errors.Is(err, ErrNoQuorum)
 }
@@ -67,12 +72,58 @@ type Store interface {
 	Copy(ctx context.Context, src, dst string) error
 }
 
-// ETag computes the hex MD5 content hash used by ObjectInfo.
+// ETag computes the hex MD5 content hash: the ETag of an object stored
+// without metadata.
 func ETag(data []byte) string {
+	return hexTag(md5.Sum(data))
+}
+
+// SealedETag is the ETag Seal gives a version. Without metadata it is
+// ETag(data); with metadata it is the MD5 of the content's MD5 followed by
+// every key and value in key order, so a version that changed only its
+// metadata changes its ETag too, and a conditional write (PutReq.IfMatch)
+// notices it. A few short pairs hash with no allocation but the string.
+func SealedETag(data []byte, meta map[string]string) string {
+	if len(meta) == 0 {
+		return ETag(data)
+	}
+	var keyBuf [8]string
+	keys := keyBuf[:0]
+	for k := range meta {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var buf [256]byte
 	sum := md5.Sum(data)
+	b := append(buf[:0], sum[:]...)
+	for _, k := range keys {
+		b = append(append(append(append(b, k...), 0), meta[k]...), 0)
+	}
+	return hexTag(md5.Sum(b))
+}
+
+func hexTag(sum [md5.Size]byte) string {
 	var buf [2 * md5.Size]byte
 	hex.Encode(buf[:], sum[:])
 	return string(buf[:])
+}
+
+// Absent is the IfMatch of a create-only write: it holds where no version
+// is stored. It is no ETag, so a list of remembered tags can hold it for
+// "known to be absent".
+const Absent = "absent"
+
+// Holds reports whether the precondition ifMatch holds over the stored
+// version cur, or over none when found is false: "" always holds, Absent
+// only over none, and any other value only over a version with that ETag.
+func Holds(ifMatch string, cur ObjectInfo, found bool) bool {
+	switch ifMatch {
+	case "":
+		return true
+	case Absent:
+		return !found
+	}
+	return found && cur.ETag == ifMatch
 }
 
 // Sealed is one immutable object version: a private copy of the content,
@@ -87,7 +138,8 @@ type Sealed struct {
 }
 
 // Seal builds the stored version of one write: it copies data and meta
-// and hashes the content, once, whatever number of replicas will hold it.
+// and hashes them (SealedETag), once, whatever number of replicas will
+// hold it.
 func Seal(name string, data []byte, meta map[string]string, now time.Time) *Sealed {
 	stored := make([]byte, len(data))
 	copy(stored, data)
@@ -103,7 +155,7 @@ func Seal(name string, data []byte, meta map[string]string, now time.Time) *Seal
 		info: ObjectInfo{
 			Name:         name,
 			Size:         int64(len(stored)),
-			ETag:         ETag(stored),
+			ETag:         SealedETag(stored, metaCopy),
 			LastModified: now,
 			Meta:         metaCopy,
 		},

@@ -33,7 +33,7 @@ func TestNodePutGetRoundTrip(t *testing.T) {
 	if info.Meta["k"] != "v" {
 		t.Fatalf("meta = %v", info.Meta)
 	}
-	if info.ETag != ETag([]byte("hello")) {
+	if info.ETag != SealedETag([]byte("hello"), map[string]string{"k": "v"}) {
 		t.Fatalf("ETag mismatch")
 	}
 }
@@ -181,7 +181,7 @@ func TestSealedIsCopiedOnceAndSharedAfter(t *testing.T) {
 	now := time.Unix(100, 0)
 	s := Seal("a", data, meta, now)
 	data[0], meta["k"], meta["new"] = 'J', "changed", "1"
-	want := ObjectInfo{Name: "a", Size: 5, ETag: ETag([]byte("hello")), LastModified: now}
+	want := ObjectInfo{Name: "a", Size: 5, ETag: SealedETag([]byte("hello"), map[string]string{"k": "v"}), LastModified: now}
 	check := func(when string, s *Sealed, want ObjectInfo) {
 		t.Helper()
 		info := s.Info()
@@ -223,5 +223,36 @@ func TestSealedIsCopiedOnceAndSharedAfter(t *testing.T) {
 	}
 	if _, bytes := a.Stats(); bytes != 5 {
 		t.Fatalf("node bytes = %d, want 5: each node counts the replica it holds", bytes)
+	}
+}
+
+// TestSealedETagCoversMetadata: an object without metadata keeps the MD5
+// of its content; one with metadata changes its ETag when only the
+// metadata changes, whatever order the map yields its keys in.
+func TestSealedETagCoversMetadata(t *testing.T) {
+	data := []byte("ring")
+	if SealedETag(data, nil) != ETag(data) || SealedETag(data, map[string]string{}) != ETag(data) {
+		t.Fatal("an object without metadata must keep the ETag of its content")
+	}
+	wm := map[string]string{"wm.1": "3", "wm.2": "4"}
+	base := SealedETag(data, wm)
+	if base == ETag(data) {
+		t.Fatal("metadata left the ETag unchanged")
+	}
+	for i := 0; i < 20; i++ {
+		if got := SealedETag(data, map[string]string{"wm.2": "4", "wm.1": "3"}); got != base {
+			t.Fatalf("the same metadata hashed to %s and %s", got, base)
+		}
+	}
+	for _, meta := range []map[string]string{{"wm.1": "3", "wm.2": "5"}, {"wm.1": "3"}, {"wm.1": "34"}, {"wm.13": "4"}} {
+		if SealedETag(data, meta) == base {
+			t.Fatalf("metadata %v hashed like %v", meta, wm)
+		}
+	}
+	if got := Seal("r", data, wm, time.Unix(0, 0)).Info().ETag; got != base {
+		t.Fatalf("Seal = %s, SealedETag = %s", got, base)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = SealedETag(data, wm) }); n != 1 {
+		t.Fatalf("SealedETag of two short pairs allocates %v times, want the string alone", n)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // key, as the cloud bills: a batch of n names is n requests, a GetRange a
 // GET, a COPY counts under its destination, a miss counts, a retry does
 // not (outside the retry ring it sees one call; retry.attempts the rest).
-// A miss is an answer, not an error: "store.<op>" counts only faults.
+// A miss or a failed precondition is an answer: "store.<op>" counts faults.
 func Metrics(reg *metrics.Registry) Layer {
 	return func(inner objstore.Store) objstore.Store {
 		return &metricsStore{inner: inner, reg: reg}
@@ -52,9 +52,9 @@ func (s *metricsStore) observed(ctx context.Context, op string, fn func(context.
 	s.reg.Observe(op, elapsed, fault(err))
 }
 
-// fault is err unless it is a miss (objstore.ErrNotFound), which is nil.
+// fault is err unless it is an answer: a miss or a failed precondition.
 func fault(err error) error {
-	if err != nil && errors.Is(err, objstore.ErrNotFound) {
+	if errors.Is(err, objstore.ErrNotFound) || errors.Is(err, objstore.ErrPrecondition) {
 		return nil
 	}
 	return err

@@ -359,6 +359,42 @@ func TestMetricsCountsFaultsNotMisses(t *testing.T) {
 	}
 }
 
+// TestRetryRingSendsAFailedPreconditionOnce: a failed precondition is the
+// store's answer, not a fault that may heal, so the retry ring returns it
+// without a second attempt; the metrics ring bills the one PUT and counts
+// no error.
+func TestRetryRingSendsAFailedPreconditionOnce(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ZeroProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	var calls int
+	counted := Before(func(context.Context, Op, string, []byte) error { calls++; return nil })
+	s := Stack(cl, counted, Retry(reg), Metrics(reg))
+	ctx := context.Background()
+	ring := core.RingKey("a", "N1")
+	if err := s.Put(ctx, ring, []byte("v0"), nil); err != nil {
+		t.Fatal(err)
+	}
+	before, calls := reg.Requests(), 0
+	req := []objstore.PutReq{{Name: ring, Data: []byte("v1"), IfMatch: objstore.ETag([]byte("other"))}}
+	if err := objstore.MultiPut(ctx, s, req)[0]; !errors.Is(err, objstore.ErrPrecondition) || req[0].ETag != "" {
+		t.Fatalf("put over a stale tag = (%v, %q), want ErrPrecondition and no ETag", err, req[0].ETag)
+	}
+	if calls != 1 || reg.Counter("retry.attempts") != 0 {
+		t.Fatalf("the store saw %d calls and retry.attempts = %d, want 1 and 0", calls, reg.Counter("retry.attempts"))
+	}
+	if got := reg.Requests().Sub(before)[metrics.PrimPut][core.KeyRing].N; got != 1 {
+		t.Fatalf("billed %d ring PUTs, want 1", got)
+	}
+	for _, op := range reg.Snapshot() {
+		if op.Errors != 0 {
+			t.Fatalf("%s counts %d errors; a failed precondition is no fault", op.Name, op.Errors)
+		}
+	}
+}
+
 // TestRequestTableBilling pins how the metrics ring bills the request
 // table: a batch of n names is n requests, a GetRange is a GET, a COPY
 // counts under its destination, PUT and GET carry their payload bytes, a
